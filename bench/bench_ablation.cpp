@@ -26,7 +26,7 @@ void BM_Slicing(benchmark::State& state) {
   auto dc = make_datacenter(p);
   VerifyOptions opts;
   opts.use_slices = use_slices;
-  Engine v(dc.model, opts);
+  Engine v(dc.model, {.verify = opts});
   verify_expecting(state, v, dc.isolation_invariants()[0], Outcome::holds);
 }
 BENCHMARK(BM_Slicing)->Arg(1)->Arg(0)->ArgNames({"slices"})
@@ -53,7 +53,7 @@ void BM_FailureBudget(benchmark::State& state) {
   auto dc = make_datacenter(p);
   VerifyOptions opts;
   opts.max_failures = budget;
-  Engine v(dc.model, opts);
+  Engine v(dc.model, {.verify = opts});
   verify_expecting(state, v, dc.isolation_invariants()[0], Outcome::holds);
 }
 BENCHMARK(BM_FailureBudget)->Arg(0)->Arg(1)->ArgNames({"max_failures"})

@@ -65,7 +65,7 @@ void BM_Redundancy(benchmark::State& state) {
   Datacenter dc = make_datacenter(params());
   Rng rng(43);
   inject_misconfig(dc, DcMisconfig::redundancy, rng, /*strength=*/2);
-  Engine v(dc.model, failures(1));
+  Engine v(dc.model, {.verify = failures(1)});
   verify_expecting(state, v, pick_invariant(dc, violated),
                    violated ? Outcome::violated : Outcome::holds);
 }
@@ -79,7 +79,7 @@ void BM_Traversal(benchmark::State& state) {
     Rng rng(44);
     inject_misconfig(dc, DcMisconfig::traversal, rng);
   }
-  Engine v(dc.model, failures(1));
+  Engine v(dc.model, {.verify = failures(1)});
   verify_expecting(state, v, dc.traversal_invariants()[0],
                    violated ? Outcome::violated : Outcome::holds);
 }

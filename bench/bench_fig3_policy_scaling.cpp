@@ -61,7 +61,7 @@ void BM_Fig3_Redundancy(benchmark::State& state) {
   inject_misconfig(dc, DcMisconfig::redundancy, rng, classes / 4 + 1);
   VerifyOptions opts;
   opts.max_failures = 1;
-  Engine v(dc.model, opts);
+  Engine v(dc.model, {.verify = opts});
   verify_all_expecting(state, v, dc.isolation_invariants(),
                        expected_isolation(dc), true);
 }
@@ -75,7 +75,7 @@ void BM_Fig3_Traversal(benchmark::State& state) {
   inject_misconfig(dc, DcMisconfig::traversal, rng);
   VerifyOptions opts;
   opts.max_failures = 1;
-  Engine v(dc.model, opts);
+  Engine v(dc.model, {.verify = opts});
   auto invs = dc.traversal_invariants();
   std::vector<Outcome> expected(invs.size(), Outcome::violated);
   verify_all_expecting(state, v, invs, expected, true);

@@ -32,7 +32,7 @@ void run(benchmark::State& state, int invariant_index, bool use_slices) {
   Enterprise ent = make(subnets);
   VerifyOptions opts;
   opts.use_slices = use_slices;
-  Engine v(ent.model, opts);
+  Engine v(ent.model, {.verify = opts});
   const double mean_ms = verify_expecting(
       state, v, ent.invariants[static_cast<std::size_t>(invariant_index)],
       Outcome::holds);

@@ -35,7 +35,7 @@ void run(benchmark::State& state, int which, bool use_slices) {
   VerifyOptions opts;
   opts.use_slices = use_slices;
   opts.solver.timeout_ms = 600000;
-  Engine v(mt.model, opts);
+  Engine v(mt.model, {.verify = opts});
   encode::Invariant inv = which == 0   ? mt.priv_priv()
                           : which == 1 ? mt.pub_priv()
                                        : mt.priv_pub();

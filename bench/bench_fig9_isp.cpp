@@ -32,7 +32,7 @@ void run(benchmark::State& state, int peering, int subnets, bool use_slices) {
   VerifyOptions opts;
   opts.use_slices = use_slices;
   opts.solver.timeout_ms = 600000;
-  Engine v(isp.model, opts);
+  Engine v(isp.model, {.verify = opts});
   // A private subnet's flow-isolation invariant (subnet 1 exists for every
   // generated size and is private).
   verify_expecting(state, v, isp.invariants()[1], Outcome::holds);

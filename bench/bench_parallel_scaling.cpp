@@ -30,7 +30,6 @@
 #include "scenarios/multitenant.hpp"
 #include "verify/faults.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 
 namespace {
 
@@ -39,7 +38,7 @@ using scenarios::Datacenter;
 using scenarios::DatacenterParams;
 using scenarios::DcMisconfig;
 using verify::Outcome;
-using verify::ParallelOptions;
+using verify::EngineOptions;
 using verify::Engine;
 
 constexpr int kClasses = 8;
@@ -57,8 +56,7 @@ std::map<bool, double> baseline_ms;
 
 double run_batch(const Datacenter& dc, std::size_t workers,
                  bool use_symmetry, benchmark::State& state) {
-  ParallelOptions opts;
-  opts.jobs = workers;
+  EngineOptions opts{.batch = true, .jobs = workers};
   opts.use_symmetry = use_symmetry;
   opts.verify.solver.seed = 1;
   Engine v(dc.model, opts);
@@ -145,8 +143,7 @@ void BM_BatchFastPath(benchmark::State& state) {
     batch.expected_holds.push_back(true);
   }
 
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
   opts.verify.warm_solving = mode != kCold;
@@ -244,8 +241,7 @@ void BM_IsoWarm(benchmark::State& state) {
     batch.expected_holds.push_back(true);
   }
 
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
   opts.verify.warm_solving = warm;
@@ -339,8 +335,7 @@ void BM_Fig8Batch(benchmark::State& state) {
   p.private_vms_per_tenant = 1;
   scenarios::MultiTenant mt = scenarios::make_multitenant(p);
   const scenarios::Batch batch = mt.batch();
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
   Engine v(mt.model, opts);
   double wall_ms = 0, planned_jobs = 0, solver_calls = 0, iso_verdicts = 0,
@@ -404,8 +399,7 @@ void BM_BatchBackend(benchmark::State& state) {
   const bool use_process = state.range(0) != 0;
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
   opts.backend =
       use_process ? verify::Backend::process : verify::Backend::thread;
@@ -462,8 +456,7 @@ BENCHMARK(BM_BatchBackend)
 void BM_FaultQuarantine(benchmark::State& state) {
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
   opts.backend = verify::Backend::process;
   opts.verify.faults = verify::FaultPlan::parse("crash-job=0");
@@ -516,8 +509,7 @@ BENCHMARK(BM_FaultQuarantine)->Unit(benchmark::kMillisecond)->Iterations(1);
 void BM_FaultEscalation(benchmark::State& state) {
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
-  ParallelOptions opts;
-  opts.jobs = 2;
+  EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
   opts.verify.faults = verify::FaultPlan::parse("solver-unknown=1");
   Engine v(dc.model, opts);

@@ -25,7 +25,7 @@ void audit(const char* title, const scenarios::Datacenter& dc,
   std::printf("\n== %s (failure budget: %d) ==\n", title, max_failures);
   verify::VerifyOptions opts;
   opts.max_failures = max_failures;
-  verify::Engine verifier(dc.model, opts);
+  verify::Engine verifier(dc.model, {.verify = opts});
   const net::Network& net = dc.model.network();
   verify::BatchResult batch = verifier.run_batch(invariants);
   bool printed = false;

@@ -1,8 +1,8 @@
 // The uniform invariant-batch shape every scenario generator exports.
 //
-// ParallelVerifier, the CLI --batch mode, the parallel tests and the
-// scaling benchmark all consume scenarios through this one interface
-// instead of each scenario's bespoke accessors.
+// verify::Engine's batch runs, the CLI --batch mode, the executor tests
+// and the scaling benchmark all consume scenarios through this one
+// interface instead of each scenario's bespoke accessors.
 #pragma once
 
 #include <string>

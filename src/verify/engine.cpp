@@ -1,16 +1,25 @@
 #include "verify/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <set>
+#include <thread>
+#include <utility>
+
+#include "io/spec.hpp"
+
 namespace vmn::verify {
 
-ParallelOptions EngineOptions::parallel() const {
-  ParallelOptions p;
-  p.jobs = jobs;
-  p.backend = backend;
-  p.process = process;
-  p.deadline = deadline;
-  p.use_symmetry = use_symmetry;
-  p.verify = verify;
-  return p;
+using Clock = std::chrono::steady_clock;
+
+std::string to_string(Backend backend) {
+  switch (backend) {
+    case Backend::thread:
+      return "thread";
+    case Backend::process:
+      return "process";
+  }
+  return "?";
 }
 
 namespace {
@@ -26,61 +35,110 @@ std::uint64_t cache_stamp(const encode::NetworkModel& model,
   return cached ? model_fingerprint(model) : 0;
 }
 
+/// [begin, end) ranges over the solve list, one per executor task.
+using Groups = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Runs of same-shape jobs (the planner made them adjacent, and dropping
+/// cache-answered jobs preserves adjacency) become single groups, so one
+/// warm session solves each run back to back. "Same shape" means the same
+/// *base encoding* - identical member sets, or member sets rebound onto one
+/// isomorphic representative (Job::encode_members). When there are fewer
+/// runs than `width` workers, the largest runs are split until the fan-out
+/// is restored - otherwise a batch whose jobs all share one shape (e.g.
+/// --no-slices audits) would serialize onto a single worker. Deterministic
+/// for a fixed (plan, width) pair: the first largest run splits at its
+/// midpoint each round.
+Groups shape_groups(const JobPlan& plan,
+                    const std::vector<std::size_t>& to_solve,
+                    std::size_t width) {
+  Groups groups;
+  for (std::size_t k = 0; k < to_solve.size();) {
+    std::size_t end = k + 1;
+    while (end < to_solve.size() &&
+           plan.jobs[to_solve[end]].encode_members() ==
+               plan.jobs[to_solve[k]].encode_members()) {
+      ++end;
+    }
+    groups.emplace_back(k, end);
+    k = end;
+  }
+  const std::size_t target = std::min(width, to_solve.size());
+  while (groups.size() < target) {
+    std::size_t best = groups.size();
+    std::size_t best_len = 1;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::size_t len = groups[g].second - groups[g].first;
+      if (len > best_len) {
+        best = g;
+        best_len = len;
+      }
+    }
+    if (best == groups.size()) break;  // nothing left to split
+    const auto [begin, end] = groups[best];
+    const std::size_t mid = begin + (end - begin) / 2;
+    groups[best] = {begin, mid};
+    groups.insert(groups.begin() + static_cast<std::ptrdiff_t>(best) + 1,
+                  {mid, end});
+  }
+  return groups;
+}
+
+void add_counters(BatchResult& out, const SessionCounters& c) {
+  out.warm_binds += c.binds;
+  out.warm_reuses += c.warm_reuses;
+  out.iso_reuses += c.iso_reuses;
+  out.encode_transfer_builds += c.transfer_builds;
+  out.encode_transfer_reuses += c.transfer_reuses;
+  out.degradation.escalations += c.escalations;
+  out.degradation.escalations_rescued += c.escalations_rescued;
+}
+
 }  // namespace
+
+Engine::Planning::Planning(const encode::NetworkModel& model,
+                           const VerifyOptions& options)
+    : ctx(model.network()),
+      classes(build_policy_classes(model, options, ctx)) {}
 
 Engine::Engine(const encode::NetworkModel& model, EngineOptions options)
     : model_(&model), options_(std::move(options)),
       cache_(options_.verify.cache_dir, cache_stamp(model, options_),
              options_.memory_cache) {}
 
-Verifier& Engine::sequential() {
-  if (!seq_) {
-    seq_ = std::make_unique<Verifier>(*model_, options_.verify);
-    seq_->set_result_cache(&cache_);
+Engine::Planning& Engine::planning() {
+  if (!planning_) {
+    planning_ = std::make_unique<Planning>(*model_, options_.verify);
   }
-  return *seq_;
+  return *planning_;
 }
 
-ParallelVerifier& Engine::pooled() {
-  if (!par_) {
-    par_ = std::make_unique<ParallelVerifier>(*model_, options_.parallel());
-    par_->set_result_cache(&cache_);
-  }
-  return *par_;
-}
-
-BatchResult Engine::run_batch(
-    const std::vector<encode::Invariant>& invariants) {
-  return run_batch(invariants, options_.use_symmetry);
-}
-
-BatchResult Engine::run_batch(
-    const std::vector<encode::Invariant>& invariants, bool use_symmetry) {
-  if (!options_.batch) {
-    return sequential().verify_all(invariants, use_symmetry);
-  }
-  if (use_symmetry == options_.use_symmetry) {
-    return pooled().verify_all(invariants);
-  }
-  // A one-call symmetry override on the pooled path: plan under a
-  // throwaway verifier with the flag flipped (sharing the Engine's cache),
-  // leaving the warm member verifier's setting untouched.
-  EngineOptions flipped = options_;
-  flipped.use_symmetry = use_symmetry;
-  ParallelVerifier once(*model_, flipped.parallel());
-  once.set_result_cache(&cache_);
-  return once.verify_all(invariants);
-}
-
-VerifyResult Engine::run_one(const encode::Invariant& invariant) {
-  return sequential().verify(invariant);
+const slice::PolicyClasses& Engine::policy_classes() {
+  return planning().classes;
 }
 
 JobPlan Engine::plan(const std::vector<encode::Invariant>& invariants) {
-  if (options_.batch) return pooled().plan(invariants);
-  Verifier& seq = sequential();
-  return plan_jobs(*model_, invariants, seq.policy_classes(),
-                   options_.use_symmetry, options_.verify);
+  Planning& p = planning();
+  return plan_jobs(*model_, invariants, p.classes, options_.use_symmetry,
+                   options_.verify, &p.ctx);
+}
+
+VerifyResult Engine::run_one(const encode::Invariant& invariant) {
+  const auto start = Clock::now();
+  Planning& p = planning();
+  std::vector<NodeId> members =
+      slice_members(*model_, invariant, p.classes, options_.verify.use_slices,
+                    options_.verify.max_failures, &p.ctx.transfers);
+  // The session runs on this thread, so it may borrow the planning
+  // context's transfer memo: encoding re-walks nothing the slice
+  // computation (or class inference) walked.
+  SolverSession session(options_.verify.solver, /*warm=*/true,
+                        &p.ctx.transfers);
+  session.set_resilience(session_resilience(options_.verify));
+  VerifyResult result = verify_members(*model_, invariant, std::move(members),
+                                       options_.verify.max_failures, session);
+  result.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - start);
+  return result;
 }
 
 void Engine::rebind(const encode::NetworkModel& model) {
@@ -92,13 +150,287 @@ void Engine::rebind(const encode::NetworkModel& model) {
   if (cache_.enabled()) {
     cache_.set_model_fingerprint(model_fingerprint(model));
   }
-  seq_.reset();
-  par_.reset();
+  session_.reset();
+  planning_.reset();
 }
 
-const slice::PolicyClasses& Engine::policy_classes() {
-  return options_.batch ? pooled().policy_classes()
-                        : sequential().policy_classes();
+BatchResult Engine::run_batch(
+    const std::vector<encode::Invariant>& invariants) {
+  return run_batch(invariants, options_.use_symmetry);
+}
+
+BatchResult Engine::run_batch(
+    const std::vector<encode::Invariant>& invariants, bool use_symmetry) {
+  const auto start = Clock::now();
+  Deadline deadline;
+  if (options_.deadline.count() > 0) deadline = start + options_.deadline;
+  BatchResult out;
+  out.results.resize(invariants.size());
+
+  Planning& p = planning();
+  const JobPlan plan = plan_jobs(*model_, invariants, p.classes, use_symmetry,
+                                 options_.verify, &p.ctx);
+  out.plan_time = plan.plan_time;
+  out.iso_mapped = plan.iso_mapped;
+  out.pool.invariant_count = invariants.size();
+  out.pool.jobs_executed = plan.planned_jobs();
+  out.pool.symmetry_hits = plan.symmetry_hits;
+  out.pool.conservative_splits = plan.conservative_splits;
+  out.pool.dedup_hit_rate = plan.dedup_hit_rate();
+  out.pool.merge_blockers = plan.merge_blockers;
+  for (const Job& job : plan.jobs) {
+    out.pool.iso_class_sizes.push_back(job.fan_out());
+  }
+
+  // Cache faults (torn tails, bit flips) bite whichever executor runs. The
+  // injector lives for this call only, so it is unset on every way out.
+  const FaultInjector cache_faults(options_.verify.faults);
+  struct InjectorScope {
+    ResultCache& cache;
+    ~InjectorScope() { cache.set_fault_injector(nullptr); }
+  } injector_scope{cache_};
+  if (cache_faults.enabled()) cache_.set_fault_injector(&cache_faults);
+
+  // Cache pass: every verdict binding of every job looks itself up by its
+  // own cross-run problem key (bindings of one class usually share the
+  // key, so a warm cache answers the whole class from one record); a job
+  // is solved only when at least one of its bindings missed.
+  std::vector<std::vector<std::optional<VerifyResult>>> hits(plan.jobs.size());
+  std::vector<std::size_t> to_solve;
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const Job& job = plan.jobs[j];
+    hits[j].resize(job.fan_out());
+    bool need_solve = false;
+    for (std::size_t k = 0; k < job.fan_out(); ++k) {
+      const BindingRef b = job.binding(k);
+      if (!b.problem_key->key.empty()) {
+        if (std::optional<ResultCache::Entry> entry =
+                cache_.lookup(b.problem_key->key)) {
+          hits[j][k] = result_from_cache(*entry, invariants[b.invariant_index]);
+          ++out.cache_hits;
+          continue;
+        }
+      }
+      need_solve = true;
+    }
+    if (need_solve) to_solve.push_back(j);
+  }
+
+  const std::vector<std::optional<VerifyResult>> solved =
+      execute(plan, to_solve, deadline, out);
+
+  // Bind: each solved job's encode-space verdict fans out through its
+  // bindings' inverse bijections (bind_result) - replays beyond the first
+  // count as iso_verdict_reuses - representatives keep their full
+  // (relabeled) result, inheritors copy the outcome with by_symmetry set.
+  // Abandoned jobs bind the default unknown verdict; they count cache
+  // misses but store nothing (unknown outcomes are never persisted).
+  const VerifyResult abandoned{};
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const Job& job = plan.jobs[j];
+    const VerifyResult& result = solved[j] ? *solved[j] : abandoned;
+    if (solved[j]) {
+      out.pool.solve_histogram.record(result.solve_time);
+      ++out.solver_calls;
+    }
+    bool replayed = false;
+    for (std::size_t k = 0; k < job.fan_out(); ++k) {
+      const BindingRef b = job.binding(k);
+      VerifyResult rep;
+      if (hits[j][k]) {
+        rep = std::move(*hits[j][k]);
+      } else {
+        rep = bind_result(*model_, result, *b.members, *b.iso_image);
+        if (solved[j]) {
+          if (replayed) ++out.iso_verdict_reuses;
+          replayed = true;
+        }
+        // Keyless bindings (no-symmetry planning, or a problem that
+        // resists canonicalization) are outside the cache's reach; they
+        // are not misses.
+        if (cache_.enabled() && !b.problem_key->key.empty()) {
+          ++out.cache_misses;
+          ResultCache::Entry entry;
+          entry.status = result.raw_status;
+          entry.slice_size = result.slice_size;
+          entry.assertion_count = result.assertion_count;
+          entry.binding = binding_signature(*model_, b.problem_key->order);
+          cache_.store(b.problem_key->key, entry);
+        }
+      }
+      rep.total_time += b.plan_time;
+      for (std::size_t inh : *b.inheritors) {
+        out.results[inh] = inherit_result(rep);
+      }
+      out.results[b.invariant_index] = std::move(rep);
+    }
+  }
+
+  cache_.flush();
+  out.degradation.cache_records_dropped = cache_.records_dropped();
+  const std::size_t abandoned_total = out.degradation.abandoned_retries +
+                                      out.degradation.quarantined +
+                                      out.degradation.deadline_abandoned;
+  out.degradation.completed = out.pool.jobs_executed > abandoned_total
+                                  ? out.pool.jobs_executed - abandoned_total
+                                  : 0;
+  out.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - start);
+  return out;
+}
+
+std::vector<std::optional<VerifyResult>> Engine::execute(
+    const JobPlan& plan, const std::vector<std::size_t>& to_solve,
+    Deadline deadline, BatchResult& out) {
+  std::vector<std::optional<VerifyResult>> results(plan.jobs.size());
+  std::size_t width = 1;
+  if (options_.batch) {
+    width = options_.jobs != 0 ? options_.jobs
+                               : std::thread::hardware_concurrency();
+    if (width == 0) width = 1;
+  }
+  const Groups groups = shape_groups(plan, to_solve, width);
+  const VerifyOptions& vo = options_.verify;
+  SessionCounters counters;
+
+  // The inline and thread executors share one group body: each job is
+  // checked against the deadline first - past it, the slot stays empty
+  // (abandoned) and the group keeps draining so every job is accounted.
+  // Slots are per job, so concurrent groups never write the same one.
+  std::atomic<std::size_t> deadline_skipped{0};
+  auto solve_group = [&](std::pair<std::size_t, std::size_t> group,
+                         SolverSession& session) {
+    for (std::size_t k = group.first; k < group.second; ++k) {
+      if (deadline && Clock::now() >= *deadline) {
+        deadline_skipped.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      const Job& job = plan.jobs[to_solve[k]];
+      results[to_solve[k]] =
+          verify_members(*model_, job.solve_invariant, job.encode_members(),
+                         vo.max_failures, session, !job.iso_image.empty());
+    }
+  };
+
+  if (!options_.batch) {
+    // Inline: one session for the Engine's lifetime (until rebind), warm
+    // across groups and batches, borrowing the planning context's transfer
+    // memo - the planner already walked every in-budget scenario, so
+    // encoding builds no transfer function at all.
+    if (!session_) {
+      session_ = std::make_unique<SolverSession>(
+          vo.solver, vo.warm_solving, &planning().ctx.transfers);
+      session_->set_resilience(session_resilience(vo));
+    }
+    const SessionCounters before = session_->counters();
+    for (const auto& group : groups) solve_group(group, *session_);
+    counters = session_->counters() - before;
+  } else if (options_.backend == Backend::thread) {
+    const std::size_t workers = std::max<std::size_t>(
+        1, std::min(width, std::max<std::size_t>(groups.size(), 1)));
+    SolverPool pool(workers, vo.solver, vo.warm_solving);
+    pool.set_resilience(session_resilience(vo));
+    pool.run(groups.size(), [&](std::size_t gi, SolverSession& session) {
+      // Warm reuse is scoped to this task: a session that just solved a
+      // same-shape task must not leak its context (and learned state) into
+      // this one, or results would depend on the task-to-worker race. The
+      // transfer memo survives (same model across every task of a batch).
+      session.reset_warm(/*keep_transfers=*/true);
+      solve_group(groups[gi], session);
+    });
+    out.pool.workers = pool.stats();
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      counters += pool.session(w).counters();
+    }
+  } else {
+    // Process: project each group's slice to a spec, frame the jobs by
+    // name, and stream them to forked workers; crashed or hung workers get
+    // their unfinished jobs requeued onto the survivors.
+    std::vector<wire::WireJob> wire_jobs;
+    wire_jobs.reserve(to_solve.size());
+    for (std::size_t j : to_solve) {
+      wire_jobs.push_back(
+          wire::make_wire_job(*model_, plan.jobs[j], vo.max_failures));
+    }
+    std::vector<ProcessGroup> process_groups;
+    process_groups.reserve(groups.size());
+    for (const auto& [begin, end] : groups) {
+      ProcessGroup group;
+      // The projection must contain every node the group's jobs reference.
+      // Jobs cross the pipe in encode space, so that is exactly the union
+      // of encode member sets - a merged class's own member sets never
+      // travel; bindings are relabeled dispatcher-side.
+      std::set<NodeId> span;
+      for (std::size_t k = begin; k < end; ++k) {
+        const Job& job = plan.jobs[to_solve[k]];
+        span.insert(job.encode_members().begin(), job.encode_members().end());
+      }
+      group.spec_text = io::write_projected_spec_string(
+          *model_, std::vector<NodeId>(span.begin(), span.end()));
+      for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
+      process_groups.push_back(std::move(group));
+    }
+    // The fault plan and escalation policy ride the verify options so the
+    // CLI's --faults / --no-escalate reach the workers unchanged; the
+    // deadline hands the pool whatever budget planning and the cache pass
+    // left (a floor of 1ms keeps "already expired" on the pool's own drain
+    // path instead of special-casing it here).
+    ProcessPoolOptions popts = options_.process;
+    popts.workers = width;
+    popts.faults = vo.faults;
+    popts.escalate_unknown = vo.escalate_unknown;
+    popts.escalation_timeout_mult = vo.escalation_timeout_mult;
+    if (deadline) {
+      popts.deadline = std::max(
+          std::chrono::milliseconds(1),
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              *deadline - Clock::now()));
+    }
+    ProcessPool pool(vo.solver, vo.warm_solving, popts);
+    ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups));
+    out.pool.workers = dispatch.workers;
+    out.pool.workers_spawned = dispatch.workers_spawned;
+    out.pool.workers_crashed = dispatch.workers_crashed;
+    out.pool.jobs_requeued = dispatch.jobs_requeued;
+    out.pool.jobs_abandoned = dispatch.jobs_abandoned;
+    out.degradation.quarantined = dispatch.jobs_quarantined;
+    out.degradation.deadline_abandoned = dispatch.jobs_deadline_abandoned;
+    out.degradation.abandoned_retries = dispatch.jobs_abandoned -
+                                        dispatch.jobs_quarantined -
+                                        dispatch.jobs_deadline_abandoned;
+    out.degradation.workers_respawned = dispatch.workers_respawned;
+    out.degradation.deadline_expired = dispatch.deadline_expired;
+    out.degradation.reasons = std::move(dispatch.reasons);
+    for (std::size_t k = 0; k < to_solve.size(); ++k) {
+      if (!dispatch.results[k]) continue;  // abandoned, counted by the pool
+      const wire::WireResult& r = *dispatch.results[k];
+      try {
+        results[to_solve[k]] = wire::to_verify_result(model_->network(), r);
+      } catch (const wire::WireError&) {
+        // A digest-valid result naming nodes this model lacks (byzantine
+        // or version-skewed worker binary): abandon the one job to an
+        // unknown verdict instead of aborting a batch full of good ones.
+        ++out.pool.jobs_abandoned;
+        ++out.degradation.abandoned_retries;
+        out.degradation.reasons.push_back(
+            "job " + std::to_string(to_solve[k]) +
+            " abandoned: result names nodes unknown to this model");
+        continue;
+      }
+      counters += r.counters;
+    }
+  }
+
+  add_counters(out, counters);
+  if (const std::size_t n = deadline_skipped.load()) {
+    out.pool.jobs_abandoned += n;
+    out.degradation.deadline_abandoned += n;
+    out.degradation.deadline_expired = true;
+    out.degradation.reasons.push_back("deadline expired with " +
+                                      std::to_string(n) +
+                                      " jobs not yet attempted");
+  }
+  return results;
 }
 
 BatchResult run_batch(const encode::NetworkModel& model,

@@ -1,72 +1,97 @@
 // The one verification entry point.
 //
-// Engine fronts the sequential Verifier and the ParallelVerifier behind a
-// single facade: callers say *what* to verify (a model, a batch of
-// invariants) and *how* (EngineOptions: sequential or pooled, thread or
-// process backend, deadline, cache), and never construct either engine
-// directly - the CLI, the serve daemon, the fuzzer oracles, benches and
-// tests all funnel through here. Both paths return the unified BatchResult.
+// Engine runs every batch through one pipeline, written once:
 //
-// An Engine owns the warm state worth keeping between calls:
-//  - the persistent ResultCache, opened once (or memory-only) and shared
-//    by every run_batch - including across rebind()s, where its v5
-//    record-granular invalidation retires exactly the records a spec edit
-//    orphaned;
-//  - the underlying verifier(s) and with them the PlanContext transfer
-//    memos, shape representatives, and (sequentially) the warm solver
-//    session.
-// rebind() swaps in an edited model while keeping the cache, which is what
-// makes the serve daemon's incremental re-verification cheap: unchanged
-// slices' canonical keys still hit.
+//   plan_jobs ------> deduplicated, shape-ordered job queue
+//   cache pass -----> bindings the persistent ResultCache already answers
+//   execute --------> shape groups of the remaining jobs -> encode-space
+//                     VerifyResults (or abandoned jobs)
+//   bind -----------> per-binding verdicts (bind_result), symmetry
+//                     inheritors (inherit_result), cache stores
+//   flush ----------> durable cache records, degradation accounting
 //
-// Thread contract: like the verifiers it wraps, an Engine is single-caller
-// - run one call at a time; fan-out happens inside.
+// Only the execute step differs between configurations, and it is chosen
+// by EngineOptions::batch / backend:
+//  - inline (batch = false): one warm SolverSession on the calling thread,
+//    kept across run_batch calls until rebind() and borrowing the Engine's
+//    PlanContext transfer memo, so encoding walks nothing planning walked;
+//  - thread: a SolverPool; each shape group is one task on a worker
+//    session reset at the task boundary (reuse never depends on which
+//    worker a task lands on);
+//  - process: a ProcessPool of forked workers speaking the wire protocol
+//    (verify/wire.hpp) - crash-tolerant, with each group's slice projected
+//    to a spec and the remaining deadline handed over.
+// Shape groups are the planner's shape-adjacent runs; the pool executors
+// split the largest runs until there are as many groups as workers, so
+// warm reuse never costs fan-out. Group composition is a pure function of
+// (plan, worker count), so verdicts agree across every executor and worker
+// count (which counterexample witnesses a violation may differ: a warm
+// context carries learned state from earlier jobs of its group).
+//
+// An Engine owns the warm state worth keeping between calls: the
+// persistent ResultCache (opened once, or memory-only, and kept across
+// rebind()s, where its record-granular invalidation retires exactly the
+// records a spec edit orphaned), one PlanContext with the policy classes
+// inferred through it (transfer memos, shape representatives), and the
+// inline executor's session. rebind() swaps in an edited model while
+// keeping the cache, which is what makes the serve daemon's incremental
+// re-verification cheap: unchanged slices' canonical keys still hit.
+//
+// Thread contract: an Engine is single-caller - run one call at a time;
+// fan-out happens inside.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "verify/parallel.hpp"
+#include "verify/process_pool.hpp"
 #include "verify/result_cache.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::verify {
 
+/// Where a pooled batch fans out. `thread` shares one address space (cheap
+/// spawn); `process` forks isolated workers speaking the wire protocol -
+/// crash-tolerant, sanitizer-friendly, and the stepping stone to
+/// multi-host dispatch.
+enum class Backend : std::uint8_t { thread, process };
+
+[[nodiscard]] std::string to_string(Backend backend);
+
+/// How an Engine runs its batches. An aggregate:
+///   EngineOptions{.batch = true, .jobs = 2, .verify = vo}
 struct EngineOptions {
-  /// Fan the batch out over a worker pool (ParallelOptions semantics);
-  /// false = the sequential engine's single warm session.
+  /// Fan the batch out over a worker pool (the thread or process executor,
+  /// per `backend`); false = the inline executor's single warm session.
   bool batch = false;
-  /// Worker count; 0 picks hardware concurrency. Pool mode only.
+  /// Worker count; 0 picks hardware concurrency. Pool executors only.
   std::size_t jobs = 0;
-  /// Thread or process fan-out (see Backend). Pool mode only.
+  /// Thread or process fan-out (see Backend). Pool executors only.
   Backend backend = Backend::thread;
-  /// Process-backend knobs (retry budget, hang timeout, worker argv).
-  ProcessPoolOptions process;
-  /// Batch budget; 0 = none (see ParallelOptions::deadline). Pool mode
-  /// only.
+  /// Process-executor knobs (retry budget, hang timeout, worker argv);
+  /// `workers` is taken from `jobs`.
+  ProcessPoolOptions process{};
+  /// Batch budget measured from run_batch entry; 0 = none. On expiry no
+  /// further job starts: jobs never attempted surface as unknown verdicts
+  /// with the abandonment counted in `degradation`, in-flight jobs finish,
+  /// and `vmn verify` exits 2 (incomplete). Every executor honors it (the
+  /// process pool gets whatever budget planning and the cache pass left).
   std::chrono::milliseconds deadline{0};
-  /// Fold invariants with identical canonical slice keys into one job.
+  /// Fold invariants with identical canonical slice keys into one job
+  /// (section 4.2's symmetry argument, sharpened by slice structure; the
+  /// checks the key refuses to merge are counted as conservative splits).
   bool use_symmetry = true;
   /// Keep a live in-memory result cache even without verify.cache_dir:
   /// lookups hit across run_batch calls (and rebinds) within this Engine,
   /// nothing touches disk. The serve daemon's default.
   bool memory_cache = false;
-  /// Options shared by both engines (slices, failure budget, solver
-  /// seed/timeout, cache_dir, faults, escalation).
-  VerifyOptions verify;
-
-  EngineOptions() = default;
-  /// Sequential run with these verify options (implicit: the historical
-  /// `Verifier(model, opts)` call sites convert as-is).
-  EngineOptions(const VerifyOptions& v) : verify(v) {}  // NOLINT
-  /// Pooled run with these parallel options (implicit: the historical
-  /// `ParallelVerifier(model, opts)` call sites convert as-is).
-  EngineOptions(const ParallelOptions& p)  // NOLINT
-      : batch(true), jobs(p.jobs), backend(p.backend), process(p.process),
-        deadline(p.deadline), use_symmetry(p.use_symmetry), verify(p.verify) {}
-
-  /// The equivalent ParallelOptions (for the pooled path).
-  [[nodiscard]] ParallelOptions parallel() const;
+  /// Options of the verification procedure itself (slices, failure budget,
+  /// solver seed/timeout, cache_dir, faults, escalation).
+  VerifyOptions verify{};
 };
 
 class Engine {
@@ -77,23 +102,23 @@ class Engine {
   [[nodiscard]] BatchResult run_batch(
       const std::vector<encode::Invariant>& invariants);
   /// Verifies the batch with symmetry dedup explicitly on or off (a
-  /// baseline/oracle knob; differs from the engine-level setting only for
-  /// that one call).
+  /// baseline/oracle knob; it only changes how this call is planned).
   [[nodiscard]] BatchResult run_batch(
       const std::vector<encode::Invariant>& invariants, bool use_symmetry);
 
-  /// Verifies a single invariant (always sequential; pool mode batches).
+  /// Verifies a single invariant on a fresh session over the Engine's
+  /// planning context (no batch, no cache, whatever the executor).
   [[nodiscard]] VerifyResult run_one(const encode::Invariant& invariant);
 
   /// Plans the deduplicated job queue without solving (exposed for tests
   /// and diagnostics; run_batch executes exactly this plan).
   [[nodiscard]] JobPlan plan(const std::vector<encode::Invariant>& invariants);
 
-  /// Swaps in an edited model. The verifiers (policy classes, plan
-  /// context, warm sessions) are rebuilt lazily for the new model; the
-  /// result cache survives with its stamping generation switched to the
-  /// new model's fingerprint, so unchanged slices' canonical keys still
-  /// hit and the edit's orphaned records are retired at the next flush.
+  /// Swaps in an edited model. Policy classes, the plan context and the
+  /// inline session are rebuilt lazily for the new model; the result cache
+  /// survives with its stamping generation switched to the new model's
+  /// fingerprint, so unchanged slices' canonical keys still hit and the
+  /// edit's orphaned records are retired at the next flush.
   void rebind(const encode::NetworkModel& model);
 
   [[nodiscard]] ResultCache& cache() { return cache_; }
@@ -102,21 +127,36 @@ class Engine {
   [[nodiscard]] const encode::NetworkModel& model() const { return *model_; }
 
  private:
-  [[nodiscard]] Verifier& sequential();
-  [[nodiscard]] ParallelVerifier& pooled();
+  /// The planning state of one model: a PlanContext and the policy classes
+  /// inferred through it (so class inference warms the transfer memo every
+  /// plan pass and the inline session draw from).
+  struct Planning {
+    Planning(const encode::NetworkModel& model, const VerifyOptions& options);
+    PlanContext ctx;
+    slice::PolicyClasses classes;
+  };
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+  [[nodiscard]] Planning& planning();
+  /// The executor step: solves plan.jobs[i] for every i in `to_solve`,
+  /// grouped by shape, on the configured executor. Returns one slot per
+  /// plan job, empty for jobs not solved (cache-answered or abandoned);
+  /// worker, session-counter and abandonment accounting go into `out`.
+  [[nodiscard]] std::vector<std::optional<VerifyResult>> execute(
+      const JobPlan& plan, const std::vector<std::size_t>& to_solve,
+      Deadline deadline, BatchResult& out);
 
   const encode::NetworkModel* model_;
   EngineOptions options_;
   ResultCache cache_;
-  /// Lazily built per mode (run_one needs the sequential engine even in
-  /// pool mode) and dropped on rebind.
-  std::unique_ptr<Verifier> seq_;
-  std::unique_ptr<ParallelVerifier> par_;
+  std::unique_ptr<Planning> planning_;
+  /// The inline executor's session; borrows planning_->ctx.transfers, so it
+  /// is declared (and destroyed) after it.
+  std::unique_ptr<SolverSession> session_;
 };
 
 /// One-shot convenience: verify `invariants` against `model` under
-/// `options` (the ISSUE-level `run_batch(model, invariants, Options)`
-/// shape). Constructs a throwaway Engine; callers wanting warm state or
+/// `options`. Constructs a throwaway Engine; callers wanting warm state or
 /// cache reuse across calls hold an Engine instead.
 [[nodiscard]] BatchResult run_batch(
     const encode::NetworkModel& model,

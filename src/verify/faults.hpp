@@ -11,10 +11,11 @@
 // --faults).
 //
 // The plan travels everywhere the work does: the CLI parses it from
-// --faults, ParallelVerifier copies it into the process-pool options, the
-// pool ships it to workers inside the MODEL frame, workers merge it with
-// the VMN_WORKER_FAULT env compat shim, and the result cache and solver
-// sessions consult it through a FaultInjector. A default-constructed plan
+// --faults, verify::Engine installs it on its result cache and solver
+// sessions (whichever executor runs) and copies it into the process-pool
+// options, the pool ships it to workers inside the MODEL frame, and
+// workers merge it with the VMN_WORKER_FAULT env compat shim; every site
+// consults it through a FaultInjector. A default-constructed plan
 // injects nothing and costs nothing.
 #pragma once
 
@@ -163,7 +164,7 @@ class FaultInjector {
     std::uint64_t seed, std::size_t slot, std::size_t attempt,
     std::chrono::milliseconds base, std::chrono::milliseconds cap);
 
-/// How a batch degraded, if it did. Aggregated by the engines and carried
+/// How a batch degraded, if it did. Aggregated by the Engine and carried
 /// on BatchResult; `vmn verify` prints it and exit code 2 signals
 /// "incomplete" whenever `degraded()` is true or any verdict is unknown.
 struct DegradationReport {

@@ -10,8 +10,6 @@
 #include "sim/replay.hpp"
 #include "sim/simulator.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
-#include "verify/verifier.hpp"
 
 namespace vmn::verify {
 
@@ -31,6 +29,17 @@ VerifyOptions baseline_options(const FuzzOptions& options, int budget) {
   vo.max_failures = budget;
   vo.solver = options.solver;
   return vo;
+}
+
+/// `vo` on a worker pool of the fuzz run's width.
+EngineOptions pooled(const FuzzOptions& options, const VerifyOptions& vo,
+                     Backend backend = Backend::thread) {
+  EngineOptions eo{
+      .batch = true, .jobs = options.jobs, .backend = backend, .verify = vo};
+  if (backend == Backend::process) {
+    eo.process.worker_command = options.worker_command;
+  }
+  return eo;
 }
 
 std::string invariant_label(const io::Spec& spec, std::size_t i) {
@@ -66,19 +75,14 @@ std::optional<std::string> oracle_engines(io::Spec& spec,
                                           const VerifyOptions& vo,
                                           const BatchResult& baseline,
                                           const FuzzOptions& options) {
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = vo;
-  const auto threads = Engine(spec.model, po).run_batch(
-      spec.invariants);
+  const auto threads =
+      Engine(spec.model, pooled(options, vo)).run_batch(spec.invariants);
   if (auto d = diff_results(spec, baseline.results, threads.results,
                             "sequential vs thread backend")) {
     return d;
   }
-  po.backend = Backend::process;
-  po.process.worker_command = options.worker_command;
-  const auto procs = Engine(spec.model, po).run_batch(
-      spec.invariants);
+  const auto procs = Engine(spec.model, pooled(options, vo, Backend::process))
+                         .run_batch(spec.invariants);
   return diff_results(spec, baseline.results, procs.results,
                       "sequential vs process backend");
 }
@@ -90,7 +94,7 @@ std::optional<std::string> oracle_warm_cold(io::Spec& spec,
   VerifyOptions cold = vo;
   cold.warm_solving = false;
   const auto seq_cold =
-      Engine(spec.model, cold).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = cold}).run_batch(spec.invariants, true);
   if (auto d = diff_results(spec, baseline.results, seq_cold.results,
                             "warm vs cold (sequential)")) {
     return d;
@@ -98,11 +102,8 @@ std::optional<std::string> oracle_warm_cold(io::Spec& spec,
   // The parallel warm path rebinds jobs onto isomorphic representatives'
   // live encodings; cold never does. Comparing parallel-cold against the
   // (engine-checked) warm baseline is the iso-rebound == plain oracle.
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = cold;
-  const auto par_cold = Engine(spec.model, po).run_batch(
-      spec.invariants);
+  const auto par_cold =
+      Engine(spec.model, pooled(options, cold)).run_batch(spec.invariants);
   return diff_results(spec, baseline.results, par_cold.results,
                       "warm vs cold (parallel)");
 }
@@ -118,15 +119,13 @@ std::optional<std::string> oracle_iso_verdict(io::Spec& spec,
   VerifyOptions unmerged = vo;
   unmerged.merge_isomorphic = false;
   const auto seq =
-      Engine(spec.model, unmerged).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = unmerged}).run_batch(spec.invariants, true);
   if (auto d = diff_results(spec, baseline.results, seq.results,
                             "merged vs unmerged (sequential)")) {
     return d;
   }
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = unmerged;
-  const auto par = Engine(spec.model, po).run_batch(spec.invariants);
+  const auto par =
+      Engine(spec.model, pooled(options, unmerged)).run_batch(spec.invariants);
   return diff_results(spec, baseline.results, par.results,
                       "merged vs unmerged (parallel)");
 }
@@ -135,7 +134,7 @@ std::optional<std::string> oracle_symmetry(io::Spec& spec,
                                            const VerifyOptions& vo,
                                            const BatchResult& baseline) {
   const auto plain =
-      Engine(spec.model, vo).run_batch(spec.invariants, false);
+      Engine(spec.model, {.verify = vo}).run_batch(spec.invariants, false);
   return diff_results(spec, baseline.results, plain.results,
                       "symmetry vs no-symmetry");
 }
@@ -146,7 +145,7 @@ std::optional<std::string> oracle_slices(io::Spec& spec,
   VerifyOptions whole = vo;
   whole.use_slices = false;
   const auto full =
-      Engine(spec.model, whole).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = whole}).run_batch(spec.invariants, true);
   return diff_results(spec, baseline.results, full.results,
                       "sliced vs whole-network");
 }
@@ -263,14 +262,9 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   chaos.frame_corrupt = 0.1;
   chaos.frame_truncate = 0.05;
   chaos.solver_unknown = 0.2;
-  ParallelOptions po;
-  po.jobs = options.jobs;
-  po.verify = vo;
+  EngineOptions po = pooled(options, vo, Backend::process);
   po.verify.faults = chaos;
-  po.backend = Backend::process;
-  po.process.worker_command = options.worker_command;
-  const auto procs =
-      Engine(spec.model, po).run_batch(spec.invariants);
+  const auto procs = Engine(spec.model, po).run_batch(spec.invariants);
   if (auto d = diff_results(spec, baseline.results, procs.results,
                             "fault-free vs faulted process backend")) {
     return d;
@@ -279,12 +273,9 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   solver_chaos.seed = chaos.seed;
   solver_chaos.solver_unknown = 0.25;
   solver_chaos.solver_timeout = 0.1;
-  ParallelOptions to;
-  to.jobs = options.jobs;
-  to.verify = vo;
+  EngineOptions to = pooled(options, vo);
   to.verify.faults = solver_chaos;
-  const auto threads =
-      Engine(spec.model, to).run_batch(spec.invariants);
+  const auto threads = Engine(spec.model, to).run_batch(spec.invariants);
   return diff_results(spec, baseline.results, threads.results,
                       "fault-free vs faulted thread backend");
 }
@@ -337,7 +328,7 @@ bool oracle_fails(std::string_view oracle, const std::string& text,
     }
     if (spec.invariants.empty()) return false;
     const BatchResult baseline =
-        Engine(spec.model, baseline_options(options, budget))
+        Engine(spec.model, {.verify = baseline_options(options, budget)})
             .run_batch(spec.invariants, true);
     return run_oracle(oracle, spec, budget, baseline, seed, options, nullptr)
         .has_value();
@@ -472,8 +463,9 @@ std::size_t check_spec_text(const std::string& text, std::uint64_t seed,
   const std::size_t before = report.failures.size();
   std::optional<BatchResult> baseline;
   if (!spec.invariants.empty()) {
-    baseline = Engine(spec.model, baseline_options(options, budget))
-                   .run_batch(spec.invariants, true);
+    baseline =
+        Engine(spec.model, {.verify = baseline_options(options, budget)})
+            .run_batch(spec.invariants, true);
     for (std::string_view name : kVerdictOracles) {
       if (auto detail = run_oracle(name, spec, budget, *baseline, seed,
                                    options, &report)) {

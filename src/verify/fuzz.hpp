@@ -4,14 +4,14 @@
 // Every generated spec (scenarios/random.hpp) is serialized, re-parsed and
 // pushed through checks that need no hand-written expectations:
 //
-//   engines    sequential == thread backend == process backend verdicts
-//   warm-cold  warm solving == cold solving (sequential and parallel; the
-//              parallel warm path includes iso-rebinding, so this doubles
-//              as iso-rebound == plain)
+//   engines    inline == thread executor == process executor verdicts
+//   warm-cold  warm solving == cold solving (inline and thread executors;
+//              the warm path includes iso-rebinding, so this doubles as
+//              iso-rebound == plain)
 //   iso-verdict  verdict-level equivalence-class merging (one solver call
 //              per problem-key class, replayed to every binding) == the
-//              merge-free run solving each planned job itself, on both
-//              engines
+//              merge-free run solving each planned job itself, inline
+//              and on the thread executor
 //   symmetry   symmetry planning == --no-symmetry verdicts
 //   slices     sliced == whole-network verdicts
 //   replay     every violated verdict's witness replayed concretely in the
@@ -52,7 +52,7 @@ struct FuzzOptions {
   int count = 10;
   /// Size knobs for the generator (its `seed` field is overridden).
   scenarios::RandomSpecParams size;
-  /// Workers for the parallel-engine oracles.
+  /// Workers for the pooled-executor oracles.
   std::size_t jobs = 2;
   /// argv for process-backend workers; empty forks without exec (library
   /// and test use - the CLI passes its own binary as `vmn worker`).

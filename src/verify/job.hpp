@@ -1,14 +1,14 @@
-// Verification jobs: the unit of work handed to the SolverPool.
+// Verification jobs: the unit of work an Engine executor solves.
 //
 // A batch of invariants is planned into a deduplicated job queue keyed by
 // canonical slice fingerprints (slice::canonical_slice_key): two invariants
 // share a job exactly when their kind, policy classes AND refined slice
 // structure agree - a strictly stronger condition than the coarse
-// class-signature grouping (slice::class_signature). The sequential
-// Verifier::verify_all and the ParallelVerifier both execute plans built by
-// the one shared planner (verify::plan_jobs), which is why the two engines
-// agree representative-for-representative. Every job carries the indices of
-// all invariants that inherit its outcome.
+// class-signature grouping (slice::class_signature). Engine::run_batch
+// executes plans built by the one planner (verify::plan_jobs) on whichever
+// executor it is configured with - inline, thread or process - which is
+// why they agree representative-for-representative. Every job carries the
+// indices of all invariants that inherit its outcome.
 #pragma once
 
 #include <chrono>
@@ -145,12 +145,12 @@ struct Job {
   /// Batch indices (excluding the representative) inheriting the outcome.
   std::vector<std::size_t> inheritors;
   /// Planning cost (slice computation + canonical key) for the
-  /// representative; both engines fold it into the representative's
+  /// representative; every executor folds it into the representative's
   /// total_time so per-invariant figures stay comparable.
   std::chrono::milliseconds plan_time{0};
   /// The invariant the solver actually sees, already mapped into encode
-  /// space (== the batch invariant when iso_image is empty). Engines and
-  /// workers solve this verbatim; no per-engine relabeling.
+  /// space (== the batch invariant when iso_image is empty). Every
+  /// executor (wire workers included) solves this verbatim; no relabeling.
   encode::Invariant solve_invariant;
   /// Cross-run cache identity of the representative binding's problem.
   slice::ProblemKey problem_key;
@@ -174,8 +174,8 @@ struct Job {
 
 /// The deduplicated queue plus planning statistics. Jobs are ordered so
 /// that jobs sharing a slice shape (identical member sets) are adjacent:
-/// both engines execute the queue in order, which turns shape-adjacency
-/// directly into warm solver-context reuse.
+/// every executor solves the queue in shape groups, which turns
+/// shape-adjacency directly into warm solver-context reuse.
 struct JobPlan {
   std::vector<Job> jobs;
   std::size_t invariant_count = 0;

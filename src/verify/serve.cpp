@@ -269,9 +269,21 @@ std::string ServeState::cmd_stats() const {
      << ",\"warm_reuses\":" << b.warm_reuses
      << ",\"iso_mapped\":" << b.iso_mapped
      << ",\"iso_reuses\":" << b.iso_reuses
+     << ",\"iso_verdict_reuses\":" << b.iso_verdict_reuses
      << ",\"encode_transfer_builds\":" << b.encode_transfer_builds
      << ",\"encode_transfer_reuses\":" << b.encode_transfer_reuses
      << ",\"escalations\":" << b.degradation.escalations
+     << ",\"escalations_rescued\":" << b.degradation.escalations_rescued
+     << ",\"completed\":" << b.degradation.completed
+     << ",\"abandoned_retries\":" << b.degradation.abandoned_retries
+     << ",\"quarantined\":" << b.degradation.quarantined
+     << ",\"deadline_abandoned\":" << b.degradation.deadline_abandoned
+     << ",\"workers\":" << b.pool.workers.size()
+     << ",\"workers_spawned\":" << b.pool.workers_spawned
+     << ",\"workers_crashed\":" << b.pool.workers_crashed
+     << ",\"workers_respawned\":" << b.degradation.workers_respawned
+     << ",\"jobs_requeued\":" << b.pool.jobs_requeued
+     << ",\"jobs_abandoned\":" << b.pool.jobs_abandoned
      << "}"
      << ",\"lifetime\":{"
      << "\"batches\":" << stats_.batches

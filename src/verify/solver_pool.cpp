@@ -10,6 +10,30 @@
 
 namespace vmn::verify {
 
+SessionCounters& SessionCounters::operator+=(const SessionCounters& other) {
+  binds += other.binds;
+  warm_reuses += other.warm_reuses;
+  iso_reuses += other.iso_reuses;
+  transfer_builds += other.transfer_builds;
+  transfer_reuses += other.transfer_reuses;
+  escalations += other.escalations;
+  escalations_rescued += other.escalations_rescued;
+  return *this;
+}
+
+SessionCounters SessionCounters::operator-(
+    const SessionCounters& before) const {
+  SessionCounters delta;
+  delta.binds = binds - before.binds;
+  delta.warm_reuses = warm_reuses - before.warm_reuses;
+  delta.iso_reuses = iso_reuses - before.iso_reuses;
+  delta.transfer_builds = transfer_builds - before.transfer_builds;
+  delta.transfer_reuses = transfer_reuses - before.transfer_reuses;
+  delta.escalations = escalations - before.escalations;
+  delta.escalations_rescued = escalations_rescued - before.escalations_rescued;
+  return delta;
+}
+
 void SolverSession::reset_warm(bool keep_transfers) {
   encoding_.reset();
   solver_.reset();
@@ -25,7 +49,7 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   if (warm_model_ == nullptr) {
     throw Error("escalate_bind without a preceding warm_bind");
   }
-  ++escalations_;
+  ++counters_.escalations;
   smt::SolverOptions esc = options_;
   const std::uint64_t mult =
       resilience_.escalation_timeout_mult > 0
@@ -46,8 +70,8 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   eopts.transfers = transfers;
   esc_encoding_ = std::make_unique<encode::Encoding>(
       *warm_model_, warm_members_, eopts);
-  encode_transfer_builds_ += esc_encoding_->transfer_builds();
-  encode_transfer_reuses_ += esc_encoding_->transfer_reuses();
+  counters_.transfer_builds += esc_encoding_->transfer_builds();
+  counters_.transfer_reuses += esc_encoding_->transfer_reuses();
   esc_solver_ = smt::make_z3_solver(esc_encoding_->vocab(), esc);
   for (const encode::Axiom& axiom : esc_encoding_->axioms()) {
     esc_solver_->add(axiom.term);
@@ -64,7 +88,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   members.erase(std::unique(members.begin(), members.end()), members.end());
   if (warm_ && encoding_ != nullptr && warm_model_ == &model &&
       warm_failures_ == max_failures && warm_members_ == members) {
-    ++warm_reuses_;
+    ++counters_.warm_reuses;
     return WarmBound{*encoding_, *solver_, true};
   }
   // Per-scenario transfer memo for the new encoding: the borrowed cache
@@ -85,8 +109,8 @@ SolverSession::WarmBound SolverSession::warm_bind(
   eopts.transfers = transfers;
   encoding_ =
       std::make_unique<encode::Encoding>(model, std::move(members), eopts);
-  encode_transfer_builds_ += encoding_->transfer_builds();
-  encode_transfer_reuses_ += encoding_->transfer_reuses();
+  counters_.transfer_builds += encoding_->transfer_builds();
+  counters_.transfer_reuses += encoding_->transfer_reuses();
   warm_model_ = &model;
   warm_failures_ = max_failures;
   warm_members_ = encoding_->members();
@@ -94,7 +118,7 @@ SolverSession::WarmBound SolverSession::warm_bind(
   for (const encode::Axiom& axiom : encoding_->axioms()) {
     solver_->add(axiom.term);
   }
-  ++binds_;
+  ++counters_.binds;
   return WarmBound{*encoding_, *solver_, false};
 }
 

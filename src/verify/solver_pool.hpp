@@ -36,12 +36,32 @@ namespace vmn::verify {
 /// checks (FaultInjector; default injects nothing) and whether to escalate
 /// unknown verdicts - retry once on a fresh context with the timeout
 /// multiplied and the solver seed perturbed - before accepting unknown.
-/// Engines derive this from VerifyOptions; a default-constructed value is
+/// The Engine derives this from VerifyOptions; a default-constructed value is
 /// the historical behavior.
 struct SessionResilience {
   FaultInjector faults;
   bool escalate_unknown = false;
   std::uint32_t escalation_timeout_mult = 2;
+};
+
+/// A session's solver traffic: contexts built cold vs answered warm (and,
+/// of those, cross-isomorphic), transfer functions the session's encodings
+/// built vs reused from a memo, and unknown escalations attempted vs
+/// rescued. Sessions count monotonically, so a batch reports the
+/// difference of two snapshots and sums workers with +=. The wire RESULT
+/// frame carries one of these per job, field for field in this order.
+struct SessionCounters {
+  std::size_t binds = 0;
+  std::size_t warm_reuses = 0;
+  std::size_t iso_reuses = 0;
+  std::size_t transfer_builds = 0;
+  std::size_t transfer_reuses = 0;
+  std::size_t escalations = 0;
+  std::size_t escalations_rescued = 0;
+
+  SessionCounters& operator+=(const SessionCounters& other);
+  [[nodiscard]] SessionCounters operator-(const SessionCounters& before) const;
+  bool operator==(const SessionCounters&) const = default;
 };
 
 /// A single worker's solver state. Never shared between threads.
@@ -51,11 +71,11 @@ class SolverSession {
   /// fresh encoding and solver (the cold baseline the warm path is tested
   /// and benchmarked against). `transfers`, when non-null, is a borrowed
   /// per-scenario transfer memo every encoding built by this session draws
-  /// from (the sequential engine lends its PlanContext cache, so encoding
-  /// re-walks nothing the planner walked). TransferFunction memos are not
-  /// thread-safe: a borrowed cache must only ever be touched from the
-  /// thread running this session, so pool workers leave it null and the
-  /// session builds a private per-model cache instead.
+  /// from (the Engine's inline executor lends its PlanContext cache, so
+  /// encoding re-walks nothing the planner walked). TransferFunction memos
+  /// are not thread-safe: a borrowed cache must only ever be touched from
+  /// the thread running this session, so pool workers leave it null and
+  /// the session builds a private per-model cache instead.
   explicit SolverSession(smt::SolverOptions options, bool warm = true,
                          dataplane::TransferCache* transfers = nullptr)
       : options_(options), warm_(warm), borrowed_transfers_(transfers) {}
@@ -84,10 +104,10 @@ class SolverSession {
   /// follow a warm_bind (asserts on the warm shape being set). Counts one
   /// escalation; callers report a rescue via note_escalation_rescued.
   WarmBound escalate_bind();
-  void note_escalation_rescued() { ++escalations_rescued_; }
+  void note_escalation_rescued() { ++counters_.escalations_rescued; }
 
-  /// Drops the warm encoding + solver (counters survive). The parallel
-  /// engine calls this at every task boundary so warm reuse is confined to
+  /// Drops the warm encoding + solver (counters survive). The thread
+  /// executor calls this at every task boundary so warm reuse is confined to
   /// within one task: which tasks land on which worker is a scheduling
   /// race, and cross-task reuse would make solver state - and with it
   /// witness traces - depend on that race instead of only on the plan.
@@ -104,28 +124,16 @@ class SolverSession {
   void reset_warm(bool keep_transfers = false);
 
   [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
-  /// Number of solver contexts built (cold binds + warm misses).
-  [[nodiscard]] std::size_t binds() const { return binds_; }
-  /// Number of warm_bind calls answered by the live context.
-  [[nodiscard]] std::size_t warm_reuses() const { return warm_reuses_; }
-  /// Of the warm reuses, how many served a job whose own member set
-  /// differs from the live encoding's (cross-isomorphic reuse: the job was
-  /// rebound onto an isomorphic representative's base encoding; see
-  /// verify::IsoBinding). Incremented by verify_members via note_iso_reuse.
-  [[nodiscard]] std::size_t iso_reuses() const { return iso_reuses_; }
-  void note_iso_reuse() { ++iso_reuses_; }
-  /// Transfer functions built by this session's encodings vs answered by a
-  /// cache (the borrowed one, or the session-owned per-model cache). With
-  /// warm caches, a scenario's fabric walks happen at most once per
-  /// session no matter how many encodings it builds - "builds" beyond the
-  /// distinct in-budget scenarios would be the duplicate work this counter
-  /// pair exists to rule out.
-  [[nodiscard]] std::size_t encode_transfer_builds() const {
-    return encode_transfer_builds_;
-  }
-  [[nodiscard]] std::size_t encode_transfer_reuses() const {
-    return encode_transfer_reuses_;
-  }
+  /// Cumulative traffic (see SessionCounters). `binds` counts solver
+  /// contexts built (cold binds + warm misses), `warm_reuses` warm_bind
+  /// calls the live context answered, and `iso_reuses` those of them that
+  /// served a job rebound onto an isomorphic representative's encoding
+  /// (verify::IsoBinding; verify_members reports them via note_iso_reuse).
+  /// Transfer builds beyond the distinct in-budget scenarios would be the
+  /// duplicate fabric walks the borrowed / per-model memos exist to rule
+  /// out.
+  [[nodiscard]] const SessionCounters& counters() const { return counters_; }
+  void note_iso_reuse() { ++counters_.iso_reuses; }
 
   /// Robustness policy (fault injection + unknown escalation). Set once
   /// before the session solves; decisions are pure functions of the plan,
@@ -136,11 +144,6 @@ class SolverSession {
   [[nodiscard]] const SessionResilience& resilience() const {
     return resilience_;
   }
-  /// Escalated retries attempted / of those, answered definitively.
-  [[nodiscard]] std::size_t escalations() const { return escalations_; }
-  [[nodiscard]] std::size_t escalations_rescued() const {
-    return escalations_rescued_;
-  }
 
  private:
   smt::SolverOptions options_;
@@ -149,14 +152,8 @@ class SolverSession {
   /// Session-owned fallback memo, rebuilt when the model changes.
   std::unique_ptr<dataplane::TransferCache> owned_transfers_;
   std::unique_ptr<smt::Solver> solver_;
-  std::size_t binds_ = 0;
-  std::size_t warm_reuses_ = 0;
-  std::size_t iso_reuses_ = 0;
-  std::size_t encode_transfer_builds_ = 0;
-  std::size_t encode_transfer_reuses_ = 0;
+  SessionCounters counters_;
   SessionResilience resilience_;
-  std::size_t escalations_ = 0;
-  std::size_t escalations_rescued_ = 0;
   /// Escalation context (escalate_bind): separate from the warm pair so
   /// the escalated options die with the retry.
   std::unique_ptr<encode::Encoding> esc_encoding_;
@@ -172,7 +169,7 @@ class SolverSession {
 };
 
 /// Per-worker execution counters, reported in batch results. A "task" is
-/// one unit handed to SolverPool::run - the parallel engine passes groups
+/// one unit handed to SolverPool::run - the thread executor passes groups
 /// of same-shape jobs as single tasks so warm reuse happens within one
 /// session.
 struct WorkerStats {
@@ -195,7 +192,7 @@ class SolverPool {
   [[nodiscard]] const std::vector<WorkerStats>& stats() const {
     return stats_;
   }
-  /// Worker `i`'s session (for aggregating bind/warm-reuse counters).
+  /// Worker `i`'s session (for summing its SessionCounters).
   [[nodiscard]] const SolverSession& session(std::size_t i) const {
     return *sessions_[i];
   }
@@ -209,8 +206,7 @@ class SolverPool {
   /// session; blocks until all tasks finish. The first exception thrown by
   /// a task is rethrown here after the pool drains. With a single worker
   /// the tasks run in index order on the calling thread (no thread is
-  /// spawned), which is what makes `--jobs 1` bit-identical to sequential
-  /// runs.
+  /// spawned), so `--jobs 1` solves in plan order like the inline executor.
   void run(std::size_t count,
            const std::function<void(std::size_t, SolverSession&)>& fn);
 

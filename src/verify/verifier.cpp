@@ -84,11 +84,6 @@ slice::PolicyClasses build_policy_classes(const encode::NetworkModel& model,
              : slice::declared_policy_classes(model, popts);
 }
 
-Verifier::Verifier(const encode::NetworkModel& model, VerifyOptions options)
-    : model_(&model), options_(options), ctx_(model.network()) {
-  classes_ = build_policy_classes(model, options_, ctx_);
-}
-
 VerifyResult inherit_result(const VerifyResult& representative) {
   VerifyResult inherited;
   inherited.outcome = representative.outcome;
@@ -406,23 +401,6 @@ std::uint64_t model_fingerprint(const encode::NetworkModel& model) {
       io::write_projected_spec_string(model, encode::all_edge_nodes(model)));
 }
 
-VerifyResult Verifier::verify(const encode::Invariant& invariant) const {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<NodeId> members =
-      slice_members(*model_, invariant, classes_, options_.use_slices,
-                    options_.max_failures, &ctx_.transfers);
-  // The session runs on this thread, so it may borrow the planning
-  // context's transfer memo: encoding re-walks nothing the slice
-  // computation (or class inference) walked.
-  SolverSession session(options_.solver, /*warm=*/true, &ctx_.transfers);
-  session.set_resilience(session_resilience(options_));
-  VerifyResult result = verify_members(*model_, invariant, std::move(members),
-                                       options_.max_failures, session);
-  result.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  return result;
-}
-
 JobPlan plan_jobs(const encode::NetworkModel& model,
                   const std::vector<encode::Invariant>& invariants,
                   const slice::PolicyClasses& classes, bool use_symmetry,
@@ -433,8 +411,8 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   // One PlanContext across the pass: every compute_slice and
   // canonical_slice_key below shares the same per-scenario transfer
   // functions (and their accumulated walk memos) instead of rebuilding
-  // them per invariant. The engines pass their member context, already
-  // warm from class inference; standalone callers plan on a local one.
+  // them per invariant. The Engine passes its own context, already warm
+  // from class inference; standalone callers plan on a local one.
   PlanContext local_ctx(model.network());
   PlanContext& ctx = shared_ctx != nullptr ? *shared_ctx : local_ctx;
   // The key is strictly finer than the coarse class-signature grouping
@@ -558,8 +536,8 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
       ++plan.iso_mapped;
     }
   }
-  // Every job's encode-space invariant (both engines and wire workers
-  // solve it verbatim) plus, under symmetry planning, the cross-run
+  // Every job's encode-space invariant (every executor, wire workers
+  // included, solves it verbatim) plus, under symmetry planning, the cross-run
   // problem key the v6 result cache looks records up by.
   for (Job& job : plan.jobs) {
     const encode::Invariant& inv = invariants[job.invariant_index];
@@ -657,134 +635,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   plan.plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - plan_start);
   return plan;
-}
-
-BatchResult Verifier::verify_all(
-    const std::vector<encode::Invariant>& invariants, bool use_symmetry) const {
-  const auto start = std::chrono::steady_clock::now();
-  BatchResult batch;
-  batch.results.resize(invariants.size());
-
-  // Execute the shared plan in job order on ONE warm solver session: the
-  // planner put same-shape jobs next to each other, so the session's base
-  // encoding and Z3 context carry over between neighbors; the persistent
-  // cache answers re-verified slices without any solver at all.
-  JobPlan plan =
-      plan_jobs(*model_, invariants, classes_, use_symmetry, options_, &ctx_);
-  batch.plan_time = plan.plan_time;
-  batch.iso_mapped = plan.iso_mapped;
-  batch.pool.invariant_count = invariants.size();
-  batch.pool.jobs_executed = plan.planned_jobs();
-  batch.pool.symmetry_hits = plan.symmetry_hits;
-  batch.pool.conservative_splits = plan.conservative_splits;
-  batch.pool.dedup_hit_rate = plan.dedup_hit_rate();
-  batch.pool.merge_blockers = plan.merge_blockers;
-  for (const Job& job : plan.jobs) {
-    batch.pool.iso_class_sizes.push_back(job.fan_out());
-  }
-  // An Engine-lent cache survives across calls (and daemon reloads);
-  // otherwise open the persistent cache for this call alone.
-  std::optional<ResultCache> local_cache;
-  if (external_cache_ == nullptr) {
-    local_cache.emplace(options_.cache_dir, model_fingerprint(*model_));
-  }
-  ResultCache& cache = external_cache_ ? *external_cache_ : *local_cache;
-  // Single-threaded engine: the session borrows the planning context's
-  // transfer memo, so encoding builds zero transfer functions - the
-  // planner (and class inference before it) already walked every
-  // in-budget scenario. The session persists across verify_all calls
-  // (warm across a daemon's requests); counters below are per-call deltas.
-  if (!session_) {
-    session_ = std::make_unique<SolverSession>(
-        options_.solver, options_.warm_solving, &ctx_.transfers);
-    session_->set_resilience(session_resilience(options_));
-  }
-  SolverSession& session = *session_;
-  const std::size_t binds0 = session.binds();
-  const std::size_t warm0 = session.warm_reuses();
-  const std::size_t iso0 = session.iso_reuses();
-  const std::size_t tbuilds0 = session.encode_transfer_builds();
-  const std::size_t treuses0 = session.encode_transfer_reuses();
-  const std::size_t esc0 = session.escalations();
-  const std::size_t rescued0 = session.escalations_rescued();
-  for (Job& job : plan.jobs) {
-    const auto job_start = std::chrono::steady_clock::now();
-    const std::size_t fan = job.fan_out();
-    std::vector<VerifyResult> bound(fan);
-    std::vector<char> from_cache_hit(fan, 0);
-    // Per-binding cache pass: every verdict binding looks itself up by its
-    // own cross-run problem key (bindings of one class usually share the
-    // key, so a warm cache answers the whole class from one record).
-    bool need_solve = false;
-    for (std::size_t k = 0; k < fan; ++k) {
-      const BindingRef b = job.binding(k);
-      if (!b.problem_key->key.empty()) {
-        if (std::optional<ResultCache::Entry> hit =
-                cache.lookup(b.problem_key->key)) {
-          bound[k] = result_from_cache(*hit, invariants[b.invariant_index]);
-          from_cache_hit[k] = 1;
-          ++batch.cache_hits;
-          continue;
-        }
-      }
-      need_solve = true;
-    }
-    // One encode-space solve answers every remaining binding: the verdict
-    // replays through each binding's inverse bijection (bind_result), with
-    // replays beyond the first counted as iso_verdict_reuses.
-    if (need_solve) {
-      VerifyResult solved = verify_members(
-          *model_, job.solve_invariant, job.encode_members(),
-          options_.max_failures, session, !job.iso_image.empty());
-      ++batch.solver_calls;
-      batch.pool.solve_histogram.record(solved.solve_time);
-      bool replayed = false;
-      for (std::size_t k = 0; k < fan; ++k) {
-        if (from_cache_hit[k]) continue;
-        const BindingRef b = job.binding(k);
-        bound[k] = bind_result(*model_, solved, *b.members, *b.iso_image);
-        if (replayed) ++batch.iso_verdict_reuses;
-        replayed = true;
-        // Keyless bindings (no-symmetry planning, or a problem that
-        // resists canonicalization) are outside the cache's reach; they
-        // are not misses.
-        if (cache.enabled() && !b.problem_key->key.empty()) {
-          ++batch.cache_misses;
-          ResultCache::Entry entry;
-          entry.status = solved.raw_status;
-          entry.slice_size = solved.slice_size;
-          entry.assertion_count = solved.assertion_count;
-          entry.binding = binding_signature(*model_, b.problem_key->order);
-          cache.store(b.problem_key->key, entry);
-        }
-      }
-    }
-    for (std::size_t k = 0; k < fan; ++k) {
-      const BindingRef b = job.binding(k);
-      VerifyResult rep = std::move(bound[k]);
-      rep.total_time =
-          b.plan_time + std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - job_start);
-      for (std::size_t inh : *b.inheritors) {
-        batch.results[inh] = inherit_result(rep);
-      }
-      batch.results[b.invariant_index] = std::move(rep);
-    }
-  }
-  cache.flush();
-  batch.degradation.cache_records_dropped = cache.records_dropped();
-  batch.warm_binds = session.binds() - binds0;
-  batch.warm_reuses = session.warm_reuses() - warm0;
-  batch.iso_reuses = session.iso_reuses() - iso0;
-  batch.encode_transfer_builds = session.encode_transfer_builds() - tbuilds0;
-  batch.encode_transfer_reuses = session.encode_transfer_reuses() - treuses0;
-  batch.degradation.escalations = session.escalations() - esc0;
-  batch.degradation.escalations_rescued =
-      session.escalations_rescued() - rescued0;
-  batch.degradation.completed = plan.jobs.size();
-  batch.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  return batch;
 }
 
 SessionResilience session_resilience(const VerifyOptions& options) {

@@ -1,15 +1,18 @@
-// The VMN verifier (paper, section 3.1).
+// The VMN verification procedure (paper, section 3.1), piece by piece.
 //
-// Orchestrates a verification run: compute the slice (unless disabled),
-// encode network + middleboxes + oracles + negated invariant, hand the
-// axioms to Z3, interpret the result, and - on violation - extract a
-// counterexample trace from the model. Batch verification optionally
-// exploits policy symmetry to verify one invariant per symmetry group.
+// A check computes the slice (unless disabled), encodes network +
+// middleboxes + oracles + negated invariant, hands the axioms to Z3,
+// interprets the result and - on violation - extracts a counterexample
+// trace from the model. This header holds the pieces every run is built
+// from: the batch planner (plan_jobs: slices, symmetry dedup, iso
+// rebinding, shape ordering), the single-check core (verify_members), the
+// per-binding fan-out (bind_result, inherit_result, result_from_cache) and
+// the result types. verify::Engine (verify/engine.hpp) strings them
+// together into the one batch pipeline.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -111,10 +114,10 @@ struct TimingHistogram {
 };
 
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
-/// batch deduplicated and fanned out. Both engines fill the plan half
-/// (invariants, jobs, symmetry); the worker half is zero under the
-/// sequential engine (no pool) and the crash counters additionally zero
-/// under the thread backend (threads do not crash independently).
+/// batch deduplicated and fanned out. Every executor fills the plan half
+/// (invariants, jobs, symmetry); the worker half is empty under the inline
+/// executor (no pool) and the crash counters additionally zero under the
+/// thread executor (threads do not crash independently).
 struct PoolStats {
   std::size_t invariant_count = 0;
   /// Planned invariant-jobs (the deduplicated queue, counting every
@@ -132,8 +135,8 @@ struct PoolStats {
   /// Crash accounting: worker processes spawned/lost (0 under the thread
   /// backend), jobs re-dispatched after a crash or hang, and jobs
   /// abandoned to an unknown verdict - retries exhausted, quarantined,
-  /// or past the deadline; both backends count deadline abandonments here
-  /// (never silently dropped).
+  /// or past the deadline; every executor counts deadline abandonments
+  /// here (never silently dropped).
   std::size_t workers_spawned = 0;
   std::size_t workers_crashed = 0;
   std::size_t jobs_requeued = 0;
@@ -150,10 +153,10 @@ struct PoolStats {
   std::vector<MergeBlocker> merge_blockers;
 };
 
-/// The one batch-verification result both engines return (the historical
-/// BatchResult/ParallelBatchResult split is gone): per-invariant verdicts
-/// plus the unified counter set, with plan/pool diagnostics nested in
-/// `pool` and failure accounting in `degradation`.
+/// The one batch-verification result Engine::run_batch returns, whichever
+/// executor ran it: per-invariant verdicts plus the unified counter set,
+/// with plan/pool diagnostics nested in `pool` and failure accounting in
+/// `degradation`.
 struct BatchResult {
   std::vector<VerifyResult> results;  ///< aligned with the invariant list
   /// Actual solver invocations: planned jobs minus cache hits.
@@ -188,9 +191,9 @@ struct BatchResult {
   /// jobs, 1 solver call" shows up as iso_verdict_reuses == 7.
   std::size_t iso_verdict_reuses = 0;
   /// Transfer functions built by encoders vs served from a warm memo
-  /// during encoding (see SolverSession::encode_transfer_builds): with the
+  /// during encoding (see SessionCounters::transfer_builds): with the
   /// borrowed/per-session caches in place, no scenario's fabric walks ever
-  /// run twice for the same session - the sequential engine, lending the
+  /// run twice for the same session - the inline executor, lending the
   /// planner's own memo, encodes with zero builds at all.
   std::size_t encode_transfer_builds = 0;
   std::size_t encode_transfer_reuses = 0;
@@ -209,33 +212,31 @@ struct BatchResult {
                                   const smt::SmtModel& model);
 
 /// The session-level robustness policy `options` asks for (fault injector
-/// + escalation knobs), applied to every SolverSession either engine - or
-/// a wire worker - solves with.
+/// + escalation knobs), applied to every SolverSession an executor - or a
+/// wire worker - solves with.
 [[nodiscard]] SessionResilience session_resilience(
     const VerifyOptions& options);
 
 /// The result a symmetric invariant inherits from its verified
 /// representative: same outcome and statistics, by_symmetry set, and no
-/// counterexample (the witness names the representative's nodes). Shared by
-/// the sequential and parallel batch paths so they cannot drift.
+/// counterexample (the witness names the representative's nodes).
 [[nodiscard]] VerifyResult inherit_result(const VerifyResult& representative);
 
 /// The result a persistent-cache hit restores: the cached raw status mapped
 /// back through the invariant's sat_means_holds() polarity, cached slice /
-/// assertion statistics, from_cache set, no counterexample. Shared by both
-/// engines so cached and solved runs disagree in nothing but the trace.
+/// assertion statistics, from_cache set, no counterexample, so cached and
+/// solved runs disagree in nothing but the trace.
 [[nodiscard]] VerifyResult result_from_cache(const ResultCache::Entry& entry,
                                              const encode::Invariant& invariant);
 
 /// The policy classes a verification run plans with: inferred
 /// (configuration fingerprints refined by per-scenario reachability
 /// signatures, budgeted by options.max_failures) or declared, per
-/// options.infer_policy_classes. Both engines build their classes through
-/// this one function - which is what keeps their class relations, slice
-/// seeds and canonical keys byte-identical - and through the verifier's
-/// own PlanContext, so the refinement's dataplane walks land in the same
-/// per-scenario memo every later plan pass draws from (planning re-walks
-/// nothing the refinement already walked).
+/// options.infer_policy_classes. The Engine builds its classes through
+/// this one function, on its own PlanContext, so the refinement's
+/// dataplane walks land in the same per-scenario memo every later plan
+/// pass draws from (planning re-walks nothing the refinement already
+/// walked).
 [[nodiscard]] slice::PolicyClasses build_policy_classes(
     const encode::NetworkModel& model, const VerifyOptions& options,
     PlanContext& ctx);
@@ -243,7 +244,7 @@ struct BatchResult {
 /// Pinned fingerprint (FNV-1a 64 over the serialized full-network spec) of
 /// everything the model contributes to verification problems: topology,
 /// configurations, routes and failure scenarios - invariants excluded, so
-/// merely adding checks never invalidates. Both engines stamp it into
+/// merely adding checks never invalidates. The Engine stamps it into
 /// every persistent ResultCache record (v5): records minted from a
 /// different model would otherwise linger as dead weight after a spec
 /// edit (canonical keys self-invalidate lookups, but never the file), so
@@ -259,10 +260,9 @@ struct BatchResult {
                                             const std::vector<NodeId>& order);
 
 /// The edge nodes `invariant` is encoded over: the computed slice, or the
-/// whole network when slicing is off. Shared by the sequential Verifier and
-/// the ParallelVerifier planner so the two engines encode identical
-/// problems. `transfers`, when non-null, is the plan-wide per-scenario
-/// transfer memo (see PlanContext).
+/// whole network when slicing is off. Shared by the planner and
+/// Engine::run_one. `transfers`, when non-null, is the plan-wide
+/// per-scenario transfer memo (see PlanContext).
 [[nodiscard]] std::vector<NodeId> slice_members(
     const encode::NetworkModel& model, const encode::Invariant& invariant,
     const slice::PolicyClasses& classes, bool use_slices, int max_failures,
@@ -276,14 +276,12 @@ struct BatchResult {
 /// each costs a solver call and buys soundness). One PlanContext memoizes
 /// per-scenario transfer functions across every slice and canonical key of
 /// the pass, and the finished queue is stably reordered so jobs sharing a
-/// slice shape are adjacent (fueling warm solver reuse). The sequential
-/// Verifier::verify_all executes this plan in job order and the
-/// ParallelVerifier fans shape-groups of it out over a pool; sharing the
-/// planner is what makes the two engines agree
-/// representative-for-representative.
+/// slice shape are adjacent (fueling warm solver reuse). Engine::run_batch
+/// executes this plan on whichever executor it is configured with, so
+/// every executor solves the same representatives.
 /// `ctx`, when non-null, is the caller's long-lived planning context (the
-/// engines pass their member context, already warm from class inference);
-/// null plans on a private one. JobPlan::transfer_builds/reuses report the
+/// Engine passes its own, already warm from class inference); null plans
+/// on a private one. JobPlan::transfer_builds/reuses report the
 /// context's cumulative counters.
 [[nodiscard]] JobPlan plan_jobs(const encode::NetworkModel& model,
                                 const std::vector<encode::Invariant>& invariants,
@@ -298,7 +296,7 @@ struct BatchResult {
 /// bijection carries the soundness argument: the base encodings are
 /// isomorphic under it (node-for-node, address-for-address,
 /// scenario-permuted), so the planner maps the invariant into the
-/// representative's namespace (Job::solve_invariant), the engines solve
+/// representative's namespace (Job::solve_invariant), the executors solve
 /// the mapped problem once, and bind_result relabels any counterexample
 /// back - nodes through the inverse bijection, packet addresses through
 /// the induced inverse address map - before each binding's result
@@ -313,9 +311,9 @@ struct IsoBinding {
 /// (model, members, failure budget) - reusing the live encoding + solver
 /// when the previous call had the same shape - then push()es the negated
 /// invariant, checks, extracts any counterexample and pop()s back to the
-/// base. Both the sequential Verifier and the ParallelVerifier workers
-/// funnel through this function, which is what guarantees their outcomes
-/// agree check-for-check. `total_time` covers encoding and solving only;
+/// base. Every executor - inline, thread worker, wire worker - funnels
+/// through this function, which is what guarantees they agree
+/// check-for-check. `total_time` covers encoding and solving only;
 /// callers that also compute the slice fold that time in themselves.
 /// `invariant` and `members` are the encode-space problem verbatim (for
 /// iso-rebound jobs the planner already mapped both); the returned
@@ -341,52 +339,5 @@ struct IsoBinding {
                                        const VerifyResult& solved,
                                        const std::vector<NodeId>& members,
                                        const std::vector<NodeId>& iso_image);
-
-/// The sequential engine. A Verifier owns one PlanContext shared by class
-/// inference and every plan pass, so its planning state is mutated by the
-/// (const) verify calls: run them from one thread at a time. Worker
-/// fan-out happens *inside* a call and never touches the context; distinct
-/// Verifier instances are fully independent.
-class Verifier {
- public:
-  Verifier(const encode::NetworkModel& model, VerifyOptions options = {});
-
-  /// Verifies a single invariant.
-  [[nodiscard]] VerifyResult verify(const encode::Invariant& invariant) const;
-
-  /// Verifies a list of invariants; with `use_symmetry`, only one invariant
-  /// per symmetry group is checked and the rest inherit the outcome.
-  [[nodiscard]] BatchResult verify_all(
-      const std::vector<encode::Invariant>& invariants,
-      bool use_symmetry = true) const;
-
-  [[nodiscard]] const slice::PolicyClasses& policy_classes() const {
-    return classes_;
-  }
-  [[nodiscard]] const VerifyOptions& options() const { return options_; }
-
-  /// Lends the verifier an external persistent cache (the Engine's, shared
-  /// with the parallel engine and kept across daemon reloads) instead of
-  /// opening its own from options().cache_dir per call. Borrowed: the
-  /// cache must outlive the verifier. Batch counters (hits/misses) still
-  /// report per-call traffic.
-  void set_result_cache(ResultCache* cache) { external_cache_ = cache; }
-
- private:
-  const encode::NetworkModel* model_;
-  VerifyOptions options_;
-  /// Per-verifier planning context: the class-inference walks warm the
-  /// per-scenario transfer memo that every subsequent plan pass reuses.
-  /// Mutable because planning memoizes through const verify calls; see the
-  /// class comment for the serialization contract.
-  mutable PlanContext ctx_;
-  slice::PolicyClasses classes_;
-  /// The batch solver session, created on first verify_all and kept warm
-  /// across calls: a daemon re-verifying after an edit rebinds the live
-  /// context instead of encoding from cold. Batch counters report per-call
-  /// deltas against its cumulative totals.
-  mutable std::unique_ptr<SolverSession> session_;
-  ResultCache* external_cache_ = nullptr;
-};
 
 }  // namespace vmn::verify

@@ -243,13 +243,14 @@ std::string encode_result(const WireResult& result) {
   w.i64(result.total_ms);
   w.u64(result.slice_size);
   w.u64(result.assertion_count);
-  w.u64(result.warm_binds);
-  w.u64(result.warm_reuses);
-  w.u64(result.iso_reuses);
-  w.u64(result.encode_transfer_builds);
-  w.u64(result.encode_transfer_reuses);
-  w.u64(result.escalations);
-  w.u64(result.escalations_rescued);
+  const SessionCounters& c = result.counters;
+  w.u64(c.binds);
+  w.u64(c.warm_reuses);
+  w.u64(c.iso_reuses);
+  w.u64(c.transfer_builds);
+  w.u64(c.transfer_reuses);
+  w.u64(c.escalations);
+  w.u64(c.escalations_rescued);
   w.str(result.error);
   w.u8(result.has_trace ? 1 : 0);
   if (result.has_trace) {
@@ -293,13 +294,14 @@ WireResult decode_result(std::string_view payload) {
   result.total_ms = r.i64();
   result.slice_size = r.u64();
   result.assertion_count = r.u64();
-  result.warm_binds = r.u64();
-  result.warm_reuses = r.u64();
-  result.iso_reuses = r.u64();
-  result.encode_transfer_builds = r.u64();
-  result.encode_transfer_reuses = r.u64();
-  result.escalations = r.u64();
-  result.escalations_rescued = r.u64();
+  SessionCounters& c = result.counters;
+  c.binds = r.u64();
+  c.warm_reuses = r.u64();
+  c.iso_reuses = r.u64();
+  c.transfer_builds = r.u64();
+  c.transfer_reuses = r.u64();
+  c.escalations = r.u64();
+  c.escalations_rescued = r.u64();
   result.error = r.str();
   result.has_trace = r.u8() != 0;
   if (result.has_trace) {
@@ -556,31 +558,13 @@ int worker_main(std::FILE* in, std::FILE* out) {
       } else {
         try {
           ResolvedJob resolved = resolve_job(spec->model, job);
-          const std::size_t binds_before = session->binds();
-          const std::size_t reuses_before = session->warm_reuses();
-          const std::size_t iso_before = session->iso_reuses();
-          const std::size_t enc_builds_before =
-              session->encode_transfer_builds();
-          const std::size_t enc_reuses_before =
-              session->encode_transfer_reuses();
-          const std::size_t esc_before = session->escalations();
-          const std::size_t esc_rescued_before =
-              session->escalations_rescued();
+          const SessionCounters before = session->counters();
           VerifyResult verdict = verify_members(
               spec->model, resolved.invariant, std::move(resolved.members),
               job.max_failures, *session, resolved.iso_encoded);
           result =
               make_wire_result(spec->model.network(), job.id, verdict);
-          result.warm_binds = session->binds() - binds_before;
-          result.warm_reuses = session->warm_reuses() - reuses_before;
-          result.iso_reuses = session->iso_reuses() - iso_before;
-          result.encode_transfer_builds =
-              session->encode_transfer_builds() - enc_builds_before;
-          result.encode_transfer_reuses =
-              session->encode_transfer_reuses() - enc_reuses_before;
-          result.escalations = session->escalations() - esc_before;
-          result.escalations_rescued =
-              session->escalations_rescued() - esc_rescued_before;
+          result.counters = session->counters() - before;
         } catch (const std::exception& e) {
           result = WireResult{};
           result.id = job.id;

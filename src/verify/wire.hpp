@@ -163,19 +163,10 @@ struct WireResult {
   std::int64_t total_ms = 0;
   std::uint64_t slice_size = 0;
   std::uint64_t assertion_count = 0;
-  /// This job's warm-solving traffic (0/1 each), aggregated by the
-  /// dispatcher into ParallelBatchResult like the thread backend's.
-  std::uint64_t warm_binds = 0;
-  std::uint64_t warm_reuses = 0;
-  /// Cross-isomorphic reuse and encode-time transfer-memo traffic for this
-  /// job (see SolverSession), aggregated like the warm counters.
-  std::uint64_t iso_reuses = 0;
-  std::uint64_t encode_transfer_builds = 0;
-  std::uint64_t encode_transfer_reuses = 0;
-  /// Unknown-escalation traffic for this job (see SolverSession):
-  /// escalated retries attempted, and how many came back definitive.
-  std::uint64_t escalations = 0;
-  std::uint64_t escalations_rescued = 0;
+  /// This job's session traffic (warm binds/reuses, iso reuses, encode
+  /// transfer builds/reuses, escalations), summed by the dispatcher into
+  /// the batch exactly like the thread executor's per-worker counters.
+  SessionCounters counters;
   /// Non-empty when the worker failed to execute the job (spec parse error,
   /// unknown node, solver exception); the dispatcher requeues such jobs.
   std::string error;

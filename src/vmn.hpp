@@ -7,12 +7,16 @@
 // Typical use:
 //
 //   vmn::encode::NetworkModel model = ...;      // topology + middleboxes
-//   vmn::verify::Verifier verifier(model);
-//   auto result = verifier.verify(
+//   vmn::verify::Engine engine(model);          // inline executor
+//   auto result = engine.run_one(
 //       vmn::encode::Invariant::node_isolation(d, s));
 //   if (result.outcome == vmn::verify::Outcome::violated) {
 //     std::cout << result.counterexample->to_string(name_of);
 //   }
+//
+//   // A whole batch, fanned out over two worker threads:
+//   auto batch = vmn::verify::Engine(
+//       model, {.batch = true, .jobs = 2}).run_batch(invariants);
 #pragma once
 
 #include "core/address.hpp"
@@ -62,6 +66,5 @@
 #include "smt/solver.hpp"
 #include "verify/engine.hpp"
 #include "verify/job.hpp"
-#include "verify/parallel.hpp"
 #include "verify/solver_pool.hpp"
 #include "verify/verifier.hpp"

@@ -50,10 +50,9 @@ struct TempCacheDir {
   }
 };
 
-ParallelOptions cached_options(const std::string& cache_dir,
-                               std::size_t jobs = 2) {
-  ParallelOptions opts;
-  opts.jobs = jobs;
+EngineOptions cached_options(const std::string& cache_dir,
+                             std::size_t jobs = 2) {
+  EngineOptions opts{.batch = true, .jobs = jobs};
   opts.verify.solver.seed = 7;
   opts.verify.cache_dir = cache_dir;
   return opts;
@@ -549,7 +548,7 @@ TEST(ResultCacheBatch, SequentialEngineSharesTheSameCache) {
   VerifyOptions seq_opts;
   seq_opts.solver.seed = 7;
   seq_opts.cache_dir = dir.path;
-  Engine sequential(e.model, seq_opts);
+  Engine sequential(e.model, {.verify = seq_opts});
   BatchResult hot = sequential.run_batch(e.invariants, /*use_symmetry=*/true);
   EXPECT_GT(hot.cache_hits, 0u);
   EXPECT_EQ(hot.cache_misses, 0u);
@@ -587,8 +586,7 @@ TEST(ResultCacheBatch, ConfigEditChangesKeyAndForcesFreshSolve) {
   EXPECT_GT(after.solver_calls, 0u);
   // ...and the verdicts match an uncached run on the edited model exactly
   // (no stale inheritance from the pre-edit cache).
-  ParallelOptions uncached;
-  uncached.jobs = 2;
+  EngineOptions uncached{.batch = true, .jobs = 2};
   uncached.verify.solver.seed = 7;
   BatchResult reference = Engine(e.model, uncached).run_batch(e.invariants);
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {
@@ -608,8 +606,7 @@ TEST(ResultCacheBatch, DisabledCacheLeavesOutcomesIdentical) {
   const scenarios::Batch batch = dc.batch();
   TempCacheDir dir;
 
-  ParallelOptions plain;
-  plain.jobs = 2;
+  EngineOptions plain{.batch = true, .jobs = 2};
   plain.verify.solver.seed = 7;
   BatchResult uncached = Engine(dc.model, plain).run_batch(batch.invariants);
   EXPECT_EQ(uncached.cache_hits, 0u);
@@ -641,7 +638,7 @@ TEST(ResultCacheBatch, UnknownOutcomesAreNeverPersisted) {
   const scenarios::Batch batch = dc.batch();
   TempCacheDir dir;
 
-  ParallelOptions opts = cached_options(dir.path);
+  EngineOptions opts = cached_options(dir.path);
   opts.verify.use_slices = false;  // whole network: decisively too big
   opts.verify.solver.timeout_ms = 1;
   BatchResult r = Engine(dc.model, opts).run_batch(batch.invariants);

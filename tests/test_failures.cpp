@@ -31,7 +31,7 @@ TEST(Failures, FailClosedBoxBlocksWhenDown) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Gateway>(
       "gw", mbox::FailureMode::fail_closed));
   n.model.network().add_failure_scenario("gw-down", {n.mbox});
-  Engine v(n.model, with_failures(1));
+  Engine v(n.model, {.verify = with_failures(1)});
   // Reachability must hold in *some* admitted scenario (sat semantics) -
   // the base scenario still delivers.
   EXPECT_EQ(v.run_one(Invariant::reachable(n.b, n.a)).outcome, Outcome::holds);
@@ -67,11 +67,11 @@ TEST(Failures, FailOpenBoxLeaksWhenDown) {
   OneBoxNet net = OneBoxNet::make(std::make_unique<FailOpenFilter>("filter"));
   net.model.network().add_failure_scenario("filter-down", {net.mbox});
 
-  Engine strict(net.model, with_failures(0));
+  Engine strict(net.model, {.verify = with_failures(0)});
   EXPECT_EQ(strict.run_one(Invariant::node_isolation(net.b, net.a)).outcome,
             Outcome::holds);
 
-  Engine lenient(net.model, with_failures(1));
+  Engine lenient(net.model, {.verify = with_failures(1)});
   VerifyResult r = lenient.run_one(Invariant::node_isolation(net.b, net.a));
   EXPECT_EQ(r.outcome, Outcome::violated);
 }
@@ -100,16 +100,16 @@ TEST(Failures, RedundantFirewallPreservesIsolation) {
   net.table(sw, down).add_from(a, Prefix::host(kB), fw1.node(), 9);
   net.table(sw, down).add_from(b, Prefix::host(kA), fw1.node(), 9);
 
-  Engine v(model, with_failures(1));
+  Engine v(model, {.verify = with_failures(1)});
   EXPECT_EQ(v.run_one(Invariant::node_isolation(b, a)).outcome, Outcome::holds);
 
   // Now misconfigure the backup: it allows everything.
   fw1.replace_acl({AclEntry{Prefix::any(), Prefix::any(), AclAction::allow}});
-  Engine v2(model, with_failures(1));
+  Engine v2(model, {.verify = with_failures(1)});
   VerifyResult r = v2.run_one(Invariant::node_isolation(b, a));
   EXPECT_EQ(r.outcome, Outcome::violated);
   // The violation requires the failure: with a zero budget it disappears.
-  Engine v3(model, with_failures(0));
+  Engine v3(model, {.verify = with_failures(0)});
   EXPECT_EQ(v3.run_one(Invariant::node_isolation(b, a)).outcome,
             Outcome::holds);
 }
@@ -125,7 +125,7 @@ TEST(Failures, EstablishedStateIsLostOnFailure) {
           {Prefix::host(kA), Prefix::host(kB), AclAction::allow}},
       AclAction::deny));
   n.model.network().add_failure_scenario("fw-down", {n.mbox});
-  Engine v(n.model, with_failures(1));
+  Engine v(n.model, {.verify = with_failures(1)});
   // Flow isolation of a against b still holds across both scenarios.
   EXPECT_EQ(v.run_one(Invariant::flow_isolation(n.a, n.b)).outcome,
             Outcome::holds);
@@ -153,14 +153,14 @@ TEST(Failures, TraversalUnderReroutingMisconfiguration) {
   // Misconfigured reroute: a's traffic goes straight to s2 (no idps).
   net.table(n.sw1, down).add_from(n.a, Prefix::host(kB), n.sw2, 9);
 
-  Engine v(n.model, with_failures(1));
+  Engine v(n.model, {.verify = with_failures(1)});
   VerifyResult r = v.run_one(Invariant::traversal_from(n.b, n.a, "idps"));
   EXPECT_EQ(r.outcome, Outcome::violated);
   // Malicious traffic can now reach b under the failure.
   EXPECT_EQ(v.run_one(Invariant::no_malicious_delivery(n.b)).outcome,
             Outcome::violated);
   // Without the failure budget both hold.
-  Engine v0(n.model, with_failures(0));
+  Engine v0(n.model, {.verify = with_failures(0)});
   EXPECT_EQ(v0.run_one(Invariant::traversal_from(n.b, n.a, "idps")).outcome,
             Outcome::holds);
   EXPECT_EQ(v0.run_one(Invariant::no_malicious_delivery(n.b)).outcome,
@@ -172,7 +172,7 @@ TEST(Failures, CounterexampleMentionsFailedNode) {
   net::Network& net = n.model.network();
   ScenarioId down = net.add_failure_scenario("idps-down", {n.mbox});
   net.table(n.sw1, down).add_from(n.a, Prefix::host(kB), n.sw2, 9);
-  Engine v(n.model, with_failures(1));
+  Engine v(n.model, {.verify = with_failures(1)});
   VerifyResult r = v.run_one(Invariant::no_malicious_delivery(n.b));
   ASSERT_EQ(r.outcome, Outcome::violated);
   ASSERT_TRUE(r.counterexample.has_value());

@@ -1,9 +1,11 @@
 // Fault-injection harness tests: deterministic FaultPlan decisions, the
-// hardened result cache under torn tails and bit flips, crash-loop
-// quarantine with fleet survival, respawn-backoff determinism, deadline
-// degradation with accurate counters, and unknown-escalation rescue
-// accounting. The cross-cutting contract under every plan: verdicts never
-// flip - faults may only widen outcomes to unknown.
+// hardened result cache under torn tails and bit flips (unit-level, and a
+// torn flush through the batch pipeline on every in-process executor),
+// crash-loop quarantine with fleet survival, respawn-backoff determinism,
+// deadline degradation with accurate counters on every in-process
+// executor, and unknown-escalation rescue accounting. The cross-cutting
+// contract under every plan: verdicts never flip - faults may only widen
+// outcomes to unknown.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,9 +16,9 @@
 
 #include "core/error.hpp"
 #include "scenarios/enterprise.hpp"
+#include "util.hpp"
 #include "verify/engine.hpp"
 #include "verify/faults.hpp"
-#include "verify/parallel.hpp"
 #include "verify/result_cache.hpp"
 #include "verify/verifier.hpp"
 
@@ -49,18 +51,11 @@ scenarios::Enterprise small_enterprise(int subnets = 6) {
   return scenarios::make_enterprise(p);
 }
 
-ParallelOptions thread_opts(std::size_t jobs = 2) {
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.verify.solver.seed = 7;
-  return opts;
-}
+EngineOptions thread_opts() { return test::executor_options("thread"); }
+EngineOptions process_opts() { return test::executor_options("process"); }
 
-ParallelOptions process_opts(std::size_t jobs = 2) {
-  ParallelOptions opts = thread_opts(jobs);
-  opts.backend = Backend::process;
-  return opts;
-}
+/// Suites run once per executor that solves in this process.
+class InProcess : public ::testing::TestWithParam<const char*> {};
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::vector<std::string> lines;
@@ -226,7 +221,7 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   BatchResult reference =
       Engine(e.model, thread_opts()).run_batch(e.invariants);
 
-  ParallelOptions opts = process_opts();
+  EngineOptions opts = process_opts();
   opts.verify.faults = FaultPlan::parse("crash-job=0");
   BatchResult r =
       Engine(e.model, opts).run_batch(e.invariants);
@@ -254,13 +249,13 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   EXPECT_GE(unknowns, 1u);
 }
 
-TEST(Deadline, ExpiryYieldsPartialResultsWithAccurateCounters) {
-  // A 1ms deadline expires during planning: the thread backend must drain
-  // the queue without solving, account every job as deadline-abandoned,
-  // and surface the unanswered invariants as unknown - a partial result,
+TEST_P(InProcess, DeadlineExpiryYieldsPartialResultsWithAccurateCounters) {
+  // A 1ms deadline expires during planning: the executor must drain the
+  // queue without solving, account every job as deadline-abandoned, and
+  // surface the unanswered invariants as unknown - a partial result,
   // never a hang or a silent drop.
   scenarios::Enterprise e = small_enterprise();
-  ParallelOptions opts = thread_opts();
+  EngineOptions opts = test::executor_options(GetParam());
   opts.deadline = std::chrono::milliseconds(1);
   BatchResult r =
       Engine(e.model, opts).run_batch(e.invariants);
@@ -282,6 +277,37 @@ TEST(Deadline, ExpiryYieldsPartialResultsWithAccurateCounters) {
   EXPECT_NE(summary.find("deadline expired"), std::string::npos);
 }
 
+TEST_P(InProcess, TornCacheFlushCostsOnlyTheTailRecordOnRerun) {
+  // cache-torn-tail=1 tears the batch's one flush mid-final-record: a
+  // fault-free rerun must drop exactly that record, re-solve what it
+  // answered, and take everything else from the cache.
+  scenarios::Enterprise e = small_enterprise();
+  TempCacheDir dir;
+  EngineOptions torn = test::executor_options(GetParam());
+  torn.verify.cache_dir = dir.path;
+  torn.verify.faults = FaultPlan::parse("seed=1,cache-torn-tail=1");
+  const BatchResult first = Engine(e.model, torn).run_batch(e.invariants);
+  ASSERT_GT(first.solver_calls, 1u);  // more than one record to keep
+
+  EngineOptions clean = test::executor_options(GetParam());
+  clean.verify.cache_dir = dir.path;
+  const BatchResult rerun = Engine(e.model, clean).run_batch(e.invariants);
+  EXPECT_EQ(rerun.degradation.cache_records_dropped, 1u);
+  EXPECT_GT(rerun.cache_hits, 0u);
+  EXPECT_GE(rerun.solver_calls, 1u);
+  EXPECT_LT(rerun.solver_calls, first.solver_calls);
+  ASSERT_EQ(rerun.results.size(), first.results.size());
+  for (std::size_t i = 0; i < rerun.results.size(); ++i) {
+    EXPECT_EQ(rerun.results[i].outcome, first.results[i].outcome) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Executors, InProcess,
+                         ::testing::Values("inline", "thread"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
 TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // solver-unknown forces every *initial* check to unknown; the
   // escalation retry (bumped timeout, perturbed seed) runs fault-free and
@@ -290,7 +316,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   BatchResult reference =
       Engine(e.model, thread_opts()).run_batch(e.invariants);
 
-  ParallelOptions faulted = thread_opts();
+  EngineOptions faulted = thread_opts();
   faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r =
       Engine(e.model, faulted).run_batch(e.invariants);
@@ -305,7 +331,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // Persistent faults are counted but not rescued: solver-timeout holds
   // at every attempt, so escalation fires and fails, and every verdict
   // stays unknown.
-  ParallelOptions timeouts = thread_opts();
+  EngineOptions timeouts = thread_opts();
   timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
   BatchResult t =
       Engine(e.model, timeouts).run_batch(e.invariants);
@@ -317,7 +343,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
 
   // With escalation disabled the transient faults stick: no retries, all
   // unknown.
-  ParallelOptions off = thread_opts();
+  EngineOptions off = thread_opts();
   off.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   off.verify.escalate_unknown = false;
   BatchResult n =
@@ -329,13 +355,14 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
 }
 
 TEST(Escalation, SequentialEngineCountsEscalationsToo) {
-  // The escalation path lives in verify_members, so the sequential engine
+  // The escalation path lives in verify_members, so the inline executor
   // shares it verbatim - same rescue, same counters on BatchResult.
   scenarios::Enterprise e = small_enterprise(4);
   VerifyOptions opts;
   opts.solver.seed = 7;
   opts.faults = FaultPlan::parse("seed=11,solver-unknown=1");
-  BatchResult r = Engine(e.model, opts).run_batch(e.invariants, true);
+  BatchResult r =
+      Engine(e.model, {.verify = opts}).run_batch(e.invariants, true);
   EXPECT_GT(r.degradation.escalations, 0u);
   EXPECT_EQ(r.degradation.escalations_rescued, r.degradation.escalations);
   for (const VerifyResult& res : r.results) {

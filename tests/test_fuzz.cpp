@@ -8,7 +8,6 @@
 #include "scenarios/random.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 
 namespace vmn {
 namespace {
@@ -55,7 +54,7 @@ TEST(RandomSpec, ShapeKeysStableAcrossReparses) {
   const auto rs = make_random_spec(params);
   io::Spec first = io::parse_spec_string(rs.text);
   io::Spec second = io::parse_spec_string(rs.text);
-  verify::ParallelOptions popts;
+  verify::EngineOptions popts{.batch = true};
   popts.verify.max_failures = scenarios::derived_max_failures(first.model);
   const auto plan_a =
       verify::Engine(first.model, popts).plan(first.invariants);

@@ -79,8 +79,10 @@ TEST_P(RedundancySeeds, ViolationOnlyUnderFailureBudget) {
   VerifyOptions f0;
   VerifyOptions f1;
   f1.max_failures = 1;
-  EXPECT_EQ(Engine(dc.model, f0).run_one(inv).outcome, Outcome::holds);
-  EXPECT_EQ(Engine(dc.model, f1).run_one(inv).outcome, Outcome::violated);
+  EXPECT_EQ(Engine(dc.model, {.verify = f0}).run_one(inv).outcome,
+            Outcome::holds);
+  EXPECT_EQ(Engine(dc.model, {.verify = f1}).run_one(inv).outcome,
+            Outcome::violated);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RedundancySeeds, ::testing::Range(0, 4));

@@ -1,14 +1,17 @@
-// Engine tests: agreement with the sequential engine, determinism
-// under a fixed solver seed regardless of worker count, counterexample
-// validity under concurrency, job planning, the SolverPool contract, and
-// the process backend - verdict agreement with the thread backend on every
-// scenario generator, crash-requeue on a killed worker, and the bounded
+// Engine tests: every executor (inline, thread, process) agrees with the
+// inline one on every scenario generator, determinism under a fixed solver
+// seed regardless of worker count, counterexample validity under
+// concurrency, job planning, the SolverPool contract, and the process
+// executor's crash handling - requeue on a killed worker, and the bounded
 // no-survivors path ending in unknown verdicts rather than silent drops.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <atomic>
+#include <functional>
 #include <set>
+#include <string_view>
+#include <tuple>
 
 #include "mbox/firewall.hpp"
 #include "scenarios/datacenter.hpp"
@@ -19,7 +22,6 @@
 #include "sim/replay.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
-#include "verify/parallel.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::verify {
@@ -31,121 +33,135 @@ using mbox::AclEntry;
 using scenarios::Batch;
 using test::OneBoxNet;
 
-ParallelOptions with_jobs(std::size_t jobs) {
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.verify.solver.seed = 7;
-  return opts;
+EngineOptions with_jobs(std::size_t jobs) {
+  return test::executor_options("thread", jobs);
 }
 
-void expect_agreement(const encode::NetworkModel& model, const Batch& batch) {
-  VerifyOptions seq_opts;
-  seq_opts.solver.seed = 7;
-  Engine sequential(model, seq_opts);
-  BatchResult expected = sequential.run_batch(batch.invariants,
-                                               /*use_symmetry=*/true);
-  Engine parallel(model, with_jobs(1));
-  BatchResult got = parallel.run_batch(batch.invariants);
-  ASSERT_EQ(got.results.size(), expected.results.size());
-  for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
-    EXPECT_EQ(got.results[i].outcome, expected.results[i].outcome)
-        << batch.name << " invariant " << i;
-    if (i < batch.expected_holds.size()) {
-      const Outcome scenario_expected =
-          batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
-      EXPECT_EQ(got.results[i].outcome, scenario_expected)
-          << batch.name << " invariant " << i;
+/// Builds the named scenario generator's network and hands its model and
+/// batch to `fn`.
+void with_generator(
+    std::string_view name,
+    const std::function<void(const encode::NetworkModel&, const Batch&)>& fn) {
+  if (name == "OneBoxNet") {
+    OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::LearningFirewall>(
+        "fw",
+        std::vector<AclEntry>{AclEntry{Prefix::host(OneBoxNet::addr_a()),
+                                       Prefix::host(OneBoxNet::addr_b()),
+                                       AclAction::allow}},
+        AclAction::deny));
+    Batch batch;
+    batch.name = "oneboxnet";
+    batch.invariants = {Invariant::node_isolation(n.a, n.b),
+                        Invariant::flow_isolation(n.a, n.b),
+                        Invariant::reachable(n.b, n.a)};
+    fn(n.model, batch);
+  } else if (name == "Enterprise") {
+    scenarios::EnterpriseParams p;
+    p.subnets = 4;
+    p.hosts_per_subnet = 1;
+    scenarios::Enterprise e = scenarios::make_enterprise(p);
+    fn(e.model, e.batch());
+  } else if (name == "Datacenter" || name == "MisconfiguredDatacenter") {
+    scenarios::DatacenterParams p;
+    p.policy_groups = 3;
+    p.clients_per_group = 1;
+    scenarios::Datacenter dc = scenarios::make_datacenter(p);
+    if (name == "MisconfiguredDatacenter") {
+      Rng rng(7);
+      inject_misconfig(dc, scenarios::DcMisconfig::rules, rng, 1);
     }
+    fn(dc.model, dc.batch());
+  } else if (name == "Isp" || name == "MisconfiguredIsp") {
+    // Misconfigured: peer hosts share a policy class, so the coarse class
+    // signature of the attacked subnet's isolation invariant matches the
+    // clean peering point's - but the attack-scenario reroute makes their
+    // slices differ, and the violated invariant must NOT inherit "holds"
+    // from the clean representative. The canonical slice key keeps the
+    // two checks separate.
+    scenarios::IspParams p;
+    p.peering_points = 2;
+    p.subnets = 3;
+    p.scrub_bypasses_firewalls = name == "MisconfiguredIsp";
+    scenarios::Isp isp = scenarios::make_isp(p);
+    fn(isp.model, isp.batch());
+  } else if (name == "MultiTenant") {
+    scenarios::MultiTenantParams p;
+    p.tenants = 2;
+    p.servers = 2;
+    p.public_vms_per_tenant = 1;
+    p.private_vms_per_tenant = 1;
+    scenarios::MultiTenant mt = scenarios::make_multitenant(p);
+    fn(mt.model, mt.batch());
+  } else if (name == "Segmented" || name == "BypassedSegmented") {
+    // Bypassed: only a segment-1 sender witnesses the bypassed IDPS, and
+    // expected_holds encodes the whole-network truth; disconnected
+    // segments also stress the process executor's projected specs, which
+    // must carry the reachability-selected representative sender.
+    scenarios::SegmentedParams p;
+    if (name == "BypassedSegmented") p.bypass_segment = 1;
+    scenarios::Segmented s = scenarios::make_segmented(p);
+    fn(s.model, s.batch());
+  } else {
+    FAIL() << "unknown generator " << name;
   }
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnOneBoxNet) {
-  OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::LearningFirewall>(
-      "fw",
-      std::vector<AclEntry>{AclEntry{Prefix::host(OneBoxNet::addr_a()),
-                                     Prefix::host(OneBoxNet::addr_b()),
-                                     AclAction::allow}},
-      AclAction::deny));
-  Batch batch;
-  batch.name = "oneboxnet";
-  batch.invariants = {Invariant::node_isolation(n.a, n.b),
-                      Invariant::flow_isolation(n.a, n.b),
-                      Invariant::reachable(n.b, n.a)};
-  expect_agreement(n.model, batch);
+// Every executor must reproduce the inline executor's verdicts, raw
+// statuses and statistics invariant-for-invariant on every scenario
+// generator (and the generator's own expected verdicts); the process
+// executor must get there without losing a worker or a job.
+class ExecutorAgreement
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+
+TEST_P(ExecutorAgreement, MatchesInline) {
+  const auto [generator, executor] = GetParam();
+  with_generator(generator, [&](const encode::NetworkModel& model,
+                                const Batch& batch) {
+    const BatchResult expected =
+        Engine(model, test::executor_options("inline"))
+            .run_batch(batch.invariants);
+    const BatchResult got =
+        Engine(model, test::executor_options(executor))
+            .run_batch(batch.invariants);
+    if (std::string_view(executor) == "process") {
+      EXPECT_GT(got.pool.workers_spawned, 0u);
+      EXPECT_EQ(got.pool.workers_crashed, 0u);
+      EXPECT_EQ(got.pool.jobs_abandoned, 0u);
+    }
+    EXPECT_EQ(got.pool.jobs_executed, expected.pool.jobs_executed);
+    ASSERT_EQ(got.results.size(), expected.results.size());
+    for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
+      const VerifyResult& g = got.results[i];
+      const VerifyResult& x = expected.results[i];
+      EXPECT_EQ(g.outcome, x.outcome) << batch.name << " invariant " << i;
+      EXPECT_EQ(g.raw_status, x.raw_status) << batch.name << " invariant " << i;
+      EXPECT_EQ(g.slice_size, x.slice_size) << batch.name << " invariant " << i;
+      EXPECT_EQ(g.assertion_count, x.assertion_count)
+          << batch.name << " invariant " << i;
+      EXPECT_EQ(g.by_symmetry, x.by_symmetry)
+          << batch.name << " invariant " << i;
+      if (i < batch.expected_holds.size()) {
+        const Outcome scenario_expected =
+            batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
+        EXPECT_EQ(g.outcome, scenario_expected)
+            << batch.name << " invariant " << i;
+      }
+    }
+  });
 }
 
-TEST(Parallel, OneWorkerMatchesSequentialOnEnterprise) {
-  scenarios::EnterpriseParams p;
-  p.subnets = 4;
-  p.hosts_per_subnet = 1;
-  scenarios::Enterprise e = scenarios::make_enterprise(p);
-  expect_agreement(e.model, e.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnDatacenter) {
-  scenarios::DatacenterParams p;
-  p.policy_groups = 3;
-  p.clients_per_group = 1;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  expect_agreement(dc.model, dc.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredDatacenter) {
-  scenarios::DatacenterParams p;
-  p.policy_groups = 3;
-  p.clients_per_group = 1;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  Rng rng(7);
-  inject_misconfig(dc, scenarios::DcMisconfig::rules, rng, 1);
-  expect_agreement(dc.model, dc.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnIsp) {
-  scenarios::IspParams p;
-  p.peering_points = 2;
-  p.subnets = 3;
-  scenarios::Isp isp = scenarios::make_isp(p);
-  expect_agreement(isp.model, isp.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnMisconfiguredIsp) {
-  // Regression: peer hosts share a policy class, so the coarse class
-  // signature of the attacked subnet's isolation invariant matches the
-  // clean peering point's - but the attack-scenario reroute makes their
-  // slices differ, and the violated invariant must NOT inherit "holds"
-  // from the clean representative. Both engines group by the canonical
-  // slice key, which keeps the two checks separate.
-  scenarios::IspParams p;
-  p.peering_points = 2;
-  p.subnets = 3;
-  p.scrub_bypasses_firewalls = true;
-  scenarios::Isp isp = scenarios::make_isp(p);
-  expect_agreement(isp.model, isp.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnMultiTenant) {
-  scenarios::MultiTenantParams p;
-  p.tenants = 2;
-  p.servers = 2;
-  p.public_vms_per_tenant = 1;
-  p.private_vms_per_tenant = 1;
-  scenarios::MultiTenant mt = scenarios::make_multitenant(p);
-  expect_agreement(mt.model, mt.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnSegmented) {
-  scenarios::Segmented s = scenarios::make_segmented({});
-  expect_agreement(s.model, s.batch());
-}
-
-TEST(Parallel, OneWorkerMatchesSequentialOnBypassedSegmented) {
-  // The representative-sender workload: only a segment-1 sender witnesses
-  // the bypassed IDPS, and expected_holds encodes the whole-network truth.
-  scenarios::SegmentedParams p;
-  p.bypass_segment = 1;
-  scenarios::Segmented s = scenarios::make_segmented(p);
-  expect_agreement(s.model, s.batch());
-}
+INSTANTIATE_TEST_SUITE_P(
+    Generators, ExecutorAgreement,
+    ::testing::Combine(
+        ::testing::Values("OneBoxNet", "Enterprise", "Datacenter",
+                          "MisconfiguredDatacenter", "Isp",
+                          "MisconfiguredIsp", "MultiTenant", "Segmented",
+                          "BypassedSegmented"),
+        ::testing::Values("inline", "thread", "process")),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param);
+    });
 
 TEST(Parallel, DeterministicAcrossFourWorkerRuns) {
   scenarios::EnterpriseParams p;
@@ -236,7 +252,7 @@ TEST(Parallel, PlanPartitionsTheBatch) {
   EXPECT_DOUBLE_EQ(plan.dedup_hit_rate(), 0.5);
 
   // Without symmetry, one job per invariant.
-  ParallelOptions no_sym = with_jobs(2);
+  EngineOptions no_sym = with_jobs(2);
   no_sym.use_symmetry = false;
   JobPlan flat = Engine(e.model, no_sym).plan(e.invariants);
   EXPECT_EQ(flat.jobs.size(), e.invariants.size());
@@ -251,9 +267,9 @@ TEST(Parallel, PlanPartitionsTheBatch) {
 // mixed holds/violated batches.
 void expect_warm_matches_cold(const encode::NetworkModel& model,
                               const Batch& batch) {
-  ParallelOptions warm = with_jobs(2);
+  EngineOptions warm = with_jobs(2);
   ASSERT_TRUE(warm.verify.warm_solving);  // the default
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   cold.verify.warm_solving = false;
 
   BatchResult warm_r =
@@ -362,20 +378,23 @@ TEST(WarmSolving, MatchesColdOnBypassedSegmented) {
 }
 
 TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
-  // Whole-network checks under a 1 ms budget: both paths should report
-  // unknown (skip if this machine somehow solves them in time). All jobs
-  // share the full-network shape, so this also exercises warm reuse across
-  // a run of unknowns.
+  // Whole-network checks whose every solve is forced to a persistent
+  // timeout (a seeded fault, independent of machine speed): both paths
+  // must report unknown. All jobs share the full-network shape and
+  // verdict merging is off, so the warm run builds one context and
+  // answers the other two jobs on it - warm reuse across a run of
+  // unknowns.
   scenarios::DatacenterParams p;
   p.policy_groups = 3;
   p.clients_per_group = 1;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
 
-  ParallelOptions warm = with_jobs(1);
+  EngineOptions warm = with_jobs(1);
   warm.verify.use_slices = false;
-  warm.verify.solver.timeout_ms = 1;
-  ParallelOptions cold = warm;
+  warm.verify.merge_isomorphic = false;
+  warm.verify.faults = FaultPlan::parse("seed=1,solver-timeout=1");
+  EngineOptions cold = warm;
   cold.verify.warm_solving = false;
 
   BatchResult warm_r =
@@ -383,13 +402,11 @@ TEST(WarmSolving, MatchesColdWhenOutcomesGoUnknown) {
   BatchResult cold_r =
       Engine(dc.model, cold).run_batch(batch.invariants);
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
-    if (warm_r.results[i].outcome != Outcome::unknown ||
-        cold_r.results[i].outcome != Outcome::unknown) {
-      GTEST_SKIP() << "solver finished within 1 ms; agreement on decisive "
-                      "outcomes is covered by the other WarmSolving tests";
-    }
+    EXPECT_EQ(warm_r.results[i].outcome, Outcome::unknown) << i;
+    EXPECT_EQ(cold_r.results[i].outcome, Outcome::unknown) << i;
   }
-  EXPECT_GT(warm_r.warm_reuses, 0u);  // one full-network shape, many jobs
+  EXPECT_EQ(warm_r.warm_binds, 1u);  // one full-network shape...
+  EXPECT_EQ(warm_r.warm_reuses, 2u);  // ...answering all three jobs
   EXPECT_EQ(cold_r.warm_reuses, 0u);
 }
 
@@ -408,7 +425,7 @@ TEST(WarmSolving, SequentialBatchReusesOneSessionAcrossSameShapeJobs) {
                                        Invariant::reachable(n.b, n.a)};
   VerifyOptions opts;
   opts.solver.seed = 7;
-  Engine v(n.model, opts);
+  Engine v(n.model, {.verify = opts});
   BatchResult batch = v.run_batch(invariants, /*use_symmetry=*/true);
   EXPECT_EQ(batch.warm_binds, 1u);
   EXPECT_EQ(batch.warm_reuses, 2u);
@@ -452,7 +469,7 @@ TEST(Planner, OrdersSameShapeJobsAdjacently) {
   p.policy_groups = 4;
   p.clients_per_group = 2;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  ParallelOptions no_sym = with_jobs(2);
+  EngineOptions no_sym = with_jobs(2);
   no_sym.use_symmetry = false;  // keep every invariant: more shape repeats
   JobPlan plan = Engine(dc.model, no_sym).plan(dc.batch().invariants);
   // Equal member sets must form contiguous runs (what the engines turn
@@ -485,8 +502,8 @@ TEST(IsoWarm, DatacenterBatchRebindsIsomorphicSlices) {
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
 
-  ParallelOptions warm = with_jobs(2);
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions warm = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   cold.verify.warm_solving = false;
   BatchResult warm_r =
       Engine(dc.model, warm).run_batch(batch.invariants);
@@ -536,7 +553,7 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   EXPECT_EQ(warm_r.solver_calls, 1u);
   EXPECT_EQ(warm_r.iso_verdict_reuses, warm_r.pool.jobs_executed - 1);
 
-  ParallelOptions cold_opts = with_jobs(2);
+  EngineOptions cold_opts = with_jobs(2);
   cold_opts.verify.warm_solving = false;
   BatchResult cold_r = Engine(dc.model, cold_opts).run_batch(isolation);
   EXPECT_EQ(cold_r.solver_calls, cold_r.pool.jobs_executed);
@@ -548,12 +565,12 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
     EXPECT_EQ(warm_r.results[i].raw_status, cold_r.results[i].raw_status) << i;
   }
 
-  // The sequential engine shares the planner, so the same batch collapses
+  // The inline executor shares the planner, so the same batch collapses
   // to one solve there too.
   VerifyOptions seq;
   seq.solver.seed = 7;
-  BatchResult seq_r =
-      Engine(dc.model, seq).run_batch(isolation, /*use_symmetry=*/true);
+  BatchResult seq_r = Engine(dc.model, {.verify = seq})
+                          .run_batch(isolation, /*use_symmetry=*/true);
   EXPECT_EQ(seq_r.solver_calls, 1u);
   EXPECT_GE(seq_r.pool.jobs_executed, 8u);
   for (std::size_t i = 0; i < seq_r.results.size(); ++i) {
@@ -575,7 +592,7 @@ TEST(IsoWarm, SequentialEngineEncodesWithZeroTransferBuilds) {
   const Batch batch = dc.batch();
   VerifyOptions opts;
   opts.solver.seed = 7;
-  Engine v(dc.model, opts);
+  Engine v(dc.model, {.verify = opts});
   BatchResult r = v.run_batch(batch.invariants, /*use_symmetry=*/true);
   EXPECT_EQ(r.encode_transfer_builds, 0u);
   EXPECT_GT(r.encode_transfer_reuses, 0u);
@@ -596,7 +613,7 @@ TEST(IsoWarm, ThreadWorkersNeverBuildATransferFunctionTwice) {
   p.clients_per_group = 2;
   scenarios::Datacenter dc = scenarios::make_datacenter(p);
   const Batch batch = dc.batch();
-  ParallelOptions opts = with_jobs(2);
+  EngineOptions opts = with_jobs(2);
   BatchResult r =
       Engine(dc.model, opts).run_batch(batch.invariants);
   const std::size_t scenarios = dc.model.network().scenarios().size();
@@ -693,8 +710,8 @@ TEST(IsoWarm, RelabeledWitnessNamesTheActualSlicesHosts) {
 // trace leaking through).
 BatchResult expect_transfer_matches_cold(const encode::NetworkModel& model,
                                          const Batch& batch) {
-  ParallelOptions merged = with_jobs(2);
-  ParallelOptions cold = with_jobs(2);
+  EngineOptions merged = with_jobs(2);
+  EngineOptions cold = with_jobs(2);
   EXPECT_TRUE(merged.verify.merge_isomorphic);  // the default
   cold.verify.warm_solving = false;
 
@@ -784,10 +801,8 @@ TEST(IsoVerdictTransfer, MatchesColdOnBypassedSegmented) {
 
 // --- process backend --------------------------------------------------------
 
-ParallelOptions process_opts(std::size_t jobs) {
-  ParallelOptions opts = with_jobs(jobs);
-  opts.backend = Backend::process;
-  return opts;
+EngineOptions process_opts(std::size_t jobs) {
+  return test::executor_options("process", jobs);
 }
 
 /// Scoped VMN_WORKER_FAULT (the worker fault-injection hook, wire.hpp);
@@ -799,116 +814,15 @@ struct FaultGuard {
   ~FaultGuard() { unsetenv("VMN_WORKER_FAULT"); }
 };
 
-void expect_process_matches_thread(const encode::NetworkModel& model,
-                                   const Batch& batch) {
-  BatchResult thread_r =
-      Engine(model, with_jobs(2)).run_batch(batch.invariants);
-  BatchResult process_r =
-      Engine(model, process_opts(2)).run_batch(batch.invariants);
-  EXPECT_GT(process_r.pool.workers_spawned, 0u);
-  EXPECT_EQ(process_r.pool.workers_crashed, 0u);
-  EXPECT_EQ(process_r.pool.jobs_abandoned, 0u);
-  EXPECT_EQ(process_r.pool.jobs_executed, thread_r.pool.jobs_executed);
-  ASSERT_EQ(process_r.results.size(), thread_r.results.size());
-  for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
-    EXPECT_EQ(process_r.results[i].outcome, thread_r.results[i].outcome)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(process_r.results[i].raw_status, thread_r.results[i].raw_status)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(process_r.results[i].slice_size, thread_r.results[i].slice_size)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(process_r.results[i].assertion_count,
-              thread_r.results[i].assertion_count)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(process_r.results[i].by_symmetry,
-              thread_r.results[i].by_symmetry)
-        << batch.name << " invariant " << i;
-    if (i < batch.expected_holds.size()) {
-      const Outcome expected =
-          batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
-      EXPECT_EQ(process_r.results[i].outcome, expected)
-          << batch.name << " invariant " << i;
-    }
-  }
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnEnterprise) {
-  scenarios::EnterpriseParams p;
-  p.subnets = 4;
-  p.hosts_per_subnet = 1;
-  scenarios::Enterprise e = scenarios::make_enterprise(p);
-  expect_process_matches_thread(e.model, e.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnDatacenter) {
-  scenarios::DatacenterParams p;
-  p.policy_groups = 3;
-  p.clients_per_group = 1;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  expect_process_matches_thread(dc.model, dc.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnMisconfiguredDatacenter) {
-  scenarios::DatacenterParams p;
-  p.policy_groups = 3;
-  p.clients_per_group = 1;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  Rng rng(7);
-  inject_misconfig(dc, scenarios::DcMisconfig::rules, rng, 1);
-  expect_process_matches_thread(dc.model, dc.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnIsp) {
-  scenarios::IspParams p;
-  p.peering_points = 2;
-  p.subnets = 3;
-  scenarios::Isp isp = scenarios::make_isp(p);
-  expect_process_matches_thread(isp.model, isp.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnMisconfiguredIsp) {
-  scenarios::IspParams p;
-  p.peering_points = 2;
-  p.subnets = 3;
-  p.scrub_bypasses_firewalls = true;
-  scenarios::Isp isp = scenarios::make_isp(p);
-  expect_process_matches_thread(isp.model, isp.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnMultiTenant) {
-  scenarios::MultiTenantParams p;
-  p.tenants = 2;
-  p.servers = 2;
-  p.public_vms_per_tenant = 1;
-  p.private_vms_per_tenant = 1;
-  scenarios::MultiTenant mt = scenarios::make_multitenant(p);
-  expect_process_matches_thread(mt.model, mt.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnSegmented) {
-  scenarios::Segmented s = scenarios::make_segmented({});
-  expect_process_matches_thread(s.model, s.batch());
-}
-
-TEST(ProcessBackend, AgreesWithThreadOnBypassedSegmented) {
-  // Disconnected segments stress the projected-spec path too: the shipped
-  // slice must carry the reachability-selected representative sender, or
-  // the worker would re-encode the unsound problem.
-  scenarios::SegmentedParams p;
-  p.bypass_segment = 1;
-  scenarios::Segmented s = scenarios::make_segmented(p);
-  expect_process_matches_thread(s.model, s.batch());
-}
-
 // Warm (cross-isomorphic rebinding included: the binding ships inside the
 // job frames) must be verdict-identical to cold on the process backend too,
 // for every scenario generator - the process half of the warm==cold
 // property the thread backend's WarmSolving suite pins.
 void expect_process_warm_matches_cold(const encode::NetworkModel& model,
                                       const Batch& batch) {
-  ParallelOptions warm = process_opts(2);
+  EngineOptions warm = process_opts(2);
   ASSERT_TRUE(warm.verify.warm_solving);  // the default
-  ParallelOptions cold = process_opts(2);
+  EngineOptions cold = process_opts(2);
   cold.verify.warm_solving = false;
   BatchResult warm_r =
       Engine(model, warm).run_batch(batch.invariants);

@@ -203,7 +203,7 @@ TEST(Proxy, SliceIncludesRepresentativesAndAgreesWithFull) {
   VerifyOptions full;
   full.use_slices = false;
   Engine vs(n.model);
-  Engine vf(n.model, full);
+  Engine vf(n.model, {.verify = full});
   for (const Invariant& inv :
        {Invariant::data_isolation(n.other, n.server),
         Invariant::node_isolation(n.server, n.other),
@@ -244,7 +244,7 @@ TEST_P(MultiTenantAgreement, SliceAndFullAgree) {
   VerifyOptions full;
   full.use_slices = false;
   Engine vs(mt.model);
-  Engine vf(mt.model, full);
+  Engine vf(mt.model, {.verify = full});
   for (const Invariant& inv : mt.invariants()) {
     EXPECT_EQ(vs.run_one(inv).outcome, vf.run_one(inv).outcome);
   }

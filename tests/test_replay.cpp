@@ -30,7 +30,8 @@ int replay_all(encode::NetworkModel& model,
                const std::vector<Invariant>& invariants, int max_failures) {
   VerifyOptions opts;
   opts.max_failures = max_failures;
-  const auto batch = Engine(model, opts).run_batch(invariants, false);
+  const auto batch =
+      Engine(model, {.verify = opts}).run_batch(invariants, false);
   const net::Network& net = model.network();
   int replayed = 0;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
@@ -74,7 +75,8 @@ TEST(Replay, DatacenterRedundancyMisconfigRealizesInFailureScenario) {
   VerifyOptions opts;
   opts.max_failures = 1;
   const auto invariants = dc.isolation_invariants();
-  const auto batch = Engine(dc.model, opts).run_batch(invariants, false);
+  const auto batch =
+      Engine(dc.model, {.verify = opts}).run_batch(invariants, false);
   int realized_in_failure = 0;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
     const verify::VerifyResult& r = batch.results[i];

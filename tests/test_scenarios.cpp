@@ -70,7 +70,7 @@ DatacenterParams small_dc(bool storage = false) {
 
 TEST(DatacenterScenario, CleanConfigHolds) {
   Datacenter dc = make_datacenter(small_dc());
-  Engine v(dc.model, with_failures(1));
+  Engine v(dc.model, {.verify = with_failures(1)});
   for (const Invariant& inv : dc.isolation_invariants()) {
     EXPECT_EQ(v.run_one(inv).outcome, Outcome::holds);
   }
@@ -103,10 +103,10 @@ TEST(DatacenterScenario, RedundancyMisconfigurationNeedsFailure) {
   const int g = dc.broken_pairs[0].first;
   Invariant inv = dc.isolation_invariants()[static_cast<std::size_t>(g)];
   // Invisible without failures...
-  Engine v0(dc.model, with_failures(0));
+  Engine v0(dc.model, {.verify = with_failures(0)});
   EXPECT_EQ(v0.run_one(inv).outcome, Outcome::holds);
   // ...but caught under a single-failure budget.
-  Engine v1(dc.model, with_failures(1));
+  Engine v1(dc.model, {.verify = with_failures(1)});
   EXPECT_EQ(v1.run_one(inv).outcome, Outcome::violated);
 }
 
@@ -115,9 +115,9 @@ TEST(DatacenterScenario, TraversalMisconfigurationNeedsFailure) {
   Rng rng(13);
   inject_misconfig(dc, DcMisconfig::traversal, rng);
   Invariant inv = dc.traversal_invariants()[0];
-  Engine v0(dc.model, with_failures(0));
+  Engine v0(dc.model, {.verify = with_failures(0)});
   EXPECT_EQ(v0.run_one(inv).outcome, Outcome::holds);
-  Engine v1(dc.model, with_failures(1));
+  Engine v1(dc.model, {.verify = with_failures(1)});
   EXPECT_EQ(v1.run_one(inv).outcome, Outcome::violated);
 }
 

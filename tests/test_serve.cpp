@@ -458,5 +458,36 @@ TEST(ServeProtocol, StatsReportsUnifiedCountersAsJson) {
   }
 }
 
+TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
+  // Every scalar counter `vmn verify --batch` prints in its summary (the
+  // batch line, the process fleet line, the degradation report, cache,
+  // warm-solver, iso-verdict and encode-transfer lines) has a key in the
+  // STATS reply's batch object, so the daemon reports what the CLI does.
+  TempSpecDir dir;
+  const std::string path = dir.path + "/segmented.vmn";
+  write_file(path, read_file(segmented_path()));
+  ServeOptions sopts;
+  sopts.spec_path = path;
+  sopts.engine = sequential_opts();
+  ServeState state(sopts);
+
+  const std::string resp = state.handle_line("STATS");
+  const std::size_t begin = resp.find("\"batch\":{");
+  ASSERT_NE(begin, std::string::npos) << resp;
+  const std::string batch = resp.substr(begin, resp.find('}', begin) - begin);
+  for (const char* key :
+       {"jobs_executed", "symmetry_hits", "conservative_splits", "workers",
+        "workers_spawned", "workers_crashed", "workers_respawned",
+        "jobs_requeued", "jobs_abandoned", "quarantined", "completed",
+        "abandoned_retries", "deadline_abandoned", "escalations",
+        "escalations_rescued", "cache_records_dropped", "plan_ms",
+        "cache_hits", "cache_misses", "warm_binds", "warm_reuses",
+        "iso_reuses", "iso_mapped", "iso_verdict_reuses",
+        "encode_transfer_builds", "encode_transfer_reuses"}) {
+    EXPECT_NE(batch.find("\"" + std::string(key) + "\":"), std::string::npos)
+        << key << " in " << batch;
+  }
+}
+
 }  // namespace
 }  // namespace vmn::verify

@@ -173,8 +173,8 @@ TEST_P(SliceAgreement, SliceAndFullNetworkAgree) {
   sliced.use_slices = true;
   verify::VerifyOptions full;
   full.use_slices = false;
-  verify::Engine vs(ent.model, sliced);
-  verify::Engine vf(ent.model, full);
+  verify::Engine vs(ent.model, {.verify = sliced});
+  verify::Engine vf(ent.model, {.verify = full});
   for (const Invariant& inv : ent.invariants) {
     verify::VerifyResult rs = vs.run_one(inv);
     verify::VerifyResult rf = vf.run_one(inv);
@@ -289,8 +289,8 @@ TEST_P(RandomSliceSoundness, SlicedVerdictMatchesWholeNetwork) {
   sliced.use_slices = true;
   verify::VerifyOptions full;
   full.use_slices = false;
-  verify::Engine vs(n.model, sliced);
-  verify::Engine vf(n.model, full);
+  verify::Engine vs(n.model, {.verify = sliced});
+  verify::Engine vf(n.model, {.verify = full});
   for (int k = 0; k < 2; ++k) {
     Invariant inv = random_invariant(rng, n.hosts);
     verify::VerifyResult rs = vs.run_one(inv);
@@ -595,8 +595,8 @@ void expect_all_senders_sound(const encode::NetworkModel& model,
   verify::VerifyOptions full;
   full.use_slices = false;
   full.solver.seed = 7;
-  verify::Engine vs(model, sliced);
-  verify::Engine vf(model, full);
+  verify::Engine vs(model, {.verify = sliced});
+  verify::Engine vf(model, {.verify = full});
   for (const Invariant& inv : invariants) {
     verify::VerifyResult rs = vs.run_one(inv);
     verify::VerifyResult rf = vf.run_one(inv);
@@ -769,7 +769,8 @@ TEST(PolicyClasses, TargetAwareRepresentativesReachTheTarget) {
   EXPECT_EQ(wrong.outcome, verify::Outcome::holds);
   verify::VerifyOptions full;
   full.use_slices = false;
-  verify::VerifyResult truth = verify::Engine(s.model, full).run_one(inv);
+  verify::VerifyResult truth =
+      verify::Engine(s.model, {.verify = full}).run_one(inv);
   EXPECT_EQ(truth.outcome, verify::Outcome::violated);
 }
 
@@ -819,7 +820,7 @@ TEST(PolicyClasses, PathAwareSignaturesCatchWithinSegmentBypass) {
                            "within-segment-bypass");
   verify::VerifyOptions full;
   full.use_slices = false;
-  verify::Engine truth(model, full);
+  verify::Engine truth(model, {.verify = full});
   EXPECT_EQ(truth.run_one(Invariant::no_malicious_delivery(srv)).outcome,
             verify::Outcome::violated);
 }

@@ -329,7 +329,7 @@ TEST(Verify, NoSliceModeUsesWholeNetwork) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Gateway>("gw"));
   VerifyOptions opts;
   opts.use_slices = false;
-  Engine v(n.model, opts);
+  Engine v(n.model, {.verify = opts});
   VerifyResult r = v.run_one(Invariant::reachable(n.b, n.a));
   EXPECT_EQ(r.slice_size, 3u);  // a, b, gw - the whole edge set
   EXPECT_EQ(r.outcome, Outcome::holds);

@@ -27,9 +27,8 @@
 #include "scenarios/multitenant.hpp"
 #include "slice/policy.hpp"
 #include "slice/symmetry.hpp"
-#include "verify/parallel.hpp"
-#include "verify/solver_pool.hpp"
 #include "verify/engine.hpp"
+#include "verify/solver_pool.hpp"
 #include "verify/verifier.hpp"
 #include "verify/wire.hpp"
 
@@ -160,8 +159,8 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   result.total_ms = 34;
   result.slice_size = 5;
   result.assertion_count = 210;
-  result.warm_binds = 1;
-  result.warm_reuses = 0;
+  result.counters.binds = 1;
+  result.counters.escalations_rescued = 2;
   result.has_trace = true;
   WireEvent send;
   send.kind = static_cast<std::uint8_t>(EventKind::send);
@@ -190,6 +189,7 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_EQ(back.total_ms, result.total_ms);
   EXPECT_EQ(back.slice_size, result.slice_size);
   EXPECT_EQ(back.assertion_count, result.assertion_count);
+  EXPECT_EQ(back.counters, result.counters);
   EXPECT_EQ(back.error, "");
   ASSERT_TRUE(back.has_trace);
   ASSERT_EQ(back.trace.size(), 2u);
@@ -232,8 +232,7 @@ TEST(WirePayloads, EveryTruncationOfAPayloadThrows) {
 /// own problem produces.
 void expect_jobs_roundtrip(const encode::NetworkModel& model,
                            const Batch& batch, int max_failures = 0) {
-  ParallelOptions popts;
-  popts.jobs = 1;
+  EngineOptions popts{.batch = true, .jobs = 1};
   popts.verify.solver.seed = 7;
   popts.verify.max_failures = max_failures;
   Engine verifier(model, popts);
@@ -320,8 +319,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 /// persistent cache cold.
 void expect_problem_keys_survive(const encode::NetworkModel& model,
                                  const Batch& batch, int max_failures = 0) {
-  ParallelOptions popts;
-  popts.jobs = 1;
+  EngineOptions popts{.batch = true, .jobs = 1};
   popts.verify.solver.seed = 7;
   popts.verify.max_failures = max_failures;
   JobPlan plan = Engine(model, popts).plan(batch.invariants);

@@ -1,13 +1,31 @@
 // Shared test fixtures: small networks with one or two middleboxes between
-// two (or more) hosts, used by the encoder/verifier/simulator suites.
+// two (or more) hosts, used by the encoder/verifier/simulator suites, and
+// per-executor Engine options for the engine suites.
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "encode/model.hpp"
 #include "net/topology.hpp"
+#include "verify/engine.hpp"
 
 namespace vmn::test {
+
+/// Engine options for one executor by name - "inline" (no pool), "thread"
+/// or "process" (`jobs` workers each) - under the solver seed the engine
+/// suites pin.
+inline verify::EngineOptions executor_options(std::string_view executor,
+                                              std::size_t jobs = 2) {
+  verify::EngineOptions opts;
+  opts.verify.solver.seed = 7;
+  if (executor != "inline") {
+    opts.batch = true;
+    opts.jobs = jobs;
+    if (executor == "process") opts.backend = verify::Backend::process;
+  }
+  return opts;
+}
 
 /// Hosts a and b on either side of a single middlebox `m`:
 ///

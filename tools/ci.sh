@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# The tier-1 gate, as one command: configure, build, run every test suite,
+# The tier-1 gate, as one command: lint (descriptor-only middlebox
+# renderers; one batch pipeline), configure, build, run every test suite,
 # then smoke-test the batch modes on the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread
 # backend), a worker killed mid-batch (the batch must still complete with
 # every invariant answered), and the fault-injection harness (a
 # deterministic crash-looping job must be quarantined while the respawned
 # fleet answers everything else; verdicts may widen to unknown but never
-# flip; a torn cache flush loses only the tail record; a 1ms deadline
-# exits with the "incomplete" code) - and slice soundness on the shipped
-# segmented spec (disconnected segments, identical middlebox configs): its
-# expect clauses encode the whole-network truth, so every backend and
-# symmetry mode must reproduce them, and a cache directory written under a
-# previous key-format version must be rejected (0 hits), then upgraded -
+# flip; a torn cache flush loses only the tail record and a 1ms deadline
+# exits with the "incomplete" code, with and without --batch) - and slice
+# soundness on the shipped segmented spec (disconnected segments,
+# identical middlebox configs): its expect clauses encode the
+# whole-network truth, so every backend and symmetry mode must reproduce
+# them, and a cache directory written under a previous key-format version
+# must be rejected (0 hits), then upgraded -
 # and finally the serve daemon on a Unix socket: an in-place edit confined
 # to one segment must re-solve only that segment (counter-asserted) with
 # verdicts equal to a cold one-shot run.
@@ -43,6 +45,23 @@ if grep -En "(policy_fingerprint|encoding_projection)[^;]*\)[^;]*(const)?[^;]*ov
   exit 1
 fi
 
+echo "--- lint: one batch pipeline (single call sites) ---"
+# Engine::run_batch is the only code that answers bindings from the result
+# cache, fans a solved verdict out to its bindings and copies it to
+# symmetry inheritors. A second call site of any of these is a second copy
+# of the batch pipeline, and copies drift.
+for pattern in '(\.|->)lookup\(' '[^_[:alnum:]]bind_result\(' \
+               '[^_[:alnum:]]inherit_result\('; do
+  sites="$(grep -rEn "$pattern" "$repo/src" --include='*.cpp' \
+      --include='*.hpp' | grep -Ev ':[0-9]+:[[:space:]]*//|VerifyResult ' \
+      || true)"
+  if [ "$(echo "$sites" | grep -c .)" -ne 1 ]; then
+    echo "ci: want exactly one call site matching $pattern in src/:" >&2
+    echo "$sites" >&2
+    exit 1
+  fi
+done
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
@@ -60,6 +79,10 @@ cmake -B "$build" -S "$repo" "${cmake_args[@]}"
 build="$(cd "$build" && pwd)"
 cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
+
+# Pattern checks read captured output from here-strings, not `echo |`
+# pipes: grep -q exits at its first match, and under pipefail the echo
+# that then hits a closed pipe would fail the check.
 
 # Per-invariant verdict lines, reduced to "<invariant> <outcome>" so runs
 # are comparable. Descriptions contain spaces ("kind(a, b)"), so scan for
@@ -82,7 +105,7 @@ trap 'rm -rf "$cache_dir"' EXIT
 "$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$cache_dir"
 second="$("$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$cache_dir")"
 echo "$second"
-if ! echo "$second" | grep -Eq "cache: [1-9][0-9]* hits"; then
+if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$second"; then
   echo "ci: cached rerun reported no cache hits" >&2
   exit 1
 fi
@@ -99,7 +122,7 @@ echo "--- smoke: worker killed mid-batch (requeue, no lost invariants) ---"
 kill_out="$(VMN_WORKER_FAULT=kill:0 "$build/vmn" verify "$spec" --batch \
     --jobs 2 --backend=process)"
 echo "$kill_out"
-if ! echo "$kill_out" | grep -q "1 crashed"; then
+if ! grep -q "1 crashed" <<< "$kill_out"; then
   echo "ci: killed worker was not observed as crashed" >&2
   exit 1
 fi
@@ -126,15 +149,15 @@ if [ "$fault_rc" -ne 2 ]; then
   echo "ci: quarantined batch exited $fault_rc, want 2 (incomplete)" >&2
   exit 1
 fi
-if echo "$fault_out" | grep -q " 0 respawned"; then
+if grep -q " 0 respawned" <<< "$fault_out"; then
   echo "ci: no workers were respawned after the crash loop" >&2
   exit 1
 fi
-if ! echo "$fault_out" | grep -q "1 quarantined"; then
+if ! grep -q "1 quarantined" <<< "$fault_out"; then
   echo "ci: the deterministic crasher was not quarantined exactly once" >&2
   exit 1
 fi
-if ! echo "$fault_out" | grep -q "degradation:"; then
+if ! grep -q "degradation:" <<< "$fault_out"; then
   echo "ci: degraded batch printed no degradation report" >&2
   exit 1
 fi
@@ -152,8 +175,31 @@ trap 'rm -rf "$cache_dir" "$torn_cache"' EXIT
 torn_rerun="$("$build/vmn" verify "$spec" --batch --jobs 2 \
     --cache-dir "$torn_cache")"
 echo "$torn_rerun"
-if ! echo "$torn_rerun" | grep -Eq "cache: [1-9][0-9]* hits"; then
+if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$torn_rerun"; then
   echo "ci: torn cache flush lost more than the tail record" >&2
+  exit 1
+fi
+
+echo "--- smoke: torn cache flush, inline executor (no --batch) ---"
+# The cache fault injector rides the one pipeline, so a sequential run
+# tears its flush too: the fault-free rerun re-solves the lost tail record
+# and answers the rest from the cache.
+torn_seq="$(mktemp -d)"
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq"' EXIT
+torn_cold="$("$build/vmn" verify "$spec" --cache-dir "$torn_seq" \
+    --faults=seed=1,cache-torn-tail=1 | tail -1)"
+torn_seq_rerun="$("$build/vmn" verify "$spec" --cache-dir "$torn_seq" \
+    | tail -1)"
+echo "$torn_seq_rerun"
+cold_calls="$(echo "$torn_cold" | sed -n 's/.*, \([0-9]*\) solver calls.*/\1/p')"
+rerun_calls="$(echo "$torn_seq_rerun" \
+    | sed -n 's/.*, \([0-9]*\) solver calls.*/\1/p')"
+if [ "$rerun_calls" -eq 0 ]; then
+  echo "ci: sequential run ignored the torn-tail cache fault" >&2
+  exit 1
+fi
+if [ "$rerun_calls" -ge "$cold_calls" ]; then
+  echo "ci: torn sequential flush lost more than the tail record" >&2
   exit 1
 fi
 
@@ -166,8 +212,19 @@ if [ "$deadline_rc" -ne 2 ]; then
   echo "ci: expired deadline exited $deadline_rc, want 2 (incomplete)" >&2
   exit 1
 fi
-if ! echo "$deadline_out" | grep -q "deadline expired"; then
+if ! grep -q "deadline expired" <<< "$deadline_out"; then
   echo "ci: expired deadline not reported in the degradation summary" >&2
+  exit 1
+fi
+deadline_rc=0
+deadline_out="$("$build/vmn" verify "$spec" --deadline 1)" || deadline_rc=$?
+echo "$deadline_out"
+if [ "$deadline_rc" -ne 2 ]; then
+  echo "ci: expired sequential deadline exited $deadline_rc, want 2" >&2
+  exit 1
+fi
+if ! grep -q "deadline expired" <<< "$deadline_out"; then
+  echo "ci: expired sequential deadline not reported" >&2
   exit 1
 fi
 
@@ -197,7 +254,7 @@ fi
 
 echo "--- smoke: pre-fix cache directory is rejected (stale key version) ---"
 seg_cache="$(mktemp -d)"
-trap 'rm -rf "$cache_dir" "$torn_cache" "$seg_cache"' EXIT
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache"' EXIT
 "$build/vmn" verify "$segmented" --batch --jobs 2 --cache-dir "$seg_cache" \
     > /dev/null
 # Demote the freshly written cache to the previous key-format version: the
@@ -210,7 +267,7 @@ sed -i '1s/^# vmn-result-cache v[0-9].*$/# vmn-result-cache v1/' \
 stale_run="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
 echo "$stale_run"
-if ! echo "$stale_run" | grep -q "cache: 0 hits"; then
+if ! grep -q "cache: 0 hits" <<< "$stale_run"; then
   echo "ci: stale-version cache was not rejected" >&2
   exit 1
 fi
@@ -222,7 +279,7 @@ if head -1 "$seg_cache/vmn-results.cache" | grep -q "v1$"; then
 fi
 upgraded="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
-if ! echo "$upgraded" | grep -Eq "cache: [1-9][0-9]* hits"; then
+if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$upgraded"; then
   echo "ci: cache was not upgraded after the stale-version rejection" >&2
   exit 1
 fi
@@ -234,13 +291,13 @@ echo "--- smoke: records from another spec never answer a lookup ---"
 "$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$seg_cache" \
     > /dev/null
 edited="$("$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$seg_cache")"
-if ! echo "$edited" | grep -Eq "cache: [1-9][0-9]* hits"; then
+if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$edited"; then
   echo "ci: cache did not restamp for the edited spec" >&2
   exit 1
 fi
 back="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
-if ! echo "$back" | grep -q "cache: 0 hits"; then
+if ! grep -q "cache: 0 hits" <<< "$back"; then
   echo "ci: records from another spec answered a lookup" >&2
   exit 1
 fi
@@ -254,7 +311,7 @@ echo "--- smoke: renamed isomorphic spec answers from cache, 0 solver calls ---"
 # solver calls - on the thread and the process backend alike - with
 # verdict outcomes equal to a cold --no-warm baseline.
 ren_dir="$(mktemp -d)"
-trap 'rm -rf "$cache_dir" "$torn_cache" "$seg_cache" "$ren_dir"' EXIT
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir"' EXIT
 sed -e 's/10\.0\./10.4./g' -e 's/10\.1\./10.5./g' \
     -e 's/srv0/edge0/g' -e 's/srv1/edge1/g' \
     -e 's/h0-0/peer-a/g' -e 's/h0-1/peer-b/g' \
@@ -273,11 +330,11 @@ for backend in thread process; do
   ren_out="$("$build/vmn" verify "$ren_dir/renamed.vmn" --batch --jobs 2 \
       --backend="$backend" --cache-dir "$ren_dir/cache")"
   echo "$ren_out"
-  if ! echo "$ren_out" | grep -q ", 0 solver calls,"; then
+  if ! grep -q ", 0 solver calls," <<< "$ren_out"; then
     echo "ci: renamed spec still hit the solver ($backend backend)" >&2
     exit 1
   fi
-  if ! echo "$ren_out" | grep -Eq "cache: [1-9][0-9]* hits, 0 misses"; then
+  if ! grep -Eq "cache: [1-9][0-9]* hits, 0 misses" <<< "$ren_out"; then
     echo "ci: renamed spec was not fully answered from cache ($backend)" >&2
     exit 1
   fi
@@ -296,7 +353,7 @@ if ! diff <(echo "$seg_verdicts" | awk '{print $2}') \
 fi
 
 echo "--- smoke: cross-isomorphic counters surface in the batch summary ---"
-if ! echo "$thread_out" | grep -q "cross-isomorphic"; then
+if ! grep -q "cross-isomorphic" <<< "$thread_out"; then
   echo "ci: batch summary lost the cross-isomorphic counter" >&2
   exit 1
 fi
@@ -308,7 +365,7 @@ echo "--- smoke: dedup report names the exact blocking descriptor cell ---"
 multitenant="$repo/examples/specs/multitenant.vmn"
 dedup_out="$("$build/vmn" verify "$multitenant" --dedup-report)"
 echo "$dedup_out"
-if ! echo "$dedup_out" | grep -q "firewall.acl row"; then
+if ! grep -q "firewall.acl row" <<< "$dedup_out"; then
   echo "ci: multitenant dedup report does not name the firewall ACL cell" >&2
   exit 1
 fi
@@ -318,7 +375,7 @@ echo "--- smoke: bench JSON trajectory (bounded run, well-formed output) ---"
 # trajectory stayed empty. A min-time-bounded, filtered run keeps this
 # cheap while asserting both documents are produced and parse.
 bench_dir="$(mktemp -d)"
-trap 'rm -rf "$cache_dir" "$torn_cache" "$seg_cache" "$ren_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir" "$bench_dir"' EXIT
 (cd "$bench_dir" && "$build/bench/bench_parallel_scaling" \
     --benchmark_min_time=0.01 \
     --benchmark_filter='BM_BatchFastPath|BM_IsoWarm|BM_Fig8Batch|BM_Fault' \
@@ -375,7 +432,7 @@ echo "--- smoke: fuzz fault injection shrinks to a failing reproducer ---"
 # that still fails standalone via --replay (the committable-regression
 # workflow, exercised end to end).
 inject_dir="$(mktemp -d)"
-trap 'rm -rf "$cache_dir" "$torn_cache" "$seg_cache" "$ren_dir" "$bench_dir" "$inject_dir"' EXIT
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir" "$bench_dir" "$inject_dir"' EXIT
 if "$build/vmn" fuzz --seed 1 --count 1 --inject-fault \
     --reproducer-dir "$inject_dir"; then
   echo "ci: injected fault did not fail the fuzz run" >&2
@@ -411,7 +468,7 @@ else
       --poll-interval 50 &
   serve_pid=$!
   trap 'kill "$serve_pid" 2> /dev/null || true
-        rm -rf "$cache_dir" "$torn_cache" "$seg_cache" "$ren_dir" \
+        rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir" \
                "$bench_dir" "$inject_dir" "$serve_dir"' EXIT
 
   # One request line -> one response line over the Unix socket.

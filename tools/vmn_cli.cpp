@@ -79,7 +79,7 @@
 // All flag parsing goes through cli::OptionSet (src/cli/options.hpp):
 // strict numerics, --name value and --name=value, per-subcommand --help.
 // All verification goes through verify::Engine (src/verify/engine.hpp);
-// this file never constructs a Verifier or ParallelVerifier.
+// this file only fills in its EngineOptions.
 #include <unistd.h>
 
 #include <chrono>
@@ -225,7 +225,6 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
           return false;
         }
         engine.deadline = std::chrono::milliseconds(ms);
-        engine.batch = true;  // the deadline is a batch-engine feature
         return true;
       });
   set.add_flag("--no-escalate", "disable the unknown-escalation retry",
@@ -330,13 +329,18 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
                   batch.pool.jobs_requeued, batch.pool.jobs_abandoned,
                   batch.degradation.quarantined);
     }
-    if (batch.degradation.degraded() || eopts.verify.faults.enabled() ||
-        batch.degradation.escalations > 0) {
-      std::printf("  degradation: %s\n", batch.degradation.summary().c_str());
-      for (const std::string& reason : batch.degradation.reasons) {
-        std::printf("    - %s\n", reason.c_str());
-      }
+  }
+  // A degraded run reports why on every executor; batch runs also report
+  // fault and escalation traffic that degraded nothing.
+  if (batch.degradation.degraded() ||
+      (eopts.batch && (eopts.verify.faults.enabled() ||
+                       batch.degradation.escalations > 0))) {
+    std::printf("  degradation: %s\n", batch.degradation.summary().c_str());
+    for (const std::string& reason : batch.degradation.reasons) {
+      std::printf("    - %s\n", reason.c_str());
     }
+  }
+  if (eopts.batch) {
     std::printf("  plan: %lld ms\n",
                 static_cast<long long>(batch.plan_time.count()));
     if (!eopts.verify.cache_dir.empty()) {

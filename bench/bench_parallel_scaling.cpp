@@ -11,8 +11,9 @@
 // keeps symmetry on to show how dedup shrinks the queue first.
 //
 // The BM_BatchFastPath family measures the batch fast path itself: the same
-// batch cold (fresh context per job, no cache), warm (live contexts reused
-// across same-shape jobs) and cached (warm + pre-populated persistent
+// batch cold (fresh context per invariant, no class merging, no cache), warm
+// (problem-key classes, live contexts reused across same-shape jobs) and
+// cached (warm + pre-populated persistent
 // result cache, i.e. the repeated-batch case). `speedup_vs_cold` is the
 // headline number; every run also lands in BENCH_parallel.json with
 // cold/warm wall times, cache hit counts and plan time.
@@ -130,7 +131,8 @@ void BM_BatchFastPath(benchmark::State& state) {
   // The audit workload that exercises every fast-path layer: each group
   // pair is checked under TWO properties. The two invariants of a pair
   // slice to the same member set (one warm base encoding, two scoped
-  // solves) while their canonical keys differ (two cache lines).
+  // solves) while their problem keys differ (two classes, two cache
+  // lines).
   scenarios::Batch batch;
   batch.name = "datacenter-audit";
   for (const encode::Invariant& iso : dc.isolation_invariants()) {
@@ -147,6 +149,7 @@ void BM_BatchFastPath(benchmark::State& state) {
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
   opts.verify.warm_solving = mode != kCold;
+  opts.verify.merge_isomorphic = mode != kCold;  // cold: no reuse at all
   // Scope-guarded so the temp dir disappears on every exit path, the
   // SkipWithError early returns included.
   struct TempDirGuard {
@@ -221,15 +224,15 @@ BENCHMARK(BM_BatchFastPath)
 // --- cross-isomorphic verdict reuse -----------------------------------------
 //
 // The datacenter's per-group jobs are the canonical cross-isomorphic
-// workload: every group pair's slice is a renamed copy of the first. With
-// warm solving on, the planner folds each equivalence class of isomorphic
-// invariant-jobs onto ONE solver call and replays the verdict per binding
-// (iso_verdict_reuses > 0, solver_calls well below planned jobs); any
-// same-class job that still solves live is rebound onto the
-// representative's encoding (iso_mapped/iso_reuses). --no-warm is the
-// all-cold baseline the speedup is measured against. All counters land in
-// BENCH_parallel.json, and ci.sh's bench smoke asserts the reuse actually
-// happened.
+// workload: every group pair's slice is a renamed copy of the first. The
+// planner folds each problem-key class of isomorphic invariants onto ONE
+// solver call and replays the verdict per binding (iso_verdict_reuses > 0,
+// planned_jobs counting classes); a class representative isomorphic to
+// another class's shape is rebound onto that encoding
+// (iso_mapped/iso_reuses). Cold - no warm solving, no class merging - is
+// the all-cold baseline the speedup is measured against. All counters land
+// in BENCH_parallel.json, and ci.sh's bench smoke asserts the reuse
+// actually happened.
 
 void BM_IsoWarm(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
@@ -245,6 +248,7 @@ void BM_IsoWarm(benchmark::State& state) {
   opts.use_symmetry = true;
   opts.verify.solver.seed = 1;
   opts.verify.warm_solving = warm;
+  opts.verify.merge_isomorphic = warm;
   Engine v(dc.model, opts);
   double wall_ms = 0, plan_ms = 0, iso_mapped = 0, iso_reuses = 0,
          iso_verdicts = 0, solver_calls = 0, planned_jobs = 0, warm_binds = 0,
@@ -319,11 +323,11 @@ BENCHMARK(BM_IsoWarm)
 // --- fig8 batch under verdict merging ---------------------------------------
 //
 // The multitenant audit (Fig 8 workload) pins the *other* side of verdict
-// merging: its per-tenant copies are already folded by canonical-key
-// symmetry, and the remaining jobs are distinct classes whose candidate
-// merges the planner refuses (firewall projection mismatch - the blockers
-// `vmn verify --dedup-report` lists). The record pins planned jobs, solver
-// calls, verdict replays AND the refused-merge count, so a projection
+// merging: its problem-key classes are distinct problems whose candidate
+// encoding merges the planner refuses (firewall projection mismatch - the
+// blockers `vmn verify --dedup-report` lists). The record pins solver
+// classes (planned_jobs), solver calls, verdict replays AND the
+// refused-merge count, so a projection
 // migration that unlocks these merges shows up in the trajectory as a
 // counter step, not a silent timing shift.
 

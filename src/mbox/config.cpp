@@ -160,11 +160,11 @@ void project_cell(const ConfigCell& cell, const std::vector<Address>& relevant,
 ///
 /// What the ids deliberately do NOT carry is the join structure BETWEEN
 /// two slice addresses (does x's deny row name y's group, or a different
-/// one?). That is pairwise information and lives where pairs live: the
-/// canonical slice key co-refines over each box's admitted-pair relation
-/// (slice/symmetry.cpp, wl_refine's config-pair edges), which determines
-/// the encoding exactly because the axioms only compile the relevant x
-/// relevant admit matrix.
+/// one?). That is pairwise information and lives where pairs live: each
+/// box's encoding projection renders the relevant x relevant admit matrix
+/// the axioms compile, and the problem key and shape_bijection compare
+/// exactly that (the diagnostics slice key also co-refines over it,
+/// slice/symmetry.cpp, wl_refine's config-pair edges).
 std::map<std::string, std::size_t> occurrence_ids(const ConfigRelation& rel,
                                                   Address a) {
   std::map<std::string, std::size_t> ids;

@@ -1,10 +1,10 @@
 // Declarative middlebox configuration descriptors.
 //
-// Every dedup layer the planner has (policy classes, canonical slice keys,
-// shape bijections, verdict-level merging) ultimately grounds out in string
-// renderings of middlebox configuration. Historically each box type
-// hand-rolled those strings twice - policy_fingerprint and
-// encoding_projection - and the two had to silently agree with emit_axioms.
+// Every dedup layer the planner has (policy classes, canonical problem keys,
+// shape bijections) ultimately grounds out in string renderings of
+// middlebox configuration. Historically each box type hand-rolled those
+// strings twice - policy_fingerprint and encoding_projection - and the two
+// had to silently agree with emit_axioms.
 // ConfigRelations replaces the hand-rolled pair with ONE structured
 // descriptor per instance (Middlebox::config_relations): named relations,
 // each a table of typed cells, where addr/prefix cells hold real Address /

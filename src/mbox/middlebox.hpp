@@ -163,13 +163,14 @@ class Middlebox {
   /// Contract: every configuration knob that emit_axioms compiles into the
   /// solver problem MUST appear in the descriptor - address-independent
   /// settings (e.g. an IDPS's drop-vs-monitor mode) included, as
-  /// address-free rows. The canonical slice key
-  /// (slice::canonical_slice_key) dedups verification jobs by the derived
-  /// fingerprint and cross-isomorphic encoding reuse
-  /// (slice::shape_bijection) by the derived projection; an undescribed
-  /// knob lets two differently-configured same-type instances share a job
-  /// and one invariant silently inherit the other's verdict. Return an
-  /// empty descriptor only for boxes with no configuration at all.
+  /// address-free rows. The canonical problem key
+  /// (slice::canonical_problem_key) merges verification problems into one
+  /// solver class, and cross-isomorphic encoding reuse
+  /// (slice::shape_bijection) pairs slices, by the derived projection; an
+  /// undescribed knob lets two differently-configured same-type instances
+  /// share a class and one invariant silently take the other's verdict.
+  /// Return an empty descriptor only for boxes with no configuration at
+  /// all.
   [[nodiscard]] virtual ConfigRelations config_relations() const = 0;
 
   /// Canonical description of how this instance's configuration treats

@@ -383,8 +383,8 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     // touched by each other's) land in one class. Sound because the class
     // is only a symmetry-grouping hypothesis: reachability refinement
     // (attach_reachability below) splits classes whose traffic actually
-    // traverses different boxes, and canonical slice keys re-fingerprint
-    // every member box of the slice before any verdict merges.
+    // traverses different boxes, and problem keys render every member box's
+    // full encoding projection before any verdict merges.
     std::vector<std::string> parts;
     for (const auto& box : model.middleboxes()) {
       std::string bfp = box->policy_fingerprint(a);

@@ -17,33 +17,6 @@
 
 namespace vmn::slice {
 
-std::string class_signature(const encode::Invariant& invariant,
-                            const PolicyClasses& classes) {
-  auto cls = [&](NodeId n) {
-    return n.valid() ? std::to_string(classes.class_of(n)) : std::string("-");
-  };
-  return encode::to_string(invariant.kind) + "/" + invariant.type_prefix +
-         "/" + cls(invariant.target) + "/" + cls(invariant.other);
-}
-
-SymmetryGroups group_invariants(
-    const std::vector<encode::Invariant>& invariants,
-    const PolicyClasses& classes) {
-  std::map<std::string, std::size_t> index_of;
-  SymmetryGroups out;
-  for (std::size_t i = 0; i < invariants.size(); ++i) {
-    const std::string key = class_signature(invariants[i], classes);
-    auto it = index_of.find(key);
-    if (it == index_of.end()) {
-      index_of.emplace(key, out.groups.size());
-      out.groups.push_back(SymmetryGroup{{i}});
-    } else {
-      out.groups[it->second].invariants.push_back(i);
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// Normalizes a member list exactly like encode::Encoding's constructor:
@@ -144,13 +117,13 @@ Refined wl_refine(const encode::NetworkModel& model,
   // fingerprints hosts with): the box x relevant-address incidence is
   // colored by policy_fingerprint, so same-type boxes whose configurations
   // treat a slice address differently (e.g. default-deny vs default-allow
-  // firewalls, or a dropping IDPS vs a pure monitor) never merge - without
-  // this the encoding (which compiles the full config) would diverge from
-  // the key and symmetric-looking checks could unsoundly inherit outcomes.
-  // Soundness rests on the ConfigRelations contract (mbox/config.hpp):
-  // every axiom-relevant knob, address-independent ones included, must be
-  // in the descriptor the fingerprint is derived from (address-free rows,
-  // e.g. the IDPS mode or an app-firewall's class list). Fingerprints
+  // firewalls, or a dropping IDPS vs a pure monitor) never share a key -
+  // without this the encoding (which compiles the full config) would
+  // diverge from the key. That rests on the ConfigRelations contract
+  // (mbox/config.hpp): every axiom-relevant knob, address-independent ones
+  // included, must be in the descriptor the fingerprint is derived from
+  // (address-free rows, e.g. the IDPS mode or an app-firewall's class
+  // list). Fingerprints
   // render prefixes canonically (length and membership, never bits), so
   // isomorphically-treated addresses - renamed ones included - get equal
   // strings, which is what keeps e.g. an enterprise's public subnets

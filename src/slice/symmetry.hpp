@@ -3,8 +3,10 @@
 // "We say two invariants are symmetric when one can be transformed to
 // another by replacing nodes with other nodes in the same policy class. If
 // an invariant I holds in a symmetric network, then so do all invariants
-// symmetric to I." VMN groups the invariant list by symmetry signature and
-// verifies one representative per group.
+// symmetric to I." VMN makes the argument exact: the batch planner groups
+// invariants by canonical_problem_key, whose equality certifies an
+// isomorphism of the whole verification problem, and verifies one
+// representative per group.
 #pragma once
 
 #include <optional>
@@ -22,32 +24,10 @@ class TransferCache;
 
 namespace vmn::slice {
 
-struct SymmetryGroup {
-  /// Indices into the original invariant list; front() is the verified
-  /// representative, the rest inherit its outcome.
-  std::vector<std::size_t> invariants;
-};
-
-struct SymmetryGroups {
-  std::vector<SymmetryGroup> groups;
-  [[nodiscard]] std::size_t group_count() const { return groups.size(); }
-};
-
-/// Groups invariants whose (kind, policy class of target, policy class of
-/// other, traversal type) coincide.
-[[nodiscard]] SymmetryGroups group_invariants(
-    const std::vector<encode::Invariant>& invariants,
-    const PolicyClasses& classes);
-
-/// The coarse symmetry signature (kind / type prefix / policy class of
-/// target and other) that group_invariants merges by - the paper's section
-/// 4.2 criterion. Exposed so diagnostics (e.g. the parallel planner's
-/// conservative-split counter) compare against exactly the grouping
-/// criterion, not a reimplementation of it.
-[[nodiscard]] std::string class_signature(const encode::Invariant& invariant,
-                                          const PolicyClasses& classes);
-
-/// Canonical fingerprint of the verification problem (invariant, slice).
+/// Canonical fingerprint of the verification problem (invariant, slice) -
+/// a diagnostics function: no verification path merges or caches by it
+/// (canonical_problem_key is the one merge identity), and the bench/e2e
+/// layer replay times it.
 ///
 /// The key erases node identity: hosts are labelled by their policy class
 /// and invariant role (target / other), middleboxes by type, state scope,
@@ -69,25 +49,13 @@ struct SymmetryGroups {
 /// (invariant, slice) pairs - one transformable into the other by a
 /// policy-class-preserving relabeling of nodes - always get equal keys, but
 /// the converse is heuristic: 1-WL color multisets can coincide on
-/// non-isomorphic graphs. Key merges are a strict subset of the coarse
-/// class_signature merges (the key embeds kind, type prefix and the role
-/// and class of every host), so merging by key never exceeds the paper's
-/// section 4.2 symmetry classes while splitting the structurally-unequal
-/// cases class signatures would unsoundly merge; both the sequential batch
-/// path and the parallel planner group by this key.
-///
-/// Keys are stable across processes and runs: round signatures are
-/// compressed with a pinned FNV-1a 64 digest (never std::hash, whose value
-/// is implementation- and run-dependent), which is what lets
-/// verify::ResultCache persist key -> outcome across batches. Cross-run
-/// reuse inherits exactly the in-batch merging risk (the 1-WL converse is
-/// heuristic); it adds no new one, because the key fingerprints the whole
-/// verification problem - topology relation, failure scenarios, policy
-/// fingerprints and the invariant - so any spec edit that changes the
-/// encoded problem changes the key.
+/// non-isomorphic graphs, which is why nothing merges verdicts by it. Keys
+/// are stable across processes and runs: round signatures are compressed
+/// with a pinned FNV-1a 64 digest (never std::hash, whose value is
+/// implementation- and run-dependent).
 ///
 /// `transfers`, when non-null, memoizes per-scenario transfer functions
-/// across calls (shared with compute_slice by the batch planner).
+/// across calls (and can be shared with compute_slice).
 [[nodiscard]] std::string canonical_slice_key(
     const encode::NetworkModel& model, const std::vector<NodeId>& members,
     const encode::Invariant& invariant, const PolicyClasses& classes,
@@ -148,12 +116,12 @@ struct ShapeKey {
 /// canonicalization (invariant nodes outside the member set, or a
 /// non-normalized shape), which callers must treat as "never equal".
 ///
-/// This is what verify::ResultCache v6 keys records by: a renamed (or
-/// renumbered) but isomorphic spec re-derives the same key cold, and the
-/// stored `order`/`tokens` maps let the hit's witness relabel into the
-/// new namespace. canonical_slice_key remains the in-batch dedup
-/// authority (its policy-class/role colors keep same-slice invariants
-/// apart); this key's job is cross-run and cross-namespace identity.
+/// This is the one merge identity: verify::plan_jobs folds invariants
+/// with equal keys into one solver class (the bindings' rank maps are the
+/// witness-relabeling bijections), and verify::ResultCache v6 keys records
+/// by it, so a renamed (or renumbered) but isomorphic spec re-derives the
+/// same key cold, and the stored `order`/`tokens` maps let the hit's
+/// witness relabel into the new namespace.
 struct ProblemKey {
   std::string key;
   /// Members in canonical rank order: rank r of any equal-keyed problem

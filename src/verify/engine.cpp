@@ -174,8 +174,6 @@ BatchResult Engine::run_batch(
   out.iso_mapped = plan.iso_mapped;
   out.pool.invariant_count = invariants.size();
   out.pool.jobs_executed = plan.planned_jobs();
-  out.pool.symmetry_hits = plan.symmetry_hits;
-  out.pool.conservative_splits = plan.conservative_splits;
   out.pool.dedup_hit_rate = plan.dedup_hit_rate();
   out.pool.merge_blockers = plan.merge_blockers;
   for (const Job& job : plan.jobs) {
@@ -191,40 +189,30 @@ BatchResult Engine::run_batch(
   } injector_scope{cache_};
   if (cache_faults.enabled()) cache_.set_fault_injector(&cache_faults);
 
-  // Cache pass: every verdict binding of every job looks itself up by its
-  // own cross-run problem key (bindings of one class usually share the
-  // key, so a warm cache answers the whole class from one record); a job
-  // is solved only when at least one of its bindings missed.
-  std::vector<std::vector<std::optional<VerifyResult>>> hits(plan.jobs.size());
+  // Cache pass: every class looks itself up once by its cross-run problem
+  // key (its bindings share the key); a class is solved only on a miss.
+  std::vector<std::optional<ResultCache::Entry>> hits(plan.jobs.size());
   std::vector<std::size_t> to_solve;
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
-    const Job& job = plan.jobs[j];
-    hits[j].resize(job.fan_out());
-    bool need_solve = false;
-    for (std::size_t k = 0; k < job.fan_out(); ++k) {
-      const BindingRef b = job.binding(k);
-      if (!b.problem_key->key.empty()) {
-        if (std::optional<ResultCache::Entry> entry =
-                cache_.lookup(b.problem_key->key)) {
-          hits[j][k] = result_from_cache(*entry, invariants[b.invariant_index]);
-          ++out.cache_hits;
-          continue;
-        }
-      }
-      need_solve = true;
+    const std::string& key = plan.jobs[j].problem_key.key;
+    if (!key.empty()) hits[j] = cache_.lookup(key);
+    if (hits[j]) {
+      ++out.cache_hits;
+    } else {
+      to_solve.push_back(j);
     }
-    if (need_solve) to_solve.push_back(j);
   }
 
   const std::vector<std::optional<VerifyResult>> solved =
       execute(plan, to_solve, deadline, out);
 
-  // Bind: each solved job's encode-space verdict fans out through its
-  // bindings' inverse bijections (bind_result) - replays beyond the first
-  // count as iso_verdict_reuses - representatives keep their full
-  // (relabeled) result, inheritors copy the outcome with by_symmetry set.
-  // Abandoned jobs bind the default unknown verdict; they count cache
-  // misses but store nothing (unknown outcomes are never persisted).
+  // Bind: each class's verdict fans out to its bindings - a cache hit
+  // through each binding's own polarity (result_from_cache), a solve
+  // through each binding's inverse bijection (bind_result); every binding
+  // past the representative is a replay (by_symmetry, and
+  // iso_verdict_reuses when solved). Abandoned classes bind the default
+  // unknown verdict; they count cache misses but store nothing (unknown
+  // outcomes are never persisted).
   const VerifyResult abandoned{};
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
     const Job& job = plan.jobs[j];
@@ -232,42 +220,33 @@ BatchResult Engine::run_batch(
     if (solved[j]) {
       out.pool.solve_histogram.record(result.solve_time);
       ++out.solver_calls;
+      out.iso_verdict_reuses += job.bindings.size();
     }
-    bool replayed = false;
+    // Keyless classes (no-symmetry planning, or a problem that resists
+    // canonicalization) are outside the cache's reach; they are not misses.
+    if (!hits[j] && cache_.enabled() && !job.problem_key.key.empty()) {
+      ++out.cache_misses;
+      ResultCache::Entry entry;
+      entry.status = result.raw_status;
+      entry.slice_size = result.slice_size;
+      entry.assertion_count = result.assertion_count;
+      entry.binding = binding_signature(*model_, job.problem_key.order);
+      cache_.store(job.problem_key.key, entry);
+    }
     for (std::size_t k = 0; k < job.fan_out(); ++k) {
       const BindingRef b = job.binding(k);
-      VerifyResult rep;
-      if (hits[j][k]) {
-        rep = std::move(*hits[j][k]);
-      } else {
-        rep = bind_result(*model_, result, *b.members, *b.iso_image);
-        if (solved[j]) {
-          if (replayed) ++out.iso_verdict_reuses;
-          replayed = true;
-        }
-        // Keyless bindings (no-symmetry planning, or a problem that
-        // resists canonicalization) are outside the cache's reach; they
-        // are not misses.
-        if (cache_.enabled() && !b.problem_key->key.empty()) {
-          ++out.cache_misses;
-          ResultCache::Entry entry;
-          entry.status = result.raw_status;
-          entry.slice_size = result.slice_size;
-          entry.assertion_count = result.assertion_count;
-          entry.binding = binding_signature(*model_, b.problem_key->order);
-          cache_.store(b.problem_key->key, entry);
-        }
-      }
-      rep.total_time += b.plan_time;
-      for (std::size_t inh : *b.inheritors) {
-        out.results[inh] = inherit_result(rep);
-      }
-      out.results[b.invariant_index] = std::move(rep);
+      VerifyResult bound =
+          hits[j] ? result_from_cache(*hits[j], invariants[b.invariant_index])
+                  : bind_result(*model_, result, *b.members, *b.iso_image);
+      bound.by_symmetry = k > 0;
+      bound.total_time += b.plan_time;
+      out.results[b.invariant_index] = std::move(bound);
     }
   }
 
   cache_.flush();
   out.degradation.cache_records_dropped = cache_.records_dropped();
+  // Every executor abandons whole classes, the unit jobs_executed counts.
   const std::size_t abandoned_total = out.degradation.abandoned_retries +
                                       out.degradation.quarantined +
                                       out.degradation.deadline_abandoned;

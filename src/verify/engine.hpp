@@ -2,12 +2,11 @@
 //
 // Engine runs every batch through one pipeline, written once:
 //
-//   plan_jobs ------> deduplicated, shape-ordered job queue
-//   cache pass -----> bindings the persistent ResultCache already answers
+//   plan_jobs ------> shape-ordered queue of problem-key solver classes
+//   cache pass -----> classes the persistent ResultCache already answers
 //   execute --------> shape groups of the remaining jobs -> encode-space
 //                     VerifyResults (or abandoned jobs)
-//   bind -----------> per-binding verdicts (bind_result), symmetry
-//                     inheritors (inherit_result), cache stores
+//   bind -----------> per-binding verdicts (bind_result), cache stores
 //   flush ----------> durable cache records, degradation accounting
 //
 // Only the execute step differs between configurations, and it is chosen
@@ -81,9 +80,10 @@ struct EngineOptions {
   /// and `vmn verify` exits 2 (incomplete). Every executor honors it (the
   /// process pool gets whatever budget planning and the cache pass left).
   std::chrono::milliseconds deadline{0};
-  /// Fold invariants with identical canonical slice keys into one job
-  /// (section 4.2's symmetry argument, sharpened by slice structure; the
-  /// checks the key refuses to merge are counted as conservative splits).
+  /// Compute every invariant's problem key and fold invariants with equal
+  /// keys into one solver class (section 4.2's symmetry argument, made
+  /// exact; see VerifyOptions::merge_isomorphic). Off is the exhaustive
+  /// one-solve-per-invariant baseline, which the cache cannot serve.
   bool use_symmetry = true;
   /// Keep a live in-memory result cache even without verify.cache_dir:
   /// lookups hit across run_batch calls (and rebinds) within this Engine,
@@ -101,7 +101,7 @@ class Engine {
   /// Verifies the batch under options().use_symmetry.
   [[nodiscard]] BatchResult run_batch(
       const std::vector<encode::Invariant>& invariants);
-  /// Verifies the batch with symmetry dedup explicitly on or off (a
+  /// Verifies the batch with symmetry classes explicitly on or off (a
   /// baseline/oracle knob; it only changes how this call is planned).
   [[nodiscard]] BatchResult run_batch(
       const std::vector<encode::Invariant>& invariants, bool use_symmetry);
@@ -110,7 +110,7 @@ class Engine {
   /// planning context (no batch, no cache, whatever the executor).
   [[nodiscard]] VerifyResult run_one(const encode::Invariant& invariant);
 
-  /// Plans the deduplicated job queue without solving (exposed for tests
+  /// Plans the solver-class queue without solving (exposed for tests
   /// and diagnostics; run_batch executes exactly this plan).
   [[nodiscard]] JobPlan plan(const std::vector<encode::Invariant>& invariants);
 

@@ -32,8 +32,8 @@ constexpr const char* kFileName = "vmn-results.cache";
 // model fingerprint moved from the header into each record. A v4 file was
 // rejected wholesale after any spec edit - v5 stamps records individually,
 // so an edit retires exactly the records it orphaned and the header is
-// version-only again. v5 -> v6 when keys switched from
-// slice::canonical_slice_key (name-embedding policy fingerprints) to
+// version-only again. v5 -> v6 when keys switched from the retired
+// 1-WL slice key (name-embedding policy fingerprints) to
 // slice::canonical_problem_key (shape-canonical, name- and address-blind):
 // the two generations fingerprint different renderings of the same
 // problems, so a v5 record can neither answer nor collide with a v6

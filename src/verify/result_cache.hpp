@@ -34,10 +34,10 @@
 // appended (under any stamp) survive.
 //
 // Soundness inherits the planner's: a cache hit reuses an outcome across
-// canonically-equal problems, exactly like an in-batch symmetry merge; the
-// 1-WL key's converse is heuristic (see canonical_slice_key), so cross-run
-// reuse takes the same - and only the same - collision risk the in-batch
-// dedup already takes. This depends on the key being stable across
+// problems with equal canonical_problem_key, exactly like an in-batch
+// class merge, and equal keys certify a rank-for-rank isomorphism (the
+// key's exactness contract), so cross-run reuse adds no risk beyond a
+// record-fingerprint collision. This depends on the key being stable across
 // processes (pinned FNV-1a digests, never std::hash).
 //
 // Versioning: the file leads with a key-format version header. Canonical

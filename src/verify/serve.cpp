@@ -159,7 +159,7 @@ ServeState::Applied ServeState::apply_text(const std::string& text,
   run_current();
   std::ostringstream os;
   os << diff.summary() << "; " << last_batch_.pool.jobs_executed
-     << " jobs, " << last_batch_.solver_calls << " solver calls, "
+     << " solver classes, " << last_batch_.solver_calls << " solver calls, "
      << last_batch_.cache_hits << " cache hits";
   detail = os.str();
   return Applied::reloaded;
@@ -257,8 +257,6 @@ std::string ServeState::cmd_stats() const {
      << ",\"degraded\":" << (b.degradation.degraded() ? "true" : "false")
      << ",\"batch\":{"
      << "\"jobs_executed\":" << b.pool.jobs_executed
-     << ",\"symmetry_hits\":" << b.pool.symmetry_hits
-     << ",\"conservative_splits\":" << b.pool.conservative_splits
      << ",\"solver_calls\":" << b.solver_calls
      << ",\"plan_ms\":" << b.plan_time.count()
      << ",\"total_ms\":" << b.total_time.count()

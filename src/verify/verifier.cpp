@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 #include "core/hash.hpp"
 #include "io/spec.hpp"
@@ -82,19 +81,6 @@ slice::PolicyClasses build_policy_classes(const encode::NetworkModel& model,
   return options.infer_policy_classes
              ? slice::infer_policy_classes(model, popts)
              : slice::declared_policy_classes(model, popts);
-}
-
-VerifyResult inherit_result(const VerifyResult& representative) {
-  VerifyResult inherited;
-  inherited.outcome = representative.outcome;
-  inherited.raw_status = representative.raw_status;
-  inherited.solve_time = representative.solve_time;
-  inherited.total_time = representative.total_time;
-  inherited.slice_size = representative.slice_size;
-  inherited.assertion_count = representative.assertion_count;
-  inherited.by_symmetry = true;
-  inherited.from_cache = representative.from_cache;
-  return inherited;
 }
 
 VerifyResult result_from_cache(const ResultCache::Entry& entry,
@@ -327,9 +313,9 @@ VerifyResult bind_result(const encode::NetworkModel& model,
                          const std::vector<NodeId>& iso_image) {
   VerifyResult out = solved;
   // The verdict transfers verbatim (equisatisfiability is the planner's
-  // shape_bijection contract and the mapped invariants share a kind, hence
-  // a sat polarity); only the witness needs to cross back into the
-  // binding's own namespace.
+  // problem-key and shape_bijection contract, and the mapped invariants
+  // share a kind, hence a sat polarity); only the witness needs to cross
+  // back into the binding's own namespace.
   if (!iso_image.empty() && out.counterexample) {
     const IsoBinding iso{members, iso_image};
     out.counterexample = relabel_witness(model, iso, *out.counterexample);
@@ -408,53 +394,15 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   const auto plan_start = std::chrono::steady_clock::now();
   JobPlan plan;
   plan.invariant_count = invariants.size();
-  // One PlanContext across the pass: every compute_slice and
-  // canonical_slice_key below shares the same per-scenario transfer
-  // functions (and their accumulated walk memos) instead of rebuilding
-  // them per invariant. The Engine passes its own context, already warm
-  // from class inference; standalone callers plan on a local one.
+  // One PlanContext across the pass: every compute_slice and canonical key
+  // below shares the same per-scenario transfer functions (and their
+  // accumulated walk memos) instead of rebuilding them per invariant. The
+  // Engine passes its own context, already warm from class inference;
+  // standalone callers plan on a local one.
   PlanContext local_ctx(model.network());
   PlanContext& ctx = shared_ctx != nullptr ? *shared_ctx : local_ctx;
-  // The key is strictly finer than the coarse class-signature grouping
-  // (slice::class_signature, the paper's section 4.2 criterion): invariants
-  // whose policy classes match but whose slice structure differs (e.g. an
-  // attack-scenario reroute touching only one peering point) get their own
-  // solver call instead of unsoundly inheriting.
-  std::unordered_map<std::string, std::size_t> job_by_key;
-  std::set<std::string> coarse_seen;
-  for (std::size_t i = 0; i < invariants.size(); ++i) {
-    const auto inv_start = std::chrono::steady_clock::now();
-    const encode::Invariant& inv = invariants[i];
-    std::vector<NodeId> members =
-        slice_members(model, inv, classes, options.use_slices,
-                      options.max_failures, &ctx.transfers);
-
-    std::string key;
-    if (use_symmetry) {
-      key = slice::canonical_slice_key(model, members, inv, classes,
-                                       options.max_failures, &ctx.transfers);
-      auto it = job_by_key.find(key);
-      if (it != job_by_key.end()) {
-        plan.jobs[it->second].inheritors.push_back(i);
-        ++plan.symmetry_hits;
-        continue;
-      }
-      if (!coarse_seen.insert(slice::class_signature(inv, classes)).second) {
-        ++plan.conservative_splits;
-      }
-      job_by_key.emplace(key, plan.jobs.size());
-    }
-    Job job;
-    job.invariant_index = i;
-    job.members = std::move(members);
-    job.canonical_key = std::move(key);
-    job.plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - inv_start);
-    plan.jobs.push_back(std::move(job));
-  }
-  // Shape keys are memoized per distinct member set: the iso-rebinding
-  // decision below consumes them and so does every job's cross-run
-  // problem key afterwards.
+  // Shape keys are memoized per distinct member set: every problem key and
+  // the iso-rebinding decision below consume them.
   std::map<std::vector<NodeId>, slice::ShapeKey> shapes;
   auto shape_of = [&](const std::vector<NodeId>& members)
       -> const slice::ShapeKey& {
@@ -469,14 +417,57 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     }
     return it->second;
   };
-  // Cross-isomorphic encoding reuse: member sets isomorphic to a shape an
-  // earlier job (or batch - the reps live in the PlanContext) already
-  // encodes are rebound onto that representative via a planner-verified
-  // bijection, so one warm base encoding serves symmetric-but-renamed
-  // slices whose canonical keys (rightly) refused to merge verdicts -
-  // the datacenter's per-group jobs being the canonical case. Disabled
-  // with warm solving off: --no-warm is the cold baseline and must keep
-  // the historical encode-everything behavior.
+  // Equivalence classes by exact problem identity (section 4.2's symmetry,
+  // made exact): invariants whose problem keys are equal describe the same
+  // verification problem up to a rank-preserving isomorphism (the key's
+  // exactness contract, slice/symmetry.hpp), so the class needs ONE solver
+  // call; later members of a class become verdict bindings of the first
+  // and replay its verdict through a rank-aligned bijection. Without
+  // symmetry planning no key is computed and every invariant solves alone
+  // (the exhaustive baseline); merge_isomorphic off keeps the keys - the
+  // cache still needs them - but solves every invariant itself.
+  const bool merge = use_symmetry && options.merge_isomorphic;
+  std::map<std::string, std::size_t> class_of;
+  for (std::size_t i = 0; i < invariants.size(); ++i) {
+    const auto inv_start = std::chrono::steady_clock::now();
+    const encode::Invariant& inv = invariants[i];
+    std::vector<NodeId> members =
+        slice_members(model, inv, classes, options.use_slices,
+                      options.max_failures, &ctx.transfers);
+    slice::ProblemKey key;
+    if (use_symmetry) {
+      key = slice::canonical_problem_key(model, shape_of(members), inv,
+                                         options.max_failures, &ctx.transfers);
+    }
+    const auto plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - inv_start);
+    if (merge && !key.key.empty()) {
+      auto [it, fresh] = class_of.emplace(key.key, plan.jobs.size());
+      if (!fresh) {
+        VerdictBinding binding;
+        binding.invariant_index = i;
+        binding.members = std::move(members);
+        binding.problem_key = std::move(key);
+        binding.plan_time = plan_time;
+        plan.jobs[it->second].bindings.push_back(std::move(binding));
+        continue;
+      }
+    }
+    Job job;
+    job.invariant_index = i;
+    job.members = std::move(members);
+    job.problem_key = std::move(key);
+    job.plan_time = plan_time;
+    plan.jobs.push_back(std::move(job));
+  }
+  // Cross-isomorphic encoding reuse: class representatives whose member
+  // sets are isomorphic to a shape an earlier class (or batch - the reps
+  // live in the PlanContext) already encodes are rebound onto that
+  // representative via a planner-verified bijection, so one warm base
+  // encoding serves symmetric-but-renamed slices whose problem keys
+  // (rightly) refused to merge verdicts. Disabled with warm solving off:
+  // --no-warm is the cold baseline and must keep the historical
+  // encode-every-class behavior.
   std::map<std::pair<std::string, std::string>, std::size_t> blockers;
   if (options.warm_solving) {
     // One shape decision per distinct member set this pass.
@@ -537,82 +528,27 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     }
   }
   // Every job's encode-space invariant (every executor, wire workers
-  // included, solves it verbatim) plus, under symmetry planning, the cross-run
-  // problem key the v6 result cache looks records up by.
+  // included, solves it verbatim) and every binding's rank-aligned image:
+  // the binding's rank-r node plays the part of the representative's
+  // rank-r node, invariant roles included, carried on into encode space
+  // when the representative itself was rebound - which is what makes the
+  // relabeled witness name the binding's own hosts.
   for (Job& job : plan.jobs) {
     const encode::Invariant& inv = invariants[job.invariant_index];
+    const IsoBinding rebound{job.members, job.iso_image};
     job.solve_invariant =
-        job.iso_image.empty()
-            ? inv
-            : iso_invariant(IsoBinding{job.members, job.iso_image}, inv);
-    if (use_symmetry) {
-      job.problem_key = slice::canonical_problem_key(
-          model, shape_of(job.members), inv, options.max_failures,
-          &ctx.transfers);
-    }
-  }
-  // Equivalence-class merging: jobs whose problem keys are equal describe
-  // the same verification problem up to a rank-preserving isomorphism
-  // (the key's exactness contract, slice/symmetry.hpp), so the class needs
-  // ONE solver call; later jobs of a class become verdict bindings of the
-  // first and replay its verdict through a rank-aligned bijection - the
-  // binding's rank-r node plays the part of the representative's rank-r
-  // node, invariant roles included, which is what makes the relabeled
-  // witness name the binding's own hosts. Keying on the problem key (not
-  // the exact mapped invariant) also folds role-swapped bijections the
-  // shape pairing happens to pick for symmetric slices. Gated on warm
-  // solving AND symmetry planning, so --no-warm keeps the
-  // solve-every-binding cold baseline and --no-symmetry stays a genuinely
-  // exhaustive one-solve-per-invariant run.
-  if (use_symmetry && options.warm_solving && options.merge_isomorphic) {
-    std::map<std::string, std::size_t> class_of;
-    std::vector<Job> merged;
-    for (Job& job : plan.jobs) {
-      bool fresh = true;
-      std::size_t rep_index = 0;
-      if (!job.problem_key.key.empty()) {
-        auto [it, inserted] =
-            class_of.emplace(job.problem_key.key, merged.size());
-        fresh = inserted;
-        rep_index = it->second;
+        job.iso_image.empty() ? inv : iso_invariant(rebound, inv);
+    for (VerdictBinding& binding : job.bindings) {
+      const std::vector<NodeId>& rep_order = job.problem_key.order;
+      std::map<NodeId, NodeId> g;
+      for (std::size_t r = 0; r < rep_order.size(); ++r) {
+        g.emplace(binding.problem_key.order[r],
+                  job.iso_image.empty() ? rep_order[r]
+                                        : iso_forward(rebound, rep_order[r]));
       }
-      if (!fresh) {
-        Job& rep = merged[rep_index];
-        const std::vector<NodeId>& rep_order = rep.problem_key.order;
-        const std::vector<NodeId>& own_order = job.problem_key.order;
-        if (rep_order.size() == own_order.size() &&
-            own_order.size() == job.members.size()) {
-          // g: binding member of canonical rank r -> the encode-space node
-          // standing in for the representative's rank-r member.
-          std::map<NodeId, NodeId> g;
-          for (std::size_t r = 0; r < own_order.size(); ++r) {
-            NodeId enc = rep_order[r];
-            if (!rep.iso_image.empty()) {
-              auto pos = std::lower_bound(rep.members.begin(),
-                                          rep.members.end(), enc);
-              enc = rep.iso_image[static_cast<std::size_t>(
-                  pos - rep.members.begin())];
-            }
-            g.emplace(own_order[r], enc);
-          }
-          VerdictBinding binding;
-          binding.invariant_index = job.invariant_index;
-          binding.iso_image.reserve(job.members.size());
-          for (NodeId m : job.members) binding.iso_image.push_back(g.at(m));
-          binding.members = std::move(job.members);
-          binding.problem_key = std::move(job.problem_key);
-          binding.inheritors = std::move(job.inheritors);
-          binding.plan_time = job.plan_time;
-          rep.bindings.push_back(std::move(binding));
-          ++plan.iso_verdict_merged;
-          continue;
-        }
-        // Rank lists disagree with the member set (empty-key sentinel or a
-        // defensive mismatch): keep the job as its own solver call.
-      }
-      merged.push_back(std::move(job));
+      binding.iso_image.reserve(binding.members.size());
+      for (NodeId m : binding.members) binding.iso_image.push_back(g.at(m));
     }
-    plan.jobs = std::move(merged);
   }
   for (auto& [key, count] : blockers) {
     plan.merge_blockers.push_back(MergeBlocker{key.second, key.first, count});

@@ -4,10 +4,10 @@
 // middleboxes + oracles + negated invariant, hands the axioms to Z3,
 // interprets the result and - on violation - extracts a counterexample
 // trace from the model. This header holds the pieces every run is built
-// from: the batch planner (plan_jobs: slices, symmetry dedup, iso
+// from: the batch planner (plan_jobs: slices, problem-key classes, iso
 // rebinding, shape ordering), the single-check core (verify_members), the
-// per-binding fan-out (bind_result, inherit_result, result_from_cache) and
-// the result types. verify::Engine (verify/engine.hpp) strings them
+// per-binding fan-out (bind_result, result_from_cache) and the result
+// types. verify::Engine (verify/engine.hpp) strings them
 // together into the one batch pipeline.
 #pragma once
 
@@ -49,16 +49,17 @@ struct VerifyOptions {
   bool infer_policy_classes = true;
   /// Keep each solver session's base encoding and Z3 context alive across
   /// consecutive jobs sharing a slice shape (base axioms asserted once,
-  /// per-invariant negation pushed/popped). Verdict-identical to cold
-  /// solving; off is the benchmark/debug baseline.
+  /// per-invariant negation pushed/popped), and rebind class
+  /// representatives onto an isomorphic shape's encoding
+  /// (slice::shape_bijection). Verdict-identical to cold solving; off is
+  /// the benchmark/debug baseline. Class merging is merge_isomorphic's.
   bool warm_solving = true;
-  /// Collapse planned jobs whose encode-space problems are identical
-  /// (same representative members, same mapped invariant - the planner's
-  /// exact shape_bijection having vouched for every mapping) into ONE
-  /// solver call fanned out to per-binding verdicts, witnesses relabeled
-  /// per binding. Verdict-identical to solving each binding separately
-  /// (the `iso-verdict` fuzz oracle pins this); only active alongside
-  /// warm_solving, so --no-warm stays the full no-reuse cold baseline.
+  /// Under symmetry planning, collapse invariants whose problem keys are
+  /// equal (slice::canonical_problem_key) into ONE solver call fanned out
+  /// to per-binding verdicts, witnesses relabeled per binding through the
+  /// keys' rank correspondence. Verdict-identical to solving each
+  /// invariant separately (the `iso-verdict` fuzz oracle pins this); off,
+  /// together with warm_solving off, is the full no-reuse cold baseline.
   bool merge_isomorphic = true;
   /// Directory of the persistent cross-batch result cache (see
   /// verify/result_cache.hpp); empty disables caching. Cache hits restore
@@ -85,11 +86,12 @@ struct VerifyResult {
   std::size_t slice_size = 0;       ///< encoded edge nodes
   std::size_t assertion_count = 0;  ///< axioms handed to the solver
   std::optional<Trace> counterexample;
-  /// Set when the result was inherited from a symmetric representative.
+  /// Set on every binding past its solver class's representative: the
+  /// verdict (and relabeled witness) replays the representative's solve or
+  /// cache record.
   bool by_symmetry = false;
-  /// Set when the outcome was restored from the persistent result cache
-  /// (directly, or inherited from a cached representative); such results
-  /// carry no counterexample.
+  /// Set when the outcome was restored from the persistent result cache;
+  /// such results carry no counterexample.
   bool from_cache = false;
 };
 
@@ -115,22 +117,16 @@ struct TimingHistogram {
 
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
 /// batch deduplicated and fanned out. Every executor fills the plan half
-/// (invariants, jobs, symmetry); the worker half is empty under the inline
+/// (invariants, classes, merge blockers); the worker half is empty under the inline
 /// executor (no pool) and the crash counters additionally zero under the
 /// thread executor (threads do not crash independently).
 struct PoolStats {
   std::size_t invariant_count = 0;
-  /// Planned invariant-jobs (the deduplicated queue, counting every
-  /// verdict binding of a merged equivalence class; cache hits answer
-  /// some of these without scheduling them, and merging answers others
-  /// without their own solver call - see BatchResult::solver_calls for
-  /// actual solves).
+  /// Planned solver classes (JobPlan::planned_jobs): cache hits answer
+  /// some without scheduling them, and abandonment leaves others unsolved
+  /// - see BatchResult::solver_calls for actual solves.
   std::size_t jobs_executed = 0;
-  /// Invariants answered by canonical-key job merging.
-  std::size_t symmetry_hits = 0;
-  /// Class-symmetric checks verified separately anyway (see JobPlan).
-  std::size_t conservative_splits = 0;
-  /// (invariants - solver jobs) / invariants.
+  /// (invariants - solver classes) / invariants.
   double dedup_hit_rate = 0.0;
   /// Crash accounting: worker processes spawned/lost (0 under the thread
   /// backend), jobs re-dispatched after a crash or hang, and jobs
@@ -143,9 +139,9 @@ struct PoolStats {
   std::size_t jobs_abandoned = 0;
   TimingHistogram solve_histogram;
   std::vector<WorkerStats> workers;
-  /// Equivalence-class fan-out: one entry per solver-call class, its value
-  /// the number of planned invariant-jobs the class's single solve
-  /// answers (1 = unmerged). Sum == jobs_executed.
+  /// Equivalence-class fan-out: one entry per solver class, its value the
+  /// number of invariants the class's single solve answers (1 =
+  /// unmerged). Sum == invariant_count.
   std::vector<std::size_t> iso_class_sizes;
   /// Refused candidate merges (JobPlan::merge_blockers): per distinct
   /// refusal diagnostic, the blocking box type (when configuration was the
@@ -159,17 +155,17 @@ struct PoolStats {
 /// `degradation`.
 struct BatchResult {
   std::vector<VerifyResult> results;  ///< aligned with the invariant list
-  /// Actual solver invocations: planned jobs minus cache hits.
+  /// Actual solver invocations: solver classes minus cache hits (and
+  /// abandoned classes).
   std::size_t solver_calls = 0;
   std::chrono::milliseconds total_time{0};
-  /// Serial planning wall time (slices + canonical keys + dedup), the
+  /// Serial planning wall time (slices + canonical keys + classes), the
   /// Amdahl term ahead of the fan-out.
   std::chrono::milliseconds plan_time{0};
-  /// Verdict bindings answered by the persistent result cache / stored
-  /// into it after a solve (counted per planned invariant-job, so
-  /// hits + misses == jobs_executed when caching is on, 0 + 0 when off;
-  /// bindings of one merged class usually share a problem key, so misses
-  /// may land on one record). Keys are shape-canonical problem digests
+  /// Solver classes answered by the persistent result cache / stored into
+  /// it after a solve (one lookup per class - its bindings share the
+  /// problem key - so hits + misses == jobs_executed when caching is on,
+  /// 0 + 0 when off). Keys are shape-canonical problem digests
   /// (slice::canonical_problem_key): a renamed-but-isomorphic spec hits
   /// cold, cross-run.
   std::size_t cache_hits = 0;
@@ -178,17 +174,17 @@ struct BatchResult {
   /// answered on a reused live context.
   std::size_t warm_binds = 0;
   std::size_t warm_reuses = 0;
-  /// Jobs the planner rebound onto an isomorphic representative's base
-  /// encoding (Job::iso_image) and, of those, the ones a live context
-  /// answered warm - the cross-isomorphic reuse the canonical-key dedup
-  /// cannot reach because the verdicts must stay separate.
+  /// Class representatives the planner rebound onto an isomorphic
+  /// representative's base encoding (Job::iso_image) and, of those, the
+  /// ones a live context answered warm - the cross-isomorphic reuse the
+  /// problem-key classes cannot reach because the verdicts differ.
   std::size_t iso_mapped = 0;
   std::size_t iso_reuses = 0;
-  /// Verdicts answered by replaying another binding's solve through a
-  /// planner-verified bijection (equivalence-class merging): for every
-  /// solver call with fan-out N whose bindings the cache did not answer,
-  /// N-1 of the N verdicts count here. The datacenter batch's "8 planned
-  /// jobs, 1 solver call" shows up as iso_verdict_reuses == 7.
+  /// Verdicts answered by replaying another binding's solve through the
+  /// problem keys' rank correspondence (equivalence-class merging): for
+  /// every solver call with fan-out N, N-1 of the N verdicts count here
+  /// (the by_symmetry results). The datacenter batch's "8 invariants, 1
+  /// solver call" shows up as iso_verdict_reuses == 7.
   std::size_t iso_verdict_reuses = 0;
   /// Transfer functions built by encoders vs served from a warm memo
   /// during encoding (see SessionCounters::transfer_builds): with the
@@ -216,11 +212,6 @@ struct BatchResult {
 /// wire worker - solves with.
 [[nodiscard]] SessionResilience session_resilience(
     const VerifyOptions& options);
-
-/// The result a symmetric invariant inherits from its verified
-/// representative: same outcome and statistics, by_symmetry set, and no
-/// counterexample (the witness names the representative's nodes).
-[[nodiscard]] VerifyResult inherit_result(const VerifyResult& representative);
 
 /// The result a persistent-cache hit restores: the cached raw status mapped
 /// back through the invariant's sat_means_holds() polarity, cached slice /
@@ -268,17 +259,18 @@ struct BatchResult {
     const slice::PolicyClasses& classes, bool use_slices, int max_failures,
     dataplane::TransferCache* transfers = nullptr);
 
-/// The shared batch planner: one slice per invariant, deduplicated into jobs
-/// by canonical_slice_key when `use_symmetry` is set (an invariant joins an
-/// existing job exactly when its kind, policy classes and refined slice
-/// structure fingerprint-match; merges the coarse class-signature criterion
-/// would have made but the key refuses are counted as conservative splits -
-/// each costs a solver call and buys soundness). One PlanContext memoizes
-/// per-scenario transfer functions across every slice and canonical key of
-/// the pass, and the finished queue is stably reordered so jobs sharing a
-/// slice shape are adjacent (fueling warm solver reuse). Engine::run_batch
-/// executes this plan on whichever executor it is configured with, so
-/// every executor solves the same representatives.
+/// The shared batch planner: one slice, shape key and problem key per
+/// invariant; when `use_symmetry` and merge_isomorphic are set, invariants
+/// with equal problem keys (slice::canonical_problem_key - exact by
+/// construction) become one job whose extra bindings carry rank-aligned
+/// images, and with warm solving the class representatives are rebound
+/// onto isomorphic shapes' encodings (slice::shape_bijection). One
+/// PlanContext memoizes per-scenario transfer functions across every slice
+/// and canonical key of the pass, and the finished queue is stably
+/// reordered so jobs sharing a slice shape are adjacent (fueling warm
+/// solver reuse). Engine::run_batch executes this plan on whichever
+/// executor it is configured with, so every executor solves the same
+/// representatives.
 /// `ctx`, when non-null, is the caller's long-lived planning context (the
 /// Engine passes its own, already warm from class inference); null plans
 /// on a private one. JobPlan::transfer_builds/reuses report the
@@ -333,8 +325,9 @@ struct IsoBinding {
 /// witness relabeled from encode space into the binding's own namespace
 /// through the inverse bijection (members[i] <- iso_image[i]); an empty
 /// iso_image is the identity binding and passes the witness through
-/// untouched. Equisatisfiability is the planner's shape_bijection
-/// contract, which is why the verdict itself never changes hands here.
+/// untouched. Equisatisfiability is the planner's contract (equal problem
+/// keys, composed with a shape_bijection-verified rebinding), which is why
+/// the verdict itself never changes hands here.
 [[nodiscard]] VerifyResult bind_result(const encode::NetworkModel& model,
                                        const VerifyResult& solved,
                                        const std::vector<NodeId>& members,

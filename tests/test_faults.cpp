@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
+#include "scenarios/datacenter.hpp"
 #include "scenarios/enterprise.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
@@ -235,8 +237,8 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   EXPECT_EQ(r.degradation.completed, r.pool.jobs_executed - 1);
 
   // Never-flip: every verdict the faulted run answered matches the
-  // fault-free run; only the quarantined job (and its symmetry
-  // inheritors) may widen to unknown.
+  // fault-free run; only the quarantined class (all of its bindings) may
+  // widen to unknown.
   ASSERT_EQ(r.results.size(), reference.results.size());
   std::size_t unknowns = 0;
   for (std::size_t i = 0; i < r.results.size(); ++i) {
@@ -275,6 +277,36 @@ TEST_P(InProcess, DeadlineExpiryYieldsPartialResultsWithAccurateCounters) {
   EXPECT_GE(unknowns, r.degradation.deadline_abandoned);
   const std::string summary = r.degradation.summary();
   EXPECT_NE(summary.find("deadline expired"), std::string::npos);
+}
+
+TEST_P(InProcess, DeadlineCountsMergedClassesInOneUnit) {
+  // The 8-group datacenter with one rules misconfiguration: its 16
+  // isolation and traversal invariants fold into a handful of solver
+  // classes. An expired deadline abandons every class, and the degradation
+  // report must count completed and abandoned work in that same unit - no
+  // "completed" classes while every verdict is unknown.
+  scenarios::Datacenter dc = scenarios::make_datacenter({8, 2});
+  Rng rng(7);
+  inject_misconfig(dc, scenarios::DcMisconfig::rules, rng, 1);
+  std::vector<encode::Invariant> invariants = dc.isolation_invariants();
+  for (const encode::Invariant& inv : dc.traversal_invariants()) {
+    invariants.push_back(inv);
+  }
+  EngineOptions opts = test::executor_options(GetParam());
+  opts.verify.max_failures = 1;
+  opts.deadline = std::chrono::milliseconds(1);
+  BatchResult r = Engine(dc.model, opts).run_batch(invariants);
+
+  ASSERT_EQ(invariants.size(), 16u);
+  EXPECT_LT(r.pool.jobs_executed, invariants.size());  // merged
+  EXPECT_TRUE(r.degradation.deadline_expired);
+  EXPECT_EQ(r.degradation.completed + r.pool.jobs_abandoned,
+            r.pool.jobs_executed);
+  EXPECT_EQ(r.degradation.completed, 0u);
+  EXPECT_EQ(r.solver_calls, 0u);
+  for (const VerifyResult& res : r.results) {
+    EXPECT_EQ(res.outcome, Outcome::unknown);
+  }
 }
 
 TEST_P(InProcess, TornCacheFlushCostsOnlyTheTailRecordOnRerun) {

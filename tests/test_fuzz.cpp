@@ -62,7 +62,7 @@ TEST(RandomSpec, ShapeKeysStableAcrossReparses) {
       verify::Engine(second.model, popts).plan(second.invariants);
   ASSERT_EQ(plan_a.jobs.size(), plan_b.jobs.size());
   for (std::size_t i = 0; i < plan_a.jobs.size(); ++i) {
-    EXPECT_EQ(plan_a.jobs[i].canonical_key, plan_b.jobs[i].canonical_key);
+    EXPECT_EQ(plan_a.jobs[i].problem_key.key, plan_b.jobs[i].problem_key.key);
   }
 }
 

@@ -76,8 +76,8 @@ void with_generator(
     // signature of the attacked subnet's isolation invariant matches the
     // clean peering point's - but the attack-scenario reroute makes their
     // slices differ, and the violated invariant must NOT inherit "holds"
-    // from the clean representative. The canonical slice key keeps the
-    // two checks separate.
+    // from the clean representative. Their problem keys differ, so the two
+    // checks stay separate.
     scenarios::IspParams p;
     p.peering_points = 2;
     p.subnets = 3;
@@ -184,14 +184,15 @@ TEST(Parallel, DeterministicAcrossFourWorkerRuns) {
         << i;
   }
   EXPECT_EQ(first.pool.jobs_executed, second.pool.jobs_executed);
-  EXPECT_EQ(first.pool.symmetry_hits, second.pool.symmetry_hits);
+  EXPECT_EQ(first.iso_verdict_reuses, second.iso_verdict_reuses);
 }
 
 TEST(Parallel, ViolatedSlicesYieldCounterexamplesConcurrently) {
   // Break the enterprise firewall wide open: the private and quarantined
   // subnets' isolation invariants all become violated, and each violated
-  // job must still extract a coherent counterexample while other jobs run
-  // on sibling workers.
+  // invariant - the replayed bindings of a merged class included - must
+  // surface a coherent counterexample naming its own target while other
+  // jobs run on sibling workers.
   scenarios::EnterpriseParams p;
   p.subnets = 6;
   p.hosts_per_subnet = 1;
@@ -210,7 +211,7 @@ TEST(Parallel, ViolatedSlicesYieldCounterexamplesConcurrently) {
   std::size_t violated = 0;
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {
     const VerifyResult& res = r.results[i];
-    if (res.outcome != Outcome::violated || res.by_symmetry) continue;
+    if (res.outcome != Outcome::violated) continue;
     ++violated;
     ASSERT_TRUE(res.counterexample.has_value()) << "invariant " << i;
     // The trace must deliver a packet to the invariant's target host.
@@ -233,30 +234,35 @@ TEST(Parallel, PlanPartitionsTheBatch) {
   Engine v(e.model, with_jobs(2));
   JobPlan plan = v.plan(e.invariants);
 
-  // Every invariant is answered exactly once: either as a representative or
-  // as an inheritor.
+  // Every invariant is answered exactly once, as the binding of one class;
+  // every binding of a class carries the class's problem key.
   std::set<std::size_t> covered;
   for (const Job& job : plan.jobs) {
-    EXPECT_TRUE(covered.insert(job.invariant_index).second);
-    for (std::size_t k : job.inheritors) {
-      EXPECT_TRUE(covered.insert(k).second);
+    EXPECT_FALSE(job.problem_key.key.empty());
+    for (std::size_t k = 0; k < job.fan_out(); ++k) {
+      const BindingRef b = job.binding(k);
+      EXPECT_TRUE(covered.insert(b.invariant_index).second);
+      EXPECT_FALSE(b.members->empty());
+      EXPECT_EQ(b.problem_key->key, job.problem_key.key);
+      EXPECT_TRUE(b.inheritors->empty());
     }
-    EXPECT_FALSE(job.members.empty());
-    EXPECT_FALSE(job.canonical_key.empty());
   }
   EXPECT_EQ(covered.size(), e.invariants.size());
   // Six subnets cycle through three policy kinds -> two subnets per kind
-  // collapse into one job each.
+  // collapse into one class each.
   EXPECT_EQ(plan.jobs.size(), 3u);
-  EXPECT_EQ(plan.symmetry_hits, 3u);
+  EXPECT_EQ(plan.planned_jobs(), 3u);
   EXPECT_DOUBLE_EQ(plan.dedup_hit_rate(), 0.5);
 
-  // Without symmetry, one job per invariant.
+  // Without symmetry, one job per invariant and no keys.
   EngineOptions no_sym = with_jobs(2);
   no_sym.use_symmetry = false;
   JobPlan flat = Engine(e.model, no_sym).plan(e.invariants);
   EXPECT_EQ(flat.jobs.size(), e.invariants.size());
-  EXPECT_EQ(flat.symmetry_hits, 0u);
+  for (const Job& job : flat.jobs) {
+    EXPECT_EQ(job.fan_out(), 1u);
+    EXPECT_TRUE(job.problem_key.key.empty());
+  }
 }
 
 // --- warm solving ----------------------------------------------------------
@@ -489,12 +495,21 @@ TEST(Planner, OrdersSameShapeJobsAdjacently) {
 
 // --- cross-isomorphic warm solving ------------------------------------------
 
+/// Two classes whose problem keys differ (node- vs flow-isolation) over two
+/// renamed-isomorphic group-pair slices: the second class's representative
+/// is rebound onto the first's base encoding (Job::iso_image).
+std::vector<Invariant> mixed_kind_pair(const scenarios::Datacenter& dc) {
+  const std::vector<Invariant> isolation = dc.isolation_invariants();
+  return {isolation[0],
+          Invariant::flow_isolation(isolation[1].target, isolation[1].other)};
+}
+
 // The datacenter's per-group isolation jobs: every group pair's slice is a
-// renamed copy of the first, but canonical slice keys keep the verdicts
-// separate. Verdict-level merging must fold them onto one representative's
-// solver call (iso_mapped / iso_verdict_reuses > 0, strictly fewer solver
-// calls) without changing a single verdict, and the --no-warm baseline must
-// stay the historical encode-everything path.
+// renamed copy of the first. Verdict-level merging must fold equal problems
+// onto one representative's solver call (iso_verdict_reuses > 0, strictly
+// fewer solver calls), problems that differ only in kind must still share
+// one base encoding (iso_mapped), neither may change a single verdict, and
+// the no-reuse baseline must stay the historical encode-everything path.
 TEST(IsoWarm, DatacenterBatchRebindsIsomorphicSlices) {
   scenarios::DatacenterParams p;
   p.policy_groups = 4;
@@ -505,20 +520,20 @@ TEST(IsoWarm, DatacenterBatchRebindsIsomorphicSlices) {
   EngineOptions warm = with_jobs(2);
   EngineOptions cold = with_jobs(2);
   cold.verify.warm_solving = false;
+  cold.verify.merge_isomorphic = false;
   BatchResult warm_r =
       Engine(dc.model, warm).run_batch(batch.invariants);
   BatchResult cold_r =
       Engine(dc.model, cold).run_batch(batch.invariants);
 
-  EXPECT_GT(warm_r.iso_mapped, 0u);
   EXPECT_GT(warm_r.iso_verdict_reuses, 0u);
   EXPECT_EQ(cold_r.iso_mapped, 0u);
   EXPECT_EQ(cold_r.iso_reuses, 0u);
   EXPECT_EQ(cold_r.iso_verdict_reuses, 0u);
-  // Merging folds solver calls, never planned jobs: every invariant-job is
-  // still accounted for on both sides, warm just answers them with fewer
-  // solves.
-  EXPECT_EQ(warm_r.pool.jobs_executed, cold_r.pool.jobs_executed);
+  // Merging folds invariants into fewer solver classes: the cold run solves
+  // every invariant itself, warm answers them with fewer solves.
+  EXPECT_EQ(cold_r.pool.jobs_executed, batch.invariants.size());
+  EXPECT_LT(warm_r.pool.jobs_executed, cold_r.pool.jobs_executed);
   EXPECT_LT(warm_r.solver_calls, cold_r.solver_calls);
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
     EXPECT_EQ(warm_r.results[i].outcome, cold_r.results[i].outcome) << i;
@@ -530,12 +545,27 @@ TEST(IsoWarm, DatacenterBatchRebindsIsomorphicSlices) {
         batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
     EXPECT_EQ(warm_r.results[i].outcome, expected) << i;
   }
+
+  const std::vector<Invariant> mixed = mixed_kind_pair(dc);
+  Engine rebinding(dc.model, with_jobs(1));
+  EXPECT_EQ(rebinding.plan(mixed).iso_mapped, 1u);
+  const BatchResult mixed_warm = rebinding.run_batch(mixed);
+  const BatchResult mixed_cold = Engine(dc.model, cold).run_batch(mixed);
+  EXPECT_EQ(mixed_warm.solver_calls, 2u);
+  EXPECT_EQ(mixed_warm.warm_binds, 1u);  // one base encoding, two solves
+  EXPECT_EQ(mixed_warm.iso_reuses, 1u);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_EQ(mixed_warm.results[i].outcome, Outcome::holds) << i;
+    EXPECT_EQ(mixed_warm.results[i].raw_status,
+              mixed_cold.results[i].raw_status)
+        << i;
+  }
 }
 
 // The acceptance bar for verdict-level merging: the fig-4 style isolation
 // batch (one invariant per policy group, all the same direction) is ONE
-// equivalence class - 8 planned invariant jobs, exactly 1 solver call, the
-// other 7 replayed as verdict bindings. --no-warm keeps solving all 8.
+// equivalence class - 8 invariants, exactly 1 solver call, the other 7
+// replayed as verdict bindings. The no-reuse baseline keeps solving all 8.
 TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   scenarios::DatacenterParams p;
   p.policy_groups = 8;
@@ -546,17 +576,19 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
 
   Engine warm(dc.model, with_jobs(2));
   JobPlan plan = warm.plan(isolation);
-  EXPECT_GE(plan.planned_jobs(), 8u);
-  EXPECT_EQ(plan.jobs.size(), 1u);
+  EXPECT_EQ(plan.planned_jobs(), 1u);
+  ASSERT_EQ(plan.jobs.size(), 1u);
+  EXPECT_EQ(plan.jobs[0].fan_out(), isolation.size());
   BatchResult warm_r = warm.run_batch(isolation);
-  EXPECT_GE(warm_r.pool.jobs_executed, 8u);
+  EXPECT_EQ(warm_r.pool.jobs_executed, 1u);
   EXPECT_EQ(warm_r.solver_calls, 1u);
-  EXPECT_EQ(warm_r.iso_verdict_reuses, warm_r.pool.jobs_executed - 1);
+  EXPECT_EQ(warm_r.iso_verdict_reuses, isolation.size() - 1);
 
   EngineOptions cold_opts = with_jobs(2);
   cold_opts.verify.warm_solving = false;
+  cold_opts.verify.merge_isomorphic = false;
   BatchResult cold_r = Engine(dc.model, cold_opts).run_batch(isolation);
-  EXPECT_EQ(cold_r.solver_calls, cold_r.pool.jobs_executed);
+  EXPECT_EQ(cold_r.solver_calls, isolation.size());
   EXPECT_EQ(cold_r.iso_verdict_reuses, 0u);
   ASSERT_EQ(warm_r.results.size(), cold_r.results.size());
   for (std::size_t i = 0; i < warm_r.results.size(); ++i) {
@@ -572,7 +604,7 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   BatchResult seq_r = Engine(dc.model, {.verify = seq})
                           .run_batch(isolation, /*use_symmetry=*/true);
   EXPECT_EQ(seq_r.solver_calls, 1u);
-  EXPECT_GE(seq_r.pool.jobs_executed, 8u);
+  EXPECT_EQ(seq_r.pool.jobs_executed, 1u);
   for (std::size_t i = 0; i < seq_r.results.size(); ++i) {
     EXPECT_EQ(seq_r.results[i].outcome, warm_r.results[i].outcome) << i;
   }
@@ -703,7 +735,7 @@ TEST(IsoWarm, RelabeledWitnessNamesTheActualSlicesHosts) {
 // --- verdict transfer property ----------------------------------------------
 
 // The merge property, generator by generator: the default engine (verdict-
-// level merging on) must match a --no-warm cold run - verdict and raw
+// level merging on) must match a no-reuse cold run - verdict and raw
 // solver status exactly - and every transferred violated result must carry
 // a witness that concretely violates its OWN invariant under the symbolic
 // replay semantics (a structurally valid relabel, not the representative's
@@ -714,11 +746,12 @@ BatchResult expect_transfer_matches_cold(const encode::NetworkModel& model,
   EngineOptions cold = with_jobs(2);
   EXPECT_TRUE(merged.verify.merge_isomorphic);  // the default
   cold.verify.warm_solving = false;
+  cold.verify.merge_isomorphic = false;
 
   BatchResult m = Engine(model, merged).run_batch(batch.invariants);
   BatchResult c = Engine(model, cold).run_batch(batch.invariants);
   EXPECT_EQ(c.iso_verdict_reuses, 0u);
-  EXPECT_EQ(m.pool.jobs_executed, c.pool.jobs_executed);
+  EXPECT_EQ(c.pool.jobs_executed, batch.invariants.size());
   EXPECT_EQ(m.results.size(), c.results.size());
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
     EXPECT_EQ(m.results[i].outcome, c.results[i].outcome)
@@ -824,6 +857,7 @@ void expect_process_warm_matches_cold(const encode::NetworkModel& model,
   ASSERT_TRUE(warm.verify.warm_solving);  // the default
   EngineOptions cold = process_opts(2);
   cold.verify.warm_solving = false;
+  cold.verify.merge_isomorphic = false;
   BatchResult warm_r =
       Engine(model, warm).run_batch(batch.invariants);
   BatchResult cold_r =
@@ -860,9 +894,10 @@ TEST(ProcessBackend, WarmMatchesColdOnEnterprise) {
 }
 
 TEST(ProcessBackend, WarmMatchesColdOnDatacenter) {
-  // The generator whose per-group jobs actually cross the iso path: the
-  // warm run must fan merged verdicts out dispatcher-side, and still
-  // agree with cold bit-for-bit on verdicts.
+  // The generator whose per-group jobs actually cross the iso paths: the
+  // warm run must fan merged verdicts out dispatcher-side and ship rebound
+  // classes in encode space, and still agree with cold bit-for-bit on
+  // verdicts.
   scenarios::DatacenterParams p;
   p.policy_groups = 4;
   p.clients_per_group = 1;
@@ -871,8 +906,15 @@ TEST(ProcessBackend, WarmMatchesColdOnDatacenter) {
   expect_process_warm_matches_cold(dc.model, batch);
   BatchResult warm_r =
       Engine(dc.model, process_opts(2)).run_batch(batch.invariants);
-  EXPECT_GT(warm_r.iso_mapped, 0u);
   EXPECT_GT(warm_r.iso_verdict_reuses, 0u);
+  Batch mixed;
+  mixed.name = "datacenter-mixed-kind";
+  mixed.invariants = mixed_kind_pair(dc);
+  mixed.expected_holds = {true, true};
+  expect_process_warm_matches_cold(dc.model, mixed);
+  EXPECT_EQ(Engine(dc.model, process_opts(2)).run_batch(mixed.invariants)
+                .iso_mapped,
+            1u);
 }
 
 TEST(ProcessBackend, WarmMatchesColdOnIsp) {
@@ -902,8 +944,8 @@ TEST(ProcessBackend, WarmMatchesColdOnBypassedSegmented) {
 
 TEST(ProcessBackend, ViolatedVerdictsShipTracesAcrossTheProcessBoundary) {
   // Same open-firewall workload as the thread-backend counterexample test:
-  // violated representatives must come back with a coherent trace mapped
-  // onto the dispatcher's node ids.
+  // every violated invariant must come back with a coherent trace mapped
+  // onto the dispatcher's node ids and relabeled onto its own target.
   scenarios::EnterpriseParams p;
   p.subnets = 6;
   p.hosts_per_subnet = 1;
@@ -922,7 +964,7 @@ TEST(ProcessBackend, ViolatedVerdictsShipTracesAcrossTheProcessBoundary) {
   std::size_t violated = 0;
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {
     const VerifyResult& res = r.results[i];
-    if (res.outcome != Outcome::violated || res.by_symmetry) continue;
+    if (res.outcome != Outcome::violated) continue;
     ++violated;
     ASSERT_TRUE(res.counterexample.has_value()) << "invariant " << i;
     bool target_received = false;

@@ -476,16 +476,19 @@ TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
   ASSERT_NE(begin, std::string::npos) << resp;
   const std::string batch = resp.substr(begin, resp.find('}', begin) - begin);
   for (const char* key :
-       {"jobs_executed", "symmetry_hits", "conservative_splits", "workers",
-        "workers_spawned", "workers_crashed", "workers_respawned",
-        "jobs_requeued", "jobs_abandoned", "quarantined", "completed",
-        "abandoned_retries", "deadline_abandoned", "escalations",
+       {"jobs_executed", "workers", "workers_spawned", "workers_crashed",
+        "workers_respawned", "jobs_requeued", "jobs_abandoned", "quarantined",
+        "completed", "abandoned_retries", "deadline_abandoned", "escalations",
         "escalations_rescued", "cache_records_dropped", "plan_ms",
         "cache_hits", "cache_misses", "warm_binds", "warm_reuses",
         "iso_reuses", "iso_mapped", "iso_verdict_reuses",
         "encode_transfer_builds", "encode_transfer_reuses"}) {
     EXPECT_NE(batch.find("\"" + std::string(key) + "\":"), std::string::npos)
         << key << " in " << batch;
+  }
+  // Neither the CLI summary nor STATS counts slice-key merges any more.
+  for (const char* key : {"symmetry_hits", "conservative_splits"}) {
+    EXPECT_EQ(batch.find(key), std::string::npos) << key << " in " << batch;
   }
 }
 

@@ -1,13 +1,23 @@
-// Symmetry tests (paper, section 4.2): policy-class inference, invariant
-// grouping, and agreement between symmetric and exhaustive verification.
+// Symmetry tests (paper, section 4.2): policy-class inference, problem-key
+// solver classes, and agreement between symmetric and exhaustive
+// verification.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 
+#include "core/rng.hpp"
+#include "io/spec.hpp"
 #include "mbox/firewall.hpp"
+#include "scenarios/datacenter.hpp"
 #include "scenarios/enterprise.hpp"
+#include "scenarios/isp.hpp"
+#include "scenarios/multitenant.hpp"
+#include "scenarios/random.hpp"
+#include "scenarios/segmented.hpp"
 #include "slice/policy.hpp"
 #include "slice/symmetry.hpp"
 #include "verify/engine.hpp"
@@ -76,38 +86,38 @@ TEST(PolicyClasses, RepresentativesOnePerClass) {
   }
 }
 
+// Solver classes are the planner's problem-key groups: one job per class,
+// the class's other invariants riding along as verdict bindings.
 TEST(Symmetry, GroupsCollapseEquivalentInvariants) {
   Enterprise ent = enterprise(12);  // four subnets of each kind
-  PolicyClasses classes = infer_policy_classes(ent.model);
-  SymmetryGroups groups = group_invariants(ent.invariants, classes);
-  // Twelve invariants but only three distinct symmetry groups
+  verify::JobPlan plan = verify::Engine(ent.model).plan(ent.invariants);
+  // Twelve invariants but only three distinct solver classes
   // (public-reachability, private-flow-isolation, quarantined-isolation).
   EXPECT_EQ(ent.invariants.size(), 12u);
-  EXPECT_EQ(groups.group_count(), 3u);
+  EXPECT_EQ(plan.planned_jobs(), 3u);
+  for (const verify::Job& job : plan.jobs) EXPECT_EQ(job.fan_out(), 4u);
 }
 
 TEST(Symmetry, GroupsRespectKind) {
   Enterprise ent = enterprise(3);
-  PolicyClasses classes = infer_policy_classes(ent.model);
   std::vector<Invariant> invs = {
       Invariant::node_isolation(ent.subnet_hosts[2][0], ent.internet),
       Invariant::flow_isolation(ent.subnet_hosts[2][0], ent.internet),
   };
-  SymmetryGroups groups = group_invariants(invs, classes);
-  EXPECT_EQ(groups.group_count(), 2u);  // different kinds never merge
+  verify::JobPlan plan = verify::Engine(ent.model).plan(invs);
+  EXPECT_EQ(plan.planned_jobs(), 2u);  // different kinds never merge
 }
 
 TEST(Symmetry, SameClassHostsShareGroup) {
   Enterprise ent = enterprise(6);
-  PolicyClasses classes = infer_policy_classes(ent.model);
   std::vector<Invariant> invs = {
       Invariant::node_isolation(ent.subnet_hosts[2][0], ent.internet),
       Invariant::node_isolation(ent.subnet_hosts[5][0], ent.internet),
       Invariant::node_isolation(ent.subnet_hosts[2][1], ent.internet),
   };
-  SymmetryGroups groups = group_invariants(invs, classes);
-  EXPECT_EQ(groups.group_count(), 1u);
-  EXPECT_EQ(groups.groups[0].invariants.size(), 3u);
+  verify::JobPlan plan = verify::Engine(ent.model).plan(invs);
+  ASSERT_EQ(plan.planned_jobs(), 1u);
+  EXPECT_EQ(plan.jobs[0].fan_out(), 3u);
 }
 
 TEST(Symmetry, BatchVerificationAgreesWithExhaustive) {
@@ -385,6 +395,185 @@ TEST(ProblemKeys, RolesBreakRankTiesNotCreationOrder) {
   };
   EXPECT_EQ(rank_of(k1, y1), rank_of(k2, y2));
   EXPECT_EQ(rank_of(k1, x1), rank_of(k2, x2));
+}
+
+
+// --- problem-key classes against the exact bijection check -----------------
+
+/// A ShapeKey over `members` colored by each member's rank in `order`:
+/// shape_bijection pairs equal colors, so two such keys force the
+/// rank-for-rank pairing onto its exact checks.
+ShapeKey ranked_shape(const std::vector<NodeId>& members,
+                      const std::vector<NodeId>& order) {
+  ShapeKey k;
+  k.key = "ranked";
+  k.members = members;
+  for (NodeId m : members) {
+    k.colors.push_back(std::to_string(
+        std::find(order.begin(), order.end(), m) - order.begin()));
+  }
+  return k;
+}
+
+/// For every multi-binding class of the plan: each binding's rank map onto
+/// the representative must pass shape_bijection's exact checks when forced
+/// as the pairing, and carry the binding's invariant roles onto the
+/// representative's. Returns the number of bindings checked.
+std::size_t expect_rank_maps_exact(const encode::NetworkModel& model,
+                                   const std::vector<Invariant>& invariants,
+                                   int max_failures, const std::string& what) {
+  verify::EngineOptions opts;
+  opts.verify.max_failures = max_failures;
+  const verify::JobPlan plan = verify::Engine(model, opts).plan(invariants);
+  std::size_t checked = 0;
+  for (const verify::Job& job : plan.jobs) {
+    const ShapeKey rep = ranked_shape(job.members, job.problem_key.order);
+    const Invariant& rep_inv = invariants[job.invariant_index];
+    for (const verify::VerdictBinding& b : job.bindings) {
+      const ShapeKey own = ranked_shape(b.members, b.problem_key.order);
+      MergeRefusal why;
+      const std::optional<std::vector<NodeId>> image =
+          shape_bijection(model, own, rep, max_failures, nullptr, &why);
+      EXPECT_TRUE(image.has_value()) << what << " invariant "
+                                     << b.invariant_index << ": "
+                                     << why.reason;
+      if (!image) continue;
+      const auto image_of = [&](NodeId n) {
+        const auto it = std::find(b.members.begin(), b.members.end(), n);
+        return (*image)[static_cast<std::size_t>(it - b.members.begin())];
+      };
+      const Invariant& inv = invariants[b.invariant_index];
+      EXPECT_EQ(image_of(inv.target), rep_inv.target) << what;
+      if (inv.other.valid()) {
+        EXPECT_EQ(image_of(inv.other), rep_inv.other) << what;
+      }
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+/// The zoo-random corpus spec `name` ("zoo<seed>"), regenerated with the
+/// corpus generator parameters of bench/e2e.
+io::Spec zoo_spec(const std::string& name) {
+  scenarios::RandomSpecParams p;
+  p.seed = std::stoull(name.substr(3));
+  p.min_hosts = 3;
+  p.max_hosts = 6;
+  p.max_switches = 4;
+  p.max_middleboxes = 3;
+  p.max_scenarios = 2;
+  p.min_invariants = 4;
+  p.max_invariants = 8;
+  return io::parse_spec_string(scenarios::make_random_spec(p).text);
+}
+
+TEST(ProblemKeys, GeneratorClassRankMapsPassTheExactBijectionCheck) {
+  std::size_t checked = 0;
+  Enterprise ent = enterprise(6);
+  checked += expect_rank_maps_exact(ent.model, ent.invariants, 0, "enterprise");
+  auto* fw = dynamic_cast<mbox::LearningFirewall*>(
+      ent.model.middlebox_at(ent.model.network().node_by_name("fw")));
+  ASSERT_NE(fw, nullptr);
+  std::vector<mbox::AclEntry> acl = fw->acl();
+  acl.insert(acl.begin(), mbox::AclEntry{Prefix(Address::of(172, 16, 0, 0), 12),
+                                         Prefix(Address::of(10, 0, 0, 0), 8),
+                                         mbox::AclAction::allow});
+  fw->replace_acl(acl);
+  checked += expect_rank_maps_exact(ent.model, ent.invariants, 0,
+                                    "open-firewall enterprise");
+
+  for (scenarios::DcMisconfig kind :
+       {scenarios::DcMisconfig::none, scenarios::DcMisconfig::rules,
+        scenarios::DcMisconfig::redundancy, scenarios::DcMisconfig::traversal,
+        scenarios::DcMisconfig::cache_acl}) {
+    scenarios::DatacenterParams p;
+    p.policy_groups = 4;
+    p.clients_per_group = 2;
+    scenarios::Datacenter dc = scenarios::make_datacenter(p);
+    if (kind != scenarios::DcMisconfig::none) {
+      Rng rng(7);
+      inject_misconfig(dc, kind, rng, 2);
+    }
+    checked += expect_rank_maps_exact(dc.model, dc.batch().invariants, 1,
+                                      "datacenter");
+  }
+
+  for (bool bypass : {false, true}) {
+    scenarios::IspParams p;
+    p.peering_points = 2;
+    p.subnets = 3;
+    p.scrub_bypasses_firewalls = bypass;
+    scenarios::Isp isp = scenarios::make_isp(p);
+    checked += expect_rank_maps_exact(isp.model, isp.batch().invariants, 1,
+                                      "isp");
+  }
+
+  scenarios::MultiTenantParams mp;
+  mp.tenants = 4;
+  mp.servers = 2;
+  mp.public_vms_per_tenant = 1;
+  mp.private_vms_per_tenant = 1;
+  scenarios::MultiTenant mt = scenarios::make_multitenant(mp);
+  checked += expect_rank_maps_exact(mt.model, mt.batch().invariants, 0,
+                                    "multitenant");
+
+  for (int bypass : {-1, 1}) {
+    scenarios::SegmentedParams p;
+    p.bypass_segment = bypass;
+    scenarios::Segmented s = scenarios::make_segmented(p);
+    checked += expect_rank_maps_exact(s.model, s.batch().invariants, 0,
+                                      "segmented");
+  }
+  // The datacenter and enterprise batches merge heavily; zero would mean
+  // the property ran against an empty mechanism.
+  EXPECT_GT(checked, 20u);
+}
+
+TEST(ProblemKeys, ZooCorpusClassRankMapsPassTheExactBijectionCheck) {
+  std::ifstream corpus(std::string(VMN_SOURCE_DIR) +
+                       "/bench/e2e/golden/zoo-random.txt");
+  ASSERT_TRUE(corpus.good());
+  std::size_t specs = 0;
+  std::size_t checked = 0;
+  std::string line;
+  while (specs < 50 && std::getline(corpus, line)) {
+    const std::string name = line.substr(0, line.find(' '));
+    io::Spec spec = zoo_spec(name);
+    checked += expect_rank_maps_exact(
+        spec.model, spec.invariants,
+        scenarios::derived_max_failures(spec.model), name);
+    ++specs;
+  }
+  EXPECT_EQ(specs, 50u);
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(ProblemKeys, Zoo642KnownMissStaysPinned) {
+  // A known miss of the problem key: zoo642's invariants 0 and 3 are
+  // isomorphic (exactly one target-preserving bijection passes
+  // shape_bijection), but the key's positional tie-break within a color
+  // class renders them differently, so they solve as two classes - one
+  // extra solver call. zoo260's invariants 0 and 2 are the corpus's other
+  // such pair. ROADMAP item 4's canonical labelling (individualization-
+  // refinement) would merge them; until then this count is pinned so a
+  // change to the key's ordering shows up here.
+  io::Spec spec = zoo_spec("zoo642");
+  verify::EngineOptions opts;
+  opts.verify.max_failures = scenarios::derived_max_failures(spec.model);
+  const verify::JobPlan plan =
+      verify::Engine(spec.model, opts).plan(spec.invariants);
+  EXPECT_EQ(plan.planned_jobs(), 6u);
+  std::size_t class0 = plan.jobs.size();
+  std::size_t class3 = plan.jobs.size();
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    for (std::size_t k = 0; k < plan.jobs[j].fan_out(); ++k) {
+      const std::size_t i = plan.jobs[j].binding(k).invariant_index;
+      if (i == 0) class0 = j;
+      if (i == 3) class3 = j;
+    }
+  }
+  EXPECT_NE(class0, class3);
 }
 
 }  // namespace

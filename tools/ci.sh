@@ -1,22 +1,21 @@
 #!/usr/bin/env bash
-# The tier-1 gate, as one command: lint (descriptor-only middlebox
-# renderers; one batch pipeline), configure, build, run every test suite,
-# then smoke-test the batch modes on the shipped enterprise spec - the
-# cached rerun, the process backend (verdicts must match the thread
-# backend), a worker killed mid-batch (the batch must still complete with
-# every invariant answered), and the fault-injection harness (a
-# deterministic crash-looping job must be quarantined while the respawned
-# fleet answers everything else; verdicts may widen to unknown but never
-# flip; a torn cache flush loses only the tail record and a 1ms deadline
-# exits with the "incomplete" code, with and without --batch) - and slice
-# soundness on the shipped segmented spec (disconnected segments,
-# identical middlebox configs): its expect clauses encode the
-# whole-network truth, so every backend and symmetry mode must reproduce
-# them, and a cache directory written under a previous key-format version
-# must be rejected (0 hits), then upgraded -
-# and finally the serve daemon on a Unix socket: an in-place edit confined
-# to one segment must re-solve only that segment (counter-asserted) with
-# verdicts equal to a cold one-shot run.
+# The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
+# one batch pipeline; one in-batch identity), configure, build, run every test
+# suite, then smoke-test the batch modes on the shipped enterprise spec - the
+# cached rerun, the process backend (verdicts must match the thread backend),
+# a worker killed mid-batch (the batch must still complete with every
+# invariant answered), and the fault-injection harness (a deterministic
+# crash-looping job must be quarantined while the respawned fleet answers
+# everything else; verdicts may widen to unknown but never flip; a torn cache
+# flush loses only the tail record and a 1ms deadline exits with the
+# "incomplete" code, with and without --batch) - and slice soundness on the
+# shipped segmented spec (disconnected segments, identical middlebox configs):
+# its expect clauses encode the whole-network truth, so every backend and
+# symmetry mode must reproduce them, and a cache directory written under a
+# previous key-format version must be rejected (0 hits), then upgraded - and
+# finally the serve daemon on a Unix socket: an in-place edit confined to one
+# segment must re-solve only that segment (counter-asserted) with verdicts
+# equal to a cold one-shot run.
 #
 #   tools/ci.sh [build-dir]
 #
@@ -46,12 +45,10 @@ if grep -En "(policy_fingerprint|encoding_projection)[^;]*\)[^;]*(const)?[^;]*ov
 fi
 
 echo "--- lint: one batch pipeline (single call sites) ---"
-# Engine::run_batch is the only code that answers bindings from the result
-# cache, fans a solved verdict out to its bindings and copies it to
-# symmetry inheritors. A second call site of any of these is a second copy
-# of the batch pipeline, and copies drift.
-for pattern in '(\.|->)lookup\(' '[^_[:alnum:]]bind_result\(' \
-               '[^_[:alnum:]]inherit_result\('; do
+# Engine::run_batch is the only code that answers classes from the result
+# cache and fans a solved verdict out to its bindings. A second call site
+# of either is a second copy of the batch pipeline, and copies drift.
+for pattern in '(\.|->)lookup\(' '[^_[:alnum:]]bind_result\('; do
   sites="$(grep -rEn "$pattern" "$repo/src" --include='*.cpp' \
       --include='*.hpp' | grep -Ev ':[0-9]+:[[:space:]]*//|VerifyResult ' \
       || true)"
@@ -61,6 +58,17 @@ for pattern in '(\.|->)lookup\(' '[^_[:alnum:]]bind_result\(' \
     exit 1
   fi
 done
+
+echo "--- lint: one in-batch identity (no slice-key merges) ---"
+# The problem key is the only merge identity. canonical_slice_key is a 1-WL
+# fingerprint whose converse is heuristic, so no verdict may rest on it: it
+# stays a diagnostics function with no call site in the verifier or tools.
+if grep -rEn 'canonical_slice_key\(' "$repo/src/verify" "$repo/tools" \
+    | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: canonical_slice_key is called from src/verify or tools/;" \
+       "merge by slice::canonical_problem_key instead" >&2
+  exit 1
+fi
 
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")

@@ -8,11 +8,12 @@
 //            (abandoned/quarantined/deadline-expired jobs)
 //         3  usage or internal error
 //       (1 wins over 2 when both apply: a proven violation outranks an
-//       incomplete sweep.) With --batch, the invariants are planned into a
-//       deduplicated job queue and fanned out over a solver pool of
-//       --jobs N workers (default: hardware concurrency); the summary
-//       reports the dedup hit rate, plan time, cache and warm-solving
-//       traffic, per-worker load and a solve-time histogram.
+//       incomplete sweep.) The invariants are planned into one solver
+//       class per distinct problem key; with --batch the classes fan out
+//       over a solver pool of --jobs N workers (default: hardware
+//       concurrency), and the summary reports invariants per class (hit
+//       rate), plan time, cache and warm-solving traffic, per-worker load
+//       and a solve-time histogram.
 //       --cache-dir enables the persistent result cache: re-running after
 //       a spec edit re-solves only the slices whose canonical key changed
 //       (cached verdicts carry no counterexample trace). --no-warm
@@ -149,7 +150,7 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
                       std::chrono::milliseconds& worker_timeout) {
   set.add_flag("--no-slices", "verify on the whole network, not slices",
                [&engine] { engine.verify.use_slices = false; });
-  set.add_flag("--no-symmetry", "disable canonical-key job dedup",
+  set.add_flag("--no-symmetry", "disable problem-key solver classes",
                [&engine] { engine.use_symmetry = false; });
   set.add_value(
       "--max-failures", "k", "failure budget per scenario sweep",
@@ -315,10 +316,9 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   verify::BatchResult batch = engine.run_batch(spec.invariants);
   if (eopts.batch) {
     std::printf(
-        "batch: %zu invariants -> %zu jobs (%zu merged by symmetry, %zu "
-        "conservative splits, hit rate %.0f%%), %zu %s workers\n",
+        "batch: %zu invariants -> %zu solver classes (hit rate %.0f%%), "
+        "%zu %s workers\n",
         batch.pool.invariant_count, batch.pool.jobs_executed,
-        batch.pool.symmetry_hits, batch.pool.conservative_splits,
         batch.pool.dedup_hit_rate * 100.0, batch.pool.workers.size(),
         verify::to_string(eopts.backend).c_str());
     if (eopts.backend == verify::Backend::process) {
@@ -370,15 +370,15 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
         static_cast<long long>(batch.pool.solve_histogram.max().count()));
   }
   if (dedup_report) {
-    // Equivalence-class fan-out: how many planned invariant jobs each
-    // solver call answered, as a "count x size" histogram, plus the
-    // shape_bijection refusal diagnostics - configuration blockers name
-    // the exact relation/row/cell of the descriptor that differed (e.g.
+    // Equivalence-class fan-out: how many invariants each solver class
+    // answered, as a "count x size" histogram, plus the shape_bijection
+    // refusal diagnostics - configuration blockers name the exact
+    // relation/row/cell of the descriptor that differed (e.g.
     // "firewall.acl row 3: dst prefix /24 vs /16").
     std::map<std::size_t, std::size_t> by_size;
     for (std::size_t s : batch.pool.iso_class_sizes) ++by_size[s];
-    std::printf("dedup report: %zu solver classes over %zu planned jobs\n",
-                batch.pool.iso_class_sizes.size(), batch.pool.jobs_executed);
+    std::printf("dedup report: %zu solver classes over %zu invariants\n",
+                batch.pool.jobs_executed, batch.pool.invariant_count);
     std::printf("  class sizes:");
     for (auto it = by_size.rbegin(); it != by_size.rend(); ++it) {
       std::printf(" %zux%zu", it->second, it->first);

@@ -73,7 +73,7 @@ double run_batch(const Datacenter& dc, std::size_t workers,
   }
   state.counters["jobs_executed"] =
       benchmark::Counter(static_cast<double>(r.pool.jobs_executed));
-  state.counters["dedup_hit_rate"] = benchmark::Counter(r.pool.dedup_hit_rate);
+  state.counters["dedup_hit_rate"] = benchmark::Counter(r.dedup_hit_rate());
   return static_cast<double>(r.total_time.count());
 }
 
@@ -360,7 +360,7 @@ void BM_Fig8Batch(benchmark::State& state) {
     planned_jobs = static_cast<double>(r.pool.jobs_executed);
     solver_calls = static_cast<double>(r.solver_calls);
     iso_verdicts = static_cast<double>(r.iso_verdict_reuses);
-    dedup_rate = r.pool.dedup_hit_rate;
+    dedup_rate = r.dedup_hit_rate();
     blocked_merges = 0;
     per_box_blocked.clear();
     for (const verify::MergeBlocker& b : r.pool.merge_blockers) {
@@ -419,7 +419,7 @@ void BM_BatchBackend(benchmark::State& state) {
         return;
       }
     }
-    if (r.pool.workers_crashed != 0 || r.pool.jobs_abandoned != 0) {
+    if (r.pool.workers_crashed != 0 || r.degradation.abandoned() != 0) {
       state.SkipWithError("process backend lost workers on a healthy run");
       return;
     }
@@ -488,7 +488,7 @@ void BM_FaultQuarantine(benchmark::State& state) {
     }
     wall_ms = static_cast<double>(r.total_time.count());
     quarantined = static_cast<double>(r.degradation.quarantined);
-    abandoned = static_cast<double>(r.pool.jobs_abandoned);
+    abandoned = static_cast<double>(r.degradation.abandoned());
     crashed = static_cast<double>(r.pool.workers_crashed);
     respawned = static_cast<double>(r.degradation.workers_respawned);
     dropped = static_cast<double>(r.degradation.cache_records_dropped);

@@ -217,12 +217,10 @@ void refine_by_reach(const encode::NetworkModel& model,
   }
 }
 
-/// Computes the per-host delivery signatures, refines `out.classes` by them
-/// (unless `refine_classes` is off - declared classes keep the operator's
-/// grouping), installs the signatures and rebuilds the host index.
+/// Computes the per-host delivery signatures, refines `out.classes` by
+/// them, installs the signatures and rebuilds the host index.
 void attach_reachability(PolicyClasses& out, const encode::NetworkModel& model,
-                         const PolicyClassOptions& options,
-                         bool refine_classes) {
+                         const PolicyClassOptions& options) {
   if (!options.refine_by_reachability) {
     out.reindex();
     return;
@@ -254,9 +252,7 @@ void attach_reachability(PolicyClasses& out, const encode::NetworkModel& model,
     }
   }
 
-  if (refine_classes) {
-    refine_by_reach(model, out.classes, reach, in_budget);
-  }
+  refine_by_reach(model, out.classes, reach, in_budget);
   out.set_reach_signatures(std::move(scenario_failures), std::move(reach),
                            options.max_failures);
 }
@@ -399,20 +395,7 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
   PolicyClasses out;
   out.classes.reserve(groups.size());
   for (auto& [fp, hosts] : groups) out.classes.push_back(std::move(hosts));
-  attach_reachability(out, model, options, /*refine_classes=*/true);
-  return out;
-}
-
-PolicyClasses declared_policy_classes(const encode::NetworkModel& model,
-                                      const PolicyClassOptions& options) {
-  std::map<PolicyClassId, std::vector<NodeId>> groups;
-  for (NodeId h : model.network().hosts()) {
-    groups[model.policy_class(h)].push_back(h);
-  }
-  PolicyClasses out;
-  out.classes.reserve(groups.size());
-  for (auto& [cls, hosts] : groups) out.classes.push_back(std::move(hosts));
-  attach_reachability(out, model, options, /*refine_classes=*/false);
+  attach_reachability(out, model, options);
   return out;
 }
 

@@ -152,11 +152,4 @@ struct PolicyClasses {
 [[nodiscard]] PolicyClasses infer_policy_classes(
     const encode::NetworkModel& model, const PolicyClassOptions& options = {});
 
-/// Groups hosts by their assigned class id (declared classes). The declared
-/// grouping is the operator's intent and is never refined, but delivery
-/// signatures are still recorded (per `options`) so representative
-/// selection stays target-aware.
-[[nodiscard]] PolicyClasses declared_policy_classes(
-    const encode::NetworkModel& model, const PolicyClassOptions& options = {});
-
 }  // namespace vmn::slice

@@ -172,9 +172,7 @@ BatchResult Engine::run_batch(
                                  options_.verify, &p.ctx);
   out.plan_time = plan.plan_time;
   out.iso_mapped = plan.iso_mapped;
-  out.pool.invariant_count = invariants.size();
   out.pool.jobs_executed = plan.planned_jobs();
-  out.pool.dedup_hit_rate = plan.dedup_hit_rate();
   out.pool.merge_blockers = plan.merge_blockers;
   for (const Job& job : plan.jobs) {
     out.pool.iso_class_sizes.push_back(job.fan_out());
@@ -247,11 +245,9 @@ BatchResult Engine::run_batch(
   cache_.flush();
   out.degradation.cache_records_dropped = cache_.records_dropped();
   // Every executor abandons whole classes, the unit jobs_executed counts.
-  const std::size_t abandoned_total = out.degradation.abandoned_retries +
-                                      out.degradation.quarantined +
-                                      out.degradation.deadline_abandoned;
-  out.degradation.completed = out.pool.jobs_executed > abandoned_total
-                                  ? out.pool.jobs_executed - abandoned_total
+  const std::size_t abandoned_jobs = out.degradation.abandoned();
+  out.degradation.completed = out.pool.jobs_executed > abandoned_jobs
+                                  ? out.pool.jobs_executed - abandoned_jobs
                                   : 0;
   out.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
       Clock::now() - start);
@@ -349,37 +345,14 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
       for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
       process_groups.push_back(std::move(group));
     }
-    // The fault plan and escalation policy ride the verify options so the
-    // CLI's --faults / --no-escalate reach the workers unchanged; the
-    // deadline hands the pool whatever budget planning and the cache pass
-    // left (a floor of 1ms keeps "already expired" on the pool's own drain
-    // path instead of special-casing it here).
-    ProcessPoolOptions popts = options_.process;
-    popts.workers = width;
-    popts.faults = vo.faults;
-    popts.escalate_unknown = vo.escalate_unknown;
-    popts.escalation_timeout_mult = vo.escalation_timeout_mult;
-    if (deadline) {
-      popts.deadline = std::max(
-          std::chrono::milliseconds(1),
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              *deadline - Clock::now()));
-    }
-    ProcessPool pool(vo.solver, vo.warm_solving, popts);
-    ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups));
-    out.pool.workers = dispatch.workers;
-    out.pool.workers_spawned = dispatch.workers_spawned;
-    out.pool.workers_crashed = dispatch.workers_crashed;
-    out.pool.jobs_requeued = dispatch.jobs_requeued;
-    out.pool.jobs_abandoned = dispatch.jobs_abandoned;
-    out.degradation.quarantined = dispatch.jobs_quarantined;
-    out.degradation.deadline_abandoned = dispatch.jobs_deadline_abandoned;
-    out.degradation.abandoned_retries = dispatch.jobs_abandoned -
-                                        dispatch.jobs_quarantined -
-                                        dispatch.jobs_deadline_abandoned;
-    out.degradation.workers_respawned = dispatch.workers_respawned;
-    out.degradation.deadline_expired = dispatch.deadline_expired;
-    out.degradation.reasons = std::move(dispatch.reasons);
+    // The verify options carry the fault plan and escalation policy, so
+    // the CLI's --faults / --no-escalate reach the workers unchanged; the
+    // pool honours the batch deadline measured from run_batch entry and
+    // counts its fleet and abandonments straight into `out`.
+    const ProcessPool pool(width, vo, options_.process);
+    ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups),
+                                        deadline, out.pool, out.degradation);
+    out.pool.workers = std::move(dispatch.workers);
     for (std::size_t k = 0; k < to_solve.size(); ++k) {
       if (!dispatch.results[k]) continue;  // abandoned, counted by the pool
       const wire::WireResult& r = *dispatch.results[k];
@@ -389,7 +362,6 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
         // A digest-valid result naming nodes this model lacks (byzantine
         // or version-skewed worker binary): abandon the one job to an
         // unknown verdict instead of aborting a batch full of good ones.
-        ++out.pool.jobs_abandoned;
         ++out.degradation.abandoned_retries;
         out.degradation.reasons.push_back(
             "job " + std::to_string(to_solve[k]) +
@@ -402,7 +374,6 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
 
   add_counters(out, counters);
   if (const std::size_t n = deadline_skipped.load()) {
-    out.pool.jobs_abandoned += n;
     out.degradation.deadline_abandoned += n;
     out.degradation.deadline_expired = true;
     out.degradation.reasons.push_back("deadline expired with " +

@@ -19,7 +19,7 @@
 //    worker a task lands on);
 //  - process: a ProcessPool of forked workers speaking the wire protocol
 //    (verify/wire.hpp) - crash-tolerant, with each group's slice projected
-//    to a spec and the remaining deadline handed over.
+//    to a spec and the batch deadline handed over.
 // Shape groups are the planner's shape-adjacent runs; the pool executors
 // split the largest runs until there are as many groups as workers, so
 // warm reuse never costs fan-out. Group composition is a pure function of
@@ -71,14 +71,15 @@ struct EngineOptions {
   std::size_t jobs = 0;
   /// Thread or process fan-out (see Backend). Pool executors only.
   Backend backend = Backend::thread;
-  /// Process-executor knobs (retry budget, hang timeout, worker argv);
-  /// `workers` is taken from `jobs`.
+  /// Process-executor knobs: worker argv and hang timeout. Worker count,
+  /// deadline, solver and fault/escalation policy come from `jobs`,
+  /// `deadline` and `verify`, like every other executor's.
   ProcessPoolOptions process{};
   /// Batch budget measured from run_batch entry; 0 = none. On expiry no
   /// further job starts: jobs never attempted surface as unknown verdicts
   /// with the abandonment counted in `degradation`, in-flight jobs finish,
-  /// and `vmn verify` exits 2 (incomplete). Every executor honors it (the
-  /// process pool gets whatever budget planning and the cache pass left).
+  /// and `vmn verify` exits 2 (incomplete). Every executor honors it,
+  /// with planning and the cache pass counted against it.
   std::chrono::milliseconds deadline{0};
   /// Compute every invariant's problem key and fold invariants with equal
   /// keys into one solver class (section 4.2's symmetry argument, made

@@ -191,11 +191,14 @@ struct DegradationReport {
   /// Human-readable reasons, one per degradation event.
   std::vector<std::string> reasons;
 
+  /// Jobs abandoned to an unknown verdict, whatever the cause.
+  [[nodiscard]] std::size_t abandoned() const {
+    return abandoned_retries + quarantined + deadline_abandoned;
+  }
   /// Any verdict widened to unknown for infrastructure (not solver
   /// hardness) reasons, or the deadline expired.
   [[nodiscard]] bool degraded() const {
-    return deadline_expired || abandoned_retries > 0 || quarantined > 0 ||
-           deadline_abandoned > 0;
+    return deadline_expired || abandoned() > 0;
   }
   /// One-line summary for CLI output and logs.
   [[nodiscard]] std::string summary() const;

@@ -23,6 +23,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Dispatch budget per job (initial dispatch + requeues); an exhausted job
+/// is abandoned to an unknown verdict.
+constexpr int kMaxAttempts = 3;
+/// Replacement workers one slot may spawn after crashes or hangs before it
+/// retires.
+constexpr std::size_t kMaxRespawns = 2;
+/// Capped exponential backoff before the k-th respawn of a slot:
+/// min(cap, base << k) plus seeded jitter in [0, base).
+constexpr std::chrono::milliseconds kRespawnBackoffBase{25};
+constexpr std::chrono::milliseconds kRespawnBackoffCap{400};
+/// A job whose worker died this many times while it was in flight is
+/// quarantined (abandoned to unknown, never dispatched again).
+constexpr int kQuarantineKills = 2;
+
 /// A spawned worker process and the two pipe ends the parent keeps.
 struct WorkerProc {
   pid_t pid = -1;
@@ -205,12 +219,16 @@ void reap(FdRegistry& registry, WorkerProc& proc, bool kill_first) {
   proc.pid = -1;
 }
 
-/// Why a job was abandoned; jobs_abandoned always counts, the cause picks
-/// the subset counter and the report wording.
-enum class AbandonCause { retries, quarantine, deadline, no_workers };
+/// Why a job was abandoned: the cause picks the DegradationReport counter
+/// (a job outliving every worker counts as a retry abandonment).
+enum class AbandonCause { retries, quarantine, deadline };
 
-/// Everything the per-worker dispatcher threads share, under one mutex.
+/// Everything the per-worker dispatcher threads share, under one mutex -
+/// including the batch's own counters, which the threads update in place.
 struct DispatchState {
+  DispatchState(PoolStats& pool_stats, DegradationReport& report)
+      : pool(pool_stats), degradation(report) {}
+
   std::mutex mu;
   std::condition_variable cv;
   std::deque<ProcessGroup> queue;
@@ -220,14 +238,8 @@ struct DispatchState {
   std::vector<int> crash_kills;
   std::size_t outstanding = 0;  ///< jobs neither answered nor abandoned
   std::size_t alive_workers = 0;
-  std::size_t workers_crashed = 0;
-  std::size_t workers_respawned = 0;
-  std::size_t jobs_requeued = 0;
-  std::size_t jobs_abandoned = 0;
-  std::size_t jobs_quarantined = 0;
-  std::size_t jobs_deadline = 0;
-  bool deadline_expired = false;
-  std::vector<std::string> reasons;
+  PoolStats& pool;
+  DegradationReport& degradation;
 };
 
 /// Locked helper: abandon one undone job. Never overwrites an existing
@@ -235,9 +247,17 @@ struct DispatchState {
 void abandon_locked(DispatchState& state, std::size_t job_index,
                     AbandonCause cause) {
   if (state.results[job_index].has_value()) return;
-  ++state.jobs_abandoned;
-  if (cause == AbandonCause::quarantine) ++state.jobs_quarantined;
-  if (cause == AbandonCause::deadline) ++state.jobs_deadline;
+  switch (cause) {
+    case AbandonCause::retries:
+      ++state.degradation.abandoned_retries;
+      break;
+    case AbandonCause::quarantine:
+      ++state.degradation.quarantined;
+      break;
+    case AbandonCause::deadline:
+      ++state.degradation.deadline_abandoned;
+      break;
+  }
   --state.outstanding;
 }
 
@@ -247,15 +267,14 @@ void abandon_locked(DispatchState& state, std::size_t job_index,
 void requeue_or_abandon_locked(DispatchState& state,
                                const std::vector<wire::WireJob>& jobs,
                                const std::string& spec_text,
-                               const std::vector<std::size_t>& undone,
-                               int max_attempts) {
+                               const std::vector<std::size_t>& undone) {
   ProcessGroup retry;
   retry.spec_text = spec_text;
   for (std::size_t job_index : undone) {
     if (state.results[job_index].has_value()) continue;
-    if (state.attempts[job_index] >= max_attempts) {
+    if (state.attempts[job_index] >= kMaxAttempts) {
       abandon_locked(state, job_index, AbandonCause::retries);
-      state.reasons.push_back(
+      state.degradation.reasons.push_back(
           "job " + std::to_string(jobs[job_index].id) + " abandoned after " +
           std::to_string(state.attempts[job_index]) + " attempts");
     } else {
@@ -263,7 +282,7 @@ void requeue_or_abandon_locked(DispatchState& state,
     }
   }
   if (!retry.jobs.empty()) {
-    state.jobs_requeued += retry.jobs.size();
+    state.pool.jobs_requeued += retry.jobs.size();
     state.queue.push_back(std::move(retry));
   }
 }
@@ -287,32 +306,35 @@ void drain_deadline_locked(DispatchState& state,
     }
     state.queue.pop_front();
   }
-  if (!state.deadline_expired) {
-    state.deadline_expired = true;
-    state.reasons.push_back("deadline expired with " +
-                            std::to_string(drained) +
-                            " jobs not yet attempted");
+  DegradationReport& report = state.degradation;
+  if (!report.deadline_expired) {
+    report.deadline_expired = true;
+    report.reasons.push_back("deadline expired with " +
+                             std::to_string(drained) +
+                             " jobs not yet attempted");
   } else if (drained > 0) {
-    state.reasons.push_back("deadline drain: " + std::to_string(drained) +
-                            " more jobs not attempted");
+    report.reasons.push_back("deadline drain: " + std::to_string(drained) +
+                             " more jobs not attempted");
   }
 }
 
 }  // namespace
 
-ProcessPool::ProcessPool(smt::SolverOptions solver, bool warm_solving,
+ProcessPool::ProcessPool(std::size_t workers, const VerifyOptions& verify,
                          ProcessPoolOptions options)
-    : solver_(solver), warm_(warm_solving), options_(std::move(options)) {}
+    : workers_(workers), verify_(verify), options_(std::move(options)) {}
 
 ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
-                                 std::vector<ProcessGroup> groups) const {
+                                 std::vector<ProcessGroup> groups,
+                                 std::optional<Clock::time_point> deadline,
+                                 PoolStats& pool,
+                                 DegradationReport& degradation) const {
   ProcessDispatch out;
   out.results.resize(jobs.size());
   if (jobs.empty() || groups.empty()) return out;
 
-  std::size_t requested = options_.workers != 0
-                              ? options_.workers
-                              : std::thread::hardware_concurrency();
+  std::size_t requested = workers_ != 0 ? workers_
+                                        : std::thread::hardware_concurrency();
   if (requested == 0) requested = 1;
   const std::size_t worker_count =
       std::max<std::size_t>(1, std::min(requested, groups.size()));
@@ -320,14 +342,9 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   const std::chrono::milliseconds hang_timeout =
       options_.hang_timeout.count() > 0
           ? options_.hang_timeout
-          : std::chrono::milliseconds(2ull * solver_.timeout_ms + 30000);
-  const int max_attempts = std::max(1, options_.max_attempts);
-  const int quarantine_kills = std::max(1, options_.quarantine_kills);
-  const std::string fault_plan_text = options_.faults.to_string();
-  const std::optional<Clock::time_point> deadline =
-      options_.deadline.count() > 0
-          ? std::optional<Clock::time_point>(Clock::now() + options_.deadline)
-          : std::nullopt;
+          : std::chrono::milliseconds(2ull * verify_.solver.timeout_ms +
+                                      30000);
+  const std::string fault_plan_text = verify_.faults.to_string();
 
   // A worker dying mid-write must surface as EPIPE on the dispatcher
   // thread, not as a process-wide SIGPIPE.
@@ -350,7 +367,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
     std::optional<WorkerProc> proc = spawn_worker();
     if (proc) procs.push_back(*proc);
   }
-  std::atomic<std::size_t> workers_spawned{procs.size()};
+  pool.workers_spawned += procs.size();
   // Monotonic worker identity for fault targeting: the initial fleet gets
   // 0..n-1, every respawn a fresh ordinal - FaultPlan::kill_worker kills
   // one incarnation, not its slot forever.
@@ -358,7 +375,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
       static_cast<std::uint32_t>(procs.size())};
   out.workers.resize(procs.size());
 
-  DispatchState state;
+  DispatchState state(pool, degradation);
   state.results.resize(jobs.size());
   state.attempts.resize(jobs.size(), 0);
   state.crash_kills.resize(jobs.size(), 0);
@@ -370,8 +387,8 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
 
   if (procs.empty()) {
     // Nothing to dispatch on: every job is abandoned, loudly.
-    out.jobs_abandoned = state.outstanding;
-    out.reasons.push_back("no workers could be spawned");
+    degradation.abandoned_retries += state.outstanding;
+    degradation.reasons.push_back("no workers could be spawned");
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
     return out;
   }
@@ -408,11 +425,10 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
 
       wire::WireModel model;
       model.worker_index = ordinal;
-      model.warm_solving = warm_;
-      model.solver = solver_;
+      model.warm_solving = verify_.warm_solving;
+      model.solver = verify_.solver;
       model.fault_plan = fault_plan_text;
-      model.escalate_unknown = options_.escalate_unknown;
-      model.escalation_timeout_mult = options_.escalation_timeout_mult;
+      model.escalate_unknown = verify_.escalate_unknown;
       model.spec_text = group.spec_text;
       if (!write_all_fd(proc.to_child,
                      wire::encode_frame(wire::FrameType::model,
@@ -472,8 +488,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
           // elsewhere within the attempt budget (some other job of the
           // group may still succeed here).
           std::lock_guard<std::mutex> lk(state.mu);
-          requeue_or_abandon_locked(state, jobs, group.spec_text, {job_index},
-                                    max_attempts);
+          requeue_or_abandon_locked(state, jobs, group.spec_text, {job_index});
           state.cv.notify_all();
           continue;
         }
@@ -490,16 +505,16 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
       bool work_remains = false;
       {
         std::lock_guard<std::mutex> lk(state.mu);
-        ++state.workers_crashed;
+        ++pool.workers_crashed;
         // Crash-loop attribution: charge the death to the job that was in
         // flight; a job that keeps killing workers is quarantined instead
         // of requeued, so it can never eat the whole fleet's respawn
         // budget.
         if (in_flight && !state.results[*in_flight].has_value()) {
           const std::size_t victim = *in_flight;
-          if (++state.crash_kills[victim] >= quarantine_kills) {
+          if (++state.crash_kills[victim] >= kQuarantineKills) {
             abandon_locked(state, victim, AbandonCause::quarantine);
-            state.reasons.push_back(
+            degradation.reasons.push_back(
                 "job " + std::to_string(jobs[victim].id) +
                 " quarantined after killing " +
                 std::to_string(state.crash_kills[victim]) + " workers");
@@ -507,8 +522,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
                          undone.end());
           }
         }
-        requeue_or_abandon_locked(state, jobs, group.spec_text, undone,
-                                  max_attempts);
+        requeue_or_abandon_locked(state, jobs, group.spec_text, undone);
         work_remains = state.outstanding > 0;
         state.cv.notify_all();
       }
@@ -516,20 +530,20 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
       // Self-healing: replace the dead worker (capped exponential backoff,
       // bounded per slot) while there is still work it could do.
       bool respawned = false;
-      while (work_remains && respawns_used < options_.max_respawns) {
-        const std::chrono::milliseconds pause = respawn_backoff(
-            options_.faults.seed, slot, respawns_used,
-            options_.respawn_backoff_base, options_.respawn_backoff_cap);
+      while (work_remains && respawns_used < kMaxRespawns) {
+        const std::chrono::milliseconds pause =
+            respawn_backoff(verify_.faults.seed, slot, respawns_used,
+                            kRespawnBackoffBase, kRespawnBackoffCap);
         ++respawns_used;
         if (pause.count() > 0) std::this_thread::sleep_for(pause);
         std::optional<WorkerProc> replacement = spawn_worker();
         if (!replacement) continue;  // burn a respawn, back off longer
         proc = *replacement;
         ordinal = next_ordinal.fetch_add(1, std::memory_order_relaxed);
-        workers_spawned.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lk(state.mu);
-          ++state.workers_respawned;
+          ++pool.workers_spawned;
+          ++degradation.workers_respawned;
         }
         respawned = true;
         break;
@@ -545,14 +559,14 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
         while (!state.queue.empty()) {
           for (std::size_t job_index : state.queue.front().jobs) {
             if (!state.results[job_index].has_value()) ++drained;
-            abandon_locked(state, job_index, AbandonCause::no_workers);
+            abandon_locked(state, job_index, AbandonCause::retries);
           }
           state.queue.pop_front();
         }
         if (drained > 0) {
-          state.reasons.push_back("no surviving workers: " +
-                                  std::to_string(drained) +
-                                  " queued jobs abandoned");
+          degradation.reasons.push_back("no surviving workers: " +
+                                        std::to_string(drained) +
+                                        " queued jobs abandoned");
         }
       }
       state.cv.notify_all();
@@ -570,15 +584,6 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
   out.results = std::move(state.results);
-  out.workers_spawned = workers_spawned.load();
-  out.workers_crashed = state.workers_crashed;
-  out.workers_respawned = state.workers_respawned;
-  out.jobs_requeued = state.jobs_requeued;
-  out.jobs_abandoned = state.jobs_abandoned;
-  out.jobs_quarantined = state.jobs_quarantined;
-  out.jobs_deadline_abandoned = state.jobs_deadline;
-  out.deadline_expired = state.deadline_expired;
-  out.reasons = std::move(state.reasons);
   return out;
 }
 

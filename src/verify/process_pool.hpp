@@ -10,24 +10,25 @@
 // Crash tolerance is the point of the exercise: a worker that exits, is
 // killed, or stops answering within the hang timeout is reaped, and every
 // job it had not answered is requeued onto the surviving workers. Requeues
-// are bounded (max_attempts dispatches per job); a job that exhausts its
+// are bounded (kMaxAttempts dispatches per job); a job that exhausts its
 // budget - or outlives every worker - is *abandoned*: it surfaces as an
 // unknown verdict with the abandonment counted, never as a silently missing
 // result.
 //
 // Self-healing: a slot whose worker dies respawns a replacement (capped
-// exponential backoff with seeded jitter, at most max_respawns per slot),
+// exponential backoff with seeded jitter, at most kMaxRespawns per slot),
 // so one bad worker - or a chaos plan killing several - does not shrink the
 // fleet for the rest of the batch. Respawning alone would let a
 // *deterministic* crasher (a job that kills whichever worker runs it) eat
 // every respawn budget in turn, so crashes are attributed to the job that
-// was in flight: a job that has killed quarantine_kills workers is
+// was in flight: a job that has killed kQuarantineKills workers is
 // quarantined - abandoned to an unknown verdict, counted and named in the
 // dispatch report - and the fleet keeps going. The no-survivors path stays
 // reachable (respawn budgets are finite), so the bounded-retry guarantee
 // still means what it said.
 //
-// Graceful degradation: an optional deadline (measured from run()) stops
+// Graceful degradation: the batch deadline (EngineOptions::deadline,
+// measured from Engine::run_batch like every executor's) stops
 // dispatching when it expires - jobs never attempted are abandoned with a
 // deadline cause, in-flight jobs finish, and the caller gets a partial
 // result set plus accurate counters instead of an open-ended wait.
@@ -56,39 +57,18 @@
 
 namespace vmn::verify {
 
+/// The process executor's own knobs. Everything else - worker count,
+/// deadline, solver, warm solving, fault plan, escalation - comes from the
+/// EngineOptions/VerifyOptions the Engine already holds; the retry, respawn
+/// and quarantine budgets are fixed constants (see process_pool.cpp).
 struct ProcessPoolOptions {
-  /// Worker processes; 0 picks std::thread::hardware_concurrency().
-  std::size_t workers = 0;
-  /// Dispatch budget per job (initial dispatch + requeues). Exhausted jobs
-  /// are abandoned to an unknown verdict.
-  int max_attempts = 3;
+  /// argv of the worker to fork+exec; empty runs wire::worker_main in a
+  /// forked child of this process.
+  std::vector<std::string> worker_command;
   /// How long the dispatcher waits for one job's result before declaring
   /// the worker hung and killing it. 0 derives a budget from the solver
   /// timeout (2x + 30s) so a wedged worker can never stall the batch.
   std::chrono::milliseconds hang_timeout{0};
-  /// argv of the worker to fork+exec; empty runs wire::worker_main in a
-  /// forked child of this process.
-  std::vector<std::string> worker_command;
-  /// Fault plan shipped to workers in the MODEL frame (and whose seed
-  /// drives the respawn-backoff jitter). Default injects nothing.
-  FaultPlan faults;
-  /// Unknown-escalation policy forwarded to worker sessions (see
-  /// VerifyOptions::escalate_unknown).
-  bool escalate_unknown = true;
-  std::uint32_t escalation_timeout_mult = 2;
-  /// Respawn budget per slot: how many replacement workers one slot may
-  /// spawn after crashes/hangs before it retires.
-  std::size_t max_respawns = 2;
-  /// Capped exponential backoff before the k-th respawn of a slot:
-  /// min(cap, base << k) plus seeded jitter in [0, base).
-  std::chrono::milliseconds respawn_backoff_base{25};
-  std::chrono::milliseconds respawn_backoff_cap{400};
-  /// A job whose worker died this many times while it was in flight is
-  /// quarantined (abandoned to unknown, never dispatched again).
-  int quarantine_kills = 2;
-  /// Batch budget measured from run() entry; 0 = none. On expiry,
-  /// not-yet-attempted jobs are abandoned with a deadline cause.
-  std::chrono::milliseconds deadline{0};
 };
 
 /// One unit of dispatch: the projected model its jobs execute in, plus the
@@ -98,47 +78,36 @@ struct ProcessGroup {
   std::vector<std::size_t> jobs;
 };
 
+/// What run() hands back besides the counters it adds to the batch.
 struct ProcessDispatch {
   /// Aligned with the job vector; nullopt marks an abandoned job.
   std::vector<std::optional<wire::WireResult>> results;
   std::vector<WorkerStats> workers;
-  /// Workers ever spawned (initial fleet + respawned replacements).
-  std::size_t workers_spawned = 0;
-  std::size_t workers_crashed = 0;
-  /// Replacement workers spawned after a crash or hang.
-  std::size_t workers_respawned = 0;
-  /// Jobs re-dispatched after a worker crash/hang or a worker-side error.
-  std::size_t jobs_requeued = 0;
-  /// Jobs that exhausted max_attempts or outlived every worker - a
-  /// superset: quarantined and deadline-abandoned jobs count here too.
-  std::size_t jobs_abandoned = 0;
-  /// Of the abandoned: jobs quarantined by crash-loop attribution.
-  std::size_t jobs_quarantined = 0;
-  /// Of the abandoned: jobs never attempted because the deadline expired.
-  std::size_t jobs_deadline_abandoned = 0;
-  /// The batch deadline expired before the queue drained.
-  bool deadline_expired = false;
-  /// One human-readable line per degradation event (quarantine, retry
-  /// exhaustion, deadline expiry, fleet loss).
-  std::vector<std::string> reasons;
 };
 
 class ProcessPool {
  public:
-  ProcessPool(smt::SolverOptions solver, bool warm_solving,
+  /// `workers` == 0 picks std::thread::hardware_concurrency(). `verify`
+  /// supplies the solver options, warm solving, fault plan (shipped to
+  /// workers in the MODEL frame; its seed also drives the respawn-backoff
+  /// jitter) and escalation policy.
+  ProcessPool(std::size_t workers, const VerifyOptions& verify,
               ProcessPoolOptions options);
 
   /// Dispatches every group, blocking until each job is answered or
-  /// abandoned. Thread-safe against nothing: call from one thread, before
-  /// spawning unrelated threads (fork() is involved).
-  [[nodiscard]] ProcessDispatch run(const std::vector<wire::WireJob>& jobs,
-                                    std::vector<ProcessGroup> groups) const;
-
-  [[nodiscard]] const ProcessPoolOptions& options() const { return options_; }
+  /// abandoned; past `deadline` no further job starts. Fleet and
+  /// abandonment counters (spawned, crashed, requeued / respawned,
+  /// abandoned by cause, deadline expiry, reasons) are added to `pool` and
+  /// `degradation`. Thread-safe against nothing: call from one thread,
+  /// before spawning unrelated threads (fork() is involved).
+  [[nodiscard]] ProcessDispatch run(
+      const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
+      std::optional<std::chrono::steady_clock::time_point> deadline,
+      PoolStats& pool, DegradationReport& degradation) const;
 
  private:
-  smt::SolverOptions solver_;
-  bool warm_ = true;
+  std::size_t workers_;
+  VerifyOptions verify_;
   ProcessPoolOptions options_;
 };
 

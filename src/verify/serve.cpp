@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -198,8 +199,10 @@ std::string ServeState::cmd_verdict(const std::string& which) const {
   auto name = [&](NodeId n) { return net.name(n); };
   std::size_t index = last_batch_.results.size();
   if (all_digits(sel)) {
-    index = static_cast<std::size_t>(std::stoull(sel));
-    if (index >= last_batch_.results.size()) {
+    // An index too large for size_t is out of range like any other.
+    const std::from_chars_result parsed =
+        std::from_chars(sel.data(), sel.data() + sel.size(), index);
+    if (parsed.ec != std::errc{} || index >= last_batch_.results.size()) {
       return "ERR invariant index " + sel + " out of range (have " +
              std::to_string(last_batch_.results.size()) + ")";
     }
@@ -281,7 +284,7 @@ std::string ServeState::cmd_stats() const {
      << ",\"workers_crashed\":" << b.pool.workers_crashed
      << ",\"workers_respawned\":" << b.degradation.workers_respawned
      << ",\"jobs_requeued\":" << b.pool.jobs_requeued
-     << ",\"jobs_abandoned\":" << b.pool.jobs_abandoned
+     << ",\"jobs_abandoned\":" << b.degradation.abandoned()
      << "}"
      << ",\"lifetime\":{"
      << "\"batches\":" << stats_.batches

@@ -10,6 +10,13 @@
 
 namespace vmn::verify {
 
+namespace {
+
+/// An escalated retry's solver timeout, as a multiple of the session's.
+constexpr std::uint64_t kEscalationTimeoutMult = 2;
+
+}  // namespace
+
 SessionCounters& SessionCounters::operator+=(const SessionCounters& other) {
   binds += other.binds;
   warm_reuses += other.warm_reuses;
@@ -51,12 +58,8 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   }
   ++counters_.escalations;
   smt::SolverOptions esc = options_;
-  const std::uint64_t mult =
-      resilience_.escalation_timeout_mult > 0
-          ? resilience_.escalation_timeout_mult
-          : 2;
   const std::uint64_t timeout =
-      static_cast<std::uint64_t>(options_.timeout_ms) * mult;
+      static_cast<std::uint64_t>(options_.timeout_ms) * kEscalationTimeoutMult;
   esc.timeout_ms = timeout > 0xffffffffull
                        ? 0xffffffffu
                        : static_cast<std::uint32_t>(timeout);

@@ -35,13 +35,12 @@ namespace vmn::verify {
 /// Session-level robustness policy: which faults to inject into solver
 /// checks (FaultInjector; default injects nothing) and whether to escalate
 /// unknown verdicts - retry once on a fresh context with the timeout
-/// multiplied and the solver seed perturbed - before accepting unknown.
+/// doubled and the solver seed perturbed - before accepting unknown.
 /// The Engine derives this from VerifyOptions; a default-constructed value is
 /// the historical behavior.
 struct SessionResilience {
   FaultInjector faults;
   bool escalate_unknown = false;
-  std::uint32_t escalation_timeout_mult = 2;
 };
 
 /// A session's solver traffic: contexts built cold vs answered warm (and,
@@ -98,11 +97,11 @@ class SolverSession {
                       std::vector<NodeId> members, int max_failures);
 
   /// A fresh context over the *current* warm shape with escalated options
-  /// (timeout x escalation_timeout_mult, perturbed seed), for retrying an
-  /// unknown verdict. Kept separate from the warm context so escalation
-  /// never leaks its options into later jobs; freed by reset_warm. Must
-  /// follow a warm_bind (asserts on the warm shape being set). Counts one
-  /// escalation; callers report a rescue via note_escalation_rescued.
+  /// (timeout doubled, perturbed seed), for retrying an unknown verdict.
+  /// Kept separate from the warm context so escalation never leaks its
+  /// options into later jobs; freed by reset_warm. Must follow a warm_bind
+  /// (asserts on the warm shape being set). Counts one escalation; callers
+  /// report a rescue via note_escalation_rescued.
   WarmBound escalate_bind();
   void note_escalation_rescued() { ++counters_.escalations_rescued; }
 

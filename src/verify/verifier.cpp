@@ -23,20 +23,6 @@ std::string to_string(Outcome outcome) {
   return "?";
 }
 
-void TimingHistogram::record(std::chrono::milliseconds ms) {
-  std::size_t bucket = 0;
-  for (auto v = ms.count(); v > 0; v >>= 1) ++bucket;
-  if (buckets.size() <= bucket) buckets.resize(bucket + 1);
-  ++buckets[bucket];
-  raw.push_back(ms);
-}
-
-std::size_t TimingHistogram::samples() const {
-  std::size_t n = 0;
-  for (std::size_t b : buckets) n += b;
-  return n;
-}
-
 std::chrono::milliseconds TimingHistogram::percentile(double p) const {
   if (raw.empty()) return std::chrono::milliseconds{0};
   std::vector<std::chrono::milliseconds> sorted = raw;
@@ -52,6 +38,13 @@ std::chrono::milliseconds TimingHistogram::percentile(double p) const {
 }
 
 std::string TimingHistogram::to_string() const {
+  std::vector<std::size_t> buckets;
+  for (const std::chrono::milliseconds ms : raw) {
+    std::size_t bucket = 0;
+    for (auto v = ms.count(); v > 0; v >>= 1) ++bucket;
+    if (buckets.size() <= bucket) buckets.resize(bucket + 1);
+    ++buckets[bucket];
+  }
   std::string out;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i] == 0) continue;
@@ -78,9 +71,7 @@ slice::PolicyClasses build_policy_classes(const encode::NetworkModel& model,
   slice::PolicyClassOptions popts;
   popts.max_failures = options.max_failures;
   popts.transfers = &ctx.transfers;
-  return options.infer_policy_classes
-             ? slice::infer_policy_classes(model, popts)
-             : slice::declared_policy_classes(model, popts);
+  return slice::infer_policy_classes(model, popts);
 }
 
 VerifyResult result_from_cache(const ResultCache::Entry& entry,
@@ -577,7 +568,6 @@ SessionResilience session_resilience(const VerifyOptions& options) {
   SessionResilience resilience;
   resilience.faults = FaultInjector(options.faults);
   resilience.escalate_unknown = options.escalate_unknown;
-  resilience.escalation_timeout_mult = options.escalation_timeout_mult;
   return resilience;
 }
 

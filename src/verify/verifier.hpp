@@ -44,9 +44,6 @@ struct VerifyOptions {
   bool use_slices = true;
   /// Failure budget: how many nodes may fail simultaneously.
   int max_failures = 0;
-  /// Use inferred policy classes (configuration fingerprints) rather than
-  /// the declared ones for slices and symmetry.
-  bool infer_policy_classes = true;
   /// Keep each solver session's base encoding and Z3 context alive across
   /// consecutive jobs sharing a slice shape (base axioms asserted once,
   /// per-invariant negation pushed/popped), and rebind class
@@ -71,11 +68,10 @@ struct VerifyOptions {
   /// backend; solver and cache faults bite everywhere.
   FaultPlan faults;
   /// Retry unknown verdicts once on a fresh context with the timeout
-  /// multiplied by escalation_timeout_mult and the solver seed perturbed,
-  /// before accepting unknown. Widening-only: a definitive escalated
-  /// answer replaces unknown, never the other way around.
+  /// doubled and the solver seed perturbed, before accepting unknown.
+  /// Widening-only: a definitive escalated answer replaces unknown, never
+  /// the other way around.
   bool escalate_unknown = true;
-  std::uint32_t escalation_timeout_mult = 2;
 };
 
 struct VerifyResult {
@@ -95,53 +91,44 @@ struct VerifyResult {
   bool from_cache = false;
 };
 
-/// Log2-bucketed per-job solve times: bucket i counts jobs whose solve time
-/// fell in [2^(i-1), 2^i) ms (bucket 0 is < 1 ms). The raw samples are
-/// kept alongside the buckets (one entry per solver call - bounded by the
-/// batch's job count) so the tail is reportable exactly: BENCH_parallel
+/// Per-job solve times, one raw sample per solver call (bounded by the
+/// batch's job count), so the tail is reportable exactly: BENCH_parallel
 /// and the CLI summary surface p50/p95/max, not just the mean.
 struct TimingHistogram {
-  std::vector<std::size_t> buckets;
   /// Every recorded sample, in record order.
   std::vector<std::chrono::milliseconds> raw;
 
-  void record(std::chrono::milliseconds ms);
-  [[nodiscard]] std::size_t samples() const;
+  void record(std::chrono::milliseconds ms) { raw.push_back(ms); }
   /// Nearest-rank percentile (p in [0, 100]) of the raw samples; 0ms when
   /// empty. percentile(100) is the max.
   [[nodiscard]] std::chrono::milliseconds percentile(double p) const;
   [[nodiscard]] std::chrono::milliseconds max() const { return percentile(100.0); }
-  /// e.g. "<1ms:3 1-2ms:1 8-16ms:7"
+  /// Log2 buckets of the samples: bucket i counts solve times in
+  /// [2^(i-1), 2^i) ms (bucket 0 is < 1 ms), e.g. "<1ms:3 1-2ms:1 8-16ms:7".
   [[nodiscard]] std::string to_string() const;
 };
 
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
 /// batch deduplicated and fanned out. Every executor fills the plan half
-/// (invariants, classes, merge blockers); the worker half is empty under the inline
+/// (classes, merge blockers); the worker half is empty under the inline
 /// executor (no pool) and the crash counters additionally zero under the
 /// thread executor (threads do not crash independently).
 struct PoolStats {
-  std::size_t invariant_count = 0;
   /// Planned solver classes (JobPlan::planned_jobs): cache hits answer
   /// some without scheduling them, and abandonment leaves others unsolved
   /// - see BatchResult::solver_calls for actual solves.
   std::size_t jobs_executed = 0;
-  /// (invariants - solver classes) / invariants.
-  double dedup_hit_rate = 0.0;
   /// Crash accounting: worker processes spawned/lost (0 under the thread
-  /// backend), jobs re-dispatched after a crash or hang, and jobs
-  /// abandoned to an unknown verdict - retries exhausted, quarantined,
-  /// or past the deadline; every executor counts deadline abandonments
-  /// here (never silently dropped).
+  /// backend) and jobs re-dispatched after a crash or hang. Abandoned jobs
+  /// are counted by cause in BatchResult::degradation.
   std::size_t workers_spawned = 0;
   std::size_t workers_crashed = 0;
   std::size_t jobs_requeued = 0;
-  std::size_t jobs_abandoned = 0;
   TimingHistogram solve_histogram;
   std::vector<WorkerStats> workers;
   /// Equivalence-class fan-out: one entry per solver class, its value the
   /// number of invariants the class's single solve answers (1 =
-  /// unmerged). Sum == invariant_count.
+  /// unmerged). Sum == BatchResult::results.size().
   std::vector<std::size_t> iso_class_sizes;
   /// Refused candidate merges (JobPlan::merge_blockers): per distinct
   /// refusal diagnostic, the blocking box type (when configuration was the
@@ -201,6 +188,14 @@ struct BatchResult {
   DegradationReport degradation;
   /// Plan and fan-out diagnostics (see PoolStats).
   PoolStats pool;
+
+  /// Fraction of the batch answered without a solver class of its own:
+  /// (invariants - solver classes) / invariants.
+  [[nodiscard]] double dedup_hit_rate() const {
+    if (results.empty()) return 0.0;
+    return static_cast<double>(results.size() - pool.jobs_executed) /
+           static_cast<double>(results.size());
+  }
 };
 
 /// Reads a counterexample schedule out of a satisfying model.
@@ -208,7 +203,7 @@ struct BatchResult {
                                   const smt::SmtModel& model);
 
 /// The session-level robustness policy `options` asks for (fault injector
-/// + escalation knobs), applied to every SolverSession an executor - or a
+/// + escalation switch), applied to every SolverSession an executor - or a
 /// wire worker - solves with.
 [[nodiscard]] SessionResilience session_resilience(
     const VerifyOptions& options);
@@ -220,10 +215,9 @@ struct BatchResult {
 [[nodiscard]] VerifyResult result_from_cache(const ResultCache::Entry& entry,
                                              const encode::Invariant& invariant);
 
-/// The policy classes a verification run plans with: inferred
-/// (configuration fingerprints refined by per-scenario reachability
-/// signatures, budgeted by options.max_failures) or declared, per
-/// options.infer_policy_classes. The Engine builds its classes through
+/// The policy classes a verification run plans with: configuration
+/// fingerprints refined by per-scenario reachability signatures, budgeted
+/// by options.max_failures. The Engine builds its classes through
 /// this one function, on its own PlanContext, so the refinement's
 /// dataplane walks land in the same per-scenario memo every later plan
 /// pass draws from (planning re-walks nothing the refinement already

@@ -175,7 +175,6 @@ std::string encode_model(const WireModel& model) {
   w.u32(model.solver.seed);
   w.str(model.fault_plan);
   w.u8(model.escalate_unknown ? 1 : 0);
-  w.u32(model.escalation_timeout_mult);
   w.str(model.spec_text);
   return std::move(w).take();
 }
@@ -189,7 +188,6 @@ WireModel decode_model(std::string_view payload) {
   model.solver.seed = r.u32();
   model.fault_plan = r.str();
   model.escalate_unknown = r.u8() != 0;
-  model.escalation_timeout_mult = r.u32();
   model.spec_text = r.str();
   r.finish();
   return model;
@@ -533,7 +531,6 @@ int worker_main(std::FILE* in, std::FILE* out) {
         SessionResilience resilience;
         resilience.faults = injector;
         resilience.escalate_unknown = model.escalate_unknown;
-        resilience.escalation_timeout_mult = model.escalation_timeout_mult;
         session->set_resilience(std::move(resilience));
         continue;
       }

@@ -62,8 +62,10 @@ class WireError : public Error {
 /// and the canonical key - workers return encode-space results and the
 /// dispatcher fans each verdict out to its bindings (verify::bind_result),
 /// so frames shrink and a merged equivalence class crosses the pipe once.
+/// v4 -> v5: MODEL frames drop the escalation timeout multiplier (a fixed
+/// constant of the worker's session now, no longer a setting).
 /// Version skew on either side is a WireError, never a misread.
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Upper bound on a single payload (a projected spec of a pathological
 /// slice stays far below this; anything larger is a corrupt length field).
@@ -110,10 +112,9 @@ struct WireModel {
   /// Serialized verify::FaultPlan (FaultPlan::to_string; empty = none).
   /// The worker merges the legacy VMN_WORKER_FAULT env shim on top.
   std::string fault_plan;
-  /// Unknown-verdict escalation policy (VerifyOptions::escalate_unknown /
-  /// escalation_timeout_mult), applied worker-side in verify_members.
+  /// Unknown-verdict escalation policy (VerifyOptions::escalate_unknown),
+  /// applied worker-side in verify_members.
   bool escalate_unknown = false;
-  std::uint32_t escalation_timeout_mult = 2;
   /// io::write_projected_spec output (network only, no invariants).
   std::string spec_text;
 };

@@ -229,7 +229,7 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
       Engine(e.model, opts).run_batch(e.invariants);
 
   EXPECT_EQ(r.degradation.quarantined, 1u);
-  EXPECT_EQ(r.pool.jobs_abandoned, 1u);  // quarantined subset of abandoned
+  EXPECT_EQ(r.degradation.abandoned(), 1u);  // quarantined subset of abandoned
   EXPECT_EQ(r.pool.workers_crashed, 2u);  // the two kills that convicted it
   EXPECT_GE(r.degradation.workers_respawned, 1u);
   EXPECT_TRUE(r.degradation.degraded());
@@ -267,7 +267,7 @@ TEST_P(InProcess, DeadlineExpiryYieldsPartialResultsWithAccurateCounters) {
   EXPECT_GE(r.degradation.deadline_abandoned, 1u);
   EXPECT_EQ(r.degradation.completed + r.degradation.deadline_abandoned,
             r.pool.jobs_executed);
-  EXPECT_EQ(r.pool.jobs_abandoned, r.degradation.deadline_abandoned);
+  EXPECT_EQ(r.degradation.abandoned(), r.degradation.deadline_abandoned);
   EXPECT_FALSE(r.degradation.reasons.empty());
   ASSERT_EQ(r.results.size(), e.invariants.size());
   std::size_t unknowns = 0;
@@ -300,7 +300,7 @@ TEST_P(InProcess, DeadlineCountsMergedClassesInOneUnit) {
   ASSERT_EQ(invariants.size(), 16u);
   EXPECT_LT(r.pool.jobs_executed, invariants.size());  // merged
   EXPECT_TRUE(r.degradation.deadline_expired);
-  EXPECT_EQ(r.degradation.completed + r.pool.jobs_abandoned,
+  EXPECT_EQ(r.degradation.completed + r.degradation.abandoned(),
             r.pool.jobs_executed);
   EXPECT_EQ(r.degradation.completed, 0u);
   EXPECT_EQ(r.solver_calls, 0u);

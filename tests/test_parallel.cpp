@@ -126,7 +126,7 @@ TEST_P(ExecutorAgreement, MatchesInline) {
     if (std::string_view(executor) == "process") {
       EXPECT_GT(got.pool.workers_spawned, 0u);
       EXPECT_EQ(got.pool.workers_crashed, 0u);
-      EXPECT_EQ(got.pool.jobs_abandoned, 0u);
+      EXPECT_EQ(got.degradation.abandoned(), 0u);
     }
     EXPECT_EQ(got.pool.jobs_executed, expected.pool.jobs_executed);
     ASSERT_EQ(got.results.size(), expected.results.size());
@@ -862,8 +862,8 @@ void expect_process_warm_matches_cold(const encode::NetworkModel& model,
       Engine(model, warm).run_batch(batch.invariants);
   BatchResult cold_r =
       Engine(model, cold).run_batch(batch.invariants);
-  EXPECT_EQ(warm_r.pool.jobs_abandoned, 0u);
-  EXPECT_EQ(cold_r.pool.jobs_abandoned, 0u);
+  EXPECT_EQ(warm_r.degradation.abandoned(), 0u);
+  EXPECT_EQ(cold_r.degradation.abandoned(), 0u);
   EXPECT_EQ(cold_r.warm_reuses, 0u);
   EXPECT_EQ(cold_r.iso_reuses, 0u);
   EXPECT_EQ(cold_r.iso_verdict_reuses, 0u);
@@ -998,7 +998,7 @@ TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   EXPECT_EQ(r.pool.workers_crashed, 1u);
   EXPECT_EQ(r.degradation.workers_respawned, 1u);
   EXPECT_GE(r.pool.jobs_requeued, 1u);
-  EXPECT_EQ(r.pool.jobs_abandoned, 0u);
+  EXPECT_EQ(r.degradation.abandoned(), 0u);
   EXPECT_FALSE(r.degradation.degraded());
   ASSERT_EQ(r.results.size(), reference.results.size());
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {
@@ -1020,7 +1020,7 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
   BatchResult r =
       Engine(e.model, process_opts(2)).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_crashed, r.pool.workers_spawned);
-  EXPECT_EQ(r.pool.jobs_abandoned, r.pool.jobs_executed);
+  EXPECT_EQ(r.degradation.abandoned(), r.pool.jobs_executed);
   EXPECT_EQ(r.solver_calls, 0u);
   ASSERT_EQ(r.results.size(), e.invariants.size());
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {

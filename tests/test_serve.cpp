@@ -386,6 +386,7 @@ TEST(ServeProtocol, MalformedLinesAnswerErrWithoutKillingTheDaemon) {
       "BOGUS",
       "VERDICT",
       "VERDICT 99",
+      "VERDICT 99999999999999999999",
       "VERDICT -1",
       "VERDICT no-such-invariant",
       "STATUS extra-operand",
@@ -395,6 +396,8 @@ TEST(ServeProtocol, MalformedLinesAnswerErrWithoutKillingTheDaemon) {
   for (const std::string& line : bad) {
     const std::string resp = state.handle_line(line);
     EXPECT_EQ(resp.rfind("ERR", 0), 0u) << "line '" << line << "' -> " << resp;
+    EXPECT_EQ(resp.find("internal"), std::string::npos)
+        << "line '" << line << "' -> " << resp;
   }
   // Still serving.
   EXPECT_EQ(token(state.handle_line("STATUS"), 0), "OK");
@@ -490,6 +493,52 @@ TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
   for (const char* key : {"symmetry_hits", "conservative_splits"}) {
     EXPECT_EQ(batch.find(key), std::string::npos) << key << " in " << batch;
   }
+}
+
+/// The unsigned value of `"key":` in a flat JSON object rendering.
+std::size_t json_count(const std::string& object, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = object.find(needle);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << key << " missing from " << object;
+    return 0;
+  }
+  return std::stoull(object.substr(at + needle.size()));
+}
+
+TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
+  // A crash-looping job on the process executor moves the fleet and
+  // abandonment counters off zero: STATS must report the very values of
+  // the batch it served, with jobs_abandoned the sum of its three causes.
+  TempSpecDir dir;
+  const std::string path = dir.path + "/segmented.vmn";
+  write_file(path, read_file(segmented_path()));
+  ServeOptions sopts;
+  sopts.spec_path = path;
+  sopts.engine = pooled_opts(Backend::process);
+  sopts.engine.verify.faults = FaultPlan::parse("crash-job=0");
+  ServeState state(sopts);
+  const BatchResult& b = state.last_batch();
+  ASSERT_EQ(b.degradation.quarantined, 1u);
+
+  const std::string resp = state.handle_line("STATS");
+  const std::size_t begin = resp.find("\"batch\":{");
+  ASSERT_NE(begin, std::string::npos) << resp;
+  const std::string batch = resp.substr(begin, resp.find('}', begin) - begin);
+  EXPECT_EQ(json_count(batch, "jobs_abandoned"), b.degradation.abandoned());
+  EXPECT_EQ(json_count(batch, "quarantined"), b.degradation.quarantined);
+  EXPECT_EQ(json_count(batch, "workers_crashed"), b.pool.workers_crashed);
+  EXPECT_EQ(json_count(batch, "workers_respawned"),
+            b.degradation.workers_respawned);
+  EXPECT_EQ(json_count(batch, "jobs_abandoned"),
+            json_count(batch, "abandoned_retries") +
+                json_count(batch, "quarantined") +
+                json_count(batch, "deadline_abandoned"));
+  // The deterministic crasher convicts itself in two kills, and the fleet
+  // respawns to answer everything else.
+  EXPECT_EQ(json_count(batch, "jobs_abandoned"), 1u);
+  EXPECT_EQ(json_count(batch, "workers_crashed"), 2u);
+  EXPECT_GE(json_count(batch, "workers_respawned"), 1u);
 }
 
 }  // namespace

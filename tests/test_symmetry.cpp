@@ -49,14 +49,6 @@ TEST(PolicyClasses, InferenceMatchesIntent) {
             inferred.class_of(ent.subnet_hosts[1][0]));
 }
 
-TEST(PolicyClasses, DeclaredClassesFollowAssignment) {
-  Enterprise ent = enterprise(6);
-  PolicyClasses declared = declared_policy_classes(ent.model);
-  // Three declared kinds plus the unassigned internet host (class 0 is the
-  // public kind, which the internet host shares by default assignment).
-  EXPECT_GE(declared.count(), 3u);
-}
-
 TEST(PolicyClasses, RuleRemovalBreaksSymmetry) {
   // Deleting one subnet's firewall entry must move its hosts out of their
   // class (paper section 5.1: "removal of rules breaks symmetry"). Here

@@ -15,7 +15,9 @@
 # previous key-format version must be rejected (0 hits), then upgraded - and
 # finally the serve daemon on a Unix socket: an in-place edit confined to one
 # segment must re-solve only that segment (counter-asserted) with verdicts
-# equal to a cold one-shot run.
+# equal to a cold one-shot run. The end-to-end benchmark project
+# (bench/e2e) is configured into [build-dir]/e2e, built, and its
+# bench_e2e_smoke run, so a change to the structs it reads fails here.
 #
 #   tools/ci.sh [build-dir]
 #
@@ -416,6 +418,20 @@ if command -v python3 > /dev/null; then
   python3 "$repo/tools/bench_diff.py" \
       "$repo/bench/trajectory/BENCH_fig7.json" \
       "$bench_dir/BENCH_fig7.json"
+fi
+
+echo "--- smoke: end-to-end benchmark (bench/e2e builds and runs) ---"
+# bench/e2e is a CMake project of its own that compiles libvmn from these
+# sources and reads engine internals (batch counters, plan statistics,
+# binding views), so it is built here, not only when the benchmark runs.
+# Its registered smoke runs every workload for about a second, untraced
+# and traced, and fails on a missing metric or a wrong verdict.
+cmake -B "$build/e2e" -S "$repo/bench/e2e" "${cmake_args[@]}"
+cmake --build "$build/e2e" -j "$(nproc)"
+if command -v python3 > /dev/null; then
+  ctest --test-dir "$build/e2e" -R '^bench_e2e_smoke$' --output-on-failure
+else
+  echo "ci: bench_e2e smoke skipped (needs python3)" >&2
 fi
 
 echo "--- smoke: differential fuzzing (fixed seed, all oracles green) ---"

@@ -318,15 +318,15 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
     std::printf(
         "batch: %zu invariants -> %zu solver classes (hit rate %.0f%%), "
         "%zu %s workers\n",
-        batch.pool.invariant_count, batch.pool.jobs_executed,
-        batch.pool.dedup_hit_rate * 100.0, batch.pool.workers.size(),
+        batch.results.size(), batch.pool.jobs_executed,
+        batch.dedup_hit_rate() * 100.0, batch.pool.workers.size(),
         verify::to_string(eopts.backend).c_str());
     if (eopts.backend == verify::Backend::process) {
       std::printf("  processes: %zu spawned, %zu crashed, %zu respawned, "
                   "%zu jobs requeued, %zu abandoned, %zu quarantined\n",
                   batch.pool.workers_spawned, batch.pool.workers_crashed,
                   batch.degradation.workers_respawned,
-                  batch.pool.jobs_requeued, batch.pool.jobs_abandoned,
+                  batch.pool.jobs_requeued, batch.degradation.abandoned(),
                   batch.degradation.quarantined);
     }
   }
@@ -378,7 +378,7 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
     std::map<std::size_t, std::size_t> by_size;
     for (std::size_t s : batch.pool.iso_class_sizes) ++by_size[s];
     std::printf("dedup report: %zu solver classes over %zu invariants\n",
-                batch.pool.jobs_executed, batch.pool.invariant_count);
+                batch.pool.jobs_executed, batch.results.size());
     std::printf("  class sizes:");
     for (auto it = by_size.rbegin(); it != by_size.rend(); ++it) {
       std::printf(" %zux%zu", it->second, it->first);

@@ -83,16 +83,6 @@ Groups shape_groups(const JobPlan& plan,
   return groups;
 }
 
-void add_counters(BatchResult& out, const SessionCounters& c) {
-  out.warm_binds += c.binds;
-  out.warm_reuses += c.warm_reuses;
-  out.iso_reuses += c.iso_reuses;
-  out.encode_transfer_builds += c.transfer_builds;
-  out.encode_transfer_reuses += c.transfer_reuses;
-  out.degradation.escalations += c.escalations;
-  out.degradation.escalations_rescued += c.escalations_rescued;
-}
-
 }  // namespace
 
 Engine::Planning::Planning(const encode::NetworkModel& model,
@@ -110,10 +100,6 @@ Engine::Planning& Engine::planning() {
     planning_ = std::make_unique<Planning>(*model_, options_.verify);
   }
   return *planning_;
-}
-
-const slice::PolicyClasses& Engine::policy_classes() {
-  return planning().classes;
 }
 
 JobPlan Engine::plan(const std::vector<encode::Invariant>& invariants) {
@@ -208,16 +194,25 @@ BatchResult Engine::run_batch(
   // through each binding's own polarity (result_from_cache), a solve
   // through each binding's inverse bijection (bind_result); every binding
   // past the representative is a replay (by_symmetry, and
-  // iso_verdict_reuses when solved). Abandoned classes bind the default
-  // unknown verdict; they count cache misses but store nothing (unknown
-  // outcomes are never persisted).
+  // iso_verdict_reuses when solved). Each solve's session traffic
+  // (SolveFacts) is counted here, once, whichever executor solved it; a
+  // solve whose result never arrived counts nothing. Abandoned classes bind
+  // the default unknown verdict; they count cache misses but store nothing
+  // (unknown outcomes are never persisted).
   const VerifyResult abandoned{};
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
     const Job& job = plan.jobs[j];
     const VerifyResult& result = solved[j] ? *solved[j] : abandoned;
     if (solved[j]) {
+      const SolveFacts& s = result.solve;
       out.pool.solve_histogram.record(result.solve_time);
       ++out.solver_calls;
+      ++(s.warm_reused ? out.warm_reuses : out.warm_binds);
+      if (s.warm_reused && !job.iso_image.empty()) ++out.iso_reuses;
+      out.encode_transfer_builds += s.transfer_builds;
+      out.encode_transfer_reuses += s.transfer_reuses;
+      out.degradation.escalations += s.escalated;
+      out.degradation.escalations_rescued += s.escalation_rescued;
       out.iso_verdict_reuses += job.bindings.size();
     }
     // Keyless classes (no-symmetry planning, or a problem that resists
@@ -266,7 +261,6 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
   }
   const Groups groups = shape_groups(plan, to_solve, width);
   const VerifyOptions& vo = options_.verify;
-  SessionCounters counters;
 
   // The inline and thread executors share one group body: each job is
   // checked against the deadline first - past it, the slot stays empty
@@ -283,7 +277,7 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
       const Job& job = plan.jobs[to_solve[k]];
       results[to_solve[k]] =
           verify_members(*model_, job.solve_invariant, job.encode_members(),
-                         vo.max_failures, session, !job.iso_image.empty());
+                         vo.max_failures, session);
     }
   };
 
@@ -297,9 +291,7 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
           vo.solver, vo.warm_solving, &planning().ctx.transfers);
       session_->set_resilience(session_resilience(vo));
     }
-    const SessionCounters before = session_->counters();
     for (const auto& group : groups) solve_group(group, *session_);
-    counters = session_->counters() - before;
   } else if (options_.backend == Backend::thread) {
     const std::size_t workers = std::max<std::size_t>(
         1, std::min(width, std::max<std::size_t>(groups.size(), 1)));
@@ -314,9 +306,6 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
       solve_group(groups[gi], session);
     });
     out.pool.workers = pool.stats();
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      counters += pool.session(w).counters();
-    }
   } else {
     // Process: project each group's slice to a spec, frame the jobs by
     // name, and stream them to forked workers; crashed or hung workers get
@@ -366,13 +355,10 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
         out.degradation.reasons.push_back(
             "job " + std::to_string(to_solve[k]) +
             " abandoned: result names nodes unknown to this model");
-        continue;
       }
-      counters += r.counters;
     }
   }
 
-  add_counters(out, counters);
   if (const std::size_t n = deadline_skipped.load()) {
     out.degradation.deadline_abandoned += n;
     out.degradation.deadline_expired = true;

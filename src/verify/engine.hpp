@@ -5,12 +5,15 @@
 //   plan_jobs ------> shape-ordered queue of problem-key solver classes
 //   cache pass -----> classes the persistent ResultCache already answers
 //   execute --------> shape groups of the remaining jobs -> encode-space
-//                     VerifyResults (or abandoned jobs)
-//   bind -----------> per-binding verdicts (bind_result), cache stores
+//                     VerifyResults (or abandoned jobs), each carrying its
+//                     solve's SolveFacts
+//   bind -----------> per-binding verdicts (bind_result), cache stores,
+//                     solver-traffic counters (once per solve)
 //   flush ----------> durable cache records, degradation accounting
 //
 // Only the execute step differs between configurations, and it is chosen
-// by EngineOptions::batch / backend:
+// by EngineOptions::batch / backend. No executor counts solver traffic: it
+// hands back results, and the bind step reads the counters off them.
 //  - inline (batch = false): one warm SolverSession on the calling thread,
 //    kept across run_batch calls until rebind() and borrowing the Engine's
 //    PlanContext transfer memo, so encoding walks nothing planning walked;
@@ -123,7 +126,6 @@ class Engine {
   void rebind(const encode::NetworkModel& model);
 
   [[nodiscard]] ResultCache& cache() { return cache_; }
-  [[nodiscard]] const slice::PolicyClasses& policy_classes();
   [[nodiscard]] const EngineOptions& options() const { return options_; }
   [[nodiscard]] const encode::NetworkModel& model() const { return *model_; }
 
@@ -142,7 +144,7 @@ class Engine {
   /// The executor step: solves plan.jobs[i] for every i in `to_solve`,
   /// grouped by shape, on the configured executor. Returns one slot per
   /// plan job, empty for jobs not solved (cache-answered or abandoned);
-  /// worker, session-counter and abandonment accounting go into `out`.
+  /// worker and abandonment accounting go into `out`.
   [[nodiscard]] std::vector<std::optional<VerifyResult>> execute(
       const JobPlan& plan, const std::vector<std::size_t>& to_solve,
       Deadline deadline, BatchResult& out);

@@ -130,39 +130,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-FaultPlan FaultPlan::from_env() {
-  FaultPlan plan;
-  const char* spec = std::getenv("VMN_WORKER_FAULT");
-  if (spec == nullptr || *spec == '\0') return plan;
-  const std::string s(spec);
-  if (s == "kill-all") {
-    plan.kill_all = true;
-  } else if (s.rfind("kill:", 0) == 0) {
-    plan.kill_worker =
-        static_cast<std::int64_t>(parse_u64("VMN_WORKER_FAULT", s.substr(5)));
-  } else {
-    throw Error("VMN_WORKER_FAULT: expected kill:<i> or kill-all, got '" + s +
-                "'");
-  }
-  return plan;
-}
-
-void FaultPlan::merge(const FaultPlan& other) {
-  if (other.seed != 0) seed = other.seed;
-  if (other.worker_crash > 0) worker_crash = other.worker_crash;
-  if (other.worker_hang > 0) worker_hang = other.worker_hang;
-  if (other.job_crash > 0) job_crash = other.job_crash;
-  if (other.frame_corrupt > 0) frame_corrupt = other.frame_corrupt;
-  if (other.frame_truncate > 0) frame_truncate = other.frame_truncate;
-  if (other.solver_unknown > 0) solver_unknown = other.solver_unknown;
-  if (other.solver_timeout > 0) solver_timeout = other.solver_timeout;
-  if (other.cache_torn_tail > 0) cache_torn_tail = other.cache_torn_tail;
-  if (other.cache_bit_flip > 0) cache_bit_flip = other.cache_bit_flip;
-  if (other.kill_worker >= 0) kill_worker = other.kill_worker;
-  if (other.kill_all) kill_all = true;
-  if (other.crash_job >= 0) crash_job = other.crash_job;
-}
-
 std::string FaultPlan::to_string() const {
   std::string out;
   if (seed != 0) {

@@ -13,9 +13,8 @@
 // The plan travels everywhere the work does: the CLI parses it from
 // --faults, verify::Engine installs it on its result cache and solver
 // sessions (whichever executor runs) and copies it into the process-pool
-// options, the pool ships it to workers inside the MODEL frame, and
-// workers merge it with the VMN_WORKER_FAULT env compat shim; every site
-// consults it through a FaultInjector. A default-constructed plan
+// options, and the pool ships it to workers inside the MODEL frame; every
+// site consults it through a FaultInjector. A default-constructed plan
 // injects nothing and costs nothing.
 #pragma once
 
@@ -71,7 +70,7 @@ struct FaultPlan {
   /// P(flip one payload bit in a record line) per stored record.
   double cache_bit_flip = 0.0;
 
-  // -- targeted compat faults (VMN_WORKER_FAULT shim) --
+  // -- targeted worker faults (kill=<i> / kill=all / crash-job=<n>) --
   /// Worker ordinal that SIGKILLs itself on its first job (-1 = none).
   /// Respawned workers get fresh ordinals, so kill_worker=0 kills only
   /// the original incarnation.
@@ -91,13 +90,6 @@ struct FaultPlan {
   /// Parse `spec` (comma-separated key=value; empty string = empty plan).
   /// Throws vmn::Error on unknown keys or malformed values.
   static FaultPlan parse(const std::string& spec);
-  /// The legacy VMN_WORKER_FAULT env hook (`kill:<i>` / `kill-all`) as a
-  /// plan; empty plan when the variable is unset. Workers merge this into
-  /// the plan received over the wire, which keeps the historical chaos
-  /// knob working without any bespoke parsing in worker_main.
-  static FaultPlan from_env();
-  /// Merge `other` into this plan: nonzero/targeted knobs in `other` win.
-  void merge(const FaultPlan& other);
 
   /// Canonical spec string; `parse(to_string())` reproduces the plan.
   [[nodiscard]] std::string to_string() const;
@@ -118,7 +110,7 @@ class FaultInjector {
   // -- worker-side --
   /// Should worker `worker_ordinal` kill itself upon receiving its
   /// `dispatch_k`-th job (0-based)? Covers worker_crash and the targeted
-  /// kill_worker / kill_all shims (which fire at dispatch 0).
+  /// kill_worker / kill_all knobs (which fire at dispatch 0).
   [[nodiscard]] bool crash_worker(std::uint32_t worker_ordinal,
                                   std::uint64_t dispatch_k) const;
   /// Should the worker hang (stop reading/writing) on this job?

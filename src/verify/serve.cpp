@@ -54,8 +54,8 @@ bool all_digits(const std::string& s) {
   });
 }
 
-/// Minimal JSON string escaping (paths and invariant descriptions are
-/// ASCII, but quotes and backslashes must not break the STATS line).
+/// JSON string escaping: quotes, backslashes and every control byte (a
+/// path may hold any of them) must not break the STATS line.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -66,7 +66,15 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   return out;
@@ -430,7 +438,6 @@ void Server::setup_listeners() {
 
 void Server::setup_watch() {
 #ifdef __linux__
-  if (!state_.options().use_inotify) return;
   const std::string& path = state_.options().spec_path;
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);

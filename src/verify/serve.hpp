@@ -50,13 +50,11 @@ struct ServeOptions {
   /// Loopback TCP port to listen on; -1 = no TCP listener, 0 = ephemeral
   /// (the bound port is reported by Server::tcp_port()).
   int tcp_port = -1;
-  /// Edit-poll tick: poll(2) timeout, and (without inotify) how often the
-  /// file content is re-read and compared.
+  /// Edit-poll tick: poll(2) timeout, and how often the file content is
+  /// re-read and compared when idle - with or without the inotify watch
+  /// (Linux; when inotify is unavailable polling is all there is). The
+  /// content compare gates reloads, so spurious wakeups are no-ops.
   std::chrono::milliseconds poll_interval{500};
-  /// Prefer an inotify watch on the spec's directory (Linux). The content
-  /// compare still gates reloads, so spurious wakeups are no-ops; when
-  /// inotify is unavailable the daemon falls back to pure polling.
-  bool use_inotify = true;
   /// Verification configuration (engine.verify.cache_dir enables the
   /// on-disk cache; without one ServeState forces memory_cache so verdicts
   /// still carry across reloads).

@@ -43,26 +43,6 @@ struct SessionResilience {
   bool escalate_unknown = false;
 };
 
-/// A session's solver traffic: contexts built cold vs answered warm (and,
-/// of those, cross-isomorphic), transfer functions the session's encodings
-/// built vs reused from a memo, and unknown escalations attempted vs
-/// rescued. Sessions count monotonically, so a batch reports the
-/// difference of two snapshots and sums workers with +=. The wire RESULT
-/// frame carries one of these per job, field for field in this order.
-struct SessionCounters {
-  std::size_t binds = 0;
-  std::size_t warm_reuses = 0;
-  std::size_t iso_reuses = 0;
-  std::size_t transfer_builds = 0;
-  std::size_t transfer_reuses = 0;
-  std::size_t escalations = 0;
-  std::size_t escalations_rescued = 0;
-
-  SessionCounters& operator+=(const SessionCounters& other);
-  [[nodiscard]] SessionCounters operator-(const SessionCounters& before) const;
-  bool operator==(const SessionCounters&) const = default;
-};
-
 /// A single worker's solver state. Never shared between threads.
 class SolverSession {
  public:
@@ -100,14 +80,12 @@ class SolverSession {
   /// (timeout doubled, perturbed seed), for retrying an unknown verdict.
   /// Kept separate from the warm context so escalation never leaks its
   /// options into later jobs; freed by reset_warm. Must follow a warm_bind
-  /// (asserts on the warm shape being set). Counts one escalation; callers
-  /// report a rescue via note_escalation_rescued.
+  /// (asserts on the warm shape being set).
   WarmBound escalate_bind();
-  void note_escalation_rescued() { ++counters_.escalations_rescued; }
 
-  /// Drops the warm encoding + solver (counters survive). The thread
-  /// executor calls this at every task boundary so warm reuse is confined to
-  /// within one task: which tasks land on which worker is a scheduling
+  /// Drops the warm encoding + solver. The thread executor calls this at
+  /// every task boundary so warm reuse is confined to within one task:
+  /// which tasks land on which worker is a scheduling
   /// race, and cross-task reuse would make solver state - and with it
   /// witness traces - depend on that race instead of only on the plan.
   ///
@@ -123,16 +101,6 @@ class SolverSession {
   void reset_warm(bool keep_transfers = false);
 
   [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
-  /// Cumulative traffic (see SessionCounters). `binds` counts solver
-  /// contexts built (cold binds + warm misses), `warm_reuses` warm_bind
-  /// calls the live context answered, and `iso_reuses` those of them that
-  /// served a job rebound onto an isomorphic representative's encoding
-  /// (verify::IsoBinding; verify_members reports them via note_iso_reuse).
-  /// Transfer builds beyond the distinct in-budget scenarios would be the
-  /// duplicate fabric walks the borrowed / per-model memos exist to rule
-  /// out.
-  [[nodiscard]] const SessionCounters& counters() const { return counters_; }
-  void note_iso_reuse() { ++counters_.iso_reuses; }
 
   /// Robustness policy (fault injection + unknown escalation). Set once
   /// before the session solves; decisions are pure functions of the plan,
@@ -151,7 +119,6 @@ class SolverSession {
   /// Session-owned fallback memo, rebuilt when the model changes.
   std::unique_ptr<dataplane::TransferCache> owned_transfers_;
   std::unique_ptr<smt::Solver> solver_;
-  SessionCounters counters_;
   SessionResilience resilience_;
   /// Escalation context (escalate_bind): separate from the warm pair so
   /// the escalated options die with the retry.
@@ -190,10 +157,6 @@ class SolverPool {
   [[nodiscard]] std::size_t size() const { return sessions_.size(); }
   [[nodiscard]] const std::vector<WorkerStats>& stats() const {
     return stats_;
-  }
-  /// Worker `i`'s session (for summing its SessionCounters).
-  [[nodiscard]] const SolverSession& session(std::size_t i) const {
-    return *sessions_[i];
   }
   /// Applies one robustness policy to every session (before run()).
   void set_resilience(const SessionResilience& resilience) {

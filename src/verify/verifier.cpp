@@ -211,7 +211,7 @@ std::uint64_t solve_identity(const net::Network& net,
 VerifyResult verify_members(const encode::NetworkModel& model,
                             const encode::Invariant& invariant,
                             std::vector<NodeId> members, int max_failures,
-                            SolverSession& session, bool iso_encoded) {
+                            SolverSession& session) {
   const auto start = std::chrono::steady_clock::now();
   VerifyResult result;
 
@@ -276,9 +276,17 @@ VerifyResult verify_members(const encode::NetworkModel& model,
     return status;
   };
 
+  // Transfer traffic is a fact of the encoding a bind built: a reused
+  // context built nothing this solve.
+  auto count_transfers = [&](const encode::Encoding& encoding) {
+    result.solve.transfer_builds += encoding.transfer_builds();
+    result.solve.transfer_reuses += encoding.transfer_reuses();
+  };
+
   SolverSession::WarmBound warm =
       session.warm_bind(model, std::move(encode_members), max_failures);
-  if (iso_encoded && warm.reused) session.note_iso_reuse();
+  result.solve.warm_reused = warm.reused;
+  if (!warm.reused) count_transfers(warm.encoding);
   smt::CheckStatus status = solve_once(warm, 0);
 
   // Unknown escalation: before accepting unknown, retry once on a fresh
@@ -289,8 +297,10 @@ VerifyResult verify_members(const encode::NetworkModel& model,
   if (status == smt::CheckStatus::unknown &&
       session.resilience().escalate_unknown) {
     SolverSession::WarmBound escalated = session.escalate_bind();
+    result.solve.escalated = true;
+    count_transfers(escalated.encoding);
     status = solve_once(escalated, 1);
-    if (status != smt::CheckStatus::unknown) session.note_escalation_rescued();
+    result.solve.escalation_rescued = status != smt::CheckStatus::unknown;
   }
 
   result.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -74,6 +74,21 @@ struct VerifyOptions {
   bool escalate_unknown = true;
 };
 
+/// What one solve - one verify_members call - did to its session: whether
+/// its warm_bind was answered by the live context or built a new one,
+/// whether an unknown verdict was escalated and the escalated retry
+/// answered it, and how many per-scenario transfer functions its encodings
+/// built vs drew from a memo. Every unit of solver traffic belongs to
+/// exactly one solve, so Engine::run_batch counts these once per solved
+/// class into BatchResult; nothing else sums them.
+struct SolveFacts {
+  bool warm_reused = false;
+  bool escalated = false;
+  bool escalation_rescued = false;
+  std::size_t transfer_builds = 0;
+  std::size_t transfer_reuses = 0;
+};
+
 struct VerifyResult {
   Outcome outcome = Outcome::unknown;
   smt::CheckStatus raw_status = smt::CheckStatus::unknown;
@@ -89,6 +104,9 @@ struct VerifyResult {
   /// Set when the outcome was restored from the persistent result cache;
   /// such results carry no counterexample.
   bool from_cache = false;
+  /// The solve that answered this verdict (shared by every binding of its
+  /// class); all-default for cache hits and abandoned classes.
+  SolveFacts solve;
 };
 
 /// Per-job solve times, one raw sample per solver call (bounded by the
@@ -174,7 +192,7 @@ struct BatchResult {
   /// solver call" shows up as iso_verdict_reuses == 7.
   std::size_t iso_verdict_reuses = 0;
   /// Transfer functions built by encoders vs served from a warm memo
-  /// during encoding (see SessionCounters::transfer_builds): with the
+  /// during encoding (see SolveFacts::transfer_builds): with the
   /// borrowed/per-session caches in place, no scenario's fabric walks ever
   /// run twice for the same session - the inline executor, lending the
   /// planner's own memo, encodes with zero builds at all.
@@ -304,15 +322,14 @@ struct IsoBinding {
 /// `invariant` and `members` are the encode-space problem verbatim (for
 /// iso-rebound jobs the planner already mapped both); the returned
 /// result - witness included - stays in encode space, and callers fan it
-/// out through bind_result per verdict binding. `iso_encoded` only marks
-/// the problem as an iso-rebound one so a live-context hit counts as a
-/// cross-isomorphic reuse on the session.
+/// out through bind_result per verdict binding. The result's SolveFacts
+/// record this call's session traffic (one warm_bind, at most one
+/// escalate_bind); the session itself counts nothing.
 [[nodiscard]] VerifyResult verify_members(const encode::NetworkModel& model,
                                           const encode::Invariant& invariant,
                                           std::vector<NodeId> members,
                                           int max_failures,
-                                          SolverSession& session,
-                                          bool iso_encoded = false);
+                                          SolverSession& session);
 
 /// The result one verdict binding surfaces from its class's single
 /// encode-space solve: verdict, status and statistics verbatim, the

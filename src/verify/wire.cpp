@@ -202,7 +202,6 @@ std::string encode_job(const WireJob& job) {
   w.str(job.type_prefix);
   w.u32(static_cast<std::uint32_t>(job.members.size()));
   for (const std::string& m : job.members) w.str(m);
-  w.u8(job.iso_encoded ? 1 : 0);
   w.i32(job.max_failures);
   return std::move(w).take();
 }
@@ -226,7 +225,6 @@ WireJob decode_job(std::string_view payload) {
   // clean WireError at the first missing element.
   const std::uint32_t members = r.u32();
   for (std::uint32_t i = 0; i < members; ++i) job.members.push_back(r.str());
-  job.iso_encoded = r.u8() != 0;
   job.max_failures = r.i32();
   r.finish();
   return job;
@@ -241,14 +239,11 @@ std::string encode_result(const WireResult& result) {
   w.i64(result.total_ms);
   w.u64(result.slice_size);
   w.u64(result.assertion_count);
-  const SessionCounters& c = result.counters;
-  w.u64(c.binds);
-  w.u64(c.warm_reuses);
-  w.u64(c.iso_reuses);
-  w.u64(c.transfer_builds);
-  w.u64(c.transfer_reuses);
-  w.u64(c.escalations);
-  w.u64(c.escalations_rescued);
+  w.u8(result.solve.warm_reused ? 1 : 0);
+  w.u8(result.solve.escalated ? 1 : 0);
+  w.u8(result.solve.escalation_rescued ? 1 : 0);
+  w.u64(result.solve.transfer_builds);
+  w.u64(result.solve.transfer_reuses);
   w.str(result.error);
   w.u8(result.has_trace ? 1 : 0);
   if (result.has_trace) {
@@ -292,14 +287,11 @@ WireResult decode_result(std::string_view payload) {
   result.total_ms = r.i64();
   result.slice_size = r.u64();
   result.assertion_count = r.u64();
-  SessionCounters& c = result.counters;
-  c.binds = r.u64();
-  c.warm_reuses = r.u64();
-  c.iso_reuses = r.u64();
-  c.transfer_builds = r.u64();
-  c.transfer_reuses = r.u64();
-  c.escalations = r.u64();
-  c.escalations_rescued = r.u64();
+  result.solve.warm_reused = r.u8() != 0;
+  result.solve.escalated = r.u8() != 0;
+  result.solve.escalation_rescued = r.u8() != 0;
+  result.solve.transfer_builds = r.u64();
+  result.solve.transfer_reuses = r.u64();
   result.error = r.str();
   result.has_trace = r.u8() != 0;
   if (result.has_trace) {
@@ -346,7 +338,6 @@ WireJob make_wire_job(const encode::NetworkModel& model, const Job& job,
   const std::vector<NodeId>& members = job.encode_members();
   out.members.reserve(members.size());
   for (NodeId m : members) out.members.push_back(net.name(m));
-  out.iso_encoded = !job.iso_image.empty();
   out.max_failures = max_failures;
   return out;
 }
@@ -377,7 +368,6 @@ ResolvedJob resolve_job(const encode::NetworkModel& model, const WireJob& job) {
   // Members travel as names; the worker's re-parsed model assigns different
   // ids, so restore the sorted order every slice carries.
   std::sort(out.members.begin(), out.members.end());
-  out.iso_encoded = job.iso_encoded;
   return out;
 }
 
@@ -391,6 +381,7 @@ WireResult make_wire_result(const net::Network& network, std::uint64_t id,
   out.total_ms = result.total_time.count();
   out.slice_size = result.slice_size;
   out.assertion_count = result.assertion_count;
+  out.solve = result.solve;
   if (result.counterexample) {
     out.has_trace = true;
     out.trace.reserve(result.counterexample->size());
@@ -426,6 +417,7 @@ VerifyResult to_verify_result(const net::Network& network,
   out.total_time = std::chrono::milliseconds(result.total_ms);
   out.slice_size = result.slice_size;
   out.assertion_count = result.assertion_count;
+  out.solve = result.solve;
   if (result.has_trace) {
     std::vector<Event> events;
     events.reserve(result.trace.size());
@@ -517,14 +509,11 @@ int worker_main(std::FILE* in, std::FILE* out) {
           // context eagerly.
           session->reset_warm();
         }
-        // The dispatcher's plan plus the legacy VMN_WORKER_FAULT env shim
-        // (kill:<i> / kill-all). A malformed env value is ignored, like
-        // the bespoke parser it replaced used to.
+        // A plan the worker cannot parse injects nothing.
         worker_ordinal = model.worker_index;
         FaultPlan plan;
         try {
           plan = FaultPlan::parse(model.fault_plan);
-          plan.merge(FaultPlan::from_env());
         } catch (const Error&) {
         }
         injector = FaultInjector(std::move(plan));
@@ -555,13 +544,11 @@ int worker_main(std::FILE* in, std::FILE* out) {
       } else {
         try {
           ResolvedJob resolved = resolve_job(spec->model, job);
-          const SessionCounters before = session->counters();
-          VerifyResult verdict = verify_members(
+          const VerifyResult verdict = verify_members(
               spec->model, resolved.invariant, std::move(resolved.members),
-              job.max_failures, *session, resolved.iso_encoded);
+              job.max_failures, *session);
           result =
               make_wire_result(spec->model.network(), job.id, verdict);
-          result.counters = session->counters() - before;
         } catch (const std::exception& e) {
           result = WireResult{};
           result.id = job.id;

@@ -12,9 +12,10 @@
 //                                         node ids projected to names so
 //                                         they survive re-parsing)
 //   worker -> dispatcher:  RESULT frames (verdict, raw status, timings,
-//                                         slice/assertion statistics, warm
-//                                         counters, optional counterexample
-//                                         trace with node names)
+//                                         slice/assertion statistics, the
+//                                         solve's SolveFacts, optional
+//                                         counterexample trace with node
+//                                         names)
 //
 // Every frame is `magic | version | type | payload size | FNV-1a digest |
 // payload` (core/hash.hpp's pinned FNV-1a 64, the same digest the canonical
@@ -64,8 +65,12 @@ class WireError : public Error {
 /// so frames shrink and a merged equivalence class crosses the pipe once.
 /// v4 -> v5: MODEL frames drop the escalation timeout multiplier (a fixed
 /// constant of the worker's session now, no longer a setting).
+/// v5 -> v6: RESULT frames carry the solve's SolveFacts (three flags, two
+/// transfer counts) in place of seven per-job session-counter deltas, and
+/// JOB frames drop the iso_encoded marker - the dispatcher already knows
+/// which jobs it rebound.
 /// Version skew on either side is a WireError, never a misread.
-inline constexpr std::uint16_t kWireVersion = 5;
+inline constexpr std::uint16_t kWireVersion = 6;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Upper bound on a single payload (a projected spec of a pathological
 /// slice stays far below this; anything larger is a corrupt length field).
@@ -110,7 +115,6 @@ struct WireModel {
   bool warm_solving = true;
   smt::SolverOptions solver;
   /// Serialized verify::FaultPlan (FaultPlan::to_string; empty = none).
-  /// The worker merges the legacy VMN_WORKER_FAULT env shim on top.
   std::string fault_plan;
   /// Unknown-verdict escalation policy (VerifyOptions::escalate_unknown),
   /// applied worker-side in verify_members.
@@ -131,10 +135,6 @@ struct WireJob {
   std::string other;  ///< empty when the invariant has no peer node
   std::string type_prefix;
   std::vector<std::string> members;
-  /// True when the problem was rebound onto an isomorphic representative
-  /// (Job::iso_image non-empty): a live-context hit on the worker then
-  /// counts as a cross-isomorphic reuse, nothing more.
-  bool iso_encoded = false;
   std::int32_t max_failures = 0;
 };
 
@@ -164,10 +164,9 @@ struct WireResult {
   std::int64_t total_ms = 0;
   std::uint64_t slice_size = 0;
   std::uint64_t assertion_count = 0;
-  /// This job's session traffic (warm binds/reuses, iso reuses, encode
-  /// transfer builds/reuses, escalations), summed by the dispatcher into
-  /// the batch exactly like the thread executor's per-worker counters.
-  SessionCounters counters;
+  /// This job's solve (VerifyResult::solve), counted dispatcher-side by
+  /// the Engine like any other executor's result.
+  SolveFacts solve;
   /// Non-empty when the worker failed to execute the job (spec parse error,
   /// unknown node, solver exception); the dispatcher requeues such jobs.
   std::string error;
@@ -192,8 +191,6 @@ struct WireResult {
 struct ResolvedJob {
   encode::Invariant invariant;
   std::vector<NodeId> members;
-  /// WireJob::iso_encoded, passed through to verify_members.
-  bool iso_encoded = false;
 };
 [[nodiscard]] ResolvedJob resolve_job(const encode::NetworkModel& model,
                                       const WireJob& job);
@@ -215,11 +212,9 @@ struct ResolvedJob {
 /// error (the dispatcher sees the closed pipe and requeues).
 ///
 /// Fault injection: the MODEL frame carries a serialized verify::FaultPlan
-/// (worker crash/hang at dispatch k, per-job crash loops, frame
-/// corruption/truncation on write, forced solver unknowns/timeouts); the
-/// worker merges the legacy VMN_WORKER_FAULT env shim (`kill:<i>` /
-/// `kill-all`, via FaultPlan::from_env) on top, so the historical chaos
-/// knob keeps working with no bespoke parsing here.
+/// (worker crash/hang at dispatch k, targeted kill=<i> / kill=all, per-job
+/// crash loops, frame corruption/truncation on write, forced solver
+/// unknowns/timeouts), the one route by which faults reach a worker.
 int worker_main(std::FILE* in, std::FILE* out);
 
 }  // namespace vmn::verify::wire

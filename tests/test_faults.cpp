@@ -110,15 +110,11 @@ TEST(FaultPlanUnit, DecisionsAreDeterministicPerSeed) {
   EXPECT_TRUE(any_spared);
 }
 
-TEST(FaultPlanUnit, EnvShimParsesKillSpecs) {
-  setenv("VMN_WORKER_FAULT", "kill:2", 1);
-  EXPECT_EQ(FaultPlan::from_env().kill_worker, 2);
-  setenv("VMN_WORKER_FAULT", "kill-all", 1);
-  EXPECT_TRUE(FaultPlan::from_env().kill_all);
-  setenv("VMN_WORKER_FAULT", "explode", 1);
-  EXPECT_THROW(FaultPlan::from_env(), Error);
-  unsetenv("VMN_WORKER_FAULT");
-  EXPECT_FALSE(FaultPlan::from_env().enabled());
+TEST(FaultPlanUnit, ParsesTargetedKillKeys) {
+  EXPECT_EQ(FaultPlan::parse("kill=2").kill_worker, 2);
+  EXPECT_TRUE(FaultPlan::parse("kill=all").kill_all);
+  EXPECT_THROW((void)FaultPlan::parse("kill=explode"), Error);
+  EXPECT_FALSE(FaultPlan::parse("").enabled());
 }
 
 TEST(RespawnBackoff, DeterministicCappedAndJittered) {

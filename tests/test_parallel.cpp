@@ -1,15 +1,17 @@
 // Engine tests: every executor (inline, thread, process) agrees with the
-// inline one on every scenario generator, determinism under a fixed solver
+// inline one on every scenario generator and obeys the per-solve counter
+// identities (under lost result frames too), determinism under a fixed solver
 // seed regardless of worker count, counterexample validity under
 // concurrency, job planning, the SolverPool contract, and the process
 // executor's crash handling - requeue on a killed worker, and the bounded
 // no-survivors path ending in unknown verdicts rather than silent drops.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <set>
+#include <string>
 #include <string_view>
 #include <tuple>
 
@@ -106,6 +108,18 @@ void with_generator(
   }
 }
 
+/// The identities solver-traffic counters obey on every executor, because
+/// each is a fact of exactly one counted solve: every solve made one
+/// warm_bind (built or reused), iso reuses are warm reuses of rebound
+/// classes, and rescues are escalations, which happen at most once a solve.
+void expect_counter_identities(const BatchResult& r, const std::string& what) {
+  EXPECT_EQ(r.warm_binds + r.warm_reuses, r.solver_calls) << what;
+  EXPECT_LE(r.iso_reuses, std::min(r.warm_reuses, r.iso_mapped)) << what;
+  EXPECT_LE(r.degradation.escalations_rescued, r.degradation.escalations)
+      << what;
+  EXPECT_LE(r.degradation.escalations, r.solver_calls) << what;
+}
+
 // Every executor must reproduce the inline executor's verdicts, raw
 // statuses and statistics invariant-for-invariant on every scenario
 // generator (and the generator's own expected verdicts); the process
@@ -129,6 +143,7 @@ TEST_P(ExecutorAgreement, MatchesInline) {
       EXPECT_EQ(got.degradation.abandoned(), 0u);
     }
     EXPECT_EQ(got.pool.jobs_executed, expected.pool.jobs_executed);
+    expect_counter_identities(got, batch.name + " on " + executor);
     ASSERT_EQ(got.results.size(), expected.results.size());
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
       const VerifyResult& g = got.results[i];
@@ -162,6 +177,24 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param)) + "_" +
              std::get<1>(info.param);
     });
+
+TEST(CounterIdentities, HoldWhenResultFramesAreLost) {
+  // Corrupted RESULT frames kill their workers after the solve ran: the
+  // dispatcher never reads that solve's facts, so it must not count, and
+  // the requeued re-solve must count exactly once - the identities above
+  // hold although more solves ran than arrived.
+  scenarios::EnterpriseParams p;
+  p.subnets = 6;
+  p.hosts_per_subnet = 1;
+  scenarios::Enterprise e = scenarios::make_enterprise(p);
+  EngineOptions corrupting = test::executor_options("process");
+  corrupting.verify.faults = FaultPlan::parse("seed=3,frame-corrupt=0.3");
+  const BatchResult r = Engine(e.model, corrupting).run_batch(e.invariants);
+  ASSERT_GT(r.pool.workers_crashed, 0u);  // some solves were lost
+  EXPECT_GE(r.pool.jobs_requeued, 1u);
+  EXPECT_EQ(r.solver_calls + r.degradation.abandoned(), r.pool.jobs_executed);
+  expect_counter_identities(r, "enterprise under frame-corrupt=0.3");
+}
 
 TEST(Parallel, DeterministicAcrossFourWorkerRuns) {
   scenarios::EnterpriseParams p;
@@ -838,15 +871,6 @@ EngineOptions process_opts(std::size_t jobs) {
   return test::executor_options("process", jobs);
 }
 
-/// Scoped VMN_WORKER_FAULT (the worker fault-injection hook, wire.hpp);
-/// unset even when an assertion fails mid-test.
-struct FaultGuard {
-  explicit FaultGuard(const char* fault) {
-    setenv("VMN_WORKER_FAULT", fault, 1);
-  }
-  ~FaultGuard() { unsetenv("VMN_WORKER_FAULT"); }
-};
-
 // Warm (cross-isomorphic rebinding included: the binding ships inside the
 // job frames) must be verdict-identical to cold on the process backend too,
 // for every scenario generator - the process half of the warm==cold
@@ -982,7 +1006,7 @@ TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   // Worker 0 SIGKILLs itself on its first job: the dispatcher must observe
   // the crash, requeue the in-flight job, respawn a replacement into the
   // slot (respawned workers take fresh ordinals, so the replacement is
-  // immune to kill:0), and deliver every verdict - matching the thread
+  // immune to kill=0), and deliver every verdict - matching the thread
   // backend exactly.
   scenarios::EnterpriseParams p;
   p.subnets = 6;
@@ -991,9 +1015,9 @@ TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   BatchResult reference =
       Engine(e.model, with_jobs(2)).run_batch(e.invariants);
 
-  FaultGuard fault("kill:0");
-  BatchResult r =
-      Engine(e.model, process_opts(2)).run_batch(e.invariants);
+  EngineOptions killing = process_opts(2);
+  killing.verify.faults = FaultPlan::parse("kill=0");
+  BatchResult r = Engine(e.model, killing).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_spawned, 3u);  // initial fleet of 2 + 1 respawn
   EXPECT_EQ(r.pool.workers_crashed, 1u);
   EXPECT_EQ(r.degradation.workers_respawned, 1u);
@@ -1016,9 +1040,9 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
   p.hosts_per_subnet = 1;
   scenarios::Enterprise e = scenarios::make_enterprise(p);
 
-  FaultGuard fault("kill-all");
-  BatchResult r =
-      Engine(e.model, process_opts(2)).run_batch(e.invariants);
+  EngineOptions killing = process_opts(2);
+  killing.verify.faults = FaultPlan::parse("kill=all");
+  BatchResult r = Engine(e.model, killing).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_crashed, r.pool.workers_spawned);
   EXPECT_EQ(r.degradation.abandoned(), r.pool.jobs_executed);
   EXPECT_EQ(r.solver_calls, 0u);

@@ -461,6 +461,24 @@ TEST(ServeProtocol, StatsReportsUnifiedCountersAsJson) {
   }
 }
 
+TEST(ServeProtocol, StatsEscapesControlBytesInTheSpecPath) {
+  // A path may hold any byte but '/' and NUL; STATS must stay valid JSON,
+  // so control bytes go out as \u00XX escapes, never raw.
+  TempSpecDir dir;
+  const std::string path = dir.path + "/seg\x01mented.vmn";
+  write_file(path, read_file(segmented_path()));
+  ServeOptions sopts;
+  sopts.spec_path = path;
+  sopts.engine = sequential_opts();
+  ServeState state(sopts);
+
+  const std::string resp = state.handle_line("STATS");
+  EXPECT_NE(resp.find("seg\\u0001mented.vmn"), std::string::npos) << resp;
+  for (const char c : resp) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << resp;
+  }
+}
+
 TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
   // Every scalar counter `vmn verify --batch` prints in its summary (the
   // batch line, the process fleet line, the degradation report, cache,

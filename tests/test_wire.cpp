@@ -137,7 +137,6 @@ TEST(WirePayloads, JobRoundTripsFieldForField) {
   job.other = "";
   job.type_prefix = "firewall";
   job.members = {"h-3", "fw-0", "idps-1"};
-  job.iso_encoded = true;
   job.max_failures = 2;
   const WireJob back = decode_job(encode_job(job));
   EXPECT_EQ(back.id, job.id);
@@ -146,7 +145,6 @@ TEST(WirePayloads, JobRoundTripsFieldForField) {
   EXPECT_EQ(back.other, job.other);
   EXPECT_EQ(back.type_prefix, job.type_prefix);
   EXPECT_EQ(back.members, job.members);
-  EXPECT_EQ(back.iso_encoded, job.iso_encoded);
   EXPECT_EQ(back.max_failures, job.max_failures);
 }
 
@@ -159,8 +157,10 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   result.total_ms = 34;
   result.slice_size = 5;
   result.assertion_count = 210;
-  result.counters.binds = 1;
-  result.counters.escalations_rescued = 2;
+  result.solve.escalated = true;
+  result.solve.escalation_rescued = true;
+  result.solve.transfer_builds = 3;
+  result.solve.transfer_reuses = 4;
   result.has_trace = true;
   WireEvent send;
   send.kind = static_cast<std::uint8_t>(EventKind::send);
@@ -189,7 +189,11 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_EQ(back.total_ms, result.total_ms);
   EXPECT_EQ(back.slice_size, result.slice_size);
   EXPECT_EQ(back.assertion_count, result.assertion_count);
-  EXPECT_EQ(back.counters, result.counters);
+  EXPECT_FALSE(back.solve.warm_reused);
+  EXPECT_TRUE(back.solve.escalated);
+  EXPECT_TRUE(back.solve.escalation_rescued);
+  EXPECT_EQ(back.solve.transfer_builds, 3u);
+  EXPECT_EQ(back.solve.transfer_reuses, 4u);
   EXPECT_EQ(back.error, "");
   ASSERT_TRUE(back.has_trace);
   ASSERT_EQ(back.trace.size(), 2u);
@@ -259,7 +263,6 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
     const WireJob wire_job =
         decode_job(encode_job(make_wire_job(model, job, max_failures)));
     EXPECT_EQ(wire_job.members.size(), job.encode_members().size());
-    EXPECT_EQ(wire_job.iso_encoded, !job.iso_image.empty());
 
     io::Spec remote_spec = io::parse_spec_string(model_back.spec_text);
     ResolvedJob resolved = resolve_job(remote_spec.model, wire_job);
@@ -267,7 +270,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
     const VerifyResult remote =
         verify_members(remote_spec.model, resolved.invariant,
                        std::move(resolved.members), wire_job.max_failures,
-                       remote_session, resolved.iso_encoded);
+                       remote_session);
 
     const WireResult reply = decode_result(encode_result(
         make_wire_result(remote_spec.model.network(), job.id, remote)));
@@ -275,6 +278,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
     const VerifyResult mapped = to_verify_result(model.network(), reply);
     EXPECT_EQ(mapped.outcome, remote.outcome);
     EXPECT_EQ(mapped.assertion_count, remote.assertion_count);
+    EXPECT_EQ(mapped.solve.transfer_builds, remote.solve.transfer_builds);
 
     // Dispatcher-side fan-out: relabeling the encode-space verdict through
     // the representative binding's inverse bijection must agree with the

@@ -129,8 +129,8 @@ if ! diff <(echo "$thread_verdicts") <(echo "$process_out" | verdicts); then
 fi
 
 echo "--- smoke: worker killed mid-batch (requeue, no lost invariants) ---"
-kill_out="$(VMN_WORKER_FAULT=kill:0 "$build/vmn" verify "$spec" --batch \
-    --jobs 2 --backend=process)"
+kill_out="$("$build/vmn" verify "$spec" --batch --jobs 2 \
+    --backend=process --faults=kill=0)"
 echo "$kill_out"
 if ! grep -q "1 crashed" <<< "$kill_out"; then
   echo "ci: killed worker was not observed as crashed" >&2

@@ -471,8 +471,6 @@ int cmd_serve(const char* argv0, int argc, char** argv) {
         sopts.poll_interval = std::chrono::milliseconds(ms);
         return true;
       });
-  set.add_flag("--no-inotify", "use pure content polling, no inotify watch",
-               [&sopts] { sopts.use_inotify = false; });
   std::vector<std::string> positionals;
   switch (set.parse(argc, argv, &positionals)) {
     case cli::OptionSet::Result::help: return kExitClean;

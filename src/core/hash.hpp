@@ -1,12 +1,12 @@
 // Pinned, process-independent hashing.
 //
-// FNV-1a 64: the one digest algorithm behind canonical-slice-key round
-// compression (slice/symmetry.cpp) and the persistent result cache's key
-// fingerprints (verify/result_cache.cpp). Those two must stay byte-for-byte
-// in sync - the cache compares digests written by other processes and other
-// builds - which is why this lives here instead of being re-rolled per use
-// site, and why std::hash (implementation- and run-dependent) must never be
-// substituted.
+// FNV-1a 64: the one digest algorithm behind refinement colours
+// (slice/refine.cpp), canonical-key digests (slice/symmetry.cpp) and the
+// persistent result cache's key fingerprints (verify/result_cache.cpp).
+// These must stay byte-for-byte in sync - the cache compares digests
+// written by other processes and other builds - which is why this lives
+// here instead of being re-rolled per use site, and why std::hash
+// (implementation- and run-dependent) must never be substituted.
 #pragma once
 
 #include <cstdint>

@@ -163,8 +163,9 @@ void project_cell(const ConfigCell& cell, const std::vector<Address>& relevant,
 /// one?). That is pairwise information and lives where pairs live: each
 /// box's encoding projection renders the relevant x relevant admit matrix
 /// the axioms compile, and the problem key and shape_bijection compare
-/// exactly that (the diagnostics slice key also co-refines over it,
-/// slice/symmetry.cpp, wl_refine's config-pair edges).
+/// exactly that (the diagnostics slice key also refines over it: each
+/// admitted pair is a config-pair vertex of its problem graph,
+/// slice/symmetry.cpp).
 std::map<std::string, std::size_t> occurrence_ids(const ConfigRelation& rel,
                                                   Address a) {
   std::map<std::string, std::size_t> ids;

@@ -118,11 +118,12 @@ class Middlebox {
 
   /// Canonical "type:state-scope:failure-mode" triple - the instance's
   /// configuration-independent structure. Single source for every relation
-  /// that must treat structurally-alike boxes alike: canonical slice keys
-  /// color member middleboxes with it (slice/symmetry.cpp) and policy-class
-  /// refinement describes traversed paths with it (slice/policy.cpp); a new
-  /// axiom-relevant structural attribute belongs here so the two can never
-  /// drift apart.
+  /// that must treat structurally-alike boxes alike: the canonical shape
+  /// and slice keys seed member middleboxes' colours with it
+  /// (slice/symmetry.cpp) and policy classes label delivery arcs with the
+  /// path types it spells (slice/policy.cpp) - both refined by the one
+  /// colour-refinement kernel, slice/refine.hpp; a new axiom-relevant
+  /// structural attribute belongs here so the two can never drift apart.
   [[nodiscard]] std::string structural_fingerprint() const {
     return type() + ":" + std::to_string(static_cast<int>(state_scope())) +
            ":" + std::to_string(static_cast<int>(failure_mode()));

@@ -4,11 +4,14 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "core/error.hpp"
+#include "core/hash.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/topology.hpp"
+#include "slice/refine.hpp"
 
 namespace vmn::slice {
 
@@ -109,152 +112,57 @@ std::vector<std::size_t> scenarios_in_budget(
   return out;
 }
 
-/// Splits classes until no class holds two hosts with different delivery
-/// signatures. Signatures are class- and type-aware - "which classes do my
-/// packets get delivered to, traversing which middlebox *types*, and which
-/// classes deliver to me, per in-budget scenario" - never addresses or
-/// instance names, so renamed-but-isomorphic hosts (and symmetric hosts of
-/// isomorphic disconnected segments) keep merging while hosts whose
-/// packets live in structurally different worlds - unreachable islands,
-/// per-sender middlebox bypasses - split. (Distinguishing same-type boxes
-/// by *configuration* is deliberately left to the fingerprint grouping and
-/// to representatives_for's instance-level subgrouping: a config digest
-/// here would split validly symmetric hosts whose paths cross
+/// Adds every in-budget delivery as a pair of arcs labelled with its
+/// scenario, its direction and its path type. Labels name box *types*, never
+/// addresses or instance names, so renamed-but-isomorphic hosts (and
+/// symmetric hosts of isomorphic disconnected segments) keep merging while
+/// unreachable islands and per-sender middlebox bypasses split. (Telling
+/// same-type boxes apart by *configuration* is left to the fingerprint
+/// colours and to representatives_for's instance-level subgrouping: a config
+/// digest here would split validly symmetric hosts whose paths cross
 /// corresponding-but-differently-addressed instances.)
-void refine_by_reach(const encode::NetworkModel& model,
-                     std::vector<std::vector<NodeId>>& classes,
-                     const ReachMap& reach,
-                     const std::vector<std::size_t>& in_budget) {
-  // Type-level descriptor of a traversed path, shared by both directions
-  // and built from the same structural fingerprint the canonical slice key
-  // colors member boxes with.
-  const auto path_of = [&](const std::vector<NodeId>& boxes) {
+void add_delivery_arcs(const encode::NetworkModel& model, ColourGraph& graph,
+                       const std::unordered_map<NodeId, std::size_t>& vertex,
+                       const ReachMap& reach,
+                       const std::vector<std::size_t>& in_budget) {
+  // A path type is the sorted structural fingerprints of the traversed
+  // boxes (the fingerprint the canonical keys colour member boxes with).
+  // Types are numbered in sorted order, so the labels depend on the types
+  // alone, and two distinct types never share a number.
+  std::map<std::vector<NodeId>, std::string> type_of;
+  for (const auto& [h, per_scenario] : reach) {
+    for (std::size_t s : in_budget) {
+      for (const Delivery& d : per_scenario[s]) type_of.emplace(d.boxes, "");
+    }
+  }
+  std::map<std::string, std::uint64_t> type_id;
+  for (auto& [boxes, type] : type_of) {
     std::vector<std::string> types;
-    types.reserve(boxes.size());
     for (NodeId b : boxes) {
-      const mbox::Middlebox* box = model.middlebox_at(b);
-      if (box == nullptr) continue;
-      types.push_back(box->structural_fingerprint());
+      if (const mbox::Middlebox* box = model.middlebox_at(b)) {
+        types.push_back(box->structural_fingerprint());
+      }
     }
     std::sort(types.begin(), types.end());
-    std::string out = "[";
-    for (const std::string& t : types) out += t + ",";
-    return out + "]";
-  };
-
-  // Both directions with their path strings, computed once (path_of sorts
-  // and concatenates; recomputing it per refinement round would redo that
-  // for every delivery every round): fwd[h][s] = (target, path) pairs,
-  // rev[t][s] = (source, path) pairs.
-  using Peers = std::vector<std::vector<std::pair<NodeId, std::string>>>;
-  std::unordered_map<NodeId, Peers> fwd;
-  std::unordered_map<NodeId, Peers> rev;
-  for (const auto& [h, per_scenario] : reach) {
-    fwd[h].resize(per_scenario.size());
-    rev[h].resize(per_scenario.size());
+    for (const std::string& t : types) type += t + ",";
+    type_id.emplace(type, 0);
   }
+  std::uint64_t next_id = 0;
+  for (auto& [type, id] : type_id) id = next_id++;
+
   for (const auto& [h, per_scenario] : reach) {
-    for (std::size_t s = 0; s < per_scenario.size(); ++s) {
+    for (std::size_t s : in_budget) {
       for (const Delivery& d : per_scenario[s]) {
-        std::string path = path_of(d.boxes);
-        fwd[h][s].emplace_back(d.target, path);
-        rev[d.target][s].emplace_back(h, std::move(path));
+        // Label bits: scenario from bit 33 up, direction at bit 32 (set on
+        // the target's arc back to the sender), path type in the low 32.
+        const std::uint64_t label =
+            (std::uint64_t{s} << 33) | type_id.at(type_of.at(d.boxes));
+        const std::uint64_t inbound = std::uint64_t{1} << 32;
+        graph.add_arc(vertex.at(h), label, vertex.at(d.target));
+        graph.add_arc(vertex.at(d.target), label | inbound, vertex.at(h));
       }
     }
   }
-
-  std::unordered_map<NodeId, std::size_t> cls;
-  const auto assign = [&] {
-    cls.clear();
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-      for (NodeId h : classes[i]) cls[h] = i;
-    }
-  };
-  assign();
-
-  const auto side = [&](std::vector<std::string> parts) {
-    std::sort(parts.begin(), parts.end());
-    std::string sig;
-    for (const std::string& p : parts) sig += p + ",";
-    return sig;
-  };
-  const auto peer_parts = [&](const std::unordered_map<NodeId, Peers>& dir,
-                              NodeId h, std::size_t s) {
-    std::vector<std::string> parts;
-    const auto it = dir.find(h);
-    if (it != dir.end() && s < it->second.size()) {
-      for (const auto& [peer, path] : it->second[s]) {
-        parts.push_back(std::to_string(cls.at(peer)) + path);
-      }
-    }
-    return parts;
-  };
-  const auto signature = [&](NodeId h) {
-    std::string sig;
-    for (std::size_t s : in_budget) {
-      sig += "s" + std::to_string(s) + ">" + side(peer_parts(fwd, h, s)) +
-             "<" + side(peer_parts(rev, h, s)) + ";";
-    }
-    return sig;
-  };
-
-  for (bool changed = true; changed;) {
-    changed = false;
-    std::vector<std::vector<NodeId>> next;
-    next.reserve(classes.size());
-    for (auto& c : classes) {
-      if (c.size() <= 1) {
-        next.push_back(std::move(c));
-        continue;
-      }
-      std::map<std::string, std::vector<NodeId>> buckets;
-      for (NodeId h : c) buckets[signature(h)].push_back(h);
-      if (buckets.size() > 1) changed = true;
-      for (auto& [sig, members] : buckets) next.push_back(std::move(members));
-    }
-    classes = std::move(next);
-    assign();
-  }
-}
-
-/// Computes the per-host delivery signatures, refines `out.classes` by
-/// them, installs the signatures and rebuilds the host index.
-void attach_reachability(PolicyClasses& out, const encode::NetworkModel& model,
-                         const PolicyClassOptions& options) {
-  if (!options.refine_by_reachability) {
-    out.reindex();
-    return;
-  }
-  const net::Network& net = model.network();
-  dataplane::TransferCache local(net);
-  dataplane::TransferCache& transfers =
-      options.transfers != nullptr ? *options.transfers : local;
-
-  std::vector<int> scenario_failures;
-  scenario_failures.reserve(net.scenarios().size());
-  for (const auto& sc : net.scenarios()) {
-    scenario_failures.push_back(static_cast<int>(sc.failed_nodes.size()));
-  }
-  // Walk (and pay for) only the scenarios the verification budget can see;
-  // out-of-budget slots stay empty and queries never read them.
-  const std::vector<std::size_t> in_budget =
-      scenarios_in_budget(scenario_failures, options.max_failures);
-
-  const std::vector<Address> seeds = seed_addresses(model);
-  ReachMap reach;
-  for (NodeId h : net.hosts()) {
-    auto& per_scenario = reach[h];
-    per_scenario.resize(scenario_failures.size());
-    for (std::size_t s : in_budget) {
-      const dataplane::TransferFunction& tf =
-          transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
-      per_scenario[s] = deliveries_from(model, tf, h, seeds);
-    }
-  }
-
-  refine_by_reach(model, out.classes, reach, in_budget);
-  out.set_reach_signatures(std::move(scenario_failures), std::move(reach),
-                           options.max_failures);
 }
 
 }  // namespace
@@ -370,17 +278,20 @@ void PolicyClasses::set_reach_signatures(
 
 PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
                                    const PolicyClassOptions& options) {
-  std::map<std::string, std::vector<NodeId>> groups;
-  for (NodeId h : model.network().hosts()) {
-    const Address a = model.network().node(h).address;
-    // A host's fingerprint is the sorted multiset of type-tagged non-empty
-    // box fingerprints - no box names, no positions - so hosts of
-    // renamed-isomorphic segments (treated alike by their own boxes, not
-    // touched by each other's) land in one class. Sound because the class
-    // is only a symmetry-grouping hypothesis: reachability refinement
-    // (attach_reachability below) splits classes whose traffic actually
-    // traverses different boxes, and problem keys render every member box's
-    // full encoding projection before any verdict merges.
+  const net::Network& net = model.network();
+  // One vertex per host, coloured by its configuration fingerprint: the
+  // sorted multiset of type-tagged non-empty box fingerprints - no box
+  // names, no positions - so hosts of renamed-isomorphic segments (treated
+  // alike by their own boxes, not touched by each other's) start alike.
+  // Sound because the class is only a symmetry-grouping hypothesis: the
+  // delivery arcs split classes whose traffic actually traverses different
+  // boxes, and problem keys render every member box's full encoding
+  // projection before any verdict merges.
+  ColourGraph graph;
+  std::unordered_map<NodeId, std::size_t> vertex;
+  std::unordered_map<std::uint64_t, std::string> fingerprint_of;
+  for (NodeId h : net.hosts()) {
+    const Address a = net.node(h).address;
     std::vector<std::string> parts;
     for (const auto& box : model.middleboxes()) {
       std::string bfp = box->policy_fingerprint(a);
@@ -390,12 +301,52 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     std::sort(parts.begin(), parts.end());
     std::string fp;
     for (std::string& p : parts) fp += p;
-    groups[fp].push_back(h);
+    const std::uint64_t colour = fnv1a64(fp);
+    const auto [it, fresh] = fingerprint_of.emplace(colour, fp);
+    if (!fresh && it->second != fp) {
+      throw std::logic_error("policy classes: two fingerprints share a colour");
+    }
+    vertex.emplace(h, graph.add_vertex(colour));
   }
+
+  dataplane::TransferCache local(net);
+  dataplane::TransferCache& transfers =
+      options.transfers != nullptr ? *options.transfers : local;
+  std::vector<int> scenario_failures;
+  scenario_failures.reserve(net.scenarios().size());
+  for (const auto& sc : net.scenarios()) {
+    scenario_failures.push_back(static_cast<int>(sc.failed_nodes.size()));
+  }
+  // Walk (and pay for) only the scenarios the verification budget can see;
+  // out-of-budget slots stay empty and queries never read them.
+  const std::vector<std::size_t> in_budget =
+      scenarios_in_budget(scenario_failures, options.max_failures);
+  const std::vector<Address> seeds = seed_addresses(model);
+  ReachMap reach;
+  for (NodeId h : net.hosts()) {
+    auto& per_scenario = reach[h];
+    per_scenario.resize(scenario_failures.size());
+    for (std::size_t s : in_budget) {
+      const dataplane::TransferFunction& tf =
+          transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
+      per_scenario[s] = deliveries_from(model, tf, h, seeds);
+    }
+  }
+  add_delivery_arcs(model, graph, vertex, reach, in_budget);
+
+  // Classes are the stable colours, ordered by colour value (name-blind);
+  // members keep host order, so each class's first member is its
+  // lowest-numbered host.
+  const std::vector<std::uint64_t> colours = refine(graph);
+  std::map<std::uint64_t, std::vector<NodeId>> by_colour;
+  for (NodeId h : net.hosts()) by_colour[colours[vertex.at(h)]].push_back(h);
   PolicyClasses out;
-  out.classes.reserve(groups.size());
-  for (auto& [fp, hosts] : groups) out.classes.push_back(std::move(hosts));
-  attach_reachability(out, model, options);
+  out.classes.reserve(by_colour.size());
+  for (auto& [colour, hosts] : by_colour) {
+    out.classes.push_back(std::move(hosts));
+  }
+  out.set_reach_signatures(std::move(scenario_failures), std::move(reach),
+                           options.max_failures);
   return out;
 }
 

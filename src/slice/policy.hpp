@@ -22,16 +22,18 @@
 // elect a representative that cannot reach the invariant's target - or one
 // whose path is policed while another member's is not - and the sliced
 // verdict would silently disagree with the whole network. Inference
-// therefore *refines* the fingerprint classes by per-scenario delivery
-// signatures: who can deliver to whom, and traversing which middlebox
-// *types*, under each in-budget failure scenario, computed on the static
-// dataplane (middlebox *policy* drops are the solver's business - the
-// paper's "all packets sent and received by them traverse the same set of
-// middlebox types"). The recorded per-host signatures additionally carry
-// the concrete traversed instances, so slice seeding can pick, per class,
-// representatives per (reach, path) behavior toward the target
-// (representatives_for). The refinement is class-aware (signatures name
-// classes and box types, never addresses or instance names), so truly
+// therefore runs colour refinement (slice/refine.hpp) over hosts: each host
+// starts with the colour of its configuration fingerprint, and every
+// delivery under an in-budget failure scenario - who can deliver to whom,
+// traversing which middlebox *types*, computed on the static dataplane -
+// is an arc labelled with its scenario, direction and path type (middlebox
+// *policy* drops are the solver's business - the paper's "all packets sent
+// and received by them traverse the same set of middlebox types"). The
+// classes are the stable colours. The recorded per-host signatures
+// additionally carry the concrete traversed instances, so slice seeding can
+// pick, per class, representatives per (reach, path) behavior toward the
+// target (representatives_for). The labels are class- and type-aware (they
+// name colours and box types, never addresses or instance names), so truly
 // symmetric hosts - including symmetric hosts of mutually disconnected but
 // isomorphic segments - keep sharing a class; per-target representative
 // selection covers the residual within-class variation.
@@ -59,10 +61,6 @@ struct PolicyClassOptions {
   /// PlanContext's cache); when null the inference builds a private one.
   /// Borrowed, single-threaded, must outlive the call.
   dataplane::TransferCache* transfers = nullptr;
-  /// Disables the reachability refinement and signature recording
-  /// (configuration fingerprints only - the historically unsound relation;
-  /// kept as a debug/benchmark baseline).
-  bool refine_by_reachability = true;
 };
 
 /// One recorded delivery: packets from the owning host can be delivered to
@@ -109,9 +107,8 @@ struct PolicyClasses {
   /// their slices stay free of cross-segment junk hosts.
   ///
   /// For a class whose members all behave alike this is exactly
-  /// representatives(); with no recorded delivery signatures (refinement
-  /// disabled, or a hand-built instance) it degrades to representatives()
-  /// regardless of the flags.
+  /// representatives(); with no recorded delivery signatures (a hand-built
+  /// instance) it degrades to representatives() regardless of the flags.
   [[nodiscard]] std::vector<NodeId> representatives_for(
       NodeId target, int max_failures, bool include_unreachable) const;
 
@@ -147,8 +144,9 @@ struct PolicyClasses {
   int reach_budget_ = -1;
 };
 
-/// Groups hosts by configuration fingerprint, then refines the groups by
-/// reachability signature (inferred classes; see the header comment).
+/// Colours hosts by configuration fingerprint and refines the colours over
+/// the delivery relation (inferred classes; see the header comment).
+/// Classes come out ordered by stable colour value, members in host order.
 [[nodiscard]] PolicyClasses infer_policy_classes(
     const encode::NetworkModel& model, const PolicyClassOptions& options = {});
 

@@ -4,16 +4,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-
-#include "core/hash.hpp"
 #include <map>
 #include <optional>
 #include <set>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "dataplane/transfer.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/topology.hpp"
+#include "slice/refine.hpp"
 
 namespace vmn::slice {
 
@@ -29,20 +29,26 @@ std::vector<NodeId> normalize_members(const std::vector<NodeId>& members) {
   return out;
 }
 
-/// Round signatures are compressed to a 64-bit digest before reuse:
-/// uncompressed, color length multiplies by relation degree every round,
-/// and the digest is a pure function of the signature string, so the same
-/// signature digests identically in every slice - cross-slice comparability
-/// is preserved exactly, up to the (negligible) chance of a 64-bit
-/// collision. The digest is pinned FNV-1a 64 (core/hash.hpp), NOT
-/// std::hash: std::hash may differ between implementations, builds and
-/// even runs (hash hardening), and the persistent result cache
-/// (verify::ResultCache) compares these keys across processes.
-std::string digest(const std::string& sig) {
+std::string hex(std::uint64_t v) {
   char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(sig)));
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return std::string(buf);
+}
+
+/// Long renderings (configuration projections, scenario signatures) enter
+/// the problem key as a 64-bit digest. The digest is pinned FNV-1a 64
+/// (core/hash.hpp), NOT std::hash: std::hash may differ between
+/// implementations, builds and even runs (hash hardening), and the
+/// persistent result cache (verify::ResultCache) compares these keys across
+/// processes.
+std::string digest(const std::string& sig) { return hex(fnv1a64(sig)); }
+
+/// Index of `id` in the sorted member list, if it is a member.
+std::optional<std::size_t> position(const std::vector<NodeId>& members,
+                                   NodeId id) {
+  auto it = std::lower_bound(members.begin(), members.end(), id);
+  if (it == members.end() || *it != id) return std::nullopt;
+  return static_cast<std::size_t>(it - members.begin());
 }
 
 /// The relevant address set of a member list, derived exactly like
@@ -62,106 +68,97 @@ std::vector<Address> relevant_addresses(const encode::NetworkModel& model,
   return {addrs.begin(), addrs.end()};
 }
 
-struct Refined {
-  /// Final member colors, aligned with the normalized member list.
-  std::vector<std::string> mcolor;
+/// Arc labels of the problem graph: each names the role one vertex plays
+/// for the other.
+enum ProblemArc : std::uint64_t {
+  kOwnsHostAddress, kOwnsImplicitAddress, kFails,
+  kRouteFrom, kRouteAddress, kRouteTo, kRouteScenario,
+  kConfigBox, kConfigLhs, kConfigRhs,
+};
+
+/// The stable colours of canonical_slice_key's and canonical_shape_key's
+/// problem graph.
+struct ProblemColours {
+  /// Member colours, aligned with the normalized member list.
+  std::vector<std::uint64_t> mcolor;
   /// The "#members@addresses!scenarios" palette suffix of the key.
   std::string palette;
 };
 
-/// The shared 1-WL core of canonical_slice_key and canonical_shape_key:
-/// co-refines member and relevant-address colors over the scenario-tagged
-/// routing relation (three rounds on the tripartite member/address/scenario
-/// structure), starting from the caller's initial member colors.
-/// `fingerprint_incidence` additionally colors each (middlebox, address)
+/// Builds the problem graph over `members` (initial colours `mcolor`) and
+/// refines it (slice/refine.hpp). Its vertices are the members, the
+/// relevant addresses and the in-budget scenarios, plus one small
+/// hyperedge vertex per route and per admitted config pair; its arcs are
+/// address ownership, routes, failures and config pairs.
+/// `fingerprint_incidence` additionally labels each (middlebox, address)
 /// incidence with the box's per-address policy fingerprint - the slice key
 /// wants configuration in the fingerprint, the shape key deliberately does
 /// not (shape_bijection verifies configuration exactly instead).
-Refined wl_refine(const encode::NetworkModel& model,
-                  const std::vector<NodeId>& members,
-                  std::vector<std::string> mcolor, bool fingerprint_incidence,
-                  int max_failures, dataplane::TransferCache& tcache) {
+ProblemColours colour_problem(const encode::NetworkModel& model,
+                              const std::vector<NodeId>& members,
+                              const std::vector<std::uint64_t>& mcolor,
+                              bool fingerprint_incidence, int max_failures,
+                              dataplane::TransferCache& tcache) {
   const net::Network& net = model.network();
-  auto member_index = [&](NodeId id) -> std::optional<std::size_t> {
-    auto it = std::lower_bound(members.begin(), members.end(), id);
-    if (it == members.end() || *it != id) return std::nullopt;
-    return static_cast<std::size_t>(it - members.begin());
-  };
+  ColourGraph g;
+  for (std::uint64_t c : mcolor) g.add_vertex(c);
 
-  // Relevant addresses with their owning members (the same derivation as
-  // Encoding::compute_relevant_addresses); each address is a refinement
-  // vertex colored by its owners, never by its bits.
-  std::map<Address, std::vector<std::pair<std::string, std::size_t>>>
-      owners_by_addr;
+  // Relevant addresses (the same derivation as
+  // Encoding::compute_relevant_addresses), coloured by their owners through
+  // ownership edges, never by their bits.
+  const std::vector<Address> relevant = relevant_addresses(model, members);
+  const std::size_t first_addr = g.colours.size();
+  for (std::size_t j = 0; j < relevant.size(); ++j) {
+    g.add_vertex(fnv1a64("address"));
+  }
+  const auto addr_vertex = [&](Address a) {
+    const auto it = std::lower_bound(relevant.begin(), relevant.end(), a);
+    return first_addr + static_cast<std::size_t>(it - relevant.begin());
+  };
   for (std::size_t i = 0; i < members.size(); ++i) {
     const net::Node& n = net.node(members[i]);
     if (n.kind == net::NodeKind::host) {
-      owners_by_addr[n.address].push_back({"p", i});
+      g.add_edge(i, kOwnsHostAddress, addr_vertex(n.address));
     } else if (const mbox::Middlebox* box = model.middlebox_at(members[i])) {
       for (Address a : box->implicit_addresses()) {
-        owners_by_addr[a].push_back({"i", i});
+        g.add_edge(i, kOwnsImplicitAddress, addr_vertex(a));
       }
     }
   }
-  std::vector<Address> relevant;
-  std::vector<std::vector<std::pair<std::string, std::size_t>>> owners;
-  relevant.reserve(owners_by_addr.size());
-  owners.reserve(owners_by_addr.size());
-  for (auto& [a, os] : owners_by_addr) {
-    relevant.push_back(a);
-    owners.push_back(std::move(os));
-  }
 
-  // Configuration enters the slice key through each member middlebox's
-  // per-address policy projection (the same projection infer_policy_classes
-  // fingerprints hosts with): the box x relevant-address incidence is
-  // colored by policy_fingerprint, so same-type boxes whose configurations
-  // treat a slice address differently (e.g. default-deny vs default-allow
-  // firewalls, or a dropping IDPS vs a pure monitor) never share a key -
-  // without this the encoding (which compiles the full config) would
-  // diverge from the key. That rests on the ConfigRelations contract
-  // (mbox/config.hpp): every axiom-relevant knob, address-independent ones
-  // included, must be in the descriptor the fingerprint is derived from
-  // (address-free rows, e.g. the IDPS mode or an app-firewall's class
-  // list). Fingerprints
-  // render prefixes canonically (length and membership, never bits), so
-  // isomorphically-treated addresses - renamed ones included - get equal
-  // strings, which is what keeps e.g. an enterprise's public subnets
-  // merged. (The shape key skips this incidence: configuration must not
-  // split its candidate pairing, and shape_bijection re-checks it exactly
-  // through Middlebox::encoding_projection.)
-  // Pairwise configuration joins among slice addresses. The per-address
-  // fingerprints above are deliberately role-local (occurrence ids are
-  // relative to the queried address's matched rows, so an enterprise's
-  // public subnets collapse), which means they cannot tell whether two
-  // slice addresses are joined by the SAME config row or by two
-  // corresponding-but-different ones - deny(P1->Q1, P2->Q2) looks alike
-  // from x1 in P1 whether the slice's other host sits in Q1 (denied) or Q2
-  // (admitted). That information is exactly the admitted-pair relation the
-  // axioms compile (acl_term and friends project onto relevant x relevant),
-  // so each pair_match relation contributes its admitted pairs as refinement
-  // edges below, alongside the routing relation.
-  struct CfgPair {
-    std::size_t box, lhs, rhs;
-    std::string rel;
-  };
-  std::vector<CfgPair> cfg_pairs;
+  // Configuration enters the slice key through each member box's
+  // per-address policy fingerprint (the projection infer_policy_classes
+  // colours hosts with), so same-type boxes that treat a slice address
+  // differently (default-deny vs default-allow, a dropping IDPS vs a
+  // monitor) never share a key. That rests on the ConfigRelations contract
+  // (mbox/config.hpp): every axiom-relevant knob is in the descriptor.
+  // Fingerprints render prefixes by length and membership, never bits, so
+  // renamed-isomorphic addresses still colour alike. They are role-local,
+  // though: deny(P1->Q1, P2->Q2) looks alike from x1 in P1 whether the
+  // slice's other host sits in Q1 (denied) or Q2 (admitted). That pairwise
+  // join is the admitted-pair relation the axioms compile, so each admitted
+  // pair of each pair_match relation is a vertex joining the box and both
+  // addresses. (The shape key skips all of this: configuration must not
+  // split its candidate pairing, and shape_bijection checks it exactly.)
   if (fingerprint_incidence) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const mbox::Middlebox* box = model.middlebox_at(members[i]);
       if (box == nullptr) continue;
       for (std::size_t j = 0; j < relevant.size(); ++j) {
-        owners[j].push_back(
-            {"f" + digest(box->policy_fingerprint(relevant[j])), i});
+        g.add_edge(i, fnv1a64("f" + box->policy_fingerprint(relevant[j])),
+                   first_addr + j);
       }
       const mbox::ConfigRelations rels = box->config_relations();
       for (const mbox::ConfigRelation& rel : rels.relations) {
         if (rel.semantics != mbox::RelationSemantics::pair_match) continue;
         for (std::size_t j = 0; j < relevant.size(); ++j) {
           for (std::size_t k = 0; k < relevant.size(); ++k) {
-            if (rel.admits(relevant[j], relevant[k])) {
-              cfg_pairs.push_back(CfgPair{i, j, k, rel.name});
-            }
+            if (!rel.admits(relevant[j], relevant[k])) continue;
+            const std::size_t pair =
+                g.add_vertex(fnv1a64("config:" + rel.name));
+            g.add_edge(pair, kConfigBox, i);
+            g.add_edge(pair, kConfigLhs, first_addr + j);
+            g.add_edge(pair, kConfigRhs, first_addr + k);
           }
         }
       }
@@ -175,121 +172,48 @@ Refined wl_refine(const encode::NetworkModel& model,
   // scenario fails. Physical wiring enters the encoding only through this
   // relation, so it is all the key needs - and unlike wiring it captures
   // per-source rules and scenario-specific reroutes.
-  struct Route {
-    std::size_t from, addr, to;
-  };
-  std::vector<std::vector<Route>> routes;
-  std::vector<std::vector<std::size_t>> failed;
+  std::vector<std::size_t> scenarios;
   for (const net::FailureScenario& sc : net.scenarios()) {
     if (static_cast<int>(sc.failed_nodes.size()) > max_failures) continue;
     const ScenarioId sid(static_cast<ScenarioId::underlying_type>(
         &sc - net.scenarios().data()));
     const dataplane::TransferFunction& tf = tcache.at(sid);
-    std::vector<Route> rs;
+    const std::size_t s = g.add_vertex(fnv1a64("scenario"));
+    scenarios.push_back(s);
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = 0; j < relevant.size(); ++j) {
         std::optional<NodeId> to = tf.next_edge(members[i], relevant[j]);
         if (!to) continue;
-        std::optional<std::size_t> k = member_index(*to);
+        std::optional<std::size_t> k = position(members, *to);
         if (!k) continue;
-        rs.push_back(Route{i, j, *k});
+        const std::size_t route = g.add_vertex(fnv1a64("route"));
+        g.add_edge(route, kRouteFrom, i);
+        g.add_edge(route, kRouteAddress, first_addr + j);
+        g.add_edge(route, kRouteTo, *k);
+        g.add_edge(route, kRouteScenario, s);
       }
+      if (sc.is_failed(members[i])) g.add_edge(s, kFails, i);
     }
-    routes.push_back(std::move(rs));
-    std::vector<std::size_t> f;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (sc.is_failed(members[i])) f.push_back(i);
-    }
-    failed.push_back(std::move(f));
   }
 
-  const auto scenario_tags = [&](const std::vector<std::string>& mc,
-                                 const std::vector<std::string>& ac) {
-    std::vector<std::string> tags(routes.size());
-    for (std::size_t s = 0; s < routes.size(); ++s) {
-      std::vector<std::string> lines;
-      for (const Route& r : routes[s]) {
-        lines.push_back(mc[r.from] + ">" + ac[r.addr] + ">" + mc[r.to]);
-      }
-      for (std::size_t i : failed[s]) lines.push_back("x" + mc[i]);
-      std::sort(lines.begin(), lines.end());
-      std::string sig = "S";
-      for (const std::string& l : lines) sig += l + ",";
-      tags[s] = digest(sig);
-    }
-    return tags;
+  // The palette: the sorted multisets of stable member, address and
+  // scenario colours.
+  const std::vector<std::uint64_t> colours = refine(g);
+  ProblemColours out;
+  out.mcolor.assign(colours.begin(), colours.begin() + members.size());
+  const auto palette = [&](std::vector<std::uint64_t> cs) {
+    std::sort(cs.begin(), cs.end());
+    std::string p;
+    for (std::uint64_t c : cs) p += hex(c) + ";";
+    return p;
   };
-
-  // Seed address colors from their owners, then co-refine members and
-  // addresses over the scenario-tagged routing relation (1-WL on the
-  // tripartite member/address/scenario structure, three rounds).
-  std::vector<std::string> acolor(relevant.size());
-  for (std::size_t j = 0; j < relevant.size(); ++j) {
-    std::vector<std::string> os;
-    for (const auto& [tag, i] : owners[j]) os.push_back(tag + mcolor[i]);
-    std::sort(os.begin(), os.end());
-    std::string c = "A(";
-    for (const std::string& o : os) c += o + ",";
-    acolor[j] = c + ")";
-  }
-  for (int round = 0; round < 3; ++round) {
-    const std::vector<std::string> stag = scenario_tags(mcolor, acolor);
-    std::vector<std::vector<std::string>> mparts(members.size());
-    std::vector<std::vector<std::string>> aparts(relevant.size());
-    for (std::size_t s = 0; s < routes.size(); ++s) {
-      for (const Route& r : routes[s]) {
-        mparts[r.from].push_back("f" + stag[s] + acolor[r.addr] + mcolor[r.to]);
-        mparts[r.to].push_back("t" + stag[s] + mcolor[r.from] + acolor[r.addr]);
-        aparts[r.addr].push_back("e" + stag[s] + mcolor[r.from] + mcolor[r.to]);
-      }
-      for (std::size_t i : failed[s]) mparts[i].push_back("x" + stag[s]);
-    }
-    for (std::size_t j = 0; j < relevant.size(); ++j) {
-      for (const auto& [tag, i] : owners[j]) {
-        mparts[i].push_back("o" + tag + acolor[j]);
-        aparts[j].push_back("o" + tag + mcolor[i]);
-      }
-    }
-    for (const CfgPair& p : cfg_pairs) {
-      mparts[p.box].push_back("c" + p.rel + acolor[p.lhs] + ">" +
-                              acolor[p.rhs]);
-      aparts[p.lhs].push_back("cl" + p.rel + mcolor[p.box] + acolor[p.rhs]);
-      aparts[p.rhs].push_back("cr" + p.rel + mcolor[p.box] + acolor[p.lhs]);
-    }
-    std::vector<std::string> next_m(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      std::sort(mparts[i].begin(), mparts[i].end());
-      std::string sig = "(" + mcolor[i] + "|";
-      for (const std::string& p : mparts[i]) sig += p + ",";
-      next_m[i] = digest(sig + ")");
-    }
-    std::vector<std::string> next_a(relevant.size());
-    for (std::size_t j = 0; j < relevant.size(); ++j) {
-      std::sort(aparts[j].begin(), aparts[j].end());
-      std::string sig = "[" + acolor[j] + "|";
-      for (const std::string& p : aparts[j]) sig += p + ",";
-      next_a[j] = digest(sig + "]");
-    }
-    mcolor = std::move(next_m);
-    acolor = std::move(next_a);
-  }
-
-  // The palette: the sorted multisets of final member colors, address
-  // colors and scenario fingerprints.
-  std::vector<std::string> mpal = mcolor;
-  std::vector<std::string> apal = acolor;
-  std::vector<std::string> spal = scenario_tags(mcolor, acolor);
-  std::sort(mpal.begin(), mpal.end());
-  std::sort(apal.begin(), apal.end());
-  std::sort(spal.begin(), spal.end());
-  Refined out;
-  out.palette = "#";
-  for (const std::string& c : mpal) out.palette += c + ";";
-  out.palette += "@";
-  for (const std::string& c : apal) out.palette += c + ";";
-  out.palette += "!";
-  for (const std::string& c : spal) out.palette += c + ";";
-  out.mcolor = std::move(mcolor);
+  std::vector<std::uint64_t> scolor;
+  for (std::size_t s : scenarios) scolor.push_back(colours[s]);
+  out.palette =
+      "#" + palette(out.mcolor) + "@" +
+      palette({colours.begin() + first_addr,
+               colours.begin() + first_addr + relevant.size()}) +
+      "!" + palette(std::move(scolor));
   return out;
 }
 
@@ -317,7 +241,7 @@ std::string canonical_slice_key(const encode::NetworkModel& model,
   // that differ only in which such sub-population their representative
   // senders came from can never canonically merge - dedup would otherwise
   // re-merge exactly the classes the refinement split.
-  std::vector<std::string> mcolor(members.size());
+  std::vector<std::uint64_t> mcolor(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     const NodeId id = members[i];
     std::string c;
@@ -335,12 +259,12 @@ std::string canonical_slice_key(const encode::NetworkModel& model,
         c += ":P";  // the traversal axiom matches boxes by name prefix
       }
     }
-    mcolor[i] = std::move(c);
+    mcolor[i] = fnv1a64(c);
   }
 
-  Refined refined = wl_refine(model, members, std::move(mcolor),
-                              /*fingerprint_incidence=*/true, max_failures,
-                              tcache);
+  const ProblemColours refined =
+      colour_problem(model, members, mcolor, /*fingerprint_incidence=*/true,
+                     max_failures, tcache);
   return encode::to_string(invariant.kind) + "/" + invariant.type_prefix +
          refined.palette;
 }
@@ -364,19 +288,19 @@ ShapeKey canonical_shape_key(const encode::NetworkModel& model,
   // their structural triple only. Everything else the base encoding
   // depends on - routing under every in-budget scenario, failure sets,
   // address ownership - enters through the refinement relation.
-  std::vector<std::string> mcolor(out.members.size());
+  std::vector<std::uint64_t> mcolor(out.members.size());
   for (std::size_t i = 0; i < out.members.size(); ++i) {
     const NodeId id = out.members[i];
     if (net.kind(id) == net::NodeKind::host) {
-      mcolor[i] = "h";
+      mcolor[i] = fnv1a64("h");
     } else if (const mbox::Middlebox* box = model.middlebox_at(id)) {
-      mcolor[i] = "m:" + box->structural_fingerprint();
+      mcolor[i] = fnv1a64("m:" + box->structural_fingerprint());
     }
   }
 
-  Refined refined = wl_refine(model, out.members, std::move(mcolor),
-                              /*fingerprint_incidence=*/false, max_failures,
-                              tcache);
+  ProblemColours refined =
+      colour_problem(model, out.members, mcolor,
+                     /*fingerprint_incidence=*/false, max_failures, tcache);
   out.key = "shape" + refined.palette;
   out.colors = std::move(refined.mcolor);
   return out;
@@ -409,10 +333,10 @@ std::optional<std::vector<NodeId>> shape_bijection(
 
   // Candidate pairing: sort both sides by (color, position) and pair in
   // order. Within a color class the pairing is arbitrary - if the class
-  // holds genuine automorphisms any pairing verifies; if 1-WL merely
+  // holds genuine automorphisms any pairing verifies; if refinement merely
   // failed to distinguish non-corresponding nodes, the exact checks below
   // reject the candidate and the caller encodes cold.
-  auto order_by_color = [n](const std::vector<std::string>& colors) {
+  auto order_by_color = [n](const std::vector<std::uint64_t>& colors) {
     std::vector<std::size_t> idx(n);
     for (std::size_t i = 0; i < n; ++i) idx[i] = i;
     std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
@@ -564,12 +488,6 @@ std::optional<std::vector<NodeId>> shape_bijection(
   // satisfiability, and nothing else in the encoding is scenario-indexed.
   // A multiset match certifies existence; the permutation itself is never
   // needed downstream (witness fail events name nodes, not scenarios).
-  auto member_pos = [](const std::vector<NodeId>& members, NodeId id)
-      -> std::optional<std::size_t> {
-    auto it = std::lower_bound(members.begin(), members.end(), id);
-    if (it == members.end() || *it != id) return std::nullopt;
-    return static_cast<std::size_t>(it - members.begin());
-  };
   std::vector<std::string> from_sigs;
   std::vector<std::string> to_sigs;
   for (const net::FailureScenario& sc : net.scenarios()) {
@@ -584,7 +502,7 @@ std::optional<std::vector<NodeId>> shape_bijection(
         // from-side walk, written in to-space coordinates via perm.
         if (std::optional<NodeId> hop = tf.next_edge(from.members[i],
                                                      rel_from[j])) {
-          if (std::optional<std::size_t> k = member_pos(from.members, *hop)) {
+          if (std::optional<std::size_t> k = position(from.members, *hop)) {
             fl.push_back("r" + std::to_string(perm[i]) + "," +
                          std::to_string(j) + ">" + std::to_string(perm[*k]));
           }
@@ -593,7 +511,7 @@ std::optional<std::vector<NodeId>> shape_bijection(
         // token space (mapped[j] is alpha(rel_from[j])).
         if (std::optional<NodeId> hop = tf.next_edge(to.members[i],
                                                      mapped[j])) {
-          if (std::optional<std::size_t> k = member_pos(to.members, *hop)) {
+          if (std::optional<std::size_t> k = position(to.members, *hop)) {
             tl.push_back("r" + std::to_string(i) + "," + std::to_string(j) +
                          ">" + std::to_string(*k));
           }
@@ -671,9 +589,9 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
   for (std::size_t r = 0; r < n; ++r) rank_of[order[r]] = r;
 
   auto rank_of_node = [&](NodeId id) -> std::optional<std::size_t> {
-    auto it = std::lower_bound(shape.members.begin(), shape.members.end(), id);
-    if (it == shape.members.end() || *it != id) return std::nullopt;
-    return rank_of[static_cast<std::size_t>(it - shape.members.begin())];
+    const std::optional<std::size_t> i = position(shape.members, id);
+    if (!i) return std::nullopt;
+    return rank_of[*i];
   };
   std::optional<std::size_t> target_rank;
   if (invariant.target.valid()) target_rank = rank_of_node(invariant.target);
@@ -695,7 +613,7 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
     return it->second;
   };
 
-  std::string body = "prob6/" + encode::to_string(invariant.kind) + "/";
+  std::string body = "prob7/" + encode::to_string(invariant.kind) + "/";
   for (std::size_t r = 0; r < n; ++r) {
     const NodeId id = shape.members[order[r]];
     const net::Node& node = net.node(id);

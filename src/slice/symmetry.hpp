@@ -9,6 +9,7 @@
 // representative per group.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,20 +39,21 @@ namespace vmn::slice {
 /// same-type boxes never merge when their configurations treat a member
 /// differently; sound exactly as long as every box's descriptor names
 /// every axiom-relevant knob, address-independent ones included),
-/// switches anonymously - then the labelling is sharpened by
-/// three rounds of neighborhood refinement (1-WL) over the subgraph induced
-/// on the slice members plus the switching fabric, with every admitted
-/// (src, dst) pair of each pair-match config relation fed in as an extra
-/// refinement edge (per-address fingerprints cannot carry pairwise join
-/// structure - deny(P1->Q1);deny(P2->Q2) must separate the slice pairing
-/// x with P1's peer from the one pairing it with P2's - so the key
-/// recovers it here). Isomorphic
-/// (invariant, slice) pairs - one transformable into the other by a
-/// policy-class-preserving relabeling of nodes - always get equal keys, but
-/// the converse is heuristic: 1-WL color multisets can coincide on
-/// non-isomorphic graphs, which is why nothing merges verdicts by it. Keys
-/// are stable across processes and runs: round signatures are compressed
-/// with a pinned FNV-1a 64 digest (never std::hash, whose value is
+/// switches anonymously - then the labelling is refined to the stable
+/// colouring (slice/refine.hpp) of the problem graph: the slice members,
+/// the relevant addresses and the in-budget failure scenarios, joined by
+/// address ownership, failures, fingerprint incidence and one small
+/// hyperedge vertex per route (scenario, from, address, to) and per
+/// admitted (src, dst) pair of each pair-match config relation
+/// (per-address fingerprints cannot carry pairwise join structure -
+/// deny(P1->Q1);deny(P2->Q2) must separate the slice pairing x with P1's
+/// peer from the one pairing it with P2's - so the key recovers it here).
+/// Isomorphic (invariant, slice) pairs - one transformable into the other
+/// by a policy-class-preserving relabeling of nodes - always get equal
+/// keys, but the converse is heuristic: colour refinement can colour
+/// non-isomorphic graphs alike, which is why nothing merges verdicts by
+/// it. Keys are stable across processes and runs: colours are pinned
+/// FNV-1a 64 hashes of exact signatures (never std::hash, whose value is
 /// implementation- and run-dependent).
 ///
 /// `transfers`, when non-null, memoizes per-scenario transfer functions
@@ -69,19 +71,21 @@ namespace vmn::slice {
 /// policy classes and middlebox configuration payloads (configuration is
 /// deliberately left out of the coarse key; exactness is established
 /// afterwards by shape_bijection's structural descriptor comparison): hosts
-/// are colored "host", middleboxes by structural fingerprint, and the
-/// 1-WL refinement over the scenario-tagged routing relation does the rest.
-/// Equal keys are therefore only a *candidate* signal - two slices whose
-/// keys collide may still encode different problems (differing
-/// configurations, or a 1-WL blind spot). shape_bijection() below performs
-/// the exact, soundness-carrying verification; the key's only job is to
-/// index the encoding-reuse cache and to align members for pairing.
+/// are colored "host", middleboxes by structural fingerprint, and
+/// refinement to the stable colouring over ownership and the
+/// scenario-tagged routing relation does the rest. Equal keys are
+/// therefore only a *candidate* signal - two slices whose keys collide may
+/// still encode different problems (differing configurations, or a blind
+/// spot of colour refinement: two triangles and a 6-cycle colour alike).
+/// shape_bijection() below performs the exact, soundness-carrying
+/// verification; the key's only job is to index the encoding-reuse cache
+/// and to align members for pairing.
 struct ShapeKey {
   std::string key;
   /// Normalized (sorted, deduplicated) members the key describes.
   std::vector<NodeId> members;
-  /// Final refinement color per member, aligned with `members`.
-  std::vector<std::string> colors;
+  /// Stable refinement colour per member, aligned with `members`.
+  std::vector<std::uint64_t> colors;
 };
 
 [[nodiscard]] ShapeKey canonical_shape_key(
@@ -93,10 +97,11 @@ struct ShapeKey {
 /// name-blind, address-blind coordinates, plus the coordinate maps the
 /// rendering was written in.
 ///
-/// Members are listed in canonical order (final shape-refinement color,
-/// ties broken by sorted position); relevant addresses are numbered by
-/// first appearance along that order. The rendering then spells out, rank
-/// by rank and token by token, every configuration-dependent input of
+/// Members are listed in canonical order (stable shape-refinement colour
+/// value, then invariant role, ties broken by sorted position); relevant
+/// addresses are numbered by first appearance along that order. The
+/// rendering then spells out, rank by rank and token by token, every
+/// configuration-dependent input of
 /// encode::Encoding: node kinds and structural middlebox fingerprints,
 /// address ownership, each member box's encoding_projection over the
 /// token-ordered relevant set, the invariant's kind and the ranks it
@@ -118,7 +123,7 @@ struct ShapeKey {
 ///
 /// This is the one merge identity: verify::plan_jobs folds invariants
 /// with equal keys into one solver class (the bindings' rank maps are the
-/// witness-relabeling bijections), and verify::ResultCache v6 keys records
+/// witness-relabeling bijections), and verify::ResultCache v7 keys records
 /// by it, so a renamed (or renumbered) but isomorphic spec re-derives the
 /// same key cold, and the stored `order`/`tokens` maps let the hit's
 /// witness relabel into the new namespace.
@@ -164,7 +169,7 @@ struct MergeRefusal {
 /// These checks re-derive the entire configuration-dependent content of
 /// encode::Encoding, so a returned bijection certifies that solving an
 /// invariant mapped through it on `to`'s base encoding is equisatisfiable
-/// with solving the original on `from`'s - the 1-WL candidate pairing is
+/// with solving the original on `from`'s - the colour-paired candidate is
 /// never trusted on its own. Returns nullopt when any check fails (the
 /// caller falls back to encoding `from` cold, which is always sound);
 /// `why`, when non-null, receives the refusal diagnostic - for

@@ -30,7 +30,7 @@ namespace vmn::verify {
 /// (slice::canonical_shape_key / slice::shape_bijection).
 struct ShapeRep {
   std::vector<NodeId> members;
-  std::vector<std::string> colors;
+  std::vector<std::uint64_t> colors;
 };
 
 /// One aggregated merge-refusal line: how many candidate merges one

@@ -38,10 +38,15 @@ constexpr const char* kFileName = "vmn-results.cache";
 // the two generations fingerprint different renderings of the same
 // problems, so a v5 record can neither answer nor collide with a v6
 // lookup, and v6 records additionally carry the minting binding's member
-// signature for diagnostics. A cache file with any other version is stale:
+// signature for diagnostics. v6 -> v7 when the problem key's rank order
+// switched from three rounds of string-colour 1-WL to the stable integer
+// colouring of slice/refine.hpp (key prefix prob6/ -> prob7/): a v6 record
+// cannot mis-hit, because a key body is exact whatever order produced it,
+// but its rank order is no longer the one lookups render, so v6 records
+// would only linger unread. A cache file with any other version is stale:
 // its records are rejected wholesale on load and the file is rewritten
 // under the current header at the next flush.
-constexpr const char* kHeaderPrefix = "# vmn-result-cache v6";
+constexpr const char* kHeaderPrefix = "# vmn-result-cache v7";
 
 const char* status_name(smt::CheckStatus status) {
   switch (status) {
@@ -106,7 +111,7 @@ ResultCache::Fingerprint ResultCache::fingerprint(const std::string& key) {
 
 std::string ResultCache::format_line(const Fingerprint& fp,
                                      const Slot& slot) {
-  // v6 record: `<payload-len> <payload-digest> <payload>` where the
+  // v7 record: `<payload-len> <payload-digest> <payload>` where the
   // payload leads with the minting model's fingerprint stamp (garbage
   // collection only - lookups are keyed on the canonical-key fingerprint
   // alone) and ends with the optional binding signature (diagnostics

@@ -1,6 +1,6 @@
 // Persistent cross-batch verification-result cache.
 //
-// Keys are slice::canonical_problem_key renderings (v6): shape-canonical,
+// Keys are slice::canonical_problem_key renderings (v7): shape-canonical,
 // name- and address-blind fingerprints of the whole verification problem -
 // member kinds and structural fingerprints in canonical rank order,
 // token-numbered relevant addresses, each box's encoding_projection, the
@@ -43,7 +43,8 @@
 // Versioning: the file leads with a key-format version header. Canonical
 // keys are only self-invalidating against edits that change the *encoded
 // problem*; when the key algorithm itself changes meaning (e.g. host colors
-// switching to reachability-refined policy classes), equal-looking
+// switching to reachability-refined policy classes, or the rank order
+// switching to the stable integer colouring), equal-looking
 // fingerprints from the previous generation would resurrect verdicts the
 // new relation exists to retire. A file under any other version is
 // therefore rejected wholesale on load (every lookup misses) and rewritten
@@ -83,7 +84,7 @@ class ResultCache {
     smt::CheckStatus status = smt::CheckStatus::unknown;
     std::size_t slice_size = 0;
     std::size_t assertion_count = 0;
-    /// Diagnostic only (v6): comma-joined member names, in the canonical
+    /// Diagnostic only (since v6): comma-joined member names, in the canonical
     /// rank order of the binding that minted this record
     /// (verify::binding_signature). Never part of the record's identity -
     /// a rename-isomorphic spec hits the record under different names.

@@ -225,7 +225,7 @@ TEST(ResultCacheUnit, StaleKeyVersionIsRejectedWholesaleAndRewritten) {
   // fingerprint was minted under keys that meant something else (the
   // pre-reachability-refinement class relation), and that must be enough
   // to reject it. Version mismatch is the *only* wholesale rejection left
-  // in v6 - spec edits are handled per record by the stamps.
+  // in v7 - spec edits are handled per record by the stamps.
   {
     std::ofstream out(path, std::ios::trunc);
     out << "# vmn-result-cache v1\n" << lines[1] << "\n";
@@ -242,7 +242,7 @@ TEST(ResultCacheUnit, StaleKeyVersionIsRejectedWholesaleAndRewritten) {
   EXPECT_FALSE(stale.stale_version());
   lines = read_lines();
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("v6"), std::string::npos);
+  EXPECT_NE(lines[0].find("v7"), std::string::npos);
   ResultCache upgraded(dir.path);
   EXPECT_EQ(upgraded.size(), 1u);
   ASSERT_TRUE(upgraded.lookup(key).has_value());

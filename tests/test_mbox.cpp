@@ -135,7 +135,7 @@ TEST(Firewall, PolicyFingerprintIsRoleLocal) {
   // them (occurrence ids are relative to the address's matched rows). The
   // join structure BETWEEN two slice addresses (is x's deny row the one
   // naming y's group?) is pairwise information; the canonical slice key
-  // carries it through wl_refine's config-pair edges, guarded by
+  // carries it through its config-pair vertices, guarded by
   // CanonicalKey.SplitsStraightFromCrossedAclJoins in test_slice.cpp.
   const Prefix p1(Address::of(10, 1, 0, 0), 24);
   const Prefix p2(Address::of(10, 2, 0, 0), 24);

@@ -3,6 +3,9 @@
 // verification on the slice agrees with verification on the full network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/rng.hpp"
 #include "mbox/content_cache.hpp"
 #include "mbox/firewall.hpp"
@@ -14,6 +17,7 @@
 #include "scenarios/isp.hpp"
 #include "scenarios/multitenant.hpp"
 #include "scenarios/segmented.hpp"
+#include "slice/refine.hpp"
 #include "slice/slice.hpp"
 #include "slice/symmetry.hpp"
 #include "util.hpp"
@@ -339,8 +343,9 @@ TEST(CanonicalKey, SplitsStraightFromCrossedAclJoins) {
   // policy fingerprints cannot tell whether the slice's OTHER host sits in
   // the group its own deny row names (x1->y1: denied) or in the other one
   // (x1->y2: admitted) - that pairwise join structure enters the key
-  // through wl_refine's config-pair edges. Without them these two slices
-  // would share a key and inherit each other's verdicts unsoundly.
+  // through the problem graph's config-pair vertices. Without them these
+  // two slices would share a key and inherit each other's verdicts
+  // unsoundly.
   const Prefix p1(Address::of(10, 1, 0, 0), 24);
   const Prefix p2(Address::of(10, 2, 0, 0), 24);
   const Prefix q1(Address::of(10, 3, 0, 0), 24);
@@ -679,7 +684,133 @@ TEST(AllSendersSoundness, MultiTenant) {
   expect_all_senders_sound(mt.model, invs, "multitenant");
 }
 
+// -- the colour-refinement kernel --------------------------------------------
+
+/// A graph of `n` vertices: vertex v starts with colour v % kinds, and
+/// edge e = (u, v) carries label e % labels both ways.
+ColourGraph graph_of(
+    std::size_t n, const std::vector<std::pair<std::size_t, std::size_t>>& edges,
+    std::uint64_t kinds = 1, std::uint64_t labels = 1) {
+  ColourGraph g;
+  for (std::size_t v = 0; v < n; ++v) g.add_vertex(v % kinds);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    g.add_edge(edges[e].first, e % labels, edges[e].second);
+  }
+  return g;
+}
+
+/// A deterministic random graph on 24 vertices, 3 initial colours and 2
+/// edge labels.
+ColourGraph random_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (int e = 0; e < 30; ++e) {
+    edges.emplace_back(static_cast<std::size_t>(rng.uniform(0, 23)),
+                       static_cast<std::size_t>(rng.uniform(0, 23)));
+  }
+  return graph_of(24, edges, 3, 2);
+}
+
+std::vector<std::uint64_t> palette(std::vector<std::uint64_t> colours) {
+  std::sort(colours.begin(), colours.end());
+  return colours;
+}
+
+TEST(Refine, ColoursAreInvariantUnderVertexPermutation) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const ColourGraph g = random_graph(seed);
+    const std::size_t n = g.colours.size();
+    // Vertex v of g is vertex perm[v] of h; arcs are added in reverse.
+    std::vector<std::size_t> perm(n);
+    for (std::size_t v = 0; v < n; ++v) perm[v] = (7 * v + 3) % n;
+    ColourGraph h;
+    h.colours.resize(n);
+    h.arcs.resize(n);
+    for (std::size_t v = 0; v < n; ++v) h.colours[perm[v]] = g.colours[v];
+    for (std::size_t v = n; v-- > 0;) {
+      for (auto it = g.arcs[v].rbegin(); it != g.arcs[v].rend(); ++it) {
+        h.add_arc(perm[v], it->first, perm[it->second]);
+      }
+    }
+    const std::vector<std::uint64_t> cg = refine(g);
+    const std::vector<std::uint64_t> ch = refine(h);
+    for (std::size_t v = 0; v < n; ++v) {
+      EXPECT_EQ(cg[v], ch[perm[v]]) << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(Refine, OneMoreRoundChangesNothing) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    ColourGraph g = random_graph(seed);
+    g.colours = refine(g);
+    EXPECT_EQ(refine(g), g.colours) << "seed " << seed;
+  }
+  // A path 0-1-2-3-4 refines from one colour to three (ends, inner, middle)
+  // and stays there.
+  ColourGraph path = graph_of(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  path.colours = refine(path);
+  EXPECT_EQ(path.colours[0], path.colours[4]);
+  EXPECT_EQ(path.colours[1], path.colours[3]);
+  EXPECT_NE(path.colours[0], path.colours[1]);
+  EXPECT_NE(path.colours[1], path.colours[2]);
+  EXPECT_NE(path.colours[0], path.colours[2]);
+  EXPECT_EQ(refine(path), path.colours);
+}
+
+TEST(Refine, DistinctSignaturesNeverShareAColour) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const ColourGraph g = random_graph(seed);
+    const std::vector<std::uint64_t> colours = refine(g);
+    // Each vertex's signature under the stable colouring: own colour plus
+    // the sorted (label, neighbour colour) multiset.
+    using Signature =
+        std::pair<std::uint64_t,
+                  std::vector<std::pair<std::uint64_t, std::uint64_t>>>;
+    std::vector<Signature> sig(colours.size());
+    for (std::size_t v = 0; v < colours.size(); ++v) {
+      sig[v].first = colours[v];
+      for (const auto& [label, u] : g.arcs[v]) {
+        sig[v].second.emplace_back(label, colours[u]);
+      }
+      std::sort(sig[v].second.begin(), sig[v].second.end());
+    }
+    for (std::size_t u = 0; u < colours.size(); ++u) {
+      for (std::size_t v = 0; v < colours.size(); ++v) {
+        EXPECT_EQ(colours[u] == colours[v], sig[u] == sig[v])
+            << "seed " << seed << " vertices " << u << ", " << v;
+      }
+    }
+    // Initial colours and labels both separate vertices.
+    EXPECT_GT(std::set<std::uint64_t>(colours.begin(), colours.end()).size(),
+              3u);
+  }
+}
+
+TEST(Refine, TwoTrianglesAndASixCycleColourAlike) {
+  // The known blind spot of colour refinement: every vertex of both graphs
+  // has two neighbours of its own colour, so the palettes coincide though
+  // the graphs are not isomorphic (one is connected, the other is not).
+  // This is why equal shape keys only nominate a pairing that
+  // shape_bijection then checks exactly.
+  const ColourGraph triangles =
+      graph_of(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
+  const ColourGraph cycle =
+      graph_of(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  EXPECT_EQ(palette(refine(triangles)), palette(refine(cycle)));
+}
+
 // -- reachability-refined policy classes -------------------------------------
+
+/// The configuration-only relation of a segmented network, built by hand:
+/// every host there fingerprints identically, so it is one class holding
+/// every host, with no recorded delivery signatures.
+PolicyClasses configuration_only(const encode::NetworkModel& model) {
+  PolicyClasses out;
+  out.classes.push_back(model.network().hosts());
+  out.reindex();
+  return out;
+}
 
 TEST(PolicyClasses, RefinementSplitsDisjointReachabilityAndMergesSymmetric) {
   // Truly symmetric disconnected segments (identical configs, isomorphic
@@ -698,11 +829,9 @@ TEST(PolicyClasses, RefinementSplitsDisjointReachabilityAndMergesSymmetric) {
   EXPECT_NE(split.class_of(iso.segment_senders[0][0]),
             split.class_of(iso.segment_senders[1][0]));
 
-  // The configuration-only relation (refinement off - the seed behavior)
-  // cannot tell the island apart: every host fingerprints identically.
-  PolicyClassOptions coarse_opts;
-  coarse_opts.refine_by_reachability = false;
-  PolicyClasses coarse = infer_policy_classes(iso.model, coarse_opts);
+  // The configuration-only relation (the seed behavior) cannot tell the
+  // island apart: every host fingerprints identically, so it is one class.
+  PolicyClasses coarse = configuration_only(iso.model);
   EXPECT_EQ(coarse.class_of(iso.segment_senders[0][0]),
             coarse.class_of(iso.segment_senders[1][0]));
 }
@@ -710,13 +839,24 @@ TEST(PolicyClasses, RefinementSplitsDisjointReachabilityAndMergesSymmetric) {
 TEST(PolicyClasses, RefinementLeavesConnectedGeneratorsUntouched) {
   // Every enterprise host can (dataplane-)deliver to every other - policy
   // drops live in the solver, not the relation - so the refined classes
-  // must equal the configuration-fingerprint classes exactly.
+  // must equal the generator's declared classes exactly (it declares the
+  // subnet hosts' classes; the internet host is a class of its own).
   Enterprise ent = small_enterprise(6);
   PolicyClasses refined = infer_policy_classes(ent.model);
-  PolicyClassOptions coarse_opts;
-  coarse_opts.refine_by_reachability = false;
-  PolicyClasses coarse = infer_policy_classes(ent.model, coarse_opts);
+  std::map<PolicyClassId, std::vector<NodeId>> declared;
+  for (const std::vector<NodeId>& subnet : ent.subnet_hosts) {
+    for (NodeId h : subnet) declared[ent.model.policy_class(h)].push_back(h);
+  }
+  PolicyClasses coarse;
+  coarse.classes.push_back({ent.internet});
+  for (auto& [cls, hosts] : declared) coarse.classes.push_back(hosts);
+  coarse.reindex();
   EXPECT_EQ(refined.count(), coarse.count());
+  for (const std::vector<NodeId>& c : coarse.classes) {
+    for (NodeId h : c) {
+      EXPECT_EQ(refined.class_of(h), refined.class_of(c.front()));
+    }
+  }
   EXPECT_TRUE(refined.has_reach_signatures());
   EXPECT_FALSE(coarse.has_reach_signatures());
 }
@@ -732,9 +872,7 @@ TEST(PolicyClasses, TargetAwareRepresentativesReachTheTarget) {
   // first-member representative is a segment-0 host that cannot deliver to
   // srv1 (checked against the refined instance's recorded signatures - the
   // coarse one records none).
-  PolicyClassOptions coarse_seed;
-  coarse_seed.refine_by_reachability = false;
-  PolicyClasses seed_classes = infer_policy_classes(s.model, coarse_seed);
+  PolicyClasses seed_classes = configuration_only(s.model);
   ASSERT_EQ(seed_classes.count(), 1u);
   EXPECT_FALSE(classes.reaches(seed_classes.representatives().front(), srv1, 0));
   // Target-aware selection includes a segment-1 sender that can.
@@ -759,9 +897,7 @@ TEST(PolicyClasses, TargetAwareRepresentativesReachTheTarget) {
   // slice has no sender that can reach srv1, and verifying on it reports
   // the silently-wrong "holds" the whole network contradicts. This is the
   // exact unsoundness the refinement retires.
-  PolicyClassOptions coarse_opts;
-  coarse_opts.refine_by_reachability = false;
-  PolicyClasses coarse = infer_policy_classes(s.model, coarse_opts);
+  PolicyClasses coarse = configuration_only(s.model);
   Slice unsound = compute_slice(s.model, inv, coarse);
   verify::SolverSession session{smt::SolverOptions{}};
   verify::VerifyResult wrong = verify::verify_members(

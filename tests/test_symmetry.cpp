@@ -401,7 +401,7 @@ ShapeKey ranked_shape(const std::vector<NodeId>& members,
   k.key = "ranked";
   k.members = members;
   for (NodeId m : members) {
-    k.colors.push_back(std::to_string(
+    k.colors.push_back(static_cast<std::uint64_t>(
         std::find(order.begin(), order.end(), m) - order.begin()));
   }
   return k;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
-# one batch pipeline; one in-batch identity), configure, build, run every test
-# suite, then smoke-test the batch modes on the shipped enterprise spec - the
+# one batch pipeline; one in-batch identity; one refinement kernel),
+# configure, build, run every test suite, then smoke-test the batch modes on
+# the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
 # a worker killed mid-batch (the batch must still complete with every
 # invariant answered), and the fault-injection harness (a deterministic
@@ -69,6 +70,24 @@ if grep -rEn 'canonical_slice_key\(' "$repo/src/verify" "$repo/tools" \
     | grep -Ev ':[0-9]+:[[:space:]]*//'; then
   echo "ci: canonical_slice_key is called from src/verify or tools/;" \
        "merge by slice::canonical_problem_key instead" >&2
+  exit 1
+fi
+
+echo "--- lint: one refinement kernel (integer colours) ---"
+# Policy classes and the canonical shape/slice keys both refine through
+# slice/refine.hpp: one exact integer kernel run to the stable colouring.
+# A second refinement function is a second copy that drifts, and a string
+# colour vector is the per-round string-signature machinery it replaced.
+if grep -rEn '^[^[:space:]/#][^=;(]*[[:space:]*&][A-Za-z_:]*refine[A-Za-z_]*\(' \
+    "$repo/src" --include='*.cpp' --include='*.hpp' \
+    | grep -v "^$repo/src/slice/refine\.[ch]pp:"; then
+  echo "ci: colour refinement defined outside src/slice/refine.*;" \
+       "build a ColourGraph and call slice::refine instead" >&2
+  exit 1
+fi
+if grep -rEn 'std::vector<std::string>[^;(]*colou?r' "$repo/src/slice"; then
+  echo "ci: string colour vector in src/slice; refinement colours are" \
+       "std::uint64_t (src/slice/refine.hpp)" >&2
   exit 1
 fi
 

@@ -32,15 +32,19 @@ struct ModelEvent {
   std::size_t to = 0;
   std::size_t packet = 0;  ///< unused for fail events
   std::int64_t time = 0;
+
+  friend bool operator==(const ModelEvent&, const ModelEvent&) = default;
 };
 
-/// The extracted model. `complete` is false when the backend could not
-/// enumerate all events (e.g. a function interpreted as `true` by default);
-/// the events present are still valid.
+/// The extracted model. `events` holds, for each event relation and each
+/// (from, to, packet), the earliest time the relation holds.
 struct SmtModel {
   std::vector<ModelPacket> packets;
   std::vector<ModelEvent> events;
-  bool complete = true;
+  /// Relations whose interpretation the backend's decoder could not read,
+  /// so that it fell back to evaluating every ground atom. Diagnostics
+  /// only: the events are the same either way.
+  std::vector<EventKind> dense_fallbacks;
 };
 
 }  // namespace vmn::smt

@@ -3,14 +3,13 @@
 #include <z3++.h>
 
 #include <chrono>
-#include <functional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "core/error.hpp"
 #include "smt/model.hpp"
 #include "smt/solver.hpp"
+#include "smt/z3_events.hpp"
 
 namespace vmn::smt {
 
@@ -78,33 +77,41 @@ class Z3Solver final : public Solver {
   }
 
   [[nodiscard]] SmtModel model() const override {
-    if (!have_model_) {
-      throw SolverError("model() requires a prior sat result");
-    }
-    z3::model m = solver_.get_model();
+    z3_events::Snapshot snap = snapshot();
     SmtModel out;
-    const std::vector<z3::expr> packets = packet_universe(m);
-    for (const z3::expr& p : packets) {
+    for (const z3::expr& p : snap.domains.packets) {
       ModelPacket mp;
       mp.label = p.to_string();
       out.packets.push_back(std::move(mp));
     }
-    fill_packet_fields(m, packets, out);
-
-    // Fast path: one pass over the model's function interpretations,
-    // collecting exactly the entries valued true. This avoids the dense
-    // |Node|^2 x |Packet| x |times| m.eval probe grid whenever Z3 reports
-    // snd/rcv/fail as finite entry lists over a `false` default - the
-    // common shape for the finite-model instances VMN produces. When any
-    // interpretation is formula-shaped (quantified models may substitute a
-    // body instead of enumerating entries, or default to non-false), the
-    // events gathered so far are discarded and the dense probe runs, so
-    // the fast path can only ever be a pure win, never a behavior change.
-    if (!collect_events_from_interps(m, packets, out)) {
-      out.events.clear();
-      probe_events_dense(m, packets, out);
+    fill_packet_fields(snap.model, snap.domains.packets, out);
+    for (const z3_events::Relation& relation : snap.relations) {
+      z3_events::read_events(snap.model, relation, snap.domains, out);
     }
     return out;
+  }
+
+  /// The model after a sat check, with the domains and relations model()
+  /// reads it through.
+  [[nodiscard]] z3_events::Snapshot snapshot() const {
+    if (!have_model_) {
+      throw SolverError("model() requires a prior sat result");
+    }
+    z3_events::Snapshot snap{solver_.get_model(), {}, {}};
+    const std::size_t node_count = vocab_->node_sort()->size();
+    for (std::size_t i = 0; i < node_count; ++i) {
+      snap.domains.nodes.push_back(node_expr(i));
+    }
+    snap.domains.packets = packet_universe(snap.model);
+    snap.domains.times = z3_events::candidate_times(snap.model);
+    for (const auto& [decl, kind] :
+         {std::pair{vocab_->snd(), EventKind::send},
+          std::pair{vocab_->rcv(), EventKind::receive},
+          std::pair{vocab_->fail(), EventKind::fail}}) {
+      const auto it = funcs_.find(decl.get());
+      if (it != funcs_.end()) snap.relations.push_back({kind, it->second});
+    }
+    return snap;
   }
 
   [[nodiscard]] std::chrono::milliseconds last_check_time() const override {
@@ -241,127 +248,6 @@ class Z3Solver final : public Solver {
         .consts[static_cast<unsigned>(index)]();
   }
 
-  /// Harvests true snd/rcv/fail atoms directly from the model's function
-  /// interpretations (entry lists). Returns false - leaving a possibly
-  /// partial out.events for the caller to discard - when any relevant
-  /// interpretation is not a plain entries-over-false table, or any entry
-  /// argument fails to decode to a node constant / universe packet /
-  /// integer time; the dense probe is the correctness fallback.
-  bool collect_events_from_interps(const z3::model& m,
-                                   const std::vector<z3::expr>& packets,
-                                   SmtModel& out) const {
-    // Decode tables: Z3 hash-conses ASTs, so an entry argument that denotes
-    // node i is pointer-identical (same ast id) to our constructor app.
-    std::unordered_map<unsigned, std::size_t> node_of;
-    const std::size_t node_count = vocab_->node_sort()->size();
-    for (std::size_t i = 0; i < node_count; ++i) {
-      node_of.emplace(node_expr(i).id(), i);
-    }
-    std::unordered_map<unsigned, std::size_t> packet_of;
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      packet_of.emplace(packets[i].id(), i);
-    }
-
-    const auto decode = [](const std::unordered_map<unsigned, std::size_t>& map,
-                           const z3::expr& e, std::size_t& index) {
-      auto it = map.find(e.id());
-      if (it == map.end()) return false;
-      index = it->second;
-      return true;
-    };
-
-    // kind: send/receive for the 4-ary event relations, fail for the 2-ary
-    // failure relation (from == to == the failed node there).
-    const auto harvest = [&](const FuncDeclPtr& f, EventKind kind) -> bool {
-      auto it = funcs_.find(f.get());
-      if (it == funcs_.end()) return true;  // never translated: no atoms
-      try {
-        if (!m.has_interp(it->second)) return true;  // completion -> false
-        z3::func_interp fi = m.get_func_interp(it->second);
-        z3::expr els = fi.else_value();
-        if (!els.is_false()) return false;  // non-false default: probe
-        for (unsigned j = 0; j < fi.num_entries(); ++j) {
-          z3::func_entry entry = fi.entry(j);
-          z3::expr value = entry.value();
-          if (value.is_false()) continue;
-          if (!value.is_true()) return false;  // symbolic value: probe
-          ModelEvent ev;
-          ev.kind = kind;
-          std::int64_t t = 0;
-          if (kind == EventKind::fail) {
-            if (entry.num_args() != 2) return false;
-            if (!decode(node_of, entry.arg(0), ev.from)) return false;
-            if (!entry.arg(1).is_numeral_i64(t)) return false;
-            ev.to = ev.from;
-          } else {
-            if (entry.num_args() != 4) return false;
-            if (!decode(node_of, entry.arg(0), ev.from)) return false;
-            if (!decode(node_of, entry.arg(1), ev.to)) return false;
-            if (!decode(packet_of, entry.arg(2), ev.packet)) return false;
-            if (!entry.arg(3).is_numeral_i64(t)) return false;
-          }
-          ev.time = t;
-          out.events.push_back(ev);
-        }
-        return true;
-      } catch (const z3::exception&) {
-        return false;  // partial interp (null else etc.): probe instead
-      }
-    };
-
-    return harvest(vocab_->snd(), EventKind::send) &&
-           harvest(vocab_->rcv(), EventKind::receive) &&
-           harvest(vocab_->fail(), EventKind::fail);
-  }
-
-  /// The exhaustive fallback: enumerate ground atoms - all node pairs, the
-  /// Packet universe, and candidate times harvested from the model itself -
-  /// and m.eval each (quantified models may interpret snd/rcv as formula
-  /// bodies rather than entry lists, which only evaluation can read).
-  void probe_events_dense(const z3::model& m,
-                          const std::vector<z3::expr>& packets,
-                          SmtModel& out) const {
-    const std::vector<std::int64_t> times = candidate_times(m);
-    const std::size_t node_count = vocab_->node_sort()->size();
-
-    auto snd_it = funcs_.find(vocab_->snd().get());
-    auto rcv_it = funcs_.find(vocab_->rcv().get());
-    for (std::size_t from = 0; from < node_count; ++from) {
-      for (std::size_t to = 0; to < node_count; ++to) {
-        for (std::size_t pi = 0; pi < packets.size(); ++pi) {
-          for (std::int64_t t : times) {
-            auto probe = [&](EventKind kind,
-                             const z3::func_decl& decl) {
-              z3::expr atom =
-                  decl(node_expr(from), node_expr(to), packets[pi],
-                       ctx_.int_val(static_cast<std::int64_t>(t)));
-              if (m.eval(atom, true).is_true()) {
-                out.events.push_back(ModelEvent{kind, from, to, pi, t});
-              }
-            };
-            if (snd_it != funcs_.end()) probe(EventKind::send, snd_it->second);
-            if (rcv_it != funcs_.end()) {
-              probe(EventKind::receive, rcv_it->second);
-            }
-          }
-        }
-      }
-    }
-    auto fail_it = funcs_.find(vocab_->fail().get());
-    if (fail_it != funcs_.end()) {
-      for (std::size_t n = 0; n < node_count; ++n) {
-        for (std::int64_t t : times) {
-          z3::expr atom = fail_it->second(
-              node_expr(n), ctx_.int_val(static_cast<std::int64_t>(t)));
-          if (m.eval(atom, true).is_true()) {
-            out.events.push_back(ModelEvent{EventKind::fail, n, n, 0, t});
-            break;  // one fail event per node is enough for the trace
-          }
-        }
-      }
-    }
-  }
-
   /// Elements of the (finite-in-the-model) Packet universe. Uses the C API:
   /// the z3::model wrapper in this Z3 version does not expose universes.
   std::vector<z3::expr> packet_universe(const z3::model& m) const {
@@ -378,37 +264,6 @@ class Z3Solver final : public Solver {
       }
     }
     return out;
-  }
-
-  /// Integer numerals mentioned anywhere in the model's function bodies and
-  /// constant values - the only times at which events can be true.
-  std::vector<std::int64_t> candidate_times(const z3::model& m) const {
-    std::set<std::int64_t> times;
-    times.insert(0);
-    std::set<unsigned> seen;
-    std::function<void(const z3::expr&)> walk = [&](const z3::expr& e) {
-      if (!seen.insert(e.id()).second) return;
-      if (e.is_numeral() && e.is_int()) {
-        std::int64_t v = 0;
-        if (e.is_numeral_i64(v) && v >= 0 && v < (1 << 20)) times.insert(v);
-      }
-      if (e.is_app()) {
-        for (unsigned i = 0; i < e.num_args(); ++i) walk(e.arg(i));
-      }
-    };
-    for (unsigned i = 0; i < m.num_consts(); ++i) {
-      walk(m.get_const_interp(m.get_const_decl(i)));
-    }
-    for (unsigned i = 0; i < m.num_funcs(); ++i) {
-      z3::func_interp fi = m.get_func_interp(m.get_func_decl(i));
-      walk(fi.else_value());
-      for (unsigned j = 0; j < fi.num_entries(); ++j) {
-        z3::func_entry entry = fi.entry(j);
-        walk(entry.value());
-        for (unsigned k = 0; k < entry.num_args(); ++k) walk(entry.arg(k));
-      }
-    }
-    return {times.begin(), times.end()};
   }
 
   void fill_packet_fields(const z3::model& m,
@@ -450,8 +305,8 @@ class Z3Solver final : public Solver {
   const logic::Vocab* vocab_;
   SolverOptions options_;
   /// The Z3 context is internally synchronized state shared by every
-  /// expression; model extraction (a const operation) still builds probe
-  /// terms through it.
+  /// expression; model extraction (a const operation) still reads the
+  /// model's universes through it.
   mutable z3::context ctx_;
   z3::solver solver_;
   std::unordered_map<std::string, z3::sort> usorts_;
@@ -466,6 +321,12 @@ class Z3Solver final : public Solver {
 };
 
 }  // namespace
+
+z3_events::Snapshot z3_events::snapshot(const Solver& solver) {
+  const auto* z3 = dynamic_cast<const Z3Solver*>(&solver);
+  if (z3 == nullptr) throw SolverError("snapshot() needs a Z3 solver");
+  return z3->snapshot();
+}
 
 std::unique_ptr<Solver> make_z3_solver(const logic::Vocab& vocab,
                                        SolverOptions options) {

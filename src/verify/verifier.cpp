@@ -600,12 +600,17 @@ Trace extract_trace(const encode::Encoding& encoding,
     return node ? *node : NodeId{};  // invalid id stands for Omega
   };
   // The model may hold an atom true at several timesteps; keep the earliest
-  // occurrence of each distinct event for a readable schedule.
+  // occurrence of each distinct event for a readable schedule. The sort is
+  // total, so the witness depends on the event set alone, never on the
+  // order the backend listed it in.
   std::set<std::tuple<int, std::size_t, std::size_t, std::size_t>> seen;
   std::vector<smt::ModelEvent> events = model.events;
+  auto order = [](const smt::ModelEvent& e) {
+    return std::tuple(e.time, static_cast<int>(e.kind), e.from, e.to, e.packet);
+  };
   std::sort(events.begin(), events.end(),
-            [](const smt::ModelEvent& a, const smt::ModelEvent& b) {
-              return a.time < b.time;
+            [&](const smt::ModelEvent& a, const smt::ModelEvent& b) {
+              return order(a) < order(b);
             });
   for (const smt::ModelEvent& ev : events) {
     if (!seen.insert({static_cast<int>(ev.kind), ev.from, ev.to, ev.packet})

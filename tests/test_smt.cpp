@@ -1,10 +1,20 @@
 // Tests for the Z3 backend: translation of every term kind, quantified
-// axioms, sat/unsat outcomes, and model extraction.
+// axioms, sat/unsat outcomes, and model extraction - the event decoder on
+// each literal shape it reads, and against the dense probe on real models.
 #include <gtest/gtest.h>
+#include <z3++.h>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
+#include "io/spec.hpp"
 #include "logic/builder.hpp"
+#include "scenarios/datacenter.hpp"
+#include "scenarios/random.hpp"
+#include "slice/policy.hpp"
 #include "smt/solver.hpp"
+#include "smt/z3_events.hpp"
+#include "verify/solver_pool.hpp"
+#include "verify/verifier.hpp"
 
 namespace vmn::smt {
 namespace {
@@ -155,6 +165,267 @@ TEST_F(SmtTest, StatusToString) {
   EXPECT_EQ(to_string(CheckStatus::sat), "sat");
   EXPECT_EQ(to_string(CheckStatus::unsat), "unsat");
   EXPECT_EQ(to_string(CheckStatus::unknown), "unknown");
+}
+
+// --- the event decoder, one literal shape at a time --------------------------
+
+/// A hand-built model over Node {A, B, O} and Packet {P0, P1} (an enum
+/// here, so m.eval can compare packets) with snd(Node, Node, Packet, Int)
+/// and fail(Node, Int), read at candidate times {0, 2, 5, 9}.
+class EventDecoder : public ::testing::Test {
+ protected:
+  EventDecoder()
+      : node_consts(ctx), node_testers(ctx), packet_consts(ctx),
+        packet_testers(ctx), node(make_enum("Node", {"A", "B", "O"},
+                                            node_consts, node_testers)),
+        packet(make_enum("Packet", {"P0", "P1"}, packet_consts,
+                         packet_testers)),
+        snd(ctx.function("snd", node, node, packet, ctx.int_sort(),
+                         ctx.bool_sort())),
+        fail(ctx.function("fail", node, ctx.int_sort(), ctx.bool_sort())),
+        m(ctx) {
+    for (unsigned i = 0; i < node_consts.size(); ++i) {
+      domains.nodes.push_back(node_consts[i]());
+    }
+    for (unsigned i = 0; i < packet_consts.size(); ++i) {
+      domains.packets.push_back(packet_consts[i]());
+    }
+    domains.times = {0, 2, 5, 9};
+  }
+
+  z3::sort make_enum(const char* name, std::vector<const char*> elements,
+                     z3::func_decl_vector& consts,
+                     z3::func_decl_vector& testers) {
+    return ctx.enumeration_sort(name, static_cast<unsigned>(elements.size()),
+                                elements.data(), consts, testers);
+  }
+
+  /// (:var i) of an interpretation body: snd's argument i.
+  z3::expr var(unsigned i) {
+    const z3::sort sorts[] = {node, node, packet, ctx.int_sort()};
+    return z3::expr(ctx, Z3_mk_bound(ctx, i, sorts[i]));
+  }
+  z3::expr n(std::size_t i) { return domains.nodes[i]; }
+  z3::expr p(std::size_t i) { return domains.packets[i]; }
+  z3::expr t() { return var(3); }
+
+  z3_events::Relation send() { return {EventKind::send, snd}; }
+
+  /// snd interpreted as `body` (no entries), decoded and probed alike.
+  std::vector<ModelEvent> decode_send(z3::expr body) {
+    m.add_func_interp(snd, body);
+    return decode(send());
+  }
+
+  std::vector<ModelEvent> decode(const z3_events::Relation& relation) {
+    std::optional<std::vector<ModelEvent>> events =
+        z3_events::decode_events(m, relation, domains);
+    EXPECT_TRUE(events.has_value());
+    if (!events) return {};
+    EXPECT_EQ(*events, z3_events::probe_events_dense(m, relation, domains));
+    return *events;
+  }
+
+  z3::context ctx;
+  z3::func_decl_vector node_consts, node_testers;
+  z3::func_decl_vector packet_consts, packet_testers;
+  z3::sort node, packet;
+  z3::func_decl snd, fail;
+  z3::model m;
+  z3_events::Domains domains;
+};
+
+ModelEvent send_event(std::size_t from, std::size_t to, std::size_t packet,
+                      std::int64_t time) {
+  return ModelEvent{EventKind::send, from, to, packet, time};
+}
+
+TEST_F(EventDecoder, EntryListOverFalseElse) {
+  z3::expr f = ctx.bool_val(false);
+  z3::expr tt = ctx.bool_val(true);
+  z3::func_interp fi = m.add_func_interp(snd, f);
+  for (auto [from, to, pk, time, value] :
+       {std::tuple{0, 1, 1, 9, tt}, std::tuple{0, 1, 1, 5, tt},
+        std::tuple{1, 0, 0, 2, f}, std::tuple{2, 2, 0, 0, tt}}) {
+    z3::expr_vector args(ctx);
+    args.push_back(n(from));
+    args.push_back(n(to));
+    args.push_back(p(pk));
+    args.push_back(ctx.int_val(time));
+    fi.add_entry(args, value);
+  }
+  EXPECT_EQ(decode(send()),
+            (std::vector<ModelEvent>{send_event(0, 1, 1, 5),
+                                     send_event(2, 2, 0, 0)}));
+}
+
+TEST_F(EventDecoder, FalseElseHasNoEvents) {
+  EXPECT_TRUE(decode_send(ctx.bool_val(false)).empty());
+}
+
+TEST_F(EventDecoder, AbsentInterpretationHasNoEvents) {
+  EXPECT_TRUE(decode(send()).empty());
+}
+
+TEST_F(EventDecoder, NegatedEqualityLeavesTheRestOfTheDomain) {
+  // from = A, to != A, packet unpinned, t >= 2.
+  EXPECT_EQ(decode_send(var(0) == n(0) && !(var(1) == n(0)) && 2 <= t()),
+            (std::vector<ModelEvent>{
+                send_event(0, 1, 0, 2), send_event(0, 1, 1, 2),
+                send_event(0, 2, 0, 2), send_event(0, 2, 1, 2)}));
+}
+
+TEST_F(EventDecoder, OpenAndClosedTimeIntervals) {
+  // [3, inf) starts at candidate 5; [1, 3) at candidate 2; both for A->B
+  // P0, so the closed interval's 2 is the earliest. (6, 9] is B->A's.
+  z3::expr ab = var(0) == n(0) && var(1) == n(1) && var(2) == p(0);
+  z3::expr ba = var(0) == n(1) && var(1) == n(0) && var(2) == p(0);
+  EXPECT_EQ(decode_send((ab && 3 <= t()) || (ab && 1 <= t() && !(3 <= t())) ||
+                        (ba && !(t() <= 6) && t() <= 9)),
+            (std::vector<ModelEvent>{send_event(0, 1, 0, 2),
+                                     send_event(1, 0, 0, 9)}));
+}
+
+TEST_F(EventDecoder, ProjectionIsEvaluatedPerCandidateTime) {
+  // Model-based instantiation writes time as (k!7 t) = c, with k!7's own
+  // interpretation: here 1 from time 4 on, 0 before.
+  z3::func_decl k = ctx.function("k!7", ctx.int_sort(), ctx.int_sort());
+  z3::expr k_body = z3::ite(
+      z3::expr(ctx, Z3_mk_bound(ctx, 0, ctx.int_sort())) >= 4,
+      ctx.int_val(1), ctx.int_val(0));
+  m.add_func_interp(k, k_body);
+  EXPECT_EQ(decode_send(var(0) == n(2) && var(1) == n(1) && var(2) == p(1) &&
+                        k(t()) == 1),
+            std::vector<ModelEvent>{send_event(2, 1, 1, 5)});
+}
+
+TEST_F(EventDecoder, NoLowerBoundStartsAtTimeZero) {
+  EXPECT_EQ(decode_send(var(0) == n(1) && var(1) == n(2) && var(2) == p(0) &&
+                        !(7 <= t())),
+            std::vector<ModelEvent>{send_event(1, 2, 0, 0)});
+}
+
+TEST_F(EventDecoder, ContradictoryDisjunctHasNoEvents) {
+  EXPECT_TRUE(decode_send((var(0) == n(0) && 6 <= t() && !(5 <= t())) ||
+                          (var(1) == n(1) && !(var(1) == n(1))))
+                  .empty());
+}
+
+TEST_F(EventDecoder, FailEventsAreKeyedByNode) {
+  z3::expr v0 = z3::expr(ctx, Z3_mk_bound(ctx, 0, node));
+  z3::expr v1 = z3::expr(ctx, Z3_mk_bound(ctx, 1, ctx.int_sort()));
+  z3::expr body = v0 == n(1) && 2 <= v1;
+  m.add_func_interp(fail, body);
+  EXPECT_EQ(decode({EventKind::fail, fail}),
+            (std::vector<ModelEvent>{{EventKind::fail, 1, 1, 0, 2}}));
+}
+
+TEST_F(EventDecoder, UnknownOperatorFallsBackToTheDenseProbe) {
+  z3::expr body = var(0) == n(0) && var(1) == n(1) && var(2) == p(0) &&
+                  t() + 1 == 3;
+  m.add_func_interp(snd, body);
+  EXPECT_FALSE(z3_events::decode_events(m, send(), domains).has_value());
+  SmtModel out;
+  z3_events::read_events(m, send(), domains, out);
+  EXPECT_EQ(out.dense_fallbacks, std::vector<EventKind>{EventKind::send});
+  EXPECT_EQ(out.events, std::vector<ModelEvent>{send_event(0, 1, 0, 2)});
+}
+
+// --- the event decoder on real models -----------------------------------------
+
+/// Solves every planned job of (model, invariants) on a warm session, as
+/// the inline executor does, and on each sat model checks that the decoder
+/// reads every relation, with exactly the dense probe's events. Returns
+/// the number of models checked.
+std::size_t cross_check_models(const encode::NetworkModel& model,
+                               const std::vector<encode::Invariant>& invariants,
+                               int max_failures, const std::string& what) {
+  verify::VerifyOptions options;
+  options.max_failures = max_failures;
+  const verify::JobPlan plan =
+      verify::plan_jobs(model, invariants, slice::infer_policy_classes(model),
+                        /*use_symmetry=*/true, options);
+  verify::SolverSession session(options.solver);
+  std::size_t models = 0;
+  for (const verify::Job& job : plan.jobs) {
+    verify::SolverSession::WarmBound bound =
+        session.warm_bind(model, job.encode_members(), max_failures);
+    bound.solver.push();
+    for (const encode::Axiom& axiom :
+         bound.encoding.invariant_axioms(job.solve_invariant)) {
+      bound.solver.add(axiom.term);
+    }
+    if (bound.solver.check() == CheckStatus::sat) {
+      ++models;
+      const z3_events::Snapshot snap = z3_events::snapshot(bound.solver);
+      EXPECT_EQ(snap.relations.size(), 3u) << what;
+      for (const z3_events::Relation& relation : snap.relations) {
+        const std::optional<std::vector<ModelEvent>> decoded =
+            z3_events::decode_events(snap.model, relation, snap.domains);
+        EXPECT_TRUE(decoded.has_value())
+            << what << " job " << job.id << " relation "
+            << static_cast<int>(relation.kind) << " fell back";
+        if (!decoded) continue;
+        EXPECT_EQ(*decoded, z3_events::probe_events_dense(
+                                snap.model, relation, snap.domains))
+            << what << " job " << job.id << " relation "
+            << static_cast<int>(relation.kind);
+      }
+      EXPECT_TRUE(bound.solver.model().dense_fallbacks.empty()) << what;
+    }
+    bound.solver.pop();
+  }
+  return models;
+}
+
+TEST(EventDecoderModels, ZooCorpusMatchesTheDenseProbe) {
+  std::size_t models = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    // The zoo-random benchmark corpus: its generator parameters, content
+    // caches screened out.
+    scenarios::RandomSpecParams p;
+    p.seed = seed;
+    p.min_hosts = 3;
+    p.max_hosts = 6;
+    p.max_switches = 4;
+    p.max_middleboxes = 3;
+    p.max_scenarios = 2;
+    p.min_invariants = 4;
+    p.max_invariants = 8;
+    const scenarios::RandomSpec rs = scenarios::make_random_spec(p);
+    if (rs.text.find("\ncache ") != std::string::npos) continue;
+    const io::Spec spec = io::parse_spec_string(rs.text);
+    models += cross_check_models(spec.model, spec.invariants,
+                                 scenarios::derived_max_failures(spec.model),
+                                 "zoo" + std::to_string(seed));
+  }
+  EXPECT_GT(models, 300u);
+}
+
+TEST(EventDecoderModels, DatacenterMisconfigurationsMatchTheDenseProbe) {
+  using scenarios::DcMisconfig;
+  std::size_t models = 0;
+  for (DcMisconfig kind : {DcMisconfig::rules, DcMisconfig::redundancy,
+                           DcMisconfig::traversal, DcMisconfig::cache_acl}) {
+    const bool storage = kind == DcMisconfig::cache_acl;
+    scenarios::Datacenter dc =
+        scenarios::make_datacenter({4, 2, storage, true});
+    Rng rng(3);
+    scenarios::inject_misconfig(dc, kind, rng);
+    std::vector<encode::Invariant> invariants = dc.isolation_invariants();
+    for (const encode::Invariant& inv : dc.traversal_invariants()) {
+      invariants.push_back(inv);
+    }
+    if (storage) {
+      for (const encode::Invariant& inv : dc.data_isolation_invariants()) {
+        invariants.push_back(inv);
+      }
+    }
+    models += cross_check_models(dc.model, invariants, storage ? 0 : 1,
+                                 "datacenter " +
+                                     std::to_string(static_cast<int>(kind)));
+  }
+  EXPECT_GE(models, 4u);
 }
 
 }  // namespace

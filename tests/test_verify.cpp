@@ -3,6 +3,9 @@
 // counterexample extraction and the section 3.6 oracle-constraint example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "encode/encoder.hpp"
 #include "encode/oracle.hpp"
 #include "mbox/app_firewall.hpp"
 #include "mbox/content_cache.hpp"
@@ -11,6 +14,7 @@
 #include "mbox/idps.hpp"
 #include "mbox/nat.hpp"
 #include "mbox/wan_optimizer.hpp"
+#include "smt/model.hpp"
 #include "smt/solver.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
@@ -42,6 +46,29 @@ TEST(Verify, OpenFirewallViolatesIsolationWithTrace) {
     }
   }
   EXPECT_TRUE(b_received);
+}
+
+TEST(Verify, ExtractedTraceDependsOnTheEventSetOnly) {
+  // Events at one timestep print in (kind, from, to, packet) order, however
+  // the backend listed them.
+  OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::LearningFirewall>(
+      "fw", std::vector<AclEntry>{}, AclAction::allow));
+  encode::Encoding encoding(n.model, {}, {});
+  const std::size_t omega = encoding.omega_index();
+  smt::SmtModel model;
+  model.packets.push_back(smt::ModelPacket{.label = "p", .src = 1, .dst = 2});
+  model.events = {{EventKind::receive, omega, 1, 0, 1},
+                  {EventKind::send, 0, omega, 0, 1},
+                  {EventKind::fail, 2, 2, 0, 1},
+                  {EventKind::send, 1, omega, 0, 0}};
+  smt::SmtModel reversed = model;
+  std::reverse(reversed.events.begin(), reversed.events.end());
+  auto name = [&](NodeId id) {
+    return id.valid() ? n.model.network().name(id) : std::string("OMEGA");
+  };
+  const std::string trace = extract_trace(encoding, model).to_string(name);
+  EXPECT_EQ(trace, extract_trace(encoding, reversed).to_string(name));
+  EXPECT_LT(trace.find("snd a"), trace.find("rcv b"));
 }
 
 TEST(Verify, ClosedFirewallIsolationHolds) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
-# one batch pipeline; one in-batch identity; one refinement kernel),
+# one batch pipeline; one in-batch identity; one refinement kernel; one
+# model reader),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
@@ -88,6 +89,24 @@ fi
 if grep -rEn 'std::vector<std::string>[^;(]*colou?r' "$repo/src/slice"; then
   echo "ci: string colour vector in src/slice; refinement colours are" \
        "std::uint64_t (src/slice/refine.hpp)" >&2
+  exit 1
+fi
+
+echo "--- lint: one model reader (the dense probe is the decoder's fallback) ---"
+# Z3Solver::model() reads each event relation through
+# z3_events::read_events, which decodes the interpretation Z3 returns and
+# evaluates every ground atom only when the decoder rejects its shape. A
+# second call site of the dense probe is a second model reader, with the
+# |Node|^2 x |Packet| x |times| cost the decoder exists to avoid.
+sites="$(grep -rEn 'probe_events_dense\(' "$repo/src" --include='*.cpp' \
+    --include='*.hpp' \
+    | grep -Ev ':[0-9]+:[[:space:]]*//|std::vector<ModelEvent> probe_events_dense\(' \
+    || true)"
+if [ "$(echo "$sites" | grep -c .)" -ne 1 ] \
+    || ! grep -q "^$repo/src/smt/z3_events\.cpp:" <<< "$sites"; then
+  echo "ci: want exactly one call site of probe_events_dense in src/," \
+       "the decoder's fallback in src/smt/z3_events.cpp:" >&2
+  echo "$sites" >&2
   exit 1
 fi
 

@@ -7,12 +7,13 @@
 // Machine-readable perf trajectory: benchmarks record named numeric values
 // into the process-wide BenchJson sink, and a VMN_BENCH_JSON_MAIN(...) main
 // writes them as one JSON document (default path overridable with
-// `--json <path>`), so BENCH_*.json files track cold/warm timings, cache
-// hits and plan time from run to run.
+// `--json <path>`), so BENCH_*.json files track each batch's metrics
+// schema (counters and microsecond timers) from run to run.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -128,18 +129,22 @@ inline int bench_json_main(int argc, char** argv, const char* bench_name,
 namespace vmn::bench {
 
 /// Verifies `inv` once inside the timing loop and checks the outcome.
-/// Returns the mean per-verification wall time in ms (0 when skipped), so
-/// JSON-emitting callers can record it.
+/// Returns the mean per-verification wall time of Engine::run_one in
+/// microseconds (0 when skipped), so JSON-emitting callers can record it.
 inline double verify_expecting(benchmark::State& state,
                                verify::Engine& engine,
                                const encode::Invariant& inv,
                                verify::Outcome expected) {
   std::size_t slice_size = 0;
   std::size_t assertions = 0;
-  double total_ms = 0;
+  double total_us = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
     verify::VerifyResult r = engine.run_one(inv);
+    total_us += std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
     if (r.outcome != expected) {
       state.SkipWithError(("unexpected outcome: " +
                            verify::to_string(r.outcome) + " (expected " +
@@ -149,7 +154,6 @@ inline double verify_expecting(benchmark::State& state,
     }
     slice_size = r.slice_size;
     assertions = r.assertion_count;
-    total_ms += static_cast<double>(r.total_time.count());
     ++runs;
     benchmark::DoNotOptimize(r);
   }
@@ -157,18 +161,20 @@ inline double verify_expecting(benchmark::State& state,
       benchmark::Counter(static_cast<double>(slice_size));
   state.counters["assertions"] =
       benchmark::Counter(static_cast<double>(assertions));
-  return runs != 0 ? total_ms / static_cast<double>(runs) : 0;
+  return runs != 0 ? total_us / static_cast<double>(runs) : 0;
 }
 
-/// Solve-latency tail of a batch as record values: nearest-rank p50/p95
-/// and max of the per-solver-call times (ms), straight off the pool's
-/// TimingHistogram. Benchmarks merge these into their BENCH_*.json records
-/// so the trajectory pins the tail, not just the mean wall time.
-inline void add_solve_percentiles(std::map<std::string, double>& values,
-                                  const verify::TimingHistogram& h) {
-  values["solve_p50_ms"] = static_cast<double>(h.percentile(50).count());
-  values["solve_p95_ms"] = static_cast<double>(h.percentile(95).count());
-  values["solve_max_ms"] = static_cast<double>(h.percentile(100).count());
+/// A batch's whole metrics schema (verify::BatchResult::metrics()) as
+/// record values: every BENCH_*.json record of a batch starts from these,
+/// and a bench adds only the figures the engine cannot know (speedup
+/// ratios across runs, expected-verdict tallies).
+inline std::map<std::string, double> batch_values(
+    const verify::BatchResult& batch) {
+  std::map<std::string, double> values;
+  for (const verify::Metric& m : batch.metrics()) {
+    values.emplace(m.name, static_cast<double>(m.value));
+  }
+  return values;
 }
 
 /// Verifies a whole invariant list (the "verify the entire network" mode of

@@ -33,7 +33,7 @@ void run(benchmark::State& state, int invariant_index, bool use_slices) {
   VerifyOptions opts;
   opts.use_slices = use_slices;
   Engine v(ent.model, {.verify = opts});
-  const double mean_ms = verify_expecting(
+  const double mean_us = verify_expecting(
       state, v, ent.invariants[static_cast<std::size_t>(invariant_index)],
       Outcome::holds);
   const double edge_nodes =
@@ -44,7 +44,7 @@ void run(benchmark::State& state, int invariant_index, bool use_slices) {
       std::string(kPolicy[invariant_index]) +
           (use_slices ? "/slice" : "/full") +
           "/subnets=" + std::to_string(subnets),
-      {{"verify_ms", mean_ms}, {"edge_nodes", edge_nodes}});
+      {{"verify_us", mean_us}, {"edge_nodes", edge_nodes}});
 }
 
 void BM_Public_Slice(benchmark::State& s) { run(s, 0, true); }

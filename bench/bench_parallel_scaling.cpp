@@ -15,13 +15,12 @@
 // (problem-key classes, live contexts reused across same-shape jobs) and
 // cached (warm + pre-populated persistent
 // result cache, i.e. the repeated-batch case). `speedup_vs_cold` is the
-// headline number; every run also lands in BENCH_parallel.json with
-// cold/warm wall times, cache hit counts and plan time.
+// headline number; every run also lands in BENCH_parallel.json with the
+// batch's whole metrics schema (verify::BatchResult::metrics()).
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -53,10 +52,10 @@ Datacenter make() {
 
 // 1-worker wall time per (symmetry) config, measured on first use so the
 // speedup counter can be derived without a separate manual run.
-std::map<bool, double> baseline_ms;
+std::map<bool, double> baseline_us;
 
-double run_batch(const Datacenter& dc, std::size_t workers,
-                 bool use_symmetry, benchmark::State& state) {
+verify::BatchResult run_batch(const Datacenter& dc, std::size_t workers,
+                              bool use_symmetry, benchmark::State& state) {
   EngineOptions opts{.batch = true, .jobs = workers};
   opts.use_symmetry = use_symmetry;
   opts.verify.solver.seed = 1;
@@ -68,33 +67,36 @@ double run_batch(const Datacenter& dc, std::size_t workers,
         batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
     if (r.results[i].outcome != expected) {
       state.SkipWithError("unexpected outcome in parallel batch");
-      return 0.0;
+      return {};
     }
   }
   state.counters["jobs_executed"] =
       benchmark::Counter(static_cast<double>(r.pool.jobs_executed));
   state.counters["dedup_hit_rate"] = benchmark::Counter(r.dedup_hit_rate());
-  return static_cast<double>(r.total_time.count());
+  return r;
 }
 
 void scaling_bench(benchmark::State& state, bool use_symmetry) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   Datacenter dc = make();
-  double wall_ms = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
-    wall_ms = run_batch(dc, workers, use_symmetry, state);
-    benchmark::DoNotOptimize(wall_ms);
+    last = run_batch(dc, workers, use_symmetry, state);
+    benchmark::DoNotOptimize(last);
   }
-  if (workers == 1) baseline_ms[use_symmetry] = wall_ms;
-  const double base = baseline_ms[use_symmetry];
-  const double speedup = base > 0 && wall_ms > 0 ? base / wall_ms : 0.0;
+  const auto wall_us = static_cast<double>(last.total_time.count());
+  if (workers == 1) baseline_us[use_symmetry] = wall_us;
+  const double base = baseline_us[use_symmetry];
+  const double speedup = base > 0 && wall_us > 0 ? base / wall_us : 0.0;
   state.counters["speedup_vs_1"] = benchmark::Counter(speedup);
   state.counters["hw_threads"] = benchmark::Counter(
       static_cast<double>(std::thread::hardware_concurrency()));
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["speedup_vs_1"] = speedup;
   bench::BenchJson::instance().record(
       std::string("scaling/") + (use_symmetry ? "dedup" : "independent") +
           "/workers=" + std::to_string(workers),
-      {{"wall_ms", wall_ms}, {"speedup_vs_1", speedup}});
+      values);
 }
 
 void BM_ParallelScaling_Independent(benchmark::State& state) {
@@ -123,7 +125,7 @@ const char* mode_name(int mode) {
   }
 }
 
-double cold_wall_ms = 0;  // measured by the kCold run (registered first)
+double cold_wall_us = 0;  // measured by the kCold run (registered first)
 
 void BM_BatchFastPath(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
@@ -175,15 +177,9 @@ void BM_BatchFastPath(benchmark::State& state) {
   }
 
   Engine v(dc.model, opts);
-  double wall_ms = 0, plan_ms = 0, cache_hits = 0, warm_reuses = 0,
-         solver_calls = 0;
-  std::map<std::string, double> solve_tail;
+  verify::BatchResult last;
   for (auto _ : state) {
-    const auto wall_start = std::chrono::steady_clock::now();
     verify::BatchResult r = v.run_batch(batch.invariants);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
       const Outcome expected =
           batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
@@ -192,28 +188,20 @@ void BM_BatchFastPath(benchmark::State& state) {
         return;
       }
     }
-    plan_ms = static_cast<double>(r.plan_time.count());
-    cache_hits = static_cast<double>(r.cache_hits);
-    warm_reuses = static_cast<double>(r.warm_reuses);
-    solver_calls = static_cast<double>(r.solver_calls);
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  if (mode == kCold) cold_wall_ms = wall_ms;
+  const auto wall_us = static_cast<double>(last.total_time.count());
+  if (mode == kCold) cold_wall_us = wall_us;
   const double speedup =
-      cold_wall_ms > 0 && wall_ms > 0 ? cold_wall_ms / wall_ms : 0.0;
-  state.counters["plan_ms"] = benchmark::Counter(plan_ms);
-  state.counters["cache_hits"] = benchmark::Counter(cache_hits);
-  state.counters["warm_reuses"] = benchmark::Counter(warm_reuses);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
+      cold_wall_us > 0 && wall_us > 0 ? cold_wall_us / wall_us : 0.0;
+  state.counters["cache_hits"] =
+      benchmark::Counter(static_cast<double>(last.cache_hits));
+  state.counters["solver_calls"] =
+      benchmark::Counter(static_cast<double>(last.solver_calls));
   state.counters["speedup_vs_cold"] = benchmark::Counter(speedup);
-  std::map<std::string, double> values = {{"wall_ms", wall_ms},
-                                          {"plan_ms", plan_ms},
-                                          {"cache_hits", cache_hits},
-                                          {"warm_reuses", warm_reuses},
-                                          {"solver_calls", solver_calls},
-                                          {"speedup_vs_cold", speedup}};
-  values.insert(solve_tail.begin(), solve_tail.end());
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["speedup_vs_cold"] = speedup;
   bench::BenchJson::instance().record(
       std::string("fastpath/") + mode_name(mode), values);
 }
@@ -250,16 +238,9 @@ void BM_IsoWarm(benchmark::State& state) {
   opts.verify.warm_solving = warm;
   opts.verify.merge_isomorphic = warm;
   Engine v(dc.model, opts);
-  double wall_ms = 0, plan_ms = 0, iso_mapped = 0, iso_reuses = 0,
-         iso_verdicts = 0, solver_calls = 0, planned_jobs = 0, warm_binds = 0,
-         enc_builds = 0, enc_reuses = 0;
-  std::map<std::string, double> solve_tail;
+  verify::BatchResult last;
   for (auto _ : state) {
-    const auto wall_start = std::chrono::steady_clock::now();
     verify::BatchResult r = v.run_batch(batch.invariants);
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - wall_start)
-                  .count();
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
       const Outcome expected =
           batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
@@ -277,42 +258,21 @@ void BM_IsoWarm(benchmark::State& state) {
       state.SkipWithError("cold baseline performed iso rebinding");
       return;
     }
-    plan_ms = static_cast<double>(r.plan_time.count());
-    iso_mapped = static_cast<double>(r.iso_mapped);
-    iso_reuses = static_cast<double>(r.iso_reuses);
-    iso_verdicts = static_cast<double>(r.iso_verdict_reuses);
-    solver_calls = static_cast<double>(r.solver_calls);
-    planned_jobs = static_cast<double>(r.pool.jobs_executed);
-    warm_binds = static_cast<double>(r.warm_binds);
-    enc_builds = static_cast<double>(r.encode_transfer_builds);
-    enc_reuses = static_cast<double>(r.encode_transfer_reuses);
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  static double iso_cold_wall_ms = 0;  // Arg(0) registers (and runs) first
-  if (!warm) iso_cold_wall_ms = wall_ms;
+  static double iso_cold_wall_us = 0;  // Arg(0) registers (and runs) first
+  const auto wall_us = static_cast<double>(last.total_time.count());
+  if (!warm) iso_cold_wall_us = wall_us;
   const double speedup =
-      iso_cold_wall_ms > 0 && wall_ms > 0 ? iso_cold_wall_ms / wall_ms : 0.0;
-  state.counters["iso_mapped"] = benchmark::Counter(iso_mapped);
-  state.counters["iso_reuses"] = benchmark::Counter(iso_reuses);
-  state.counters["iso_verdict_reuses"] = benchmark::Counter(iso_verdicts);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
-  state.counters["warm_binds"] = benchmark::Counter(warm_binds);
-  state.counters["encode_transfer_builds"] = benchmark::Counter(enc_builds);
+      iso_cold_wall_us > 0 && wall_us > 0 ? iso_cold_wall_us / wall_us : 0.0;
+  state.counters["iso_verdict_reuses"] =
+      benchmark::Counter(static_cast<double>(last.iso_verdict_reuses));
+  state.counters["solver_calls"] =
+      benchmark::Counter(static_cast<double>(last.solver_calls));
   state.counters["speedup_vs_cold"] = benchmark::Counter(speedup);
-  std::map<std::string, double> values = {
-      {"wall_ms", wall_ms},
-      {"plan_ms", plan_ms},
-      {"iso_mapped", iso_mapped},
-      {"iso_reuses", iso_reuses},
-      {"iso_verdict_reuses", iso_verdicts},
-      {"solver_calls", solver_calls},
-      {"planned_jobs", planned_jobs},
-      {"warm_binds", warm_binds},
-      {"encode_transfer_builds", enc_builds},
-      {"encode_transfer_reuses", enc_reuses},
-      {"speedup_vs_cold", speedup}};
-  values.insert(solve_tail.begin(), solve_tail.end());
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["speedup_vs_cold"] = speedup;
   bench::BenchJson::instance().record(
       std::string("isowarm/") + (warm ? "warm" : "cold"), values);
 }
@@ -342,10 +302,7 @@ void BM_Fig8Batch(benchmark::State& state) {
   EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
   Engine v(mt.model, opts);
-  double wall_ms = 0, planned_jobs = 0, solver_calls = 0, iso_verdicts = 0,
-         blocked_merges = 0, dedup_rate = 0;
-  std::map<std::string, double> per_box_blocked;
-  std::map<std::string, double> solve_tail;
+  verify::BatchResult last;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
@@ -356,37 +313,23 @@ void BM_Fig8Batch(benchmark::State& state) {
         return;
       }
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    planned_jobs = static_cast<double>(r.pool.jobs_executed);
-    solver_calls = static_cast<double>(r.solver_calls);
-    iso_verdicts = static_cast<double>(r.iso_verdict_reuses);
-    dedup_rate = r.dedup_hit_rate();
-    blocked_merges = 0;
-    per_box_blocked.clear();
-    for (const verify::MergeBlocker& b : r.pool.merge_blockers) {
-      blocked_merges += static_cast<double>(b.count);
-      // Per-box breakdown: structural refusals (no box type) land in
-      // "structural" so the blocked_merges_* keys always sum to the total.
-      const std::string box = b.box_type.empty() ? "structural" : b.box_type;
-      per_box_blocked["blocked_merges_" + box] +=
-          static_cast<double>(b.count);
-    }
-    bench::add_solve_percentiles(solve_tail, r.pool.solve_histogram);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["planned_jobs"] = benchmark::Counter(planned_jobs);
-  state.counters["solver_calls"] = benchmark::Counter(solver_calls);
-  state.counters["iso_verdict_reuses"] = benchmark::Counter(iso_verdicts);
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["dedup_rate"] = last.dedup_hit_rate();
+  double blocked_merges = 0;
+  for (const verify::MergeBlocker& b : last.pool.merge_blockers) {
+    blocked_merges += static_cast<double>(b.count);
+    // Per-box breakdown: structural refusals (no box type) land in
+    // "structural" so the blocked_merges_* keys always sum to the total.
+    const std::string box = b.box_type.empty() ? "structural" : b.box_type;
+    values["blocked_merges_" + box] += static_cast<double>(b.count);
+  }
+  values["blocked_merges"] = blocked_merges;
+  state.counters["solver_calls"] =
+      benchmark::Counter(static_cast<double>(last.solver_calls));
   state.counters["blocked_merges"] = benchmark::Counter(blocked_merges);
-  std::map<std::string, double> values = {
-      {"wall_ms", wall_ms},
-      {"planned_jobs", planned_jobs},
-      {"solver_calls", solver_calls},
-      {"iso_verdict_reuses", iso_verdicts},
-      {"blocked_merges", blocked_merges},
-      {"dedup_rate", dedup_rate}};
-  values.insert(per_box_blocked.begin(), per_box_blocked.end());
-  values.insert(solve_tail.begin(), solve_tail.end());
   bench::BenchJson::instance().record("fig8/batch", values);
 }
 BENCHMARK(BM_Fig8Batch)->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -408,7 +351,7 @@ void BM_BatchBackend(benchmark::State& state) {
   opts.backend =
       use_process ? verify::Backend::process : verify::Backend::thread;
   Engine v(dc.model, opts);
-  double wall_ms = 0;
+  verify::BatchResult last;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
@@ -423,21 +366,23 @@ void BM_BatchBackend(benchmark::State& state) {
       state.SkipWithError("process backend lost workers on a healthy run");
       return;
     }
-    wall_ms = static_cast<double>(r.total_time.count());
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  static double thread_wall_ms = 0;  // Arg(0) is registered (and runs) first
-  if (!use_process) thread_wall_ms = wall_ms;
+  static double thread_wall_us = 0;  // Arg(0) is registered (and runs) first
+  const auto wall_us = static_cast<double>(last.total_time.count());
+  if (!use_process) thread_wall_us = wall_us;
   // 0 marks "baseline not measured" (e.g. --benchmark_filter ran only the
   // process arm); recording a fake 1.0 would hide real overhead in the
   // CI-uploaded perf trajectory.
   const double overhead = !use_process          ? 1.0
-                          : thread_wall_ms > 0 ? wall_ms / thread_wall_ms
+                          : thread_wall_us > 0 ? wall_us / thread_wall_us
                                                : 0.0;
   state.counters["overhead_vs_thread"] = benchmark::Counter(overhead);
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["overhead_vs_thread"] = overhead;
   bench::BenchJson::instance().record(
-      std::string("backend/") + (use_process ? "process" : "thread"),
-      {{"wall_ms", wall_ms}, {"overhead_vs_thread", overhead}});
+      std::string("backend/") + (use_process ? "process" : "thread"), values);
 }
 BENCHMARK(BM_BatchBackend)
     ->Arg(0)->Arg(1)
@@ -453,9 +398,9 @@ BENCHMARK(BM_BatchBackend)
 // every first solve forced unknown: each job escalates once (perturbed
 // seed, longer timeout), every escalation is rescued, and the batch ends
 // with zero unknowns. All counters here are fixed by (spec, plan, jobs=2)
-// except workers_respawned, which is scheduling-dependent (a crash only
-// respawns while work remains) - bench_diff treats it as a lower-bounded
-// signal, not an exact counter.
+// except the ones bench_diff.py lists as scheduling-dependent (a crash
+// only respawns while work remains), which it lower-bounds instead of
+// pinning.
 
 void BM_FaultQuarantine(benchmark::State& state) {
   Datacenter dc = make();
@@ -465,8 +410,8 @@ void BM_FaultQuarantine(benchmark::State& state) {
   opts.backend = verify::Backend::process;
   opts.verify.faults = verify::FaultPlan::parse("crash-job=0");
   Engine v(dc.model, opts);
-  double wall_ms = 0, quarantined = 0, abandoned = 0, crashed = 0,
-         respawned = 0, unknowns = 0, dropped = 0;
+  verify::BatchResult last;
+  double unknowns = 0;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     unknowns = 0;
@@ -486,27 +431,17 @@ void BM_FaultQuarantine(benchmark::State& state) {
       state.SkipWithError("crash-looping job was not quarantined");
       return;
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    quarantined = static_cast<double>(r.degradation.quarantined);
-    abandoned = static_cast<double>(r.degradation.abandoned());
-    crashed = static_cast<double>(r.pool.workers_crashed);
-    respawned = static_cast<double>(r.degradation.workers_respawned);
-    dropped = static_cast<double>(r.degradation.cache_records_dropped);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["quarantined"] = benchmark::Counter(quarantined);
-  state.counters["workers_crashed"] = benchmark::Counter(crashed);
-  state.counters["workers_respawned"] = benchmark::Counter(respawned);
+  state.counters["quarantined"] =
+      benchmark::Counter(static_cast<double>(last.degradation.quarantined));
+  state.counters["workers_respawned"] = benchmark::Counter(
+      static_cast<double>(last.degradation.workers_respawned));
   state.counters["unknown_verdicts"] = benchmark::Counter(unknowns);
-  bench::BenchJson::instance().record(
-      "faults/quarantine",
-      {{"wall_ms", wall_ms},
-       {"quarantined", quarantined},
-       {"jobs_abandoned", abandoned},
-       {"workers_crashed", crashed},
-       {"workers_respawned", respawned},
-       {"unknown_verdicts", unknowns},
-       {"cache_records_dropped", dropped}});
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["unknown_verdicts"] = unknowns;
+  bench::BenchJson::instance().record("faults/quarantine", values);
 }
 BENCHMARK(BM_FaultQuarantine)->Unit(benchmark::kMillisecond)->Iterations(1);
 
@@ -517,7 +452,8 @@ void BM_FaultEscalation(benchmark::State& state) {
   opts.verify.solver.seed = 1;
   opts.verify.faults = verify::FaultPlan::parse("solver-unknown=1");
   Engine v(dc.model, opts);
-  double wall_ms = 0, escalations = 0, rescued = 0, unknowns = 0;
+  verify::BatchResult last;
+  double unknowns = 0;
   for (auto _ : state) {
     verify::BatchResult r = v.run_batch(batch.invariants);
     unknowns = 0;
@@ -533,20 +469,15 @@ void BM_FaultEscalation(benchmark::State& state) {
         return;
       }
     }
-    wall_ms = static_cast<double>(r.total_time.count());
-    escalations = static_cast<double>(r.degradation.escalations);
-    rescued = static_cast<double>(r.degradation.escalations_rescued);
     benchmark::DoNotOptimize(r);
+    last = std::move(r);
   }
-  state.counters["escalations"] = benchmark::Counter(escalations);
-  state.counters["escalations_rescued"] = benchmark::Counter(rescued);
+  state.counters["escalations"] =
+      benchmark::Counter(static_cast<double>(last.degradation.escalations));
   state.counters["unknown_verdicts"] = benchmark::Counter(unknowns);
-  bench::BenchJson::instance().record(
-      "faults/escalation",
-      {{"wall_ms", wall_ms},
-       {"escalations", escalations},
-       {"escalations_rescued", rescued},
-       {"unknown_verdicts", unknowns}});
+  std::map<std::string, double> values = bench::batch_values(last);
+  values["unknown_verdicts"] = unknowns;
+  bench::BenchJson::instance().record("faults/escalation", values);
 }
 BENCHMARK(BM_FaultEscalation)->Unit(benchmark::kMillisecond)->Iterations(1);
 

@@ -34,7 +34,7 @@ int main() {
     verify::Engine verifier(dc.model);
     for (const auto& inv : dc.data_isolation_invariants()) {
       auto r = verifier.run_one(inv);
-      std::printf("  %-40s %-9s (slice %zu nodes, %lld ms)\n",
+      std::printf("  %-40s %-9s (slice %zu nodes, %lld us)\n",
                   inv.describe(name).c_str(),
                   verify::to_string(r.outcome).c_str(), r.slice_size,
                   static_cast<long long>(r.solve_time.count()));

@@ -31,7 +31,7 @@ void audit(const char* title, const scenarios::Datacenter& dc,
   bool printed = false;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
     const verify::VerifyResult& r = batch.results[i];
-    std::printf("  %-38s %-9s %s(%lld ms, slice %zu)\n",
+    std::printf("  %-38s %-9s %s(%lld us, slice %zu)\n",
                 invariants[i]
                     .describe([&](NodeId n) { return net.name(n); })
                     .c_str(),
@@ -48,7 +48,7 @@ void audit(const char* title, const scenarios::Datacenter& dc,
                       .c_str());
     }
   }
-  std::printf("  (%zu invariants, %zu solver calls, %lld ms total)\n",
+  std::printf("  (%zu invariants, %zu solver calls, %lld us total)\n",
               invariants.size(), batch.solver_calls,
               static_cast<long long>(batch.total_time.count()));
 }

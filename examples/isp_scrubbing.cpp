@@ -25,7 +25,7 @@ void check(const vmn::scenarios::Isp& isp, const char* label) {
   verify::Engine verifier(isp.model);
   auto inv = isp.attacked_subnet_isolation();
   auto r = verifier.run_one(inv);
-  std::printf("%-48s %-9s (slice %zu nodes, %lld ms)\n", label,
+  std::printf("%-48s %-9s (slice %zu nodes, %lld us)\n", label,
               verify::to_string(r.outcome).c_str(), r.slice_size,
               static_cast<long long>(r.solve_time.count()));
   if (r.counterexample) {

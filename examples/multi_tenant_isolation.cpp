@@ -35,7 +35,7 @@ int main() {
     };
     for (const Case& c : cases) {
       auto r = verifier.run_one(c.inv);
-      std::printf("  %s  -> %-8s (slice %zu of %zu nodes, %lld ms)\n",
+      std::printf("  %s  -> %-8s (slice %zu of %zu nodes, %lld us)\n",
                   c.label, verify::to_string(r.outcome).c_str(), r.slice_size,
                   edges, static_cast<long long>(r.solve_time.count()));
     }

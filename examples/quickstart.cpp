@@ -16,7 +16,7 @@ std::string name_or_omega(const vmn::net::Network& net, vmn::NodeId id) {
 void report(const vmn::net::Network& net, const std::string& label,
             const vmn::encode::Invariant& inv,
             const vmn::verify::VerifyResult& r) {
-  std::printf("%-42s -> %-8s  [slice=%zu nodes, %lld ms]\n",
+  std::printf("%-42s -> %-8s  [slice=%zu nodes, %lld us]\n",
               inv.describe([&](vmn::NodeId n) { return net.name(n); }).c_str(),
               vmn::verify::to_string(r.outcome).c_str(), r.slice_size,
               static_cast<long long>(r.solve_time.count()));

@@ -9,10 +9,6 @@ std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
 }
 
-double Rng::uniform01() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
 bool Rng::chance(double p) {
   return std::bernoulli_distribution(p)(engine_);
 }

@@ -16,8 +16,6 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform(std::int64_t lo, std::int64_t hi);
-  /// Uniform real in [0, 1).
-  [[nodiscard]] double uniform01();
   /// Bernoulli trial.
   [[nodiscard]] bool chance(double p);
   /// Picks k distinct indices from [0, n).

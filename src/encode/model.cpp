@@ -1,7 +1,5 @@
 #include "encode/model.hpp"
 
-#include <set>
-
 namespace vmn::encode {
 
 mbox::Middlebox* NetworkModel::middlebox_at(NodeId node) const {
@@ -19,36 +17,6 @@ void NetworkModel::set_policy_class(NodeId host, PolicyClassId cls) {
 PolicyClassId NetworkModel::policy_class(NodeId host) const {
   auto it = policy_.find(host);
   return it == policy_.end() ? PolicyClassId{0} : it->second;
-}
-
-std::size_t NetworkModel::policy_class_count() const {
-  std::set<PolicyClassId> classes;
-  classes.insert(PolicyClassId{0});
-  for (const auto& [node, cls] : policy_) classes.insert(cls);
-  // Class 0 only counts if some host actually defaults to it.
-  bool any_default = false;
-  for (NodeId h : network_.hosts()) {
-    if (!policy_.contains(h)) {
-      any_default = true;
-      break;
-    }
-  }
-  if (!any_default) {
-    bool class0_assigned = false;
-    for (const auto& [node, cls] : policy_) {
-      if (cls == PolicyClassId{0}) class0_assigned = true;
-    }
-    if (!class0_assigned) classes.erase(PolicyClassId{0});
-  }
-  return classes.size();
-}
-
-std::vector<NodeId> NetworkModel::hosts_in_class(PolicyClassId cls) const {
-  std::vector<NodeId> out;
-  for (NodeId h : network_.hosts()) {
-    if (policy_class(h) == cls) out.push_back(h);
-  }
-  return out;
 }
 
 }  // namespace vmn::encode

@@ -46,10 +46,6 @@ class NetworkModel {
   /// Hosts default to policy class 0 until assigned.
   void set_policy_class(NodeId host, PolicyClassId cls);
   [[nodiscard]] PolicyClassId policy_class(NodeId host) const;
-  /// Number of distinct assigned classes (at least 1).
-  [[nodiscard]] std::size_t policy_class_count() const;
-  /// All hosts in the given class.
-  [[nodiscard]] std::vector<NodeId> hosts_in_class(PolicyClassId cls) const;
 
  private:
   net::Network network_;

@@ -6,7 +6,6 @@ Vocab::Vocab(TermFactory& factory, const std::vector<std::string>& node_names)
     : factory_(&factory) {
   node_sort_ = factory.finite_sort("Node", node_names);
   packet_sort_ = factory.uninterpreted_sort("Packet");
-  time_sort_ = Sort::integer();
   addr_sort_ = Sort::integer();
 
   const auto& b = Sort::boolean();

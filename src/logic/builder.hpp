@@ -29,7 +29,6 @@ class Vocab {
   // Sorts.
   [[nodiscard]] const SortPtr& node_sort() const { return node_sort_; }
   [[nodiscard]] const SortPtr& packet_sort() const { return packet_sort_; }
-  [[nodiscard]] const SortPtr& time_sort() const { return time_sort_; }
   [[nodiscard]] const SortPtr& addr_sort() const { return addr_sort_; }
 
   // Event relations.
@@ -71,7 +70,6 @@ class Vocab {
   TermFactory* factory_;
   SortPtr node_sort_;
   SortPtr packet_sort_;
-  SortPtr time_sort_;
   SortPtr addr_sort_;
   FuncDeclPtr snd_, rcv_, fail_;
   FuncDeclPtr src_, dst_, src_port_, dst_port_;

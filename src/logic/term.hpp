@@ -154,9 +154,6 @@ class TermFactory {
   TermPtr forall(std::vector<TermPtr> vars, const TermPtr& body);
   TermPtr exists(std::vector<TermPtr> vars, const TermPtr& body);
 
-  /// Number of distinct interned terms (for tests / diagnostics).
-  [[nodiscard]] std::size_t term_count() const { return next_id_; }
-
  private:
   TermPtr intern(Term&& t);
   static void require(bool cond, const std::string& message);

@@ -1,7 +1,5 @@
 #include "mbox/middlebox.hpp"
 
-#include <algorithm>
-
 namespace vmn::mbox {
 
 namespace l = vmn::logic;
@@ -19,10 +17,6 @@ std::string to_string(StateScope scope) {
       return "global";
   }
   return "?";
-}
-
-bool AxiomContext::is_relevant(Address a) const {
-  return std::find(relevant_.begin(), relevant_.end(), a) != relevant_.end();
 }
 
 ltl::FormulaPtr Middlebox::received_before(AxiomContext& ctx,

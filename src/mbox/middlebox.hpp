@@ -74,7 +74,6 @@ class AxiomContext {
   [[nodiscard]] const std::vector<Address>& relevant_addresses() const {
     return relevant_;
   }
-  [[nodiscard]] bool is_relevant(Address a) const;
 
   void add_axiom(const logic::TermPtr& axiom, const std::string& label) const {
     sink_(axiom, label);

@@ -55,7 +55,7 @@ class Solver {
   /// Extracts the event/packet model after a sat result.
   [[nodiscard]] virtual SmtModel model() const = 0;
   /// Time spent inside the last check().
-  [[nodiscard]] virtual std::chrono::milliseconds last_check_time() const = 0;
+  [[nodiscard]] virtual std::chrono::microseconds last_check_time() const = 0;
   /// Number of currently asserted axioms (diagnostics).
   [[nodiscard]] virtual std::size_t assertion_count() const = 0;
 };

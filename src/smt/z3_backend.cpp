@@ -61,7 +61,7 @@ class Z3Solver final : public Solver {
   CheckStatus check() override {
     const auto start = std::chrono::steady_clock::now();
     z3::check_result r = solver_.check();
-    last_time_ = std::chrono::duration_cast<std::chrono::milliseconds>(
+    last_time_ = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
     switch (r) {
       case z3::sat:
@@ -114,7 +114,7 @@ class Z3Solver final : public Solver {
     return snap;
   }
 
-  [[nodiscard]] std::chrono::milliseconds last_check_time() const override {
+  [[nodiscard]] std::chrono::microseconds last_check_time() const override {
     return last_time_;
   }
 
@@ -313,7 +313,7 @@ class Z3Solver final : public Solver {
   std::unordered_map<std::string, EnumSort> esorts_;
   std::unordered_map<const FuncDecl*, z3::func_decl> funcs_;
   std::unordered_map<std::uint64_t, z3::expr> cache_;
-  std::chrono::milliseconds last_time_{0};
+  std::chrono::microseconds last_time_{0};
   std::size_t assertions_ = 0;
   /// assertion_count() snapshots for the open push() scopes.
   std::vector<std::size_t> assertion_stack_;

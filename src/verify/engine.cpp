@@ -109,7 +109,6 @@ JobPlan Engine::plan(const std::vector<encode::Invariant>& invariants) {
 }
 
 VerifyResult Engine::run_one(const encode::Invariant& invariant) {
-  const auto start = Clock::now();
   Planning& p = planning();
   std::vector<NodeId> members =
       slice_members(*model_, invariant, p.classes, options_.verify.use_slices,
@@ -120,11 +119,8 @@ VerifyResult Engine::run_one(const encode::Invariant& invariant) {
   SolverSession session(options_.verify.solver, /*warm=*/true,
                         &p.ctx.transfers);
   session.set_resilience(session_resilience(options_.verify));
-  VerifyResult result = verify_members(*model_, invariant, std::move(members),
-                                       options_.verify.max_failures, session);
-  result.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-      Clock::now() - start);
-  return result;
+  return verify_members(*model_, invariant, std::move(members),
+                        options_.verify.max_failures, session);
 }
 
 void Engine::rebind(const encode::NetworkModel& model) {
@@ -232,7 +228,6 @@ BatchResult Engine::run_batch(
           hits[j] ? result_from_cache(*hits[j], invariants[b.invariant_index])
                   : bind_result(*model_, result, *b.members, *b.iso_image);
       bound.by_symmetry = k > 0;
-      bound.total_time += b.plan_time;
       out.results[b.invariant_index] = std::move(bound);
     }
   }
@@ -244,7 +239,7 @@ BatchResult Engine::run_batch(
   out.degradation.completed = out.pool.jobs_executed > abandoned_jobs
                                   ? out.pool.jobs_executed - abandoned_jobs
                                   : 0;
-  out.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
+  out.total_time = std::chrono::duration_cast<std::chrono::microseconds>(
       Clock::now() - start);
   return out;
 }

@@ -252,21 +252,4 @@ std::chrono::milliseconds respawn_backoff(std::uint64_t seed, std::size_t slot,
   return std::chrono::milliseconds{static_cast<long long>(ms + jitter)};
 }
 
-std::string DegradationReport::summary() const {
-  std::ostringstream out;
-  out << completed << " completed, " << abandoned_retries << " abandoned, "
-      << quarantined << " quarantined, " << deadline_abandoned
-      << " past deadline";
-  if (escalations > 0) {
-    out << "; " << escalations << " escalated (" << escalations_rescued
-        << " rescued)";
-  }
-  if (workers_respawned > 0) out << "; " << workers_respawned << " respawned";
-  if (cache_records_dropped > 0) {
-    out << "; " << cache_records_dropped << " cache records dropped";
-  }
-  if (deadline_expired) out << "; deadline expired";
-  return out.str();
-}
-
 }  // namespace vmn::verify

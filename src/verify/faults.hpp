@@ -157,8 +157,9 @@ class FaultInjector {
     std::chrono::milliseconds base, std::chrono::milliseconds cap);
 
 /// How a batch degraded, if it did. Aggregated by the Engine and carried
-/// on BatchResult; `vmn verify` prints it and exit code 2 signals
-/// "incomplete" whenever `degraded()` is true or any verdict is unknown.
+/// on BatchResult, whose metrics() renders the counters; `vmn verify`
+/// prints them with the reasons, and exit code 2 signals "incomplete"
+/// whenever `degraded()` is true or any verdict is unknown.
 struct DegradationReport {
   /// Planned jobs answered definitively (solver or cache).
   std::size_t completed = 0;
@@ -192,8 +193,6 @@ struct DegradationReport {
   [[nodiscard]] bool degraded() const {
     return deadline_expired || abandoned() > 0;
   }
-  /// One-line summary for CLI output and logs.
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace vmn::verify

@@ -93,8 +93,6 @@ struct VerdictBinding {
   /// Cross-run cache identity of this binding's own problem (see
   /// slice::canonical_problem_key); equal to the representative's key.
   slice::ProblemKey problem_key;
-  /// Planning cost attributed to this binding's invariant.
-  std::chrono::milliseconds plan_time{0};
 };
 
 /// The list BindingRef::inheritors points at: always empty, since every
@@ -112,7 +110,6 @@ struct BindingRef {
   /// Always kNoInheritors; kept for the bench/e2e layer replay, which
   /// still walks it.
   const std::vector<std::size_t>* inheritors = &kNoInheritors;
-  std::chrono::milliseconds plan_time{0};
 };
 
 /// One solver class: verify a representative invariant on its slice and
@@ -143,10 +140,6 @@ struct Job {
   [[nodiscard]] const std::vector<NodeId>& encode_members() const {
     return iso_image.empty() ? members : iso_members;
   }
-  /// Planning cost (slice computation + canonical keys) for the
-  /// representative; every executor folds it into the representative's
-  /// total_time so per-invariant figures stay comparable.
-  std::chrono::milliseconds plan_time{0};
   /// The invariant the solver actually sees, already mapped into encode
   /// space (== the batch invariant when iso_image is empty). Every
   /// executor (wire workers included) solves this verbatim; no relabeling.
@@ -166,15 +159,13 @@ struct Job {
       return BindingRef{.invariant_index = invariant_index,
                         .members = &members,
                         .iso_image = &iso_image,
-                        .problem_key = &problem_key,
-                        .plan_time = plan_time};
+                        .problem_key = &problem_key};
     }
     const VerdictBinding& b = bindings[k - 1];
     return BindingRef{.invariant_index = b.invariant_index,
                       .members = &b.members,
                       .iso_image = &b.iso_image,
-                      .problem_key = &b.problem_key,
-                      .plan_time = b.plan_time};
+                      .problem_key = &b.problem_key};
   }
 };
 
@@ -186,7 +177,7 @@ struct JobPlan {
   std::vector<Job> jobs;
   std::size_t invariant_count = 0;
   /// Wall time of the whole (serial) planning pass.
-  std::chrono::milliseconds plan_time{0};
+  std::chrono::microseconds plan_time{0};
   /// PlanContext memo effectiveness: transfer functions built vs handed
   /// back from the per-scenario memo. The seed behavior was builds ==
   /// 2 x invariants x scenarios and reuses == 0.

@@ -480,7 +480,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
           break;
         }
         in_flight.reset();
-        stats.busy += std::chrono::duration_cast<std::chrono::milliseconds>(
+        stats.busy += std::chrono::duration_cast<std::chrono::microseconds>(
             Clock::now() - job_start);
         undone.erase(undone.begin());
         if (!result.error.empty()) {

@@ -125,8 +125,6 @@ ServeState::ServeState(ServeOptions options) : options_(std::move(options)) {
 void ServeState::run_current() {
   last_batch_ = engine_->run_batch(spec_->invariants);
   ++stats_.batches;
-  stats_.solver_calls += last_batch_.solver_calls;
-  stats_.cache_hits += last_batch_.cache_hits;
 }
 
 ServeState::Applied ServeState::apply_text(const std::string& text,
@@ -256,54 +254,24 @@ std::string ServeState::cmd_reload() {
 
 std::string ServeState::cmd_stats() const {
   const VerdictCounts c = count_verdicts(last_batch_);
-  const BatchResult& b = last_batch_;
-  std::ostringstream os;
-  os << "OK {"
-     << "\"generation\":" << stats_.generation
-     << ",\"spec\":\"" << json_escape(options_.spec_path) << '"'
-     << ",\"invariants\":" << b.results.size()
-     << ",\"holds\":" << c.holds
-     << ",\"violated\":" << c.violated
-     << ",\"unknown\":" << c.unknown
-     << ",\"degraded\":" << (b.degradation.degraded() ? "true" : "false")
-     << ",\"batch\":{"
-     << "\"jobs_executed\":" << b.pool.jobs_executed
-     << ",\"solver_calls\":" << b.solver_calls
-     << ",\"plan_ms\":" << b.plan_time.count()
-     << ",\"total_ms\":" << b.total_time.count()
-     << ",\"cache_hits\":" << b.cache_hits
-     << ",\"cache_misses\":" << b.cache_misses
-     << ",\"cache_records_dropped\":" << b.degradation.cache_records_dropped
-     << ",\"warm_binds\":" << b.warm_binds
-     << ",\"warm_reuses\":" << b.warm_reuses
-     << ",\"iso_mapped\":" << b.iso_mapped
-     << ",\"iso_reuses\":" << b.iso_reuses
-     << ",\"iso_verdict_reuses\":" << b.iso_verdict_reuses
-     << ",\"encode_transfer_builds\":" << b.encode_transfer_builds
-     << ",\"encode_transfer_reuses\":" << b.encode_transfer_reuses
-     << ",\"escalations\":" << b.degradation.escalations
-     << ",\"escalations_rescued\":" << b.degradation.escalations_rescued
-     << ",\"completed\":" << b.degradation.completed
-     << ",\"abandoned_retries\":" << b.degradation.abandoned_retries
-     << ",\"quarantined\":" << b.degradation.quarantined
-     << ",\"deadline_abandoned\":" << b.degradation.deadline_abandoned
-     << ",\"workers\":" << b.pool.workers.size()
-     << ",\"workers_spawned\":" << b.pool.workers_spawned
-     << ",\"workers_crashed\":" << b.pool.workers_crashed
-     << ",\"workers_respawned\":" << b.degradation.workers_respawned
-     << ",\"jobs_requeued\":" << b.pool.jobs_requeued
-     << ",\"jobs_abandoned\":" << b.degradation.abandoned()
-     << "}"
-     << ",\"lifetime\":{"
-     << "\"batches\":" << stats_.batches
-     << ",\"reloads\":" << stats_.reloads
-     << ",\"noop_edits\":" << stats_.noop_edits
-     << ",\"parse_errors\":" << stats_.parse_errors
-     << ",\"requests\":" << stats_.requests
-     << ",\"solver_calls\":" << stats_.solver_calls
-     << ",\"cache_hits\":" << stats_.cache_hits
-     << "}}";
-  return os.str();
+  // Counters go through the one JSON writer; only the spec path string,
+  // the degraded flag and the two nested objects are spliced in.
+  std::string head = metrics_json({{"generation", stats_.generation},
+                                   {"holds", c.holds},
+                                   {"violated", c.violated},
+                                   {"unknown", c.unknown}});
+  head.pop_back();  // reopen the object
+  const std::string lifetime =
+      metrics_json({{"batches", stats_.batches},
+                    {"reloads", stats_.reloads},
+                    {"noop_edits", stats_.noop_edits},
+                    {"parse_errors", stats_.parse_errors},
+                    {"requests", stats_.requests}});
+  return "OK " + head + ",\"spec\":\"" + json_escape(options_.spec_path) +
+         "\",\"degraded\":" +
+         (last_batch_.degradation.degraded() ? "true" : "false") +
+         ",\"batch\":" + metrics_json(last_batch_.metrics()) +
+         ",\"lifetime\":" + lifetime + "}";
 }
 
 std::string ServeState::handle_line(const std::string& raw) {

@@ -19,7 +19,13 @@
 //   RELOAD              -> OK reloaded generation=G <diff summary> |
 //                          OK unchanged generation=G |
 //                          ERR parse: <message>   (old generation serves on)
-//   STATS               -> OK <single-line JSON of the unified counters>
+//   STATS               -> OK <single-line JSON object>: generation, spec,
+//                          holds/violated/unknown, degraded, a `batch`
+//                          object holding the last batch's
+//                          BatchResult::metrics() (timers in microseconds:
+//                          plan_us, total_us, ...) and a `lifetime` object
+//                          (batches, reloads, noop_edits, parse_errors,
+//                          requests)
 //
 // Anything else answers `ERR <reason>` and the connection stays up -
 // malformed input never kills the daemon.
@@ -70,8 +76,6 @@ struct ServeStats {
   std::uint64_t noop_edits = 0;   ///< file changed, canonical spec did not
   std::uint64_t parse_errors = 0; ///< edits rejected (old generation kept)
   std::uint64_t requests = 0;     ///< protocol lines handled
-  std::uint64_t solver_calls = 0; ///< lifetime sum across batches
-  std::uint64_t cache_hits = 0;   ///< lifetime sum across batches
 };
 
 /// The daemon core, minus sockets: owns the parsed spec, the warm Engine,

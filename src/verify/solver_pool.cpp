@@ -129,7 +129,7 @@ void SolverPool::run(
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-      stats.busy += std::chrono::duration_cast<std::chrono::milliseconds>(
+      stats.busy += std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start);
       ++stats.jobs;
     }

@@ -140,7 +140,7 @@ class SolverSession {
 /// session.
 struct WorkerStats {
   std::size_t jobs = 0;
-  std::chrono::milliseconds busy{0};
+  std::chrono::microseconds busy{0};
 };
 
 /// Fixed-size worker pool. Jobs are pulled from a shared atomic cursor, so

@@ -23,9 +23,9 @@ std::string to_string(Outcome outcome) {
   return "?";
 }
 
-std::chrono::milliseconds TimingHistogram::percentile(double p) const {
-  if (raw.empty()) return std::chrono::milliseconds{0};
-  std::vector<std::chrono::milliseconds> sorted = raw;
+std::chrono::microseconds TimingHistogram::percentile(double p) const {
+  if (raw.empty()) return std::chrono::microseconds{0};
+  std::vector<std::chrono::microseconds> sorted = raw;
   std::sort(sorted.begin(), sorted.end());
   // Nearest-rank: the smallest sample with at least p% of the samples at
   // or below it (p clamped into [0, 100]).
@@ -37,27 +37,59 @@ std::chrono::milliseconds TimingHistogram::percentile(double p) const {
   return sorted[rank - 1];
 }
 
-std::string TimingHistogram::to_string() const {
-  std::vector<std::size_t> buckets;
-  for (const std::chrono::milliseconds ms : raw) {
-    std::size_t bucket = 0;
-    for (auto v = ms.count(); v > 0; v >>= 1) ++bucket;
-    if (buckets.size() <= bucket) buckets.resize(bucket + 1);
-    ++buckets[bucket];
+std::vector<Metric> BatchResult::metrics() const {
+  auto us = [](std::chrono::microseconds d) {
+    return static_cast<std::uint64_t>(d.count());
+  };
+  std::chrono::microseconds busy{0};
+  for (const WorkerStats& w : pool.workers) busy += w.busy;
+  const TimingHistogram& solves = pool.solve_histogram;
+  return {
+      {"invariants", results.size()},
+      {"jobs_executed", pool.jobs_executed},
+      {"solver_calls", solver_calls},
+      {"plan_us", us(plan_time)},
+      {"total_us", us(total_time)},
+      {"solve_p50_us", us(solves.percentile(50))},
+      {"solve_p95_us", us(solves.percentile(95))},
+      {"solve_max_us", us(solves.percentile(100))},
+      {"cache_hits", cache_hits},
+      {"cache_misses", cache_misses},
+      {"cache_records_dropped", degradation.cache_records_dropped},
+      {"warm_binds", warm_binds},
+      {"warm_reuses", warm_reuses},
+      {"iso_mapped", iso_mapped},
+      {"iso_reuses", iso_reuses},
+      {"iso_verdict_reuses", iso_verdict_reuses},
+      {"encode_transfer_builds", encode_transfer_builds},
+      {"encode_transfer_reuses", encode_transfer_reuses},
+      {"escalations", degradation.escalations},
+      {"escalations_rescued", degradation.escalations_rescued},
+      {"completed", degradation.completed},
+      {"abandoned_retries", degradation.abandoned_retries},
+      {"quarantined", degradation.quarantined},
+      {"deadline_abandoned", degradation.deadline_abandoned},
+      {"jobs_abandoned", degradation.abandoned()},
+      {"deadline_expired", degradation.deadline_expired ? 1u : 0u},
+      {"workers", pool.workers.size()},
+      {"workers_spawned", pool.workers_spawned},
+      {"workers_crashed", pool.workers_crashed},
+      {"workers_respawned", degradation.workers_respawned},
+      {"jobs_requeued", pool.jobs_requeued},
+      {"worker_busy_us", us(busy)},
+  };
+}
+
+std::string metrics_json(const std::vector<Metric>& metrics) {
+  std::string out = "{";
+  for (const Metric& m : metrics) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += m.name;
+    out += "\":";
+    out += std::to_string(m.value);
   }
-  std::string out;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    if (!out.empty()) out += " ";
-    if (i == 0) {
-      out += "<1ms";
-    } else {
-      out += std::to_string(1LL << (i - 1)) + "-" + std::to_string(1LL << i) +
-             "ms";
-    }
-    out += ":" + std::to_string(buckets[i]);
-  }
-  return out.empty() ? "(no samples)" : out;
+  return out + '}';
 }
 
 slice::PolicyClasses build_policy_classes(const encode::NetworkModel& model,
@@ -212,7 +244,6 @@ VerifyResult verify_members(const encode::NetworkModel& model,
                             const encode::Invariant& invariant,
                             std::vector<NodeId> members, int max_failures,
                             SolverSession& session) {
-  const auto start = std::chrono::steady_clock::now();
   VerifyResult result;
 
   // The problem arrives already in encode space: for iso-rebound jobs the
@@ -303,8 +334,6 @@ VerifyResult verify_members(const encode::NetworkModel& model,
     result.solve.escalation_rescued = status != smt::CheckStatus::unknown;
   }
 
-  result.total_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
   return result;
 }
 
@@ -430,7 +459,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   const bool merge = use_symmetry && options.merge_isomorphic;
   std::map<std::string, std::size_t> class_of;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
-    const auto inv_start = std::chrono::steady_clock::now();
     const encode::Invariant& inv = invariants[i];
     std::vector<NodeId> members =
         slice_members(model, inv, classes, options.use_slices,
@@ -440,8 +468,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
       key = slice::canonical_problem_key(model, shape_of(members), inv,
                                          options.max_failures, &ctx.transfers);
     }
-    const auto plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - inv_start);
     if (merge && !key.key.empty()) {
       auto [it, fresh] = class_of.emplace(key.key, plan.jobs.size());
       if (!fresh) {
@@ -449,7 +475,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
         binding.invariant_index = i;
         binding.members = std::move(members);
         binding.problem_key = std::move(key);
-        binding.plan_time = plan_time;
         plan.jobs[it->second].bindings.push_back(std::move(binding));
         continue;
       }
@@ -458,7 +483,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     job.invariant_index = i;
     job.members = std::move(members);
     job.problem_key = std::move(key);
-    job.plan_time = plan_time;
     plan.jobs.push_back(std::move(job));
   }
   // Cross-isomorphic encoding reuse: class representatives whose member
@@ -569,7 +593,7 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) plan.jobs[j].id = j;
   plan.transfer_builds = ctx.transfers.builds();
   plan.transfer_reuses = ctx.transfers.reuses();
-  plan.plan_time = std::chrono::duration_cast<std::chrono::milliseconds>(
+  plan.plan_time = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - plan_start);
   return plan;
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/trace.hpp"
@@ -92,8 +93,8 @@ struct SolveFacts {
 struct VerifyResult {
   Outcome outcome = Outcome::unknown;
   smt::CheckStatus raw_status = smt::CheckStatus::unknown;
-  std::chrono::milliseconds solve_time{0};
-  std::chrono::milliseconds total_time{0};
+  /// Time inside the solver's check() calls (escalated retry included).
+  std::chrono::microseconds solve_time{0};
   std::size_t slice_size = 0;       ///< encoded edge nodes
   std::size_t assertion_count = 0;  ///< axioms handed to the solver
   std::optional<Trace> counterexample;
@@ -110,21 +111,28 @@ struct VerifyResult {
 };
 
 /// Per-job solve times, one raw sample per solver call (bounded by the
-/// batch's job count), so the tail is reportable exactly: BENCH_parallel
-/// and the CLI summary surface p50/p95/max, not just the mean.
+/// batch's job count), so the tail is reportable exactly: the metrics
+/// schema surfaces p50/p95/max, not just the mean.
 struct TimingHistogram {
   /// Every recorded sample, in record order.
-  std::vector<std::chrono::milliseconds> raw;
+  std::vector<std::chrono::microseconds> raw;
 
-  void record(std::chrono::milliseconds ms) { raw.push_back(ms); }
-  /// Nearest-rank percentile (p in [0, 100]) of the raw samples; 0ms when
+  void record(std::chrono::microseconds us) { raw.push_back(us); }
+  /// Nearest-rank percentile (p in [0, 100]) of the raw samples; 0us when
   /// empty. percentile(100) is the max.
-  [[nodiscard]] std::chrono::milliseconds percentile(double p) const;
-  [[nodiscard]] std::chrono::milliseconds max() const { return percentile(100.0); }
-  /// Log2 buckets of the samples: bucket i counts solve times in
-  /// [2^(i-1), 2^i) ms (bucket 0 is < 1 ms), e.g. "<1ms:3 1-2ms:1 8-16ms:7".
-  [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] std::chrono::microseconds percentile(double p) const;
 };
+
+/// One named counter or timer of a batch (see BatchResult::metrics()).
+/// `name` views a string literal, so a Metric may outlive its batch.
+struct Metric {
+  std::string_view name;
+  std::uint64_t value = 0;
+};
+
+/// Renders `metrics` as one flat JSON object in list order, e.g.
+/// {"a":1,"b":2}.
+[[nodiscard]] std::string metrics_json(const std::vector<Metric>& metrics);
 
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
 /// batch deduplicated and fanned out. Every executor fills the plan half
@@ -155,18 +163,19 @@ struct PoolStats {
 };
 
 /// The one batch-verification result Engine::run_batch returns, whichever
-/// executor ran it: per-invariant verdicts plus the unified counter set,
-/// with plan/pool diagnostics nested in `pool` and failure accounting in
-/// `degradation`.
+/// executor ran it: per-invariant verdicts plus the counters metrics()
+/// renders, with plan/pool diagnostics nested in `pool` and failure
+/// accounting in `degradation`.
 struct BatchResult {
   std::vector<VerifyResult> results;  ///< aligned with the invariant list
   /// Actual solver invocations: solver classes minus cache hits (and
   /// abandoned classes).
   std::size_t solver_calls = 0;
-  std::chrono::milliseconds total_time{0};
+  /// Wall time of the whole run_batch call.
+  std::chrono::microseconds total_time{0};
   /// Serial planning wall time (slices + canonical keys + classes), the
   /// Amdahl term ahead of the fan-out.
-  std::chrono::milliseconds plan_time{0};
+  std::chrono::microseconds plan_time{0};
   /// Solver classes answered by the persistent result cache / stored into
   /// it after a solve (one lookup per class - its bindings share the
   /// problem key - so hits + misses == jobs_executed when caching is on,
@@ -214,6 +223,14 @@ struct BatchResult {
     return static_cast<double>(results.size() - pool.jobs_executed) /
            static_cast<double>(results.size());
   }
+
+  /// Every counter and timer of the batch, in print order: the one metrics
+  /// schema. The CLI summary, the serve STATS `batch` object and the bench
+  /// JSON records all render this list, so they cannot drift apart, and
+  /// this is the only place a metric is named. Durations are microseconds
+  /// and their names end in `_us`; the fields above are the plain data
+  /// behind it.
+  [[nodiscard]] std::vector<Metric> metrics() const;
 };
 
 /// Reads a counterexample schedule out of a satisfying model.
@@ -317,12 +334,10 @@ struct IsoBinding {
 /// invariant, checks, extracts any counterexample and pop()s back to the
 /// base. Every executor - inline, thread worker, wire worker - funnels
 /// through this function, which is what guarantees they agree
-/// check-for-check. `total_time` covers encoding and solving only;
-/// callers that also compute the slice fold that time in themselves.
-/// `invariant` and `members` are the encode-space problem verbatim (for
-/// iso-rebound jobs the planner already mapped both); the returned
-/// result - witness included - stays in encode space, and callers fan it
-/// out through bind_result per verdict binding. The result's SolveFacts
+/// check-for-check. `invariant` and `members` are the encode-space problem
+/// verbatim (for iso-rebound jobs the planner already mapped both); the
+/// returned result - witness included - stays in encode space, and callers
+/// fan it out through bind_result per verdict binding. The result's SolveFacts
 /// record this call's session traffic (one warm_bind, at most one
 /// escalate_bind); the session itself counts nothing.
 [[nodiscard]] VerifyResult verify_members(const encode::NetworkModel& model,

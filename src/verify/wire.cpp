@@ -235,8 +235,7 @@ std::string encode_result(const WireResult& result) {
   w.u64(result.id);
   w.u8(static_cast<std::uint8_t>(result.raw_status));
   w.u8(static_cast<std::uint8_t>(result.outcome));
-  w.i64(result.solve_ms);
-  w.i64(result.total_ms);
+  w.i64(result.solve_us);
   w.u64(result.slice_size);
   w.u64(result.assertion_count);
   w.u8(result.solve.warm_reused ? 1 : 0);
@@ -283,8 +282,7 @@ WireResult decode_result(std::string_view payload) {
     corrupt("unknown outcome");
   }
   result.outcome = static_cast<Outcome>(outcome);
-  result.solve_ms = r.i64();
-  result.total_ms = r.i64();
+  result.solve_us = r.i64();
   result.slice_size = r.u64();
   result.assertion_count = r.u64();
   result.solve.warm_reused = r.u8() != 0;
@@ -377,8 +375,7 @@ WireResult make_wire_result(const net::Network& network, std::uint64_t id,
   out.id = id;
   out.raw_status = result.raw_status;
   out.outcome = result.outcome;
-  out.solve_ms = result.solve_time.count();
-  out.total_ms = result.total_time.count();
+  out.solve_us = result.solve_time.count();
   out.slice_size = result.slice_size;
   out.assertion_count = result.assertion_count;
   out.solve = result.solve;
@@ -413,8 +410,7 @@ VerifyResult to_verify_result(const net::Network& network,
   VerifyResult out;
   out.raw_status = result.raw_status;
   out.outcome = result.outcome;
-  out.solve_time = std::chrono::milliseconds(result.solve_ms);
-  out.total_time = std::chrono::milliseconds(result.total_ms);
+  out.solve_time = std::chrono::microseconds(result.solve_us);
   out.slice_size = result.slice_size;
   out.assertion_count = result.assertion_count;
   out.solve = result.solve;

@@ -11,7 +11,7 @@
 //                                         member names + failure budget,
 //                                         node ids projected to names so
 //                                         they survive re-parsing)
-//   worker -> dispatcher:  RESULT frames (verdict, raw status, timings,
+//   worker -> dispatcher:  RESULT frames (verdict, raw status, solve time,
 //                                         slice/assertion statistics, the
 //                                         solve's SolveFacts, optional
 //                                         counterexample trace with node
@@ -69,8 +69,10 @@ class WireError : public Error {
 /// transfer counts) in place of seven per-job session-counter deltas, and
 /// JOB frames drop the iso_encoded marker - the dispatcher already knows
 /// which jobs it rebound.
+/// v6 -> v7: RESULT frames carry the solve time in microseconds (solve_us,
+/// in place of solve_ms) and drop total_ms, which nothing read.
 /// Version skew on either side is a WireError, never a misread.
-inline constexpr std::uint16_t kWireVersion = 6;
+inline constexpr std::uint16_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderSize = 20;
 /// Upper bound on a single payload (a projected spec of a pathological
 /// slice stays far below this; anything larger is a corrupt length field).
@@ -160,8 +162,8 @@ struct WireResult {
   std::uint64_t id = 0;
   smt::CheckStatus raw_status = smt::CheckStatus::unknown;
   Outcome outcome = Outcome::unknown;
-  std::int64_t solve_ms = 0;
-  std::int64_t total_ms = 0;
+  /// VerifyResult::solve_time, in microseconds.
+  std::int64_t solve_us = 0;
   std::uint64_t slice_size = 0;
   std::uint64_t assertion_count = 0;
   /// This job's solve (VerifyResult::solve), counted dispatcher-side by

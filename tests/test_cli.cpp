@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,70 @@ TEST(DedupReport, Fig8MultitenantNamesTheFirewallAclCell) {
     }
   }
   EXPECT_TRUE(found) << "blockers seen:\n" << seen;
+}
+
+// -- the batch summary -------------------------------------------------------
+
+/// Runs `vmn verify` on the segmented spec with `flags`; returns stdout.
+std::string run_verify(const std::string& flags) {
+  const std::string cmd = std::string(VMN_CLI) + " verify " + VMN_SOURCE_DIR +
+                          "/examples/specs/segmented.vmn " + flags;
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    ADD_FAILURE() << "cannot run " << cmd;
+    return "";
+  }
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  EXPECT_EQ(pclose(pipe), 0) << cmd << "\n" << out;
+  return out;
+}
+
+TEST(VerifySummary, PrintsEverySchemaMetricOnEveryExecutor) {
+  // `vmn verify` renders BatchResult::metrics() as one "  name: value" line
+  // per metric, whichever executor ran; the serve STATS reply renders the
+  // same list (tests/test_serve.cpp), so the two cannot drift apart.
+  const std::vector<verify::Metric> schema = verify::BatchResult{}.metrics();
+  ASSERT_FALSE(schema.empty());
+  for (const std::string flags :
+       {"", "--batch --jobs 2", "--batch --jobs 2 --backend=process"}) {
+    const std::string out = run_verify(flags);
+    for (const verify::Metric& m : schema) {
+      EXPECT_NE(out.find("\n  " + std::string(m.name) + ": "),
+                std::string::npos)
+          << m.name << " missing with flags '" << flags << "':\n"
+          << out;
+    }
+  }
+}
+
+TEST(VerifySummary, OnlyVerdictLinesReadAsVerdicts) {
+  // A script reads a verdict from any unindented line holding a ')'
+  // (descriptions end at their first one), so every summary line is
+  // indented or has none.
+  const std::string out = run_verify("--batch --jobs 2 --trace");
+  std::size_t verdict_lines = 0;
+  std::size_t pos = 0;
+  while (pos < out.size()) {
+    std::size_t eol = out.find('\n', pos);
+    if (eol == std::string::npos) eol = out.size();
+    const std::string line = out.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.empty() || line[0] == ' ' ||
+        line.find(')') == std::string::npos) {
+      continue;
+    }
+    ++verdict_lines;
+    EXPECT_TRUE(line.find(" holds ") != std::string::npos ||
+                line.find(" violated ") != std::string::npos ||
+                line.find(" unknown ") != std::string::npos)
+        << line;
+  }
+  io::Spec spec = io::load_spec(std::string(VMN_SOURCE_DIR) +
+                                "/examples/specs/segmented.vmn");
+  EXPECT_EQ(verdict_lines, spec.invariants.size()) << out;
 }
 
 }  // namespace

@@ -271,8 +271,9 @@ TEST_P(InProcess, DeadlineExpiryYieldsPartialResultsWithAccurateCounters) {
     if (res.outcome == Outcome::unknown) ++unknowns;
   }
   EXPECT_GE(unknowns, r.degradation.deadline_abandoned);
-  const std::string summary = r.degradation.summary();
-  EXPECT_NE(summary.find("deadline expired"), std::string::npos);
+  std::string reasons;
+  for (const std::string& reason : r.degradation.reasons) reasons += reason;
+  EXPECT_NE(reasons.find("deadline expired"), std::string::npos) << reasons;
 }
 
 TEST_P(InProcess, DeadlineCountsMergedClassesInOneUnit) {

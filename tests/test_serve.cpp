@@ -480,10 +480,10 @@ TEST(ServeProtocol, StatsEscapesControlBytesInTheSpecPath) {
 }
 
 TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
-  // Every scalar counter `vmn verify --batch` prints in its summary (the
-  // batch line, the process fleet line, the degradation report, cache,
-  // warm-solver, iso-verdict and encode-transfer lines) has a key in the
-  // STATS reply's batch object, so the daemon reports what the CLI does.
+  // The STATS reply's batch object renders BatchResult::metrics(), the
+  // schema `vmn verify` prints its summary from (tests/test_cli.cpp checks
+  // that side): every schema name is a key, so the daemon reports what the
+  // CLI does.
   TempSpecDir dir;
   const std::string path = dir.path + "/segmented.vmn";
   write_file(path, read_file(segmented_path()));
@@ -496,16 +496,15 @@ TEST(ServeProtocol, StatsBatchObjectCoversTheCliBatchSummary) {
   const std::size_t begin = resp.find("\"batch\":{");
   ASSERT_NE(begin, std::string::npos) << resp;
   const std::string batch = resp.substr(begin, resp.find('}', begin) - begin);
-  for (const char* key :
-       {"jobs_executed", "workers", "workers_spawned", "workers_crashed",
-        "workers_respawned", "jobs_requeued", "jobs_abandoned", "quarantined",
-        "completed", "abandoned_retries", "deadline_abandoned", "escalations",
-        "escalations_rescued", "cache_records_dropped", "plan_ms",
-        "cache_hits", "cache_misses", "warm_binds", "warm_reuses",
-        "iso_reuses", "iso_mapped", "iso_verdict_reuses",
-        "encode_transfer_builds", "encode_transfer_reuses"}) {
-    EXPECT_NE(batch.find("\"" + std::string(key) + "\":"), std::string::npos)
-        << key << " in " << batch;
+  const std::vector<Metric> schema = BatchResult{}.metrics();
+  ASSERT_FALSE(schema.empty());
+  for (const Metric& m : schema) {
+    EXPECT_NE(batch.find("\"" + std::string(m.name) + "\":"), std::string::npos)
+        << m.name << " in " << batch;
+  }
+  // Timers are reported in microseconds only.
+  for (const char* key : {"plan_ms", "total_ms"}) {
+    EXPECT_EQ(batch.find(key), std::string::npos) << key << " in " << batch;
   }
   // Neither the CLI summary nor STATS counts slice-key merges any more.
   for (const char* key : {"symmetry_hits", "conservative_splits"}) {
@@ -543,6 +542,11 @@ TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
   const std::size_t begin = resp.find("\"batch\":{");
   ASSERT_NE(begin, std::string::npos) << resp;
   const std::string batch = resp.substr(begin, resp.find('}', begin) - begin);
+  // Every schema value, timers included: STATS renders the very batch the
+  // daemon served.
+  for (const Metric& m : b.metrics()) {
+    EXPECT_EQ(json_count(batch, std::string(m.name)), m.value) << m.name;
+  }
   EXPECT_EQ(json_count(batch, "jobs_abandoned"), b.degradation.abandoned());
   EXPECT_EQ(json_count(batch, "quarantined"), b.degradation.quarantined);
   EXPECT_EQ(json_count(batch, "workers_crashed"), b.pool.workers_crashed);

@@ -153,8 +153,7 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   result.id = 9;
   result.raw_status = smt::CheckStatus::sat;
   result.outcome = Outcome::violated;
-  result.solve_ms = 12;
-  result.total_ms = 34;
+  result.solve_us = 12345;
   result.slice_size = 5;
   result.assertion_count = 210;
   result.solve.escalated = true;
@@ -185,8 +184,7 @@ TEST(WirePayloads, ResultWithTraceRoundTripsFieldForField) {
   EXPECT_EQ(back.id, result.id);
   EXPECT_EQ(back.raw_status, result.raw_status);
   EXPECT_EQ(back.outcome, result.outcome);
-  EXPECT_EQ(back.solve_ms, result.solve_ms);
-  EXPECT_EQ(back.total_ms, result.total_ms);
+  EXPECT_EQ(back.solve_us, result.solve_us);
   EXPECT_EQ(back.slice_size, result.slice_size);
   EXPECT_EQ(back.assertion_count, result.assertion_count);
   EXPECT_FALSE(back.solve.warm_reused);

@@ -2,13 +2,15 @@
 """Diff a fresh bench JSON document against its checked-in trajectory
 snapshot (bench/trajectory/).
 
-Timings (wall_ms, plan_ms, verify_ms, speedup_vs_cold) vary per machine and
-are ignored. Everything else the benches record is a deterministic counter -
-solver calls, cache traffic, warm/iso reuse, slice sizes - fixed by (spec,
-plan, jobs=2), so a drift against the snapshot means the engine's behavior
-changed, not the hardware. That is the point: the snapshot pins the
-*trajectory* (how the engines get their answers), CI re-derives it on every
-run, and an intentional change updates the snapshot in the same commit.
+Timings vary per machine and are ignored: every key ending in `_us` or
+`_ms` (the metrics schema names each timer by its unit) and the speedup
+ratios derived from them. Everything else the benches record is a
+deterministic counter - solver calls, cache traffic, warm/iso reuse, slice
+sizes - fixed by (spec, plan, jobs=2), so a drift against the snapshot
+means the engine's behavior changed, not the hardware. That is the point:
+the snapshot pins the *trajectory* (how the engines get their answers), CI
+re-derives it on every run, and an intentional change updates the snapshot
+in the same commit.
 
 usage: bench_diff.py <snapshot.json> <fresh.json>
 """
@@ -16,18 +18,8 @@ usage: bench_diff.py <snapshot.json> <fresh.json>
 import json
 import sys
 
-# Everything not listed here must match the snapshot exactly. The solve
-# latency tail (p50/p95/max of per-solver-call times) is a timing too,
-# recorded for trend reading, never pinned.
-TIMING_KEYS = {
-    "wall_ms",
-    "plan_ms",
-    "verify_ms",
-    "speedup_vs_cold",
-    "solve_p50_ms",
-    "solve_p95_ms",
-    "solve_max_ms",
-}
+# Ratios of two timings: as machine-dependent as the timings themselves.
+TIMING_RATIOS = {"speedup_vs_cold", "speedup_vs_1", "overhead_vs_thread"}
 # Scheduling-dependent: a crashed worker is only respawned while work
 # remains, so the respawn count depends on which worker drains the queue
 # first. Excluded from the exact diff; the acceptance check below still
@@ -35,11 +27,15 @@ TIMING_KEYS = {
 SCHEDULING_KEYS = {"workers_respawned"}
 
 
+def is_timing(key):
+    return key.endswith(("_us", "_ms")) or key in TIMING_RATIOS
+
+
 def counters(values):
     return {
         k: v
         for k, v in values.items()
-        if k not in TIMING_KEYS and k not in SCHEDULING_KEYS
+        if not is_timing(k) and k not in SCHEDULING_KEYS
     }
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one refinement kernel; one
-# model reader),
+# metrics schema; one model reader),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
@@ -92,6 +92,38 @@ if grep -rEn 'std::vector<std::string>[^;(]*colou?r' "$repo/src/slice"; then
   exit 1
 fi
 
+echo "--- lint: one metrics schema (BatchResult::metrics names every metric) ---"
+# The CLI summary, the serve STATS batch object and the bench JSON records
+# all render BatchResult::metrics() (src/verify/verifier.cpp). A metric
+# name spelled anywhere else in the C++ of src/ or tools/ - as a literal
+# or escaped inside a JSON string - is a second hand-written rendering,
+# and renderings drift apart. Hand-concatenated JSON in serve.cpp is how
+# the STATS reply drifted before.
+schema_names="$(sed -n '/^std::vector<Metric> BatchResult::metrics() const {$/,/^}$/p' \
+    "$repo/src/verify/verifier.cpp" | grep -oE '\{"[a-z0-9_]+",' | tr -d '{",' \
+    || true)"
+if [ -z "$schema_names" ]; then
+  echo "ci: found no metric names in BatchResult::metrics()" \
+       "(src/verify/verifier.cpp)" >&2
+  exit 1
+fi
+for name in $schema_names; do
+  spelled="$(grep -rEo "\\\\?\"$name\\\\?\"" "$repo/src" "$repo/tools" \
+      --include='*.cpp' --include='*.hpp' | wc -l)"
+  if [ "$spelled" -ne 1 ]; then
+    echo "ci: metric \"$name\" is spelled $spelled times in src/ and tools/;" \
+         "render BatchResult::metrics() instead" >&2
+    grep -rEn "\\\\?\"$name\\\\?\"" "$repo/src" "$repo/tools" \
+        --include='*.cpp' --include='*.hpp' >&2
+    exit 1
+  fi
+done
+if grep -n '<< ",\\"' "$repo/src/verify/serve.cpp"; then
+  echo "ci: hand-concatenated JSON in src/verify/serve.cpp;" \
+       "render counters through verify::metrics_json" >&2
+  exit 1
+fi
+
 echo "--- lint: one model reader (the dense probe is the decoder's fallback) ---"
 # Z3Solver::model() reads each event relation through
 # z3_events::read_events, which decodes the interpretation Z3 returns and
@@ -153,7 +185,7 @@ trap 'rm -rf "$cache_dir"' EXIT
 "$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$cache_dir"
 second="$("$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$cache_dir")"
 echo "$second"
-if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$second"; then
+if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$second"; then
   echo "ci: cached rerun reported no cache hits" >&2
   exit 1
 fi
@@ -170,7 +202,7 @@ echo "--- smoke: worker killed mid-batch (requeue, no lost invariants) ---"
 kill_out="$("$build/vmn" verify "$spec" --batch --jobs 2 \
     --backend=process --faults=kill=0)"
 echo "$kill_out"
-if ! grep -q "1 crashed" <<< "$kill_out"; then
+if ! grep -Eq "^  workers_crashed: 1$" <<< "$kill_out"; then
   echo "ci: killed worker was not observed as crashed" >&2
   exit 1
 fi
@@ -197,16 +229,16 @@ if [ "$fault_rc" -ne 2 ]; then
   echo "ci: quarantined batch exited $fault_rc, want 2 (incomplete)" >&2
   exit 1
 fi
-if grep -q " 0 respawned" <<< "$fault_out"; then
+if ! grep -Eq "^  workers_respawned: [1-9][0-9]*$" <<< "$fault_out"; then
   echo "ci: no workers were respawned after the crash loop" >&2
   exit 1
 fi
-if ! grep -q "1 quarantined" <<< "$fault_out"; then
+if ! grep -Eq "^  quarantined: 1$" <<< "$fault_out"; then
   echo "ci: the deterministic crasher was not quarantined exactly once" >&2
   exit 1
 fi
-if ! grep -q "degradation:" <<< "$fault_out"; then
-  echo "ci: degraded batch printed no degradation report" >&2
+if ! grep -q "^  degradation: " <<< "$fault_out"; then
+  echo "ci: degraded batch printed no degradation reason" >&2
   exit 1
 fi
 if ! paste -d' ' <(echo "$thread_verdicts") <(echo "$fault_out" | verdicts) \
@@ -223,7 +255,7 @@ trap 'rm -rf "$cache_dir" "$torn_cache"' EXIT
 torn_rerun="$("$build/vmn" verify "$spec" --batch --jobs 2 \
     --cache-dir "$torn_cache")"
 echo "$torn_rerun"
-if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$torn_rerun"; then
+if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$torn_rerun"; then
   echo "ci: torn cache flush lost more than the tail record" >&2
   exit 1
 fi
@@ -235,13 +267,11 @@ echo "--- smoke: torn cache flush, inline executor (no --batch) ---"
 torn_seq="$(mktemp -d)"
 trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq"' EXIT
 torn_cold="$("$build/vmn" verify "$spec" --cache-dir "$torn_seq" \
-    --faults=seed=1,cache-torn-tail=1 | tail -1)"
-torn_seq_rerun="$("$build/vmn" verify "$spec" --cache-dir "$torn_seq" \
-    | tail -1)"
+    --faults=seed=1,cache-torn-tail=1)"
+torn_seq_rerun="$("$build/vmn" verify "$spec" --cache-dir "$torn_seq")"
 echo "$torn_seq_rerun"
-cold_calls="$(echo "$torn_cold" | sed -n 's/.*, \([0-9]*\) solver calls.*/\1/p')"
-rerun_calls="$(echo "$torn_seq_rerun" \
-    | sed -n 's/.*, \([0-9]*\) solver calls.*/\1/p')"
+cold_calls="$(sed -n 's/^  solver_calls: //p' <<< "$torn_cold")"
+rerun_calls="$(sed -n 's/^  solver_calls: //p' <<< "$torn_seq_rerun")"
 if [ "$rerun_calls" -eq 0 ]; then
   echo "ci: sequential run ignored the torn-tail cache fault" >&2
   exit 1
@@ -260,8 +290,8 @@ if [ "$deadline_rc" -ne 2 ]; then
   echo "ci: expired deadline exited $deadline_rc, want 2 (incomplete)" >&2
   exit 1
 fi
-if ! grep -q "deadline expired" <<< "$deadline_out"; then
-  echo "ci: expired deadline not reported in the degradation summary" >&2
+if ! grep -Eq "^  deadline_expired: 1$" <<< "$deadline_out"; then
+  echo "ci: expired deadline not reported in the batch summary" >&2
   exit 1
 fi
 deadline_rc=0
@@ -271,7 +301,7 @@ if [ "$deadline_rc" -ne 2 ]; then
   echo "ci: expired sequential deadline exited $deadline_rc, want 2" >&2
   exit 1
 fi
-if ! grep -q "deadline expired" <<< "$deadline_out"; then
+if ! grep -Eq "^  deadline_expired: 1$" <<< "$deadline_out"; then
   echo "ci: expired sequential deadline not reported" >&2
   exit 1
 fi
@@ -315,7 +345,7 @@ sed -i '1s/^# vmn-result-cache v[0-9].*$/# vmn-result-cache v1/' \
 stale_run="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
 echo "$stale_run"
-if ! grep -q "cache: 0 hits" <<< "$stale_run"; then
+if ! grep -Eq "^  cache_hits: 0$" <<< "$stale_run"; then
   echo "ci: stale-version cache was not rejected" >&2
   exit 1
 fi
@@ -327,7 +357,7 @@ if head -1 "$seg_cache/vmn-results.cache" | grep -q "v1$"; then
 fi
 upgraded="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
-if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$upgraded"; then
+if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$upgraded"; then
   echo "ci: cache was not upgraded after the stale-version rejection" >&2
   exit 1
 fi
@@ -339,13 +369,13 @@ echo "--- smoke: records from another spec never answer a lookup ---"
 "$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$seg_cache" \
     > /dev/null
 edited="$("$build/vmn" verify "$spec" --batch --jobs 2 --cache-dir "$seg_cache")"
-if ! grep -Eq "cache: [1-9][0-9]* hits" <<< "$edited"; then
+if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$edited"; then
   echo "ci: cache did not restamp for the edited spec" >&2
   exit 1
 fi
 back="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$seg_cache")"
-if ! grep -q "cache: 0 hits" <<< "$back"; then
+if ! grep -Eq "^  cache_hits: 0$" <<< "$back"; then
   echo "ci: records from another spec answered a lookup" >&2
   exit 1
 fi
@@ -378,11 +408,12 @@ for backend in thread process; do
   ren_out="$("$build/vmn" verify "$ren_dir/renamed.vmn" --batch --jobs 2 \
       --backend="$backend" --cache-dir "$ren_dir/cache")"
   echo "$ren_out"
-  if ! grep -q ", 0 solver calls," <<< "$ren_out"; then
+  if ! grep -Eq "^  solver_calls: 0$" <<< "$ren_out"; then
     echo "ci: renamed spec still hit the solver ($backend backend)" >&2
     exit 1
   fi
-  if ! grep -Eq "cache: [1-9][0-9]* hits, 0 misses" <<< "$ren_out"; then
+  if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$ren_out" \
+      || ! grep -Eq "^  cache_misses: 0$" <<< "$ren_out"; then
     echo "ci: renamed spec was not fully answered from cache ($backend)" >&2
     exit 1
   fi
@@ -401,10 +432,12 @@ if ! diff <(echo "$seg_verdicts" | awk '{print $2}') \
 fi
 
 echo "--- smoke: cross-isomorphic counters surface in the batch summary ---"
-if ! grep -q "cross-isomorphic" <<< "$thread_out"; then
-  echo "ci: batch summary lost the cross-isomorphic counter" >&2
-  exit 1
-fi
+for name in iso_mapped iso_reuses; do
+  if ! grep -Eq "^  $name: [0-9]+$" <<< "$thread_out"; then
+    echo "ci: batch summary lost the cross-isomorphic counter $name" >&2
+    exit 1
+  fi
+done
 
 echo "--- smoke: dedup report names the exact blocking descriptor cell ---"
 # Fig 8 multitenant: the vswitch firewalls polices different VM mixes, so

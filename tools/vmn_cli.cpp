@@ -11,9 +11,10 @@
 //       incomplete sweep.) The invariants are planned into one solver
 //       class per distinct problem key; with --batch the classes fan out
 //       over a solver pool of --jobs N workers (default: hardware
-//       concurrency), and the summary reports invariants per class (hit
-//       rate), plan time, cache and warm-solving traffic, per-worker load
-//       and a solve-time histogram.
+//       concurrency). Every executor ends with the batch summary: one
+//       indented `name: value` line per metric of the schema
+//       (verify::BatchResult::metrics(); timers in microseconds), then one
+//       `degradation:` line per reason the batch degraded.
 //       --cache-dir enables the persistent result cache: re-running after
 //       a spec edit re-solves only the slices whose canonical key changed
 //       (cached verdicts carry no counterexample trace). --no-warm
@@ -314,61 +315,6 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   const net::Network& net = spec.model.network();
   verify::Engine engine(spec.model, eopts);
   verify::BatchResult batch = engine.run_batch(spec.invariants);
-  if (eopts.batch) {
-    std::printf(
-        "batch: %zu invariants -> %zu solver classes (hit rate %.0f%%), "
-        "%zu %s workers\n",
-        batch.results.size(), batch.pool.jobs_executed,
-        batch.dedup_hit_rate() * 100.0, batch.pool.workers.size(),
-        verify::to_string(eopts.backend).c_str());
-    if (eopts.backend == verify::Backend::process) {
-      std::printf("  processes: %zu spawned, %zu crashed, %zu respawned, "
-                  "%zu jobs requeued, %zu abandoned, %zu quarantined\n",
-                  batch.pool.workers_spawned, batch.pool.workers_crashed,
-                  batch.degradation.workers_respawned,
-                  batch.pool.jobs_requeued, batch.degradation.abandoned(),
-                  batch.degradation.quarantined);
-    }
-  }
-  // A degraded run reports why on every executor; batch runs also report
-  // fault and escalation traffic that degraded nothing.
-  if (batch.degradation.degraded() ||
-      (eopts.batch && (eopts.verify.faults.enabled() ||
-                       batch.degradation.escalations > 0))) {
-    std::printf("  degradation: %s\n", batch.degradation.summary().c_str());
-    for (const std::string& reason : batch.degradation.reasons) {
-      std::printf("    - %s\n", reason.c_str());
-    }
-  }
-  if (eopts.batch) {
-    std::printf("  plan: %lld ms\n",
-                static_cast<long long>(batch.plan_time.count()));
-    if (!eopts.verify.cache_dir.empty()) {
-      std::printf("  cache: %zu hits, %zu misses (%s)\n", batch.cache_hits,
-                  batch.cache_misses, eopts.verify.cache_dir.c_str());
-    }
-    std::printf("  warm solver: %zu context builds, %zu reuses "
-                "(%zu cross-isomorphic of %zu mapped)\n",
-                batch.warm_binds, batch.warm_reuses, batch.iso_reuses,
-                batch.iso_mapped);
-    std::printf("  iso verdicts: %zu replayed without a solver call\n",
-                batch.iso_verdict_reuses);
-    std::printf("  encode transfers: %zu built, %zu reused\n",
-                batch.encode_transfer_builds, batch.encode_transfer_reuses);
-    for (std::size_t w = 0; w < batch.pool.workers.size(); ++w) {
-      std::printf("  worker %zu: %zu tasks, %lld ms busy\n", w,
-                  batch.pool.workers[w].jobs,
-                  static_cast<long long>(batch.pool.workers[w].busy.count()));
-    }
-    std::printf(
-        "  solve times: %s (p50 %lld ms, p95 %lld ms, max %lld ms)\n",
-        batch.pool.solve_histogram.to_string().c_str(),
-        static_cast<long long>(batch.pool.solve_histogram.percentile(50)
-                                   .count()),
-        static_cast<long long>(batch.pool.solve_histogram.percentile(95)
-                                   .count()),
-        static_cast<long long>(batch.pool.solve_histogram.max().count()));
-  }
   if (dedup_report) {
     // Equivalence-class fan-out: how many invariants each solver class
     // answered, as a "count x size" histogram, plus the shape_bijection
@@ -409,7 +355,7 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
       marker = "  <-- UNEXPECTED";
       unexpected = true;
     }
-    std::printf("%-48s %-9s %s(%lld ms, slice %zu)%s\n",
+    std::printf("%-48s %-9s %s(%lld us, slice %zu)%s\n",
                 spec.invariants[i]
                     .describe([&](NodeId n) { return net.name(n); })
                     .c_str(),
@@ -430,9 +376,16 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
           "--cache-dir, or clear it, to extract a counterexample)\n");
     }
   }
-  std::printf("%zu invariants, %zu solver calls, %lld ms\n",
-              spec.invariants.size(), batch.solver_calls,
-              static_cast<long long>(batch.total_time.count()));
+  // The batch summary: the metrics schema, one line per metric, then why
+  // the batch degraded, if it did. Every line is indented, so no summary
+  // line reads as a verdict line.
+  for (const verify::Metric& m : batch.metrics()) {
+    std::printf("  %.*s: %llu\n", static_cast<int>(m.name.size()),
+                m.name.data(), static_cast<unsigned long long>(m.value));
+  }
+  for (const std::string& reason : batch.degradation.reasons) {
+    std::printf("  degradation: %s\n", reason.c_str());
+  }
   if (unexpected) return kExitViolated;
   if (incomplete) return kExitIncomplete;
   return kExitClean;

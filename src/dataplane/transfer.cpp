@@ -1,6 +1,7 @@
 #include "dataplane/transfer.hpp"
 
-#include <set>
+#include <algorithm>
+#include <array>
 
 #include "core/error.hpp"
 
@@ -21,13 +22,14 @@ TransferFunction::TransferFunction(const net::Network& network,
   (void)network.scenario(scenario);
 }
 
-std::vector<NodeId> TransferFunction::walk(NodeId from_edge, Address dst) const {
+std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
+                                             std::vector<NodeId>* path) const {
   const net::Network& net = *network_;
   if (!net.is_edge(from_edge)) {
     throw ModelError("transfer function input must be an edge node, got " +
                      net.name(from_edge));
   }
-  std::vector<NodeId> path{from_edge};
+  if (path != nullptr) path->assign(1, from_edge);
   // Note: a failed *edge* node may still source packets here - whether a
   // down middlebox emits anything is decided by its own axioms (fail-open
   // boxes keep forwarding); the static datapath just carries packets.
@@ -45,28 +47,42 @@ std::vector<NodeId> TransferFunction::walk(NodeId from_edge, Address dst) const 
     }
     if (net.is_edge(n) && net.node(n).kind == net::NodeKind::host &&
         net.node(n).address == dst) {
-      path.push_back(n);
-      return path;
+      if (path != nullptr) path->push_back(n);
+      return n;
     }
   }
-  if (!cur) return path;  // no alive attachment: dropped
+  if (!cur) return std::nullopt;  // no alive attachment: dropped
 
-  std::set<std::pair<NodeId, NodeId>> visited;  // (came_from, at-switch)
+  // (came_from, at-switch) pairs seen so far. Fabric paths are short, so a
+  // linear scan of an inline buffer beats a set; longer walks spill.
+  std::array<std::pair<NodeId, NodeId>, 16> seen;
+  std::vector<std::pair<NodeId, NodeId>> seen_more;
+  std::size_t seen_count = 0;
   while (true) {
-    path.push_back(*cur);
-    if (net.is_edge(*cur)) return path;  // delivered to an edge node
-    if (!visited.insert({prev, *cur}).second) {
+    if (path != nullptr) path->push_back(*cur);
+    if (net.is_edge(*cur)) return *cur;  // delivered to an edge node
+    const std::pair<NodeId, NodeId> hop{prev, *cur};
+    const auto seen_end = seen.begin() + std::min(seen_count, seen.size());
+    if (std::find(seen.begin(), seen_end, hop) != seen_end ||
+        std::find(seen_more.begin(), seen_more.end(), hop) !=
+            seen_more.end()) {
       throw ForwardingLoopError("forwarding loop at switch " + net.name(*cur) +
                                 " for destination " + dst.to_string() +
                                 " (scenario " +
                                 net.scenario(scenario_).name + ")");
     }
+    if (seen_count < seen.size()) {
+      seen[seen_count] = hop;
+    } else {
+      seen_more.push_back(hop);
+    }
+    ++seen_count;
     const auto next = net.effective_table(*cur, scenario_).match(prev, dst);
     // Drop on blackholes and on failed *switches*; failed edge nodes still
     // receive (their failure mode decides what happens next).
     if (!next || (net.is_failed(*next, scenario_) && !net.is_edge(*next))) {
-      path.clear();
-      return path;
+      if (path != nullptr) path->clear();
+      return std::nullopt;
     }
     prev = *cur;
     cur = next;
@@ -79,15 +95,15 @@ std::optional<NodeId> TransferFunction::next_edge(NodeId from_edge,
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
-  std::vector<NodeId> p = walk(from_edge, dst);
-  std::optional<NodeId> result;
-  if (p.size() >= 2 && network_->is_edge(p.back())) result = p.back();
+  const std::optional<NodeId> result = walk(from_edge, dst, nullptr);
   cache_.emplace(key, result);
   return result;
 }
 
 std::vector<NodeId> TransferFunction::path(NodeId from_edge, Address dst) const {
-  return walk(from_edge, dst);
+  std::vector<NodeId> p;
+  (void)walk(from_edge, dst, &p);
+  return p;
 }
 
 const TransferFunction& TransferCache::at(ScenarioId scenario) {

@@ -41,7 +41,10 @@ class TransferFunction {
   [[nodiscard]] const net::Network& network() const { return *network_; }
 
  private:
-  [[nodiscard]] std::vector<NodeId> walk(NodeId from_edge, Address dst) const;
+  /// The walk behind both: the edge node delivered to, if any, appending
+  /// the node path to `path` when non-null (next_edge builds none).
+  [[nodiscard]] std::optional<NodeId> walk(NodeId from_edge, Address dst,
+                                           std::vector<NodeId>* path) const;
 
   const net::Network* network_;
   ScenarioId scenario_;

@@ -1,14 +1,18 @@
 #include "slice/policy.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/error.hpp"
 #include "core/hash.hpp"
+#include "mbox/config.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/topology.hpp"
 #include "slice/refine.hpp"
@@ -30,76 +34,218 @@ std::vector<Address> seed_addresses(const encode::NetworkModel& model) {
   return {out.begin(), out.end()};
 }
 
-/// Deliveries of packets injected at `from` under `tf`'s scenario,
-/// following middlebox rewrites and recording the traversed middleboxes
-/// per reached host (union over the explored paths; monotone worklist, so
-/// a state revisited with new boxes propagates them onward). This is
-/// static-dataplane deliverability: a middlebox is traversed, never
-/// dropped at - whether it *policy*-drops is the solver's business, and
-/// folding policy into the relation would make the classes depend on what
-/// is being verified. Which boxes the route *passes*, however, is routing,
-/// and exactly what distinguishes a policed sender from one whose in-port
-/// rules bypass the box.
-std::vector<Delivery> deliveries_from(const encode::NetworkModel& model,
-                                      const dataplane::TransferFunction& tf,
-                                      NodeId from,
-                                      const std::vector<Address>& seeds) {
-  const net::Network& net = model.network();
-  std::map<NodeId, std::set<NodeId>> delivered;        // target -> boxes
-  std::map<std::uint64_t, std::set<NodeId>> boxes_at;  // state -> boxes seen
-  std::vector<std::pair<NodeId, Address>> frontier;
-  const Address own = net.node(from).address;
-  const auto state_key = [](NodeId edge, Address dst) {
-    return (std::uint64_t{edge.value()} << 32) | dst.bits();
-  };
-  for (Address a : seeds) {
-    if (a == own) continue;
-    boxes_at[state_key(from, a)];  // empty box set
-    frontier.emplace_back(from, a);
-  }
-  while (!frontier.empty()) {
-    const auto [edge, dst] = frontier.back();
-    frontier.pop_back();
-    const std::set<NodeId> boxes = boxes_at[state_key(edge, dst)];
-    std::optional<NodeId> next;
-    try {
-      next = tf.next_edge(edge, dst);
-    } catch (const ForwardingLoopError&) {
-      // A static forwarding loop on this (source, destination) pair: no
-      // packet is ever delivered along it, so for the class relation it is
-      // a drop. Verification still surfaces the fault loudly - but only
-      // for invariants whose slice actually walks the looping pair, same
-      // as before inference walked the whole network.
-      continue;
-    }
-    if (!next) continue;
-    if (net.kind(*next) == net::NodeKind::host) {
-      if (*next != from) delivered[*next].insert(boxes.begin(), boxes.end());
-      continue;
-    }
-    const mbox::Middlebox* box = model.middlebox_at(*next);
-    if (box == nullptr) continue;
-    std::set<NodeId> onward_boxes = boxes;
-    onward_boxes.insert(*next);
-    for (Address onward : box->forward_dsts(dst)) {
-      std::set<NodeId>& known = boxes_at[state_key(*next, onward)];
-      const std::size_t before = known.size();
-      known.insert(onward_boxes.begin(), onward_boxes.end());
-      // (Re)visit when this path contributed boxes the state had not seen
-      // (first visits always do: onward_boxes holds at least this box).
-      // The set union grows monotonically, so this terminates.
-      if (known.size() != before) frontier.emplace_back(*next, onward);
-    }
-  }
-  std::vector<Delivery> out;
-  out.reserve(delivered.size());
-  for (auto& [target, boxes] : delivered) {
-    out.push_back(Delivery{target, {boxes.begin(), boxes.end()}});
-  }
-  return out;
-}
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-using ReachMap = std::unordered_map<NodeId, std::vector<std::vector<Delivery>>>;
+/// One delivery while the relation is built: a target host (its index in
+/// host order) and the interned set of middleboxes traversed on the way.
+struct Reached {
+  std::uint32_t target;
+  std::uint32_t boxes;
+};
+
+/// Interned middlebox sets: equal sets share one id, so set equality is id
+/// equality and each union is computed once per id pair. Id 0 is the empty
+/// set.
+class BoxSets {
+ public:
+  BoxSets() : sets_(1) { ids_.emplace(sets_[0], 0); }
+
+  [[nodiscard]] std::uint32_t singleton(NodeId box) { return intern({box}); }
+
+  [[nodiscard]] std::uint32_t unite(std::uint32_t a, std::uint32_t b) {
+    if (a == b || b == 0) return a;
+    if (a == 0) return b;
+    if (a > b) std::swap(a, b);
+    const auto [it, fresh] = unions_.emplace((std::uint64_t{a} << 32) | b, 0);
+    if (fresh) {
+      std::vector<NodeId> both;
+      std::set_union(sets_[a].begin(), sets_[a].end(), sets_[b].begin(),
+                     sets_[b].end(), std::back_inserter(both));
+      it->second = intern(std::move(both));
+    }
+    return it->second;
+  }
+
+  [[nodiscard]] std::vector<std::vector<NodeId>> release() {
+    return std::move(sets_);
+  }
+
+ private:
+  struct Hash {
+    std::size_t operator()(const std::vector<NodeId>& set) const {
+      std::uint64_t h = kFnv1a64Basis;
+      for (NodeId n : set) h = (h ^ n.value()) * kFnv1a64Prime;
+      return h;
+    }
+  };
+
+  std::uint32_t intern(std::vector<NodeId> set) {
+    const auto [it, fresh] = ids_.emplace(
+        std::move(set), static_cast<std::uint32_t>(sets_.size()));
+    if (fresh) sets_.push_back(it->first);
+    return it->second;
+  }
+
+  std::vector<std::vector<NodeId>> sets_;
+  std::unordered_map<std::vector<NodeId>, std::uint32_t, Hash> ids_;
+  std::unordered_map<std::uint64_t, std::uint32_t> unions_;
+};
+
+/// A dense per-target accumulator, reused across sources: add() unites the
+/// box sets reaching one target, drain() hands the deliveries out in target
+/// order and clears the slots it touched.
+class Slots {
+ public:
+  Slots(std::size_t targets, BoxSets& sets)
+      : slot_(targets, kNone), sets_(&sets) {}
+
+  void add(std::uint32_t target, std::uint32_t boxes) {
+    std::uint32_t& slot = slot_[target];
+    if (slot == kNone) {
+      slot = boxes;
+      touched_.push_back(target);
+    } else {
+      slot = sets_->unite(slot, boxes);
+    }
+  }
+
+  /// Appends the accumulated deliveries except those to `skip` to `out`.
+  void drain(std::uint32_t skip, std::vector<Reached>& out) {
+    std::sort(touched_.begin(), touched_.end());
+    for (std::uint32_t t : touched_) {
+      if (t != skip) out.push_back({t, slot_[t]});
+      slot_[t] = kNone;
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<std::uint32_t> slot_;
+  std::vector<std::uint32_t> touched_;
+  BoxSets* sets_;
+};
+
+/// Where packets entering middleboxes end up under one failure scenario,
+/// memoised per entry state (box, destination): the hosts they can be
+/// delivered to, each with the union of the middleboxes traversed on the
+/// way (the entered box included), following forward_dsts rewrites. Once a
+/// packet enters a box its onward walk no longer depends on who sent it,
+/// so every source shares these lists.
+///
+/// This is static-dataplane deliverability: a middlebox is traversed,
+/// never dropped at - whether it *policy*-drops is the solver's business,
+/// and folding policy into the relation would make the classes depend on
+/// what is being verified. Which boxes the route *passes*, however, is
+/// routing, and exactly what distinguishes a policed sender from one whose
+/// in-port rules bypass the box.
+///
+/// Rewrites can cycle (two load balancers whose backends include each
+/// other's VIP). The deliveries are the least fixpoint - the union over
+/// every walk - so states of one strongly connected component share one
+/// list: every member reaches every other, so each member's list holds
+/// all of the component's boxes plus whatever leaves it. Tarjan's pass
+/// closes components in reverse topological order, so the lists a
+/// component leaves into are final when it closes.
+class BoxWalks {
+ public:
+  BoxWalks(const encode::NetworkModel& model,
+           const dataplane::TransferFunction& tf,
+           const std::vector<std::uint32_t>& host_index, BoxSets& sets)
+      : model_(&model),
+        tf_(&tf),
+        host_index_(&host_index),
+        sets_(&sets),
+        slots_(host_index.size(), sets) {}
+
+  /// The deliveries of a packet entering `box` toward `dst`, by target.
+  [[nodiscard]] const std::vector<Reached>& entering(NodeId box, Address dst) {
+    return lists_[states_[state(box, dst)].list];
+  }
+
+ private:
+  /// A walk state; its index in states_ is its Tarjan visit order.
+  struct State {
+    NodeId box;
+    Address dst;
+    std::uint32_t low;  // Tarjan low link
+    std::uint32_t list;  // index into lists_ once its SCC closed, else kNone
+    std::vector<std::uint32_t> hosts;   // delivered to straight from the box
+    std::vector<std::uint32_t> onward;  // successor states
+  };
+
+  /// The state's index, visiting it first if it is new.
+  std::uint32_t state(NodeId box, Address dst) {
+    const auto [it, fresh] = state_of_.emplace(
+        (std::uint64_t{box.value()} << 32) | dst.bits(),
+        static_cast<std::uint32_t>(states_.size()));
+    const std::uint32_t v = it->second;
+    if (fresh) {
+      states_.push_back(State{box, dst, v, kNone, {}, {}});
+      stack_.push_back(v);
+      visit(v);
+    }
+    return v;
+  }
+
+  void visit(std::uint32_t v) {
+    const net::Network& net = model_->network();
+    const NodeId box = states_[v].box;
+    for (Address onward : model_->middlebox_at(box)->forward_dsts(
+             states_[v].dst)) {
+      std::optional<NodeId> next;
+      try {
+        next = tf_->next_edge(box, onward);
+      } catch (const ForwardingLoopError&) {
+        continue;  // a static forwarding loop delivers nothing
+      }
+      if (!next) continue;
+      if (net.kind(*next) == net::NodeKind::host) {
+        states_[v].hosts.push_back((*host_index_)[next->value()]);
+        continue;
+      }
+      if (model_->middlebox_at(*next) == nullptr) continue;
+      const std::uint32_t w = state(*next, onward);
+      if (states_[w].list == kNone) {  // still open: on the stack
+        states_[v].low = std::min(states_[v].low, states_[w].low);
+      }
+      states_[v].onward.push_back(w);
+    }
+    if (states_[v].low == v) close(v);
+  }
+
+  /// Pops the SCC rooted at `root` and gives its members one list.
+  void close(std::uint32_t root) {
+    const auto first = std::find(stack_.begin(), stack_.end(), root);
+    const std::span<const std::uint32_t> members(first, stack_.end());
+    std::uint32_t boxes = 0;
+    for (std::uint32_t m : members) {
+      boxes = sets_->unite(boxes, sets_->singleton(states_[m].box));
+    }
+    for (std::uint32_t m : members) {
+      for (std::uint32_t h : states_[m].hosts) slots_.add(h, boxes);
+      for (std::uint32_t w : states_[m].onward) {
+        if (states_[w].list == kNone) continue;  // inside this SCC
+        for (const Reached& r : lists_[states_[w].list]) {
+          slots_.add(r.target, sets_->unite(boxes, r.boxes));
+        }
+      }
+    }
+    const auto list = static_cast<std::uint32_t>(lists_.size());
+    slots_.drain(kNone, lists_.emplace_back());
+    for (std::uint32_t m : members) states_[m].list = list;
+    stack_.erase(first, stack_.end());
+  }
+
+  const encode::NetworkModel* model_;
+  const dataplane::TransferFunction* tf_;
+  const std::vector<std::uint32_t>* host_index_;
+  BoxSets* sets_;
+  Slots slots_;
+  std::unordered_map<std::uint64_t, std::uint32_t> state_of_;
+  std::vector<State> states_;
+  std::vector<std::uint32_t> stack_;
+  std::vector<std::vector<Reached>> lists_;
+};
 
 std::vector<std::size_t> scenarios_in_budget(
     const std::vector<int>& scenario_failures, int max_failures) {
@@ -112,55 +258,62 @@ std::vector<std::size_t> scenarios_in_budget(
   return out;
 }
 
-/// Adds every in-budget delivery as a pair of arcs labelled with its
-/// scenario, its direction and its path type. Labels name box *types*, never
-/// addresses or instance names, so renamed-but-isomorphic hosts (and
-/// symmetric hosts of isomorphic disconnected segments) keep merging while
-/// unreachable islands and per-sender middlebox bypasses split. (Telling
-/// same-type boxes apart by *configuration* is left to the fingerprint
-/// colours and to representatives_for's instance-level subgrouping: a config
-/// digest here would split validly symmetric hosts whose paths cross
+/// Adds every recorded delivery as a pair of arcs labelled with its
+/// scenario, its direction and its path type; `begin[s * H + i]` opens host
+/// i's deliveries under scenario s in `deliveries` (out-of-budget scenarios
+/// hold none). Labels name box *types*, never addresses or instance names,
+/// so renamed-but-isomorphic hosts (and symmetric hosts of isomorphic
+/// disconnected segments) keep merging while unreachable islands and
+/// per-sender middlebox bypasses split. (Telling same-type boxes apart by
+/// *configuration* is left to the fingerprint colours and to
+/// representatives_for's instance-level subgrouping: a config digest here
+/// would split validly symmetric hosts whose paths cross
 /// corresponding-but-differently-addressed instances.)
 void add_delivery_arcs(const encode::NetworkModel& model, ColourGraph& graph,
-                       const std::unordered_map<NodeId, std::size_t>& vertex,
-                       const ReachMap& reach,
-                       const std::vector<std::size_t>& in_budget) {
+                       const std::vector<std::uint32_t>& begin,
+                       const std::vector<Reached>& deliveries,
+                       const std::vector<std::vector<NodeId>>& box_sets) {
   // A path type is the sorted structural fingerprints of the traversed
   // boxes (the fingerprint the canonical keys colour member boxes with).
-  // Types are numbered in sorted order, so the labels depend on the types
-  // alone, and two distinct types never share a number.
-  std::map<std::vector<NodeId>, std::string> type_of;
-  for (const auto& [h, per_scenario] : reach) {
-    for (std::size_t s : in_budget) {
-      for (const Delivery& d : per_scenario[s]) type_of.emplace(d.boxes, "");
-    }
-  }
-  std::map<std::string, std::uint64_t> type_id;
-  for (auto& [boxes, type] : type_of) {
-    std::vector<std::string> types;
-    for (NodeId b : boxes) {
+  // Types are numbered in sorted order over the box sets the deliveries
+  // use, so the labels depend on the types alone, and two distinct types
+  // never share a number.
+  std::vector<bool> used(box_sets.size(), false);
+  for (const Reached& d : deliveries) used[d.boxes] = true;
+  std::vector<std::pair<std::string, std::uint32_t>> types;
+  for (std::uint32_t id = 0; id < box_sets.size(); ++id) {
+    if (!used[id]) continue;
+    std::vector<std::string> parts;
+    for (NodeId b : box_sets[id]) {
       if (const mbox::Middlebox* box = model.middlebox_at(b)) {
-        types.push_back(box->structural_fingerprint());
+        parts.push_back(box->structural_fingerprint());
       }
     }
-    std::sort(types.begin(), types.end());
-    for (const std::string& t : types) type += t + ",";
-    type_id.emplace(type, 0);
+    std::sort(parts.begin(), parts.end());
+    std::string type;
+    for (const std::string& t : parts) type += t + ",";
+    types.emplace_back(std::move(type), id);
   }
-  std::uint64_t next_id = 0;
-  for (auto& [type, id] : type_id) id = next_id++;
+  std::sort(types.begin(), types.end());
+  std::vector<std::uint64_t> type_of(box_sets.size());
+  std::uint64_t next_type = 0;
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    if (i > 0 && types[i].first != types[i - 1].first) ++next_type;
+    type_of[types[i].second] = next_type;
+  }
 
-  for (const auto& [h, per_scenario] : reach) {
-    for (std::size_t s : in_budget) {
-      for (const Delivery& d : per_scenario[s]) {
-        // Label bits: scenario from bit 33 up, direction at bit 32 (set on
-        // the target's arc back to the sender), path type in the low 32.
-        const std::uint64_t label =
-            (std::uint64_t{s} << 33) | type_id.at(type_of.at(d.boxes));
-        const std::uint64_t inbound = std::uint64_t{1} << 32;
-        graph.add_arc(vertex.at(h), label, vertex.at(d.target));
-        graph.add_arc(vertex.at(d.target), label | inbound, vertex.at(h));
-      }
+  const std::size_t hosts = graph.colours.size();
+  for (std::size_t slot = 0; slot + 1 < begin.size(); ++slot) {
+    const std::uint64_t s = slot / hosts;
+    const std::size_t h = slot % hosts;
+    for (std::uint32_t i = begin[slot]; i < begin[slot + 1]; ++i) {
+      const Reached& d = deliveries[i];
+      // Label bits: scenario from bit 33 up, direction at bit 32 (set on
+      // the target's arc back to the sender), path type in the low 32.
+      const std::uint64_t label = (s << 33) | type_of[d.boxes];
+      const std::uint64_t inbound = std::uint64_t{1} << 32;
+      graph.add_arc(h, label, d.target);
+      graph.add_arc(d.target, label | inbound, h);
     }
   }
 }
@@ -190,56 +343,59 @@ std::vector<NodeId> PolicyClasses::representatives() const {
   return out;
 }
 
-namespace {
-
-/// The delivery toward `target` in a target-sorted scenario slot, if any.
-const Delivery* find_delivery(const std::vector<Delivery>& deliveries,
-                              NodeId target) {
-  const auto it = std::lower_bound(
-      deliveries.begin(), deliveries.end(), target,
-      [](const Delivery& d, NodeId t) { return d.target < t; });
-  if (it == deliveries.end() || it->target != target) return nullptr;
-  return &*it;
-}
-
-}  // namespace
-
 int PolicyClasses::effective_budget(int query_budget) const {
   if (reach_budget_ < 0) return query_budget;
   if (query_budget < 0) return reach_budget_;
   return std::min(query_budget, reach_budget_);
 }
 
+std::span<const PolicyClasses::Delivery> PolicyClasses::reach(
+    NodeId host, std::size_t s) const {
+  const auto it = std::lower_bound(hosts_.begin(), hosts_.end(), host);
+  if (it == hosts_.end() || *it != host || s >= scenario_failures_.size()) {
+    return {};
+  }
+  const std::size_t slot =
+      s * hosts_.size() + static_cast<std::size_t>(it - hosts_.begin());
+  return {deliveries_.data() + reach_begin_[slot],
+          deliveries_.data() + reach_begin_[slot + 1]};
+}
+
+const PolicyClasses::Delivery* PolicyClasses::find_delivery(
+    NodeId host, std::size_t s, NodeId target) const {
+  const std::span<const Delivery> ds = reach(host, s);
+  const auto it = std::lower_bound(
+      ds.begin(), ds.end(), target,
+      [](const Delivery& d, NodeId t) { return d.target < t; });
+  if (it == ds.end() || it->target != target) return nullptr;
+  return &*it;
+}
+
 std::vector<NodeId> PolicyClasses::representatives_for(
     NodeId target, int max_failures, bool include_unreachable) const {
-  if (reach_.empty()) return representatives();
+  if (hosts_.empty()) return representatives();
   const std::vector<std::size_t> in_budget = scenarios_in_budget(
       scenario_failures_, effective_budget(max_failures));
   std::vector<NodeId> out;
+  std::vector<std::uint32_t> sig;
   for (const auto& c : classes) {
     // One representative per (delivered-under-which-scenarios, traversing-
-    // which-instances) behavior toward the target; the signature set per
-    // class is tiny, so a flat set of short strings beats anything fancier.
-    std::set<std::string> seen;
+    // which-instances) behavior toward the target: per scenario, 0 for no
+    // delivery, else 1 + the interned box-set id.
+    std::set<std::vector<std::uint32_t>> seen;
     for (NodeId h : c) {
-      std::string sig;
+      sig.clear();
       bool delivers = false;
-      const auto it = reach_.find(h);
       for (std::size_t s : in_budget) {
-        const Delivery* d = it != reach_.end() && s < it->second.size()
-                                ? find_delivery(it->second[s], target)
-                                : nullptr;
-        if (d == nullptr) {
-          sig += "0;";
-          continue;
-        }
-        delivers = true;
-        sig += "(";
-        for (NodeId b : d->boxes) sig += std::to_string(b.value()) + ",";
-        sig += ");";
+        const Delivery* d = find_delivery(h, s, target);
+        delivers |= d != nullptr;
+        sig.push_back(d == nullptr ? 0 : d->boxes + 1);
       }
       if (!delivers && !include_unreachable) continue;
-      if (seen.insert(sig).second) out.push_back(h);
+      if (!seen.contains(sig)) {
+        seen.insert(sig);
+        out.push_back(h);
+      }
     }
   }
   return out;
@@ -247,16 +403,20 @@ std::vector<NodeId> PolicyClasses::representatives_for(
 
 bool PolicyClasses::reaches(NodeId host, NodeId target,
                             int max_failures) const {
-  const auto it = reach_.find(host);
-  if (it == reach_.end()) return false;
   for (std::size_t s : scenarios_in_budget(scenario_failures_,
                                            effective_budget(max_failures))) {
-    if (s < it->second.size() &&
-        find_delivery(it->second[s], target) != nullptr) {
-      return true;
-    }
+    if (find_delivery(host, s, target) != nullptr) return true;
   }
   return false;
+}
+
+std::vector<std::pair<NodeId, std::vector<NodeId>>> PolicyClasses::deliveries(
+    NodeId host, std::size_t scenario) const {
+  std::vector<std::pair<NodeId, std::vector<NodeId>>> out;
+  for (const Delivery& d : reach(host, scenario)) {
+    out.emplace_back(d.target, box_sets_[d.boxes]);
+  }
+  return out;
 }
 
 void PolicyClasses::reindex() {
@@ -266,37 +426,34 @@ void PolicyClasses::reindex() {
   }
 }
 
-void PolicyClasses::set_reach_signatures(
-    std::vector<int> scenario_failures,
-    std::unordered_map<NodeId, std::vector<std::vector<Delivery>>> reach,
-    int budget) {
-  scenario_failures_ = std::move(scenario_failures);
-  reach_ = std::move(reach);
-  reach_budget_ = budget;
-  reindex();
-}
-
 PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
                                    const PolicyClassOptions& options) {
   const net::Network& net = model.network();
-  // One vertex per host, coloured by its configuration fingerprint: the
-  // sorted multiset of type-tagged non-empty box fingerprints - no box
-  // names, no positions - so hosts of renamed-isomorphic segments (treated
-  // alike by their own boxes, not touched by each other's) start alike.
-  // Sound because the class is only a symmetry-grouping hypothesis: the
-  // delivery arcs split classes whose traffic actually traverses different
-  // boxes, and problem keys render every member box's full encoding
-  // projection before any verdict merges.
+  const std::vector<NodeId> hosts = net.hosts();
+  // One vertex per host, in host order (vertex i is hosts[i]), coloured by
+  // its configuration fingerprint: the sorted multiset of type-tagged
+  // non-empty box fingerprints - no box names, no positions - so hosts of
+  // renamed-isomorphic segments (treated alike by their own boxes, not
+  // touched by each other's) start alike. Sound because the class is only
+  // a symmetry-grouping hypothesis: the delivery arcs split classes whose
+  // traffic actually traverses different boxes, and problem keys render
+  // every member box's full encoding projection before any verdict merges.
   ColourGraph graph;
-  std::unordered_map<NodeId, std::size_t> vertex;
   std::unordered_map<std::uint64_t, std::string> fingerprint_of;
-  for (NodeId h : net.hosts()) {
+  std::vector<std::uint32_t> host_index(net.node_count(), kNone);
+  // policy_fingerprint(a) renders the box's descriptor at `a`; build each
+  // descriptor once rather than once per host.
+  std::vector<std::pair<std::string, mbox::ConfigRelations>> boxes;
+  for (const auto& box : model.middleboxes()) {
+    boxes.emplace_back(box->type(), box->config_relations());
+  }
+  for (NodeId h : hosts) {
     const Address a = net.node(h).address;
     std::vector<std::string> parts;
-    for (const auto& box : model.middleboxes()) {
-      std::string bfp = box->policy_fingerprint(a);
+    for (const auto& [type, relations] : boxes) {
+      std::string bfp = mbox::render_fingerprint(relations, a);
       if (bfp.empty()) continue;
-      parts.push_back(box->type() + "{" + std::move(bfp) + "}");
+      parts.push_back(type + "{" + std::move(bfp) + "}");
     }
     std::sort(parts.begin(), parts.end());
     std::string fp;
@@ -306,7 +463,8 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     if (!fresh && it->second != fp) {
       throw std::logic_error("policy classes: two fingerprints share a colour");
     }
-    vertex.emplace(h, graph.add_vertex(colour));
+    host_index[h.value()] =
+        static_cast<std::uint32_t>(graph.add_vertex(colour));
   }
 
   dataplane::TransferCache local(net);
@@ -318,35 +476,82 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     scenario_failures.push_back(static_cast<int>(sc.failed_nodes.size()));
   }
   // Walk (and pay for) only the scenarios the verification budget can see;
-  // out-of-budget slots stay empty and queries never read them.
+  // out-of-budget scenarios record no deliveries and queries never read
+  // them. Per source, only the first hop toward each seed address is its
+  // own: a packet that enters a middlebox continues along the scenario's
+  // shared BoxWalks lists, and delivery back to the source is dropped.
   const std::vector<std::size_t> in_budget =
       scenarios_in_budget(scenario_failures, options.max_failures);
   const std::vector<Address> seeds = seed_addresses(model);
-  ReachMap reach;
-  for (NodeId h : net.hosts()) {
-    auto& per_scenario = reach[h];
-    per_scenario.resize(scenario_failures.size());
-    for (std::size_t s : in_budget) {
-      const dataplane::TransferFunction& tf =
-          transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
-      per_scenario[s] = deliveries_from(model, tf, h, seeds);
+  BoxSets sets;
+  Slots slots(hosts.size(), sets);
+  std::vector<Reached> deliveries;
+  std::vector<std::uint32_t> begin;
+  begin.reserve(scenario_failures.size() * hosts.size() + 1);
+  for (std::size_t s = 0; s < scenario_failures.size(); ++s) {
+    if (!std::binary_search(in_budget.begin(), in_budget.end(), s)) {
+      begin.insert(begin.end(), hosts.size(),
+                   static_cast<std::uint32_t>(deliveries.size()));
+      continue;
+    }
+    const dataplane::TransferFunction& tf =
+        transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
+    BoxWalks walks(model, tf, host_index, sets);
+    for (std::uint32_t i = 0; i < hosts.size(); ++i) {
+      begin.push_back(static_cast<std::uint32_t>(deliveries.size()));
+      const Address own = net.node(hosts[i]).address;
+      for (Address a : seeds) {
+        if (a == own) continue;
+        std::optional<NodeId> next;
+        try {
+          next = tf.next_edge(hosts[i], a);
+        } catch (const ForwardingLoopError&) {
+          // A static forwarding loop on this (source, destination) pair: no
+          // packet is ever delivered along it, so for the class relation
+          // it is a drop. Verification still surfaces the fault loudly -
+          // but only for invariants whose slice actually walks the looping
+          // pair, same as before inference walked the whole network.
+          continue;
+        }
+        if (!next) continue;
+        if (net.kind(*next) == net::NodeKind::host) {
+          slots.add(host_index[next->value()], 0);
+        } else if (model.middlebox_at(*next) != nullptr) {
+          for (const Reached& r : walks.entering(*next, a)) {
+            slots.add(r.target, r.boxes);
+          }
+        }
+      }
+      slots.drain(i, deliveries);
     }
   }
-  add_delivery_arcs(model, graph, vertex, reach, in_budget);
+  begin.push_back(static_cast<std::uint32_t>(deliveries.size()));
+  std::vector<std::vector<NodeId>> box_sets = sets.release();
+  add_delivery_arcs(model, graph, begin, deliveries, box_sets);
 
   // Classes are the stable colours, ordered by colour value (name-blind);
   // members keep host order, so each class's first member is its
   // lowest-numbered host.
   const std::vector<std::uint64_t> colours = refine(graph);
   std::map<std::uint64_t, std::vector<NodeId>> by_colour;
-  for (NodeId h : net.hosts()) by_colour[colours[vertex.at(h)]].push_back(h);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    by_colour[colours[i]].push_back(hosts[i]);
+  }
   PolicyClasses out;
   out.classes.reserve(by_colour.size());
-  for (auto& [colour, hosts] : by_colour) {
-    out.classes.push_back(std::move(hosts));
+  for (auto& [colour, members] : by_colour) {
+    out.classes.push_back(std::move(members));
   }
-  out.set_reach_signatures(std::move(scenario_failures), std::move(reach),
-                           options.max_failures);
+  out.reindex();
+  out.scenario_failures_ = std::move(scenario_failures);
+  out.hosts_ = hosts;
+  out.reach_begin_ = std::move(begin);
+  out.deliveries_.reserve(deliveries.size());
+  for (const Reached& r : deliveries) {
+    out.deliveries_.push_back({hosts[r.target], r.boxes});
+  }
+  out.box_sets_ = std::move(box_sets);
+  out.reach_budget_ = options.max_failures;
   return out;
 }
 

@@ -39,8 +39,10 @@
 // selection covers the residual within-class variation.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dataplane/transfer.hpp"
@@ -61,14 +63,6 @@ struct PolicyClassOptions {
   /// PlanContext's cache); when null the inference builds a private one.
   /// Borrowed, single-threaded, must outlive the call.
   dataplane::TransferCache* transfers = nullptr;
-};
-
-/// One recorded delivery: packets from the owning host can be delivered to
-/// `target`, traversing (some subset of) `boxes` - the union of middlebox
-/// nodes on the explored paths, sorted.
-struct Delivery {
-  NodeId target;
-  std::vector<NodeId> boxes;
 };
 
 struct PolicyClasses {
@@ -118,29 +112,50 @@ struct PolicyClasses {
   [[nodiscard]] bool reaches(NodeId host, NodeId target,
                              int max_failures) const;
   /// Whether delivery signatures were recorded at inference time.
-  [[nodiscard]] bool has_reach_signatures() const { return !reach_.empty(); }
+  [[nodiscard]] bool has_reach_signatures() const { return !hosts_.empty(); }
+  /// The recorded deliveries of `host` under scenario `scenario`, sorted by
+  /// target: each target with the middlebox instances the explored paths
+  /// traverse (their union, sorted). Empty for scenarios beyond the
+  /// inference budget and for instances without recorded signatures.
+  [[nodiscard]] std::vector<std::pair<NodeId, std::vector<NodeId>>>
+  deliveries(NodeId host, std::size_t scenario) const;
 
   /// Rebuilds the host->class index behind class_of. The factory functions
   /// call this; call it again after mutating `classes` by hand.
   void reindex();
-  /// Installs the per-host delivery signatures (factory functions only):
-  /// `scenario_failures[s]` is scenario s's failed-node count, `reach[h][s]`
-  /// the deliveries of host h under scenario s sorted by target (empty for
-  /// scenarios beyond `budget`, the inference failure budget; negative =
-  /// all scenarios walked).
-  void set_reach_signatures(
-      std::vector<int> scenario_failures,
-      std::unordered_map<NodeId, std::vector<std::vector<Delivery>>> reach,
-      int budget);
 
  private:
+  friend PolicyClasses infer_policy_classes(const encode::NetworkModel&,
+                                            const PolicyClassOptions&);
+
+  /// One recorded delivery: packets from the owning host can be delivered
+  /// to `target`, traversing (some subset of) the middleboxes of
+  /// box_sets_[boxes].
+  struct Delivery {
+    NodeId target;
+    std::uint32_t boxes;
+  };
+
   /// The budget queries may see: scenarios beyond the inference budget
   /// were never walked and must not read as "no delivery".
   [[nodiscard]] int effective_budget(int query_budget) const;
+  /// `host`'s recorded deliveries under scenario `s`, sorted by target.
+  [[nodiscard]] std::span<const Delivery> reach(NodeId host,
+                                                std::size_t s) const;
+  /// `host`'s recorded delivery to `target` under scenario `s`, if any.
+  [[nodiscard]] const Delivery* find_delivery(NodeId host, std::size_t s,
+                                              NodeId target) const;
 
   std::unordered_map<NodeId, std::size_t> index_;
   std::vector<int> scenario_failures_;
-  std::unordered_map<NodeId, std::vector<std::vector<Delivery>>> reach_;
+  /// The hosts with recorded signatures, ascending. Under scenario s, host
+  /// i's deliveries are deliveries_[reach_begin_[s * H + i]] up to
+  /// deliveries_[reach_begin_[s * H + i + 1]], H = hosts_.size().
+  std::vector<NodeId> hosts_;
+  std::vector<std::uint32_t> reach_begin_;
+  std::vector<Delivery> deliveries_;
+  /// Interned middlebox sets, each sorted; set 0 is the empty set.
+  std::vector<std::vector<NodeId>> box_sets_;
   int reach_budget_ = -1;
 };
 

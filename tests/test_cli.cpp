@@ -7,12 +7,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/options.hpp"
 #include "io/spec.hpp"
+#include "scenarios/random.hpp"
+#include "slice/policy.hpp"
 #include "verify/engine.hpp"
+#include "verify/verifier.hpp"
 
 namespace vmn::cli {
 namespace {
@@ -246,10 +251,9 @@ TEST(DedupReport, Fig8MultitenantNamesTheFirewallAclCell) {
 
 // -- the batch summary -------------------------------------------------------
 
-/// Runs `vmn verify` on the segmented spec with `flags`; returns stdout.
-std::string run_verify(const std::string& flags) {
-  const std::string cmd = std::string(VMN_CLI) + " verify " + VMN_SOURCE_DIR +
-                          "/examples/specs/segmented.vmn " + flags;
+/// Runs `vmn <args>`, expecting exit 0; returns stdout.
+std::string run_vmn(const std::string& args) {
+  const std::string cmd = std::string(VMN_CLI) + " " + args;
   std::FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
     ADD_FAILURE() << "cannot run " << cmd;
@@ -261,6 +265,12 @@ std::string run_verify(const std::string& flags) {
   while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
   EXPECT_EQ(pclose(pipe), 0) << cmd << "\n" << out;
   return out;
+}
+
+/// Runs `vmn verify` on the segmented spec with `flags`; returns stdout.
+std::string run_verify(const std::string& flags) {
+  return run_vmn("verify " + std::string(VMN_SOURCE_DIR) +
+                 "/examples/specs/segmented.vmn " + flags);
 }
 
 TEST(VerifySummary, PrintsEverySchemaMetricOnEveryExecutor) {
@@ -306,6 +316,52 @@ TEST(VerifySummary, OnlyVerdictLinesReadAsVerdicts) {
   io::Spec spec = io::load_spec(std::string(VMN_SOURCE_DIR) +
                                 "/examples/specs/segmented.vmn");
   EXPECT_EQ(verdict_lines, spec.invariants.size()) << out;
+}
+
+// -- vmn classes -------------------------------------------------------------
+
+TEST(Classes, PrintsTheClassesVerifyPlansWith) {
+  // zoo465 of the bench/e2e zoo-random corpus: under every failure
+  // scenario its hosts form four classes, but `vmn verify` plans at its
+  // default budget of 0, where they form three. `vmn classes` prints the
+  // classes verify plans with, and takes verify's --max-failures.
+  scenarios::RandomSpecParams p;
+  p.seed = 465;
+  p.min_hosts = 3;
+  p.max_hosts = 6;
+  p.max_switches = 4;
+  p.max_middleboxes = 3;
+  p.max_scenarios = 2;
+  p.min_invariants = 4;
+  p.max_invariants = 8;
+  const scenarios::RandomSpec zoo = scenarios::make_random_spec(p);
+  const std::string path = testing::TempDir() + "zoo465.vmn";
+  std::ofstream(path) << zoo.text;
+  const io::Spec spec = io::load_spec(path);
+  const auto expected = [&](int max_failures) {
+    verify::VerifyOptions options;
+    options.max_failures = max_failures;
+    verify::PlanContext ctx(spec.model.network());
+    const slice::PolicyClasses classes =
+        verify::build_policy_classes(spec.model, options, ctx);
+    std::string out;
+    for (std::size_t i = 0; i < classes.count(); ++i) {
+      out += "class " + std::to_string(i) + ":";
+      for (NodeId h : classes.classes[i]) {
+        out += " " + spec.model.network().name(h);
+      }
+      out += "\n";
+    }
+    return std::pair{classes.count(), out};
+  };
+  const auto [planned, planned_text] = expected(0);
+  EXPECT_EQ(planned, 3u);
+  EXPECT_EQ(run_vmn("classes " + path), planned_text);
+  // Budget 1 covers every scenario of zoo465.
+  ASSERT_EQ(scenarios::derived_max_failures(spec.model), 1);
+  const auto [every, every_text] = expected(1);
+  EXPECT_EQ(every, 4u);
+  EXPECT_EQ(run_vmn("classes " + path + " --max-failures 1"), every_text);
 }
 
 }  // namespace

@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
+#include <set>
+#include <string>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
+#include "dataplane/transfer.hpp"
+#include "io/spec.hpp"
 #include "mbox/content_cache.hpp"
 #include "mbox/firewall.hpp"
 #include "mbox/idps.hpp"
@@ -16,6 +22,7 @@
 #include "scenarios/enterprise.hpp"
 #include "scenarios/isp.hpp"
 #include "scenarios/multitenant.hpp"
+#include "scenarios/random.hpp"
 #include "scenarios/segmented.hpp"
 #include "slice/refine.hpp"
 #include "slice/slice.hpp"
@@ -1026,6 +1033,307 @@ TEST(CanonicalKey, BatchNeverInheritsAcrossSegmentsWithDifferentRouting) {
       EXPECT_FALSE(r.results[i].by_symmetry) << i;
     }
   }
+}
+
+// -- exactness oracle: the per-source delivery worklist ----------------------
+
+/// Destination addresses worth walking toward: every host address plus every
+/// middlebox implicit address (VIPs, NAT externals) - aliases resolve to the
+/// hosts behind them through forward_dsts rewrites during the walk.
+std::vector<Address> seed_addresses(const encode::NetworkModel& model) {
+  std::set<Address> out;
+  const net::Network& net = model.network();
+  for (NodeId h : net.hosts()) out.insert(net.node(h).address);
+  for (const auto& box : model.middleboxes()) {
+    for (Address a : box->implicit_addresses()) out.insert(a);
+  }
+  return {out.begin(), out.end()};
+}
+
+using Deliveries = std::vector<std::pair<NodeId, std::vector<NodeId>>>;
+
+/// The reference: the per-source worklist policy inference ran before it
+/// memoised middlebox walk states, kept verbatim (only its result type
+/// differs). Deliveries of packets injected at `from` under `tf`'s
+/// scenario, following middlebox rewrites and recording the traversed
+/// middleboxes per reached host (union over the explored paths; monotone
+/// worklist, so a state revisited with new boxes propagates them onward).
+Deliveries deliveries_from(const encode::NetworkModel& model,
+                           const dataplane::TransferFunction& tf, NodeId from,
+                           const std::vector<Address>& seeds) {
+  const net::Network& net = model.network();
+  std::map<NodeId, std::set<NodeId>> delivered;        // target -> boxes
+  std::map<std::uint64_t, std::set<NodeId>> boxes_at;  // state -> boxes seen
+  std::vector<std::pair<NodeId, Address>> frontier;
+  const Address own = net.node(from).address;
+  const auto state_key = [](NodeId edge, Address dst) {
+    return (std::uint64_t{edge.value()} << 32) | dst.bits();
+  };
+  for (Address a : seeds) {
+    if (a == own) continue;
+    boxes_at[state_key(from, a)];  // empty box set
+    frontier.emplace_back(from, a);
+  }
+  while (!frontier.empty()) {
+    const auto [edge, dst] = frontier.back();
+    frontier.pop_back();
+    const std::set<NodeId> boxes = boxes_at[state_key(edge, dst)];
+    std::optional<NodeId> next;
+    try {
+      next = tf.next_edge(edge, dst);
+    } catch (const ForwardingLoopError&) {
+      continue;
+    }
+    if (!next) continue;
+    if (net.kind(*next) == net::NodeKind::host) {
+      if (*next != from) delivered[*next].insert(boxes.begin(), boxes.end());
+      continue;
+    }
+    const mbox::Middlebox* box = model.middlebox_at(*next);
+    if (box == nullptr) continue;
+    std::set<NodeId> onward_boxes = boxes;
+    onward_boxes.insert(*next);
+    for (Address onward : box->forward_dsts(dst)) {
+      std::set<NodeId>& known = boxes_at[state_key(*next, onward)];
+      const std::size_t before = known.size();
+      known.insert(onward_boxes.begin(), onward_boxes.end());
+      if (known.size() != before) frontier.emplace_back(*next, onward);
+    }
+  }
+  Deliveries out;
+  out.reserve(delivered.size());
+  for (auto& [target, boxes] : delivered) {
+    out.emplace_back(target, std::vector<NodeId>(boxes.begin(), boxes.end()));
+  }
+  return out;
+}
+
+/// Checks that inference at `budget` records exactly the reference
+/// deliveries - same targets, same box sets - for every host under every
+/// in-budget scenario, and none beyond the budget. Returns the number of
+/// deliveries compared.
+std::size_t expect_oracle_agrees(const encode::NetworkModel& model,
+                                 int budget, const std::string& what) {
+  const net::Network& net = model.network();
+  const PolicyClasses classes =
+      infer_policy_classes(model, {.max_failures = budget});
+  dataplane::TransferCache transfers(net);
+  const std::vector<Address> seeds = seed_addresses(model);
+  std::size_t compared = 0;
+  for (std::size_t s = 0; s < net.scenarios().size(); ++s) {
+    const bool in_budget =
+        budget < 0 ||
+        static_cast<int>(net.scenarios()[s].failed_nodes.size()) <= budget;
+    const dataplane::TransferFunction& tf =
+        transfers.at(ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
+    for (NodeId h : net.hosts()) {
+      const Deliveries expected =
+          in_budget ? deliveries_from(model, tf, h, seeds) : Deliveries{};
+      EXPECT_EQ(classes.deliveries(h, s), expected)
+          << what << " budget " << budget << " scenario " << s << " host "
+          << net.name(h);
+      compared += expected.size();
+    }
+  }
+  return compared;
+}
+
+std::size_t expect_oracle_agrees_at_every_budget(
+    const encode::NetworkModel& model, const std::string& what) {
+  std::size_t compared = 0;
+  for (int budget : {0, 1, -1}) {
+    compared += expect_oracle_agrees(model, budget, what);
+  }
+  return compared;
+}
+
+TEST(DeliveryOracle, GeneratorsAgreeWithThePerSourceWorklist) {
+  std::size_t compared = 0;
+  for (int subnets : {3, 6}) {
+    compared += expect_oracle_agrees_at_every_budget(
+        small_enterprise(subnets).model, "enterprise");
+  }
+  for (scenarios::DcMisconfig kind :
+       {scenarios::DcMisconfig::none, scenarios::DcMisconfig::rules,
+        scenarios::DcMisconfig::redundancy, scenarios::DcMisconfig::traversal,
+        scenarios::DcMisconfig::cache_acl}) {
+    for (bool storage : {false, true}) {
+      if (kind == scenarios::DcMisconfig::cache_acl && !storage) continue;
+      Datacenter dc = scenarios::make_datacenter(
+          {.policy_groups = 3,
+           .clients_per_group = 2,
+           .with_storage = storage});
+      if (kind != scenarios::DcMisconfig::none) {
+        Rng rng(7);
+        scenarios::inject_misconfig(dc, kind, rng, 2);
+      }
+      compared += expect_oracle_agrees_at_every_budget(
+          dc.model, "datacenter " + std::to_string(static_cast<int>(kind)));
+    }
+  }
+  for (bool bypass : {false, true}) {
+    scenarios::IspParams p;
+    p.peering_points = 2;
+    p.subnets = 3;
+    p.scrub_bypasses_firewalls = bypass;
+    compared += expect_oracle_agrees_at_every_budget(
+        scenarios::make_isp(p).model, "isp");
+  }
+  compared += expect_oracle_agrees_at_every_budget(
+      scenarios::make_multitenant({.tenants = 3,
+                                   .servers = 2,
+                                   .public_vms_per_tenant = 2,
+                                   .private_vms_per_tenant = 2})
+          .model,
+      "multitenant");
+  for (const scenarios::SegmentedParams& p :
+       {scenarios::SegmentedParams{},
+        scenarios::SegmentedParams{.bypass_segment = 1},
+        scenarios::SegmentedParams{.isolated_segment = 1},
+        scenarios::SegmentedParams{.segments = 3, .bypass_segment = 2}}) {
+    compared += expect_oracle_agrees_at_every_budget(
+        scenarios::make_segmented(p).model, "segmented");
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(DeliveryOracle, ExampleSpecsAgreeWithThePerSourceWorklist) {
+  std::size_t specs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(VMN_SOURCE_DIR) + "/examples/specs")) {
+    if (entry.path().extension() != ".vmn") continue;
+    const io::Spec spec = io::load_spec(entry.path().string());
+    EXPECT_GT(expect_oracle_agrees_at_every_budget(
+                  spec.model, entry.path().filename().string()),
+              0u);
+    ++specs;
+  }
+  EXPECT_GE(specs, 3u);
+}
+
+TEST(DeliveryOracle, RandomSpecsAgreeWithThePerSourceWorklist) {
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    scenarios::RandomSpecParams p;
+    p.seed = seed;
+    const scenarios::RandomSpec r = scenarios::make_random_spec(p);
+    compared += expect_oracle_agrees_at_every_budget(
+        r.spec.model, "random seed " + std::to_string(seed));
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+/// The inferred partition as host names, class by class.
+std::vector<std::vector<std::string>> named_classes(
+    const encode::NetworkModel& model, const PolicyClasses& classes) {
+  std::vector<std::vector<std::string>> out;
+  for (const std::vector<NodeId>& c : classes.classes) {
+    out.emplace_back();
+    for (NodeId h : c) out.back().push_back(model.network().name(h));
+  }
+  return out;
+}
+
+TEST(DeliveryOracle, MiddleboxRewriteCycleSharesOneFixpoint) {
+  // Two load balancers whose backends include each other's VIP: a packet
+  // for v1 enters lb1, may be rewritten to v2, enters lb2, may be
+  // rewritten back to v1 - a cycle of walk states. b2's backend route
+  // additionally passes an IDPS, so the cycle has two exits with different
+  // box sets, and c3's in-port rule enters the cycle through lb2.
+  encode::NetworkModel model;
+  net::Network& net = model.network();
+  const Address v1 = Address::of(10, 255, 0, 1);
+  const Address v2 = Address::of(10, 255, 0, 2);
+  const Address ab1 = Address::of(10, 0, 1, 1);
+  const Address ab2 = Address::of(10, 0, 1, 2);
+  NodeId c1 = net.add_host("c1", Address::of(10, 0, 0, 1));
+  NodeId c2 = net.add_host("c2", Address::of(10, 0, 0, 2));
+  NodeId c3 = net.add_host("c3", Address::of(10, 0, 0, 3));
+  NodeId b1 = net.add_host("b1", ab1);
+  NodeId b2 = net.add_host("b2", ab2);
+  NodeId lb1 = model
+                   .add_middlebox(std::make_unique<mbox::LoadBalancer>(
+                       "lb1", v1, std::vector{v2, ab1}))
+                   .node();
+  NodeId lb2 = model
+                   .add_middlebox(std::make_unique<mbox::LoadBalancer>(
+                       "lb2", v2, std::vector{v1, ab2}))
+                   .node();
+  NodeId idps = model
+                    .add_middlebox(std::make_unique<mbox::Idps>(
+                        "idps", /*drop_malicious=*/true))
+                    .node();
+  NodeId sw = net.add_switch("sw");
+  for (NodeId x : {c1, c2, c3, b1, b2, lb1, lb2, idps}) net.add_link(x, sw);
+  net.table(sw).add(Prefix::host(v1), lb1);
+  net.table(sw).add(Prefix::host(v2), lb2);
+  net.table(sw).add_from(c3, Prefix::host(v1), lb2);
+  net.table(sw).add(Prefix::host(ab1), b1);
+  net.table(sw).add(Prefix::host(ab2), b2);
+  net.table(sw).add_from(lb2, Prefix::host(ab2), idps);
+  for (NodeId c : {c1, c2, c3}) {
+    net.table(sw).add(Prefix::host(net.node(c).address), c);
+  }
+
+  EXPECT_GT(expect_oracle_agrees_at_every_budget(model, "rewrite cycle"), 0u);
+  const PolicyClasses classes = infer_policy_classes(model);
+  // Through the cycle, every client reaches both backends via both load
+  // balancers; b2's deliveries also carry the IDPS.
+  const Deliveries c1_sends = classes.deliveries(c1, 0);
+  ASSERT_EQ(c1_sends.size(), 4u);
+  const std::vector<NodeId> both = {lb1, lb2};
+  const std::vector<NodeId> both_and_idps = {lb1, lb2, idps};
+  EXPECT_EQ(c1_sends[2], (std::pair{b1, both}));
+  EXPECT_EQ(c1_sends[3], (std::pair{b2, both_and_idps}));
+  // c3 enters the cycle elsewhere but ends with the same box sets, so it
+  // stays with the other clients; the IDPS on b2's route splits b1 and b2.
+  EXPECT_EQ(named_classes(model, classes),
+            (std::vector<std::vector<std::string>>{
+                {"b2"}, {"c1", "c2", "c3"}, {"b1"}}));
+}
+
+TEST(DeliveryOracle, ForwardingLoopReachedFromABoxState) {
+  // A load balancer forwards v toward backends b and x; x's route out of
+  // the balancer's switch bounces between two switches forever. The walk
+  // state (lb, x) hits the loop, which delivers nothing, while (lb, b)
+  // still delivers - and senders whose own first hop toward x loops are
+  // treated alike.
+  encode::NetworkModel model;
+  net::Network& net = model.network();
+  const Address v = Address::of(10, 255, 0, 1);
+  const Address ab = Address::of(10, 0, 1, 1);
+  const Address ax = Address::of(10, 0, 1, 2);
+  NodeId c1 = net.add_host("c1", Address::of(10, 0, 0, 1));
+  NodeId c2 = net.add_host("c2", Address::of(10, 0, 0, 2));
+  NodeId b = net.add_host("b", ab);
+  NodeId x = net.add_host("x", ax);
+  NodeId lb = model
+                  .add_middlebox(std::make_unique<mbox::LoadBalancer>(
+                      "lb", v, std::vector{ab, ax}))
+                  .node();
+  NodeId s1 = net.add_switch("s1");
+  NodeId s2 = net.add_switch("s2");
+  for (NodeId h : {c1, c2, b, lb}) net.add_link(h, s1);
+  net.add_link(x, s2);
+  net.add_link(s1, s2);
+  net.table(s1).add(Prefix::host(v), lb);
+  net.table(s1).add(Prefix::host(ab), b);
+  net.table(s1).add(Prefix::host(ax), s2);
+  net.table(s2).add(Prefix::host(ax), s1);  // the loop
+  for (NodeId c : {c1, c2}) {
+    net.table(s1).add(Prefix::host(net.node(c).address), c);
+  }
+
+  EXPECT_GT(expect_oracle_agrees_at_every_budget(model, "box-state loop"), 0u);
+  const PolicyClasses classes = infer_policy_classes(model);
+  EXPECT_EQ(classes.deliveries(c1, 0),
+            (Deliveries{{c2, {}}, {b, {lb}}}));
+  // x receives nothing, b receives through the balancer.
+  EXPECT_EQ(named_classes(model, classes),
+            (std::vector<std::vector<std::string>>{
+                {"b"}, {"x"}, {"c1", "c2"}}));
+  verify::Engine engine(model);  // inference tolerates the loop
+  (void)engine;
 }
 
 }  // namespace

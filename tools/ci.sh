@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one refinement kernel; one
-# metrics schema; one model reader),
+# delivery walk; one metrics schema; one model reader),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
@@ -89,6 +89,19 @@ fi
 if grep -rEn 'std::vector<std::string>[^;(]*colou?r' "$repo/src/slice"; then
   echo "ci: string colour vector in src/slice; refinement colours are" \
        "std::uint64_t (src/slice/refine.hpp)" >&2
+  exit 1
+fi
+
+echo "--- lint: one delivery walk (memoised middlebox walk states) ---"
+# Policy inference (src/slice/policy.cpp) walks each middlebox entry state
+# once per scenario and shares its deliveries across sources. A per-source
+# delivery worklist - deliveries_from, or a boxes_at map from walk states to
+# box sets - is the |hosts|^2 walk it replaced; the exactness oracle in
+# tests/test_slice.cpp is its only copy.
+if grep -rEn 'deliveries_from\(|boxes_at' "$repo/src" \
+    --include='*.cpp' --include='*.hpp'; then
+  echo "ci: per-source delivery worklist in src/; policy inference walks" \
+       "each middlebox state once (BoxWalks in src/slice/policy.cpp)" >&2
   exit 1
 fi
 

@@ -72,8 +72,9 @@
 //       Static datapath audit: forwarding loops and blackholes across all
 //       destination equivalence classes and failure scenarios.
 //
-//   vmn classes <spec-file>
-//       Prints the inferred policy equivalence classes.
+//   vmn classes <spec-file> [--max-failures k]
+//       Prints the inferred policy equivalence classes `vmn verify` plans
+//       with at the same failure budget (default 0).
 //
 //   vmn dump <spec-file>
 //       Parses and re-serializes the specification (round-trip check).
@@ -122,8 +123,8 @@ int usage() {
                "[options]\n"
                "       vmn fuzz [options]   (differential fuzzing)\n"
                "       vmn worker   (wire-protocol worker on stdin/stdout)\n"
-               "  `vmn <verify|serve|fuzz> --help` lists that subcommand's "
-               "options.\n");
+               "  `vmn <verify|serve|classes|fuzz> --help` lists that "
+               "subcommand's options.\n");
   return kExitUsage;
 }
 
@@ -144,6 +145,22 @@ std::string omega_name(const net::Network& net, NodeId n) {
   return n.valid() ? net.name(n) : std::string("OMEGA");
 }
 
+/// Registers `--max-failures k` (shared by `verify`, `serve` and
+/// `classes`), writing into `max_failures`.
+void add_max_failures_flag(cli::OptionSet& set, int& max_failures) {
+  set.add_value(
+      "--max-failures", "k", "failure budget per scenario sweep",
+      [&max_failures](const std::string& text, std::string& error) {
+        long long k = 0;
+        if (!cli::parse_int(text, 0, INT32_MAX, k)) {
+          error = "wants a non-negative integer, got " + text;
+          return false;
+        }
+        max_failures = static_cast<int>(k);
+        return true;
+      });
+}
+
 /// Registers the verification-engine flags shared by `verify` and `serve`
 /// into `set`, writing into `engine` (and `worker_timeout`, folded into
 /// engine.process by finish_engine_flags once parsing settles).
@@ -153,17 +170,7 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
                [&engine] { engine.verify.use_slices = false; });
   set.add_flag("--no-symmetry", "disable problem-key solver classes",
                [&engine] { engine.use_symmetry = false; });
-  set.add_value(
-      "--max-failures", "k", "failure budget per scenario sweep",
-      [&engine](const std::string& text, std::string& error) {
-        long long k = 0;
-        if (!cli::parse_int(text, 0, INT32_MAX, k)) {
-          error = "wants a non-negative integer, got " + text;
-          return false;
-        }
-        engine.verify.max_failures = static_cast<int>(k);
-        return true;
-      });
+  add_max_failures_flag(set, engine.verify.max_failures);
   set.add_value(
       "--timeout", "ms", "per-solver-call timeout",
       [&engine](const std::string& text, std::string& error) {
@@ -582,9 +589,26 @@ int cmd_audit(const io::Spec& spec) {
   return findings == 0 ? 0 : 1;
 }
 
-int cmd_classes(const io::Spec& spec) {
-  slice::PolicyClasses classes = slice::infer_policy_classes(spec.model);
+int cmd_classes(int argc, char** argv) {
+  // The classes `vmn verify` plans with: its option defaults, its budget
+  // flag, and the same build_policy_classes call the Engine makes.
+  verify::VerifyOptions options = verify::EngineOptions{}.verify;
+  cli::OptionSet set("vmn classes <spec-file> [options]",
+                     "Prints the policy classes `vmn verify` plans with.");
+  add_max_failures_flag(set, options.max_failures);
+  std::vector<std::string> positionals;
+  switch (set.parse(argc, argv, &positionals)) {
+    case cli::OptionSet::Result::help: return kExitClean;
+    case cli::OptionSet::Result::error: return kExitUsage;
+    case cli::OptionSet::Result::ok: break;
+  }
+  std::string spec_path;
+  if (!spec_operand(set, positionals, spec_path)) return kExitUsage;
+  const io::Spec spec = io::load_spec(spec_path);
   const net::Network& net = spec.model.network();
+  verify::PlanContext ctx(net);
+  const slice::PolicyClasses classes =
+      verify::build_policy_classes(spec.model, options, ctx);
   for (std::size_t i = 0; i < classes.classes.size(); ++i) {
     std::printf("class %zu:", i);
     for (NodeId h : classes.classes[i]) {
@@ -607,10 +631,10 @@ int main(int argc, char** argv) {
     if (cmd == "fuzz") return cmd_fuzz(argv[0], argc - 2, argv + 2);
     if (cmd == "verify") return cmd_verify(argv[0], argc - 2, argv + 2);
     if (cmd == "serve") return cmd_serve(argv[0], argc - 2, argv + 2);
+    if (cmd == "classes") return cmd_classes(argc - 2, argv + 2);
     if (argc < 3) return usage();
     io::Spec spec = io::load_spec(argv[2]);
     if (cmd == "audit") return cmd_audit(spec);
-    if (cmd == "classes") return cmd_classes(spec);
     if (cmd == "dump") {
       std::printf("%s", io::write_spec_string(spec).c_str());
       return 0;

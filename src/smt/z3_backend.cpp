@@ -25,8 +25,14 @@ using logic::TermPtr;
 
 class Z3Solver final : public Solver {
  public:
+  /// The solver is Z3's incremental SMT core alone (solver::simple()). The
+  /// default z3::solver pairs it with a tactic-based non-incremental solver
+  /// that our first push() retires unused, yet every context paid to build
+  /// and tear down both: five times the assertion time on the zoo corpus.
   Z3Solver(const logic::Vocab& vocab, SolverOptions options)
-      : vocab_(&vocab), options_(options), solver_(ctx_) {
+      : vocab_(&vocab),
+        options_(options),
+        solver_(ctx_, z3::solver::simple()) {
     z3::params p(ctx_);
     p.set("timeout", options_.timeout_ms);
     if (options_.seed != 0) {
@@ -41,11 +47,13 @@ class Z3Solver final : public Solver {
     }
     solver_.add(translate(axiom));
     ++assertions_;
+    have_model_ = false;  // the model predates this assertion
   }
 
   void push() override {
     solver_.push();
     assertion_stack_.push_back(assertions_);
+    have_model_ = false;  // the model belonged to the enclosing scope
   }
 
   void pop() override {

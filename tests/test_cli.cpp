@@ -18,6 +18,7 @@
 #include "slice/policy.hpp"
 #include "verify/engine.hpp"
 #include "verify/verifier.hpp"
+#include "zoo_corpus.hpp"
 
 namespace vmn::cli {
 namespace {
@@ -325,16 +326,8 @@ TEST(Classes, PrintsTheClassesVerifyPlansWith) {
   // scenario its hosts form four classes, but `vmn verify` plans at its
   // default budget of 0, where they form three. `vmn classes` prints the
   // classes verify plans with, and takes verify's --max-failures.
-  scenarios::RandomSpecParams p;
-  p.seed = 465;
-  p.min_hosts = 3;
-  p.max_hosts = 6;
-  p.max_switches = 4;
-  p.max_middleboxes = 3;
-  p.max_scenarios = 2;
-  p.min_invariants = 4;
-  p.max_invariants = 8;
-  const scenarios::RandomSpec zoo = scenarios::make_random_spec(p);
+  const scenarios::RandomSpec zoo =
+      scenarios::make_random_spec(test::zoo_params(465));
   const std::string path = testing::TempDir() + "zoo465.vmn";
   std::ofstream(path) << zoo.text;
   const io::Spec spec = io::load_spec(path);

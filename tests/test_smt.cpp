@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 #include <z3++.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "io/spec.hpp"
@@ -15,6 +19,7 @@
 #include "smt/z3_events.hpp"
 #include "verify/solver_pool.hpp"
 #include "verify/verifier.hpp"
+#include "zoo_corpus.hpp"
 
 namespace vmn::smt {
 namespace {
@@ -26,6 +31,12 @@ class SmtTest : public ::testing::Test {
   SmtTest() : vocab(f, {"A", "B", "OMEGA"}) {}
 
   std::unique_ptr<Solver> solver() { return make_z3_solver(vocab); }
+
+  /// Asserts a reception at B, so that a sat model has events to read.
+  void add_reception(Solver& s) {
+    s.add(vocab.rcv_at(vocab.node_const("OMEGA"), vocab.node_const("B"),
+                       f.var("wp", vocab.packet_sort()), f.int_val(5)));
+  }
 
   l::TermFactory f;
   l::Vocab vocab;
@@ -131,6 +142,37 @@ TEST_F(SmtTest, ModelBeforeCheckThrows) {
   EXPECT_THROW((void)s->model(), SolverError);
 }
 
+TEST_F(SmtTest, ModelAfterAddWithoutCheckThrows) {
+  // A model answers the assertions it was found for: one added since the
+  // last check leaves no model to read, not a stale one.
+  auto s = solver();
+  l::TermPtr x = f.var("x", l::Sort::integer());
+  add_reception(*s);
+  s->add(f.lt(f.int_val(0), x));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  (void)s->model();
+  s->add(f.eq(x, f.int_val(2)));
+  EXPECT_THROW((void)s->model(), SolverError);
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  (void)s->model();
+}
+
+TEST_F(SmtTest, ModelAfterPushWithoutCheckThrows) {
+  // A new scope, and a popped one, leave no model until the next check.
+  auto s = solver();
+  l::TermPtr x = f.var("x", l::Sort::integer());
+  add_reception(*s);
+  s->add(f.lt(f.int_val(0), x));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  s->push();
+  EXPECT_THROW((void)s->model(), SolverError);
+  s->add(f.eq(x, f.int_val(2)));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  (void)s->model();
+  s->pop();
+  EXPECT_THROW((void)s->model(), SolverError);
+}
+
 TEST_F(SmtTest, NonBoolAssertionRejected) {
   auto s = solver();
   EXPECT_THROW(s->add(f.int_val(1)), SolverError);
@@ -159,6 +201,58 @@ TEST_F(SmtTest, TimeoutReportsUnknownOrSolves) {
   CheckStatus st = s->check();
   EXPECT_TRUE(st == CheckStatus::unknown || st == CheckStatus::unsat ||
               st == CheckStatus::sat);
+}
+
+/// The pigeonhole principle for `holes` + 1 pigeons: unsat, and hard for
+/// a CDCL core (resolution proofs of it are exponential in `holes`).
+void add_pigeonhole(l::TermFactory& f, Solver& s, int holes) {
+  std::vector<std::vector<l::TermPtr>> in(holes + 1);
+  for (int p = 0; p <= holes; ++p) {
+    for (int h = 0; h < holes; ++h) {
+      in[p].push_back(f.var("p" + std::to_string(p) + "h" + std::to_string(h),
+                            l::Sort::boolean()));
+    }
+    s.add(f.or_(in[p]));
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p = 0; p <= holes; ++p) {
+      for (int q = p + 1; q <= holes; ++q) {
+        s.add(f.or_(f.not_(in[p][h]), f.not_(in[q][h])));
+      }
+    }
+  }
+}
+
+TEST_F(SmtTest, TimeoutBoundsAnUndecidableCheck) {
+  // The per-check timeout is the backstop for a check the core cannot
+  // decide: 13 pigeons in 12 holes under 50 ms must come back unknown,
+  // and well inside 5 s of wall clock (100x the budget, for loaded or
+  // sanitizer builds).
+  SolverOptions opts;
+  opts.timeout_ms = 50;
+  auto s = make_z3_solver(vocab, opts);
+  add_pigeonhole(f, *s, 12);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(s->check(), CheckStatus::unknown);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST_F(SmtTest, EscalationOptionsConstructAndCheck) {
+  // The escalated retry's solver: a perturbed seed and a doubled timeout.
+  SolverOptions opts;
+  opts.timeout_ms = 2 * SolverOptions{}.timeout_ms;
+  opts.seed = 0x9e3779b9u;
+  auto s = make_z3_solver(vocab, opts);
+  l::TermPtr x = f.var("x", l::Sort::integer());
+  add_reception(*s);
+  s->push();
+  s->add(f.lt(f.int_val(3), x));
+  s->add(f.lt(x, f.int_val(5)));
+  ASSERT_EQ(s->check(), CheckStatus::sat);
+  (void)s->model();
+  s->pop();
+  add_pigeonhole(f, *s, 3);
+  EXPECT_EQ(s->check(), CheckStatus::unsat);
 }
 
 TEST_F(SmtTest, StatusToString) {
@@ -383,16 +477,8 @@ TEST(EventDecoderModels, ZooCorpusMatchesTheDenseProbe) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     // The zoo-random benchmark corpus: its generator parameters, content
     // caches screened out.
-    scenarios::RandomSpecParams p;
-    p.seed = seed;
-    p.min_hosts = 3;
-    p.max_hosts = 6;
-    p.max_switches = 4;
-    p.max_middleboxes = 3;
-    p.max_scenarios = 2;
-    p.min_invariants = 4;
-    p.max_invariants = 8;
-    const scenarios::RandomSpec rs = scenarios::make_random_spec(p);
+    const scenarios::RandomSpec rs =
+        scenarios::make_random_spec(test::zoo_params(seed));
     if (rs.text.find("\ncache ") != std::string::npos) continue;
     const io::Spec spec = io::parse_spec_string(rs.text);
     models += cross_check_models(spec.model, spec.invariants,

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "slice/symmetry.hpp"
 #include "verify/engine.hpp"
 #include "verify/verifier.hpp"
+#include "zoo_corpus.hpp"
 
 namespace vmn::slice {
 namespace {
@@ -29,6 +29,7 @@ namespace {
 using encode::Invariant;
 using scenarios::Enterprise;
 using scenarios::EnterpriseParams;
+using test::zoo_spec;
 
 Enterprise enterprise(int subnets) {
   EnterpriseParams p;
@@ -445,21 +446,6 @@ std::size_t expect_rank_maps_exact(const encode::NetworkModel& model,
   return checked;
 }
 
-/// The zoo-random corpus spec `name` ("zoo<seed>"), regenerated with the
-/// corpus generator parameters of bench/e2e.
-io::Spec zoo_spec(const std::string& name) {
-  scenarios::RandomSpecParams p;
-  p.seed = std::stoull(name.substr(3));
-  p.min_hosts = 3;
-  p.max_hosts = 6;
-  p.max_switches = 4;
-  p.max_middleboxes = 3;
-  p.max_scenarios = 2;
-  p.min_invariants = 4;
-  p.max_invariants = 8;
-  return io::parse_spec_string(scenarios::make_random_spec(p).text);
-}
-
 TEST(ProblemKeys, GeneratorClassRankMapsPassTheExactBijectionCheck) {
   std::size_t checked = 0;
   Enterprise ent = enterprise(6);
@@ -523,21 +509,15 @@ TEST(ProblemKeys, GeneratorClassRankMapsPassTheExactBijectionCheck) {
 }
 
 TEST(ProblemKeys, ZooCorpusClassRankMapsPassTheExactBijectionCheck) {
-  std::ifstream corpus(std::string(VMN_SOURCE_DIR) +
-                       "/bench/e2e/golden/zoo-random.txt");
-  ASSERT_TRUE(corpus.good());
-  std::size_t specs = 0;
+  const std::vector<test::ZooGolden> corpus = test::zoo_golden(50);
+  ASSERT_EQ(corpus.size(), 50u);
   std::size_t checked = 0;
-  std::string line;
-  while (specs < 50 && std::getline(corpus, line)) {
-    const std::string name = line.substr(0, line.find(' '));
-    io::Spec spec = zoo_spec(name);
+  for (const test::ZooGolden& entry : corpus) {
+    io::Spec spec = zoo_spec(entry.name);
     checked += expect_rank_maps_exact(
         spec.model, spec.invariants,
-        scenarios::derived_max_failures(spec.model), name);
-    ++specs;
+        scenarios::derived_max_failures(spec.model), entry.name);
   }
-  EXPECT_EQ(specs, 50u);
   EXPECT_GT(checked, 0u);
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "encode/encoder.hpp"
 #include "encode/oracle.hpp"
@@ -15,11 +18,14 @@
 #include "mbox/idps.hpp"
 #include "mbox/nat.hpp"
 #include "mbox/wan_optimizer.hpp"
+#include "scenarios/random.hpp"
+#include "sim/replay.hpp"
 #include "smt/model.hpp"
 #include "smt/solver.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
 #include "verify/verifier.hpp"
+#include "zoo_corpus.hpp"
 
 namespace vmn::verify {
 namespace {
@@ -383,6 +389,47 @@ TEST(Verify, NoSliceModeUsesWholeNetwork) {
   VerifyResult r = v.run_one(Invariant::reachable(n.b, n.a));
   EXPECT_EQ(r.slice_size, 3u);  // a, b, gw - the whole edge set
   EXPECT_EQ(r.outcome, Outcome::holds);
+}
+
+TEST(Verify, ZooCorpusVerdictsMatchTheGolden) {
+  // The first 100 specs of the bench/e2e zoo-random corpus, on the inline
+  // executor at the corpus's failure budget: every verdict is the golden
+  // one, none is unknown, and every violation's witness violates its own
+  // invariant when checked concretely.
+  //
+  // One known exception: zoo31's traversal-from h3 h2 wopt. Symbolically a
+  // WAN optimizer's output is a fresh packet, never received by any
+  // optimizer, so the traversal axiom is violated by the last hop out of
+  // wopt1. A trace compares packets by their fields, and the fresh packet's
+  // fields equal the ones wopt1 received, so the concrete check sees a
+  // traversal. ROADMAP item 5(a) keeps the gap open.
+  const std::set<std::pair<std::string, std::size_t>> kSymbolicOnly = {
+      {"zoo31", 0}};
+  const std::vector<test::ZooGolden> corpus = test::zoo_golden(100);
+  ASSERT_EQ(corpus.size(), 100u);
+  std::size_t witnesses = 0;
+  for (const test::ZooGolden& entry : corpus) {
+    const io::Spec spec = test::zoo_spec(entry.name);
+    EngineOptions opts;
+    opts.verify.max_failures = scenarios::derived_max_failures(spec.model);
+    const BatchResult batch =
+        Engine(spec.model, opts).run_batch(spec.invariants);
+    std::string verdicts;
+    for (std::size_t i = 0; i < batch.results.size(); ++i) {
+      const VerifyResult& r = batch.results[i];
+      const Invariant& inv = spec.invariants[i];
+      EXPECT_NE(r.outcome, Outcome::unknown) << entry.name << " #" << i;
+      verdicts += r.outcome == Outcome::holds ? 'H' : 'V';
+      if (r.outcome != Outcome::violated || inv.sat_means_holds()) continue;
+      ASSERT_TRUE(r.counterexample.has_value()) << entry.name << " #" << i;
+      ++witnesses;
+      if (kSymbolicOnly.contains({entry.name, i})) continue;
+      EXPECT_TRUE(sim::trace_violates(*r.counterexample, spec.model, inv))
+          << entry.name << " #" << i;
+    }
+    EXPECT_EQ(verdicts, entry.verdicts) << entry.name;
+  }
+  EXPECT_GT(witnesses, 100u);
 }
 
 }  // namespace

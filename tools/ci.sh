@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one refinement kernel; one
-# delivery walk; one metrics schema; one model reader),
+# delivery walk; one metrics schema; one model reader; one solver flavour),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
@@ -152,6 +152,36 @@ if [ "$(echo "$sites" | grep -c .)" -ne 1 ] \
   echo "ci: want exactly one call site of probe_events_dense in src/," \
        "the decoder's fallback in src/smt/z3_events.cpp:" >&2
   echo "$sites" >&2
+  exit 1
+fi
+
+echo "--- lint: one solver flavour (the incremental SMT core) ---"
+# Z3Solver builds its one z3::solver from z3::solver::simple(), the
+# incremental SMT core alone. The default z3::solver(ctx) pairs that core
+# with a tactic solver every context builds and tears down unused, and a
+# tactic-built solver re-solves from scratch after each push/pop (ROADMAP
+# item 6(b) records the measurements). A second z3::solver object or
+# temporary, or any tactic solver, is a second solver path.
+src_sites() {
+  grep -rEn "$1" "$repo/src" --include='*.cpp' --include='*.hpp' \
+      | grep -Ev ':[0-9]+:[[:space:]]*//' || true
+}
+solvers="$(src_sites 'z3::solver([[:space:]]+[A-Za-z_]|[[:space:]]*[({])')"
+simple="$(src_sites 'z3::solver::simple\(\)')"
+if [ "$(echo "$solvers" | grep -c .)" -ne 1 ] \
+    || ! grep -q "^$repo/src/smt/z3_backend\.cpp:" <<< "$solvers" \
+    || [ "$(echo "$simple" | grep -c .)" -ne 1 ] \
+    || ! grep -q "^$repo/src/smt/z3_backend\.cpp:" <<< "$simple"; then
+  echo "ci: want exactly one z3::solver in src/, in src/smt/z3_backend.cpp," \
+       "built from z3::solver::simple():" >&2
+  echo "$solvers" >&2
+  echo "$simple" >&2
+  exit 1
+fi
+tactics="$(src_sites 'z3::tactic\(|mk_solver\(\)')"
+if [ -n "$tactics" ]; then
+  echo "ci: tactic-built solvers are a second solver path:" >&2
+  echo "$tactics" >&2
   exit 1
 fi
 

@@ -1,42 +1,12 @@
 #include "dataplane/reach.hpp"
 
-#include <algorithm>
-#include <set>
-
 #include "core/error.hpp"
 
 namespace vmn::dataplane {
 
 std::vector<Address> destination_classes(const net::Network& network,
                                          ScenarioId scenario) {
-  // Collect interval boundaries from every prefix in every effective table,
-  // plus every host address (hosts are distinguishable destinations even
-  // without a matching rule).
-  std::set<std::uint64_t> starts;  // 64-bit to hold 2^32 as an end marker
-  starts.insert(0);
-  auto add_prefix = [&](const Prefix& p) {
-    const std::uint64_t lo = Wildcard::from_prefix(p).bits();
-    const std::uint64_t size = Wildcard::from_prefix(p).size();
-    starts.insert(lo);
-    starts.insert(lo + size);
-  };
-  for (const auto& node : network.nodes()) {
-    if (node.kind == net::NodeKind::switch_node) {
-      for (const net::Rule& r :
-           network.effective_table(node.id, scenario).rules()) {
-        add_prefix(r.dst);
-      }
-    } else if (node.kind == net::NodeKind::host) {
-      add_prefix(Prefix::host(node.address));
-    }
-  }
-  std::vector<Address> reps;
-  for (std::uint64_t s : starts) {
-    if (s < (std::uint64_t{1} << 32)) {
-      reps.emplace_back(static_cast<std::uint32_t>(s));
-    }
-  }
-  return reps;
+  return TransferFunction(network, scenario).destination_classes();
 }
 
 std::map<NodeId, HeaderSpace> hsa_reach(const net::Network& network,
@@ -78,24 +48,12 @@ std::map<NodeId, HeaderSpace> hsa_reach(const net::Network& network,
     }
     const net::ForwardingTable& table =
         network.effective_table(item.at, scenario);
-    // Rules that can apply to packets arriving from item.prev, ranked the
-    // same way ForwardingTable::match ranks them.
-    std::vector<const net::Rule*> rules;
-    for (const net::Rule& r : table.rules()) {
-      if (r.in_from && *r.in_from != item.prev) continue;
-      rules.push_back(&r);
-    }
-    std::stable_sort(rules.begin(), rules.end(),
-                     [](const net::Rule* a, const net::Rule* b) {
-                       const auto rank = [](const net::Rule& x) {
-                         return std::tuple(x.dst.length(),
-                                           x.in_from.has_value() ? 1 : 0,
-                                           x.priority);
-                       };
-                       return rank(*a) > rank(*b);
-                     });
+    // Rules that can apply to packets arriving from item.prev, in the order
+    // ForwardingTable::match tries them.
     HeaderSpace remaining = item.space;
-    for (const net::Rule* r : rules) {
+    for (std::uint32_t i : table.ranked()) {
+      const net::Rule* r = &table.rules()[i];
+      if (r->in_from && *r->in_from != item.prev) continue;
       if (remaining.is_empty()) break;
       const HeaderSpace rule_space = HeaderSpace::from_prefix(r->dst);
       HeaderSpace taken = remaining.intersect(rule_space);

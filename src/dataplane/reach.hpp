@@ -21,7 +21,7 @@ namespace vmn::dataplane {
 /// One representative address per destination equivalence class: two
 /// addresses fall in the same class iff every rule of every (effective)
 /// table treats them identically. Returned representatives are the lowest
-/// address of each class.
+/// address of each class: the classes TransferFunction memoises by.
 [[nodiscard]] std::vector<Address> destination_classes(
     const net::Network& network, ScenarioId scenario);
 

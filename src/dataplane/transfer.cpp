@@ -2,33 +2,90 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "core/error.hpp"
+#include "dataplane/headerspace.hpp"
 
 namespace vmn::dataplane {
 
 namespace {
 
-std::uint64_t cache_key(NodeId from, Address dst) {
-  return (std::uint64_t{from.value()} << 32) | dst.bits();
-}
+constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+constexpr std::int32_t kUnknown = -1;
+constexpr std::int32_t kDropped = -2;
 
 }  // namespace
 
 TransferFunction::TransferFunction(const net::Network& network,
                                    ScenarioId scenario)
     : network_(&network), scenario_(scenario) {
-  // Validate the scenario id eagerly.
-  (void)network.scenario(scenario);
+  const std::size_t nodes = network.node_count();
+  tables_.assign(nodes, nullptr);
+  failed_.assign(nodes, 0);
+  row_of_.assign(nodes, kNoRow);
+  // network.scenario() validates the id.
+  for (NodeId n : network.scenario(scenario).failed_nodes) {
+    failed_[n.value()] = 1;
+  }
+  // Class boundaries: both ends of every rule prefix and of every host
+  // address. 64-bit, to hold 2^32 as an end marker.
+  std::vector<std::uint64_t> bounds{0};
+  const auto add_prefix = [&](const Prefix& p) {
+    const Wildcard w = Wildcard::from_prefix(p);
+    bounds.push_back(w.bits());
+    bounds.push_back(w.bits() + w.size());
+  };
+  std::uint32_t rows = 0;
+  for (const net::Node& node : network.nodes()) {
+    if (node.kind == net::NodeKind::switch_node) {
+      const net::ForwardingTable& table =
+          network.effective_table(node.id, scenario);
+      tables_[node.id.value()] = &table;
+      for (const net::Rule& r : table.rules()) add_prefix(r.dst);
+      continue;
+    }
+    row_of_[node.id.value()] = rows++;
+    if (node.kind == net::NodeKind::host) {
+      add_prefix(Prefix::host(node.address));
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  if (bounds.back() == (std::uint64_t{1} << 32)) bounds.pop_back();
+  starts_.assign(bounds.begin(), bounds.end());
+  memo_.assign(std::size_t{rows} * starts_.size(), kUnknown);
+}
+
+bool TransferFunction::is_switch(NodeId id) const {
+  if (id.value() >= tables_.size()) {
+    throw ModelError("unknown node id " + std::to_string(id.value()));
+  }
+  return tables_[id.value()] != nullptr;
+}
+
+std::size_t TransferFunction::row(NodeId from_edge) const {
+  if (is_switch(from_edge)) {
+    throw ModelError("transfer function input must be an edge node, got " +
+                     network_->name(from_edge));
+  }
+  return row_of_[from_edge.value()];
+}
+
+std::size_t TransferFunction::slot(Address dst) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), dst.bits()) -
+      starts_.begin() - 1);
+}
+
+std::vector<Address> TransferFunction::destination_classes() const {
+  return {starts_.begin(), starts_.end()};
 }
 
 std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
                                              std::vector<NodeId>* path) const {
   const net::Network& net = *network_;
-  if (!net.is_edge(from_edge)) {
-    throw ModelError("transfer function input must be an edge node, got " +
-                     net.name(from_edge));
-  }
+  (void)row(from_edge);  // edge nodes only
   if (path != nullptr) path->assign(1, from_edge);
   // Note: a failed *edge* node may still source packets here - whether a
   // down middlebox emits anything is decided by its own axioms (fail-open
@@ -40,18 +97,21 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
   NodeId prev = from_edge;
   std::optional<NodeId> cur;
   for (NodeId n : net.neighbors(from_edge)) {
-    if (net.is_failed(n, scenario_)) continue;
-    if (net.kind(n) == net::NodeKind::switch_node) {
+    if (failed_[n.value()] != 0) continue;
+    if (is_switch(n)) {
       cur = n;
       break;
     }
-    if (net.is_edge(n) && net.node(n).kind == net::NodeKind::host &&
-        net.node(n).address == dst) {
+    const net::Node& node = net.node(n);
+    if (node.kind == net::NodeKind::host && node.address == dst) {
       if (path != nullptr) path->push_back(n);
       return n;
     }
   }
-  if (!cur) return std::nullopt;  // no alive attachment: dropped
+  if (!cur) {  // no alive attachment: dropped
+    if (path != nullptr) path->clear();
+    return std::nullopt;
+  }
 
   // (came_from, at-switch) pairs seen so far. Fabric paths are short, so a
   // linear scan of an inline buffer beats a set; longer walks spill.
@@ -60,7 +120,7 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
   std::size_t seen_count = 0;
   while (true) {
     if (path != nullptr) path->push_back(*cur);
-    if (net.is_edge(*cur)) return *cur;  // delivered to an edge node
+    if (!is_switch(*cur)) return *cur;  // delivered to an edge node
     const std::pair<NodeId, NodeId> hop{prev, *cur};
     const auto seen_end = seen.begin() + std::min(seen_count, seen.size());
     if (std::find(seen.begin(), seen_end, hop) != seen_end ||
@@ -77,10 +137,10 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
       seen_more.push_back(hop);
     }
     ++seen_count;
-    const auto next = net.effective_table(*cur, scenario_).match(prev, dst);
+    const auto next = tables_[cur->value()]->match(prev, dst);
     // Drop on blackholes and on failed *switches*; failed edge nodes still
     // receive (their failure mode decides what happens next).
-    if (!next || (net.is_failed(*next, scenario_) && !net.is_edge(*next))) {
+    if (!next || (is_switch(*next) && failed_[next->value()] != 0)) {
       if (path != nullptr) path->clear();
       return std::nullopt;
     }
@@ -91,13 +151,13 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
 
 std::optional<NodeId> TransferFunction::next_edge(NodeId from_edge,
                                                   Address dst) const {
-  const auto key = cache_key(from_edge, dst);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
-  const std::optional<NodeId> result = walk(from_edge, dst, nullptr);
-  cache_.emplace(key, result);
-  return result;
+  std::int32_t& cell = memo_[row(from_edge) * starts_.size() + slot(dst)];
+  if (cell == kUnknown) {
+    const std::optional<NodeId> to = walk(from_edge, dst, nullptr);
+    cell = to ? static_cast<std::int32_t>(to->value()) : kDropped;
+  }
+  if (cell == kDropped) return std::nullopt;
+  return NodeId(static_cast<NodeId::underlying_type>(cell));
 }
 
 std::vector<NodeId> TransferFunction::path(NodeId from_edge, Address dst) const {

@@ -9,6 +9,7 @@
 // exception when a static forwarding loop is encountered").
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -21,8 +22,19 @@
 namespace vmn::dataplane {
 
 /// The transfer function of `network` under one failure scenario.
-/// Results are memoized; the object holds a reference to the network and
-/// must not outlive it.
+///
+/// Construction snapshots the scenario: each switch's effective forwarding
+/// table (by node id), the failed-node set, and the destination classes of
+/// those tables (see destination_classes()). A walk then does no table or
+/// scenario lookup per hop. The object holds pointers into the network and
+/// must not outlive it; mutating the network (tables, nodes, scenarios)
+/// means building a new TransferFunction.
+///
+/// next_edge() results are memoised in a dense [edge node x destination
+/// class] array, allocated once at construction: nodes x classes cells of
+/// four bytes each. Addresses of one class take the same walk, so one cell
+/// answers them all. A walk that raises (a forwarding loop) is not
+/// memoised.
 class TransferFunction {
  public:
   TransferFunction(const net::Network& network, ScenarioId scenario);
@@ -37,6 +49,11 @@ class TransferFunction {
   /// packet is dropped before reaching another edge node.
   [[nodiscard]] std::vector<NodeId> path(NodeId from_edge, Address dst) const;
 
+  /// One representative per destination class, ascending: the lowest
+  /// address of each run of addresses that no rule of the snapshotted
+  /// tables and no host address tells apart.
+  [[nodiscard]] std::vector<Address> destination_classes() const;
+
   [[nodiscard]] ScenarioId scenario() const { return scenario_; }
   [[nodiscard]] const net::Network& network() const { return *network_; }
 
@@ -45,18 +62,33 @@ class TransferFunction {
   /// the node path to `path` when non-null (next_edge builds none).
   [[nodiscard]] std::optional<NodeId> walk(NodeId from_edge, Address dst,
                                            std::vector<NodeId>* path) const;
+  /// `from_edge`'s memo row; throws ModelError unless it is an edge node.
+  [[nodiscard]] std::size_t row(NodeId from_edge) const;
+  /// The destination class of `dst`: its index in starts_.
+  [[nodiscard]] std::size_t slot(Address dst) const;
+  /// True for a switch of the snapshot (a node with a table).
+  [[nodiscard]] bool is_switch(NodeId id) const;
 
   const net::Network* network_;
   ScenarioId scenario_;
-  mutable std::unordered_map<std::uint64_t, std::optional<NodeId>> cache_;
+  /// Per node id: the switch's effective table, null for edge nodes.
+  std::vector<const net::ForwardingTable*> tables_;
+  /// Per node id: 1 when the scenario fails the node.
+  std::vector<std::uint8_t> failed_;
+  /// Per node id: the edge node's memo row, kNoRow for switches.
+  std::vector<std::uint32_t> row_of_;
+  /// First address of each destination class, ascending; starts with 0.
+  std::vector<std::uint32_t> starts_;
+  /// rows x starts_.size() cells: kUnknown, kDropped or a node id.
+  mutable std::vector<std::int32_t> memo_;
 };
 
 /// Memoizes one TransferFunction per failure scenario of a fixed network.
 ///
-/// Constructing a TransferFunction is cheap, but its per-(edge, destination)
-/// walk results accumulate in an internal memo - so rebuilding one per use
-/// site (as slice computation and canonical keys each did per invariant)
-/// repeats identical fabric walks. A cache instance is single-threaded, like
+/// A TransferFunction snapshots its scenario and accumulates walk results
+/// in its memo, so rebuilding one per use site (as slice computation and
+/// canonical keys each did per invariant) repeats the snapshot and identical
+/// fabric walks. A cache instance is single-threaded, like
 /// the TransferFunctions it hands out; share it only within one planning
 /// pass, never across worker threads.
 class TransferCache {

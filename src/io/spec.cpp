@@ -1,11 +1,14 @@
 #include "io/spec.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
+#include "core/hash.hpp"
 #include "mbox/app_firewall.hpp"
 #include "mbox/content_cache.hpp"
 #include "mbox/firewall.hpp"
@@ -502,46 +505,9 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
   }
 }
 
-}  // namespace
-
-Address parse_address(const std::string& text, int line, int col) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  char extra = 0;
-  if (std::sscanf(text.c_str(), "%u.%u.%u.%u%c", &a, &b, &c, &d, &extra) != 4 ||
-      a > 255 || b > 255 || c > 255 || d > 255) {
-    fail(line, col, "bad address: " + text);
-  }
-  return Address::of(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b),
-                     static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d));
-}
-
-Prefix parse_prefix(const std::string& text, int line, int col) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) {
-    return Prefix::host(parse_address(text, line, col));
-  }
-  const Address base = parse_address(text.substr(0, slash), line, col);
-  const int len = to_int(text.substr(slash + 1), line, col);
-  if (len < 0 || len > 32) fail(line, col, "bad prefix length in: " + text);
-  return Prefix(base, len);
-}
-
-Spec parse_spec(std::istream& in) { return Parser{}.run(in); }
-
-Spec parse_spec_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_spec(in);
-}
-
-Spec load_spec(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open spec file: " + path);
-  return parse_spec(in);
-}
-
-void write_spec(std::ostream& out, const Spec& spec) {
+/// The invariant lines of write_spec, with their expect clauses.
+void write_invariants(std::ostream& out, const Spec& spec) {
   const net::Network& net = spec.model.network();
-  write_network(out, spec.model, [](NodeId) { return true; });
   auto node_name = [&](NodeId n) { return net.name(n); };
   for (std::size_t i = 0; i < spec.invariants.size(); ++i) {
     const encode::Invariant& inv = spec.invariants[i];
@@ -585,6 +551,48 @@ void write_spec(std::ostream& out, const Spec& spec) {
   }
 }
 
+}  // namespace
+
+Address parse_address(const std::string& text, int line, int col) {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  char extra = 0;
+  if (std::sscanf(text.c_str(), "%u.%u.%u.%u%c", &a, &b, &c, &d, &extra) != 4 ||
+      a > 255 || b > 255 || c > 255 || d > 255) {
+    fail(line, col, "bad address: " + text);
+  }
+  return Address::of(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b),
+                     static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d));
+}
+
+Prefix parse_prefix(const std::string& text, int line, int col) {
+  const auto slash = text.find('/');
+  if (slash == std::string::npos) {
+    return Prefix::host(parse_address(text, line, col));
+  }
+  const Address base = parse_address(text.substr(0, slash), line, col);
+  const int len = to_int(text.substr(slash + 1), line, col);
+  if (len < 0 || len > 32) fail(line, col, "bad prefix length in: " + text);
+  return Prefix(base, len);
+}
+
+Spec parse_spec(std::istream& in) { return Parser{}.run(in); }
+
+Spec parse_spec_string(const std::string& text) {
+  std::istringstream in(text);
+  return parse_spec(in);
+}
+
+Spec load_spec(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw Error("cannot open spec file: " + path);
+  return parse_spec(in);
+}
+
+void write_spec(std::ostream& out, const Spec& spec) {
+  write_network(out, spec.model, [](NodeId) { return true; });
+  write_invariants(out, spec);
+}
+
 std::string write_spec_string(const Spec& spec) {
   std::ostringstream out;
   write_spec(out, spec);
@@ -601,35 +609,45 @@ std::string SpecDiff::summary() const {
   return out;
 }
 
-SpecDiff diff_specs(const Spec& before, const Spec& after) {
-  // Diff the canonical serializations, not the raw files: the writer emits
-  // one normalized line per semantic item, so comment/whitespace edits
-  // cancel out and any surviving line difference is a real change.
-  auto lines_of = [](const Spec& spec) {
-    std::vector<std::string> lines;
-    std::istringstream in(write_spec_string(spec));
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
-    return lines;
-  };
-  // Multiset difference (ordered map for deterministic added/removed
-  // ordering): positive count = only in `before`, negative = only in
-  // `after`. Line moves cancel - the writer's ordering is structural, so
-  // a reordered-but-equal spec diffs empty.
-  std::map<std::string, long> count;
-  for (const std::string& l : lines_of(before)) ++count[l];
-  for (const std::string& l : lines_of(after)) --count[l];
+CanonicalSpec canonical_spec(const Spec& spec) {
+  std::ostringstream out;
+  write_network(out, spec.model, [](NodeId) { return true; });
+  CanonicalSpec canonical;
+  canonical.model_fingerprint = fnv1a64(out.view());
+  write_invariants(out, spec);
+  const std::string_view text = out.view();
+  for (std::size_t at = 0; at < text.size();) {
+    std::size_t end = text.find('\n', at);
+    if (end == std::string_view::npos) end = text.size();
+    if (end > at) canonical.lines.emplace_back(text.substr(at, end - at));
+    at = end + 1;
+  }
+  std::sort(canonical.lines.begin(), canonical.lines.end());
+  return canonical;
+}
+
+SpecDiff diff_specs(const CanonicalSpec& before, const CanonicalSpec& after) {
+  // Multiset differences of the sorted lines, so added and removed come out
+  // sorted. Line moves cancel - the writer's ordering is structural, so a
+  // reordered-but-equal spec diffs empty.
   SpecDiff diff;
-  for (const auto& [line, c] : count) {
-    if (c == 0) continue;
-    const bool is_invariant = line.rfind("invariant ", 0) == 0;
-    (is_invariant ? diff.invariants_changed : diff.model_changed) = true;
-    for (long i = 0; i < c; ++i) diff.removed.push_back(line);
-    for (long i = 0; i < -c; ++i) diff.added.push_back(line);
+  std::set_difference(before.lines.begin(), before.lines.end(),
+                      after.lines.begin(), after.lines.end(),
+                      std::back_inserter(diff.removed));
+  std::set_difference(after.lines.begin(), after.lines.end(),
+                      before.lines.begin(), before.lines.end(),
+                      std::back_inserter(diff.added));
+  for (const auto* side : {&diff.removed, &diff.added}) {
+    for (const std::string& line : *side) {
+      const bool is_invariant = line.rfind("invariant ", 0) == 0;
+      (is_invariant ? diff.invariants_changed : diff.model_changed) = true;
+    }
   }
   return diff;
+}
+
+SpecDiff diff_specs(const Spec& before, const Spec& after) {
+  return diff_specs(canonical_spec(before), canonical_spec(after));
 }
 
 void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,

@@ -36,6 +36,7 @@
 //          | reachable <d> <s>
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -130,7 +131,27 @@ struct SpecDiff {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Diffs `before` -> `after` (see SpecDiff).
+/// A spec's canonical serialization (write_spec_string), rendered once for
+/// both uses the serve daemon has for it: the diff against the next edit,
+/// and the cache stamp.
+struct CanonicalSpec {
+  /// The non-empty lines, sorted.
+  std::vector<std::string> lines;
+  /// FNV-1a 64 of the network part (every line before the invariants).
+  /// That part is byte for byte write_projected_spec_string(model,
+  /// encode::all_edge_nodes(model)), so this equals
+  /// verify::model_fingerprint(spec.model).
+  std::uint64_t model_fingerprint = 0;
+};
+
+/// Renders `spec` canonically; throws like write_spec.
+[[nodiscard]] CanonicalSpec canonical_spec(const Spec& spec);
+
+/// Diffs `before` -> `after` (see SpecDiff): their lines' multiset
+/// differences, each sorted.
+[[nodiscard]] SpecDiff diff_specs(const CanonicalSpec& before,
+                                  const CanonicalSpec& after);
+/// Renders both specs and diffs them.
 [[nodiscard]] SpecDiff diff_specs(const Spec& before, const Spec& after);
 
 /// Parses "a.b.c.d" into an address; throws ParseError on bad syntax.

@@ -8,6 +8,7 @@
 // datapath (section 2.3).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +30,13 @@ struct Rule {
 };
 
 /// An ordered rule table with longest-prefix-match semantics.
+///
+/// add() also files each rule into a rank index: rule positions in
+/// descending (prefix length, in-port, priority) order, equal ranks in
+/// insertion order. match() returns the first rule in that order that
+/// applies. The index is built eagerly, so a const table holds no lazily
+/// built state and threads may share it; it stores positions, so a copied
+/// table's index stays valid.
 class ForwardingTable {
  public:
   void add(Rule rule);
@@ -42,12 +50,22 @@ class ForwardingTable {
   [[nodiscard]] std::optional<NodeId> match(std::optional<NodeId> came_from,
                                             Address dst) const;
 
+  /// The rules in insertion order (what the spec writer emits).
   [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }
+  /// Positions in rules() from the highest rank down; match() answers with
+  /// the first applicable one.
+  [[nodiscard]] const std::vector<std::uint32_t>& ranked() const {
+    return ranked_;
+  }
   [[nodiscard]] bool empty() const { return rules_.empty(); }
-  void clear() { rules_.clear(); }
+  void clear() {
+    rules_.clear();
+    ranked_.clear();
+  }
 
  private:
   std::vector<Rule> rules_;
+  std::vector<std::uint32_t> ranked_;
 };
 
 }  // namespace vmn::net

@@ -1,11 +1,11 @@
 #include "sim/simulator.hpp"
 
-#include "dataplane/transfer.hpp"
-
 namespace vmn::sim {
 
 Simulator::Simulator(encode::NetworkModel& model, ScenarioId scenario)
-    : model_(&model), scenario_(scenario) {
+    : model_(&model),
+      scenario_(scenario),
+      transfer_(model.network(), scenario) {
   for (const auto& box : model.middleboxes()) box->sim_reset();
 }
 
@@ -39,8 +39,7 @@ void Simulator::process(NodeId from_edge, const Packet& p) {
   --hop_budget_;
 
   const net::Network& net = model_->network();
-  dataplane::TransferFunction tf(net, scenario_);
-  auto target = tf.next_edge(from_edge, p.dst);
+  auto target = transfer_.next_edge(from_edge, p.dst);
 
   trace_.add(Event{EventKind::send, now_++, from_edge, NodeId{}, p});
   if (!target) return;  // dropped in the fabric

@@ -13,6 +13,7 @@
 #include <functional>
 
 #include "core/trace.hpp"
+#include "dataplane/transfer.hpp"
 #include "encode/model.hpp"
 
 namespace vmn::sim {
@@ -21,7 +22,8 @@ class Simulator {
  public:
   /// The simulator mutates middlebox state; it resets all instances on
   /// construction. Failed (fail-closed) middleboxes drop, fail-open ones
-  /// pass through, per the scenario.
+  /// pass through, per the scenario. The scenario's transfer function is
+  /// built here, so the network must not change while the simulator runs.
   Simulator(encode::NetworkModel& model,
             ScenarioId scenario = net::Network::base_scenario);
 
@@ -45,6 +47,7 @@ class Simulator {
 
   encode::NetworkModel* model_;
   ScenarioId scenario_;
+  dataplane::TransferFunction transfer_;
   Trace trace_;
   std::int64_t now_ = 0;
   std::unordered_map<NodeId, std::vector<Packet>> deliveries_;

@@ -124,14 +124,17 @@ VerifyResult Engine::run_one(const encode::Invariant& invariant) {
 }
 
 void Engine::rebind(const encode::NetworkModel& model) {
+  rebind(model, cache_.enabled() ? model_fingerprint(model) : 0);
+}
+
+void Engine::rebind(const encode::NetworkModel& model,
+                    std::uint64_t fingerprint) {
   model_ = &model;
   // The cache survives the edit: same file (or memory), new stamping
   // generation. Unchanged problems keep their canonical keys and hit;
   // records the edit orphaned are retired at the flush after the next
   // batch proves them dead (see ResultCache).
-  if (cache_.enabled()) {
-    cache_.set_model_fingerprint(model_fingerprint(model));
-  }
+  if (cache_.enabled()) cache_.set_model_fingerprint(fingerprint);
   session_.reset();
   planning_.reset();
 }

@@ -124,6 +124,11 @@ class Engine {
   /// fingerprint, so unchanged slices' canonical keys still hit and the
   /// edit's orphaned records are retired at the next flush.
   void rebind(const encode::NetworkModel& model);
+  /// rebind(model) with the model's cache stamp already computed:
+  /// `fingerprint` must equal model_fingerprint(model). The serve daemon
+  /// takes it from the canonical rendering it diffs (io::CanonicalSpec), so
+  /// a reload renders the spec once.
+  void rebind(const encode::NetworkModel& model, std::uint64_t fingerprint);
 
   [[nodiscard]] ResultCache& cache() { return cache_; }
   [[nodiscard]] const EngineOptions& options() const { return options_; }

@@ -110,6 +110,7 @@ ServeState::ServeState(ServeOptions options) : options_(std::move(options)) {
   }
   io::Spec parsed = io::parse_spec_string(text);  // throws ParseError
   spec_ = std::make_unique<io::Spec>(std::move(parsed));
+  canonical_ = io::canonical_spec(*spec_);
   spec_text_ = text;
   last_seen_text_ = text;
   if (options_.engine.verify.cache_dir.empty()) {
@@ -145,7 +146,9 @@ ServeState::Applied ServeState::apply_text(const std::string& text,
     detail = e.what();
     return Applied::rejected;
   }
-  const io::SpecDiff diff = io::diff_specs(*spec_, parsed);
+  // One rendering of the edit serves both the diff and the cache stamp.
+  io::CanonicalSpec canonical = io::canonical_spec(parsed);
+  const io::SpecDiff diff = io::diff_specs(canonical_, canonical);
   if (diff.empty()) {
     // Comment/whitespace-only edit: adopt the bytes, keep the generation.
     spec_text_ = text;
@@ -157,8 +160,9 @@ ServeState::Applied ServeState::apply_text(const std::string& text,
   auto next = std::make_unique<io::Spec>(std::move(parsed));
   // Rebind before dropping the old spec: the engine swaps its model
   // pointer and resets the lazily-built verifiers, so nothing dangles.
-  engine_->rebind(next->model);
+  engine_->rebind(next->model, canonical.model_fingerprint);
   spec_ = std::move(next);
+  canonical_ = std::move(canonical);
   spec_text_ = text;
   last_error_.clear();
   ++stats_.generation;

@@ -121,6 +121,8 @@ class ServeState {
   /// unique_ptr: Engine and BatchResult hold pointers into the model, so
   /// the spec must be stable in memory and swapped atomically on reload.
   std::unique_ptr<io::Spec> spec_;
+  /// spec_'s canonical rendering: the side of the next diff it is on.
+  io::CanonicalSpec canonical_;
   std::string spec_text_;  ///< raw file content of the served generation
   /// Most recent content examined (served or rejected): the edit poll
   /// compares against this so a broken save is parsed once, not per tick.

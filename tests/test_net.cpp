@@ -50,6 +50,25 @@ TEST(ForwardingTable, LongerPrefixBeatsPriority) {
   EXPECT_EQ(t.match(std::nullopt, Address::of(10, 1, 0, 1)), NodeId{2});
 }
 
+TEST(ForwardingTable, EqualRankTieGoesToTheFirstAdded) {
+  // Same (prefix length, in-port, priority): insertion order decides, and
+  // a later, higher-ranked rule still sorts ahead of both.
+  ForwardingTable t;
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{1}, /*priority=*/3);
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{2}, /*priority=*/3);
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{3});
+  t.add_from(NodeId{9}, Prefix(Address::of(10, 0, 0, 0), 8), NodeId{4});
+  EXPECT_EQ(t.match(std::nullopt, Address::of(10, 0, 0, 1)), NodeId{1});
+  EXPECT_EQ(t.match(NodeId{9}, Address::of(10, 0, 0, 1)), NodeId{3});
+  t.add(Prefix(Address::of(10, 0, 0, 0), 8), NodeId{5}, /*priority=*/4);
+  EXPECT_EQ(t.match(std::nullopt, Address::of(10, 0, 0, 1)), NodeId{5});
+  // rules() keeps insertion order whatever the ranks.
+  ASSERT_EQ(t.rules().size(), 5u);
+  for (std::size_t i = 0; i < t.rules().size(); ++i) {
+    EXPECT_EQ(t.rules()[i].next_hop, NodeId(static_cast<std::uint32_t>(i + 1)));
+  }
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
   Network net;
@@ -122,6 +141,18 @@ TEST_F(NetworkTest, ScenarioTableOverridesStartFromBase) {
   EXPECT_EQ(net.effective_table(sw, Network::base_scenario)
                 .match(std::nullopt, Address(2)),
             std::nullopt);
+  // The copy's rank index came along and keeps ranking what is added
+  // after the copy: a shorter prefix sorts behind the inherited /32, an
+  // equal-rank rule behind the inherited one, a longer-ranked one ahead.
+  net.table(sw, s).add(Prefix(Address(0), 30), b);
+  net.table(sw, s).add(Prefix::host(Address(1)), b);
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), a);
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(3)), b);
+  net.table(sw, s).add(Prefix::host(Address(1)), b, /*priority=*/1);
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), b);
+  EXPECT_EQ(net.effective_table(sw, Network::base_scenario)
+                .match(std::nullopt, Address(1)),
+            a);
 }
 
 TEST_F(NetworkTest, HostAndMiddleboxLists) {

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -191,6 +192,51 @@ std::string segmented_path() {
   return std::string(VMN_SOURCE_DIR) + "/examples/specs/segmented.vmn";
 }
 
+/// segmented.vmn with segment 1's IDPS flipped to monitor mode: its policy
+/// projection (and with it that segment's canonical keys) changes; segment
+/// 0 is untouched.
+std::string idps1_monitor_edit(std::string text) {
+  const std::string from = "idps idps1\n";
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) text.replace(at, from.size(), "idps idps1 monitor\n");
+  return text;
+}
+
+/// segmented.vmn with every host, middlebox and switch renamed AND both
+/// segments moved to new subnets: not one byte of node identity survives.
+std::string pure_rename_edit(std::string renamed) {
+  auto replace_all = [&renamed](const std::string& from,
+                                const std::string& to) {
+    for (std::size_t pos = renamed.find(from); pos != std::string::npos;
+         pos = renamed.find(from, pos + to.size())) {
+      renamed.replace(pos, from.size(), to);
+    }
+  };
+  // Addresses first (name tokens never contain dots, so the two passes
+  // cannot interfere), then every node name.
+  replace_all("10.0.", "10.4.");
+  replace_all("10.1.", "10.5.");
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"srv0", "edge0"},   {"srv1", "edge1"},   {"h0-0", "peer-a"},
+           {"h0-1", "peer-b"},  {"h1-0", "peer-c"},  {"h1-1", "peer-d"},
+           {"idps0", "watch0"}, {"idps1", "watch1"}, {"s0a", "t4a"},
+           {"s0b", "t4b"},      {"s1a", "t5a"},      {"s1b", "t5b"}}) {
+    replace_all(from, to);
+  }
+  // The traversal invariants select middleboxes by name prefix; a pure
+  // rename renames the prefix with the boxes ("idps watch0" keeps the
+  // middlebox TYPE keyword "idps", which stays).
+  replace_all(" idps expect", " watch expect");
+  return renamed;
+}
+
+/// segmented.vmn with one more check appended: no model content changes.
+std::string invariant_only_edit(const std::string& text) {
+  return text + "invariant reachable srv1 h1-0\n";
+}
+
 /// The acceptance scenario: a config edit confined to segment 1 of
 /// segmented.vmn. Segment 0's slices keep their canonical keys (the global
 /// policy-class partition is undisturbed - both idps configs stay unique),
@@ -213,11 +259,7 @@ void expect_incremental_segment_edit(const EngineOptions& eopts) {
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_GT(cold.solver_calls, 0u);
 
-  // Flip segment 1's IDPS to monitor mode: its policy projection (and with
-  // it that segment's canonical keys) changes; segment 0 is untouched.
-  std::string edited = original;
-  edited.replace(edited.find("idps idps1\n"), std::string("idps idps1\n").size(),
-                 "idps idps1 monitor\n");
+  const std::string edited = idps1_monitor_edit(original);
   write_file(path, edited);
   ASSERT_TRUE(state.check_for_edit());
   EXPECT_EQ(state.stats().generation, 2u);
@@ -275,7 +317,7 @@ TEST(ServeIncremental, InvariantOnlyEditAnswersOldJobsFromCache) {
 
   // Appending a check changes no model content: every previously solved
   // job hits the warm cache, only the new invariant's job solves.
-  write_file(path, original + "invariant reachable srv1 h1-0\n");
+  write_file(path, invariant_only_edit(original));
   ASSERT_TRUE(state.check_for_edit());
   const BatchResult& warm = state.last_batch();
   EXPECT_EQ(warm.pool.jobs_executed, cold_jobs + 1);
@@ -307,30 +349,7 @@ TEST(ServeIncremental, PureRenameReloadAnswersEntirelyFromCache) {
   std::vector<Outcome> cold_outcomes;
   for (const auto& r : cold.results) cold_outcomes.push_back(r.outcome);
 
-  std::string renamed = original;
-  auto replace_all = [&renamed](const std::string& from,
-                                const std::string& to) {
-    for (std::size_t pos = renamed.find(from); pos != std::string::npos;
-         pos = renamed.find(from, pos + to.size())) {
-      renamed.replace(pos, from.size(), to);
-    }
-  };
-  // Addresses first (name tokens never contain dots, so the two passes
-  // cannot interfere), then every node name.
-  replace_all("10.0.", "10.4.");
-  replace_all("10.1.", "10.5.");
-  for (const auto& [from, to] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"srv0", "edge0"},   {"srv1", "edge1"},   {"h0-0", "peer-a"},
-           {"h0-1", "peer-b"},  {"h1-0", "peer-c"},  {"h1-1", "peer-d"},
-           {"idps0", "watch0"}, {"idps1", "watch1"}, {"s0a", "t4a"},
-           {"s0b", "t4b"},      {"s1a", "t5a"},      {"s1b", "t5b"}}) {
-    replace_all(from, to);
-  }
-  // The traversal invariants select middleboxes by name prefix; a pure
-  // rename renames the prefix with the boxes ("idps watch0" keeps the
-  // middlebox TYPE keyword "idps", which stays).
-  replace_all(" idps expect", " watch expect");
+  const std::string renamed = pure_rename_edit(original);
   ASSERT_EQ(renamed.find("srv0"), std::string::npos);
   ASSERT_EQ(renamed.find("10.0."), std::string::npos);
 
@@ -561,6 +580,111 @@ TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
   EXPECT_EQ(json_count(batch, "jobs_abandoned"), 1u);
   EXPECT_EQ(json_count(batch, "workers_crashed"), 2u);
   EXPECT_GE(json_count(batch, "workers_respawned"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One rendering per reload: the daemon diffs io::CanonicalSpec renderings
+// and stamps the cache with the rendering's fingerprint.
+
+/// The diff the daemon ran before it rendered each spec once, kept verbatim
+/// as the reference: both specs re-rendered, split, and their lines counted
+/// in an ordered map.
+io::SpecDiff reference_diff(const io::Spec& before, const io::Spec& after) {
+  auto lines_of = [](const io::Spec& spec) {
+    std::vector<std::string> lines;
+    std::istringstream in(io::write_spec_string(spec));
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!line.empty()) lines.push_back(line);
+    }
+    return lines;
+  };
+  std::map<std::string, long> count;
+  for (const std::string& l : lines_of(before)) ++count[l];
+  for (const std::string& l : lines_of(after)) --count[l];
+  io::SpecDiff diff;
+  for (const auto& [line, c] : count) {
+    if (c == 0) continue;
+    const bool is_invariant = line.rfind("invariant ", 0) == 0;
+    (is_invariant ? diff.invariants_changed : diff.model_changed) = true;
+    for (long i = 0; i < c; ++i) diff.removed.push_back(line);
+    for (long i = 0; i < -c; ++i) diff.added.push_back(line);
+  }
+  return diff;
+}
+
+void expect_same_diff(const io::SpecDiff& got, const io::SpecDiff& want) {
+  EXPECT_EQ(got.added, want.added);
+  EXPECT_EQ(got.removed, want.removed);
+  EXPECT_EQ(got.model_changed, want.model_changed);
+  EXPECT_EQ(got.invariants_changed, want.invariants_changed);
+  EXPECT_EQ(got.summary(), want.summary());
+}
+
+/// The rendering's fingerprint equals model_fingerprint on both sides, and
+/// its diff equals both io::diff_specs and the reference. Returns the diff.
+io::SpecDiff expect_one_rendering(const std::string& what,
+                                  const std::string& before_text,
+                                  const std::string& after_text) {
+  SCOPED_TRACE(what);
+  const io::Spec before = io::parse_spec_string(before_text);
+  const io::Spec after = io::parse_spec_string(after_text);
+  const io::CanonicalSpec b = io::canonical_spec(before);
+  const io::CanonicalSpec a = io::canonical_spec(after);
+  EXPECT_EQ(b.model_fingerprint, model_fingerprint(before.model));
+  EXPECT_EQ(a.model_fingerprint, model_fingerprint(after.model));
+  const io::SpecDiff diff = io::diff_specs(b, a);
+  expect_same_diff(diff, io::diff_specs(before, after));
+  expect_same_diff(diff, reference_diff(before, after));
+  return diff;
+}
+
+TEST(ServeRendering, EditCasesDiffAndStampLikeTheReference) {
+  const std::string original = read_file(segmented_path());
+  const std::vector<std::pair<std::string, std::string>> edits{
+      {"idps monitor", idps1_monitor_edit(original)},
+      {"invariant only", invariant_only_edit(original)},
+      {"pure rename", pure_rename_edit(original)},
+      {"formatting only", "# a comment\n\n" + original + "\n\n"}};
+  for (const auto& [what, edited] : edits) {
+    const io::SpecDiff diff = expect_one_rendering(what, original, edited);
+    // The daemon's RELOAD reply carries the same summary.
+    TempSpecDir dir;
+    const std::string path = dir.path + "/segmented.vmn";
+    write_file(path, original);
+    ServeOptions sopts;
+    sopts.spec_path = path;
+    sopts.engine = sequential_opts();
+    ServeState state(sopts);
+    write_file(path, edited);
+    const std::string reply = state.handle_line("RELOAD");
+    const std::string want =
+        diff.empty() ? "OK unchanged generation=1 (formatting-only edit)"
+                     : "OK reloaded generation=2 " + diff.summary() + "; ";
+    EXPECT_EQ(reply.substr(0, want.size()), want) << what;
+  }
+}
+
+TEST(ServeRendering, GeneratorsAndExampleSpecsDiffAndStampLikeTheReference) {
+  std::vector<std::pair<std::string, std::string>> texts{
+      {"datacenter", datacenter_text()},   {"enterprise", enterprise_text()},
+      {"isp", isp_text()},                 {"multitenant", multitenant_text()},
+      {"random", random_text()}};
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(VMN_SOURCE_DIR) + "/examples/specs")) {
+    if (entry.path().extension() != ".vmn") continue;
+    texts.emplace_back(entry.path().filename().string(),
+                       read_file(entry.path().string()));
+  }
+  ASSERT_GE(texts.size(), 8u);
+  // Every ordered pair: unchanged specs, and edits that replace everything.
+  for (const auto& [from, before] : texts) {
+    for (const auto& [to, after] : texts) {
+      const io::SpecDiff diff =
+          expect_one_rendering(from + " -> " + to, before, after);
+      EXPECT_EQ(diff.empty(), from == to) << from << " -> " << to;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one refinement kernel; one
-# delivery walk; one metrics schema; one model reader; one solver flavour),
+# delivery walk; one metrics schema; one model reader; one solver flavour;
+# one transfer memo),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process backend (verdicts must match the thread backend),
@@ -182,6 +183,32 @@ tactics="$(src_sites 'z3::tactic\(|mk_solver\(\)')"
 if [ -n "$tactics" ]; then
   echo "ci: tactic-built solvers are a second solver path:" >&2
   echo "$tactics" >&2
+  exit 1
+fi
+
+echo "--- lint: one transfer memo (snapshotted tables, dense walk memo) ---"
+# TransferFunction (src/dataplane/transfer.cpp) snapshots each switch's
+# effective table in its constructor and memoises walks in a dense
+# [edge node x destination class] array. A hash memo keyed by packed
+# (node, address) words - an unordered_map<std::uint64_t ...> or the
+# cache_key( helper that packed its keys - is the memo it replaced, and an
+# effective_table( call outside the constructor is a per-hop table lookup.
+if grep -rEn 'unordered_map<std::uint64_t|cache_key\(' "$repo/src/dataplane" \
+    | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: a uint64-keyed hash memo in src/dataplane/; TransferFunction" \
+       "memoises walks in its dense [edge node x destination class] array" >&2
+  exit 1
+fi
+tables="$(awk '
+  /^TransferFunction::TransferFunction\(/ { ctor = 1 }
+  /^[[:space:]]*\/\// { next }
+  /effective_table\(/ { print (ctor ? "ctor" : "other") ": " FNR ": " $0 }
+  ctor && /^}/ { ctor = 0 }
+' "$repo/src/dataplane/transfer.cpp")"
+if [ "$(echo "$tables" | grep -c .)" -ne 1 ] || ! grep -q '^ctor:' <<< "$tables"; then
+  echo "ci: want exactly one effective_table( call in" \
+       "src/dataplane/transfer.cpp, in the TransferFunction constructor:" >&2
+  echo "$tables" >&2
   exit 1
 fi
 

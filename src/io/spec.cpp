@@ -4,8 +4,10 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <numeric>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 #include <unordered_set>
 
 #include "core/hash.hpp"
@@ -429,16 +431,52 @@ void write_middlebox(std::ostream& out, const mbox::Middlebox& box) {
   }
 }
 
+/// Per rule of `table`, in order: whether it loses a rank tie. The first
+/// rule added wins a tie (ForwardingTable::match), so a later rule with the
+/// same in-port, prefix and priority but another next hop never matches.
+std::vector<bool> shadowed_rules(const net::ForwardingTable& table) {
+  const std::vector<net::Rule>& rules = table.rules();
+  auto rank = [&](std::size_t i) {
+    const net::Rule& r = rules[i];
+    const int len = r.dst.length();
+    const std::uint32_t mask = len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
+    return std::tuple(len, r.dst.base().bits() & mask,
+                      r.in_from ? std::int64_t{r.in_from->value()} : -1,
+                      r.priority);
+  };
+  std::vector<std::size_t> order(rules.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return rank(a) < rank(b);
+  });
+  std::vector<bool> shadowed(rules.size(), false);
+  for (std::size_t k = 1, first = 0; k < order.size(); ++k) {
+    if (rank(order[k]) != rank(order[first])) {
+      first = k;
+    } else if (rules[order[k]].next_hop != rules[order[first]].next_hop) {
+      shadowed[order[k]] = true;
+    }
+  }
+  return shadowed;
+}
+
 /// Writes `table`'s rules, skipping any rule `keep_rule` rejects (the
 /// projection path drops rules referencing dropped nodes; the full writer
-/// passes an always-true predicate).
+/// passes an always-true predicate). With `shadowed`, also appends
+/// shadowed_rules' flag for each rule written.
 void write_routes(std::ostream& out, const encode::NetworkModel& model,
                   NodeId sw, const net::ForwardingTable& table,
                   const std::string& indent,
-                  const std::function<bool(const net::Rule&)>& keep_rule) {
+                  const std::function<bool(const net::Rule&)>& keep_rule,
+                  std::vector<bool>* shadowed) {
   const net::Network& net = model.network();
-  for (const net::Rule& r : table.rules()) {
+  const std::vector<bool> flags =
+      shadowed != nullptr ? shadowed_rules(table) : std::vector<bool>{};
+  for (std::size_t i = 0; i < table.rules().size(); ++i) {
+    const net::Rule& r = table.rules()[i];
     if (!keep_rule(r)) continue;
+    if (shadowed != nullptr) shadowed->push_back(flags[i]);
     out << indent << "route " << net.name(sw);
     if (r.in_from) out << " from " << net.name(*r.in_from);
     out << " " << r.dst.to_string() << " " << net.name(r.next_hop);
@@ -450,9 +488,11 @@ void write_routes(std::ostream& out, const encode::NetworkModel& model,
 /// The shared body of write_spec and write_projected_spec: emits every node
 /// `kept` admits (plus the middleboxes attached to kept nodes), the links
 /// and route rules whose endpoints are all kept, the scenario blocks, and
-/// the non-default policy lines of kept hosts.
+/// the non-default policy lines of kept hosts. With `shadowed`, appends a
+/// flag per route line written (see write_routes).
 void write_network(std::ostream& out, const encode::NetworkModel& model,
-                   const std::function<bool(NodeId)>& kept) {
+                   const std::function<bool(NodeId)>& kept,
+                   std::vector<bool>* shadowed = nullptr) {
   const net::Network& net = model.network();
   auto keep_rule = [&](const net::Rule& r) {
     return kept(r.next_hop) && (!r.in_from || kept(*r.in_from));
@@ -477,7 +517,7 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
     if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
     write_routes(out, model, n.id,
                  net.effective_table(n.id, net::Network::base_scenario), "",
-                 keep_rule);
+                 keep_rule, shadowed);
   }
   for (std::size_t si = 1; si < net.scenarios().size(); ++si) {
     const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
@@ -492,7 +532,7 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
     for (const net::Node& n : net.nodes()) {
       if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
       write_routes(out, model, n.id, net.effective_table(n.id, sid), "  ",
-                   keep_rule);
+                   keep_rule, shadowed);
     }
     out << "end\n";
   }
@@ -611,16 +651,28 @@ std::string SpecDiff::summary() const {
 
 CanonicalSpec canonical_spec(const Spec& spec) {
   std::ostringstream out;
-  write_network(out, spec.model, [](NodeId) { return true; });
+  // Sorting the lines drops their order, but the first rule added wins a
+  // rank tie: a route line that loses one ends in " (shadowed)", so that
+  // swapping two tied routes is a model change.
+  std::vector<bool> shadowed;
+  write_network(out, spec.model, [](NodeId) { return true; }, &shadowed);
   CanonicalSpec canonical;
   canonical.model_fingerprint = fnv1a64(out.view());
   write_invariants(out, spec);
   const std::string_view text = out.view();
+  std::size_t route = 0;
   for (std::size_t at = 0; at < text.size();) {
     std::size_t end = text.find('\n', at);
     if (end == std::string_view::npos) end = text.size();
-    if (end > at) canonical.lines.emplace_back(text.substr(at, end - at));
+    const std::string_view line = text.substr(at, end - at);
     at = end + 1;
+    if (line.empty()) continue;
+    canonical.lines.emplace_back(line);
+    const std::size_t indent = line.find_first_not_of(' ');
+    if (indent != std::string_view::npos &&
+        line.substr(indent).starts_with("route ") && shadowed[route++]) {
+      canonical.lines.back() += " (shadowed)";
+    }
   }
   std::sort(canonical.lines.begin(), canonical.lines.end());
   return canonical;

@@ -135,7 +135,11 @@ struct SpecDiff {
 /// both uses the serve daemon has for it: the diff against the next edit,
 /// and the cache stamp.
 struct CanonicalSpec {
-  /// The non-empty lines, sorted.
+  /// The non-empty lines, sorted. The first rule added wins a rank tie, so
+  /// a route line that loses one - an earlier rule of its table has the
+  /// same switch, in-port, prefix and priority but another next hop - ends
+  /// in " (shadowed)": swapping two tied routes is a model change, while
+  /// reordering declarations is not.
   std::vector<std::string> lines;
   /// FNV-1a 64 of the network part (every line before the invariants).
   /// That part is byte for byte write_projected_spec_string(model,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,5 +65,12 @@ class Solver {
 /// builds directly on Z3).
 [[nodiscard]] std::unique_ptr<Solver> make_z3_solver(const logic::Vocab& vocab,
                                                      SolverOptions options = {});
+
+/// Z3-backed solvers alive in this process right now. Each holds a Z3
+/// context, whose tables alone are 16.8 MB of touched memory.
+[[nodiscard]] std::size_t live_solvers();
+/// The most Z3-backed solvers that were alive at once since the previous
+/// call (or since start-up); resets the mark to live_solvers().
+std::size_t take_live_solver_peak();
 
 }  // namespace vmn::smt

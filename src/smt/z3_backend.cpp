@@ -2,6 +2,7 @@
 // traces from satisfying models.
 #include <z3++.h>
 
+#include <atomic>
 #include <chrono>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +23,23 @@ using logic::SortPtr;
 using logic::Term;
 using logic::TermKind;
 using logic::TermPtr;
+
+std::atomic<std::size_t> g_live_solvers{0};
+std::atomic<std::size_t> g_live_solver_peak{0};
+
+/// Counts one live Z3Solver for live_solvers(). It is the solver's first
+/// member, so the count covers the whole lifetime of the context.
+struct LiveSolverCount {
+  LiveSolverCount() {
+    const std::size_t now = g_live_solvers.fetch_add(1) + 1;
+    std::size_t peak = g_live_solver_peak.load();
+    while (peak < now && !g_live_solver_peak.compare_exchange_weak(peak, now)) {
+    }
+  }
+  ~LiveSolverCount() { g_live_solvers.fetch_sub(1); }
+  LiveSolverCount(const LiveSolverCount&) = delete;
+  LiveSolverCount& operator=(const LiveSolverCount&) = delete;
+};
 
 class Z3Solver final : public Solver {
  public:
@@ -310,6 +328,7 @@ class Z3Solver final : public Solver {
     z3::sort sort{ctx};
   };
 
+  LiveSolverCount live_;
   const logic::Vocab* vocab_;
   SolverOptions options_;
   /// The Z3 context is internally synchronized state shared by every
@@ -339,6 +358,12 @@ z3_events::Snapshot z3_events::snapshot(const Solver& solver) {
 std::unique_ptr<Solver> make_z3_solver(const logic::Vocab& vocab,
                                        SolverOptions options) {
   return std::make_unique<Z3Solver>(vocab, options);
+}
+
+std::size_t live_solvers() { return g_live_solvers.load(); }
+
+std::size_t take_live_solver_peak() {
+  return g_live_solver_peak.exchange(g_live_solvers.load());
 }
 
 }  // namespace vmn::smt

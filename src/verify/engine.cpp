@@ -1,5 +1,7 @@
 #include "verify/engine.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <set>
@@ -33,6 +35,22 @@ std::uint64_t cache_stamp(const encode::NetworkModel& model,
   const bool cached =
       !options.verify.cache_dir.empty() || options.memory_cache;
   return cached ? model_fingerprint(model) : 0;
+}
+
+/// This process's user and kernel CPU time so far, all threads summed.
+struct CpuTimes {
+  std::chrono::microseconds user{0};
+  std::chrono::microseconds sys{0};
+};
+
+CpuTimes process_cpu_times() {
+  rusage usage{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return {};
+  auto us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return {us(usage.ru_utime), us(usage.ru_stime)};
 }
 
 /// [begin, end) ranges over the solve list, one per executor task.
@@ -147,6 +165,7 @@ BatchResult Engine::run_batch(
 BatchResult Engine::run_batch(
     const std::vector<encode::Invariant>& invariants, bool use_symmetry) {
   const auto start = Clock::now();
+  const CpuTimes cpu_start = process_cpu_times();
   Deadline deadline;
   if (options_.deadline.count() > 0) deadline = start + options_.deadline;
   BatchResult out;
@@ -244,6 +263,9 @@ BatchResult Engine::run_batch(
                                   : 0;
   out.total_time = std::chrono::duration_cast<std::chrono::microseconds>(
       Clock::now() - start);
+  const CpuTimes cpu_end = process_cpu_times();
+  out.cpu_user_time = cpu_end.user - cpu_start.user;
+  out.cpu_sys_time = cpu_end.sys - cpu_start.sys;
   return out;
 }
 

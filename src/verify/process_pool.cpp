@@ -179,9 +179,8 @@ std::optional<WorkerProc> spawn_fork(FdRegistry& registry) {
     ::close(parent_out);
     std::FILE* jobs = ::fdopen(in, "rb");
     std::FILE* results = ::fdopen(out, "wb");
-    ::_exit(jobs != nullptr && results != nullptr
-                ? wire::worker_main(jobs, results)
-                : 4);
+    if (jobs == nullptr || results == nullptr) ::_exit(4);
+    wire::worker_process(jobs, results);
   });
 }
 

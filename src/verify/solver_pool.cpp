@@ -17,14 +17,23 @@ constexpr std::uint64_t kEscalationTimeoutMult = 2;
 
 }  // namespace
 
-void SolverSession::reset_warm(bool keep_transfers) {
-  encoding_.reset();
-  solver_.reset();
-  esc_encoding_.reset();
+void SolverSession::drop_escalation() {
   esc_solver_.reset();
+  esc_encoding_.reset();
+}
+
+void SolverSession::drop_warm() {
+  // Each solver before the encoding whose vocabulary it translated.
+  drop_escalation();
+  solver_.reset();
+  encoding_.reset();
   warm_model_ = nullptr;
   warm_members_.clear();
   warm_failures_ = -1;
+}
+
+void SolverSession::reset_warm(bool keep_transfers) {
+  drop_warm();
   if (!keep_transfers) owned_transfers_.reset();
 }
 
@@ -46,6 +55,7 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   encode::EncodeOptions eopts;
   eopts.max_failures = warm_failures_;
   eopts.transfers = transfers;
+  drop_escalation();  // free before build, as in warm_bind
   esc_encoding_ = std::make_unique<encode::Encoding>(
       *warm_model_, warm_members_, eopts);
   esc_solver_ = smt::make_z3_solver(esc_encoding_->vocab(), esc);
@@ -62,10 +72,16 @@ SolverSession::WarmBound SolverSession::warm_bind(
   // sees what the encoding would.
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());
+  // A previous job's escalation retry is over; its context goes first.
+  drop_escalation();
   if (warm_ && encoding_ != nullptr && warm_model_ == &model &&
       warm_failures_ == max_failures && warm_members_ == members) {
     return WarmBound{*encoding_, *solver_, true};
   }
+  // Free before build: a fresh Z3 context touches 16.8 MB of tables, and
+  // building it while the old one is alive doubles the session's resident
+  // memory and faults in pages the old context's would have served.
+  drop_warm();
   // Per-scenario transfer memo for the new encoding: the borrowed cache
   // when the owner lent one (single-threaded callers only), else a
   // session-owned cache scoped to the model's network - TransferFunction
@@ -121,7 +137,7 @@ void SolverPool::run(
     WorkerStats& stats = stats_[worker];
     for (;;) {
       const std::size_t job = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (job >= count) return;
+      if (job >= count) break;
       const auto start = std::chrono::steady_clock::now();
       try {
         fn(job, session);
@@ -133,6 +149,9 @@ void SolverPool::run(
           std::chrono::steady_clock::now() - start);
       ++stats.jobs;
     }
+    // The last context dies on its own worker thread, beside the other
+    // workers' last checks, not serially on the thread that waits in run().
+    session.reset_warm(/*keep_transfers=*/true);
   };
 
   const std::size_t active = std::min(sessions_.size(), count);

@@ -15,6 +15,14 @@
 // members, failure budget) triple matches, and the caller brackets the
 // per-invariant negation in push()/pop() so the base axioms - and Z3's
 // learned state - survive from job to job.
+//
+// At most one warm context per session: a Z3 context touches 16.8 MB of
+// tables when it is built, so a session frees its old warm state (solver,
+// then encoding, then shape key) before it builds the next, and the new
+// tables land in the pages the old ones freed. The only second context a
+// session ever holds is an escalation retry's, from escalate_bind() to the
+// next bind or reset. A pool worker frees its last context on its own
+// thread before run() returns, so no caller waits on a serial teardown.
 #pragma once
 
 #include <chrono>
@@ -70,17 +78,19 @@ class SolverSession {
 
   /// Returns a solver pre-loaded with the base axioms of (model, members,
   /// failure budget): reuses the live context when the triple matches the
-  /// previous warm_bind (and warm reuse is enabled), otherwise encodes and
-  /// asserts from scratch. Callers must leave the solver at scope level 0
-  /// (every push popped) before the next warm_bind.
+  /// previous warm_bind (and warm reuse is enabled), otherwise frees the
+  /// old warm state and then encodes and asserts from scratch. Either way
+  /// a previous escalation context is freed. Callers must leave the solver
+  /// at scope level 0 (every push popped) before the next warm_bind.
   WarmBound warm_bind(const encode::NetworkModel& model,
                       std::vector<NodeId> members, int max_failures);
 
   /// A fresh context over the *current* warm shape with escalated options
   /// (timeout doubled, perturbed seed), for retrying an unknown verdict.
   /// Kept separate from the warm context so escalation never leaks its
-  /// options into later jobs; freed by reset_warm. Must follow a warm_bind
-  /// (asserts on the warm shape being set).
+  /// options into later jobs; freed by the next warm_bind, escalate_bind or
+  /// reset_warm. Must follow a warm_bind (asserts on the warm shape being
+  /// set).
   WarmBound escalate_bind();
 
   /// Drops the warm encoding + solver. The thread executor calls this at
@@ -113,6 +123,11 @@ class SolverSession {
   }
 
  private:
+  /// Frees the escalation context, solver before encoding.
+  void drop_escalation();
+  /// Frees every context and the warm shape key, keeping the transfer memo.
+  void drop_warm();
+
   smt::SolverOptions options_;
   bool warm_ = true;
   dataplane::TransferCache* borrowed_transfers_ = nullptr;
@@ -169,6 +184,8 @@ class SolverPool {
   /// a task is rethrown here after the pool drains. With a single worker
   /// the tasks run in index order on the calling thread (no thread is
   /// spawned), so `--jobs 1` solves in plan order like the inline executor.
+  /// Each worker resets its session's warm state (keeping its transfer
+  /// memo) before it returns, so no context outlives run().
   void run(std::size_t count,
            const std::function<void(std::size_t, SolverSession&)>& fn);
 

@@ -50,6 +50,8 @@ std::vector<Metric> BatchResult::metrics() const {
       {"solver_calls", solver_calls},
       {"plan_us", us(plan_time)},
       {"total_us", us(total_time)},
+      {"cpu_user_us", us(cpu_user_time)},
+      {"cpu_sys_us", us(cpu_sys_time)},
       {"solve_p50_us", us(solves.percentile(50))},
       {"solve_p95_us", us(solves.percentile(95))},
       {"solve_max_us", us(solves.percentile(100))},

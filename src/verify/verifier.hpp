@@ -173,6 +173,12 @@ struct BatchResult {
   std::size_t solver_calls = 0;
   /// Wall time of the whole run_batch call.
   std::chrono::microseconds total_time{0};
+  /// This process's CPU time over the run_batch call, split into user and
+  /// kernel time (getrusage(RUSAGE_SELF) deltas). Every thread of the
+  /// process counts, the thread executor's workers included; the process
+  /// executor's worker processes do not.
+  std::chrono::microseconds cpu_user_time{0};
+  std::chrono::microseconds cpu_sys_time{0};
   /// Serial planning wall time (slices + canonical keys + classes), the
   /// Amdahl term ahead of the fan-out.
   std::chrono::microseconds plan_time{0};

@@ -469,11 +469,15 @@ void write_result_frame(std::FILE* out, const WireResult& result,
   std::_Exit(4);
 }
 
-}  // namespace
-
-int worker_main(std::FILE* in, std::FILE* out) {
+/// What the worker loop keeps across frames that is costly to free.
+struct WorkerState {
   std::optional<io::Spec> spec;
   std::optional<SolverSession> session;
+};
+
+int run_worker(std::FILE* in, std::FILE* out, WorkerState& state) {
+  std::optional<io::Spec>& spec = state.spec;
+  std::optional<SolverSession>& session = state.session;
   FaultInjector injector;
   std::uint32_t worker_ordinal = 0;
   std::uint64_t dispatch_k = 0;
@@ -560,6 +564,20 @@ int worker_main(std::FILE* in, std::FILE* out) {
     return 2;
   }
   return 0;
+}
+
+}  // namespace
+
+int worker_main(std::FILE* in, std::FILE* out) {
+  WorkerState state;
+  return run_worker(in, out, state);
+}
+
+void worker_process(std::FILE* in, std::FILE* out) {
+  WorkerState state;
+  const int status = run_worker(in, out, state);
+  (void)std::fflush(out);
+  std::_Exit(status);  // `state` is never destroyed
 }
 
 }  // namespace vmn::verify::wire

@@ -219,4 +219,10 @@ struct ResolvedJob {
 /// unknowns/timeouts), the one route by which faults reach a worker.
 int worker_main(std::FILE* in, std::FILE* out);
 
+/// worker_main as a whole process, for `vmn worker` and the fork-mode
+/// child: flushes `out` and exits with worker_main's status without freeing
+/// the session's last Z3 context or the spec. The dispatcher waits in
+/// waitpid for this exit, and the kernel reclaims the memory anyway.
+[[noreturn]] void worker_process(std::FILE* in, std::FILE* out);
+
 }  // namespace vmn::verify::wire

@@ -22,8 +22,10 @@
 #include "scenarios/multitenant.hpp"
 #include "scenarios/segmented.hpp"
 #include "sim/replay.hpp"
+#include "smt/solver.hpp"
 #include "util.hpp"
 #include "verify/engine.hpp"
+#include "verify/solver_pool.hpp"
 #include "verify/verifier.hpp"
 
 namespace vmn::verify {
@@ -1067,6 +1069,78 @@ TEST(SolverPoolTest, RunsEveryJobExactlyOnceAcrossWorkers) {
   std::size_t total = 0;
   for (const WorkerStats& w : pool.stats()) total += w.jobs;
   EXPECT_EQ(total, kJobs);
+}
+
+/// Three distinct member sets the planner gives a four-subnet enterprise,
+/// for tests that bind a session to different shapes.
+std::vector<std::vector<NodeId>> three_shapes(
+    const encode::NetworkModel& model,
+    const std::vector<Invariant>& invariants) {
+  const JobPlan plan = Engine(model).plan(invariants);
+  std::vector<std::vector<NodeId>> shapes;
+  for (const Job& job : plan.jobs) {
+    if (shapes.size() < 3 &&
+        std::find(shapes.begin(), shapes.end(), job.encode_members()) ==
+            shapes.end()) {
+      shapes.push_back(job.encode_members());
+    }
+  }
+  return shapes;
+}
+
+TEST(SolverSessionTest, HoldsOneWarmContextAndOneMoreDuringAnEscalation) {
+  // A Z3 context touches 16.8 MB of tables: a session frees its old warm
+  // context before it builds the next, so rebinding never holds two, and
+  // an escalation retry is the only context beside the warm one.
+  scenarios::EnterpriseParams p;
+  p.subnets = 4;
+  p.hosts_per_subnet = 1;
+  scenarios::Enterprise e = scenarios::make_enterprise(p);
+  const std::vector<std::vector<NodeId>> shapes =
+      three_shapes(e.model, e.invariants);
+  ASSERT_EQ(shapes.size(), 3u);
+  ASSERT_EQ(smt::live_solvers(), 0u);
+  (void)smt::take_live_solver_peak();
+  SolverSession session(smt::SolverOptions{});
+
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_FALSE(session.warm_bind(e.model, shapes[k], 0).reused);
+    EXPECT_EQ(smt::take_live_solver_peak(), 1u) << "bind to shape " << k;
+  }
+  EXPECT_TRUE(session.warm_bind(e.model, shapes[1], 0).reused);
+  EXPECT_EQ(smt::take_live_solver_peak(), 1u);
+
+  (void)session.escalate_bind();
+  EXPECT_EQ(smt::take_live_solver_peak(), 2u);
+  (void)session.escalate_bind();
+  EXPECT_EQ(smt::take_live_solver_peak(), 2u) << "second escalation";
+
+  // Rebinding ends the escalation: its context goes with the old warm one.
+  EXPECT_FALSE(session.warm_bind(e.model, shapes[2], 0).reused);
+  EXPECT_LE(smt::take_live_solver_peak(), 2u);
+  EXPECT_EQ(smt::live_solvers(), 1u);
+  session.reset_warm();
+  EXPECT_EQ(smt::live_solvers(), 0u);
+}
+
+TEST(SolverPoolTest, RunReturnsWithNoLiveContext) {
+  // Each worker frees its last context on its own thread before run()
+  // returns; none waits for the pool's destructor.
+  scenarios::EnterpriseParams p;
+  p.subnets = 4;
+  p.hosts_per_subnet = 1;
+  scenarios::Enterprise e = scenarios::make_enterprise(p);
+  const std::vector<std::vector<NodeId>> shapes =
+      three_shapes(e.model, e.invariants);
+  ASSERT_EQ(shapes.size(), 3u);
+  ASSERT_EQ(smt::live_solvers(), 0u);
+  for (const std::size_t workers : {1u, 2u}) {
+    SolverPool pool(workers, smt::SolverOptions{});
+    pool.run(shapes.size(), [&](std::size_t task, SolverSession& session) {
+      (void)session.warm_bind(e.model, shapes[task], 0);
+    });
+    EXPECT_EQ(smt::live_solvers(), 0u) << workers << " workers";
+  }
 }
 
 TEST(SolverPoolTest, PropagatesJobExceptions) {

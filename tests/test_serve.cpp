@@ -367,6 +367,62 @@ TEST(ServeIncremental, PureRenameReloadAnswersEntirelyFromCache) {
   }
 }
 
+TEST(ServeIncremental, SwappingEqualRankRoutesReplans) {
+  // Two routes to b's address tie on rank, and the first one added wins:
+  // swapping them sends b's traffic to c. The canonical rendering keeps
+  // that order, so the reload re-plans, and every verdict - the warm
+  // result cache's included - equals a cold Engine's on the swapped spec.
+  const std::string head =
+      "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\nswitch s\n"
+      "link a s\nlink b s\nlink c s\n"
+      "route s 10.0.0.1 a\nroute s 10.0.0.3 c\n";
+  const std::string tail =
+      "invariant reachable b a\ninvariant reachable c a\n"
+      "invariant node-isolation b a\n";
+  const std::string before =
+      head + "route s 10.0.0.2 b\nroute s 10.0.0.2 c\n" + tail;
+  const std::string after =
+      head + "route s 10.0.0.2 c\nroute s 10.0.0.2 b\n" + tail;
+  EXPECT_TRUE(io::diff_specs(io::parse_spec_string(before),
+                             io::parse_spec_string(after))
+                  .model_changed);
+  // Declaration order still carries no meaning.
+  const std::string reordered =
+      "host c 10.0.0.3\nhost b 10.0.0.2\nhost a 10.0.0.1\n" +
+      before.substr(before.find("switch s"));
+  EXPECT_TRUE(io::diff_specs(io::parse_spec_string(before),
+                             io::parse_spec_string(reordered))
+                  .empty());
+
+  TempSpecDir dir;
+  const std::string path = dir.path + "/ties.vmn";
+  write_file(path, before);
+  ServeOptions sopts;
+  sopts.spec_path = path;
+  sopts.engine = sequential_opts();
+  ServeState state(sopts);
+  ASSERT_EQ(token(state.handle_line("VERDICT 0"), 1), "holds");
+
+  for (const std::string* text : {&after, &before, &after}) {
+    write_file(path, *text);
+    const std::string reply = state.handle_line("RELOAD");
+    EXPECT_EQ(reply.rfind("OK reloaded", 0), 0u) << reply;
+    io::Spec spec = io::parse_spec_string(*text);
+    Engine cold(spec.model, sequential_opts());
+    const BatchResult ref = cold.run_batch(spec.invariants);
+    ASSERT_EQ(state.last_batch().results.size(), ref.results.size());
+    for (std::size_t i = 0; i < ref.results.size(); ++i) {
+      const std::string resp =
+          state.handle_line("VERDICT " + std::to_string(i));
+      EXPECT_EQ(token(resp, 1), to_string(ref.results[i].outcome))
+          << (text == &after ? "swapped" : "restored") << ": " << resp;
+    }
+  }
+  // The swapped spec's reachable(b, a) does not hold: b's address now
+  // leads to c.
+  EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "violated");
+}
+
 TEST(ServeProtocol, VerdictByIndexAndByDescriptionAgree) {
   TempSpecDir dir;
   const std::string path = dir.path + "/segmented.vmn";

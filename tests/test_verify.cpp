@@ -381,6 +381,24 @@ TEST(Verify, SubMillisecondPlanAndSolveTimesAreMeasured) {
   EXPECT_EQ(solved, batch.solver_calls);
 }
 
+TEST(Verify, BatchCpuTimeIsSplitIntoUserAndKernel) {
+  io::Spec spec = io::load_spec(std::string(VMN_SOURCE_DIR) +
+                                "/examples/specs/segmented.vmn");
+  const BatchResult batch = Engine(spec.model).run_batch(spec.invariants);
+  ASSERT_GT(batch.solver_calls, 0u);
+  std::uint64_t user_us = 0;
+  std::uint64_t sys_us = 1;
+  for (const Metric& m : batch.metrics()) {
+    if (m.name == "cpu_user_us") user_us = m.value;
+    if (m.name == "cpu_sys_us") sys_us = m.value;
+  }
+  // Solving is user time.
+  EXPECT_GT(user_us, 0u);
+  EXPECT_EQ(user_us,
+            static_cast<std::uint64_t>(batch.cpu_user_time.count()));
+  EXPECT_EQ(sys_us, static_cast<std::uint64_t>(batch.cpu_sys_time.count()));
+}
+
 TEST(Verify, NoSliceModeUsesWholeNetwork) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Gateway>("gw"));
   VerifyOptions opts;

@@ -244,6 +244,36 @@ verdicts() {
            } }'
 }
 
+echo "--- smoke: memory (one Z3 context at a time, freed pages kept) ---"
+# Every Z3 context touches 16.8 MB of tables. A session frees its old
+# context before it builds the next, and vmn keeps freed heap pages, so a
+# later context reuses them: the enterprise spec peaks at ~32 MB and ~5k
+# minor faults (48 MB and 13.3k before). A second live context, or tables
+# unmapped on free, puts a run back above these bounds. Sanitizer runtimes
+# replace the allocator, so the smoke needs a plain build.
+if [ "${VMN_SANITIZE:-OFF}" = "ON" ]; then
+  echo "ci: memory smoke skipped (sanitizer build)" >&2
+elif ! command -v python3 > /dev/null; then
+  echo "ci: memory smoke skipped (needs python3 to read the child's rusage)" >&2
+else
+  # posix_spawn, not fork: a forked Python child's copy-on-write faults
+  # before exec would count as the child's.
+  read -r rss_kb faults <<< "$(python3 -c '
+import os, sys
+devnull = os.open(os.devnull, os.O_WRONLY)
+pid = os.posix_spawn(sys.argv[1], [sys.argv[1], "verify", sys.argv[2]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, devnull, 1)])
+_, status, usage = os.wait4(pid, 0)
+if os.waitstatus_to_exitcode(status) != 0:
+    sys.exit("vmn verify failed")
+print(usage.ru_maxrss, usage.ru_minflt)' "$build/vmn" "$spec")"
+  echo "vmn verify enterprise.vmn: peak RSS ${rss_kb} KB, ${faults} minor faults"
+  if [ "$rss_kb" -gt $((40 * 1024)) ] || [ "$faults" -gt 8000 ]; then
+    echo "ci: vmn verify peaked above 40 MB or 8000 minor faults" >&2
+    exit 1
+  fi
+fi
+
 echo "--- smoke: parallel batch verify (enterprise spec, 2 workers) ---"
 thread_out="$("$build/vmn" verify "$spec" --batch --jobs 2)"
 echo "$thread_out"

@@ -1,6 +1,6 @@
 // Parallel scaling of the policy-scaling experiment (Fig 3 workload): the
-// datacenter isolation batch is verified by the Engine at
-// 1/2/4/8 workers. Per-slice checks share no state, so on k cores the
+// datacenter isolation batch is verified by the Engine's process executor
+// (workers forked from this binary) at 1/2/4/8 workers. Per-slice checks share no state, so on k cores the
 // batch should approach k-fold speedup; the `speedup_vs_1` counter reports
 // the measured ratio against the 1-worker wall time of the same batch
 // (expect >= 1.5x at 4 workers on >= 4 physical cores; on fewer cores the
@@ -334,22 +334,17 @@ void BM_Fig8Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig8Batch)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// --- backend comparison: threads vs forked worker processes -----------------
+// --- a healthy process-executor batch ---------------------------------------
 //
-// The process backend pays fork + projected-spec re-parse + frame traffic
-// per batch; `overhead_vs_thread` prices that isolation (and crash
-// tolerance) against the in-process pool on the same workload. Expect a
-// modest constant factor - the solver dominates per-job cost - which is
-// the number the ROADMAP's multi-host dispatch builds on.
+// The process executor pays fork + projected-spec re-parse + frame traffic
+// per batch. A healthy run must lose no worker and abandon no job; its
+// counters pin the executor's fan-out on the datacenter batch.
 
 void BM_BatchBackend(benchmark::State& state) {
-  const bool use_process = state.range(0) != 0;
   Datacenter dc = make();
   const scenarios::Batch batch = dc.batch();
   EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
-  opts.backend =
-      use_process ? verify::Backend::process : verify::Backend::thread;
   Engine v(dc.model, opts);
   verify::BatchResult last;
   for (auto _ : state) {
@@ -363,39 +358,25 @@ void BM_BatchBackend(benchmark::State& state) {
       }
     }
     if (r.pool.workers_crashed != 0 || r.degradation.abandoned() != 0) {
-      state.SkipWithError("process backend lost workers on a healthy run");
+      state.SkipWithError("process executor lost workers on a healthy run");
       return;
     }
     benchmark::DoNotOptimize(r);
     last = std::move(r);
   }
-  static double thread_wall_us = 0;  // Arg(0) is registered (and runs) first
-  const auto wall_us = static_cast<double>(last.total_time.count());
-  if (!use_process) thread_wall_us = wall_us;
-  // 0 marks "baseline not measured" (e.g. --benchmark_filter ran only the
-  // process arm); recording a fake 1.0 would hide real overhead in the
-  // CI-uploaded perf trajectory.
-  const double overhead = !use_process          ? 1.0
-                          : thread_wall_us > 0 ? wall_us / thread_wall_us
-                                               : 0.0;
-  state.counters["overhead_vs_thread"] = benchmark::Counter(overhead);
-  std::map<std::string, double> values = bench::batch_values(last);
-  values["overhead_vs_thread"] = overhead;
-  bench::BenchJson::instance().record(
-      std::string("backend/") + (use_process ? "process" : "thread"), values);
+  bench::BenchJson::instance().record("backend/process",
+                                      bench::batch_values(last));
 }
-BENCHMARK(BM_BatchBackend)
-    ->Arg(0)->Arg(1)
-    ->ArgNames({"process"})->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_BatchBackend)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // --- fault resilience: crash-loop quarantine, unknown escalation ------------
 //
 // The self-healing counters the trajectory pins. faults/quarantine runs the
-// process backend under a deterministic crash-job=0 plan: job 0 kills two
+// process executor under a deterministic crash-job=0 plan: job 0 kills two
 // workers, is quarantined by crash-loop attribution (its invariants - and
 // only those - come back unknown), and every other verdict matches the
-// fault-free expectation. faults/escalation runs the thread backend with
-// every first solve forced unknown: each job escalates once (perturbed
+// fault-free expectation. faults/escalation runs the process executor
+// with every first solve forced unknown: each job escalates once (perturbed
 // seed, longer timeout), every escalation is rescued, and the batch ends
 // with zero unknowns. All counters here are fixed by (spec, plan, jobs=2)
 // except the ones bench_diff.py lists as scheduling-dependent (a crash
@@ -407,7 +388,6 @@ void BM_FaultQuarantine(benchmark::State& state) {
   const scenarios::Batch batch = dc.batch();
   EngineOptions opts{.batch = true, .jobs = 2};
   opts.verify.solver.seed = 1;
-  opts.backend = verify::Backend::process;
   opts.verify.faults = verify::FaultPlan::parse("crash-job=0");
   Engine v(dc.model, opts);
   verify::BatchResult last;

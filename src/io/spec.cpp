@@ -4,10 +4,12 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/hash.hpp"
@@ -249,6 +251,7 @@ class Parser {
 
   void in_scenario(const std::vector<std::string>& tok) {
     if (tok[0] == "end") {
+      apply_scenario_routes();
       mode_ = Mode::top;
       return;
     }
@@ -283,12 +286,19 @@ class Parser {
       }
       priority = to_int(tok[i + 1], line_, col(i + 1));
     }
-    net::ForwardingTable& table = spec_.model.network().table(sw, scenario);
-    if (from) {
-      table.add_from(*from, prefix, hop, priority);
+    const net::Rule rule{prefix, hop, from, priority};
+    if (scenario == net::Network::base_scenario) {
+      spec_.model.network().table(sw).add(rule);
     } else {
-      table.add(prefix, hop, priority);
+      scenario_routes_[sw].push_back(rule);  // applied at the block's end
     }
+  }
+
+  void apply_scenario_routes() {
+    for (const auto& [sw, routes] : scenario_routes_) {
+      spec_.model.network().override_routes(sw, scenario_, routes);
+    }
+    scenario_routes_.clear();
   }
 
   void resolve_invariant(const PendingInvariant& p) {
@@ -371,6 +381,8 @@ class Parser {
   std::vector<mbox::CacheAclEntry> cache_entries_;
   // scenario block state
   ScenarioId scenario_;
+  /// The block's route lines per switch, in order.
+  std::unordered_map<NodeId, std::vector<net::Rule>> scenario_routes_;
   std::vector<PendingInvariant> pending_invariants_;
 };
 
@@ -436,14 +448,7 @@ void write_middlebox(std::ostream& out, const mbox::Middlebox& box) {
 /// same in-port, prefix and priority but another next hop never matches.
 std::vector<bool> shadowed_rules(const net::ForwardingTable& table) {
   const std::vector<net::Rule>& rules = table.rules();
-  auto rank = [&](std::size_t i) {
-    const net::Rule& r = rules[i];
-    const int len = r.dst.length();
-    const std::uint32_t mask = len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
-    return std::tuple(len, r.dst.base().bits() & mask,
-                      r.in_from ? std::int64_t{r.in_from->value()} : -1,
-                      r.priority);
-  };
+  auto rank = [&](std::size_t i) { return net::tie_rank(rules[i]); };
   std::vector<std::size_t> order(rules.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
@@ -461,22 +466,31 @@ std::vector<bool> shadowed_rules(const net::ForwardingTable& table) {
   return shadowed;
 }
 
+/// What canonical_spec needs to know of a written route line: the
+/// scenario block it sits in (base_scenario outside any) and whether it
+/// loses a rank tie (shadowed_rules).
+struct RouteLine {
+  ScenarioId scenario;
+  bool shadowed = false;
+};
+
 /// Writes `table`'s rules, skipping any rule `keep_rule` rejects (the
 /// projection path drops rules referencing dropped nodes; the full writer
-/// passes an always-true predicate). With `shadowed`, also appends
-/// shadowed_rules' flag for each rule written.
+/// passes an always-true predicate). With `lines`, also appends a RouteLine
+/// for each rule written.
 void write_routes(std::ostream& out, const encode::NetworkModel& model,
-                  NodeId sw, const net::ForwardingTable& table,
-                  const std::string& indent,
+                  NodeId sw, ScenarioId scenario,
                   const std::function<bool(const net::Rule&)>& keep_rule,
-                  std::vector<bool>* shadowed) {
+                  std::vector<RouteLine>* lines) {
   const net::Network& net = model.network();
+  const net::ForwardingTable& table = net.effective_table(sw, scenario);
   const std::vector<bool> flags =
-      shadowed != nullptr ? shadowed_rules(table) : std::vector<bool>{};
+      lines != nullptr ? shadowed_rules(table) : std::vector<bool>{};
+  const char* indent = scenario == net::Network::base_scenario ? "" : "  ";
   for (std::size_t i = 0; i < table.rules().size(); ++i) {
     const net::Rule& r = table.rules()[i];
     if (!keep_rule(r)) continue;
-    if (shadowed != nullptr) shadowed->push_back(flags[i]);
+    if (lines != nullptr) lines->push_back(RouteLine{scenario, flags[i]});
     out << indent << "route " << net.name(sw);
     if (r.in_from) out << " from " << net.name(*r.in_from);
     out << " " << r.dst.to_string() << " " << net.name(r.next_hop);
@@ -488,11 +502,11 @@ void write_routes(std::ostream& out, const encode::NetworkModel& model,
 /// The shared body of write_spec and write_projected_spec: emits every node
 /// `kept` admits (plus the middleboxes attached to kept nodes), the links
 /// and route rules whose endpoints are all kept, the scenario blocks, and
-/// the non-default policy lines of kept hosts. With `shadowed`, appends a
-/// flag per route line written (see write_routes).
+/// the non-default policy lines of kept hosts. With `lines`, appends a
+/// RouteLine per route line written (see write_routes).
 void write_network(std::ostream& out, const encode::NetworkModel& model,
                    const std::function<bool(NodeId)>& kept,
-                   std::vector<bool>* shadowed = nullptr) {
+                   std::vector<RouteLine>* lines = nullptr) {
   const net::Network& net = model.network();
   auto keep_rule = [&](const net::Rule& r) {
     return kept(r.next_hop) && (!r.in_from || kept(*r.in_from));
@@ -515,9 +529,8 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
   }
   for (const net::Node& n : net.nodes()) {
     if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
-    write_routes(out, model, n.id,
-                 net.effective_table(n.id, net::Network::base_scenario), "",
-                 keep_rule, shadowed);
+    write_routes(out, model, n.id, net::Network::base_scenario, keep_rule,
+                 lines);
   }
   for (std::size_t si = 1; si < net.scenarios().size(); ++si) {
     const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
@@ -528,11 +541,11 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
       for (NodeId n : sc.failed_nodes) out << " " << net.name(n);
     }
     out << "\n";
-    // Scenario tables are written in full (they started as copies).
+    // Scenario tables are written in full: each rank of a full table
+    // replaces itself when parsed back (Network::override_routes).
     for (const net::Node& n : net.nodes()) {
       if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
-      write_routes(out, model, n.id, net.effective_table(n.id, sid), "  ",
-                   keep_rule, shadowed);
+      write_routes(out, model, n.id, sid, keep_rule, lines);
     }
     out << "end\n";
   }
@@ -653,12 +666,15 @@ CanonicalSpec canonical_spec(const Spec& spec) {
   std::ostringstream out;
   // Sorting the lines drops their order, but the first rule added wins a
   // rank tie: a route line that loses one ends in " (shadowed)", so that
-  // swapping two tied routes is a model change.
-  std::vector<bool> shadowed;
-  write_network(out, spec.model, [](NodeId) { return true; }, &shadowed);
+  // swapping two tied routes is a model change. Sorting also drops which
+  // scenario block a route line sits in, so each block's route lines carry
+  // the block's name.
+  std::vector<RouteLine> routes;
+  write_network(out, spec.model, [](NodeId) { return true; }, &routes);
   CanonicalSpec canonical;
   canonical.model_fingerprint = fnv1a64(out.view());
   write_invariants(out, spec);
+  const net::Network& net = spec.model.network();
   const std::string_view text = out.view();
   std::size_t route = 0;
   for (std::size_t at = 0; at < text.size();) {
@@ -667,12 +683,18 @@ CanonicalSpec canonical_spec(const Spec& spec) {
     const std::string_view line = text.substr(at, end - at);
     at = end + 1;
     if (line.empty()) continue;
-    canonical.lines.emplace_back(line);
-    const std::size_t indent = line.find_first_not_of(' ');
-    if (indent != std::string_view::npos &&
-        line.substr(indent).starts_with("route ") && shadowed[route++]) {
-      canonical.lines.back() += " (shadowed)";
+    const std::string_view body = line.substr(line.find_first_not_of(' '));
+    if (!body.starts_with("route ")) {
+      canonical.lines.emplace_back(line);
+      continue;
     }
+    const RouteLine& tag = routes[route++];
+    std::string& rendered = canonical.lines.emplace_back(
+        tag.scenario == net::Network::base_scenario
+            ? std::string(line)
+            : "scenario " + net.scenario(tag.scenario).name + ": " +
+                  std::string(body));
+    if (tag.shadowed) rendered += " (shadowed)";
   }
   std::sort(canonical.lines.begin(), canonical.lines.end());
   return canonical;
@@ -712,8 +734,40 @@ void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,
   for (const net::FailureScenario& sc : net.scenarios()) {
     for (NodeId n : sc.failed_nodes) keep.insert(n);
   }
+  // A scenario's route replaces the base rules it ties with
+  // (Network::override_routes). Where a scenario table's rules of some tie
+  // rank differ from the base table's, their endpoints stay too: were one
+  // cut, the re-parsed block would not name that rank, and the worker
+  // would fall back to the base rules the scenario had replaced.
+  using HopsByRank = std::map<net::TieRank, std::vector<NodeId>>;
+  auto hops_by_rank = [](const net::ForwardingTable& table) {
+    HopsByRank hops;
+    for (const net::Rule& r : table.rules()) {
+      hops[net::tie_rank(r)].push_back(r.next_hop);
+    }
+    return hops;
+  };
   for (const net::Node& n : net.nodes()) {
-    if (n.kind == net::NodeKind::switch_node) keep.insert(n.id);
+    if (n.kind != net::NodeKind::switch_node) continue;
+    keep.insert(n.id);
+    const net::ForwardingTable& base =
+        net.effective_table(n.id, net::Network::base_scenario);
+    std::optional<HopsByRank> base_hops;
+    for (std::size_t si = 1; si < net.scenarios().size(); ++si) {
+      const net::ForwardingTable& table = net.effective_table(
+          n.id, ScenarioId(static_cast<ScenarioId::underlying_type>(si)));
+      if (&table == &base) continue;
+      if (!base_hops) base_hops = hops_by_rank(base);
+      const HopsByRank hops = hops_by_rank(table);
+      for (const net::Rule& r : table.rules()) {
+        const auto it = base_hops->find(net::tie_rank(r));
+        if (it == base_hops->end() || it->second == hops.at(it->first)) {
+          continue;
+        }
+        keep.insert(r.next_hop);
+        if (r.in_from) keep.insert(*r.in_from);
+      }
+    }
   }
   write_network(out, model,
                 [&](NodeId id) { return keep.count(id) != 0; });

@@ -34,6 +34,13 @@
 //          | data-isolation <d> <s> | no-malicious <d>
 //          | traversal <d> <type-prefix> | traversal-from <d> <s> <prefix>
 //          | reachable <d> <s>
+//
+// A scenario's table for a switch starts as a copy of the switch's base
+// table. Each route line of the block replaces the copied base rules with
+// its in-port, prefix and priority; the other copied rules still apply, and
+// among the block's own lines the first one wins a tie, as in the base
+// (net::Network::override_routes). The writer renders every scenario table
+// in full, which re-parses to itself: each of its ranks replaces itself.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +99,13 @@ void write_spec(std::ostream& out, const Spec& spec);
 /// Serializes the projection of `model` onto a slice: the member edge nodes
 /// (hosts and middleboxes in `members`), every node named by a failure
 /// scenario (so the scenario set - and with it the failure budget filter -
-/// is preserved verbatim), the whole switching fabric, the links among kept
-/// nodes, and every route whose next hop (and `from` qualifier, if any)
-/// survives the projection. Invariants are not written; the wire job frame
-/// carries its own (verify/wire.hpp).
+/// is preserved verbatim), the whole switching fabric, both ends of every
+/// scenario rule that replaced base rules of its tie rank (so each
+/// scenario's table re-parses to its own table restricted to the kept
+/// nodes, never to a replaced base rule), the links among kept nodes, and
+/// every route whose next hop (and `from` qualifier, if any) survives the
+/// projection. Invariants are not written; the wire job frame carries its
+/// own (verify/wire.hpp).
 ///
 /// Soundness rests on slices being closed under forwarding: a transfer walk
 /// between slice addresses never needs a dropped edge node (closure would
@@ -139,7 +149,9 @@ struct CanonicalSpec {
   /// a route line that loses one - an earlier rule of its table has the
   /// same switch, in-port, prefix and priority but another next hop - ends
   /// in " (shadowed)": swapping two tied routes is a model change, while
-  /// reordering declarations is not.
+  /// reordering declarations is not. A route line of a scenario block is
+  /// rendered "scenario <name>: route ...", so moving an override to
+  /// another scenario is a model change too.
   std::vector<std::string> lines;
   /// FNV-1a 64 of the network part (every line before the invariants).
   /// That part is byte for byte write_projected_spec_string(model,

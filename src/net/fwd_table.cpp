@@ -14,6 +14,14 @@ auto rank(const Rule& r) {
 
 }  // namespace
 
+TieRank tie_rank(const Rule& rule) {
+  const int len = rule.dst.length();
+  const std::uint32_t mask = len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
+  return {len, rule.dst.base().bits() & mask,
+          rule.in_from ? std::int64_t{rule.in_from->value()} : -1,
+          rule.priority};
+}
+
 void ForwardingTable::add(Rule rule) {
   // Insert after every rule of equal or higher rank, so equal-rank ties
   // keep insertion order and the first one added wins.

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/address.hpp"
@@ -28,6 +29,12 @@ struct Rule {
   std::optional<NodeId> in_from;
   int priority = 0;
 };
+
+/// A rule's tie rank: (prefix length, masked prefix bits, in-port or -1,
+/// priority). Rules of equal tie rank compete for exactly the same packets,
+/// and the first one added wins (ForwardingTable::match).
+using TieRank = std::tuple<int, std::uint32_t, std::int64_t, int>;
+[[nodiscard]] TieRank tie_rank(const Rule& rule);
 
 /// An ordered rule table with longest-prefix-match semantics.
 ///

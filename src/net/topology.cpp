@@ -1,5 +1,7 @@
 #include "net/topology.hpp"
 
+#include <set>
+
 namespace vmn::net {
 
 namespace {
@@ -95,6 +97,19 @@ ForwardingTable& Network::table(NodeId switch_id, ScenarioId scenario) {
     it = override_tables_.emplace(key, base_tables_[switch_id]).first;
   }
   return it->second;
+}
+
+void Network::override_routes(NodeId switch_id, ScenarioId scenario,
+                              const std::vector<Rule>& rules) {
+  ForwardingTable& table = this->table(switch_id, scenario);
+  std::set<TieRank> overridden;
+  for (const Rule& r : rules) overridden.insert(tie_rank(r));
+  ForwardingTable kept;
+  for (const Rule& r : table.rules()) {
+    if (!overridden.contains(tie_rank(r))) kept.add(r);
+  }
+  for (const Rule& r : rules) kept.add(r);
+  table = std::move(kept);
 }
 
 const Node& Network::node(NodeId id) const {

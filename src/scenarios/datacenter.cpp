@@ -218,36 +218,37 @@ Datacenter make_datacenter(const DatacenterParams& params) {
 
     // fw-0-down: the chain enters at fw-1 instead; fw-1's output follows
     // the same paths fw-0's did.
-    net::ForwardingTable& t_fw = net.table(agg, out.fw_down);
-    t_fw.add(Prefix::any(), out.fw_backup->node(), /*priority=*/9);
-    t_fw.add_from(out.fw_backup->node(), Prefix(Address::of(10, 0, 0, 0), 8),
-                  idps0.node(), /*priority=*/9);
+    const Prefix internal(Address::of(10, 0, 0, 0), 8);
+    std::vector<net::Rule> fw_rules{
+        {Prefix::any(), out.fw_backup->node(), std::nullopt, 9},
+        {internal, idps0.node(), out.fw_backup->node(), 9}};
     if (params.with_storage) {
-      t_fw.add_from(out.cache->node(), Prefix(Address::of(10, 0, 0, 0), 8),
-                    out.fw_backup->node(), /*priority=*/9);
+      fw_rules.push_back(
+          {internal, out.fw_backup->node(), out.cache->node(), 9});
     }
+    net.override_routes(agg, out.fw_down, fw_rules);
 
     // idps-0-down: fw output and cache responses go to idps-1, which then
     // delivers to the racks.
-    net::ForwardingTable& t_id = net.table(agg, out.idps_down);
-    t_id.add_from(out.fw_primary->node(), Prefix(Address::of(10, 0, 0, 0), 8),
-                  idps1->node(), /*priority=*/9);
+    std::vector<net::Rule> idps_rules{
+        {internal, idps1->node(), out.fw_primary->node(), 9}};
     for (int g = 0; g < groups; ++g) {
-      t_id.add_from(idps1->node(), group_prefix(g), client_tors[g],
-                    /*priority=*/9);
+      idps_rules.push_back(
+          {group_prefix(g), client_tors[g], idps1->node(), 9});
       if (params.with_storage) {
-        t_id.add_from(idps1->node(), Prefix::host(private_server_address(g)),
-                      server_tors[g], /*priority=*/9);
-        t_id.add_from(idps1->node(), Prefix::host(public_server_address(g)),
-                      server_tors[g], /*priority=*/9);
+        idps_rules.push_back({Prefix::host(private_server_address(g)),
+                              server_tors[g], idps1->node(), 9});
+        idps_rules.push_back({Prefix::host(public_server_address(g)),
+                              server_tors[g], idps1->node(), 9});
       }
     }
     if (params.with_storage) {
       // Cache output still goes to fw-0 (alive in this scenario); only the
       // load balancer's direct path needs redirecting.
-      t_id.add_from(net.node_by_name("lb"), Prefix(Address::of(10, 0, 0, 0), 8),
-                    idps1->node(), /*priority=*/8);
+      idps_rules.push_back(
+          {internal, idps1->node(), net.node_by_name("lb"), 8});
     }
+    net.override_routes(agg, out.idps_down, idps_rules);
   }
 
   return out;
@@ -351,13 +352,14 @@ void inject_misconfig(Datacenter& dc, DcMisconfig kind, Rng& rng,
         // bypassing idps-1 (priority above the failover rules).
         net::Network& net = dc.model.network();
         NodeId agg = net.node_by_name("agg");
-        net::ForwardingTable& t = net.table(agg, dc.idps_down);
+        std::vector<net::Rule> bypass;
         for (int gg = 0; gg < groups; ++gg) {
-          t.add_from(dc.fw_primary->node(), group_prefix(gg),
-                     net.node_by_name("tor" + std::to_string(gg)),
-                     /*priority=*/20);
+          bypass.push_back({group_prefix(gg),
+                            net.node_by_name("tor" + std::to_string(gg)),
+                            dc.fw_primary->node(), 20});
           dc.broken_pairs.emplace_back(gg, gg);
         }
+        net.override_routes(agg, dc.idps_down, bypass);
         return;  // one shot is total
       }
       case DcMisconfig::cache_acl: {

@@ -157,20 +157,22 @@ Isp make_isp(const IspParams& params) {
     out.scrub_misconfigured = params.scrub_bypasses_firewalls;
     const Prefix attacked = subnet_prefix(1);
     out.attack_scenario = net.add_failure_scenario("scrub-reroute", {});
+    auto reroute = [&](NodeId sw, NodeId from, const Prefix& dst, NodeId hop,
+                       int priority) {
+      net.override_routes(sw, out.attack_scenario,
+                          {net::Rule{dst, hop, from, priority}});
+    };
 
     // Divert: post-IDS traffic for the attacked prefix skips fw_a...
-    net.table(sw_fw[sa], out.attack_scenario)
-        .add_from(sw_pp[sa], attacked, bb[sa], /*priority=*/9);
+    reroute(sw_fw[sa], sw_pp[sa], attacked, bb[sa], /*priority=*/9);
     // ... and bb_a hands it to the scrubber.
-    net.table(bb[sa], out.attack_scenario)
-        .add_from(sw_fw[sa], attacked, sw_sb, /*priority=*/9);
+    reroute(bb[sa], sw_fw[sa], attacked, sw_sb, /*priority=*/9);
 
     if (params.scrub_bypasses_firewalls) {
       // Misconfiguration: scrubbed traffic goes straight to the subnet.
       const int home = 1 % P;
-      net.table(bb[sa], out.attack_scenario)
-          .add_from(sw_sb, attacked,
-                    home == a ? sw_net[1] : toward(a, home), /*priority=*/9);
+      reroute(bb[sa], sw_sb, attacked, home == a ? sw_net[1] : toward(a, home),
+              /*priority=*/9);
       if (home != a) {
         // No further special-casing needed: downstream backbone switches
         // already route the attacked prefix to its home subnet.
@@ -178,12 +180,9 @@ Isp make_isp(const IspParams& params) {
     } else {
       // Correct configuration: scrubbed traffic re-enters through peering
       // point 0's firewall, then follows normal routing to the subnet.
-      net.table(bb[sa], out.attack_scenario)
-          .add_from(sw_sb, attacked, toward(a, 0), /*priority=*/9);
-      net.table(bb[0], out.attack_scenario)
-          .add_from(bb[1], attacked, sw_fw[0], /*priority=*/9);
-      net.table(sw_fw[0], out.attack_scenario)
-          .add_from(bb[0], attacked, fw[0], /*priority=*/9);
+      reroute(bb[sa], sw_sb, attacked, toward(a, 0), /*priority=*/9);
+      reroute(bb[0], bb[1], attacked, sw_fw[0], /*priority=*/9);
+      reroute(sw_fw[0], bb[0], attacked, fw[0], /*priority=*/9);
       // fw_0's output follows the base rule (from fw_0, internal -> bb_0);
       // at bb_0 the packet arrives from sw_fw0, which the divert rule above
       // does not match, so it proceeds to the subnet normally.

@@ -379,11 +379,12 @@ struct Builder {
             chained[static_cast<std::size_t>(rng.uniform(
                 0, static_cast<int>(chained.size()) - 1))];
         // Bypass the whole chain at a higher priority than its entry rule.
-        net.table(switches[static_cast<std::size_t>(s)], sid)
-            .add(Prefix::host(host_address(d)),
-                 base_next(s, host_switch[static_cast<std::size_t>(d)],
-                           hosts[static_cast<std::size_t>(d)]),
-                 30);
+        net.override_routes(
+            switches[static_cast<std::size_t>(s)], sid,
+            {net::Rule{Prefix::host(host_address(d)),
+                       base_next(s, host_switch[static_cast<std::size_t>(d)],
+                                 hosts[static_cast<std::size_t>(d)]),
+                       std::nullopt, 30}});
       }
     }
   }

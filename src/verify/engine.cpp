@@ -3,9 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "io/spec.hpp"
@@ -13,16 +11,6 @@
 namespace vmn::verify {
 
 using Clock = std::chrono::steady_clock;
-
-std::string to_string(Backend backend) {
-  switch (backend) {
-    case Backend::thread:
-      return "thread";
-    case Backend::process:
-      return "process";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -53,7 +41,7 @@ CpuTimes process_cpu_times() {
   return {us(usage.ru_utime), us(usage.ru_stime)};
 }
 
-/// [begin, end) ranges over the solve list, one per executor task.
+/// [begin, end) ranges over the solve list, one per process-executor group.
 using Groups = std::vector<std::pair<std::size_t, std::size_t>>;
 
 /// Runs of same-shape jobs (the planner made them adjacent, and dropping
@@ -273,118 +261,92 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
     const JobPlan& plan, const std::vector<std::size_t>& to_solve,
     Deadline deadline, BatchResult& out) {
   std::vector<std::optional<VerifyResult>> results(plan.jobs.size());
-  std::size_t width = 1;
-  if (options_.batch) {
-    width = options_.jobs != 0 ? options_.jobs
-                               : std::thread::hardware_concurrency();
-    if (width == 0) width = 1;
-  }
-  const Groups groups = shape_groups(plan, to_solve, width);
   const VerifyOptions& vo = options_.verify;
-
-  // The inline and thread executors share one group body: each job is
-  // checked against the deadline first - past it, the slot stays empty
-  // (abandoned) and the group keeps draining so every job is accounted.
-  // Slots are per job, so concurrent groups never write the same one.
-  std::atomic<std::size_t> deadline_skipped{0};
-  auto solve_group = [&](std::pair<std::size_t, std::size_t> group,
-                         SolverSession& session) {
-    for (std::size_t k = group.first; k < group.second; ++k) {
-      if (deadline && Clock::now() >= *deadline) {
-        deadline_skipped.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      const Job& job = plan.jobs[to_solve[k]];
-      results[to_solve[k]] =
-          verify_members(*model_, job.solve_invariant, job.encode_members(),
-                         vo.max_failures, session);
-    }
-  };
 
   if (!options_.batch) {
     // Inline: one session for the Engine's lifetime (until rebind), warm
     // across groups and batches, borrowing the planning context's transfer
     // memo - the planner already walked every in-budget scenario, so
-    // encoding builds no transfer function at all.
+    // encoding builds no transfer function at all. The solve list is
+    // already in shape-group order. Each job is checked against the
+    // deadline first: past it, the slot stays empty (abandoned) and the
+    // loop keeps draining so every job is accounted.
     if (!session_) {
       session_ = std::make_unique<SolverSession>(
           vo.solver, vo.warm_solving, &planning().ctx.transfers);
       session_->set_resilience(session_resilience(vo));
     }
-    for (const auto& group : groups) solve_group(group, *session_);
-  } else if (options_.backend == Backend::thread) {
-    const std::size_t workers = std::max<std::size_t>(
-        1, std::min(width, std::max<std::size_t>(groups.size(), 1)));
-    SolverPool pool(workers, vo.solver, vo.warm_solving);
-    pool.set_resilience(session_resilience(vo));
-    pool.run(groups.size(), [&](std::size_t gi, SolverSession& session) {
-      // Warm reuse is scoped to this task: a session that just solved a
-      // same-shape task must not leak its context (and learned state) into
-      // this one, or results would depend on the task-to-worker race. The
-      // transfer memo survives (same model across every task of a batch).
-      session.reset_warm(/*keep_transfers=*/true);
-      solve_group(groups[gi], session);
-    });
-    out.pool.workers = pool.stats();
-  } else {
-    // Process: project each group's slice to a spec, frame the jobs by
-    // name, and stream them to forked workers; crashed or hung workers get
-    // their unfinished jobs requeued onto the survivors.
-    std::vector<wire::WireJob> wire_jobs;
-    wire_jobs.reserve(to_solve.size());
+    std::size_t skipped = 0;
     for (std::size_t j : to_solve) {
-      wire_jobs.push_back(
-          wire::make_wire_job(*model_, plan.jobs[j], vo.max_failures));
-    }
-    std::vector<ProcessGroup> process_groups;
-    process_groups.reserve(groups.size());
-    for (const auto& [begin, end] : groups) {
-      ProcessGroup group;
-      // The projection must contain every node the group's jobs reference.
-      // Jobs cross the pipe in encode space, so that is exactly the union
-      // of encode member sets - a merged class's own member sets never
-      // travel; bindings are relabeled dispatcher-side.
-      std::set<NodeId> span;
-      for (std::size_t k = begin; k < end; ++k) {
-        const Job& job = plan.jobs[to_solve[k]];
-        span.insert(job.encode_members().begin(), job.encode_members().end());
+      if (deadline && Clock::now() >= *deadline) {
+        ++skipped;
+        continue;
       }
-      group.spec_text = io::write_projected_spec_string(
-          *model_, std::vector<NodeId>(span.begin(), span.end()));
-      for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
-      process_groups.push_back(std::move(group));
+      const Job& job = plan.jobs[j];
+      results[j] = verify_members(*model_, job.solve_invariant,
+                                  job.encode_members(), vo.max_failures,
+                                  *session_);
     }
-    // The verify options carry the fault plan and escalation policy, so
-    // the CLI's --faults / --no-escalate reach the workers unchanged; the
-    // pool honours the batch deadline measured from run_batch entry and
-    // counts its fleet and abandonments straight into `out`.
-    const ProcessPool pool(width, vo, options_.process);
-    ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups),
-                                        deadline, out.pool, out.degradation);
-    out.pool.workers = std::move(dispatch.workers);
-    for (std::size_t k = 0; k < to_solve.size(); ++k) {
-      if (!dispatch.results[k]) continue;  // abandoned, counted by the pool
-      const wire::WireResult& r = *dispatch.results[k];
-      try {
-        results[to_solve[k]] = wire::to_verify_result(model_->network(), r);
-      } catch (const wire::WireError&) {
-        // A digest-valid result naming nodes this model lacks (byzantine
-        // or version-skewed worker binary): abandon the one job to an
-        // unknown verdict instead of aborting a batch full of good ones.
-        ++out.degradation.abandoned_retries;
-        out.degradation.reasons.push_back(
-            "job " + std::to_string(to_solve[k]) +
-            " abandoned: result names nodes unknown to this model");
-      }
+    if (skipped != 0) {
+      out.degradation.deadline_abandoned += skipped;
+      out.degradation.deadline_expired = true;
+      out.degradation.reasons.push_back("deadline expired with " +
+                                        std::to_string(skipped) +
+                                        " jobs not yet attempted");
     }
+    return results;
   }
 
-  if (const std::size_t n = deadline_skipped.load()) {
-    out.degradation.deadline_abandoned += n;
-    out.degradation.deadline_expired = true;
-    out.degradation.reasons.push_back("deadline expired with " +
-                                      std::to_string(n) +
-                                      " jobs not yet attempted");
+  // Process: project each group's slice to a spec, frame the jobs by
+  // name, and stream them to forked workers; crashed or hung workers get
+  // their unfinished jobs requeued onto the survivors. The verify options
+  // carry the fault plan and escalation policy, so the CLI's --faults /
+  // --no-escalate reach the workers unchanged.
+  const ProcessPool pool(options_.jobs, vo, options_.process);
+  const Groups groups = shape_groups(plan, to_solve, pool.workers());
+  std::vector<wire::WireJob> wire_jobs;
+  wire_jobs.reserve(to_solve.size());
+  for (std::size_t j : to_solve) {
+    wire_jobs.push_back(
+        wire::make_wire_job(*model_, plan.jobs[j], vo.max_failures));
+  }
+  std::vector<ProcessGroup> process_groups;
+  process_groups.reserve(groups.size());
+  for (const auto& [begin, end] : groups) {
+    ProcessGroup group;
+    // The projection must contain every node the group's jobs reference.
+    // Jobs cross the pipe in encode space, so that is exactly the union
+    // of encode member sets - a merged class's own member sets never
+    // travel; bindings are relabeled dispatcher-side.
+    std::set<NodeId> span;
+    for (std::size_t k = begin; k < end; ++k) {
+      const Job& job = plan.jobs[to_solve[k]];
+      span.insert(job.encode_members().begin(), job.encode_members().end());
+    }
+    group.spec_text = io::write_projected_spec_string(
+        *model_, std::vector<NodeId>(span.begin(), span.end()));
+    for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
+    process_groups.push_back(std::move(group));
+  }
+  // The pool honours the batch deadline measured from run_batch entry and
+  // counts its fleet and abandonments straight into `out`.
+  ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups),
+                                      deadline, out.pool, out.degradation);
+  out.pool.workers = std::move(dispatch.workers);
+  for (std::size_t k = 0; k < to_solve.size(); ++k) {
+    if (!dispatch.results[k]) continue;  // abandoned, counted by the pool
+    const wire::WireResult& r = *dispatch.results[k];
+    try {
+      results[to_solve[k]] = wire::to_verify_result(model_->network(), r);
+    } catch (const wire::WireError&) {
+      // A digest-valid result naming nodes this model lacks (byzantine or
+      // version-skewed worker binary): abandon the one job to an unknown
+      // verdict instead of aborting a batch full of good ones.
+      ++out.degradation.abandoned_retries;
+      out.degradation.reasons.push_back(
+          "job " + std::to_string(to_solve[k]) +
+          " abandoned: result names nodes unknown to this model");
+    }
   }
   return results;
 }

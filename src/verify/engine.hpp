@@ -11,24 +11,22 @@
 //                     solver-traffic counters (once per solve)
 //   flush ----------> durable cache records, degradation accounting
 //
-// Only the execute step differs between configurations, and it is chosen
-// by EngineOptions::batch / backend. No executor counts solver traffic: it
-// hands back results, and the bind step reads the counters off them.
+// Only the execute step differs between configurations, and
+// EngineOptions::batch chooses it. Neither executor counts solver traffic:
+// it hands back results, and the bind step reads the counters off them.
 //  - inline (batch = false): one warm SolverSession on the calling thread,
 //    kept across run_batch calls until rebind() and borrowing the Engine's
 //    PlanContext transfer memo, so encoding walks nothing planning walked;
-//  - thread: a SolverPool; each shape group is one task on a worker
-//    session reset at the task boundary (reuse never depends on which
-//    worker a task lands on);
-//  - process: a ProcessPool of forked workers speaking the wire protocol
-//    (verify/wire.hpp) - crash-tolerant, with each group's slice projected
-//    to a spec and the batch deadline handed over.
-// Shape groups are the planner's shape-adjacent runs; the pool executors
-// split the largest runs until there are as many groups as workers, so
+//  - process (batch = true): a ProcessPool of forked workers speaking the
+//    wire protocol (verify/wire.hpp) - crash-tolerant, with each shape
+//    group's slice projected to a spec, the group solved back to back on
+//    one worker's session, and the batch deadline handed over.
+// Shape groups are the planner's shape-adjacent runs; the process executor
+// splits the largest runs until there are as many groups as workers, so
 // warm reuse never costs fan-out. Group composition is a pure function of
-// (plan, worker count), so verdicts agree across every executor and worker
-// count (which counterexample witnesses a violation may differ: a warm
-// context carries learned state from earlier jobs of its group).
+// (plan, worker count), so verdicts agree across both executors and every
+// worker count (which counterexample witnesses a violation may differ: a
+// warm context carries learned state from earlier jobs of its group).
 //
 // An Engine owns the warm state worth keeping between calls: the
 // persistent ResultCache (opened once, or memory-only, and kept across
@@ -56,24 +54,21 @@
 
 namespace vmn::verify {
 
-/// Where a pooled batch fans out. `thread` shares one address space (cheap
-/// spawn); `process` forks isolated workers speaking the wire protocol -
-/// crash-tolerant, sanitizer-friendly, and the stepping stone to
-/// multi-host dispatch.
-enum class Backend : std::uint8_t { thread, process };
-
-[[nodiscard]] std::string to_string(Backend backend);
+/// Kept only because the benchmark harness (bench/e2e) sets
+/// EngineOptions::backend; nothing in src/ or tools/ reads it, and ROADMAP
+/// item 8 deletes it. A pooled batch always runs the process executor.
+enum class Backend : std::uint8_t { process };
 
 /// How an Engine runs its batches. An aggregate:
 ///   EngineOptions{.batch = true, .jobs = 2, .verify = vo}
 struct EngineOptions {
-  /// Fan the batch out over a worker pool (the thread or process executor,
-  /// per `backend`); false = the inline executor's single warm session.
+  /// Fan the batch out over forked worker processes (the process
+  /// executor); false = the inline executor's single warm session.
   bool batch = false;
-  /// Worker count; 0 picks hardware concurrency. Pool executors only.
+  /// Worker count; 0 picks hardware concurrency. Process executor only.
   std::size_t jobs = 0;
-  /// Thread or process fan-out (see Backend). Pool executors only.
-  Backend backend = Backend::thread;
+  /// Unread (see Backend).
+  Backend backend = Backend::process;
   /// Process-executor knobs: worker argv and hang timeout. Worker count,
   /// deadline, solver and fault/escalation policy come from `jobs`,
   /// `deadline` and `verify`, like every other executor's.

@@ -31,14 +31,10 @@ VerifyOptions baseline_options(const FuzzOptions& options, int budget) {
   return vo;
 }
 
-/// `vo` on a worker pool of the fuzz run's width.
-EngineOptions pooled(const FuzzOptions& options, const VerifyOptions& vo,
-                     Backend backend = Backend::thread) {
-  EngineOptions eo{
-      .batch = true, .jobs = options.jobs, .backend = backend, .verify = vo};
-  if (backend == Backend::process) {
-    eo.process.worker_command = options.worker_command;
-  }
+/// `vo` on the process executor at the fuzz run's width.
+EngineOptions pooled(const FuzzOptions& options, const VerifyOptions& vo) {
+  EngineOptions eo{.batch = true, .jobs = options.jobs, .verify = vo};
+  eo.process.worker_command = options.worker_command;
   return eo;
 }
 
@@ -75,16 +71,10 @@ std::optional<std::string> oracle_engines(io::Spec& spec,
                                           const VerifyOptions& vo,
                                           const BatchResult& baseline,
                                           const FuzzOptions& options) {
-  const auto threads =
+  const auto procs =
       Engine(spec.model, pooled(options, vo)).run_batch(spec.invariants);
-  if (auto d = diff_results(spec, baseline.results, threads.results,
-                            "sequential vs thread backend")) {
-    return d;
-  }
-  const auto procs = Engine(spec.model, pooled(options, vo, Backend::process))
-                         .run_batch(spec.invariants);
   return diff_results(spec, baseline.results, procs.results,
-                      "sequential vs process backend");
+                      "sequential vs process executor");
 }
 
 std::optional<std::string> oracle_warm_cold(io::Spec& spec,
@@ -245,10 +235,10 @@ std::optional<std::string> oracle_sim_cross(io::Spec& spec, int budget,
 /// plan must agree with the fault-free baseline on every verdict both
 /// sides answered - degradation may only widen verdicts to unknown, and
 /// diff_results already skips unknowns, so any surviving disagreement is
-/// a real flip. The process backend takes the full chaos plan (crashes,
-/// crash-looping jobs, frame corruption/truncation, forced unknowns);
-/// the thread backend takes the solver-side plan including persistent
-/// timeouts (the faults that exist in one address space).
+/// a real flip. The process executor runs twice: under the full chaos plan
+/// (crashes, crash-looping jobs, frame corruption/truncation, forced
+/// unknowns), then under the solver-side plan alone, which adds persistent
+/// timeouts.
 std::optional<std::string> oracle_faults(io::Spec& spec,
                                          const VerifyOptions& vo,
                                          const BatchResult& baseline,
@@ -262,11 +252,11 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   chaos.frame_corrupt = 0.1;
   chaos.frame_truncate = 0.05;
   chaos.solver_unknown = 0.2;
-  EngineOptions po = pooled(options, vo, Backend::process);
+  EngineOptions po = pooled(options, vo);
   po.verify.faults = chaos;
   const auto procs = Engine(spec.model, po).run_batch(spec.invariants);
   if (auto d = diff_results(spec, baseline.results, procs.results,
-                            "fault-free vs faulted process backend")) {
+                            "fault-free vs faulted process executor")) {
     return d;
   }
   FaultPlan solver_chaos;
@@ -275,9 +265,10 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
   solver_chaos.solver_timeout = 0.1;
   EngineOptions to = pooled(options, vo);
   to.verify.faults = solver_chaos;
-  const auto threads = Engine(spec.model, to).run_batch(spec.invariants);
-  return diff_results(spec, baseline.results, threads.results,
-                      "fault-free vs faulted thread backend");
+  const auto solver_faulted =
+      Engine(spec.model, to).run_batch(spec.invariants);
+  return diff_results(spec, baseline.results, solver_faulted.results,
+                      "fault-free vs solver-faulted process executor");
 }
 
 constexpr std::string_view kVerdictOracles[] = {

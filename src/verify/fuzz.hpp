@@ -4,14 +4,14 @@
 // Every generated spec (scenarios/random.hpp) is serialized, re-parsed and
 // pushed through checks that need no hand-written expectations:
 //
-//   engines    inline == thread executor == process executor verdicts
-//   warm-cold  warm solving == cold solving (inline and thread executors;
+//   engines    inline == process executor verdicts
+//   warm-cold  warm solving == cold solving (inline and process executors;
 //              the warm path includes iso-rebinding, so this doubles as
 //              iso-rebound == plain)
 //   iso-verdict  verdict-level equivalence-class merging (one solver call
 //              per problem-key class, replayed to every binding) == the
 //              merge-free run solving each planned job itself, inline
-//              and on the thread executor
+//              and on the process executor
 //   symmetry   symmetry planning == --no-symmetry verdicts
 //   slices     sliced == whole-network verdicts
 //   replay     every violated verdict's witness replayed concretely in the

@@ -8,7 +8,7 @@
 // fans the verdict out to every binding of the class, relabeling the
 // witness per binding. Engine::run_batch executes plans built by the one
 // planner (verify::plan_jobs) on whichever executor it is configured with -
-// inline, thread or process - which is why they agree class-for-class.
+// inline or process - which is why they agree class-for-class.
 #pragma once
 
 #include <chrono>

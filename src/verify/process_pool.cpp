@@ -321,7 +321,11 @@ void drain_deadline_locked(DispatchState& state,
 
 ProcessPool::ProcessPool(std::size_t workers, const VerifyOptions& verify,
                          ProcessPoolOptions options)
-    : workers_(workers), verify_(verify), options_(std::move(options)) {}
+    : workers_(workers != 0 ? workers : std::thread::hardware_concurrency()),
+      verify_(verify),
+      options_(std::move(options)) {
+  if (workers_ == 0) workers_ = 1;  // hardware_concurrency() may not know
+}
 
 ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
                                  std::vector<ProcessGroup> groups,
@@ -332,11 +336,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   out.results.resize(jobs.size());
   if (jobs.empty() || groups.empty()) return out;
 
-  std::size_t requested = workers_ != 0 ? workers_
-                                        : std::thread::hardware_concurrency();
-  if (requested == 0) requested = 1;
-  const std::size_t worker_count =
-      std::max<std::size_t>(1, std::min(requested, groups.size()));
+  const std::size_t worker_count = std::min(workers_, groups.size());
 
   const std::chrono::milliseconds hang_timeout =
       options_.hang_timeout.count() > 0

@@ -1,11 +1,11 @@
-// A pool of worker *processes* for batch verification.
+// The process executor: the one way a batch fans out (EngineOptions::batch).
 //
-// Where SolverPool fans jobs out over threads in one address space,
 // ProcessPool forks one worker process per slot and streams wire-framed
 // jobs to them over pipes (see verify/wire.hpp for the protocol). The unit
 // of dispatch is a shape group - a run of jobs sharing one slice member
 // set - so each group's jobs execute back-to-back on one worker's warm
-// solver session, exactly like the thread backend's task grouping.
+// solver session, and each worker process holds one warm Z3 context at a
+// time.
 //
 // Crash tolerance is the point of the exercise: a worker that exits, is
 // killed, or stops answering within the hang timeout is reaped, and every
@@ -28,20 +28,20 @@
 // still means what it said.
 //
 // Graceful degradation: the batch deadline (EngineOptions::deadline,
-// measured from Engine::run_batch like every executor's) stops
+// measured from Engine::run_batch like the inline executor's) stops
 // dispatching when it expires - jobs never attempted are abandoned with a
 // deadline cause, in-flight jobs finish, and the caller gets a partial
 // result set plus accurate counters instead of an open-ended wait.
 //
-// Spawning: with an empty worker_command the child runs wire::worker_main
-// directly after fork() (no exec - used by in-process callers like tests
-// and benchmarks); a non-empty command fork+execs it (the CLI passes
-// {/proc/self/exe, "worker"}, so dispatcher and workers are always the
-// same build of the same binary). The initial fleet forks before any
-// dispatcher thread starts; respawns fork mid-batch from dispatcher
-// threads, which is safe here because those threads only ever move bytes
-// over pipes - all solving happens in the workers, so no Z3 (or other
-// lock-holding) work races the fork, and the shared fd registry is
+// Spawning: with an empty worker_command the child runs
+// wire::worker_process directly after fork() (no exec - used by in-process
+// callers like tests and benchmarks); a non-empty command fork+execs it
+// (the CLI passes {/proc/self/exe, "worker"}, so dispatcher and workers
+// are always the same build of the same binary). The initial fleet forks
+// before any dispatcher thread starts; respawns fork mid-batch from
+// dispatcher threads, which is safe here because those threads only ever
+// move bytes over pipes - all solving happens in the workers, so no Z3 (or
+// other lock-holding) work races the fork, and the shared fd registry is
 // mutex-held across it so children see a consistent snapshot to close.
 #pragma once
 
@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "smt/solver.hpp"
-#include "verify/solver_pool.hpp"
+#include "verify/verifier.hpp"
 #include "verify/wire.hpp"
 
 namespace vmn::verify {
@@ -93,6 +93,10 @@ class ProcessPool {
   /// jitter) and escalation policy.
   ProcessPool(std::size_t workers, const VerifyOptions& verify,
               ProcessPoolOptions options);
+
+  /// The resolved worker-slot count (at least 1). run() spawns at most one
+  /// worker per group, so the Engine splits its shape groups to this width.
+  [[nodiscard]] std::size_t workers() const { return workers_; }
 
   /// Dispatches every group, blocking until each job is answered or
   /// abandoned; past `deadline` no further job starts. Fleet and

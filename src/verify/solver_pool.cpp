@@ -1,10 +1,6 @@
 #include "verify/solver_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "core/error.hpp"
 
@@ -32,9 +28,9 @@ void SolverSession::drop_warm() {
   warm_failures_ = -1;
 }
 
-void SolverSession::reset_warm(bool keep_transfers) {
+void SolverSession::reset_warm() {
   drop_warm();
-  if (!keep_transfers) owned_transfers_.reset();
+  owned_transfers_.reset();
 }
 
 SolverSession::WarmBound SolverSession::escalate_bind() {
@@ -83,9 +79,8 @@ SolverSession::WarmBound SolverSession::warm_bind(
   // memory and faults in pages the old context's would have served.
   drop_warm();
   // Per-scenario transfer memo for the new encoding: the borrowed cache
-  // when the owner lent one (single-threaded callers only), else a
-  // session-owned cache scoped to the model's network - TransferFunction
-  // memos are not thread-safe, so each pool worker warms its own.
+  // when the owner lent one (the inline executor), else a session-owned
+  // cache scoped to the model's network (the wire worker's).
   dataplane::TransferCache* transfers = borrowed_transfers_;
   if (transfers == nullptr) {
     if (owned_transfers_ == nullptr ||
@@ -108,65 +103,6 @@ SolverSession::WarmBound SolverSession::warm_bind(
     solver_->add(axiom.term);
   }
   return WarmBound{*encoding_, *solver_, false};
-}
-
-SolverPool::SolverPool(std::size_t workers, smt::SolverOptions options,
-                       bool warm) {
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  sessions_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    sessions_.push_back(std::make_unique<SolverSession>(options, warm));
-  }
-  stats_.resize(workers);
-}
-
-void SolverPool::run(
-    std::size_t count,
-    const std::function<void(std::size_t, SolverSession&)>& fn) {
-  if (count == 0) return;
-
-  std::atomic<std::size_t> cursor{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker_loop = [&](std::size_t worker) {
-    SolverSession& session = *sessions_[worker];
-    WorkerStats& stats = stats_[worker];
-    for (;;) {
-      const std::size_t job = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (job >= count) break;
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        fn(job, session);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      stats.busy += std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start);
-      ++stats.jobs;
-    }
-    // The last context dies on its own worker thread, beside the other
-    // workers' last checks, not serially on the thread that waits in run().
-    session.reset_warm(/*keep_transfers=*/true);
-  };
-
-  const std::size_t active = std::min(sessions_.size(), count);
-  if (active == 1) {
-    // Single worker: run inline, in order, on the calling thread.
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(active);
-    for (std::size_t w = 0; w < active; ++w) {
-      threads.emplace_back(worker_loop, w);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace vmn::verify

@@ -1,11 +1,12 @@
-// A pool of solver-owning workers.
+// A solver session: the Z3 state one solving thread keeps between jobs.
 //
-// Z3 contexts are not thread-safe, so parallel verification gives every
-// worker its own SolverSession: the session owns the backend solver plus the
-// per-session options, and is only ever touched from the worker thread that
-// owns it. Because every Encoding carries its own logic::Vocab (sorts and
-// declarations are interned per encoding, never shared), a session is
-// (re)bound to the vocabulary of each problem it executes.
+// Two callers run one: the Engine's inline executor (on the calling
+// thread) and the wire worker behind the process executor (one per forked
+// worker process, verify/wire.hpp). Z3 contexts are not thread-safe, so a
+// session is only ever touched from the thread that owns it. Because every
+// Encoding carries its own logic::Vocab (sorts and declarations are
+// interned per encoding, never shared), a session is (re)bound to the
+// vocabulary of each problem it executes.
 //
 // Warm binding: rebuilding the encoding and a cold Z3 context per job is
 // the dominant fixed cost of small checks, and consecutive jobs often share
@@ -21,13 +22,10 @@
 // then encoding, then shape key) before it builds the next, and the new
 // tables land in the pages the old ones freed. The only second context a
 // session ever holds is an escalation retry's, from escalate_bind() to the
-// next bind or reset. A pool worker frees its last context on its own
-// thread before run() returns, so no caller waits on a serial teardown.
+// next bind or reset. A worker process exits without freeing its last
+// context (wire::worker_process), so no dispatcher waits on a teardown.
 #pragma once
 
-#include <chrono>
-#include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,7 +49,7 @@ struct SessionResilience {
   bool escalate_unknown = false;
 };
 
-/// A single worker's solver state. Never shared between threads.
+/// One solving thread's solver state. Never shared between threads.
 class SolverSession {
  public:
   /// `warm` == false disables context reuse: every warm_bind() builds a
@@ -61,7 +59,7 @@ class SolverSession {
   /// from (the Engine's inline executor lends its PlanContext cache, so
   /// encoding re-walks nothing the planner walked). TransferFunction memos
   /// are not thread-safe: a borrowed cache must only ever be touched from
-  /// the thread running this session, so pool workers leave it null and
+  /// the thread running this session. The wire worker leaves it null, and
   /// the session builds a private per-model cache instead.
   explicit SolverSession(smt::SolverOptions options, bool warm = true,
                          dataplane::TransferCache* transfers = nullptr)
@@ -93,22 +91,12 @@ class SolverSession {
   /// set).
   WarmBound escalate_bind();
 
-  /// Drops the warm encoding + solver. The thread executor calls this at
-  /// every task boundary so warm reuse is confined to within one task:
-  /// which tasks land on which worker is a scheduling
-  /// race, and cross-task reuse would make solver state - and with it
-  /// witness traces - depend on that race instead of only on the plan.
-  ///
-  /// The session-owned transfer memo is dropped too by default: it is
-  /// keyed by the network's address, and a session that outlives one model
-  /// and binds another allocated at the same address (the wire worker
-  /// re-emplacing its parsed Spec per shape group) would otherwise serve
-  /// the dead network's memoized walks. Callers that keep binding the same
-  /// model object (the thread backend: one batch, one model, many tasks)
-  /// pass keep_transfers=true - transfer functions are deterministic
-  /// routing data, so keeping them across tasks cannot make results
-  /// scheduling-dependent the way solver state would.
-  void reset_warm(bool keep_transfers = false);
+  /// Drops the warm encoding + solver and the session-owned transfer memo.
+  /// The memo is keyed by the network's address, and the wire worker
+  /// re-emplaces its parsed Spec per shape group, so a later model may be
+  /// allocated at a dead one's address; dropping the memo keeps it from
+  /// serving the dead network's memoized walks.
+  void reset_warm();
 
   [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
 
@@ -147,51 +135,6 @@ class SolverSession {
   const encode::NetworkModel* warm_model_ = nullptr;
   std::vector<NodeId> warm_members_;
   int warm_failures_ = -1;
-};
-
-/// Per-worker execution counters, reported in batch results. A "task" is
-/// one unit handed to SolverPool::run - the thread executor passes groups
-/// of same-shape jobs as single tasks so warm reuse happens within one
-/// session.
-struct WorkerStats {
-  std::size_t jobs = 0;
-  std::chrono::microseconds busy{0};
-};
-
-/// Fixed-size worker pool. Jobs are pulled from a shared atomic cursor, so
-/// scheduling is work-stealing-free but naturally load balanced; results
-/// must be written to per-job slots by the callback, which makes aggregation
-/// independent of the (nondeterministic) job-to-worker assignment.
-class SolverPool {
- public:
-  /// `workers` == 0 picks std::thread::hardware_concurrency(). `warm`
-  /// configures every session's context reuse (see SolverSession).
-  explicit SolverPool(std::size_t workers, smt::SolverOptions options,
-                      bool warm = true);
-
-  [[nodiscard]] std::size_t size() const { return sessions_.size(); }
-  [[nodiscard]] const std::vector<WorkerStats>& stats() const {
-    return stats_;
-  }
-  /// Applies one robustness policy to every session (before run()).
-  void set_resilience(const SessionResilience& resilience) {
-    for (auto& s : sessions_) s->set_resilience(resilience);
-  }
-
-  /// Executes `fn(task_index, session)` for every index in [0, count).
-  /// Each invocation runs on exactly one worker thread with that worker's
-  /// session; blocks until all tasks finish. The first exception thrown by
-  /// a task is rethrown here after the pool drains. With a single worker
-  /// the tasks run in index order on the calling thread (no thread is
-  /// spawned), so `--jobs 1` solves in plan order like the inline executor.
-  /// Each worker resets its session's warm state (keeping its transfer
-  /// memo) before it returns, so no context outlives run().
-  void run(std::size_t count,
-           const std::function<void(std::size_t, SolverSession&)>& fn);
-
- private:
-  std::vector<std::unique_ptr<SolverSession>> sessions_;
-  std::vector<WorkerStats> stats_;
 };
 
 }  // namespace vmn::verify

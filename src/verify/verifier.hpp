@@ -134,19 +134,25 @@ struct Metric {
 /// {"a":1,"b":2}.
 [[nodiscard]] std::string metrics_json(const std::vector<Metric>& metrics);
 
+/// One process-executor worker slot's counters: jobs it answered and the
+/// dispatcher's wall time waiting on them.
+struct WorkerStats {
+  std::size_t jobs = 0;
+  std::chrono::microseconds busy{0};
+};
+
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
 /// batch deduplicated and fanned out. Every executor fills the plan half
 /// (classes, merge blockers); the worker half is empty under the inline
-/// executor (no pool) and the crash counters additionally zero under the
-/// thread executor (threads do not crash independently).
+/// executor (no pool).
 struct PoolStats {
   /// Planned solver classes (JobPlan::planned_jobs): cache hits answer
   /// some without scheduling them, and abandonment leaves others unsolved
   /// - see BatchResult::solver_calls for actual solves.
   std::size_t jobs_executed = 0;
-  /// Crash accounting: worker processes spawned/lost (0 under the thread
-  /// backend) and jobs re-dispatched after a crash or hang. Abandoned jobs
-  /// are counted by cause in BatchResult::degradation.
+  /// Crash accounting: worker processes spawned/lost and jobs
+  /// re-dispatched after a crash or hang. Abandoned jobs are counted by
+  /// cause in BatchResult::degradation.
   std::size_t workers_spawned = 0;
   std::size_t workers_crashed = 0;
   std::size_t jobs_requeued = 0;
@@ -175,8 +181,7 @@ struct BatchResult {
   std::chrono::microseconds total_time{0};
   /// This process's CPU time over the run_batch call, split into user and
   /// kernel time (getrusage(RUSAGE_SELF) deltas). Every thread of the
-  /// process counts, the thread executor's workers included; the process
-  /// executor's worker processes do not.
+  /// process counts; the process executor's worker processes do not.
   std::chrono::microseconds cpu_user_time{0};
   std::chrono::microseconds cpu_sys_time{0};
   /// Serial planning wall time (slices + canonical keys + classes), the
@@ -338,8 +343,8 @@ struct IsoBinding {
 /// (model, members, failure budget) - reusing the live encoding + solver
 /// when the previous call had the same shape - then push()es the negated
 /// invariant, checks, extracts any counterexample and pop()s back to the
-/// base. Every executor - inline, thread worker, wire worker - funnels
-/// through this function, which is what guarantees they agree
+/// base. Both executors - inline and the process executor's wire worker -
+/// funnel through this function, which is what guarantees they agree
 /// check-for-check. `invariant` and `members` are the encode-space problem
 /// verbatim (for iso-rebound jobs the planner already mapped both); the
 /// returned result - witness included - stays in encode space, and callers

@@ -1,9 +1,9 @@
 // Fault-injection harness tests: deterministic FaultPlan decisions, the
 // hardened result cache under torn tails and bit flips (unit-level, and a
-// torn flush through the batch pipeline on every in-process executor),
-// crash-loop quarantine with fleet survival, respawn-backoff determinism,
-// deadline degradation with accurate counters on every in-process
-// executor, and unknown-escalation rescue accounting. The cross-cutting
+// torn flush through the batch pipeline on both executors), crash-loop
+// quarantine with fleet survival, respawn-backoff determinism, deadline
+// degradation with accurate counters on both executors, and
+// unknown-escalation rescue accounting. The cross-cutting
 // contract under every plan: verdicts never flip - faults may only widen
 // outcomes to unknown.
 #include <gtest/gtest.h>
@@ -53,10 +53,11 @@ scenarios::Enterprise small_enterprise(int subnets = 6) {
   return scenarios::make_enterprise(p);
 }
 
-EngineOptions thread_opts() { return test::executor_options("thread"); }
+EngineOptions inline_opts() { return test::executor_options("inline"); }
 EngineOptions process_opts() { return test::executor_options("process"); }
 
-/// Suites run once per executor that solves in this process.
+/// Suites run once per executor, both driven from this process: inline,
+/// and process with its workers forked from this test binary.
 class InProcess : public ::testing::TestWithParam<const char*> {};
 
 std::vector<std::string> read_lines(const std::string& path) {
@@ -217,7 +218,7 @@ TEST(CrashLoop, DeterministicCrasherIsQuarantinedAndFleetSurvives) {
   // run.
   scenarios::Enterprise e = small_enterprise();
   BatchResult reference =
-      Engine(e.model, thread_opts()).run_batch(e.invariants);
+      Engine(e.model, inline_opts()).run_batch(e.invariants);
 
   EngineOptions opts = process_opts();
   opts.verify.faults = FaultPlan::parse("crash-job=0");
@@ -332,7 +333,7 @@ TEST_P(InProcess, TornCacheFlushCostsOnlyTheTailRecordOnRerun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, InProcess,
-                         ::testing::Values("inline", "thread"),
+                         ::testing::Values("inline", "process"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -343,9 +344,9 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // must rescue every one of them - counters tell the story exactly.
   scenarios::Enterprise e = small_enterprise(4);
   BatchResult reference =
-      Engine(e.model, thread_opts()).run_batch(e.invariants);
+      Engine(e.model, inline_opts()).run_batch(e.invariants);
 
-  EngineOptions faulted = thread_opts();
+  EngineOptions faulted = process_opts();
   faulted.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r =
       Engine(e.model, faulted).run_batch(e.invariants);
@@ -360,7 +361,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
   // Persistent faults are counted but not rescued: solver-timeout holds
   // at every attempt, so escalation fires and fails, and every verdict
   // stays unknown.
-  EngineOptions timeouts = thread_opts();
+  EngineOptions timeouts = process_opts();
   timeouts.verify.faults = FaultPlan::parse("seed=11,solver-timeout=1");
   BatchResult t =
       Engine(e.model, timeouts).run_batch(e.invariants);
@@ -372,7 +373,7 @@ TEST(Escalation, TransientUnknownsAreRetriedAndRescued) {
 
   // With escalation disabled the transient faults stick: no retries, all
   // unknown.
-  EngineOptions off = thread_opts();
+  EngineOptions off = process_opts();
   off.verify.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   off.verify.escalate_unknown = false;
   BatchResult n =

@@ -155,6 +155,27 @@ TEST_F(NetworkTest, ScenarioTableOverridesStartFromBase) {
             a);
 }
 
+TEST_F(NetworkTest, OverrideRoutesReplaceTheBaseRulesTheyTieWith) {
+  NodeId sw = net.add_switch("sw");
+  NodeId a = net.add_host("a", Address(1));
+  NodeId b = net.add_host("b", Address(2));
+  NodeId c = net.add_host("c", Address(3));
+  net.table(sw).add(Prefix::host(Address(1)), a);
+  net.table(sw).add(Prefix::host(Address(2)), b);
+  ScenarioId s = net.add_failure_scenario("s", {});
+  // The first override ties with the base route to b and replaces it; the
+  // second ties with the first and loses, as a later tied rule does.
+  net.override_routes(sw, s,
+                      {Rule{Prefix::host(Address(2)), c, std::nullopt, 0},
+                       Rule{Prefix::host(Address(2)), a, std::nullopt, 0}});
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(2)), c);
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), a);
+  EXPECT_EQ(net.effective_table(sw, s).rules().size(), 3u);
+  EXPECT_EQ(net.effective_table(sw, Network::base_scenario)
+                .match(std::nullopt, Address(2)),
+            b);
+}
+
 TEST_F(NetworkTest, HostAndMiddleboxLists) {
   net.add_host("h1", Address(1));
   net.add_switch("s1");

@@ -1,14 +1,13 @@
-// Engine tests: every executor (inline, thread, process) agrees with the
-// inline one on every scenario generator and obeys the per-solve counter
-// identities (under lost result frames too), determinism under a fixed solver
-// seed regardless of worker count, counterexample validity under
-// concurrency, job planning, the SolverPool contract, and the process
+// Engine tests: the process executor agrees with the inline one on every
+// scenario generator and both obey the per-solve counter identities (under
+// lost result frames too), determinism under a fixed solver seed
+// regardless of worker count, counterexample validity under concurrency,
+// job planning, the SolverSession context bound, and the process
 // executor's crash handling - requeue on a killed worker, and the bounded
 // no-survivors path ending in unknown verdicts rather than silent drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <set>
 #include <string>
@@ -38,7 +37,7 @@ using scenarios::Batch;
 using test::OneBoxNet;
 
 EngineOptions with_jobs(std::size_t jobs) {
-  return test::executor_options("thread", jobs);
+  return test::executor_options("process", jobs);
 }
 
 /// Builds the named scenario generator's network and hands its model and
@@ -122,7 +121,7 @@ void expect_counter_identities(const BatchResult& r, const std::string& what) {
   EXPECT_LE(r.degradation.escalations, r.solver_calls) << what;
 }
 
-// Every executor must reproduce the inline executor's verdicts, raw
+// Both executors must reproduce the inline executor's verdicts, raw
 // statuses and statistics invariant-for-invariant on every scenario
 // generator (and the generator's own expected verdicts); the process
 // executor must get there without losing a worker or a job.
@@ -174,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
                           "MisconfiguredDatacenter", "Isp",
                           "MisconfiguredIsp", "MultiTenant", "Segmented",
                           "BypassedSegmented"),
-        ::testing::Values("inline", "thread", "process")),
+        ::testing::Values("inline", "process")),
     [](const auto& info) {
       return std::string(std::get<0>(info.param)) + "_" +
              std::get<1>(info.param);
@@ -303,9 +302,10 @@ TEST(Parallel, PlanPartitionsTheBatch) {
 // --- warm solving ----------------------------------------------------------
 
 // Warm runs (base axioms asserted once per slice shape, invariant negation
-// pushed/popped on a live context) must be verdict-identical to cold runs
-// (fresh encoding + context per job) on every scenario generator, across
-// mixed holds/violated batches.
+// pushed/popped on a live context; cross-isomorphic rebinding included,
+// the binding shipped inside the job frames) must be verdict-identical to
+// cold runs (fresh encoding + context per job) on every scenario
+// generator, across mixed holds/violated batches.
 void expect_warm_matches_cold(const encode::NetworkModel& model,
                               const Batch& batch) {
   EngineOptions warm = with_jobs(2);
@@ -317,6 +317,8 @@ void expect_warm_matches_cold(const encode::NetworkModel& model,
       Engine(model, warm).run_batch(batch.invariants);
   BatchResult cold_r =
       Engine(model, cold).run_batch(batch.invariants);
+  EXPECT_EQ(warm_r.degradation.abandoned(), 0u);
+  EXPECT_EQ(cold_r.degradation.abandoned(), 0u);
   ASSERT_EQ(warm_r.results.size(), cold_r.results.size());
   for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
     EXPECT_EQ(warm_r.results[i].outcome, cold_r.results[i].outcome)
@@ -335,6 +337,7 @@ void expect_warm_matches_cold(const encode::NetworkModel& model,
   }
   // Cold runs never reuse a context.
   EXPECT_EQ(cold_r.warm_reuses, 0u);
+  EXPECT_EQ(cold_r.iso_reuses, 0u);
 }
 
 TEST(WarmSolving, MatchesColdOnEnterprise) {
@@ -671,22 +674,6 @@ TEST(IsoWarm, SequentialEngineEncodesWithZeroTransferBuilds) {
   }
 }
 
-TEST(IsoWarm, ThreadWorkersNeverBuildATransferFunctionTwice) {
-  // Worker sessions own a per-model transfer memo that survives task
-  // boundaries: across however many base encodings a session builds, each
-  // in-budget scenario's fabric walks happen at most once per session.
-  scenarios::DatacenterParams p;
-  p.policy_groups = 4;
-  p.clients_per_group = 2;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  const Batch batch = dc.batch();
-  EngineOptions opts = with_jobs(2);
-  BatchResult r =
-      Engine(dc.model, opts).run_batch(batch.invariants);
-  const std::size_t scenarios = dc.model.network().scenarios().size();
-  EXPECT_LE(r.encode_transfer_builds, 2 * scenarios);  // <= workers x scenarios
-}
-
 // A violated invariant answered through an isomorphic representative's
 // solver call must surface a witness naming the ACTUAL slice's hosts - the
 // engine relabels nodes and packet addresses back through the inverse
@@ -867,149 +854,14 @@ TEST(IsoVerdictTransfer, MatchesColdOnBypassedSegmented) {
   expect_transfer_matches_cold(s.model, s.batch());
 }
 
-// --- process backend --------------------------------------------------------
-
-EngineOptions process_opts(std::size_t jobs) {
-  return test::executor_options("process", jobs);
-}
-
-// Warm (cross-isomorphic rebinding included: the binding ships inside the
-// job frames) must be verdict-identical to cold on the process backend too,
-// for every scenario generator - the process half of the warm==cold
-// property the thread backend's WarmSolving suite pins.
-void expect_process_warm_matches_cold(const encode::NetworkModel& model,
-                                      const Batch& batch) {
-  EngineOptions warm = process_opts(2);
-  ASSERT_TRUE(warm.verify.warm_solving);  // the default
-  EngineOptions cold = process_opts(2);
-  cold.verify.warm_solving = false;
-  cold.verify.merge_isomorphic = false;
-  BatchResult warm_r =
-      Engine(model, warm).run_batch(batch.invariants);
-  BatchResult cold_r =
-      Engine(model, cold).run_batch(batch.invariants);
-  EXPECT_EQ(warm_r.degradation.abandoned(), 0u);
-  EXPECT_EQ(cold_r.degradation.abandoned(), 0u);
-  EXPECT_EQ(cold_r.warm_reuses, 0u);
-  EXPECT_EQ(cold_r.iso_reuses, 0u);
-  EXPECT_EQ(cold_r.iso_verdict_reuses, 0u);
-  ASSERT_EQ(warm_r.results.size(), cold_r.results.size());
-  for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
-    EXPECT_EQ(warm_r.results[i].outcome, cold_r.results[i].outcome)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(warm_r.results[i].raw_status, cold_r.results[i].raw_status)
-        << batch.name << " invariant " << i;
-    EXPECT_EQ(warm_r.results[i].assertion_count,
-              cold_r.results[i].assertion_count)
-        << batch.name << " invariant " << i;
-    if (i < batch.expected_holds.size()) {
-      const Outcome expected =
-          batch.expected_holds[i] ? Outcome::holds : Outcome::violated;
-      EXPECT_EQ(warm_r.results[i].outcome, expected)
-          << batch.name << " invariant " << i;
-    }
-  }
-}
-
-TEST(ProcessBackend, WarmMatchesColdOnEnterprise) {
-  scenarios::EnterpriseParams p;
-  p.subnets = 4;
-  p.hosts_per_subnet = 1;
-  scenarios::Enterprise e = scenarios::make_enterprise(p);
-  expect_process_warm_matches_cold(e.model, e.batch());
-}
-
-TEST(ProcessBackend, WarmMatchesColdOnDatacenter) {
-  // The generator whose per-group jobs actually cross the iso paths: the
-  // warm run must fan merged verdicts out dispatcher-side and ship rebound
-  // classes in encode space, and still agree with cold bit-for-bit on
-  // verdicts.
-  scenarios::DatacenterParams p;
-  p.policy_groups = 4;
-  p.clients_per_group = 1;
-  scenarios::Datacenter dc = scenarios::make_datacenter(p);
-  const Batch batch = dc.batch();
-  expect_process_warm_matches_cold(dc.model, batch);
-  BatchResult warm_r =
-      Engine(dc.model, process_opts(2)).run_batch(batch.invariants);
-  EXPECT_GT(warm_r.iso_verdict_reuses, 0u);
-  Batch mixed;
-  mixed.name = "datacenter-mixed-kind";
-  mixed.invariants = mixed_kind_pair(dc);
-  mixed.expected_holds = {true, true};
-  expect_process_warm_matches_cold(dc.model, mixed);
-  EXPECT_EQ(Engine(dc.model, process_opts(2)).run_batch(mixed.invariants)
-                .iso_mapped,
-            1u);
-}
-
-TEST(ProcessBackend, WarmMatchesColdOnIsp) {
-  scenarios::IspParams p;
-  p.peering_points = 2;
-  p.subnets = 3;
-  scenarios::Isp isp = scenarios::make_isp(p);
-  expect_process_warm_matches_cold(isp.model, isp.batch());
-}
-
-TEST(ProcessBackend, WarmMatchesColdOnMultiTenant) {
-  scenarios::MultiTenantParams p;
-  p.tenants = 2;
-  p.servers = 2;
-  p.public_vms_per_tenant = 1;
-  p.private_vms_per_tenant = 1;
-  scenarios::MultiTenant mt = scenarios::make_multitenant(p);
-  expect_process_warm_matches_cold(mt.model, mt.batch());
-}
-
-TEST(ProcessBackend, WarmMatchesColdOnBypassedSegmented) {
-  scenarios::SegmentedParams p;
-  p.bypass_segment = 1;
-  scenarios::Segmented s = scenarios::make_segmented(p);
-  expect_process_warm_matches_cold(s.model, s.batch());
-}
-
-TEST(ProcessBackend, ViolatedVerdictsShipTracesAcrossTheProcessBoundary) {
-  // Same open-firewall workload as the thread-backend counterexample test:
-  // every violated invariant must come back with a coherent trace mapped
-  // onto the dispatcher's node ids and relabeled onto its own target.
-  scenarios::EnterpriseParams p;
-  p.subnets = 6;
-  p.hosts_per_subnet = 1;
-  scenarios::Enterprise e = scenarios::make_enterprise(p);
-  auto* fw = dynamic_cast<mbox::LearningFirewall*>(
-      e.model.middlebox_at(e.model.network().node_by_name("fw")));
-  ASSERT_NE(fw, nullptr);
-  std::vector<AclEntry> acl = fw->acl();
-  acl.insert(acl.begin(),
-             AclEntry{Prefix(Address::of(172, 16, 0, 0), 12),
-                      Prefix(Address::of(10, 0, 0, 0), 8), AclAction::allow});
-  fw->replace_acl(acl);
-
-  BatchResult r =
-      Engine(e.model, process_opts(2)).run_batch(e.invariants);
-  std::size_t violated = 0;
-  for (std::size_t i = 0; i < e.invariants.size(); ++i) {
-    const VerifyResult& res = r.results[i];
-    if (res.outcome != Outcome::violated) continue;
-    ++violated;
-    ASSERT_TRUE(res.counterexample.has_value()) << "invariant " << i;
-    bool target_received = false;
-    for (const Event& ev : res.counterexample->events()) {
-      if (ev.kind == EventKind::receive && ev.to == e.invariants[i].target) {
-        target_received = true;
-      }
-    }
-    EXPECT_TRUE(target_received) << "invariant " << i;
-  }
-  EXPECT_GT(violated, 0u);
-}
+// --- crash handling -------------------------------------------------------
 
 TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   // Worker 0 SIGKILLs itself on its first job: the dispatcher must observe
   // the crash, requeue the in-flight job, respawn a replacement into the
   // slot (respawned workers take fresh ordinals, so the replacement is
-  // immune to kill=0), and deliver every verdict - matching the thread
-  // backend exactly.
+  // immune to kill=0), and deliver every verdict - matching a fault-free
+  // run exactly.
   scenarios::EnterpriseParams p;
   p.subnets = 6;
   p.hosts_per_subnet = 1;
@@ -1017,7 +869,7 @@ TEST(ProcessBackend, SurvivesAKilledWorkerMidBatch) {
   BatchResult reference =
       Engine(e.model, with_jobs(2)).run_batch(e.invariants);
 
-  EngineOptions killing = process_opts(2);
+  EngineOptions killing = with_jobs(2);
   killing.verify.faults = FaultPlan::parse("kill=0");
   BatchResult r = Engine(e.model, killing).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_spawned, 3u);  // initial fleet of 2 + 1 respawn
@@ -1042,7 +894,7 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
   p.hosts_per_subnet = 1;
   scenarios::Enterprise e = scenarios::make_enterprise(p);
 
-  EngineOptions killing = process_opts(2);
+  EngineOptions killing = with_jobs(2);
   killing.verify.faults = FaultPlan::parse("kill=all");
   BatchResult r = Engine(e.model, killing).run_batch(e.invariants);
   EXPECT_EQ(r.pool.workers_crashed, r.pool.workers_spawned);
@@ -1052,23 +904,6 @@ TEST(ProcessBackend, BoundedRetriesEndInUnknownWhenEveryWorkerDies) {
   for (std::size_t i = 0; i < e.invariants.size(); ++i) {
     EXPECT_EQ(r.results[i].outcome, Outcome::unknown) << i;
   }
-}
-
-TEST(SolverPoolTest, RunsEveryJobExactlyOnceAcrossWorkers) {
-  SolverPool pool(3, smt::SolverOptions{});
-  EXPECT_EQ(pool.size(), 3u);
-  constexpr std::size_t kJobs = 17;
-  std::vector<std::atomic<int>> hits(kJobs);
-  pool.run(kJobs, [&](std::size_t job, SolverSession& session) {
-    (void)session;
-    hits[job].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "job " << i;
-  }
-  std::size_t total = 0;
-  for (const WorkerStats& w : pool.stats()) total += w.jobs;
-  EXPECT_EQ(total, kJobs);
 }
 
 /// Three distinct member sets the planner gives a four-subnet enterprise,
@@ -1121,36 +956,6 @@ TEST(SolverSessionTest, HoldsOneWarmContextAndOneMoreDuringAnEscalation) {
   EXPECT_EQ(smt::live_solvers(), 1u);
   session.reset_warm();
   EXPECT_EQ(smt::live_solvers(), 0u);
-}
-
-TEST(SolverPoolTest, RunReturnsWithNoLiveContext) {
-  // Each worker frees its last context on its own thread before run()
-  // returns; none waits for the pool's destructor.
-  scenarios::EnterpriseParams p;
-  p.subnets = 4;
-  p.hosts_per_subnet = 1;
-  scenarios::Enterprise e = scenarios::make_enterprise(p);
-  const std::vector<std::vector<NodeId>> shapes =
-      three_shapes(e.model, e.invariants);
-  ASSERT_EQ(shapes.size(), 3u);
-  ASSERT_EQ(smt::live_solvers(), 0u);
-  for (const std::size_t workers : {1u, 2u}) {
-    SolverPool pool(workers, smt::SolverOptions{});
-    pool.run(shapes.size(), [&](std::size_t task, SolverSession& session) {
-      (void)session.warm_bind(e.model, shapes[task], 0);
-    });
-    EXPECT_EQ(smt::live_solvers(), 0u) << workers << " workers";
-  }
-}
-
-TEST(SolverPoolTest, PropagatesJobExceptions) {
-  SolverPool pool(2, smt::SolverOptions{});
-  EXPECT_THROW(
-      pool.run(5,
-               [&](std::size_t job, SolverSession&) {
-                 if (job == 3) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // core the Server event loop wraps - so every assertion runs in-process:
 //  - verdict parity: the daemon's VERDICT answers equal a one-shot
 //    verify::Engine run on the same spec text, across all five scenario
-//    generators and across sequential / thread-pool / process-pool engines;
+//    generators and on both executors (inline and process);
 //  - incremental reload: an edit confined to one segment of segmented.vmn
 //    re-solves only the slices whose canonical keys changed (cache hits for
 //    the untouched segment, counter-asserted) and retires exactly the
@@ -80,12 +80,11 @@ EngineOptions sequential_opts() {
   return e;
 }
 
-EngineOptions pooled_opts(Backend backend) {
+EngineOptions pooled_opts() {
   EngineOptions e = sequential_opts();
   e.batch = true;
   e.jobs = 2;
-  e.backend = backend;
-  // Empty worker_command: process workers fork into wire::worker_main, so
+  // Empty worker_command: process workers fork into the worker loop, so
   // the test needs no external binary.
   return e;
 }
@@ -182,10 +181,8 @@ TEST(ServeParity, MatchesOneShotAcrossAllFiveGenerators) {
   expect_parity("random", random_text(), eopts);
 }
 
-TEST(ServeParity, MatchesOneShotOnBothPoolBackends) {
-  const std::string text = enterprise_text();
-  expect_parity("enterprise/thread", text, pooled_opts(Backend::thread));
-  expect_parity("enterprise/process", text, pooled_opts(Backend::process));
+TEST(ServeParity, MatchesOneShotOnTheProcessExecutor) {
+  expect_parity("enterprise/process", enterprise_text(), pooled_opts());
 }
 
 std::string segmented_path() {
@@ -294,12 +291,8 @@ TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysSequential) {
   expect_incremental_segment_edit(sequential_opts());
 }
 
-TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysThreadPool) {
-  expect_incremental_segment_edit(pooled_opts(Backend::thread));
-}
-
 TEST(ServeIncremental, SegmentEditReplansOnlyChangedKeysProcessPool) {
-  expect_incremental_segment_edit(pooled_opts(Backend::process));
+  expect_incremental_segment_edit(pooled_opts());
 }
 
 TEST(ServeIncremental, InvariantOnlyEditAnswersOldJobsFromCache) {
@@ -421,6 +414,56 @@ TEST(ServeIncremental, SwappingEqualRankRoutesReplans) {
   // The swapped spec's reachable(b, a) does not hold: b's address now
   // leads to c.
   EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "violated");
+}
+
+TEST(ServeIncremental, MovingAScenarioOverrideReplans) {
+  // The override sends b's address to c, which no other route reaches.
+  // Under f1 (one failure) it is within the failure budget of 1; moved to
+  // f2 (two failures) it is not. The canonical rendering names each route
+  // line's scenario, so the move re-plans, and node-isolation(c, a) goes
+  // from violated to holds (on the whole network: see
+  // SpecParse.ScenarioRouteReplacesTheBaseRouteOfItsRank).
+  const std::string head =
+      "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\n"
+      "host x 10.0.0.4\nhost y 10.0.0.5\nswitch s\n"
+      "link a s\nlink b s\nlink c s\nlink x s\nlink y s\n"
+      "route s 10.0.0.1 a\nroute s 10.0.0.2 b\n"
+      "route s 10.0.0.4 x\nroute s 10.0.0.5 y\n";
+  const std::string override_line = "  route s 10.0.0.2 c priority 5\n";
+  const std::string tail = "invariant node-isolation c a\n";
+  const std::string before = head + "scenario f1 fail x\n" + override_line +
+                             "end\nscenario f2 fail x y\nend\n" + tail;
+  const std::string after = head + "scenario f1 fail x\nend\n" +
+                            "scenario f2 fail x y\n" + override_line +
+                            "end\n" + tail;
+  EXPECT_TRUE(io::diff_specs(io::parse_spec_string(before),
+                             io::parse_spec_string(after))
+                  .model_changed);
+
+  TempSpecDir dir;
+  const std::string path = dir.path + "/moved.vmn";
+  write_file(path, before);
+  ServeOptions sopts;
+  sopts.spec_path = path;
+  sopts.engine = sequential_opts();
+  sopts.engine.verify.use_slices = false;
+  sopts.engine.verify.max_failures = 1;
+  ServeState state(sopts);
+  EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "violated");
+
+  for (const std::string* text : {&after, &before, &after}) {
+    write_file(path, *text);
+    const std::string reply = state.handle_line("RELOAD");
+    EXPECT_EQ(reply.rfind("OK reloaded", 0), 0u) << reply;
+    io::Spec spec = io::parse_spec_string(*text);
+    Engine cold(spec.model, sopts.engine);
+    const BatchResult ref = cold.run_batch(spec.invariants);
+    ASSERT_EQ(ref.results.size(), 1u);
+    EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1),
+              to_string(ref.results[0].outcome))
+        << (text == &after ? "moved" : "restored");
+  }
+  EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "holds");
 }
 
 TEST(ServeProtocol, VerdictByIndexAndByDescriptionAgree) {
@@ -607,7 +650,7 @@ TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
   write_file(path, read_file(segmented_path()));
   ServeOptions sopts;
   sopts.spec_path = path;
-  sopts.engine = pooled_opts(Backend::process);
+  sopts.engine = pooled_opts();
   sopts.engine.verify.faults = FaultPlan::parse("crash-job=0");
   ServeState state(sopts);
   const BatchResult& b = state.last_batch();
@@ -642,15 +685,25 @@ TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
 // One rendering per reload: the daemon diffs io::CanonicalSpec renderings
 // and stamps the cache with the rendering's fingerprint.
 
-/// The diff the daemon ran before it rendered each spec once, kept verbatim
-/// as the reference: both specs re-rendered, split, and their lines counted
-/// in an ordered map.
+/// The diff the daemon ran before it rendered each spec once, kept as the
+/// reference: both specs re-rendered, split, and their lines counted in an
+/// ordered map. Its one addition: a scenario block's route lines are named
+/// "scenario <name>: route ...", as io::canonical_spec names them.
 io::SpecDiff reference_diff(const io::Spec& before, const io::Spec& after) {
   auto lines_of = [](const io::Spec& spec) {
     std::vector<std::string> lines;
     std::istringstream in(io::write_spec_string(spec));
     std::string line;
+    std::string scenario;
     while (std::getline(in, line)) {
+      if (line.rfind("scenario ", 0) == 0) {
+        std::istringstream words(line);
+        words >> scenario >> scenario;
+      } else if (line == "end") {
+        scenario.clear();
+      } else if (!scenario.empty() && line.rfind("  route ", 0) == 0) {
+        line = "scenario " + scenario + ": " + line.substr(2);
+      }
       if (!line.empty()) lines.push_back(line);
     }
     return lines;

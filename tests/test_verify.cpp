@@ -410,10 +410,11 @@ TEST(Verify, NoSliceModeUsesWholeNetwork) {
 }
 
 TEST(Verify, ZooCorpusVerdictsMatchTheGolden) {
-  // The first 100 specs of the bench/e2e zoo-random corpus, on the inline
-  // executor at the corpus's failure budget: every verdict is the golden
-  // one, none is unknown, and every violation's witness violates its own
-  // invariant when checked concretely.
+  // The first 100 specs of the bench/e2e zoo-random corpus at the corpus's
+  // failure budget, on the inline executor and on zoo-random's own
+  // configuration (the process executor, 2 workers, projected specs): every
+  // verdict is the golden one, none is unknown, and every violation's
+  // witness violates its own invariant when checked concretely.
   //
   // One known exception: zoo31's traversal-from h3 h2 wopt. Symbolically a
   // WAN optimizer's output is a fresh packet, never received by any
@@ -425,29 +426,35 @@ TEST(Verify, ZooCorpusVerdictsMatchTheGolden) {
       {"zoo31", 0}};
   const std::vector<test::ZooGolden> corpus = test::zoo_golden(100);
   ASSERT_EQ(corpus.size(), 100u);
-  std::size_t witnesses = 0;
-  for (const test::ZooGolden& entry : corpus) {
-    const io::Spec spec = test::zoo_spec(entry.name);
-    EngineOptions opts;
-    opts.verify.max_failures = scenarios::derived_max_failures(spec.model);
-    const BatchResult batch =
-        Engine(spec.model, opts).run_batch(spec.invariants);
-    std::string verdicts;
-    for (std::size_t i = 0; i < batch.results.size(); ++i) {
-      const VerifyResult& r = batch.results[i];
-      const Invariant& inv = spec.invariants[i];
-      EXPECT_NE(r.outcome, Outcome::unknown) << entry.name << " #" << i;
-      verdicts += r.outcome == Outcome::holds ? 'H' : 'V';
-      if (r.outcome != Outcome::violated || inv.sat_means_holds()) continue;
-      ASSERT_TRUE(r.counterexample.has_value()) << entry.name << " #" << i;
-      ++witnesses;
-      if (kSymbolicOnly.contains({entry.name, i})) continue;
-      EXPECT_TRUE(sim::trace_violates(*r.counterexample, spec.model, inv))
-          << entry.name << " #" << i;
+  for (const EngineOptions& executor :
+       {EngineOptions{}, EngineOptions{.batch = true, .jobs = 2}}) {
+    const std::string on = executor.batch ? " (process)" : " (inline)";
+    std::size_t witnesses = 0;
+    for (const test::ZooGolden& entry : corpus) {
+      const io::Spec spec = test::zoo_spec(entry.name);
+      EngineOptions opts = executor;
+      opts.verify.max_failures = scenarios::derived_max_failures(spec.model);
+      const BatchResult batch =
+          Engine(spec.model, opts).run_batch(spec.invariants);
+      EXPECT_EQ(batch.degradation.abandoned(), 0u) << entry.name << on;
+      std::string verdicts;
+      for (std::size_t i = 0; i < batch.results.size(); ++i) {
+        const VerifyResult& r = batch.results[i];
+        const Invariant& inv = spec.invariants[i];
+        EXPECT_NE(r.outcome, Outcome::unknown) << entry.name << " #" << i << on;
+        verdicts += r.outcome == Outcome::holds ? 'H' : 'V';
+        if (r.outcome != Outcome::violated || inv.sat_means_holds()) continue;
+        ASSERT_TRUE(r.counterexample.has_value())
+            << entry.name << " #" << i << on;
+        ++witnesses;
+        if (kSymbolicOnly.contains({entry.name, i})) continue;
+        EXPECT_TRUE(sim::trace_violates(*r.counterexample, spec.model, inv))
+            << entry.name << " #" << i << on;
+      }
+      EXPECT_EQ(verdicts, entry.verdicts) << entry.name << on;
     }
-    EXPECT_EQ(verdicts, entry.verdicts) << entry.name;
+    EXPECT_GT(witnesses, 100u) << on;
   }
-  EXPECT_GT(witnesses, 100u);
 }
 
 }  // namespace

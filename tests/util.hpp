@@ -12,17 +12,16 @@
 
 namespace vmn::test {
 
-/// Engine options for one executor by name - "inline" (no pool), "thread"
-/// or "process" (`jobs` workers each) - under the solver seed the engine
-/// suites pin.
+/// Engine options for one executor by name - "inline" (no pool) or
+/// "process" (`jobs` forked workers, no worker command) - under the solver
+/// seed the engine suites pin.
 inline verify::EngineOptions executor_options(std::string_view executor,
                                               std::size_t jobs = 2) {
   verify::EngineOptions opts;
   opts.verify.solver.seed = 7;
-  if (executor != "inline") {
+  if (executor == "process") {
     opts.batch = true;
     opts.jobs = jobs;
-    if (executor == "process") opts.backend = verify::Backend::process;
   }
   return opts;
 }

@@ -19,7 +19,7 @@ import json
 import sys
 
 # Ratios of two timings: as machine-dependent as the timings themselves.
-TIMING_RATIOS = {"speedup_vs_cold", "speedup_vs_1", "overhead_vs_thread"}
+TIMING_RATIOS = {"speedup_vs_cold", "speedup_vs_1"}
 # Scheduling-dependent: a crashed worker is only respawned while work
 # remains, so the respawn count depends on which worker drains the queue
 # first. Excluded from the exact diff; the acceptance check below still

@@ -2,19 +2,20 @@
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one refinement kernel; one
 # delivery walk; one metrics schema; one model reader; one solver flavour;
-# one transfer memo),
+# one transfer memo; two executors),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
-# cached rerun, the process backend (verdicts must match the thread backend),
-# a worker killed mid-batch (the batch must still complete with every
-# invariant answered), and the fault-injection harness (a deterministic
-# crash-looping job must be quarantined while the respawned fleet answers
-# everything else; verdicts may widen to unknown but never flip; a torn cache
-# flush loses only the tail record and a 1ms deadline exits with the
-# "incomplete" code, with and without --batch) - and slice soundness on the
-# shipped segmented spec (disconnected segments, identical middlebox configs):
-# its expect clauses encode the whole-network truth, so every backend and
-# symmetry mode must reproduce them, and a cache directory written under a
+# cached rerun, the process executor (verdicts must match the inline
+# executor; --backend=process is an alias of --batch, and --backend=thread
+# is a usage error), a worker killed mid-batch (the batch must still
+# complete with every invariant answered), and the fault-injection harness
+# (a deterministic crash-looping job must be quarantined while the
+# respawned fleet answers everything else; verdicts may widen to unknown
+# but never flip; a torn cache flush loses only the tail record and a 1ms
+# deadline exits with the "incomplete" code, with and without --batch) -
+# and slice soundness on the shipped segmented spec (disconnected segments,
+# identical middlebox configs): its expect clauses encode the whole-network
+# truth, so both executors and every symmetry mode must reproduce them, and a cache directory written under a
 # previous key-format version must be rejected (0 hits), then upgraded - and
 # finally the serve daemon on a Unix socket: an in-place edit confined to one
 # segment must re-solve only that segment (counter-asserted) with verdicts
@@ -212,6 +213,26 @@ if [ "$(echo "$tables" | grep -c .)" -ne 1 ] || ! grep -q '^ctor:' <<< "$tables"
   exit 1
 fi
 
+echo "--- lint: two executors (inline and process) ---"
+# EngineOptions::batch means the process executor: forked workers that
+# carry the never-flip fault contract. The thread executor (SolverPool,
+# Backend::thread) bought nothing over it (ROADMAP item 10). A thread pool
+# in the Engine is a third executor, and EngineOptions::backend is kept
+# only because bench/e2e sets it: a read of it in src/ or tools/ would
+# make it choose something again.
+if grep -En 'SolverPool|Backend::thread|std::thread' \
+    "$repo/src/verify/engine.cpp" | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: src/verify/engine.cpp runs a thread executor; a pooled batch" \
+       "runs the process executor (src/verify/process_pool.hpp)" >&2
+  exit 1
+fi
+if grep -rEn '(\.|->)backend\b' "$repo/src" "$repo/tools" \
+    --include='*.cpp' --include='*.hpp' | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: EngineOptions::backend is read in src/ or tools/; it is a" \
+       "leftover for bench/e2e and chooses nothing (ROADMAP item 8)" >&2
+  exit 1
+fi
+
 cmake_args=(-DCMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
             -DVMN_SANITIZE="${VMN_SANITIZE:-OFF}")
 if command -v ccache > /dev/null; then
@@ -274,10 +295,10 @@ print(usage.ru_maxrss, usage.ru_minflt)' "$build/vmn" "$spec")"
   fi
 fi
 
-echo "--- smoke: parallel batch verify (enterprise spec, 2 workers) ---"
-thread_out="$("$build/vmn" verify "$spec" --batch --jobs 2)"
-echo "$thread_out"
-thread_verdicts="$(echo "$thread_out" | verdicts)"
+echo "--- smoke: inline verify (enterprise spec, the reference verdicts) ---"
+inline_out="$("$build/vmn" verify "$spec")"
+echo "$inline_out"
+inline_verdicts="$(echo "$inline_out" | verdicts)"
 
 echo "--- smoke: cached batch re-verification (2 workers, persistent cache) ---"
 cache_dir="$(mktemp -d)"
@@ -290,17 +311,34 @@ if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$second"; then
   exit 1
 fi
 
-echo "--- smoke: process backend agrees with the thread backend ---"
-process_out="$("$build/vmn" verify "$spec" --batch --jobs 2 --backend=process)"
+echo "--- smoke: process executor agrees with the inline executor ---"
+process_out="$("$build/vmn" verify "$spec" --batch --jobs 2)"
 echo "$process_out"
-if ! diff <(echo "$thread_verdicts") <(echo "$process_out" | verdicts); then
-  echo "ci: process backend disagrees with thread backend" >&2
+if ! diff <(echo "$inline_verdicts") <(echo "$process_out" | verdicts); then
+  echo "ci: process executor disagrees with the inline executor" >&2
+  exit 1
+fi
+if ! grep -Eq "^  workers_spawned: [1-9][0-9]*$" <<< "$process_out"; then
+  echo "ci: --batch spawned no worker processes" >&2
+  exit 1
+fi
+alias_out="$("$build/vmn" verify "$spec" --backend=process --jobs 2)"
+if ! diff <(echo "$inline_verdicts") <(echo "$alias_out" | verdicts) \
+    || ! grep -Eq "^  workers_spawned: [1-9][0-9]*$" <<< "$alias_out"; then
+  echo "ci: --backend=process is not an alias of --batch" >&2
+  exit 1
+fi
+
+echo "--- smoke: --backend=thread is a usage error (exit 3) ---"
+thread_rc=0
+"$build/vmn" verify "$spec" --backend=thread > /dev/null 2>&1 || thread_rc=$?
+if [ "$thread_rc" -ne 3 ]; then
+  echo "ci: --backend=thread exited $thread_rc, want 3 (usage)" >&2
   exit 1
 fi
 
 echo "--- smoke: worker killed mid-batch (requeue, no lost invariants) ---"
-kill_out="$("$build/vmn" verify "$spec" --batch --jobs 2 \
-    --backend=process --faults=kill=0)"
+kill_out="$("$build/vmn" verify "$spec" --batch --jobs 2 --faults=kill=0)"
 echo "$kill_out"
 if ! grep -Eq "^  workers_crashed: 1$" <<< "$kill_out"; then
   echo "ci: killed worker was not observed as crashed" >&2
@@ -310,7 +348,7 @@ if echo "$kill_out" | verdicts | grep -q unknown; then
   echo "ci: killed worker lost invariants (unknown verdicts)" >&2
   exit 1
 fi
-if ! diff <(echo "$thread_verdicts") <(echo "$kill_out" | verdicts); then
+if ! diff <(echo "$inline_verdicts") <(echo "$kill_out" | verdicts); then
   echo "ci: verdicts drifted after the worker kill" >&2
   exit 1
 fi
@@ -322,7 +360,7 @@ echo "--- smoke: crash-looping job is quarantined, fleet survives ---"
 # fault-free run (never-flip: unknown is the only allowed difference),
 # and exit with the distinct "incomplete" code.
 fault_rc=0
-fault_out="$("$build/vmn" verify "$spec" --batch --jobs 2 --backend=process \
+fault_out="$("$build/vmn" verify "$spec" --batch --jobs 2 \
     --faults=crash-job=0)" || fault_rc=$?
 echo "$fault_out"
 if [ "$fault_rc" -ne 2 ]; then
@@ -341,7 +379,7 @@ if ! grep -q "^  degradation: " <<< "$fault_out"; then
   echo "ci: degraded batch printed no degradation reason" >&2
   exit 1
 fi
-if ! paste -d' ' <(echo "$thread_verdicts") <(echo "$fault_out" | verdicts) \
+if ! paste -d' ' <(echo "$inline_verdicts") <(echo "$fault_out" | verdicts) \
     | awk '{ if ($2 != $4 && $4 != "unknown") exit 1 }'; then
   echo "ci: a verdict flipped under fault injection" >&2
   exit 1
@@ -406,27 +444,27 @@ if ! grep -Eq "^  deadline_expired: 1$" <<< "$deadline_out"; then
   exit 1
 fi
 
-echo "--- smoke: segmented spec, slice soundness across backends/symmetry ---"
+echo "--- smoke: segmented spec, slice soundness across executors/symmetry ---"
 # The spec's expect clauses are the whole-network verdicts (segment 1's
 # invariants violated); `vmn verify` exits non-zero on any disagreement, so
 # each of these runs is itself a representative-sender soundness assertion.
-seg_thread="$("$build/vmn" verify "$segmented" --batch --jobs 2 --backend=thread)"
-echo "$seg_thread"
-seg_verdicts="$(echo "$seg_thread" | verdicts)"
-seg_process="$("$build/vmn" verify "$segmented" --batch --jobs 2 --backend=process)"
+seg_inline="$("$build/vmn" verify "$segmented")"
+echo "$seg_inline"
+seg_verdicts="$(echo "$seg_inline" | verdicts)"
+seg_process="$("$build/vmn" verify "$segmented" --batch --jobs 2)"
 if ! diff <(echo "$seg_verdicts") <(echo "$seg_process" | verdicts); then
-  echo "ci: segmented spec: process backend disagrees with thread backend" >&2
+  echo "ci: segmented spec: process executor disagrees with inline" >&2
   exit 1
 fi
-seg_nosym="$("$build/vmn" verify "$segmented" --batch --jobs 2 --no-symmetry)"
+seg_nosym="$("$build/vmn" verify "$segmented" --no-symmetry)"
 if ! diff <(echo "$seg_verdicts") <(echo "$seg_nosym" | verdicts); then
   echo "ci: segmented spec: --no-symmetry changed the verdicts" >&2
   exit 1
 fi
 seg_nosym_proc="$("$build/vmn" verify "$segmented" --batch --jobs 2 \
-    --no-symmetry --backend=process)"
+    --no-symmetry)"
 if ! diff <(echo "$seg_verdicts") <(echo "$seg_nosym_proc" | verdicts); then
-  echo "ci: segmented spec: --no-symmetry process backend disagrees" >&2
+  echo "ci: segmented spec: --no-symmetry process executor disagrees" >&2
   exit 1
 fi
 
@@ -486,7 +524,7 @@ echo "--- smoke: renamed isomorphic spec answers from cache, 0 solver calls ---"
 # dots). The v6 problem keys are name-blind and address-token-canonical,
 # so a warm cache dir populated by the ORIGINAL spec must answer the
 # renamed spec's first-ever run completely: full hits, zero misses, zero
-# solver calls - on the thread and the process backend alike - with
+# solver calls - on the inline and the process executor alike - with
 # verdict outcomes equal to a cold --no-warm baseline.
 ren_dir="$(mktemp -d)"
 trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir"' EXIT
@@ -504,22 +542,24 @@ if grep -q 'srv0\|10\.0\.' "$ren_dir/renamed.vmn"; then
 fi
 "$build/vmn" verify "$segmented" --batch --jobs 2 \
     --cache-dir "$ren_dir/cache" > /dev/null
-for backend in thread process; do
-  ren_out="$("$build/vmn" verify "$ren_dir/renamed.vmn" --batch --jobs 2 \
-      --backend="$backend" --cache-dir "$ren_dir/cache")"
+for executor in inline process; do
+  executor_flags=()
+  if [ "$executor" = process ]; then executor_flags=(--batch --jobs 2); fi
+  ren_out="$("$build/vmn" verify "$ren_dir/renamed.vmn" \
+      ${executor_flags[@]+"${executor_flags[@]}"} --cache-dir "$ren_dir/cache")"
   echo "$ren_out"
   if ! grep -Eq "^  solver_calls: 0$" <<< "$ren_out"; then
-    echo "ci: renamed spec still hit the solver ($backend backend)" >&2
+    echo "ci: renamed spec still hit the solver ($executor executor)" >&2
     exit 1
   fi
   if ! grep -Eq "^  cache_hits: [1-9][0-9]*$" <<< "$ren_out" \
       || ! grep -Eq "^  cache_misses: 0$" <<< "$ren_out"; then
-    echo "ci: renamed spec was not fully answered from cache ($backend)" >&2
+    echo "ci: renamed spec was not fully answered from cache ($executor)" >&2
     exit 1
   fi
   if ! diff <(echo "$seg_verdicts" | awk '{print $2}') \
       <(echo "$ren_out" | verdicts | awk '{print $2}'); then
-    echo "ci: renamed spec's cached verdicts drifted ($backend)" >&2
+    echo "ci: renamed spec's cached verdicts drifted ($executor)" >&2
     exit 1
   fi
 done
@@ -533,7 +573,7 @@ fi
 
 echo "--- smoke: cross-isomorphic counters surface in the batch summary ---"
 for name in iso_mapped iso_reuses; do
-  if ! grep -Eq "^  $name: [0-9]+$" <<< "$thread_out"; then
+  if ! grep -Eq "^  $name: [0-9]+$" <<< "$process_out"; then
     echo "ci: batch summary lost the cross-isomorphic counter $name" >&2
     exit 1
   fi
@@ -617,8 +657,9 @@ rm -rf "$build/fuzz-repro"
 echo "--- smoke: fuzzing under fault injection (never-flip oracle) ---"
 # A short sweep with the faults oracle enabled: each spec is re-verified
 # under a seeded chaos plan (worker crashes, crash-looping jobs, frame
-# corruption, forced solver unknowns) on both backends; verdicts may widen
-# to unknown but must never flip against the fault-free baseline.
+# corruption, forced solver unknowns), then under solver faults alone, both
+# on the process executor; verdicts may widen to unknown but must never
+# flip against the fault-free baseline.
 "$build/vmn" fuzz --seed 1 --count 3 --faults \
     --reproducer-dir "$build/fuzz-repro"
 

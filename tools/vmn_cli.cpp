@@ -9,9 +9,9 @@
 //         3  usage or internal error
 //       (1 wins over 2 when both apply: a proven violation outranks an
 //       incomplete sweep.) The invariants are planned into one solver
-//       class per distinct problem key; with --batch the classes fan out
-//       over a solver pool of --jobs N workers (default: hardware
-//       concurrency). Every executor ends with the batch summary: one
+//       class per distinct problem key; with --batch (or --jobs) the
+//       classes fan out over --jobs N forked `vmn worker` processes
+//       (default: hardware concurrency). Every executor ends with the batch summary: one
 //       indented `name: value` line per metric of the schema
 //       (verify::BatchResult::metrics(); timers in microseconds), then one
 //       `degradation:` line per reason the batch degraded.
@@ -19,14 +19,14 @@
 //       a spec edit re-solves only the slices whose canonical key changed
 //       (cached verdicts carry no counterexample trace). --no-warm
 //       disables solver-context reuse across same-shape jobs (debug /
-//       benchmarking baseline). --backend=process fans out over forked
-//       `vmn worker` processes instead of threads: crashed or hung workers
+//       benchmarking baseline). Under --batch, crashed or hung workers
 //       (--worker-timeout) get their jobs requeued onto the survivors and
 //       their slots respawned (bounded); a job that keeps killing workers
 //       is quarantined; exhausted jobs are reported unknown - never
-//       silently dropped. --faults takes a deterministic fault plan
-//       (src/verify/faults.hpp; e.g. seed=7,job-crash=0.2) injected into
-//       the run - chaos testing with replayable schedules. --deadline
+//       silently dropped. --backend=process is an alias of --batch.
+//       --faults takes a deterministic fault plan (src/verify/faults.hpp;
+//       e.g. seed=7,job-crash=0.2) injected into the run - chaos testing
+//       with replayable schedules. --deadline
 //       bounds the batch wall clock: on expiry unattempted jobs surface
 //       as unknown with the degradation reported and exit code 2.
 //       --no-escalate disables the unknown-escalation retry (escalated
@@ -45,10 +45,10 @@
 //       everything else across the reload.
 //
 //   vmn worker
-//       Internal: one verification worker of the process backend. Reads
+//       Internal: one verification worker of the process executor. Reads
 //       wire-framed model/job frames on stdin, writes result frames to
 //       stdout (src/verify/wire.hpp documents the protocol). Spawned by
-//       `vmn verify --backend=process`; speaks pipes, not spec files, so
+//       `vmn verify --batch`; speaks pipes, not spec files, so
 //       it also serves as the single-host template for a future multi-host
 //       dispatcher.
 //
@@ -129,7 +129,7 @@ int usage() {
   return kExitUsage;
 }
 
-/// argv for the process backend's workers: this very binary, re-invoked as
+/// argv for the process executor's workers: this very binary, re-invoked as
 /// `vmn worker`. /proc/self/exe survives PATH tricks and renames; argv[0]
 /// is the fallback for exotic mounts.
 std::vector<std::string> self_worker_command(const char* argv0) {
@@ -188,24 +188,20 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
                  &engine.verify.cache_dir);
   set.add_flag("--no-warm", "disable warm solver-context reuse",
                [&engine] { engine.verify.warm_solving = false; });
-  set.add_flag("--batch", "plan + fan out over a solver pool",
+  set.add_flag("--batch", "fan out over forked worker processes",
                [&engine] { engine.batch = true; });
   set.add_value(
-      "--backend", "thread|process", "solver pool fan-out backend",
+      "--backend", "process", "alias of --batch",
       [&engine](const std::string& text, std::string& error) {
-        if (text == "thread") {
-          engine.backend = verify::Backend::thread;
-        } else if (text == "process") {
-          engine.backend = verify::Backend::process;
-        } else {
-          error = "wants thread|process, got " + text;
+        if (text != "process") {
+          error = "wants process, got " + text;
           return false;
         }
         engine.batch = true;
         return true;
       });
   set.add_value(
-      "--worker-timeout", "ms", "hang timeout per process-backend worker",
+      "--worker-timeout", "ms", "hang timeout per --batch worker",
       [&worker_timeout](const std::string& text, std::string& error) {
         long long ms = 0;
         if (!cli::parse_int(text, 1, INT64_MAX, ms)) {
@@ -263,14 +259,14 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
   });
 }
 
-/// Post-parse fixups shared by verify and serve: wire the process backend
+/// Post-parse fixups shared by verify and serve: wire the process executor
 /// to re-invoke this binary. (Contradictory combinations like --no-symmetry
 /// with --cache-dir are hard usage errors, rejected by the OptionSet's
 /// cross-flag checks before this runs.)
 void finish_engine_flags(verify::EngineOptions& engine,
                          std::chrono::milliseconds worker_timeout,
                          const char* argv0) {
-  if (engine.backend == verify::Backend::process) {
+  if (engine.batch) {
     engine.process.worker_command = self_worker_command(argv0);
     engine.process.hang_timeout = worker_timeout;
   }
@@ -299,7 +295,7 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   bool dedup_report = false;
   cli::OptionSet set("vmn verify <spec-file> [options]",
                      "Verifies every invariant in the spec; --batch fans "
-                     "out over a solver pool.");
+                     "out over forked worker processes.");
   add_engine_flags(set, eopts, worker_timeout);
   set.add_flag("--trace", "print counterexample traces", &want_trace);
   set.add_flag("--dedup-report",

@@ -319,7 +319,8 @@ void BM_Fig8Batch(benchmark::State& state) {
   std::map<std::string, double> values = bench::batch_values(last);
   values["dedup_rate"] = last.dedup_hit_rate();
   double blocked_merges = 0;
-  for (const verify::MergeBlocker& b : last.pool.merge_blockers) {
+  for (const verify::MergeBlocker& b : verify::merge_blockers(
+           mt.model, v.plan(batch.invariants), opts.verify.max_failures)) {
     blocked_merges += static_cast<double>(b.count);
     // Per-box breakdown: structural refusals (no box type) land in
     // "structural" so the blocked_merges_* keys always sum to the total.

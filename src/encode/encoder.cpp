@@ -18,6 +18,20 @@ std::vector<NodeId> all_edge_nodes(const NetworkModel& model) {
   return out;
 }
 
+std::vector<Address> relevant_addresses(const NetworkModel& model,
+                                        const std::vector<NodeId>& members) {
+  std::set<Address> addrs;
+  for (NodeId m : members) {
+    const net::Node& n = model.network().node(m);
+    if (n.kind == net::NodeKind::host) {
+      addrs.insert(n.address);
+    } else if (const mbox::Middlebox* box = model.middlebox_at(m)) {
+      for (Address a : box->implicit_addresses()) addrs.insert(a);
+    }
+  }
+  return {addrs.begin(), addrs.end()};
+}
+
 Encoding::Encoding(const NetworkModel& model, std::vector<NodeId> members,
                    EncodeOptions options)
     : model_(&model), members_(std::move(members)), options_(options) {
@@ -51,7 +65,7 @@ Encoding::Encoding(const NetworkModel& model, std::vector<NodeId> members,
     }
   }
 
-  compute_relevant_addresses();
+  relevant_ = encode::relevant_addresses(model, members_);
   emit_causality();
   emit_hosts();
   emit_omega_and_failures();  // defines scenario_const_ used by middleboxes
@@ -82,19 +96,6 @@ std::size_t Encoding::sort_index(NodeId node) const {
 std::optional<NodeId> Encoding::topology_node(std::size_t index) const {
   if (index >= members_.size()) return std::nullopt;  // Omega
   return members_[index];
-}
-
-void Encoding::compute_relevant_addresses() {
-  std::set<Address> addrs;
-  for (NodeId m : members_) {
-    const net::Node& n = model_->network().node(m);
-    if (n.kind == net::NodeKind::host) {
-      addrs.insert(n.address);
-    } else if (const mbox::Middlebox* box = model_->middlebox_at(m)) {
-      for (Address a : box->implicit_addresses()) addrs.insert(a);
-    }
-  }
-  relevant_.assign(addrs.begin(), addrs.end());
 }
 
 void Encoding::emit_causality() {

@@ -103,7 +103,6 @@ class Encoding {
   [[nodiscard]] std::size_t transfer_reuses() const { return transfer_reuses_; }
 
  private:
-  void compute_relevant_addresses();
   void emit_causality();
   void emit_hosts();
   void emit_middleboxes();
@@ -132,5 +131,10 @@ class Encoding {
 
 /// Convenience: encode the full network (all hosts and middleboxes).
 [[nodiscard]] std::vector<NodeId> all_edge_nodes(const NetworkModel& model);
+
+/// The relevant addresses of an encoding over `members`, sorted: member
+/// hosts' addresses plus member middleboxes' implicit addresses.
+[[nodiscard]] std::vector<Address> relevant_addresses(
+    const NetworkModel& model, const std::vector<NodeId>& members);
 
 }  // namespace vmn::encode

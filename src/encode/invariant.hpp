@@ -32,7 +32,10 @@ enum class InvariantKind : std::uint8_t {
   /// non-rewriting middleboxes, since it tracks packet identity).
   traversal,
   /// positive reachability: s can deliver some packet to d. The expected
-  /// solver outcome is inverted (sat = reachable = good).
+  /// solver outcome is inverted (sat = reachable = good). Existential over
+  /// failures: it holds when any in-budget scenario, the base scenario
+  /// included, delivers, so a failure that cuts s off from d does not by
+  /// itself violate it.
   reachable,
 };
 

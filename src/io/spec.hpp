@@ -34,6 +34,8 @@
 //          | data-isolation <d> <s> | no-malicious <d>
 //          | traversal <d> <type-prefix> | traversal-from <d> <s> <prefix>
 //          | reachable <d> <s>
+//     reachable holds when any in-budget failure scenario, the base one
+//     included, delivers (encode/invariant.hpp)
 //
 // A scenario's table for a switch starts as a copy of the switch's base
 // table. Each route line of the block replaces the copied base rules with

@@ -84,24 +84,20 @@ ForwardingTable& Network::table(NodeId switch_id) {
   return base_tables_[switch_id];
 }
 
-ForwardingTable& Network::table(NodeId switch_id, ScenarioId scenario) {
+void Network::override_routes(NodeId switch_id, ScenarioId scenario,
+                              const std::vector<Rule>& rules) {
   check_node(switch_id);
   if (scenario.value() >= scenarios_.size()) {
     throw ModelError("unknown failure scenario");
   }
-  if (scenario == base_scenario) return table(switch_id);
-  auto key = table_key(scenario, switch_id);
-  auto it = override_tables_.find(key);
-  if (it == override_tables_.end()) {
-    // Start from the current base table so callers can patch incrementally.
-    it = override_tables_.emplace(key, base_tables_[switch_id]).first;
-  }
-  return it->second;
-}
-
-void Network::override_routes(NodeId switch_id, ScenarioId scenario,
-                              const std::vector<Rule>& rules) {
-  ForwardingTable& table = this->table(switch_id, scenario);
+  // A scenario's table starts as a copy of the switch's base table.
+  ForwardingTable& table =
+      scenario == base_scenario
+          ? this->table(switch_id)
+          : override_tables_
+                .try_emplace(table_key(scenario, switch_id),
+                             base_tables_[switch_id])
+                .first->second;
   std::set<TieRank> overridden;
   for (const Rule& r : rules) overridden.insert(tie_rank(r));
   ForwardingTable kept;

@@ -57,14 +57,11 @@ class Network {
 
   /// Base (scenario 0) forwarding table of a switch, writable.
   ForwardingTable& table(NodeId switch_id);
-  /// Scenario-specific override table of a switch, writable. Starts as a
-  /// copy of the base table at the time of the call; what is added to it
-  /// ranks behind the copied rules it ties with.
-  ForwardingTable& table(NodeId switch_id, ScenarioId scenario);
-  /// A spec `scenario` block's routes for one switch (io/spec.hpp): the
-  /// scenario's table drops every rule tied (tie_rank) with one of `rules`,
-  /// then adds `rules` in order, so among themselves the first still wins
-  /// a tie.
+  /// The one writer of scenario routes - a spec `scenario` block's routes
+  /// for one switch (io/spec.hpp). The scenario's table starts as a copy of
+  /// the base table at the first call; each call drops every rule tied
+  /// (tie_rank) with one of `rules`, then adds `rules` in order, so among
+  /// themselves the first still wins a tie.
   void override_routes(NodeId switch_id, ScenarioId scenario,
                        const std::vector<Rule>& rules);
 

@@ -11,11 +11,14 @@
 
 #include "core/hash.hpp"
 #include "dataplane/transfer.hpp"
+#include "encode/encoder.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/topology.hpp"
 #include "slice/refine.hpp"
 
 namespace vmn::slice {
+
+using encode::relevant_addresses;
 
 namespace {
 
@@ -51,21 +54,47 @@ std::optional<std::size_t> position(const std::vector<NodeId>& members,
   return static_cast<std::size_t>(it - members.begin());
 }
 
-/// The relevant address set of a member list, derived exactly like
-/// Encoding::compute_relevant_addresses: member host addresses plus member
-/// middleboxes' implicit addresses, sorted.
-std::vector<Address> relevant_addresses(const encode::NetworkModel& model,
-                                        const std::vector<NodeId>& members) {
-  std::set<Address> addrs;
-  for (NodeId m : members) {
-    const net::Node& n = model.network().node(m);
-    if (n.kind == net::NodeKind::host) {
-      addrs.insert(n.address);
-    } else if (const mbox::Middlebox* box = model.middlebox_at(m)) {
-      for (Address a : box->implicit_addresses()) addrs.insert(a);
+/// The routing and failures an encoding over `members` compiles, written
+/// in relabeled coordinates (`label[i]` for members[i], j for
+/// addresses[j]): per in-budget scenario, the member x address transfer
+/// relation (omega.transfer; deliveries outside the members are drops
+/// there too) plus the failed members, digested, as a sorted multiset.
+/// Scenario order is interpretation, not content: the scenario-selection
+/// constant is used only with equality, so two encodings whose multisets
+/// match are equisatisfiable under a permutation of their scenarios.
+std::vector<std::string> scenario_signatures(
+    const net::Network& net, const std::vector<NodeId>& members,
+    const std::vector<std::size_t>& label,
+    const std::vector<Address>& addresses, int max_failures,
+    dataplane::TransferCache& tcache) {
+  std::vector<std::string> sigs;
+  for (const net::FailureScenario& sc : net.scenarios()) {
+    if (static_cast<int>(sc.failed_nodes.size()) > max_failures) continue;
+    const ScenarioId sid(static_cast<ScenarioId::underlying_type>(
+        &sc - net.scenarios().data()));
+    const dataplane::TransferFunction& tf = tcache.at(sid);
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (std::size_t j = 0; j < addresses.size(); ++j) {
+        const std::optional<NodeId> hop =
+            tf.next_edge(members[i], addresses[j]);
+        if (!hop) continue;
+        const std::optional<std::size_t> k = position(members, *hop);
+        if (!k) continue;
+        lines.push_back("r" + std::to_string(label[i]) + "," +
+                        std::to_string(j) + ">" + std::to_string(label[*k]));
+      }
+      if (sc.is_failed(members[i])) {
+        lines.push_back("x" + std::to_string(label[i]));
+      }
     }
+    std::sort(lines.begin(), lines.end());
+    std::string sig;
+    for (const std::string& l : lines) sig += l + ";";
+    sigs.push_back(digest(sig));
   }
-  return {addrs.begin(), addrs.end()};
+  std::sort(sigs.begin(), sigs.end());
+  return sigs;
 }
 
 /// Arc labels of the problem graph: each names the role one vertex plays
@@ -103,9 +132,8 @@ ProblemColours colour_problem(const encode::NetworkModel& model,
   ColourGraph g;
   for (std::uint64_t c : mcolor) g.add_vertex(c);
 
-  // Relevant addresses (the same derivation as
-  // Encoding::compute_relevant_addresses), coloured by their owners through
-  // ownership edges, never by their bits.
+  // Relevant addresses (the encoding's own derivation), coloured by their
+  // owners through ownership edges, never by their bits.
   const std::vector<Address> relevant = relevant_addresses(model, members);
   const std::size_t first_addr = g.colours.size();
   for (std::size_t j = 0; j < relevant.size(); ++j) {
@@ -479,74 +507,31 @@ std::optional<std::vector<NodeId>> shape_bijection(
     }
   }
 
-  // 4. Routing and failures: for every in-budget scenario, the transfer
-  // relation over members x relevant addresses (what omega.transfer
-  // compiles) and the failed-member set, both written in the target
-  // namespace, must correspond under SOME permutation of the in-budget
-  // scenarios - the scenario-selection constant is used only with
-  // equality, so permuting the enum's interpretation preserves
-  // satisfiability, and nothing else in the encoding is scenario-indexed.
-  // A multiset match certifies existence; the permutation itself is never
-  // needed downstream (witness fail events name nodes, not scenarios).
-  std::vector<std::string> from_sigs;
-  std::vector<std::string> to_sigs;
-  for (const net::FailureScenario& sc : net.scenarios()) {
-    if (static_cast<int>(sc.failed_nodes.size()) > max_failures) continue;
-    const ScenarioId sid(static_cast<ScenarioId::underlying_type>(
-        &sc - net.scenarios().data()));
-    const dataplane::TransferFunction& tf = tcache.at(sid);
-    std::vector<std::string> fl;
-    std::vector<std::string> tl;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < rel_from.size(); ++j) {
-        // from-side walk, written in to-space coordinates via perm.
-        if (std::optional<NodeId> hop = tf.next_edge(from.members[i],
-                                                     rel_from[j])) {
-          if (std::optional<std::size_t> k = position(from.members, *hop)) {
-            fl.push_back("r" + std::to_string(perm[i]) + "," +
-                         std::to_string(j) + ">" + std::to_string(perm[*k]));
-          }
-        }
-        // to-side walk, already in to-space; addresses share the aligned
-        // token space (mapped[j] is alpha(rel_from[j])).
-        if (std::optional<NodeId> hop = tf.next_edge(to.members[i],
-                                                     mapped[j])) {
-          if (std::optional<std::size_t> k = position(to.members, *hop)) {
-            tl.push_back("r" + std::to_string(i) + "," + std::to_string(j) +
-                         ">" + std::to_string(*k));
-          }
-        }
-      }
-      if (sc.is_failed(from.members[i])) {
-        fl.push_back("x" + std::to_string(perm[i]));
-      }
-      if (sc.is_failed(to.members[i])) {
-        tl.push_back("x" + std::to_string(i));
-      }
-    }
-    std::sort(fl.begin(), fl.end());
-    std::sort(tl.begin(), tl.end());
-    std::string fsig;
-    for (const std::string& l : fl) fsig += l + ";";
-    std::string tsig;
-    for (const std::string& l : tl) tsig += l + ";";
-    from_sigs.push_back(std::move(fsig));
-    to_sigs.push_back(std::move(tsig));
-  }
-  std::sort(from_sigs.begin(), from_sigs.end());
-  std::sort(to_sigs.begin(), to_sigs.end());
-  if (from_sigs != to_sigs) {
+  // 4. Routing and failures: the scenario signatures of both sides, the
+  // from-side written in to-space coordinates via perm, must match as
+  // multisets (a scenario permutation exists; it is never needed
+  // downstream, since witness fail events name nodes, not scenarios).
+  std::vector<std::size_t> identity(n);
+  for (std::size_t i = 0; i < n; ++i) identity[i] = i;
+  if (scenario_signatures(net, from.members, perm, rel_from, max_failures,
+                          tcache) !=
+      scenario_signatures(net, to.members, identity, mapped, max_failures,
+                          tcache)) {
     return refuse("scenario transfer relations differ");
   }
 
   return image;
 }
 
-ProblemKey canonical_problem_key(const encode::NetworkModel& model,
-                                 const ShapeKey& shape,
-                                 const encode::Invariant& invariant,
-                                 int max_failures,
-                                 dataplane::TransferCache* transfers) {
+namespace {
+
+/// The one canonical renderer behind canonical_problem_key (`invariant`
+/// set) and canonical_base_key (`invariant` null: no roles, no invariant
+/// section, the shape key as prefix).
+ProblemKey render_problem(const encode::NetworkModel& model,
+                          const ShapeKey& shape,
+                          const encode::Invariant* invariant, int max_failures,
+                          dataplane::TransferCache* transfers) {
   ProblemKey out;
   const net::Network& net = model.network();
   const std::size_t n = shape.members.size();
@@ -569,11 +554,13 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
   // (the datacenter's wrap-around group pair). An isomorphism of problems
   // maps roles to roles, so role-aware ranks still correspond; a remaining
   // unlucky tie within a color class can only make two isomorphic problems
-  // render differently - a missed hit, never a merge.
+  // render differently - a missed hit, never a merge. Without an invariant
+  // ranks are (color, position): the pairing shape_bijection tries.
   auto role_of = [&](std::size_t i) {
+    if (invariant == nullptr) return 2;
     const NodeId id = shape.members[i];
-    if (invariant.target.valid() && id == invariant.target) return 0;
-    if (invariant.other.valid() && id == invariant.other) return 1;
+    if (invariant->target.valid() && id == invariant->target) return 0;
+    if (invariant->other.valid() && id == invariant->other) return 1;
     return 2;
   };
   std::vector<std::size_t> order(n);
@@ -594,12 +581,16 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
     return rank_of[*i];
   };
   std::optional<std::size_t> target_rank;
-  if (invariant.target.valid()) target_rank = rank_of_node(invariant.target);
-  if (!target_rank) return out;  // invariant escapes the slice: no key
   std::optional<std::size_t> other_rank;
-  if (invariant.other.valid()) {
-    other_rank = rank_of_node(invariant.other);
-    if (!other_rank) return out;
+  if (invariant != nullptr) {
+    if (invariant->target.valid()) {
+      target_rank = rank_of_node(invariant->target);
+    }
+    if (!target_rank) return out;  // invariant escapes the slice: no key
+    if (invariant->other.valid()) {
+      other_rank = rank_of_node(invariant->other);
+      if (!other_rank) return out;
+    }
   }
 
   // Address tokens: first appearance along the rank order (a host's
@@ -613,7 +604,10 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
     return it->second;
   };
 
-  std::string body = "prob7/" + encode::to_string(invariant.kind) + "/";
+  std::string body =
+      invariant != nullptr
+          ? "prob7/" + encode::to_string(invariant->kind) + "/"
+          : shape.key + "|base/";
   for (std::size_t r = 0; r < n; ++r) {
     const NodeId id = shape.members[order[r]];
     const net::Node& node = net.node(id);
@@ -633,9 +627,8 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
   // token-ordered relevant set. An address a projection mentions outside
   // the relevant set renders as raw bits: equal bits on both sides of a
   // key comparison name the literally identical address, which extends
-  // the induced token bijection by identity (still sound - unlike
-  // shape_bijection's side-tagged refusal, which must stay conservative
-  // because its two sides token addresses independently).
+  // the induced token bijection by identity. This is the one place the
+  // rule lives for both keys; shape_bijection is stricter (see its doc).
   auto tokfn = [&](Address a) -> std::string {
     auto it = token.find(a);
     if (it == token.end()) return "!" + std::to_string(a.bits());
@@ -651,63 +644,56 @@ ProblemKey canonical_problem_key(const encode::NetworkModel& model,
   // middleboxes by name prefix - the key records the selected rank set
   // instead of the (name-carrying) prefix itself, so renamed prefixes
   // with corresponding selections still match.
-  body += "I" + std::to_string(*target_rank) + ":" +
-          (other_rank ? std::to_string(*other_rank) : std::string("-"));
-  if (invariant.kind == encode::InvariantKind::traversal) {
-    std::vector<std::size_t> sel;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (model.middlebox_at(shape.members[i]) != nullptr &&
-          net.name(shape.members[i]).starts_with(invariant.type_prefix)) {
-        sel.push_back(rank_of[i]);
+  if (invariant != nullptr) {
+    body += "I" + std::to_string(*target_rank) + ":" +
+            (other_rank ? std::to_string(*other_rank) : std::string("-"));
+    if (invariant->kind == encode::InvariantKind::traversal) {
+      std::vector<std::size_t> sel;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (model.middlebox_at(shape.members[i]) != nullptr &&
+            net.name(shape.members[i]).starts_with(invariant->type_prefix)) {
+          sel.push_back(rank_of[i]);
+        }
       }
+      std::sort(sel.begin(), sel.end());
+      body += ":P{";
+      for (std::size_t r : sel) body += std::to_string(r) + ",";
+      body += "}";
+    } else if (!invariant->type_prefix.empty()) {
+      body += ":t" + invariant->type_prefix;
     }
-    std::sort(sel.begin(), sel.end());
-    body += ":P{";
-    for (std::size_t r : sel) body += std::to_string(r) + ",";
-    body += "}";
-  } else if (!invariant.type_prefix.empty()) {
-    body += ":t" + invariant.type_prefix;
+    body += ";";
   }
-  body += ";";
-  // Routing and failures: per in-budget scenario, the member x relevant
-  // transfer relation and failed-member set in rank/token coordinates,
-  // compared as a sorted multiset of signatures (scenario order is
-  // interpretation, not content - exactly shape_bijection's check 4).
-  std::vector<std::string> sigs;
-  for (const net::FailureScenario& sc : net.scenarios()) {
-    if (static_cast<int>(sc.failed_nodes.size()) > max_failures) continue;
-    const ScenarioId sid(static_cast<ScenarioId::underlying_type>(
-        &sc - net.scenarios().data()));
-    const dataplane::TransferFunction& tf = tcache.at(sid);
-    std::vector<std::string> lines;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t t = 0; t < out.tokens.size(); ++t) {
-        std::optional<NodeId> hop =
-            tf.next_edge(shape.members[i], out.tokens[t]);
-        if (!hop) continue;
-        std::optional<std::size_t> k = rank_of_node(*hop);
-        if (!k) continue;
-        lines.push_back("r" + std::to_string(rank_of[i]) + "," +
-                        std::to_string(t) + ">" + std::to_string(*k));
-      }
-      if (sc.is_failed(shape.members[i])) {
-        lines.push_back("x" + std::to_string(rank_of[i]));
-      }
-    }
-    std::sort(lines.begin(), lines.end());
-    std::string sig;
-    for (const std::string& l : lines) sig += l + ";";
-    sigs.push_back(digest(sig));
-  }
-  std::sort(sigs.begin(), sigs.end());
+  // Routing and failures, in rank/token coordinates (shape_bijection's
+  // check 4).
   body += "|S";
-  for (const std::string& s : sigs) body += s + ";";
+  for (const std::string& sig :
+       scenario_signatures(net, shape.members, rank_of, out.tokens,
+                           max_failures, tcache)) {
+    body += sig + ";";
+  }
   body += "|mf=" + std::to_string(max_failures);
 
   out.order.resize(n);
   for (std::size_t r = 0; r < n; ++r) out.order[r] = shape.members[order[r]];
   out.key = std::move(body);
   return out;
+}
+
+}  // namespace
+
+ProblemKey canonical_problem_key(const encode::NetworkModel& model,
+                                 const ShapeKey& shape,
+                                 const encode::Invariant& invariant,
+                                 int max_failures,
+                                 dataplane::TransferCache* transfers) {
+  return render_problem(model, shape, &invariant, max_failures, transfers);
+}
+
+ProblemKey canonical_base_key(const encode::NetworkModel& model,
+                              const ShapeKey& shape, int max_failures,
+                              dataplane::TransferCache* transfers) {
+  return render_problem(model, shape, nullptr, max_failures, transfers);
 }
 
 }  // namespace vmn::slice

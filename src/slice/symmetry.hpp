@@ -6,7 +6,9 @@
 // symmetric to I." VMN makes the argument exact: the batch planner groups
 // invariants by canonical_problem_key, whose equality certifies an
 // isomorphism of the whole verification problem, and verifies one
-// representative per group.
+// representative per group. The same renderer, without the invariant,
+// writes canonical_base_key, whose equality decides which classes share
+// one base encoding.
 #pragma once
 
 #include <cstdint>
@@ -68,18 +70,14 @@ namespace vmn::slice {
 /// colors the fingerprint was derived from.
 ///
 /// Unlike canonical_slice_key, the shape key ignores invariant roles,
-/// policy classes and middlebox configuration payloads (configuration is
-/// deliberately left out of the coarse key; exactness is established
-/// afterwards by shape_bijection's structural descriptor comparison): hosts
-/// are colored "host", middleboxes by structural fingerprint, and
-/// refinement to the stable colouring over ownership and the
-/// scenario-tagged routing relation does the rest. Equal keys are
-/// therefore only a *candidate* signal - two slices whose keys collide may
-/// still encode different problems (differing configurations, or a blind
-/// spot of colour refinement: two triangles and a 6-cycle colour alike).
-/// shape_bijection() below performs the exact, soundness-carrying
-/// verification; the key's only job is to index the encoding-reuse cache
-/// and to align members for pairing.
+/// policy classes and middlebox configuration payloads: hosts are colored
+/// "host", middleboxes by structural fingerprint, and refinement to the
+/// stable colouring over ownership and the scenario-tagged routing
+/// relation does the rest. Equal keys are therefore only a *candidate*
+/// signal - two slices whose keys collide may still encode different
+/// problems (differing configurations, or a blind spot of colour
+/// refinement: two triangles and a 6-cycle colour alike), so nothing
+/// merges on it alone; its colors rank members for both renderings below.
 struct ShapeKey {
   std::string key;
   /// Normalized (sorted, deduplicated) members the key describes.
@@ -141,6 +139,18 @@ struct ProblemKey {
     const encode::Invariant& invariant, int max_failures = 0,
     dataplane::TransferCache* transfers = nullptr);
 
+/// The invariant-free key of a base encoding problem - (model, member set,
+/// failure budget) - written by canonical_problem_key's own renderer with
+/// the shape key as prefix, members ranked by (shape color, position) and
+/// no invariant section. That ranking is the pairing shape_bijection
+/// tries, so equal base keys certify the isomorphism an accepted bijection
+/// does, for the reason equal problem keys certify one; verify::plan_jobs
+/// rebinds a member set onto the first one planned with its base key
+/// through the rank correspondence (order[r] -> rep.order[r]).
+[[nodiscard]] ProblemKey canonical_base_key(
+    const encode::NetworkModel& model, const ShapeKey& shape,
+    int max_failures = 0, dataplane::TransferCache* transfers = nullptr);
+
 /// Why shape_bijection refused a candidate merge. `reason` is the one-line
 /// diagnostic `vmn verify --dedup-report` prints; when a middlebox
 /// configuration blocked the merge, it names the exact differing relation
@@ -155,28 +165,26 @@ struct MergeRefusal {
 
 /// Attempts to build - and exactly verify - a bijection from `from.members`
 /// onto `to.members` under which the two base encodings are isomorphic:
-/// the returned image (aligned with `from.members`) maps nodes such that
-/// kinds and structural fingerprints agree, the induced address bijection
-/// (host addresses plus middlebox implicit-address lists, elementwise) is
-/// well defined and maps one relevant-address set onto the other, every
-/// member middlebox's encoding_projection (the canonical rendering of
-/// everything emit_axioms compiles from its configuration) agrees under
-/// the address bijection, and for the in-budget failure scenarios there is
-/// a scenario permutation under which the transfer relations
-/// (members x relevant addresses, exactly what omega.transfer compiles)
-/// and per-scenario failed-member sets correspond.
+/// the returned image (aligned with `from.members`) pairs members by
+/// (color, position) and maps nodes such that kinds and structural
+/// fingerprints agree, the induced address bijection (host addresses plus
+/// middlebox implicit-address lists, elementwise) is well defined and maps
+/// one relevant-address set onto the other, every member middlebox's
+/// encoding_projection agrees under the address bijection, and for the
+/// in-budget failure scenarios there is a scenario permutation under which
+/// the transfer relations (members x relevant addresses, exactly what
+/// omega.transfer compiles) and per-scenario failed-member sets
+/// correspond. Returns nullopt when any check fails.
 ///
-/// These checks re-derive the entire configuration-dependent content of
-/// encode::Encoding, so a returned bijection certifies that solving an
-/// invariant mapped through it on `to`'s base encoding is equisatisfiable
-/// with solving the original on `from`'s - the colour-paired candidate is
-/// never trusted on its own. Returns nullopt when any check fails (the
-/// caller falls back to encoding `from` cold, which is always sound);
-/// `why`, when non-null, receives the refusal diagnostic - for
-/// configuration-projection mismatches, the boxes' ConfigRelations
-/// descriptors are diffed structurally so the reason names the exact
-/// relation, row and cell that blocked the merge (what
-/// `vmn verify --dedup-report` surfaces).
+/// A cross-check and a diagnostic; no solve path calls it. The tests force
+/// every planned rank map and rebinding through it, and
+/// verify::merge_blockers names refusals with `why`: for configuration
+/// mismatches the boxes' ConfigRelations descriptors are diffed so the
+/// reason names the exact relation, row and cell. One rule is stricter
+/// than the renderings': an address a projection mentions outside the
+/// relevant set never matches here, while a rendering matches it to the
+/// identical address. No rebinding of the generators, the example specs
+/// or the 600 zoo-random specs differs by that rule alone.
 [[nodiscard]] std::optional<std::vector<NodeId>> shape_bijection(
     const encode::NetworkModel& model, const ShapeKey& from,
     const ShapeKey& to, int max_failures = 0,

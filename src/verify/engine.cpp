@@ -165,7 +165,6 @@ BatchResult Engine::run_batch(
   out.plan_time = plan.plan_time;
   out.iso_mapped = plan.iso_mapped;
   out.pool.jobs_executed = plan.planned_jobs();
-  out.pool.merge_blockers = plan.merge_blockers;
   for (const Job& job : plan.jobs) {
     out.pool.iso_class_sizes.push_back(job.fan_out());
   }

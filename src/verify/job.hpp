@@ -24,17 +24,8 @@
 
 namespace vmn::verify {
 
-/// One cached representative per base-encoding shape: the member set whose
-/// encoding stands in for every isomorphic member set planned later, plus
-/// the refinement colors new candidates are paired against
-/// (slice::canonical_shape_key / slice::shape_bijection).
-struct ShapeRep {
-  std::vector<NodeId> members;
-  std::vector<std::uint64_t> colors;
-};
-
-/// One aggregated merge-refusal line: how many candidate merges one
-/// distinct slice::MergeRefusal diagnostic blocked this batch. `box_type`
+/// One aggregated merge-refusal line of verify::merge_blockers: how many
+/// refused encode reuses one distinct slice::MergeRefusal names. `box_type`
 /// is the blocking middlebox type for configuration refusals (empty for
 /// structural ones), so reports and benches can break blockers down
 /// per box.
@@ -44,35 +35,22 @@ struct MergeBlocker {
   std::size_t count = 0;
 };
 
-/// Shared state for one plan_jobs pass. The planner is the serial Amdahl
-/// term in front of the parallel fan-out, and its dominant cost used to be
-/// rebuilding an identical dataplane::TransferFunction per (invariant,
-/// scenario) at every use site - compute_slice and each canonical key. A
-/// PlanContext owns one memoized transfer function per failure scenario
-/// and every slice computation and canonical key of the plan draws from
-/// it, so each scenario's fabric walks happen once per batch instead of
-/// once per use. Policy-class inference (build_policy_classes) runs its
-/// reachability refinement through a PlanContext of its own for the same
-/// reason: the per-(host, scenario) delivery walks all share one memo, and
-/// slice seeding afterwards only *looks up* the recorded signatures -
-/// planning never re-walks the dataplane for representative selection.
-/// Single-threaded, like the cache it wraps; one context never outlives
-/// its model.
+/// Planning state shared across plan_jobs passes over one model: one
+/// memoized transfer function per failure scenario, which policy-class
+/// inference (build_policy_classes), every slice and every canonical key
+/// draw from, so each scenario's fabric walks happen once, and the
+/// encode-reuse representatives. Single-threaded, like the cache it
+/// wraps; one context never outlives its model.
 struct PlanContext {
   explicit PlanContext(const net::Network& network) : transfers(network) {}
   dataplane::TransferCache transfers;
-  /// Canonical-shape-key-indexed encoding-reuse cache: class
-  /// representatives planned under a shape key are rebound (Job::iso_image)
-  /// onto the first registered representative their exact verification
-  /// accepts. A key holds a short *list* of representatives, not one: the
-  /// shape key is configuration-blind, so e.g. a clean and a rule-deleted
-  /// datacenter group share a key while encoding different problems -
-  /// each configuration stratum gets its own representative and later
-  /// member sets of the same stratum still pair up (the list is capped;
-  /// see plan_jobs). Owned by the verifier alongside the transfer memo, so
-  /// representatives persist across plan passes - a later batch warms
-  /// straight onto the shapes an earlier batch encoded.
-  std::unordered_map<std::string, std::vector<ShapeRep>> shape_reps;
+  /// Encode-reuse representatives: base key (slice::canonical_base_key)
+  /// -> rank order of the first member set planned with it. A later class
+  /// representative with that key is rebound (Job::iso_image) onto that
+  /// set through the rank correspondence; one lookup decides. Kept across
+  /// plan passes, so a later batch warms straight onto the shapes an
+  /// earlier batch encoded.
+  std::unordered_map<std::string, std::vector<NodeId>> shape_reps;
 };
 
 /// One verdict bound to a job's single solver call. A Job carries its
@@ -124,11 +102,11 @@ struct Job {
   std::vector<NodeId> members;
   /// Cross-isomorphic encoding reuse (empty = encode `members` directly).
   /// When set, iso_image[i] is the representative node playing members[i]'s
-  /// part under a planner-verified isomorphism (slice::shape_bijection):
-  /// the job executes on the base encoding of the representative member
-  /// set (`iso_members`) with the invariant mapped through the bijection,
-  /// and the counterexample witness is relabeled back before it surfaces
-  /// (verify::IsoBinding).
+  /// part under the rank correspondence of equal base keys
+  /// (slice::canonical_base_key): the job executes on the base encoding of
+  /// the representative member set (`iso_members`) with the invariant
+  /// mapped through the bijection, and the counterexample witness is
+  /// relabeled back before it surfaces (verify::IsoBinding).
   std::vector<NodeId> iso_image;
   /// The representative member set (sorted iso_image values); set exactly
   /// when iso_image is.
@@ -179,19 +157,12 @@ struct JobPlan {
   /// Wall time of the whole (serial) planning pass.
   std::chrono::microseconds plan_time{0};
   /// PlanContext memo effectiveness: transfer functions built vs handed
-  /// back from the per-scenario memo. The seed behavior was builds ==
-  /// 2 x invariants x scenarios and reuses == 0.
+  /// back from the per-scenario memo.
   std::size_t transfer_builds = 0;
   std::size_t transfer_reuses = 0;
   /// Class representatives rebound onto an isomorphic representative's
   /// base encoding this pass (Job::iso_image set).
   std::size_t iso_mapped = 0;
-  /// Why candidate merges were refused (the shape_bijection MergeRefusal
-  /// diagnostics, aggregated): configuration refusals name the exact
-  /// differing relation/row/cell from the boxes' ConfigRelations
-  /// descriptors and carry the blocking box type for per-box breakdowns.
-  /// Feeds `vmn verify --dedup-report` and the fig8 bench counters.
-  std::vector<MergeBlocker> merge_blockers;
 
   /// Solver classes: one per job.
   [[nodiscard]] std::size_t planned_jobs() const { return jobs.size(); }

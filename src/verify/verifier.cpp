@@ -345,7 +345,7 @@ VerifyResult bind_result(const encode::NetworkModel& model,
                          const std::vector<NodeId>& iso_image) {
   VerifyResult out = solved;
   // The verdict transfers verbatim (equisatisfiability is the planner's
-  // problem-key and shape_bijection contract, and the mapped invariants
+  // problem-key and base-key contract, and the mapped invariants
   // share a kind, hence a sat polarity); only the witness needs to cross
   // back into the binding's own namespace.
   if (!iso_image.empty() && out.counterexample) {
@@ -382,6 +382,28 @@ bool iso_covers_invariant(const encode::NetworkModel& model,
     }
   }
   return true;
+}
+
+/// The image rebinding `shape`'s member set onto the representative of its
+/// base key (slice::canonical_base_key): the node of equal rank plays each
+/// member's part. Empty when the set represents itself - the first with
+/// its key becomes the representative.
+std::vector<NodeId> rebind_image(const encode::NetworkModel& model,
+                                 const slice::ShapeKey& shape,
+                                 PlanContext& ctx, int max_failures) {
+  const slice::ProblemKey base =
+      slice::canonical_base_key(model, shape, max_failures, &ctx.transfers);
+  if (base.key.empty()) return {};
+  const std::vector<NodeId>& rep =
+      ctx.shape_reps.try_emplace(base.key, base.order).first->second;
+  if (rep == base.order) return {};
+  std::vector<NodeId> image(shape.members.size());
+  for (std::size_t r = 0; r < rep.size(); ++r) {
+    const auto m = std::lower_bound(shape.members.begin(),
+                                    shape.members.end(), base.order[r]);
+    image[static_cast<std::size_t>(m - shape.members.begin())] = rep[r];
+  }
+  return image;
 }
 
 }  // namespace
@@ -487,70 +509,27 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
     job.problem_key = std::move(key);
     plan.jobs.push_back(std::move(job));
   }
-  // Cross-isomorphic encoding reuse: class representatives whose member
-  // sets are isomorphic to a shape an earlier class (or batch - the reps
-  // live in the PlanContext) already encodes are rebound onto that
-  // representative via a planner-verified bijection, so one warm base
-  // encoding serves symmetric-but-renamed slices whose problem keys
-  // (rightly) refused to merge verdicts. Disabled with warm solving off:
-  // --no-warm is the cold baseline and must keep the historical
-  // encode-every-class behavior.
-  std::map<std::pair<std::string, std::string>, std::size_t> blockers;
+  // Cross-isomorphic encoding reuse: a class representative whose base
+  // key an earlier class (or batch) rendered is rebound onto that member
+  // set, so one warm base encoding serves symmetric-but-renamed slices
+  // whose problem keys (rightly) refused to merge verdicts. Off with warm
+  // solving off: --no-warm is the cold encode-every-class baseline.
   if (options.warm_solving) {
-    // One shape decision per distinct member set this pass.
-    std::map<std::vector<NodeId>, std::pair<std::vector<NodeId>,
-                                            std::vector<NodeId>>>
-        decided;  // members -> (image, rep members); empty image = self
     for (Job& job : plan.jobs) {
-      auto it = decided.find(job.members);
-      if (it == decided.end()) {
-        std::pair<std::vector<NodeId>, std::vector<NodeId>> decision;
-        const slice::ShapeKey& shape = shape_of(job.members);
-        if (shape.members != job.members) {
-          // Defensive: iso images are aligned with the normalized member
-          // list; a job whose member list is not already normalized (never
-          // produced by slice_members) encodes itself.
-          it = decided.emplace(job.members, std::move(decision)).first;
-          continue;
-        }
-        // The key is configuration-blind, so one key may legitimately
-        // cover several non-isomorphic configuration strata (clean vs
-        // rule-deleted groups): try each registered representative's exact
-        // verification, and a member set no representative accepts becomes
-        // a representative itself - capped so a pathological key cannot
-        // turn planning quadratic. Refusal reasons are kept per batch for
-        // the --dedup-report diagnostics.
-        constexpr std::size_t kMaxShapeReps = 8;
-        std::vector<ShapeRep>& reps = ctx.shape_reps[shape.key];
-        bool is_rep = false;
-        for (const ShapeRep& rep : reps) {
-          if (rep.members == shape.members) {
-            is_rep = true;
-            break;
-          }
-          slice::ShapeKey rep_shape{shape.key, rep.members, rep.colors};
-          slice::MergeRefusal why;
-          if (std::optional<std::vector<NodeId>> image = slice::shape_bijection(
-                  model, shape, rep_shape, options.max_failures,
-                  &ctx.transfers, &why)) {
-            decision.first = std::move(*image);
-            decision.second = rep.members;
-            break;
-          }
-          ++blockers[{why.box_type, why.reason}];
-        }
-        if (!is_rep && decision.first.empty() && reps.size() < kMaxShapeReps) {
-          reps.push_back(ShapeRep{shape.members, shape.colors});
-        }
-        it = decided.emplace(job.members, std::move(decision)).first;
-      }
-      if (it->second.first.empty()) continue;
-      if (!iso_covers_invariant(model, job.members, it->second.first,
+      // Images align with the normalized member list; a member list that
+      // is not normalized (never produced by slice_members) encodes itself.
+      const slice::ShapeKey& shape = shape_of(job.members);
+      if (shape.members != job.members) continue;
+      std::vector<NodeId> image =
+          rebind_image(model, shape, ctx, options.max_failures);
+      if (image.empty() ||
+          !iso_covers_invariant(model, job.members, image,
                                 invariants[job.invariant_index])) {
         continue;
       }
-      job.iso_image = it->second.first;
-      job.iso_members = it->second.second;
+      job.iso_members = image;
+      std::sort(job.iso_members.begin(), job.iso_members.end());
+      job.iso_image = std::move(image);
       ++plan.iso_mapped;
     }
   }
@@ -577,9 +556,6 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
       for (NodeId m : binding.members) binding.iso_image.push_back(g.at(m));
     }
   }
-  for (auto& [key, count] : blockers) {
-    plan.merge_blockers.push_back(MergeBlocker{key.second, key.first, count});
-  }
   // Shape-adjacency ordering: jobs binding identical base encodings become
   // neighbors - identical member sets as before, plus member sets rebound
   // onto the same isomorphic representative (stable, so equal-shape jobs
@@ -598,6 +574,51 @@ JobPlan plan_jobs(const encode::NetworkModel& model,
   plan.plan_time = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - plan_start);
   return plan;
+}
+
+std::vector<MergeBlocker> merge_blockers(const encode::NetworkModel& model,
+                                         const JobPlan& plan,
+                                         int max_failures) {
+  dataplane::TransferCache transfers(model.network());
+  // The planner meets member sets in invariant order (class
+  // representatives, before the shape-adjacency reorder).
+  std::vector<const Job*> jobs;
+  for (const Job& job : plan.jobs) jobs.push_back(&job);
+  std::sort(jobs.begin(), jobs.end(), [](const Job* a, const Job* b) {
+    return a->invariant_index < b->invariant_index;
+  });
+  // Per configuration-blind shape key: each base key's first member set,
+  // in the order the base keys appeared.
+  std::map<std::string, std::vector<std::pair<std::string, slice::ShapeKey>>>
+      strata;
+  std::set<std::vector<NodeId>> seen;
+  std::map<std::pair<std::string, std::string>, std::size_t> counts;
+  for (const Job* job : jobs) {
+    if (!seen.insert(job->members).second) continue;
+    slice::ShapeKey shape = slice::canonical_shape_key(
+        model, job->members, max_failures, &transfers);
+    std::string base =
+        slice::canonical_base_key(model, shape, max_failures, &transfers).key;
+    auto& earlier = strata[shape.key];
+    std::size_t own = 0;
+    while (own < earlier.size() && earlier[own].first != base) ++own;
+    // One refusal against each base key that appeared before this set's
+    // own; shape_bijection only names it.
+    for (std::size_t k = 0; k < own; ++k) {
+      slice::MergeRefusal why;
+      if (slice::shape_bijection(model, shape, earlier[k].second,
+                                 max_failures, &transfers, &why)) {
+        why.reason = "base keys differ";
+      }
+      ++counts[{why.box_type, why.reason}];
+    }
+    if (own == earlier.size()) earlier.emplace_back(base, std::move(shape));
+  }
+  std::vector<MergeBlocker> out;
+  for (const auto& [key, count] : counts) {
+    out.push_back(MergeBlocker{key.second, key.first, count});
+  }
+  return out;
 }
 
 SessionResilience session_resilience(const VerifyOptions& options) {

@@ -48,9 +48,10 @@ struct VerifyOptions {
   /// Keep each solver session's base encoding and Z3 context alive across
   /// consecutive jobs sharing a slice shape (base axioms asserted once,
   /// per-invariant negation pushed/popped), and rebind class
-  /// representatives onto an isomorphic shape's encoding
-  /// (slice::shape_bijection). Verdict-identical to cold solving; off is
-  /// the benchmark/debug baseline. Class merging is merge_isomorphic's.
+  /// representatives onto the encoding of an earlier member set with the
+  /// same base key (slice::canonical_base_key). Verdict-identical to cold
+  /// solving; off is the benchmark/debug baseline. Class merging is
+  /// merge_isomorphic's.
   bool warm_solving = true;
   /// Under symmetry planning, collapse invariants whose problem keys are
   /// equal (slice::canonical_problem_key) into ONE solver call fanned out
@@ -143,8 +144,8 @@ struct WorkerStats {
 
 /// Plan- and pool-level diagnostics nested inside BatchResult: how the
 /// batch deduplicated and fanned out. Every executor fills the plan half
-/// (classes, merge blockers); the worker half is empty under the inline
-/// executor (no pool).
+/// (classes); the worker half is empty under the inline executor (no
+/// pool).
 struct PoolStats {
   /// Planned solver classes (JobPlan::planned_jobs): cache hits answer
   /// some without scheduling them, and abandonment leaves others unsolved
@@ -162,10 +163,6 @@ struct PoolStats {
   /// number of invariants the class's single solve answers (1 =
   /// unmerged). Sum == BatchResult::results.size().
   std::vector<std::size_t> iso_class_sizes;
-  /// Refused candidate merges (JobPlan::merge_blockers): per distinct
-  /// refusal diagnostic, the blocking box type (when configuration was the
-  /// blocker) and the count; `vmn verify --dedup-report` prints them.
-  std::vector<MergeBlocker> merge_blockers;
 };
 
 /// The one batch-verification result Engine::run_batch returns, whichever
@@ -303,8 +300,9 @@ struct BatchResult {
 /// invariant; when `use_symmetry` and merge_isomorphic are set, invariants
 /// with equal problem keys (slice::canonical_problem_key - exact by
 /// construction) become one job whose extra bindings carry rank-aligned
-/// images, and with warm solving the class representatives are rebound
-/// onto isomorphic shapes' encodings (slice::shape_bijection). One
+/// images, and with warm solving each class representative whose base key
+/// (slice::canonical_base_key) an earlier member set already rendered is
+/// rebound onto that set's encoding through the rank correspondence. One
 /// PlanContext memoizes per-scenario transfer functions across every slice
 /// and canonical key of the pass, and the finished queue is stably
 /// reordered so jobs sharing a slice shape are adjacent (fueling warm
@@ -321,9 +319,17 @@ struct BatchResult {
                                 bool use_symmetry, const VerifyOptions& options,
                                 PlanContext* ctx = nullptr);
 
-/// A planner-verified isomorphism binding one invariant-job onto a
+/// Why encode reuse was refused within `plan`, computed on demand (`vmn
+/// verify --dedup-report`, the fig8 bench): for each distinct member set in
+/// planning order, one refusal against every different base key that
+/// appeared earlier under its shape key, named by slice::shape_bijection.
+/// Meaningful for plans made with warm solving, the only ones that rebind.
+[[nodiscard]] std::vector<MergeBlocker> merge_blockers(
+    const encode::NetworkModel& model, const JobPlan& plan, int max_failures);
+
+/// A planner-certified isomorphism binding one invariant-job onto a
 /// representative member set's base encoding (see Job::iso_image and
-/// slice::shape_bijection). `members` is the job's own sorted slice;
+/// slice::canonical_base_key). `members` is the job's own sorted slice;
 /// `image[i]` is the representative node playing members[i]'s part. The
 /// bijection carries the soundness argument: the base encodings are
 /// isomorphic under it (node-for-node, address-for-address,
@@ -363,7 +369,7 @@ struct IsoBinding {
 /// through the inverse bijection (members[i] <- iso_image[i]); an empty
 /// iso_image is the identity binding and passes the witness through
 /// untouched. Equisatisfiability is the planner's contract (equal problem
-/// keys, composed with a shape_bijection-verified rebinding), which is why
+/// keys, composed with a rebinding between equal base keys), which is why
 /// the verdict itself never changes hands here.
 [[nodiscard]] VerifyResult bind_result(const encode::NetworkModel& model,
                                        const VerifyResult& solved,

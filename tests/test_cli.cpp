@@ -237,10 +237,10 @@ TEST(DedupReport, Fig8MultitenantNamesTheFirewallAclCell) {
   io::Spec spec = io::load_spec(std::string(VMN_SOURCE_DIR) +
                                 "/examples/specs/multitenant.vmn");
   verify::Engine engine(spec.model);
-  verify::BatchResult batch = engine.run_batch(spec.invariants);
   std::string seen;
   bool found = false;
-  for (const verify::MergeBlocker& b : batch.pool.merge_blockers) {
+  for (const verify::MergeBlocker& b :
+       verify::merge_blockers(spec.model, engine.plan(spec.invariants), 0)) {
     seen += b.box_type + ": " + b.reason + "\n";
     if (b.box_type == "firewall" &&
         b.reason.rfind("firewall.acl row", 0) == 0) {

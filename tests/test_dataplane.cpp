@@ -136,8 +136,9 @@ TEST_F(DataplaneTest, ScenarioReroutingIsHonored) {
   route_through_middlebox();
   ScenarioId down = net.add_failure_scenario("m-down", {m});
   // Backup routing skips the middlebox.
-  net.table(s1, down).add_from(a, Prefix(Address::of(10, 0, 1, 0), 24), s2,
-                               /*priority=*/9);
+  net.override_routes(
+      s1, down,
+      {net::Rule{Prefix(Address::of(10, 0, 1, 0), 24), s2, a, /*priority=*/9}});
   TransferFunction tf(net, down);
   EXPECT_EQ(tf.next_edge(a, Address::of(10, 0, 1, 1)), b);
 }
@@ -475,14 +476,24 @@ std::size_t add_tied_twins(net::Network& net) {
     for (std::size_t si = 0; si < net.scenarios().size(); ++si) {
       const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
       if (si != 0 && &net.effective_table(sw.id, sid) == &base) continue;
-      net::ForwardingTable& table = net.table(sw.id, sid);
-      const std::vector<net::Rule> rules = table.rules();
-      for (const net::Rule& r : rules) {
+      std::vector<net::Rule> rules;  // each rule, then its twin
+      std::vector<net::Rule> twins;
+      for (const net::Rule& r : net.effective_table(sw.id, sid).rules()) {
+        rules.push_back(r);
         const auto other = std::find_if(ports.begin(), ports.end(),
                                         [&](NodeId n) { return n != r.next_hop; });
         if (other == ports.end()) continue;
-        table.add(net::Rule{r.dst, *other, r.in_from, r.priority});
+        rules.push_back(net::Rule{r.dst, *other, r.in_from, r.priority});
+        twins.push_back(rules.back());
         ++added;
+      }
+      if (si == 0) {
+        for (const net::Rule& twin : twins) net.table(sw.id).add(twin);
+      } else {
+        // override_routes replaces the ranks its rules tie with, so the
+        // scenario table gets every rule back followed by its twin: the
+        // first added still leads each tie.
+        net.override_routes(sw.id, sid, rules);
       }
     }
   }

@@ -97,8 +97,9 @@ TEST(Failures, RedundantFirewallPreservesIsolation) {
   net.table(sw).add_from(fw1.node(), Prefix::host(kB), b);
   net.table(sw).add_from(fw1.node(), Prefix::host(kA), a);
   ScenarioId down = net.add_failure_scenario("fw-0-down", {fw0.node()});
-  net.table(sw, down).add_from(a, Prefix::host(kB), fw1.node(), 9);
-  net.table(sw, down).add_from(b, Prefix::host(kA), fw1.node(), 9);
+  net.override_routes(sw, down,
+                      {net::Rule{Prefix::host(kB), fw1.node(), a, 9},
+                       net::Rule{Prefix::host(kA), fw1.node(), b, 9}});
 
   Engine v(model, {.verify = with_failures(1)});
   EXPECT_EQ(v.run_one(Invariant::node_isolation(b, a)).outcome, Outcome::holds);
@@ -151,7 +152,8 @@ TEST(Failures, TraversalUnderReroutingMisconfiguration) {
   net::Network& net = n.model.network();
   ScenarioId down = net.add_failure_scenario("idps-down", {n.mbox});
   // Misconfigured reroute: a's traffic goes straight to s2 (no idps).
-  net.table(n.sw1, down).add_from(n.a, Prefix::host(kB), n.sw2, 9);
+  net.override_routes(n.sw1, down,
+                      {net::Rule{Prefix::host(kB), n.sw2, n.a, 9}});
 
   Engine v(n.model, {.verify = with_failures(1)});
   VerifyResult r = v.run_one(Invariant::traversal_from(n.b, n.a, "idps"));
@@ -171,7 +173,8 @@ TEST(Failures, CounterexampleMentionsFailedNode) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Idps>("idps"));
   net::Network& net = n.model.network();
   ScenarioId down = net.add_failure_scenario("idps-down", {n.mbox});
-  net.table(n.sw1, down).add_from(n.a, Prefix::host(kB), n.sw2, 9);
+  net.override_routes(n.sw1, down,
+                      {net::Rule{Prefix::host(kB), n.sw2, n.a, 9}});
   Engine v(n.model, {.verify = with_failures(1)});
   VerifyResult r = v.run_one(Invariant::no_malicious_delivery(n.b));
   ASSERT_EQ(r.outcome, Outcome::violated);

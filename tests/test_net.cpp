@@ -134,7 +134,8 @@ TEST_F(NetworkTest, ScenarioTableOverridesStartFromBase) {
   net.table(sw).add(Prefix::host(Address(1)), a);
   ScenarioId s = net.add_failure_scenario("s", {});
   // Override inherits the base rule, then adds its own.
-  net.table(sw, s).add(Prefix::host(Address(2)), b);
+  net.override_routes(sw, s,
+                      {Rule{Prefix::host(Address(2)), b, std::nullopt, 0}});
   EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), a);
   EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(2)), b);
   // Base table unaffected.
@@ -143,12 +144,19 @@ TEST_F(NetworkTest, ScenarioTableOverridesStartFromBase) {
             std::nullopt);
   // The copy's rank index came along and keeps ranking what is added
   // after the copy: a shorter prefix sorts behind the inherited /32, an
-  // equal-rank rule behind the inherited one, a longer-ranked one ahead.
-  net.table(sw, s).add(Prefix(Address(0), 30), b);
-  net.table(sw, s).add(Prefix::host(Address(1)), b);
+  // equal-rank rule behind the one it ties with (an override replaces the
+  // inherited rule of its rank, so the tie is among one call's rules), a
+  // longer-ranked one ahead.
+  net.override_routes(sw, s,
+                      {Rule{Prefix(Address(0), 30), b, std::nullopt, 0}});
   EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), a);
   EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(3)), b);
-  net.table(sw, s).add(Prefix::host(Address(1)), b, /*priority=*/1);
+  net.override_routes(sw, s,
+                      {Rule{Prefix::host(Address(1)), a, std::nullopt, 0},
+                       Rule{Prefix::host(Address(1)), b, std::nullopt, 0}});
+  EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), a);
+  net.override_routes(sw, s,
+                      {Rule{Prefix::host(Address(1)), b, std::nullopt, 1}});
   EXPECT_EQ(net.effective_table(sw, s).match(std::nullopt, Address(1)), b);
   EXPECT_EQ(net.effective_table(sw, Network::base_scenario)
                 .match(std::nullopt, Address(1)),

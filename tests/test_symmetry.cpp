@@ -215,6 +215,33 @@ TEST(ShapeKeys, RenamedIsomorphicSegmentsShareAKeyAndVerifyABijection) {
   EXPECT_EQ(at(n.m1), n.m2);
 }
 
+TEST(ShapeKeys, RenamedIsomorphicSegmentsShareABaseKeyRankForRank) {
+  // The base key decides encode reuse: equal keys must pair the segments
+  // rank for rank, and that pairing must be the bijection shape_bijection
+  // verifies (both rank by color, then position).
+  TwoSegments n = two_segments(mbox::AclAction::deny, mbox::AclAction::deny,
+                               /*with_failures=*/false);
+  const ShapeKey s1 = canonical_shape_key(n.model, n.seg1());
+  const ShapeKey s2 = canonical_shape_key(n.model, n.seg2());
+  const ProblemKey b1 = canonical_base_key(n.model, s1);
+  const ProblemKey b2 = canonical_base_key(n.model, s2);
+  ASSERT_FALSE(b1.key.empty());
+  EXPECT_EQ(b1.key, b2.key);
+  EXPECT_EQ(b1.key.rfind(s1.key, 0), 0u);  // the shape key is its prefix
+  const std::optional<std::vector<NodeId>> image =
+      shape_bijection(n.model, s1, s2);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_EQ(b1.order.size(), b2.order.size());
+  for (std::size_t r = 0; r < b1.order.size(); ++r) {
+    const auto it =
+        std::find(s1.members.begin(), s1.members.end(), b1.order[r]);
+    EXPECT_EQ((*image)[static_cast<std::size_t>(it - s1.members.begin())],
+              b2.order[r]);
+  }
+  // Invariant-free: no invariant kind enters it.
+  EXPECT_EQ(b1.key.find("prob7"), std::string::npos);
+}
+
 TEST(PolicyClasses, RenamedIsomorphicFirewalledSegmentsShareClasses) {
   // The pre-descriptor LearningFirewall fingerprint spelled the matching
   // entry's peer prefix with raw to_string() bits, so two segments whose
@@ -249,6 +276,49 @@ TEST(ShapeKeys, ConfigurationMismatchRefusesTheBijection) {
   const ShapeKey k2 = canonical_shape_key(n.model, n.seg2());
   EXPECT_EQ(k1.key, k2.key);
   EXPECT_FALSE(shape_bijection(n.model, k1, k2).has_value());
+}
+
+TEST(ShapeKeys, ConfigurationMismatchSplitsTheBaseKey) {
+  // The configuration-blind shape key matches, but the base key renders
+  // each box's projection, so a default-allow vs default-deny firewall
+  // splits it: the planner never rebinds one segment onto the other.
+  TwoSegments n = two_segments(mbox::AclAction::deny, mbox::AclAction::allow,
+                               /*with_failures=*/false);
+  const ShapeKey s1 = canonical_shape_key(n.model, n.seg1());
+  const ShapeKey s2 = canonical_shape_key(n.model, n.seg2());
+  ASSERT_EQ(s1.key, s2.key);
+  const ProblemKey b1 = canonical_base_key(n.model, s1);
+  const ProblemKey b2 = canonical_base_key(n.model, s2);
+  ASSERT_FALSE(b1.key.empty());
+  EXPECT_NE(b1.key, b2.key);
+}
+
+TEST(ShapeKeys, EqualBaseKeysRebindAndSplitOnesNameTheirBlocker) {
+  // Two invariant kinds, so the classes never merge verdicts. The planner
+  // rebinds segment 2's class onto segment 1's encoding when their base
+  // keys match, and merge_blockers reports nothing; when the firewalls'
+  // defaults differ it rebinds nothing, and merge_blockers names the one
+  // refusal with its box type.
+  for (const mbox::AclAction second :
+       {mbox::AclAction::deny, mbox::AclAction::allow}) {
+    TwoSegments n =
+        two_segments(mbox::AclAction::deny, second, /*with_failures=*/false);
+    const std::vector<Invariant> invariants = {
+        Invariant::node_isolation(n.b1, n.a1),
+        Invariant::flow_isolation(n.b2, n.a2)};
+    const verify::JobPlan plan = verify::Engine(n.model).plan(invariants);
+    const std::vector<verify::MergeBlocker> blockers =
+        verify::merge_blockers(n.model, plan, 0);
+    if (second == mbox::AclAction::deny) {
+      EXPECT_EQ(plan.iso_mapped, 1u);
+      EXPECT_TRUE(blockers.empty());
+    } else {
+      EXPECT_EQ(plan.iso_mapped, 0u);
+      ASSERT_EQ(blockers.size(), 1u);
+      EXPECT_EQ(blockers[0].box_type, "firewall");
+      EXPECT_EQ(blockers[0].count, 1u);
+    }
+  }
 }
 
 TEST(ShapeKeys, SymmetricFailureScenariosMatchUnderPermutation) {
@@ -408,18 +478,41 @@ ShapeKey ranked_shape(const std::vector<NodeId>& members,
   return k;
 }
 
+/// What expect_rank_maps_exact forced through shape_bijection.
+struct Checked {
+  std::size_t bindings = 0;  ///< verdict bindings' rank maps
+  std::size_t rebound = 0;   ///< rebound jobs' images (Job::iso_image)
+  Checked& operator+=(const Checked& o) {
+    bindings += o.bindings;
+    rebound += o.rebound;
+    return *this;
+  }
+};
+
 /// For every multi-binding class of the plan: each binding's rank map onto
 /// the representative must pass shape_bijection's exact checks when forced
 /// as the pairing, and carry the binding's invariant roles onto the
-/// representative's. Returns the number of bindings checked.
-std::size_t expect_rank_maps_exact(const encode::NetworkModel& model,
-                                   const std::vector<Invariant>& invariants,
-                                   int max_failures, const std::string& what) {
+/// representative's. For every job the planner rebound onto another member
+/// set's encoding (equal base keys), its image must pass the same checks
+/// when forced as the pairing.
+Checked expect_rank_maps_exact(const encode::NetworkModel& model,
+                               const std::vector<Invariant>& invariants,
+                               int max_failures, const std::string& what) {
   verify::EngineOptions opts;
   opts.verify.max_failures = max_failures;
   const verify::JobPlan plan = verify::Engine(model, opts).plan(invariants);
-  std::size_t checked = 0;
+  Checked checked;
   for (const verify::Job& job : plan.jobs) {
+    if (!job.iso_image.empty()) {
+      MergeRefusal why;
+      EXPECT_TRUE(shape_bijection(model, ranked_shape(job.members, job.members),
+                                  ranked_shape(job.iso_members, job.iso_image),
+                                  max_failures, nullptr, &why)
+                      .has_value())
+          << what << " rebound invariant " << job.invariant_index << ": "
+          << why.reason;
+      ++checked.rebound;
+    }
     const ShapeKey rep = ranked_shape(job.members, job.problem_key.order);
     const Invariant& rep_inv = invariants[job.invariant_index];
     for (const verify::VerdictBinding& b : job.bindings) {
@@ -440,14 +533,14 @@ std::size_t expect_rank_maps_exact(const encode::NetworkModel& model,
       if (inv.other.valid()) {
         EXPECT_EQ(image_of(inv.other), rep_inv.other) << what;
       }
-      ++checked;
+      ++checked.bindings;
     }
   }
   return checked;
 }
 
 TEST(ProblemKeys, GeneratorClassRankMapsPassTheExactBijectionCheck) {
-  std::size_t checked = 0;
+  Checked checked;
   Enterprise ent = enterprise(6);
   checked += expect_rank_maps_exact(ent.model, ent.invariants, 0, "enterprise");
   auto* fw = dynamic_cast<mbox::LearningFirewall*>(
@@ -505,20 +598,22 @@ TEST(ProblemKeys, GeneratorClassRankMapsPassTheExactBijectionCheck) {
   }
   // The datacenter and enterprise batches merge heavily; zero would mean
   // the property ran against an empty mechanism.
-  EXPECT_GT(checked, 20u);
+  EXPECT_GT(checked.bindings, 20u);
+  EXPECT_GT(checked.rebound, 0u);
 }
 
 TEST(ProblemKeys, ZooCorpusClassRankMapsPassTheExactBijectionCheck) {
   const std::vector<test::ZooGolden> corpus = test::zoo_golden(50);
   ASSERT_EQ(corpus.size(), 50u);
-  std::size_t checked = 0;
+  Checked checked;
   for (const test::ZooGolden& entry : corpus) {
     io::Spec spec = zoo_spec(entry.name);
     checked += expect_rank_maps_exact(
         spec.model, spec.invariants,
         scenarios::derived_max_failures(spec.model), entry.name);
   }
-  EXPECT_GT(checked, 0u);
+  EXPECT_GT(checked.bindings, 0u);
+  EXPECT_GT(checked.rebound, 0u);
 }
 
 TEST(ProblemKeys, Zoo642KnownMissStaysPinned) {

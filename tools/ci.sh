@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
-# one batch pipeline; one in-batch identity; one refinement kernel; one
+# one batch pipeline; one in-batch identity; one encode identity; one
+# refinement kernel; one
 # delivery walk; one metrics schema; one model reader; one solver flavour;
 # one transfer memo; two executors),
 # configure, build, run every test suite, then smoke-test the batch modes on
@@ -73,6 +74,34 @@ if grep -rEn 'canonical_slice_key\(' "$repo/src/verify" "$repo/tools" \
     | grep -Ev ':[0-9]+:[[:space:]]*//'; then
   echo "ci: canonical_slice_key is called from src/verify or tools/;" \
        "merge by slice::canonical_problem_key instead" >&2
+  exit 1
+fi
+
+echo "--- lint: one encode identity (base keys decide encode reuse) ---"
+# plan_jobs rebinds a class representative by one lookup of its
+# canonical_base_key (src/slice/symmetry.hpp), rendered by the problem
+# key's own renderer. shape_bijection is a cross-check and a diagnostic:
+# under src/verify/ only verify::merge_blockers calls it, to name the
+# refusals --dedup-report asks for. Another call site, a capped
+# representative list (kMaxShapeReps), or merge blockers carried on every
+# plan (a merge_blockers member of JobPlan or PoolStats) is the candidate
+# search the base key replaced.
+verifier="$repo/src/verify/verifier.cpp"
+read -r first last <<< "$(awk '
+    /^std::vector<MergeBlocker> merge_blockers\(/ {s = NR}
+    s && !e && /^}$/ {e = NR} END {print s + 0, e + 0}' "$verifier")"
+stray="$(grep -rEn 'shape_bijection\(' "$repo/src/verify" --include='*.cpp' \
+    --include='*.hpp' | grep -Ev ':[0-9]+:[[:space:]]*//' \
+    | awk -F: -v f="$verifier" -v a="$first" -v b="$last" \
+        '!($1 == f && $2 > a && $2 < b)' || true)"
+members="$(awk '/^struct (JobPlan|PoolStats) \{/ {inside = 1}
+    inside && /merge_blockers/ {print FILENAME ":" FNR ": " $0}
+    inside && /^};/ {inside = 0}' "$repo"/src/verify/*.hpp)"
+caps="$(grep -rn 'kMaxShapeReps' "$repo/src" || true)"
+if [ -n "$stray$members$caps" ]; then
+  echo "ci: encode reuse must be one base-key lookup; shape_bijection is" \
+       "called only by verify::merge_blockers in src/verify/:" >&2
+  printf '%s\n' "$stray" "$members" "$caps" | grep . >&2
   exit 1
 fi
 

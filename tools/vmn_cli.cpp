@@ -321,10 +321,12 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   verify::BatchResult batch = engine.run_batch(spec.invariants);
   if (dedup_report) {
     // Equivalence-class fan-out: how many invariants each solver class
-    // answered, as a "count x size" histogram, plus the shape_bijection
-    // refusal diagnostics - configuration blockers name the exact
-    // relation/row/cell of the descriptor that differed (e.g.
-    // "firewall.acl row 3: dst prefix /24 vs /16").
+    // answered, as a "count x size" histogram, plus why encode reuse was
+    // refused. The refusals are computed here, on a re-plan of the batch,
+    // and only with warm solving (the only plans that rebind):
+    // configuration blockers name the exact relation/row/cell of the
+    // descriptor that differed (e.g. "firewall.acl row 3: dst prefix /24
+    // vs /16").
     std::map<std::size_t, std::size_t> by_size;
     for (std::size_t s : batch.pool.iso_class_sizes) ++by_size[s];
     std::printf("dedup report: %zu solver classes over %zu invariants\n",
@@ -334,11 +336,17 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
       std::printf(" %zux%zu", it->second, it->first);
     }
     std::printf("\n");
-    if (batch.pool.merge_blockers.empty()) {
+    const std::vector<verify::MergeBlocker> blockers =
+        eopts.verify.warm_solving
+            ? verify::merge_blockers(spec.model,
+                                     engine.plan(spec.invariants),
+                                     eopts.verify.max_failures)
+            : std::vector<verify::MergeBlocker>{};
+    if (blockers.empty()) {
       std::printf("  merge blockers: none\n");
     } else {
       std::printf("  merge blockers:\n");
-      for (const verify::MergeBlocker& b : batch.pool.merge_blockers) {
+      for (const verify::MergeBlocker& b : blockers) {
         std::printf("    - %s: %zu\n", b.reason.c_str(), b.count);
       }
     }

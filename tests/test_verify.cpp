@@ -421,7 +421,7 @@ TEST(Verify, ZooCorpusVerdictsMatchTheGolden) {
   // optimizer, so the traversal axiom is violated by the last hop out of
   // wopt1. A trace compares packets by their fields, and the fresh packet's
   // fields equal the ones wopt1 received, so the concrete check sees a
-  // traversal. ROADMAP item 5(a) keeps the gap open.
+  // traversal. ROADMAP item 11 (one semantics per box) keeps the gap open.
   const std::set<std::pair<std::string, std::size_t>> kSymbolicOnly = {
       {"zoo31", 0}};
   const std::vector<test::ZooGolden> corpus = test::zoo_golden(100);

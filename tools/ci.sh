@@ -190,9 +190,9 @@ echo "--- lint: one solver flavour (the incremental SMT core) ---"
 # Z3Solver builds its one z3::solver from z3::solver::simple(), the
 # incremental SMT core alone. The default z3::solver(ctx) pairs that core
 # with a tactic solver every context builds and tears down unused, and a
-# tactic-built solver re-solves from scratch after each push/pop (ROADMAP
-# item 6(b) records the measurements). A second z3::solver object or
-# temporary, or any tactic solver, is a second solver path.
+# tactic-built solver re-solves from scratch after each push/pop (the PR 20
+# entry of CHANGES.md records the measurements). A second z3::solver object
+# or temporary, or any tactic solver, is a second solver path.
 src_sites() {
   grep -rEn "$1" "$repo/src" --include='*.cpp' --include='*.hpp' \
       | grep -Ev ':[0-9]+:[[:space:]]*//' || true
@@ -245,10 +245,10 @@ fi
 echo "--- lint: two executors (inline and process) ---"
 # EngineOptions::batch means the process executor: forked workers that
 # carry the never-flip fault contract. The thread executor (SolverPool,
-# Backend::thread) bought nothing over it (ROADMAP item 10). A thread pool
-# in the Engine is a third executor, and EngineOptions::backend is kept
-# only because bench/e2e sets it: a read of it in src/ or tools/ would
-# make it choose something again.
+# Backend::thread) bought nothing over it (the PR 23 entry of CHANGES.md).
+# A thread pool in the Engine is a third executor, and
+# EngineOptions::backend is kept only because bench/e2e sets it: a read of
+# it in src/ or tools/ would make it choose something again.
 if grep -En 'SolverPool|Backend::thread|std::thread' \
     "$repo/src/verify/engine.cpp" | grep -Ev ':[0-9]+:[[:space:]]*//'; then
   echo "ci: src/verify/engine.cpp runs a thread executor; a pooled batch" \
@@ -294,34 +294,53 @@ verdicts() {
            } }'
 }
 
-echo "--- smoke: memory (one Z3 context at a time, freed pages kept) ---"
+echo "--- smoke: memory (one Z3 context at a time, freed pages kept, huge pages) ---"
 # Every Z3 context touches 16.8 MB of tables. A session frees its old
 # context before it builds the next, and vmn keeps freed heap pages, so a
-# later context reuses them: the enterprise spec peaks at ~32 MB and ~5k
-# minor faults (48 MB and 13.3k before). A second live context, or tables
-# unmapped on free, puts a run back above these bounds. Sanitizer runtimes
-# replace the allocator, so the smoke needs a plain build.
+# later context reuses them: the enterprise spec peaks at ~33 MB (48 MB
+# before). vmn also reserves its heap top and advises it MADV_HUGEPAGE, so
+# where the kernel offers transparent huge pages the tables fault in 2 MiB
+# at a time: ~0.6k minor faults inline and ~1.6k at --batch --jobs 2
+# (5.0k and 10.1k in 4 KB pages; 13.3k inline with tables unmapped on
+# free). A second live context, tables unmapped on free, or a heap left in
+# 4 KB pages puts a run back above these bounds. wait4 on the dispatcher
+# also counts the workers it reaped. Sanitizer runtimes replace the
+# allocator, so the smoke needs a plain build.
 if [ "${VMN_SANITIZE:-OFF}" = "ON" ]; then
   echo "ci: memory smoke skipped (sanitizer build)" >&2
 elif ! command -v python3 > /dev/null; then
   echo "ci: memory smoke skipped (needs python3 to read the child's rusage)" >&2
 else
-  # posix_spawn, not fork: a forked Python child's copy-on-write faults
-  # before exec would count as the child's.
-  read -r rss_kb faults <<< "$(python3 -c '
+  thp="$(cat /sys/kernel/mm/transparent_hugepage/enabled 2> /dev/null || true)"
+  if grep -Eq '\[(always|madvise)\]' <<< "$thp"; then
+    bound="huge pages offered"; inline_max=2000; batch_max=4000
+  else
+    bound="no huge pages"; inline_max=8000; batch_max=16000
+  fi
+  echo "memory bounds: $bound (THP: ${thp:-absent})"
+  for arm in inline batch; do
+    args=(verify "$spec"); max="$inline_max"
+    if [ "$arm" = batch ]; then
+      args+=(--batch --jobs 2); max="$batch_max"
+    fi
+    # posix_spawn, not fork: a forked Python child's copy-on-write faults
+    # before exec would count as the child's.
+    read -r rss_kb faults <<< "$(python3 -c '
 import os, sys
 devnull = os.open(os.devnull, os.O_WRONLY)
-pid = os.posix_spawn(sys.argv[1], [sys.argv[1], "verify", sys.argv[2]],
-                     os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, devnull, 1)])
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_DUP2, devnull, 1)])
 _, status, usage = os.wait4(pid, 0)
 if os.waitstatus_to_exitcode(status) != 0:
     sys.exit("vmn verify failed")
-print(usage.ru_maxrss, usage.ru_minflt)' "$build/vmn" "$spec")"
-  echo "vmn verify enterprise.vmn: peak RSS ${rss_kb} KB, ${faults} minor faults"
-  if [ "$rss_kb" -gt $((40 * 1024)) ] || [ "$faults" -gt 8000 ]; then
-    echo "ci: vmn verify peaked above 40 MB or 8000 minor faults" >&2
-    exit 1
-  fi
+print(usage.ru_maxrss, usage.ru_minflt)' "$build/vmn" "${args[@]}")"
+    echo "vmn verify enterprise.vmn ($arm): peak RSS ${rss_kb} KB," \
+         "${faults} minor faults (bounds 40 MB, $max faults)"
+    if [ "$rss_kb" -gt $((40 * 1024)) ] || [ "$faults" -gt "$max" ]; then
+      echo "ci: vmn verify ($arm) peaked above 40 MB or $max minor faults" >&2
+      exit 1
+    fi
+  done
 fi
 
 echo "--- smoke: inline verify (enterprise spec, the reference verdicts) ---"

@@ -246,9 +246,11 @@ void Encoding::emit_omega_and_failures() {
       for (Address a : relevant_) {
         std::optional<NodeId> to = tf.next_edge(from, a);
         if (!to) continue;
-        // Delivery outside the encoded subnetwork is a drop: a correctly
-        // computed slice is closed under forwarding, so this only triggers
-        // for irrelevant traffic.
+        // Delivery outside the encoded subnetwork is a drop. A slice closed
+        // under forwarding would make this drop only irrelevant traffic,
+        // but slices are not closed: only relevant addresses are walked,
+        // so a packet addressed to a non-member that the fabric delivers
+        // to a member is never encoded at all (ROADMAP item 13).
         auto it = std::lower_bound(members_.begin(), members_.end(), *to);
         if (it == members_.end() || *it != *to) continue;
         routes.push_back(f.and_({f.eq(n1, node_term(from)),

@@ -181,36 +181,52 @@ BatchResult Engine::run_batch(
   // Cache pass: every class looks itself up once by its cross-run problem
   // key (its bindings share the key); a class is solved only on a miss.
   std::vector<std::optional<ResultCache::Entry>> hits(plan.jobs.size());
-  std::vector<std::size_t> to_solve;
+  std::vector<std::size_t> misses;
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
     const std::string& key = plan.jobs[j].problem_key.key;
     if (!key.empty()) hits[j] = cache_.lookup(key);
     if (hits[j]) {
       ++out.cache_hits;
     } else {
-      to_solve.push_back(j);
+      misses.push_back(j);
     }
   }
 
-  const std::vector<std::optional<VerifyResult>> solved =
-      execute(plan, to_solve, deadline, out);
+  // Static pass: a class whose encode members hold no middlebox has no
+  // mutable state, so its verdict is a fact of the static dataplane that
+  // the planner's transfer memo already holds. decide_statically answers
+  // it here, before any executor runs; it never reaches a Z3 context or a
+  // worker, and the deadline never abandons it.
+  std::vector<std::optional<VerifyResult>> decided(plan.jobs.size());
+  for (std::size_t j : misses) {
+    const Job& job = plan.jobs[j];
+    decided[j] = decide_statically(*model_, job.solve_invariant,
+                                   job.encode_members(),
+                                   options_.verify.max_failures,
+                                   p.ctx.transfers);
+  }
+
+  std::vector<std::optional<VerifyResult>> solved =
+      execute(plan, misses, decided, deadline, out);
 
   // Bind: each class's verdict fans out to its bindings - a cache hit
-  // through each binding's own polarity (result_from_cache), a solve
-  // through each binding's inverse bijection (bind_result); every binding
-  // past the representative is a replay (by_symmetry, and
-  // iso_verdict_reuses when solved). Each solve's session traffic
-  // (SolveFacts) is counted here, once, whichever executor solved it; a
-  // solve whose result never arrived counts nothing. Abandoned classes bind
-  // the default unknown verdict; they count cache misses but store nothing
-  // (unknown outcomes are never persisted).
+  // through each binding's own polarity (result_from_cache), a solve or a
+  // static decision through each binding's inverse bijection
+  // (bind_result); every binding past the representative is a replay
+  // (by_symmetry, and iso_verdict_reuses when solved or decided). Each
+  // solve's session traffic (SolveFacts) is counted here, once, whichever
+  // executor solved it; a solve whose result never arrived counts nothing.
+  // Abandoned classes bind the default unknown verdict; they count cache
+  // misses but store nothing (unknown outcomes are never persisted).
   const VerifyResult abandoned{};
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
     const Job& job = plan.jobs[j];
-    const VerifyResult& result = solved[j] ? *solved[j] : abandoned;
-    if (solved[j]) {
-      const SolveFacts& s = result.solve;
-      out.pool.solve_histogram.record(result.solve_time);
+    if (decided[j]) {
+      ++out.static_decisions;
+      solved[j] = std::move(decided[j]);
+    } else if (solved[j]) {
+      const SolveFacts& s = solved[j]->solve;
+      out.pool.solve_histogram.record(solved[j]->solve_time);
       ++out.solver_calls;
       ++(s.warm_reused ? out.warm_reuses : out.warm_binds);
       if (s.warm_reused && !job.iso_image.empty()) ++out.iso_reuses;
@@ -218,8 +234,9 @@ BatchResult Engine::run_batch(
       out.encode_transfer_reuses += s.transfer_reuses;
       out.degradation.escalations += s.escalated;
       out.degradation.escalations_rescued += s.escalation_rescued;
-      out.iso_verdict_reuses += job.bindings.size();
     }
+    if (solved[j]) out.iso_verdict_reuses += job.bindings.size();
+    const VerifyResult& result = solved[j] ? *solved[j] : abandoned;
     // Keyless classes (no-symmetry planning, or a problem that resists
     // canonicalization) are outside the cache's reach; they are not misses.
     if (!hits[j] && cache_.enabled() && !job.problem_key.key.empty()) {
@@ -257,7 +274,8 @@ BatchResult Engine::run_batch(
 }
 
 std::vector<std::optional<VerifyResult>> Engine::execute(
-    const JobPlan& plan, const std::vector<std::size_t>& to_solve,
+    const JobPlan& plan, const std::vector<std::size_t>& misses,
+    const std::vector<std::optional<VerifyResult>>& decided,
     Deadline deadline, BatchResult& out) {
   std::vector<std::optional<VerifyResult>> results(plan.jobs.size());
   const VerifyOptions& vo = options_.verify;
@@ -276,7 +294,8 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
       session_->set_resilience(session_resilience(vo));
     }
     std::size_t skipped = 0;
-    for (std::size_t j : to_solve) {
+    for (std::size_t j : misses) {
+      if (decided[j]) continue;
       if (deadline && Clock::now() >= *deadline) {
         ++skipped;
         continue;
@@ -301,16 +320,14 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
   // their unfinished jobs requeued onto the survivors. The verify options
   // carry the fault plan and escalation policy, so the CLI's --faults /
   // --no-escalate reach the workers unchanged.
+  // Groups are formed over every cache miss and the decided jobs dropped
+  // from them after, so a static decision never regroups the jobs left to
+  // solve: a warm group's witnesses depend on its composition. A group left
+  // empty is dropped, and the pool spawns no worker for it.
   const ProcessPool pool(options_.jobs, vo, options_.process);
-  const Groups groups = shape_groups(plan, to_solve, pool.workers());
-  std::vector<wire::WireJob> wire_jobs;
-  wire_jobs.reserve(to_solve.size());
-  for (std::size_t j : to_solve) {
-    wire_jobs.push_back(
-        wire::make_wire_job(*model_, plan.jobs[j], vo.max_failures));
-  }
+  const Groups groups = shape_groups(plan, misses, pool.workers());
+  std::vector<std::size_t> to_solve;
   std::vector<ProcessGroup> process_groups;
-  process_groups.reserve(groups.size());
   for (const auto& [begin, end] : groups) {
     ProcessGroup group;
     // The projection must contain every node the group's jobs reference.
@@ -319,13 +336,22 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
     // travel; bindings are relabeled dispatcher-side.
     std::set<NodeId> span;
     for (std::size_t k = begin; k < end; ++k) {
-      const Job& job = plan.jobs[to_solve[k]];
+      if (decided[misses[k]]) continue;
+      const Job& job = plan.jobs[misses[k]];
       span.insert(job.encode_members().begin(), job.encode_members().end());
+      group.jobs.push_back(to_solve.size());
+      to_solve.push_back(misses[k]);
     }
+    if (group.jobs.empty()) continue;
     group.spec_text = io::write_projected_spec_string(
         *model_, std::vector<NodeId>(span.begin(), span.end()));
-    for (std::size_t k = begin; k < end; ++k) group.jobs.push_back(k);
     process_groups.push_back(std::move(group));
+  }
+  std::vector<wire::WireJob> wire_jobs;
+  wire_jobs.reserve(to_solve.size());
+  for (std::size_t j : to_solve) {
+    wire_jobs.push_back(
+        wire::make_wire_job(*model_, plan.jobs[j], vo.max_failures));
   }
   // The pool honours the batch deadline measured from run_batch entry and
   // counts its fleet and abandonments straight into `out`.

@@ -4,6 +4,8 @@
 //
 //   plan_jobs ------> shape-ordered queue of problem-key solver classes
 //   cache pass -----> classes the persistent ResultCache already answers
+//   static pass ----> box-free classes decided from the planner's transfer
+//                     memo (decide_statically): no Z3, no worker
 //   execute --------> shape groups of the remaining jobs -> encode-space
 //                     VerifyResults (or abandoned jobs), each carrying its
 //                     solve's SolveFacts
@@ -23,10 +25,12 @@
 //    one worker's session, and the batch deadline handed over.
 // Shape groups are the planner's shape-adjacent runs; the process executor
 // splits the largest runs until there are as many groups as workers, so
-// warm reuse never costs fan-out. Group composition is a pure function of
-// (plan, worker count), so verdicts agree across both executors and every
-// worker count (which counterexample witnesses a violation may differ: a
-// warm context carries learned state from earlier jobs of its group).
+// warm reuse never costs fan-out. Groups are formed over every cache miss
+// before the static pass's jobs leave them, so group composition is a pure
+// function of (plan, worker count), and verdicts agree across both
+// executors and every worker count (which counterexample witnesses a
+// violation may differ: a warm context carries learned state from earlier
+// jobs of its group).
 //
 // An Engine owns the warm state worth keeping between calls: the
 // persistent ResultCache (opened once, or memory-only, and kept across
@@ -141,12 +145,15 @@ class Engine {
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
   [[nodiscard]] Planning& planning();
-  /// The executor step: solves plan.jobs[i] for every i in `to_solve`,
-  /// grouped by shape, on the configured executor. Returns one slot per
-  /// plan job, empty for jobs not solved (cache-answered or abandoned);
-  /// worker and abandonment accounting go into `out`.
+  /// The executor step: solves plan.jobs[j] for every cache miss j in
+  /// `misses` that `decided` (the static pass, one slot per plan job)
+  /// left empty, grouped by shape, on the configured executor. Returns one
+  /// slot per plan job, empty for jobs not solved (cache-answered,
+  /// decided or abandoned); worker and abandonment accounting go into
+  /// `out`.
   [[nodiscard]] std::vector<std::optional<VerifyResult>> execute(
-      const JobPlan& plan, const std::vector<std::size_t>& to_solve,
+      const JobPlan& plan, const std::vector<std::size_t>& misses,
+      const std::vector<std::optional<VerifyResult>>& decided,
       Deadline deadline, BatchResult& out);
 
   const encode::NetworkModel* model_;

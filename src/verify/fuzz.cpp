@@ -1,5 +1,6 @@
 #include "verify/fuzz.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -231,6 +232,71 @@ std::optional<std::string> oracle_sim_cross(io::Spec& spec, int budget,
   return std::nullopt;
 }
 
+/// The second decision procedure against the first: every planned job whose
+/// encode members hold no middlebox, and every invariant over the spec's
+/// hosts alone (a wider box-free member set, with more senders than a
+/// slice holds), is decided by decide_statically and solved by
+/// verify_members on a fresh Z3 session, and the two must agree. Every
+/// other oracle compares runs that both take the static path on box-free
+/// jobs, so this is the only check of it against the solver. A static sat
+/// must also carry a witness the simulator realizes (replay is strict
+/// without boxes) and that violates the invariant concretely - reachable's
+/// `holds` included.
+std::optional<std::string> oracle_static(io::Spec& spec,
+                                         const VerifyOptions& vo,
+                                         FuzzReport* stats) {
+  const net::Network& net = spec.model.network();
+  struct Problem {
+    std::string what;
+    encode::Invariant invariant;
+    std::vector<NodeId> members;
+  };
+  std::vector<Problem> problems;
+  const JobPlan plan = Engine(spec.model, {.verify = vo}).plan(spec.invariants);
+  for (const Job& job : plan.jobs) {
+    problems.push_back({"job " + std::to_string(job.id) + " (" +
+                            invariant_label(spec, job.invariant_index) + ")",
+                        job.solve_invariant, job.encode_members()});
+  }
+  std::vector<NodeId> hosts = net.hosts();
+  std::sort(hosts.begin(), hosts.end());
+  for (std::size_t i = 0; i < spec.invariants.size(); ++i) {
+    problems.push_back({"invariant " + std::to_string(i) + " (" +
+                            invariant_label(spec, i) + ") over every host",
+                        spec.invariants[i], hosts});
+  }
+  dataplane::TransferCache transfers(net);
+  for (const Problem& pr : problems) {
+    const std::optional<VerifyResult> decided = decide_statically(
+        spec.model, pr.invariant, pr.members, vo.max_failures, transfers);
+    // Not decided: a middlebox member, a looping cell, or an invariant
+    // node outside the members - all left to the solver path.
+    if (!decided) continue;
+    if (stats) ++stats->static_checks;
+    SolverSession session(vo.solver, /*warm=*/true);
+    session.set_resilience(session_resilience(vo));
+    const VerifyResult solved = verify_members(
+        spec.model, pr.invariant, pr.members, vo.max_failures, session);
+    if (solved.outcome != Outcome::unknown &&
+        solved.outcome != decided->outcome) {
+      return "static decision disagrees with Z3 on " + pr.what + ": " +
+             to_string(decided->outcome) + " vs " + to_string(solved.outcome);
+    }
+    if (decided->raw_status != smt::CheckStatus::sat) continue;
+    const Trace& witness = *decided->counterexample;
+    if (!sim::replay_witness(spec.model, pr.invariant, witness,
+                             vo.max_failures)
+             .realized) {
+      return "static witness for " + pr.what + " is not realized by replay";
+    }
+    if (!sim::trace_violates(witness, spec.model, pr.invariant)) {
+      return "static witness for " + pr.what +
+             " does not violate the invariant concretely";
+    }
+  }
+  return std::nullopt;
+}
+
 /// The never-flip oracle: the same spec verified under a seeded fault
 /// plan must agree with the fault-free baseline on every verdict both
 /// sides answered - degradation may only widen verdicts to unknown, and
@@ -272,8 +338,8 @@ std::optional<std::string> oracle_faults(io::Spec& spec,
 }
 
 constexpr std::string_view kVerdictOracles[] = {
-    "engines", "warm-cold", "iso-verdict", "symmetry", "slices", "replay",
-    "sim-cross", "faults"};
+    "engines", "warm-cold", "iso-verdict", "symmetry", "slices", "static",
+    "replay", "sim-cross", "faults"};
 
 std::optional<std::string> run_oracle(std::string_view name, io::Spec& spec,
                                       int budget, const BatchResult& baseline,
@@ -290,6 +356,7 @@ std::optional<std::string> run_oracle(std::string_view name, io::Spec& spec,
   }
   if (name == "symmetry") return oracle_symmetry(spec, vo, baseline);
   if (name == "slices") return oracle_slices(spec, vo, baseline);
+  if (name == "static") return oracle_static(spec, vo, stats);
   if (name == "replay") return oracle_replay(spec, budget, baseline, stats);
   if (name == "sim-cross") {
     return oracle_sim_cross(spec, budget, baseline, seed, stats);

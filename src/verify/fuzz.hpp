@@ -14,6 +14,10 @@
 //              and on the process executor
 //   symmetry   symmetry planning == --no-symmetry verdicts
 //   slices     sliced == whole-network verdicts
+//   static     every box-free planned job, and every invariant over the
+//              spec's hosts alone: decide_statically == a fresh Z3 solve
+//              (verify_members), and each static witness is realized by
+//              replay and violates the invariant concretely
 //   replay     every violated verdict's witness replayed concretely in the
 //              simulator (strict when every middlebox is deterministic;
 //              advisory otherwise - see sim/replay.hpp)
@@ -94,6 +98,7 @@ struct FuzzReport {
   std::size_t replays_realized = 0;  ///< concretely confirmed
   std::size_t replays_advisory = 0;  ///< unrealized but model nondeterministic
   std::size_t sim_schedules = 0;     ///< concrete cross-check schedules run
+  std::size_t static_checks = 0;     ///< static decisions checked against Z3
   std::vector<FuzzFailure> failures;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }

@@ -23,7 +23,9 @@
 //                          holds/violated/unknown, degraded, a `batch`
 //                          object holding the last batch's
 //                          BatchResult::metrics() (timers in microseconds:
-//                          plan_us, total_us, ...) and a `lifetime` object
+//                          plan_us, total_us, ...; solver_calls counts Z3
+//                          solves, static_decisions the box-free classes
+//                          decided without one) and a `lifetime` object
 //                          (batches, reloads, noop_edits, parse_errors,
 //                          requests)
 //

@@ -48,6 +48,7 @@ std::vector<Metric> BatchResult::metrics() const {
       {"invariants", results.size()},
       {"jobs_executed", pool.jobs_executed},
       {"solver_calls", solver_calls},
+      {"static_decisions", static_decisions},
       {"plan_us", us(plan_time)},
       {"total_us", us(total_time)},
       {"cpu_user_us", us(cpu_user_time)},
@@ -336,6 +337,96 @@ VerifyResult verify_members(const encode::NetworkModel& model,
     result.solve.escalation_rescued = status != smt::CheckStatus::unknown;
   }
 
+  return result;
+}
+
+std::optional<VerifyResult> decide_statically(
+    const encode::NetworkModel& model, const encode::Invariant& invariant,
+    const std::vector<NodeId>& members, int max_failures,
+    dataplane::TransferCache& transfers) {
+  const net::Network& net = model.network();
+  for (NodeId m : members) {
+    if (net.kind(m) != net::NodeKind::host) return std::nullopt;
+  }
+  const NodeId target = invariant.target;
+  if (!std::binary_search(members.begin(), members.end(), target)) {
+    return std::nullopt;
+  }
+  // The sender address the invariant axiom pins (src for the isolation
+  // kinds and scoped traversal, origin for data isolation - a host sends
+  // both as its own address); none for no-malicious-delivery and unscoped
+  // traversal.
+  std::optional<Address> sender;
+  switch (invariant.kind) {
+    case encode::InvariantKind::no_malicious_delivery:
+      break;
+    case encode::InvariantKind::traversal:
+      if (invariant.other.valid()) sender = net.node(invariant.other).address;
+      break;
+    default:
+      if (!invariant.other.valid()) return std::nullopt;
+      sender = net.node(invariant.other).address;
+      break;
+  }
+
+  // The encoder's Omega axiom, cell by cell: every in-budget scenario (base
+  // first), every member, every relevant address. All cells are walked,
+  // not just those up to the first delivery, so a loop anywhere the encoder
+  // would raise sends the job to the solver.
+  struct Delivery {
+    ScenarioId scenario;
+    NodeId from;
+    Address dst;
+  };
+  std::optional<Delivery> found;
+  const std::vector<Address> relevant =
+      encode::relevant_addresses(model, members);
+  const auto& scenarios = net.scenarios();
+  try {
+    for (std::size_t si = 0; si < scenarios.size(); ++si) {
+      if (static_cast<int>(scenarios[si].failed_nodes.size()) > max_failures) {
+        continue;
+      }
+      const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
+      const dataplane::TransferFunction& tf = transfers.at(sid);
+      for (NodeId from : members) {
+        const Address own = net.node(from).address;
+        for (Address a : relevant) {
+          const std::optional<NodeId> to = tf.next_edge(from, a);
+          if (found || a == own || to != target) continue;
+          if (sender && own != *sender) continue;
+          found = Delivery{sid, from, a};
+        }
+      }
+    }
+  } catch (const ForwardingLoopError&) {
+    return std::nullopt;
+  }
+
+  const bool sat = found.has_value();
+  VerifyResult result;
+  result.slice_size = members.size();
+  result.raw_status = sat ? smt::CheckStatus::sat : smt::CheckStatus::unsat;
+  result.outcome = sat == invariant.sat_means_holds() ? Outcome::holds
+                                                      : Outcome::violated;
+  if (!sat) return result;
+
+  Packet p(net.node(found->from).address, found->dst);
+  p.origin = p.src;
+  p.malicious =
+      invariant.kind == encode::InvariantKind::no_malicious_delivery;
+  Trace witness;
+  for (NodeId m : members) {
+    if (net.scenario(found->scenario).is_failed(m)) {
+      witness.add(Event{EventKind::fail, 0, m, NodeId{}, Packet{}});
+    }
+  }
+  const NodeId omega;  // the invalid id stands for Omega, as in extract_trace
+  witness.add(Event{EventKind::send, 0, found->from, omega, p});
+  witness.add(Event{EventKind::receive, 1, found->from, omega, p});
+  witness.add(Event{EventKind::send, 2, omega, target, p});
+  witness.add(Event{EventKind::receive, 3, omega, target, p});
+  result.counterexample = std::move(witness);
   return result;
 }
 

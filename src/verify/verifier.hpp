@@ -171,9 +171,15 @@ struct PoolStats {
 /// accounting in `degradation`.
 struct BatchResult {
   std::vector<VerifyResult> results;  ///< aligned with the invariant list
-  /// Actual solver invocations: solver classes minus cache hits (and
-  /// abandoned classes).
+  /// Actual solver invocations: solver classes minus cache hits, static
+  /// decisions (and abandoned classes).
   std::size_t solver_calls = 0;
+  /// Solver classes without a middlebox that decide_statically answered
+  /// from the planner's transfer memo, before any executor ran: no Z3
+  /// context, no worker. They count in no solver counter (solver_calls,
+  /// warm_binds, the solve histogram), though their fan-out still counts
+  /// in iso_verdict_reuses.
+  std::size_t static_decisions = 0;
   /// Wall time of the whole run_batch call.
   std::chrono::microseconds total_time{0};
   /// This process's CPU time over the run_batch call, split into user and
@@ -362,6 +368,31 @@ struct IsoBinding {
                                           std::vector<NodeId> members,
                                           int max_failures,
                                           SolverSession& session);
+
+/// The verdict verify_members would reach on a member set without
+/// middleboxes, read off the static dataplane instead of Z3. Such a set has
+/// no mutable state: what encode::Encoding asserts for it reduces to "some
+/// member host h sends, to Omega, a packet with src = origin = addr(h) and
+/// a destination a != addr(h) in encode::relevant_addresses(model,
+/// members), and the in-budget scenario's transfer function delivers (h, a)
+/// to the target". Every invariant kind is satisfiable exactly when such a
+/// delivery exists, with addr(h) == addr(other) where the kind names a
+/// sender or origin (traversal's `visited` set is empty, malice and ports
+/// are unconstrained, and the target need not initiate a flow). sat/unsat
+/// maps through sat_means_holds() as a solve does; a sat answer carries a
+/// four-event witness (h -> Omega -> target) plus `fail` events for the
+/// members its scenario fails. Walks exactly the (scenario, member,
+/// relevant address) cells the encoder's Omega axiom walks, through
+/// `transfers` (the planner's memo). Returns nullopt - leaving the job to
+/// Z3 - when a member is not a host, the target is not a member, the
+/// invariant lacks a peer it names, or a walked cell loops (the encoder
+/// raises on that cell, and the solve path keeps reporting it). The result
+/// is in encode space, like verify_members', with no solve time, no
+/// assertions and all-default SolveFacts.
+[[nodiscard]] std::optional<VerifyResult> decide_statically(
+    const encode::NetworkModel& model, const encode::Invariant& invariant,
+    const std::vector<NodeId>& members, int max_failures,
+    dataplane::TransferCache& transfers);
 
 /// The result one verdict binding surfaces from its class's single
 /// encode-space solve: verdict, status and statistics verbatim, the

@@ -82,7 +82,11 @@ TEST(Fuzz, DefaultSweepIsGreenAndDeterministic) {
   EXPECT_EQ(a.replays_realized, b.replays_realized);
   EXPECT_EQ(a.replays_advisory, b.replays_advisory);
   EXPECT_EQ(a.sim_schedules, b.sim_schedules);
+  EXPECT_EQ(a.static_checks, b.static_checks);
   EXPECT_EQ(a.failures.size(), b.failures.size());
+  // The static oracle is in the default battery: it is the only check of
+  // decide_statically against Z3.
+  EXPECT_GT(a.static_checks, 0u);
 }
 
 TEST(Fuzz, InjectedFaultShrinksToMinimalReproducer) {

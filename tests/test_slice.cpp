@@ -588,9 +588,10 @@ TEST(CanonicalKey, BatchNeverInheritsAcrossDifferentConfigs) {
 
 // -- all-senders slice soundness ---------------------------------------------
 //
-// The representative-sender regression (ROADMAP, "Topology-aware policy
-// classes"): all-senders invariants (no-malicious-delivery, unconstrained
-// traversal) seed their slice with representative senders per policy class.
+// The representative-sender regression (CHANGES.md, the PR 4 entry,
+// "Topology-aware policy classes"): all-senders invariants
+// (no-malicious-delivery, unconstrained traversal) seed their slice with
+// representative senders per policy class.
 // Configuration-only classes merge hosts of disconnected segments, and the
 // seed behavior's fixed first-member representative could not even reach
 // the target - the sliced verdict silently disagreed with the whole

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "encode/encoder.hpp"
@@ -455,6 +457,318 @@ TEST(Verify, ZooCorpusVerdictsMatchTheGolden) {
     }
     EXPECT_GT(witnesses, 100u) << on;
   }
+}
+
+// -- Static decisions (box-free slices, decide_statically) -------------------
+
+/// Three hosts and an unrouted fourth on one switch, no middlebox: a and c
+/// reach b, b reaches c, everyone reaches a, and nothing reaches d.
+constexpr const char* kBoxFree = R"(host a 10.0.0.1
+host b 10.0.0.2
+host c 10.0.0.3
+host d 10.0.0.4
+switch s
+link a s
+link b s
+link c s
+link d s
+route s 10.0.0.1 a
+route s 10.0.0.2 b
+route s from b 10.0.0.3 c
+)";
+
+/// One invariant decided both ways on the same member set: statically and
+/// by a fresh Z3 session.
+struct BothWays {
+  std::optional<VerifyResult> decided;
+  VerifyResult solved;
+};
+
+BothWays decide_both_ways(const io::Spec& spec, const Invariant& inv,
+                          int max_failures, bool use_slices = true) {
+  VerifyOptions vo;
+  vo.max_failures = max_failures;
+  PlanContext ctx(spec.model.network());
+  const slice::PolicyClasses classes =
+      build_policy_classes(spec.model, vo, ctx);
+  const std::vector<NodeId> members = slice_members(
+      spec.model, inv, classes, use_slices, max_failures, &ctx.transfers);
+  BothWays out;
+  out.decided =
+      decide_statically(spec.model, inv, members, max_failures, ctx.transfers);
+  SolverSession session(vo.solver);
+  out.solved =
+      verify_members(spec.model, inv, members, max_failures, session);
+  return out;
+}
+
+/// The static verdict of `inv`, after checking it against Z3 and, when
+/// the decision is sat, its witness against the simulator and the
+/// concrete invariant check.
+Outcome static_outcome(io::Spec& spec, const Invariant& inv,
+                       int max_failures = 0, bool use_slices = true) {
+  const BothWays both = decide_both_ways(spec, inv, max_failures, use_slices);
+  const std::string what = inv.describe(
+      [&](NodeId n) { return spec.model.network().name(n); });
+  if (!both.decided) {
+    ADD_FAILURE() << what << ": not decided statically";
+    return Outcome::unknown;
+  }
+  const VerifyResult& r = *both.decided;
+  EXPECT_EQ(r.outcome, both.solved.outcome) << what;
+  EXPECT_EQ(r.raw_status, both.solved.raw_status) << what;
+  EXPECT_EQ(r.slice_size, both.solved.slice_size) << what;
+  EXPECT_EQ(r.assertion_count, 0u) << what;
+  EXPECT_EQ(r.counterexample.has_value(),
+            r.raw_status == smt::CheckStatus::sat)
+      << what;
+  if (r.counterexample) {
+    EXPECT_TRUE(sim::trace_violates(*r.counterexample, spec.model, inv))
+        << what;
+    EXPECT_TRUE(sim::replay_witness(spec.model, inv, *r.counterexample,
+                                    max_failures)
+                    .realized)
+        << what;
+  }
+  return r.outcome;
+}
+
+TEST(StaticDecision, EveryInvariantKindHoldsAndIsViolated) {
+  io::Spec spec = io::parse_spec_string(kBoxFree);
+  const net::Network& net = spec.model.network();
+  const NodeId a = net.node_by_name("a"), b = net.node_by_name("b"),
+               c = net.node_by_name("c"), d = net.node_by_name("d");
+  const struct {
+    Invariant inv;
+    Outcome want;
+  } cases[] = {
+      {Invariant::node_isolation(b, a), Outcome::violated},
+      {Invariant::node_isolation(c, a), Outcome::holds},
+      {Invariant::flow_isolation(b, a), Outcome::violated},
+      {Invariant::flow_isolation(c, a), Outcome::holds},
+      {Invariant::data_isolation(b, c), Outcome::violated},
+      {Invariant::data_isolation(c, a), Outcome::holds},
+      {Invariant::no_malicious_delivery(a), Outcome::violated},
+      {Invariant::no_malicious_delivery(d), Outcome::holds},
+      {Invariant::traversal(b, "fw"), Outcome::violated},
+      {Invariant::traversal(d, "fw"), Outcome::holds},
+      {Invariant::traversal_from(c, b, "fw"), Outcome::violated},
+      {Invariant::traversal_from(c, a, "fw"), Outcome::holds},
+      {Invariant::reachable(b, a), Outcome::holds},
+      {Invariant::reachable(c, a), Outcome::violated},
+  };
+  for (const auto& [inv, want] : cases) {
+    EXPECT_EQ(static_outcome(spec, inv), want)
+        << inv.describe([&](NodeId n) { return net.name(n); });
+  }
+  // Over the whole network, b also reaches c: a delivery from another
+  // sender does not violate what a names, and any delivery violates what
+  // names no sender.
+  const struct {
+    Invariant inv;
+    Outcome want;
+  } whole[] = {
+      {Invariant::node_isolation(c, a), Outcome::holds},
+      {Invariant::flow_isolation(c, a), Outcome::holds},
+      {Invariant::data_isolation(c, a), Outcome::holds},
+      {Invariant::traversal_from(c, a, "fw"), Outcome::holds},
+      {Invariant::traversal(c, "fw"), Outcome::violated},
+      {Invariant::no_malicious_delivery(c), Outcome::violated},
+      {Invariant::reachable(c, a), Outcome::violated},
+      {Invariant::reachable(c, b), Outcome::holds},
+  };
+  for (const auto& [inv, want] : whole) {
+    EXPECT_EQ(static_outcome(spec, inv, 0, /*use_slices=*/false), want)
+        << inv.describe([&](NodeId n) { return net.name(n); });
+  }
+}
+
+TEST(StaticDecision, WitnessIsTheStaticPathThroughOmega) {
+  io::Spec spec = io::parse_spec_string(kBoxFree);
+  const net::Network& net = spec.model.network();
+  const NodeId a = net.node_by_name("a"), b = net.node_by_name("b");
+  const BothWays both =
+      decide_both_ways(spec, Invariant::no_malicious_delivery(b), 0);
+  ASSERT_TRUE(both.decided && both.decided->counterexample);
+  const std::vector<Event>& events = both.decided->counterexample->events();
+  ASSERT_EQ(events.size(), 4u);
+  // The first delivery in (scenario, sender, address) order: a sends to
+  // b's address, and the oracle calls the packet malicious.
+  Packet p(net.node(a).address, net.node(b).address);
+  p.origin = p.src;
+  p.malicious = true;
+  EXPECT_EQ(events[0], (Event{EventKind::send, 0, a, NodeId{}, p}));
+  EXPECT_EQ(events[1], (Event{EventKind::receive, 1, a, NodeId{}, p}));
+  EXPECT_EQ(events[2], (Event{EventKind::send, 2, NodeId{}, b, p}));
+  EXPECT_EQ(events[3], (Event{EventKind::receive, 3, NodeId{}, b, p}));
+  EXPECT_EQ(both.decided->solve_time.count(), 0);
+}
+
+TEST(StaticDecision, DeliveryOnlyUnderAFailureNeedsTheBudget) {
+  // b's address is routed only in scenario f1, which fails x. A failed
+  // host still sends (failures constrain middleboxes only), so x reaches b
+  // under f1 too, and its witness carries x's failure.
+  io::Spec spec = io::parse_spec_string(R"(host a 10.0.0.1
+host b 10.0.0.2
+host x 10.0.0.9
+switch s
+link a s
+link b s
+link x s
+route s 10.0.0.1 a
+route s 10.0.0.9 x
+scenario f1 fail x
+  route s 10.0.0.2 b
+end
+)");
+  const net::Network& net = spec.model.network();
+  const NodeId a = net.node_by_name("a"), b = net.node_by_name("b"),
+               x = net.node_by_name("x");
+  for (const NodeId sender : {a, x}) {
+    const Invariant inv = Invariant::node_isolation(b, sender);
+    EXPECT_EQ(static_outcome(spec, inv, 0), Outcome::holds);
+    EXPECT_EQ(static_outcome(spec, inv, 1), Outcome::violated);
+  }
+  const BothWays both =
+      decide_both_ways(spec, Invariant::node_isolation(b, x), 1);
+  ASSERT_TRUE(both.decided && both.decided->counterexample);
+  const Event& first = both.decided->counterexample->events().front();
+  EXPECT_EQ(first.kind, EventKind::fail);
+  EXPECT_EQ(first.from, x);
+  EXPECT_EQ(first.time, 0);
+}
+
+TEST(StaticDecision, HairpinDeliversASendBackToItsSender) {
+  // d's packets for a come straight back to d. With a in the member set
+  // (the whole network), d receives its own packet; d's own slice holds
+  // only d, so a's address is not relevant there and both procedures
+  // answer holds - the slice hole of ROADMAP item 13, decided alike.
+  io::Spec spec = io::parse_spec_string(R"(host a 10.0.0.1
+host d 10.0.0.4
+switch s
+link a s
+link d s
+route s from d 10.0.0.1 d
+route s 10.0.0.4 d
+)");
+  const net::Network& net = spec.model.network();
+  const NodeId d = net.node_by_name("d");
+  const Invariant inv = Invariant::node_isolation(d, d);
+  EXPECT_EQ(static_outcome(spec, inv, 0, /*use_slices=*/false),
+            Outcome::violated);
+  EXPECT_EQ(static_outcome(spec, inv, 0, /*use_slices=*/true),
+            Outcome::holds);
+  const BothWays both = decide_both_ways(spec, inv, 0, false);
+  ASSERT_TRUE(both.decided && both.decided->counterexample);
+  for (const Event& e : both.decided->counterexample->events()) {
+    if (e.kind == EventKind::send && e.from.valid()) EXPECT_EQ(e.from, d);
+  }
+}
+
+TEST(StaticDecision, AgreesWithTheSolverOnTheItem13Slice) {
+  // The three-host spec behind ROADMAP item 13: the fabric delivers b's
+  // address to c, and (c, a)'s slice holds only a and c. Static and Z3
+  // answer alike on the slice (holds, the hole) and on the whole network
+  // (violated).
+  io::Spec spec = io::parse_spec_string(R"(host a 10.0.0.1
+host b 10.0.0.2
+host c 10.0.0.3
+switch s
+link a s
+link b s
+link c s
+route s 10.0.0.1 a
+route s 10.0.0.2 c
+)");
+  const net::Network& net = spec.model.network();
+  const Invariant inv =
+      Invariant::node_isolation(net.node_by_name("c"), net.node_by_name("a"));
+  EXPECT_EQ(static_outcome(spec, inv, 0, /*use_slices=*/true),
+            Outcome::holds);
+  EXPECT_EQ(static_outcome(spec, inv, 0, /*use_slices=*/false),
+            Outcome::violated);
+}
+
+TEST(StaticDecision, LeavesMiddleboxSlicesToTheSolver) {
+  OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Gateway>("gw"));
+  dataplane::TransferCache transfers(n.model.network());
+  EXPECT_FALSE(decide_statically(n.model, Invariant::reachable(n.b, n.a),
+                                 encode::all_edge_nodes(n.model), 0,
+                                 transfers));
+  // The hosts alone are box-free and decided.
+  std::vector<NodeId> hosts = {n.a, n.b};
+  std::sort(hosts.begin(), hosts.end());
+  EXPECT_TRUE(decide_statically(n.model, Invariant::reachable(n.b, n.a),
+                                hosts, 0, transfers));
+}
+
+TEST(StaticDecision, AgreesWithTheSolverOnTheZooCorpus) {
+  // Every box-free job the planner makes for the first 100 zoo specs, at
+  // the corpus's failure budget: the static verdict is Z3's, and every
+  // static witness is realized by replay and violates its invariant.
+  std::size_t checked = 0;
+  for (const test::ZooGolden& entry : test::zoo_golden(100)) {
+    io::Spec spec = test::zoo_spec(entry.name);
+    const int budget = scenarios::derived_max_failures(spec.model);
+    VerifyOptions vo;
+    vo.max_failures = budget;
+    const JobPlan plan =
+        Engine(spec.model, {.verify = vo}).plan(spec.invariants);
+    dataplane::TransferCache transfers(spec.model.network());
+    for (const Job& job : plan.jobs) {
+      const std::vector<NodeId>& members = job.encode_members();
+      if (std::any_of(members.begin(), members.end(), [&](NodeId m) {
+            return spec.model.middlebox_at(m) != nullptr;
+          })) {
+        continue;
+      }
+      const std::string at = entry.name + " job " + std::to_string(job.id);
+      const std::optional<VerifyResult> decided = decide_statically(
+          spec.model, job.solve_invariant, members, budget, transfers);
+      ASSERT_TRUE(decided.has_value()) << at;
+      SolverSession session(vo.solver);
+      const VerifyResult solved = verify_members(
+          spec.model, job.solve_invariant, members, budget, session);
+      EXPECT_EQ(decided->outcome, solved.outcome) << at;
+      EXPECT_EQ(decided->raw_status, solved.raw_status) << at;
+      ++checked;
+      if (!decided->counterexample) continue;
+      EXPECT_TRUE(sim::trace_violates(*decided->counterexample, spec.model,
+                                      job.solve_invariant))
+          << at;
+      EXPECT_TRUE(sim::replay_witness(spec.model, job.solve_invariant,
+                                      *decided->counterexample, budget)
+                      .realized)
+          << at;
+    }
+  }
+  EXPECT_GT(checked, 50u);
+}
+
+TEST(StaticDecision, AllBoxFreeBatchForksNoWorkerAndSolvesNothing) {
+  io::Spec spec = io::parse_spec_string(std::string(kBoxFree) +
+                                        "invariant node-isolation b a\n"
+                                        "invariant node-isolation c a\n"
+                                        "invariant reachable c b\n"
+                                        "invariant no-malicious d\n");
+  const BatchResult inline_batch =
+      Engine(spec.model).run_batch(spec.invariants);
+  Engine pooled(spec.model, {.batch = true, .jobs = 2});
+  const std::size_t jobs = pooled.plan(spec.invariants).jobs.size();
+  const BatchResult batch = pooled.run_batch(spec.invariants);
+  std::map<std::string_view, std::uint64_t> m;
+  for (const Metric& metric : batch.metrics()) m[metric.name] = metric.value;
+  EXPECT_EQ(m["workers_spawned"], 0u);
+  EXPECT_EQ(m["solver_calls"], 0u);
+  EXPECT_EQ(m["warm_binds"], 0u);
+  EXPECT_EQ(m["static_decisions"], jobs);
+  EXPECT_EQ(m["completed"], jobs);
+  ASSERT_EQ(batch.results.size(), inline_batch.results.size());
+  for (std::size_t i = 0; i < batch.results.size(); ++i) {
+    EXPECT_EQ(batch.results[i].outcome, inline_batch.results[i].outcome) << i;
+  }
+  EXPECT_EQ(batch.results[0].outcome, Outcome::violated);
+  EXPECT_EQ(batch.results[1].outcome, Outcome::holds);
 }
 
 }  // namespace

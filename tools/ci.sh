@@ -695,8 +695,8 @@ fi
 
 echo "--- smoke: differential fuzzing (fixed seed, all oracles green) ---"
 # 25 random specs through the whole oracle battery (engine agreement,
-# warm/cold, iso-verdict merging vs cold, symmetry, slices, witness replay,
-# simulator cross-check). The
+# warm/cold, iso-verdict merging vs cold, symmetry, slices, static
+# decisions vs Z3, witness replay, simulator cross-check). The
 # seed is fixed, so this is deterministic CI, not flaky fuzzing; reproducers
 # land in $build/fuzz-repro for the workflow to upload on failure.
 rm -rf "$build/fuzz-repro"
@@ -736,6 +736,63 @@ if ! "$build/vmn" fuzz --replay "$repro"; then
   exit 1
 fi
 
+echo "--- smoke: box-free slices are decided statically (no worker, no Z3) ---"
+# A slice without a middlebox has no mutable state, so its verdict is a
+# fact of the static dataplane: Engine::run_batch reads it off the
+# planner's transfer memo (verify::decide_statically) before any executor
+# runs. This spec has no middlebox at all: inline, --batch and --no-slices
+# must agree, and --batch must fork no worker and call no solver. a reaches
+# c only in scenario f1, so budget 1 flips one verdict.
+static_dir="$(mktemp -d)"
+trap 'rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir" "$bench_dir" "$inject_dir" "$static_dir"' EXIT
+cat > "$static_dir/boxfree.vmn" << 'EOF'
+host a 10.0.0.1
+host b 10.0.0.2
+host c 10.0.0.3
+switch s
+link a s
+link b s
+link c s
+route s 10.0.0.1 a
+route s 10.0.0.2 b
+route s from b 10.0.0.3 c
+scenario f1 fail b
+  route s from a 10.0.0.3 c
+end
+invariant node-isolation b a
+invariant node-isolation c a
+invariant reachable c b
+EOF
+run_static() {
+  "$build/vmn" verify "$static_dir/boxfree.vmn" "$@"
+}
+for budget in 0 1; do
+  static_inline="$(run_static --max-failures "$budget")"
+  static_batch="$(run_static --max-failures "$budget" --batch --jobs 2)"
+  static_whole="$(run_static --max-failures "$budget" --no-slices)"
+  echo "$static_batch"
+  static_verdicts="$(echo "$static_inline" | verdicts)"
+  if ! diff <(echo "$static_verdicts") <(echo "$static_batch" | verdicts) \
+      || ! diff <(echo "$static_verdicts") <(echo "$static_whole" | verdicts); then
+    echo "ci: box-free spec (budget $budget): inline, --batch and" \
+         "--no-slices disagree" >&2
+    exit 1
+  fi
+  if ! grep -Eq "^  workers_spawned: 0$" <<< "$static_batch" \
+      || ! grep -Eq "^  solver_calls: 0$" <<< "$static_batch" \
+      || ! grep -Eq "^  static_decisions: [1-9][0-9]*$" <<< "$static_batch"; then
+    echo "ci: box-free spec (budget $budget): --batch forked a worker or" \
+         "called the solver instead of deciding statically" >&2
+    exit 1
+  fi
+  want="violated holds holds"
+  if [ "$budget" -eq 1 ]; then want="violated violated holds"; fi
+  if [ "$(echo "$static_verdicts" | awk '{print $2}' | xargs)" != "$want" ]; then
+    echo "ci: box-free spec (budget $budget): want verdicts '$want'" >&2
+    exit 1
+  fi
+done
+
 echo "--- smoke: serve daemon (unix socket, incremental one-segment edit) ---"
 # The daemon loads the segmented spec, answers over its Unix socket, and on
 # an in-place edit confined to segment 1 (idps1 flips to monitor mode)
@@ -753,7 +810,7 @@ else
   serve_pid=$!
   trap 'kill "$serve_pid" 2> /dev/null || true
         rm -rf "$cache_dir" "$torn_cache" "$torn_seq" "$seg_cache" "$ren_dir" \
-               "$bench_dir" "$inject_dir" "$serve_dir"' EXIT
+               "$bench_dir" "$inject_dir" "$static_dir" "$serve_dir"' EXIT
 
   # One request line -> one response line over the Unix socket.
   ask() {

@@ -55,18 +55,19 @@
 //   vmn fuzz [options]                   (vmn fuzz --help)
 //       Differential fuzzing (src/verify/fuzz.hpp): generates N random
 //       specifications from the seed and runs each through the oracle
-//       battery (engine agreement, warm/cold, symmetry, slices, witness
-//       replay, simulator cross-check). Failures are delta-debugged to a
-//       minimal .vmn reproducer (written into --reproducer-dir when given)
-//       and the exit status is non-zero. --replay re-runs the battery on an
-//       existing spec file - the standalone re-check for a committed
-//       reproducer (pass the seed from its header for seed-dependent
-//       oracles). --inject-fault enables a deliberately broken oracle that
-//       fails on any spec with a middlebox (shrinker self-test). --faults
-//       adds the fault-injection oracle: each spec is re-verified under a
-//       seeded chaos plan (crashes, frame corruption, forced unknowns) and
-//       any verdict that *flips* against the fault-free run fails - faults
-//       may only widen verdicts to unknown, never change them.
+//       battery (engine agreement, warm/cold, symmetry, slices, static
+//       decisions vs Z3, witness replay, simulator cross-check). Failures
+//       are delta-debugged to a minimal .vmn reproducer (written into
+//       --reproducer-dir when given) and the exit status is non-zero.
+//       --replay re-runs the battery on an existing spec file - the
+//       standalone re-check for a committed reproducer (pass the seed from
+//       its header for seed-dependent oracles). --inject-fault enables a
+//       deliberately broken oracle that fails on any spec with a middlebox
+//       (shrinker self-test). --faults adds the fault-injection oracle:
+//       each spec is re-verified under a seeded chaos plan (crashes, frame
+//       corruption, forced unknowns) and any verdict that *flips* against
+//       the fault-free run fails - faults may only widen verdicts to
+//       unknown, never change them.
 //
 //   vmn audit <spec-file>
 //       Static datapath audit: forwarding loops and blackholes across all
@@ -553,10 +554,11 @@ int cmd_fuzz(const char* argv0, int argc, char** argv) {
     verify::check_spec_text(buf.str(), fopts.seed, fopts, report);
     print_fuzz_failures(report);
     std::printf("replay %s: %zu invariants, %zu witness replays "
-                "(%zu realized, %zu advisory), %zu failure(s)\n",
+                "(%zu realized, %zu advisory), %zu static checks, "
+                "%zu failure(s)\n",
                 replay_path.c_str(), report.invariants, report.replays,
                 report.replays_realized, report.replays_advisory,
-                report.failures.size());
+                report.static_checks, report.failures.size());
     return report.ok() ? 0 : 1;
   }
 
@@ -564,10 +566,12 @@ int cmd_fuzz(const char* argv0, int argc, char** argv) {
   print_fuzz_failures(report);
   std::printf(
       "fuzz: %d specs (seed %llu), %zu invariants, %zu witness replays "
-      "(%zu realized, %zu advisory), %zu sim schedules, %zu failure(s)\n",
+      "(%zu realized, %zu advisory), %zu sim schedules, %zu static checks, "
+      "%zu failure(s)\n",
       report.specs, static_cast<unsigned long long>(fopts.seed),
       report.invariants, report.replays, report.replays_realized,
-      report.replays_advisory, report.sim_schedules, report.failures.size());
+      report.replays_advisory, report.sim_schedules, report.static_checks,
+      report.failures.size());
   return report.ok() ? 0 : 1;
 }
 

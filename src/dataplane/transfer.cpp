@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 
 #include "core/error.hpp"
 #include "dataplane/headerspace.hpp"
@@ -82,6 +83,18 @@ std::vector<Address> TransferFunction::destination_classes() const {
   return {starts_.begin(), starts_.end()};
 }
 
+template <typename OnHost>
+std::optional<NodeId> TransferFunction::first_switch(NodeId from_edge,
+                                                     OnHost host) const {
+  const net::Network& net = *network_;
+  for (NodeId n : net.neighbors(from_edge)) {
+    if (failed_[n.value()] != 0) continue;
+    if (is_switch(n)) return n;
+    if (net.node(n).kind == net::NodeKind::host && host(n)) break;
+  }
+  return std::nullopt;
+}
+
 std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
                                              std::vector<NodeId>* path) const {
   const net::Network& net = *network_;
@@ -91,22 +104,19 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
   // down middlebox emits anything is decided by its own axioms (fail-open
   // boxes keep forwarding); the static datapath just carries packets.
 
-  // Direct delivery: a neighboring edge node owning dst (host-host wiring).
+  // Direct delivery: a neighboring host owning dst (host-host wiring).
   // Otherwise enter the switch fabric through the first alive neighbor
   // switch.
+  std::optional<NodeId> direct;
   NodeId prev = from_edge;
-  std::optional<NodeId> cur;
-  for (NodeId n : net.neighbors(from_edge)) {
-    if (failed_[n.value()] != 0) continue;
-    if (is_switch(n)) {
-      cur = n;
-      break;
-    }
-    const net::Node& node = net.node(n);
-    if (node.kind == net::NodeKind::host && node.address == dst) {
-      if (path != nullptr) path->push_back(n);
-      return n;
-    }
+  std::optional<NodeId> cur = first_switch(from_edge, [&](NodeId n) {
+    if (net.node(n).address != dst) return false;
+    direct = n;
+    return true;
+  });
+  if (direct) {
+    if (path != nullptr) path->push_back(*direct);
+    return direct;
   }
   if (!cur) {  // no alive attachment: dropped
     if (path != nullptr) path->clear();
@@ -147,6 +157,38 @@ std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,
     prev = *cur;
     cur = next;
   }
+}
+
+std::vector<AddressRange> TransferFunction::first_hop_ranges(
+    NodeId from_edge) const {
+  (void)row(from_edge);  // edge nodes only
+  // 64-bit ends: a /0 rule ends at 2^32 - 1, and merging looks one past.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  const std::optional<NodeId> sw = first_switch(from_edge, [&](NodeId n) {
+    const std::uint64_t a = network_->node(n).address.bits();
+    spans.emplace_back(a, a);
+    return false;
+  });
+  if (sw) {
+    for (const net::Rule& r : tables_[sw->value()]->rules()) {
+      if (r.in_from && *r.in_from != from_edge) continue;
+      const Wildcard w = Wildcard::from_prefix(r.dst);
+      spans.emplace_back(w.bits(), w.bits() + w.size() - 1);
+    }
+  }
+  std::sort(spans.begin(), spans.end());
+  std::vector<AddressRange> out;
+  std::uint64_t last = 0;
+  for (const auto& [lo, hi] : spans) {
+    if (!out.empty() && lo <= last + 1) {
+      last = std::max(last, hi);
+    } else {
+      out.push_back({Address(static_cast<std::uint32_t>(lo)), {}});
+      last = hi;
+    }
+    out.back().last = Address(static_cast<std::uint32_t>(last));
+  }
+  return out;
 }
 
 std::optional<NodeId> TransferFunction::next_edge(NodeId from_edge,

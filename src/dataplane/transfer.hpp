@@ -21,6 +21,12 @@
 
 namespace vmn::dataplane {
 
+/// A run of consecutive addresses, both ends included.
+struct AddressRange {
+  Address first;
+  Address last;
+};
+
 /// The transfer function of `network` under one failure scenario.
 ///
 /// Construction snapshots the scenario: each switch's effective forwarding
@@ -49,6 +55,18 @@ class TransferFunction {
   /// packet is dropped before reaching another edge node.
   [[nodiscard]] std::vector<NodeId> path(NodeId from_edge, Address dst) const;
 
+  /// The addresses the first hop out of `from_edge` routes, as sorted,
+  /// disjoint, non-adjacent ranges. next_edge() drops every address outside
+  /// them before a second hop. The first hop is walk()'s: the host
+  /// neighbours listed before the first alive neighbour switch (their own
+  /// addresses are delivered directly), then every prefix of that switch's
+  /// snapshotted table whose rule takes packets from `from_edge` (in-port
+  /// wildcard or `from_edge`). A range may still hold dropped addresses:
+  /// shadowed rules, failed next hops, later blackholes. Costs O(r log r)
+  /// for r such rules; throws ModelError unless `from_edge` is an edge node.
+  [[nodiscard]] std::vector<AddressRange> first_hop_ranges(
+      NodeId from_edge) const;
+
   /// One representative per destination class, ascending: the lowest
   /// address of each run of addresses that no rule of the snapshotted
   /// tables and no host address tells apart.
@@ -62,6 +80,14 @@ class TransferFunction {
   /// the node path to `path` when non-null (next_edge builds none).
   [[nodiscard]] std::optional<NodeId> walk(NodeId from_edge, Address dst,
                                            std::vector<NodeId>* path) const;
+  /// The first hop out of `from_edge`, shared by walk() and
+  /// first_hop_ranges(): calls `host(n)` for each alive host neighbour n
+  /// listed before the first alive neighbour switch, stopping when it
+  /// returns true, and returns that switch; nullopt when none is attached
+  /// or `host` stopped the scan first.
+  template <typename OnHost>
+  [[nodiscard]] std::optional<NodeId> first_switch(NodeId from_edge,
+                                                   OnHost host) const;
   /// `from_edge`'s memo row; throws ModelError unless it is an edge node.
   [[nodiscard]] std::size_t row(NodeId from_edge) const;
   /// The destination class of `dst`: its index in starts_.

@@ -56,7 +56,8 @@ class BoxSets {
     if (a == b || b == 0) return a;
     if (a == 0) return b;
     if (a > b) std::swap(a, b);
-    const auto [it, fresh] = unions_.emplace((std::uint64_t{a} << 32) | b, 0);
+    const auto [it, fresh] =
+        unions_.try_emplace((std::uint64_t{a} << 32) | b, 0);
     if (fresh) {
       std::vector<NodeId> both;
       std::set_union(sets_[a].begin(), sets_[a].end(), sets_[b].begin(),
@@ -80,7 +81,7 @@ class BoxSets {
   };
 
   std::uint32_t intern(std::vector<NodeId> set) {
-    const auto [it, fresh] = ids_.emplace(
+    const auto [it, fresh] = ids_.try_emplace(
         std::move(set), static_cast<std::uint32_t>(sets_.size()));
     if (fresh) sets_.push_back(it->first);
     return it->second;
@@ -175,7 +176,7 @@ class BoxWalks {
 
   /// The state's index, visiting it first if it is new.
   std::uint32_t state(NodeId box, Address dst) {
-    const auto [it, fresh] = state_of_.emplace(
+    const auto [it, fresh] = state_of_.try_emplace(
         (std::uint64_t{box.value()} << 32) | dst.bits(),
         static_cast<std::uint32_t>(states_.size()));
     const std::uint32_t v = it->second;
@@ -459,7 +460,7 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     std::string fp;
     for (std::string& p : parts) fp += p;
     const std::uint64_t colour = fnv1a64(fp);
-    const auto [it, fresh] = fingerprint_of.emplace(colour, fp);
+    const auto [it, fresh] = fingerprint_of.try_emplace(colour, fp);
     if (!fresh && it->second != fp) {
       throw std::logic_error("policy classes: two fingerprints share a colour");
     }
@@ -480,6 +481,9 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
   // them. Per source, only the first hop toward each seed address is its
   // own: a packet that enters a middlebox continues along the scenario's
   // shared BoxWalks lists, and delivery back to the source is dropped.
+  // Only the seeds the source's first hop routes are walked: the first
+  // switch drops every other one, so the walks cost what first hops route,
+  // not |hosts| x |seeds|.
   const std::vector<std::size_t> in_budget =
       scenarios_in_budget(scenario_failures, options.max_failures);
   const std::vector<Address> seeds = seed_addresses(model);
@@ -500,25 +504,30 @@ PolicyClasses infer_policy_classes(const encode::NetworkModel& model,
     for (std::uint32_t i = 0; i < hosts.size(); ++i) {
       begin.push_back(static_cast<std::uint32_t>(deliveries.size()));
       const Address own = net.node(hosts[i]).address;
-      for (Address a : seeds) {
-        if (a == own) continue;
-        std::optional<NodeId> next;
-        try {
-          next = tf.next_edge(hosts[i], a);
-        } catch (const ForwardingLoopError&) {
-          // A static forwarding loop on this (source, destination) pair: no
-          // packet is ever delivered along it, so for the class relation
-          // it is a drop. Verification still surfaces the fault loudly -
-          // but only for invariants whose slice actually walks the looping
-          // pair, same as before inference walked the whole network.
-          continue;
-        }
-        if (!next) continue;
-        if (net.kind(*next) == net::NodeKind::host) {
-          slots.add(host_index[next->value()], 0);
-        } else if (model.middlebox_at(*next) != nullptr) {
-          for (const Reached& r : walks.entering(*next, a)) {
-            slots.add(r.target, r.boxes);
+      for (const dataplane::AddressRange& range :
+           tf.first_hop_ranges(hosts[i])) {
+        for (auto a = std::lower_bound(seeds.begin(), seeds.end(), range.first);
+             a != seeds.end() && *a <= range.last; ++a) {
+          if (*a == own) continue;
+          std::optional<NodeId> next;
+          try {
+            next = tf.next_edge(hosts[i], *a);
+          } catch (const ForwardingLoopError&) {
+            // A static forwarding loop on this (source, destination) pair:
+            // no packet is ever delivered along it, so for the class
+            // relation it is a drop. Verification still surfaces the fault
+            // loudly - but only for invariants whose slice actually walks
+            // the looping pair, same as before inference walked the whole
+            // network.
+            continue;
+          }
+          if (!next) continue;
+          if (net.kind(*next) == net::NodeKind::host) {
+            slots.add(host_index[next->value()], 0);
+          } else if (model.middlebox_at(*next) != nullptr) {
+            for (const Reached& r : walks.entering(*next, *a)) {
+              slots.add(r.target, r.boxes);
+            }
           }
         }
       }

@@ -37,6 +37,12 @@
 // symmetric hosts - including symmetric hosts of mutually disconnected but
 // isomorphic segments - keep sharing a class; per-target representative
 // selection covers the residual within-class variation.
+//
+// The delivery relation costs one first-hop walk per (host, seed address)
+// pair the host's first switch routes
+// (dataplane::TransferFunction::first_hop_ranges); every other pair is a
+// drop at that switch and is never walked. Middlebox entry states are
+// walked once per scenario and shared by every source.
 #pragma once
 
 #include <cstdint>

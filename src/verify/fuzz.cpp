@@ -373,14 +373,25 @@ std::optional<std::string> run_oracle(std::string_view name, io::Spec& spec,
   throw Error("unknown fuzz oracle: " + std::string(name));
 }
 
-/// Whether `oracle` still fails on `text` - the shrinker's reproduction
-/// check. Any throw (parse error, degenerate model) means the candidate is
-/// invalid, i.e. does not reproduce.
+/// The failure budgets a spec is fuzzed at: its derived budget, which
+/// keeps every scenario in budget, then 0 when that leaves some out.
+std::vector<int> fuzzed_budgets(const encode::NetworkModel& model) {
+  const int derived = scenarios::derived_max_failures(model);
+  if (derived > 0) return {derived, 0};
+  return {derived};
+}
+
+/// Whether `oracle` still fails on `text` at `budget` (nullopt: the text's
+/// derived budget) - the shrinker's reproduction check. Any throw (parse
+/// error, degenerate model) means the candidate is invalid, i.e. does not
+/// reproduce.
 bool oracle_fails(std::string_view oracle, const std::string& text,
-                  std::uint64_t seed, const FuzzOptions& options) {
+                  std::uint64_t seed, const FuzzOptions& options,
+                  std::optional<int> fixed_budget) {
   try {
     io::Spec spec = io::parse_spec_string(text);
-    const int budget = scenarios::derived_max_failures(spec.model);
+    const int budget = fixed_budget.value_or(
+        scenarios::derived_max_failures(spec.model));
     if (oracle == "injected") {
       return options.injected_fault && options.injected_fault(spec);
     }
@@ -468,12 +479,13 @@ std::size_t count_spec_lines(const std::string& text) {
 
 std::string shrink_reproducer(const std::string& text,
                               const std::string& oracle, std::uint64_t seed,
-                              const FuzzOptions& options) {
+                              const FuzzOptions& options,
+                              std::optional<int> budget) {
   std::vector<Chunk> chunks = chunk_text(text);
   std::size_t checks = 0;
   const auto fails = [&](const std::vector<Chunk>& candidate) {
     ++checks;
-    return oracle_fails(oracle, join_chunks(candidate), seed, options);
+    return oracle_fails(oracle, join_chunks(candidate), seed, options, budget);
   };
 
   // Phase 1: greedy chunk removal to a fixpoint - dropping a host can make
@@ -515,23 +527,23 @@ std::string shrink_reproducer(const std::string& text,
 std::size_t check_spec_text(const std::string& text, std::uint64_t seed,
                             const FuzzOptions& options, FuzzReport& report) {
   io::Spec spec = io::parse_spec_string(text);
-  const int budget = scenarios::derived_max_failures(spec.model);
   report.invariants += spec.invariants.size();
 
   const std::size_t before = report.failures.size();
-  std::optional<BatchResult> baseline;
-  if (!spec.invariants.empty()) {
-    baseline =
+  for (const int budget : fuzzed_budgets(spec.model)) {
+    if (spec.invariants.empty()) break;
+    const BatchResult baseline =
         Engine(spec.model, {.verify = baseline_options(options, budget)})
             .run_batch(spec.invariants, true);
     for (std::string_view name : kVerdictOracles) {
-      if (auto detail = run_oracle(name, spec, budget, *baseline, seed,
+      if (auto detail = run_oracle(name, spec, budget, baseline, seed,
                                    options, &report)) {
         FuzzFailure f;
         f.seed = seed;
         f.oracle = std::string(name);
         f.detail = *detail;
         f.reproducer = text;
+        f.budget = budget;
         report.failures.push_back(std::move(f));
       }
     }
@@ -562,18 +574,24 @@ FuzzReport fuzz(const FuzzOptions& options) {
     for (std::size_t f = first; f < report.failures.size(); ++f) {
       FuzzFailure& fail = report.failures[f];
       fail.original_lines = count_spec_lines(fail.reproducer);
-      const std::string shrunk =
-          shrink_reproducer(fail.reproducer, fail.oracle, fail.seed, options);
+      const std::string shrunk = shrink_reproducer(
+          fail.reproducer, fail.oracle, fail.seed, options,
+          fail.budget < 0 ? std::nullopt : std::optional(fail.budget));
       fail.shrunk_lines = count_spec_lines(shrunk);
       std::string header = "# vmn fuzz reproducer\n# seed " +
                            std::to_string(fail.seed) + "  oracle " +
-                           fail.oracle + "\n# " + fail.detail + "\n";
-      fail.reproducer = header + shrunk;
+                           fail.oracle;
+      std::string file = "repro-" + std::to_string(fail.seed) + "-" +
+                         fail.oracle;
+      if (fail.budget >= 0) {
+        header += "  budget " + std::to_string(fail.budget);
+        file += "-budget" + std::to_string(fail.budget);
+      }
+      fail.reproducer = header + "\n# " + fail.detail + "\n" + shrunk;
       if (!options.reproducer_dir.empty()) {
         std::filesystem::create_directories(options.reproducer_dir);
-        const auto path = std::filesystem::path(options.reproducer_dir) /
-                          ("repro-" + std::to_string(fail.seed) + "-" +
-                           fail.oracle + ".vmn");
+        const auto path =
+            std::filesystem::path(options.reproducer_dir) / (file + ".vmn");
         std::ofstream out(path);
         out << fail.reproducer;
         fail.reproducer_path = path.string();

@@ -30,6 +30,13 @@
 //              may only widen to unknown (which the comparison skips)
 //   injected   a deliberately-broken oracle hook (shrinker self-test)
 //
+// Every spec runs the battery at its derived failure budget
+// (scenarios::derived_max_failures, the largest failure set of any of its
+// scenarios, so every scenario is in budget). When that is positive, the
+// battery runs again at budget 0, where every failure scenario is out of
+// budget: that pass fuzzes budget filtering (encoder, policy inference,
+// decide_statically, replay).
+//
 // On any oracle failure a delta-debugging shrinker removes spec text chunks
 // (hosts, middleboxes, links, routes, scenarios, invariants) while the same
 // oracle still fails, and the minimal reproducer is emitted as .vmn text -
@@ -89,6 +96,9 @@ struct FuzzFailure {
   std::string reproducer_path;
   std::size_t original_lines = 0;
   std::size_t shrunk_lines = 0;
+  /// The failure budget the oracle failed at, which the shrinker keeps;
+  /// -1 for the budget-blind injected oracle.
+  int budget = -1;
 };
 
 struct FuzzReport {
@@ -116,10 +126,10 @@ std::size_t check_spec_text(const std::string& text, std::uint64_t seed,
 /// Shrinks `text` while oracle `oracle` still fails on it; returns the
 /// minimal failing text (== `text` when nothing could be removed). `seed`
 /// keeps seed-dependent oracles (sim-cross schedules) on the failing
-/// schedule across candidates.
-[[nodiscard]] std::string shrink_reproducer(const std::string& text,
-                                            const std::string& oracle,
-                                            std::uint64_t seed,
-                                            const FuzzOptions& options);
+/// schedule across candidates. The oracle runs at `budget`, or at each
+/// candidate's derived budget when it is nullopt.
+[[nodiscard]] std::string shrink_reproducer(
+    const std::string& text, const std::string& oracle, std::uint64_t seed,
+    const FuzzOptions& options, std::optional<int> budget = std::nullopt);
 
 }  // namespace vmn::verify

@@ -386,10 +386,13 @@ std::size_t expect_transfer_oracle(const encode::NetworkModel& model,
   return compared;
 }
 
-TEST(TransferOracle, GeneratorsAgreeWithTheReference) {
-  std::size_t compared = 0;
+/// Runs `check(model, what)` on each generator configuration the oracles
+/// cover; returns the sum of what it returns.
+template <typename Check>
+std::size_t over_generators(Check check) {
+  std::size_t total = 0;
   for (int subnets : {3, 6}) {
-    compared += expect_transfer_oracle(
+    total += check(
         scenarios::make_enterprise({.subnets = subnets, .hosts_per_subnet = 2})
             .model,
         "enterprise");
@@ -408,8 +411,8 @@ TEST(TransferOracle, GeneratorsAgreeWithTheReference) {
         Rng rng(7);
         scenarios::inject_misconfig(dc, kind, rng, 2);
       }
-      compared += expect_transfer_oracle(
-          dc.model, "datacenter " + std::to_string(static_cast<int>(kind)));
+      total += check(dc.model,
+                     "datacenter " + std::to_string(static_cast<int>(kind)));
     }
   }
   for (bool bypass : {false, true}) {
@@ -417,49 +420,137 @@ TEST(TransferOracle, GeneratorsAgreeWithTheReference) {
     p.peering_points = 2;
     p.subnets = 3;
     p.scrub_bypasses_firewalls = bypass;
-    compared += expect_transfer_oracle(scenarios::make_isp(p).model, "isp");
+    total += check(scenarios::make_isp(p).model, "isp");
   }
-  compared += expect_transfer_oracle(
-      scenarios::make_multitenant({.tenants = 3,
-                                   .servers = 2,
-                                   .public_vms_per_tenant = 2,
-                                   .private_vms_per_tenant = 2})
-          .model,
-      "multitenant");
+  total += check(scenarios::make_multitenant({.tenants = 3,
+                                              .servers = 2,
+                                              .public_vms_per_tenant = 2,
+                                              .private_vms_per_tenant = 2})
+                     .model,
+                 "multitenant");
   for (const scenarios::SegmentedParams& p :
        {scenarios::SegmentedParams{},
         scenarios::SegmentedParams{.bypass_segment = 1},
         scenarios::SegmentedParams{.isolated_segment = 1},
         scenarios::SegmentedParams{.segments = 3, .bypass_segment = 2}}) {
-    compared +=
-        expect_transfer_oracle(scenarios::make_segmented(p).model, "segmented");
+    total += check(scenarios::make_segmented(p).model, "segmented");
   }
-  EXPECT_GT(compared, 10000u);
+  return total;
 }
 
-TEST(TransferOracle, ExampleSpecsAgreeWithTheReference) {
+/// Runs `check(model, what)` on each checked-in example spec, expecting
+/// every one to return a positive count; returns the sum.
+template <typename Check>
+std::size_t over_example_specs(Check check) {
   std::size_t specs = 0;
+  std::size_t total = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(VMN_SOURCE_DIR) + "/examples/specs")) {
     if (entry.path().extension() != ".vmn") continue;
     const io::Spec spec = io::load_spec(entry.path().string());
-    EXPECT_GT(expect_transfer_oracle(spec.model,
-                                     entry.path().filename().string()),
-              0u);
+    const std::size_t n = check(spec.model, entry.path().filename().string());
+    EXPECT_GT(n, 0u) << entry.path().filename().string();
+    total += n;
     ++specs;
   }
   EXPECT_GE(specs, 3u);
+  return total;
 }
 
-TEST(TransferOracle, RandomSpecsAgreeWithTheReference) {
-  std::size_t compared = 0;
+/// Runs `check(model, what)` on random specs of seeds 0-99; returns the sum.
+template <typename Check>
+std::size_t over_random_specs(Check check) {
+  std::size_t total = 0;
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     scenarios::RandomSpecParams p;
     p.seed = seed;
-    compared += expect_transfer_oracle(scenarios::make_random_spec(p).spec.model,
-                                       "random seed " + std::to_string(seed));
+    total += check(scenarios::make_random_spec(p).spec.model,
+                   "random seed " + std::to_string(seed));
   }
-  EXPECT_GT(compared, 10000u);
+  return total;
+}
+
+TEST(TransferOracle, GeneratorsAgreeWithTheReference) {
+  EXPECT_GT(over_generators(expect_transfer_oracle), 10000u);
+}
+
+TEST(TransferOracle, ExampleSpecsAgreeWithTheReference) {
+  over_example_specs(expect_transfer_oracle);
+}
+
+TEST(TransferOracle, RandomSpecsAgreeWithTheReference) {
+  EXPECT_GT(over_random_specs(expect_transfer_oracle), 10000u);
+}
+
+/// Checks first_hop_ranges against the walk on every scenario of `model`:
+/// the ranges are sorted, disjoint and non-adjacent; every destination class
+/// the walk does not drop (it delivers or loops) lies inside them (inside
+/// or outside is constant on a class: range ends are rule and host bounds);
+/// and both ends of every range are routed by the reference first hop, a
+/// host neighbour listed before the first alive switch or a rule of that
+/// switch that takes packets from the node. Returns the classes checked.
+std::size_t expect_first_hop_ranges(const encode::NetworkModel& model,
+                                    const std::string& what) {
+  const net::Network& net = model.network();
+  std::size_t checked = 0;
+  for (std::size_t si = 0; si < net.scenarios().size(); ++si) {
+    const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
+    SCOPED_TRACE(what + " scenario " + net.scenarios()[si].name);
+    const TransferFunction tf(net, sid);
+    for (const net::Node& from : net.nodes()) {
+      if (from.kind == net::NodeKind::switch_node) continue;
+      const std::vector<AddressRange> ranges = tf.first_hop_ranges(from.id);
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        EXPECT_LE(ranges[i].first, ranges[i].last) << from.name;
+        if (i > 0) {
+          EXPECT_LT(std::uint64_t{ranges[i - 1].last.bits()} + 1,
+                    ranges[i].first.bits())
+              << from.name;
+        }
+      }
+      const auto inside = [&](Address a) {
+        return std::any_of(ranges.begin(), ranges.end(),
+                           [&](const AddressRange& r) {
+                             return r.first <= a && a <= r.last;
+                           });
+      };
+      for (Address a : tf.destination_classes()) {
+        if (outcome(net, [&] { return tf.next_edge(from.id, a); }) == "drop") {
+          continue;
+        }
+        EXPECT_TRUE(inside(a)) << from.name << " -> " << a.to_string();
+        ++checked;
+      }
+      std::optional<NodeId> first;
+      std::set<Address> direct;
+      for (NodeId n : net.neighbors(from.id)) {
+        if (net.is_failed(n, sid)) continue;
+        if (net.kind(n) == net::NodeKind::switch_node) {
+          first = n;
+          break;
+        }
+        if (net.kind(n) == net::NodeKind::host) {
+          direct.insert(net.node(n).address);
+        }
+      }
+      const auto routed = [&](Address a) {
+        return direct.contains(a) ||
+               (first && reference_match(net.effective_table(*first, sid),
+                                         from.id, a));
+      };
+      for (const AddressRange& r : ranges) {
+        EXPECT_TRUE(routed(r.first)) << from.name << " " << r.first.to_string();
+        EXPECT_TRUE(routed(r.last)) << from.name << " " << r.last.to_string();
+      }
+    }
+  }
+  return checked;
+}
+
+TEST(TransferOracle, FirstHopRangesHoldEveryDestinationTheWalkRoutes) {
+  EXPECT_GT(over_generators(expect_first_hop_ranges), 1000u);
+  over_example_specs(expect_first_hop_ranges);
+  EXPECT_GT(over_random_specs(expect_first_hop_ranges), 1000u);
 }
 
 /// Gives every rule of every switch table (base and scenario overrides) an

@@ -1337,5 +1337,151 @@ TEST(DeliveryOracle, ForwardingLoopReachedFromABoxState) {
   (void)engine;
 }
 
+/// `node`'s first-hop ranges under scenario `s`, as "first-last" words.
+std::string first_hop_text(const encode::NetworkModel& model,
+                           const std::string& node, std::size_t s) {
+  const net::Network& net = model.network();
+  const dataplane::TransferFunction tf(
+      net, ScenarioId(static_cast<ScenarioId::underlying_type>(s)));
+  std::string out;
+  for (const dataplane::AddressRange& r :
+       tf.first_hop_ranges(net.node_by_name(node))) {
+    if (!out.empty()) out += ' ';
+    out += r.first.to_string() + "-" + r.last.to_string();
+  }
+  return out;
+}
+
+/// The boxes of `host`'s recorded delivery to `target` under scenario `s`;
+/// nullopt when none is recorded.
+using Boxes = std::optional<std::vector<NodeId>>;
+Boxes delivered(const PolicyClasses& classes, NodeId host, std::size_t s,
+                NodeId target) {
+  for (const auto& [to, boxes] : classes.deliveries(host, s)) {
+    if (to == target) return boxes;
+  }
+  return std::nullopt;
+}
+
+TEST(DeliveryOracle, FirstHopShapesAgreeWithThePerSourceWorklist) {
+  // Inference walks only the seeds a host's first hop routes. These are
+  // the first hops the generators never build; each is checked against the
+  // all-seeds worklist at budgets 0, 1 and -1, and its ranges are pinned.
+  //
+  // Segment a: a1 alone reaches segment b, through the IDPS (an in-port
+  // rule), and scenario `bypass` replaces that rule with one past it. The
+  // VIP is routed for a2 only, so it is a seed a1's first hop never
+  // routes. Segment b leaves through a 0.0.0.0/0 route.
+  const io::Spec routed = io::parse_spec_string(R"(
+host a1 10.0.1.1
+host a2 10.0.1.2
+host b1 10.0.2.1
+host b2 10.0.2.2
+load-balancer lb 10.255.0.1 10.0.2.1 10.0.2.2
+idps ids
+switch s1
+switch s2
+switch core
+link a1 s1
+link a2 s1
+link lb s1
+link ids s1
+link s1 core
+link s2 core
+link b1 s2
+link b2 s2
+route s1 10.0.1.1/32 a1
+route s1 10.0.1.2/32 a2
+route s1 from a1 10.0.2.0/24 ids
+route s1 from ids 10.0.2.0/24 core
+route s1 from a2 10.255.0.1/32 lb
+route s1 from lb 10.0.2.0/24 core
+route core 10.0.1.0/24 s1
+route core 10.0.2.0/24 s2
+route s2 10.0.2.1/32 b1
+route s2 10.0.2.2/32 b2
+route s2 0.0.0.0/0 core
+scenario bypass fail b2
+  route s1 from a1 10.0.2.0/24 core
+end
+)");
+  EXPECT_GT(expect_oracle_agrees_at_every_budget(routed.model, "routed"), 0u);
+  EXPECT_EQ(first_hop_text(routed.model, "a1", 0),
+            "10.0.1.1-10.0.1.2 10.0.2.0-10.0.2.255");
+  EXPECT_EQ(first_hop_text(routed.model, "a2", 0),
+            "10.0.1.1-10.0.1.2 10.255.0.1-10.255.0.1");
+  EXPECT_EQ(first_hop_text(routed.model, "a1", 1),
+            "10.0.1.1-10.0.1.2 10.0.2.0-10.0.2.255");
+  EXPECT_EQ(first_hop_text(routed.model, "b1", 0), "0.0.0.0-255.255.255.255");
+  {
+    const net::Network& net = routed.model.network();
+    const NodeId a1 = net.node_by_name("a1");
+    const NodeId a2 = net.node_by_name("a2");
+    const NodeId b1 = net.node_by_name("b1");
+    const NodeId lb = net.node_by_name("lb");
+    const NodeId ids = net.node_by_name("ids");
+    const PolicyClasses classes = infer_policy_classes(routed.model);
+    // a1 is policed in the base scenario and bypasses the IDPS in
+    // `bypass`; a2 reaches segment b only through the VIP.
+    EXPECT_EQ(delivered(classes, a1, 0, b1), Boxes{{ids}});
+    EXPECT_EQ(delivered(classes, a1, 1, b1), Boxes{std::vector<NodeId>{}});
+    EXPECT_EQ(delivered(classes, a2, 0, b1), Boxes{{lb}});
+  }
+
+  // h1's first switch sa fails in `sa-down`, so it enters through sb. h2
+  // reaches h3 only over their direct link, which h2 lists before its
+  // switch. h4's only switch sc fails in `sc-down`, and then h4 delivers
+  // to h5, which it lists after sc; h5 has no switch at all.
+  const io::Spec wired = io::parse_spec_string(R"(
+host h1 10.0.0.1
+host h2 10.0.0.2
+host h3 10.0.9.3
+host h4 10.0.0.4
+host h5 10.0.8.5
+switch sa
+switch sb
+switch sc
+link h1 sa
+link h1 sb
+link h2 h3
+link h2 sb
+link h3 sb
+link h4 sc
+link h5 h4
+link sa sb
+link sc sb
+route sa 10.0.0.2/32 sb
+route sb 10.0.0.1/32 h1
+route sb 10.0.0.2/32 h2
+route sb 10.0.0.4/32 sc
+route sc 10.0.0.0/29 sb
+route sc 10.0.0.4/32 h4
+scenario sa-down fail sa
+end
+scenario sc-down fail sc
+end
+)");
+  EXPECT_GT(expect_oracle_agrees_at_every_budget(wired.model, "wired"), 0u);
+  EXPECT_EQ(first_hop_text(wired.model, "h1", 0), "10.0.0.2-10.0.0.2");
+  EXPECT_EQ(first_hop_text(wired.model, "h1", 1),
+            "10.0.0.1-10.0.0.2 10.0.0.4-10.0.0.4");
+  EXPECT_EQ(first_hop_text(wired.model, "h2", 0),
+            "10.0.0.1-10.0.0.2 10.0.0.4-10.0.0.4 10.0.9.3-10.0.9.3");
+  EXPECT_EQ(first_hop_text(wired.model, "h4", 0), "10.0.0.0-10.0.0.7");
+  EXPECT_EQ(first_hop_text(wired.model, "h4", 2), "10.0.8.5-10.0.8.5");
+  EXPECT_EQ(first_hop_text(wired.model, "h5", 0), "10.0.0.4-10.0.0.4");
+  {
+    const net::Network& net = wired.model.network();
+    const NodeId h2 = net.node_by_name("h2");
+    const NodeId h3 = net.node_by_name("h3");
+    const NodeId h4 = net.node_by_name("h4");
+    const NodeId h5 = net.node_by_name("h5");
+    const PolicyClasses classes = infer_policy_classes(wired.model);
+    EXPECT_EQ(delivered(classes, h2, 0, h3), Boxes{std::vector<NodeId>{}});
+    EXPECT_FALSE(classes.reaches(h4, h5, 0));
+    EXPECT_TRUE(classes.reaches(h4, h5, 1));
+  }
+}
+
 }  // namespace
 }  // namespace vmn::slice

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The tier-1 gate, as one command: lint (descriptor-only middlebox renderers;
 # one batch pipeline; one in-batch identity; one encode identity; one
-# refinement kernel; one
-# delivery walk; one metrics schema; one model reader; one solver flavour;
-# one transfer memo; two executors),
+# refinement kernel; one delivery walk; one first-hop rule; one metrics
+# schema; one model reader; one solver flavour; one transfer memo; two
+# executors),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process executor (verdicts must match the inline
@@ -133,6 +133,18 @@ if grep -rEn 'deliveries_from\(|boxes_at' "$repo/src" \
     --include='*.cpp' --include='*.hpp'; then
   echo "ci: per-source delivery worklist in src/; policy inference walks" \
        "each middlebox state once (BoxWalks in src/slice/policy.cpp)" >&2
+  exit 1
+fi
+
+echo "--- lint: one first-hop rule (TransferFunction::first_hop_ranges) ---"
+# Policy inference walks only the seed addresses a host's first hop routes.
+# Which neighbour is that first hop, and which of its rules take the host's
+# packets, is decided once, in src/dataplane/transfer.cpp, next to the walk
+# that follows the same rule. A neighbour or table read in
+# src/slice/policy.cpp re-derives it, and the two copies can drift apart.
+if grep -En 'neighbors\(|effective_table\(' "$repo/src/slice/policy.cpp"; then
+  echo "ci: src/slice/policy.cpp re-derives the first hop; ask" \
+       "TransferFunction::first_hop_ranges (src/dataplane/transfer.hpp)" >&2
   exit 1
 fi
 
@@ -696,7 +708,9 @@ fi
 echo "--- smoke: differential fuzzing (fixed seed, all oracles green) ---"
 # 25 random specs through the whole oracle battery (engine agreement,
 # warm/cold, iso-verdict merging vs cold, symmetry, slices, static
-# decisions vs Z3, witness replay, simulator cross-check). The
+# decisions vs Z3, witness replay, simulator cross-check), at each spec's
+# derived failure budget and again at budget 0, which leaves its failure
+# scenarios out of budget. The
 # seed is fixed, so this is deterministic CI, not flaky fuzzing; reproducers
 # land in $build/fuzz-repro for the workflow to upload on failure.
 rm -rf "$build/fuzz-repro"

@@ -455,8 +455,10 @@ int cmd_serve(const char* argv0, int argc, char** argv) {
 
 void print_fuzz_failures(const verify::FuzzReport& report) {
   for (const verify::FuzzFailure& f : report.failures) {
-    std::fprintf(stderr, "FAIL seed=%llu oracle=%s: %s\n",
+    std::fprintf(stderr, "FAIL seed=%llu oracle=%s%s: %s\n",
                  static_cast<unsigned long long>(f.seed), f.oracle.c_str(),
+                 f.budget < 0 ? ""
+                              : (" budget=" + std::to_string(f.budget)).c_str(),
                  f.detail.c_str());
     if (f.shrunk_lines != 0) {
       std::fprintf(stderr, "  reproducer: %zu -> %zu lines%s%s\n",

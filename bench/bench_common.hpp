@@ -178,15 +178,14 @@ inline std::map<std::string, double> batch_values(
 }
 
 /// Verifies a whole invariant list (the "verify the entire network" mode of
-/// Figs 3 and 5) and checks every outcome.
+/// Figs 3 and 5) under the engine's options and checks every outcome.
 inline void verify_all_expecting(benchmark::State& state,
                                  verify::Engine& engine,
                                  const std::vector<encode::Invariant>& invs,
-                                 const std::vector<verify::Outcome>& expected,
-                                 bool use_symmetry) {
+                                 const std::vector<verify::Outcome>& expected) {
   std::size_t solver_calls = 0;
   for (auto _ : state) {
-    verify::BatchResult batch = engine.run_batch(invs, use_symmetry);
+    verify::BatchResult batch = engine.run_batch(invs);
     for (std::size_t i = 0; i < invs.size(); ++i) {
       if (batch.results[i].outcome != expected[i]) {
         state.SkipWithError("unexpected outcome in batch");

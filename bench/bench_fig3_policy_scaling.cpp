@@ -49,7 +49,7 @@ void BM_Fig3_Rules(benchmark::State& state) {
   // Misconfigured groups fall into their own policy classes (rule removal
   // breaks symmetry), so symmetric batching stays sound.
   verify_all_expecting(state, v, dc.isolation_invariants(),
-                       expected_isolation(dc), /*use_symmetry=*/true);
+                       expected_isolation(dc));
 }
 BENCHMARK(BM_Fig3_Rules)->Arg(5)->Arg(10)->Arg(25)->Arg(50)
     ->ArgNames({"classes"})->Unit(benchmark::kMillisecond)->Iterations(2);
@@ -63,7 +63,7 @@ void BM_Fig3_Redundancy(benchmark::State& state) {
   opts.max_failures = 1;
   Engine v(dc.model, {.verify = opts});
   verify_all_expecting(state, v, dc.isolation_invariants(),
-                       expected_isolation(dc), true);
+                       expected_isolation(dc));
 }
 BENCHMARK(BM_Fig3_Redundancy)->Arg(5)->Arg(10)->Arg(25)->Arg(50)
     ->ArgNames({"classes"})->Unit(benchmark::kMillisecond)->Iterations(2);
@@ -78,7 +78,7 @@ void BM_Fig3_Traversal(benchmark::State& state) {
   Engine v(dc.model, {.verify = opts});
   auto invs = dc.traversal_invariants();
   std::vector<Outcome> expected(invs.size(), Outcome::violated);
-  verify_all_expecting(state, v, invs, expected, true);
+  verify_all_expecting(state, v, invs, expected);
 }
 BENCHMARK(BM_Fig3_Traversal)->Arg(5)->Arg(10)->Arg(25)->Arg(50)
     ->ArgNames({"classes"})->Unit(benchmark::kMillisecond)->Iterations(2);

@@ -24,7 +24,7 @@ void BM_Fig5_AllDataIsolation(benchmark::State& state) {
   Engine v(dc.model);
   auto invs = dc.data_isolation_invariants();
   std::vector<Outcome> expected(invs.size(), Outcome::holds);
-  verify_all_expecting(state, v, invs, expected, /*use_symmetry=*/true);
+  verify_all_expecting(state, v, invs, expected);
 }
 BENCHMARK(BM_Fig5_AllDataIsolation)->Arg(3)->Arg(5)->Arg(8)
     ->ArgNames({"classes"})->Unit(benchmark::kMillisecond)->Iterations(1);

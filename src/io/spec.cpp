@@ -1,14 +1,9 @@
 #include "io/spec.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
-#include <numeric>
 #include <sstream>
-#include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -443,54 +438,16 @@ void write_middlebox(std::ostream& out, const mbox::Middlebox& box) {
   }
 }
 
-/// Per rule of `table`, in order: whether it loses a rank tie. The first
-/// rule added wins a tie (ForwardingTable::match), so a later rule with the
-/// same in-port, prefix and priority but another next hop never matches.
-std::vector<bool> shadowed_rules(const net::ForwardingTable& table) {
-  const std::vector<net::Rule>& rules = table.rules();
-  auto rank = [&](std::size_t i) { return net::tie_rank(rules[i]); };
-  std::vector<std::size_t> order(rules.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return rank(a) < rank(b);
-  });
-  std::vector<bool> shadowed(rules.size(), false);
-  for (std::size_t k = 1, first = 0; k < order.size(); ++k) {
-    if (rank(order[k]) != rank(order[first])) {
-      first = k;
-    } else if (rules[order[k]].next_hop != rules[order[first]].next_hop) {
-      shadowed[order[k]] = true;
-    }
-  }
-  return shadowed;
-}
-
-/// What canonical_spec needs to know of a written route line: the
-/// scenario block it sits in (base_scenario outside any) and whether it
-/// loses a rank tie (shadowed_rules).
-struct RouteLine {
-  ScenarioId scenario;
-  bool shadowed = false;
-};
-
 /// Writes `table`'s rules, skipping any rule `keep_rule` rejects (the
 /// projection path drops rules referencing dropped nodes; the full writer
-/// passes an always-true predicate). With `lines`, also appends a RouteLine
-/// for each rule written.
+/// passes an always-true predicate).
 void write_routes(std::ostream& out, const encode::NetworkModel& model,
                   NodeId sw, ScenarioId scenario,
-                  const std::function<bool(const net::Rule&)>& keep_rule,
-                  std::vector<RouteLine>* lines) {
+                  const std::function<bool(const net::Rule&)>& keep_rule) {
   const net::Network& net = model.network();
-  const net::ForwardingTable& table = net.effective_table(sw, scenario);
-  const std::vector<bool> flags =
-      lines != nullptr ? shadowed_rules(table) : std::vector<bool>{};
   const char* indent = scenario == net::Network::base_scenario ? "" : "  ";
-  for (std::size_t i = 0; i < table.rules().size(); ++i) {
-    const net::Rule& r = table.rules()[i];
+  for (const net::Rule& r : net.effective_table(sw, scenario).rules()) {
     if (!keep_rule(r)) continue;
-    if (lines != nullptr) lines->push_back(RouteLine{scenario, flags[i]});
     out << indent << "route " << net.name(sw);
     if (r.in_from) out << " from " << net.name(*r.in_from);
     out << " " << r.dst.to_string() << " " << net.name(r.next_hop);
@@ -502,11 +459,9 @@ void write_routes(std::ostream& out, const encode::NetworkModel& model,
 /// The shared body of write_spec and write_projected_spec: emits every node
 /// `kept` admits (plus the middleboxes attached to kept nodes), the links
 /// and route rules whose endpoints are all kept, the scenario blocks, and
-/// the non-default policy lines of kept hosts. With `lines`, appends a
-/// RouteLine per route line written (see write_routes).
+/// the non-default policy lines of kept hosts.
 void write_network(std::ostream& out, const encode::NetworkModel& model,
-                   const std::function<bool(NodeId)>& kept,
-                   std::vector<RouteLine>* lines = nullptr) {
+                   const std::function<bool(NodeId)>& kept) {
   const net::Network& net = model.network();
   auto keep_rule = [&](const net::Rule& r) {
     return kept(r.next_hop) && (!r.in_from || kept(*r.in_from));
@@ -529,8 +484,7 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
   }
   for (const net::Node& n : net.nodes()) {
     if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
-    write_routes(out, model, n.id, net::Network::base_scenario, keep_rule,
-                 lines);
+    write_routes(out, model, n.id, net::Network::base_scenario, keep_rule);
   }
   for (std::size_t si = 1; si < net.scenarios().size(); ++si) {
     const ScenarioId sid(static_cast<ScenarioId::underlying_type>(si));
@@ -545,7 +499,7 @@ void write_network(std::ostream& out, const encode::NetworkModel& model,
     // replaces itself when parsed back (Network::override_routes).
     for (const net::Node& n : net.nodes()) {
       if (n.kind != net::NodeKind::switch_node || !kept(n.id)) continue;
-      write_routes(out, model, n.id, sid, keep_rule, lines);
+      write_routes(out, model, n.id, sid, keep_rule);
     }
     out << "end\n";
   }
@@ -647,81 +601,38 @@ void write_spec(std::ostream& out, const Spec& spec) {
 }
 
 std::string write_spec_string(const Spec& spec) {
+  return render_spec(spec).text;
+}
+
+std::uint64_t SpecRendering::model_fingerprint() const {
+  return fnv1a64(network());
+}
+
+SpecRendering render_spec(const Spec& spec) {
   std::ostringstream out;
-  write_spec(out, spec);
-  return out.str();
+  write_network(out, spec.model, [](NodeId) { return true; });
+  SpecRendering rendering;
+  rendering.network_size = out.view().size();
+  write_invariants(out, spec);
+  rendering.text = std::move(out).str();
+  return rendering;
 }
 
 std::string SpecDiff::summary() const {
-  if (empty()) return "no semantic change";
-  std::string out = "+" + std::to_string(added.size()) + " -" +
-                    std::to_string(removed.size()) + " lines (";
-  out += model_changed ? "model changed" : "model unchanged";
-  out += invariants_changed ? ", invariants changed" : ", invariants unchanged";
-  out += ")";
-  return out;
+  if (empty()) return "no change";
+  return std::string(model_changed ? "model changed" : "model unchanged") +
+         (invariants_changed ? ", invariants changed"
+                             : ", invariants unchanged");
 }
 
-CanonicalSpec canonical_spec(const Spec& spec) {
-  std::ostringstream out;
-  // Sorting the lines drops their order, but the first rule added wins a
-  // rank tie: a route line that loses one ends in " (shadowed)", so that
-  // swapping two tied routes is a model change. Sorting also drops which
-  // scenario block a route line sits in, so each block's route lines carry
-  // the block's name.
-  std::vector<RouteLine> routes;
-  write_network(out, spec.model, [](NodeId) { return true; }, &routes);
-  CanonicalSpec canonical;
-  canonical.model_fingerprint = fnv1a64(out.view());
-  write_invariants(out, spec);
-  const net::Network& net = spec.model.network();
-  const std::string_view text = out.view();
-  std::size_t route = 0;
-  for (std::size_t at = 0; at < text.size();) {
-    std::size_t end = text.find('\n', at);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(at, end - at);
-    at = end + 1;
-    if (line.empty()) continue;
-    const std::string_view body = line.substr(line.find_first_not_of(' '));
-    if (!body.starts_with("route ")) {
-      canonical.lines.emplace_back(line);
-      continue;
-    }
-    const RouteLine& tag = routes[route++];
-    std::string& rendered = canonical.lines.emplace_back(
-        tag.scenario == net::Network::base_scenario
-            ? std::string(line)
-            : "scenario " + net.scenario(tag.scenario).name + ": " +
-                  std::string(body));
-    if (tag.shadowed) rendered += " (shadowed)";
-  }
-  std::sort(canonical.lines.begin(), canonical.lines.end());
-  return canonical;
-}
-
-SpecDiff diff_specs(const CanonicalSpec& before, const CanonicalSpec& after) {
-  // Multiset differences of the sorted lines, so added and removed come out
-  // sorted. Line moves cancel - the writer's ordering is structural, so a
-  // reordered-but-equal spec diffs empty.
-  SpecDiff diff;
-  std::set_difference(before.lines.begin(), before.lines.end(),
-                      after.lines.begin(), after.lines.end(),
-                      std::back_inserter(diff.removed));
-  std::set_difference(after.lines.begin(), after.lines.end(),
-                      before.lines.begin(), before.lines.end(),
-                      std::back_inserter(diff.added));
-  for (const auto* side : {&diff.removed, &diff.added}) {
-    for (const std::string& line : *side) {
-      const bool is_invariant = line.rfind("invariant ", 0) == 0;
-      (is_invariant ? diff.invariants_changed : diff.model_changed) = true;
-    }
-  }
-  return diff;
+SpecDiff diff_specs(const SpecRendering& before, const SpecRendering& after) {
+  return SpecDiff{.model_changed = before.network() != after.network(),
+                  .invariants_changed =
+                      before.invariants() != after.invariants()};
 }
 
 SpecDiff diff_specs(const Spec& before, const Spec& after) {
-  return diff_specs(canonical_spec(before), canonical_spec(after));
+  return diff_specs(render_spec(before), render_spec(after));
 }
 
 void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,

@@ -49,6 +49,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "encode/invariant.hpp"
@@ -121,55 +122,56 @@ void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,
 [[nodiscard]] std::string write_projected_spec_string(
     const encode::NetworkModel& model, const std::vector<NodeId>& members);
 
-/// A structural diff between two parsed specs, computed over their
-/// canonical serializations (write_spec_string), so formatting-only edits
-/// - reordered comments, whitespace - diff empty. `model_changed` is the
-/// signal the serve daemon re-plans on: invariant-only edits (adding a
-/// check, changing an expectation) never invalidate solved problems.
+/// A spec's rendering (write_spec_string), split where its invariant lines
+/// begin. parse(write(spec)) renders to the same text, so two specs whose
+/// renderings are equal parse to the same network and the same invariants
+/// in the same order: the serve daemon keeps the served generation's
+/// rendering and compares each edit's with it.
+struct SpecRendering {
+  std::string text;
+  /// Bytes of `text` before the invariant lines: the network part, byte
+  /// for byte write_projected_spec_string(model,
+  /// encode::all_edge_nodes(model)).
+  std::size_t network_size = 0;
+
+  [[nodiscard]] std::string_view network() const {
+    return std::string_view(text).substr(0, network_size);
+  }
+  [[nodiscard]] std::string_view invariants() const {
+    return std::string_view(text).substr(network_size);
+  }
+  /// FNV-1a 64 of network(): equals verify::model_fingerprint(spec.model),
+  /// the result cache's stamp.
+  [[nodiscard]] std::uint64_t model_fingerprint() const;
+};
+
+/// Renders `spec`; throws like write_spec.
+[[nodiscard]] SpecRendering render_spec(const Spec& spec);
+
+/// Which parts of two specs' renderings differ. Comments, blank lines and
+/// what the parser normalizes (a bare address for its /32) change no
+/// rendering; any other edit, reordering lines included, changes one.
+/// `model_changed` is the signal the serve daemon re-plans on: an
+/// invariant-only edit (adding a check, changing an expectation) leaves
+/// every solved problem's cache record live.
 struct SpecDiff {
-  /// Any line of the serialized *model* half differs (topology, configs,
-  /// routes, scenarios, policies).
+  /// The network parts differ (topology, configs, routes, scenarios,
+  /// policies).
   bool model_changed = false;
-  /// The invariant/expectation lines differ.
+  /// The invariant parts (invariant lines, expectations) differ.
   bool invariants_changed = false;
-  /// Canonical lines only in the new spec / only in the old one.
-  std::vector<std::string> added;
-  std::vector<std::string> removed;
 
   [[nodiscard]] bool empty() const {
     return !model_changed && !invariants_changed;
   }
-  /// e.g. "model: +2 -1 lines; invariants unchanged"
+  /// e.g. "model changed, invariants unchanged"
   [[nodiscard]] std::string summary() const;
 };
 
-/// A spec's canonical serialization (write_spec_string), rendered once for
-/// both uses the serve daemon has for it: the diff against the next edit,
-/// and the cache stamp.
-struct CanonicalSpec {
-  /// The non-empty lines, sorted. The first rule added wins a rank tie, so
-  /// a route line that loses one - an earlier rule of its table has the
-  /// same switch, in-port, prefix and priority but another next hop - ends
-  /// in " (shadowed)": swapping two tied routes is a model change, while
-  /// reordering declarations is not. A route line of a scenario block is
-  /// rendered "scenario <name>: route ...", so moving an override to
-  /// another scenario is a model change too.
-  std::vector<std::string> lines;
-  /// FNV-1a 64 of the network part (every line before the invariants).
-  /// That part is byte for byte write_projected_spec_string(model,
-  /// encode::all_edge_nodes(model)), so this equals
-  /// verify::model_fingerprint(spec.model).
-  std::uint64_t model_fingerprint = 0;
-};
-
-/// Renders `spec` canonically; throws like write_spec.
-[[nodiscard]] CanonicalSpec canonical_spec(const Spec& spec);
-
-/// Diffs `before` -> `after` (see SpecDiff): their lines' multiset
-/// differences, each sorted.
-[[nodiscard]] SpecDiff diff_specs(const CanonicalSpec& before,
-                                  const CanonicalSpec& after);
-/// Renders both specs and diffs them.
+/// Compares `before` with `after` (see SpecDiff).
+[[nodiscard]] SpecDiff diff_specs(const SpecRendering& before,
+                                  const SpecRendering& after);
+/// Renders both specs and compares them.
 [[nodiscard]] SpecDiff diff_specs(const Spec& before, const Spec& after);
 
 /// Parses "a.b.c.d" into an address; throws ParseError on bad syntax.

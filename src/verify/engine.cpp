@@ -147,11 +147,6 @@ void Engine::rebind(const encode::NetworkModel& model,
 
 BatchResult Engine::run_batch(
     const std::vector<encode::Invariant>& invariants) {
-  return run_batch(invariants, options_.use_symmetry);
-}
-
-BatchResult Engine::run_batch(
-    const std::vector<encode::Invariant>& invariants, bool use_symmetry) {
   const auto start = Clock::now();
   const CpuTimes cpu_start = process_cpu_times();
   Deadline deadline;
@@ -160,8 +155,9 @@ BatchResult Engine::run_batch(
   out.results.resize(invariants.size());
 
   Planning& p = planning();
-  const JobPlan plan = plan_jobs(*model_, invariants, p.classes, use_symmetry,
-                                 options_.verify, &p.ctx);
+  const JobPlan plan = plan_jobs(*model_, invariants, p.classes,
+                                 options_.use_symmetry, options_.verify,
+                                 &p.ctx);
   out.plan_time = plan.plan_time;
   out.iso_mapped = plan.iso_mapped;
   out.pool.jobs_executed = plan.planned_jobs();

@@ -104,10 +104,6 @@ class Engine {
   /// Verifies the batch under options().use_symmetry.
   [[nodiscard]] BatchResult run_batch(
       const std::vector<encode::Invariant>& invariants);
-  /// Verifies the batch with symmetry classes explicitly on or off (a
-  /// baseline/oracle knob; it only changes how this call is planned).
-  [[nodiscard]] BatchResult run_batch(
-      const std::vector<encode::Invariant>& invariants, bool use_symmetry);
 
   /// Verifies a single invariant on a fresh session over the Engine's
   /// planning context (no batch, no cache, whatever the executor).
@@ -125,8 +121,8 @@ class Engine {
   void rebind(const encode::NetworkModel& model);
   /// rebind(model) with the model's cache stamp already computed:
   /// `fingerprint` must equal model_fingerprint(model). The serve daemon
-  /// takes it from the canonical rendering it diffs (io::CanonicalSpec), so
-  /// a reload renders the spec once.
+  /// takes it from the rendering it compares (io::SpecRendering), so a
+  /// reload renders the spec once.
   void rebind(const encode::NetworkModel& model, std::uint64_t fingerprint);
 
   [[nodiscard]] ResultCache& cache() { return cache_; }

@@ -85,7 +85,7 @@ std::optional<std::string> oracle_warm_cold(io::Spec& spec,
   VerifyOptions cold = vo;
   cold.warm_solving = false;
   const auto seq_cold =
-      Engine(spec.model, {.verify = cold}).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = cold}).run_batch(spec.invariants);
   if (auto d = diff_results(spec, baseline.results, seq_cold.results,
                             "warm vs cold (sequential)")) {
     return d;
@@ -110,7 +110,7 @@ std::optional<std::string> oracle_iso_verdict(io::Spec& spec,
   VerifyOptions unmerged = vo;
   unmerged.merge_isomorphic = false;
   const auto seq =
-      Engine(spec.model, {.verify = unmerged}).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = unmerged}).run_batch(spec.invariants);
   if (auto d = diff_results(spec, baseline.results, seq.results,
                             "merged vs unmerged (sequential)")) {
     return d;
@@ -125,7 +125,8 @@ std::optional<std::string> oracle_symmetry(io::Spec& spec,
                                            const VerifyOptions& vo,
                                            const BatchResult& baseline) {
   const auto plain =
-      Engine(spec.model, {.verify = vo}).run_batch(spec.invariants, false);
+      Engine(spec.model, {.use_symmetry = false, .verify = vo})
+          .run_batch(spec.invariants);
   return diff_results(spec, baseline.results, plain.results,
                       "symmetry vs no-symmetry");
 }
@@ -136,7 +137,7 @@ std::optional<std::string> oracle_slices(io::Spec& spec,
   VerifyOptions whole = vo;
   whole.use_slices = false;
   const auto full =
-      Engine(spec.model, {.verify = whole}).run_batch(spec.invariants, true);
+      Engine(spec.model, {.verify = whole}).run_batch(spec.invariants);
   return diff_results(spec, baseline.results, full.results,
                       "sliced vs whole-network");
 }
@@ -398,7 +399,7 @@ bool oracle_fails(std::string_view oracle, const std::string& text,
     if (spec.invariants.empty()) return false;
     const BatchResult baseline =
         Engine(spec.model, {.verify = baseline_options(options, budget)})
-            .run_batch(spec.invariants, true);
+            .run_batch(spec.invariants);
     return run_oracle(oracle, spec, budget, baseline, seed, options, nullptr)
         .has_value();
   } catch (const std::exception&) {
@@ -534,7 +535,7 @@ std::size_t check_spec_text(const std::string& text, std::uint64_t seed,
     if (spec.invariants.empty()) break;
     const BatchResult baseline =
         Engine(spec.model, {.verify = baseline_options(options, budget)})
-            .run_batch(spec.invariants, true);
+            .run_batch(spec.invariants);
     for (std::string_view name : kVerdictOracles) {
       if (auto detail = run_oracle(name, spec, budget, baseline, seed,
                                    options, &report)) {

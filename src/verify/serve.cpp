@@ -110,7 +110,7 @@ ServeState::ServeState(ServeOptions options) : options_(std::move(options)) {
   }
   io::Spec parsed = io::parse_spec_string(text);  // throws ParseError
   spec_ = std::make_unique<io::Spec>(std::move(parsed));
-  canonical_ = io::canonical_spec(*spec_);
+  rendering_ = io::render_spec(*spec_);
   spec_text_ = text;
   last_seen_text_ = text;
   if (options_.engine.verify.cache_dir.empty()) {
@@ -146,11 +146,12 @@ ServeState::Applied ServeState::apply_text(const std::string& text,
     detail = e.what();
     return Applied::rejected;
   }
-  // One rendering of the edit serves both the diff and the cache stamp.
-  io::CanonicalSpec canonical = io::canonical_spec(parsed);
-  const io::SpecDiff diff = io::diff_specs(canonical_, canonical);
+  // One rendering of the edit decides the reload and stamps the cache.
+  io::SpecRendering rendering = io::render_spec(parsed);
+  const io::SpecDiff diff = io::diff_specs(rendering_, rendering);
   if (diff.empty()) {
-    // Comment/whitespace-only edit: adopt the bytes, keep the generation.
+    // The edit renders as the served generation does (comments, blank
+    // lines, /32 spelling): adopt the bytes, keep the generation.
     spec_text_ = text;
     last_error_.clear();
     ++stats_.noop_edits;
@@ -160,9 +161,9 @@ ServeState::Applied ServeState::apply_text(const std::string& text,
   auto next = std::make_unique<io::Spec>(std::move(parsed));
   // Rebind before dropping the old spec: the engine swaps its model
   // pointer and resets the lazily-built verifiers, so nothing dangles.
-  engine_->rebind(next->model, canonical.model_fingerprint);
+  engine_->rebind(next->model, rendering.model_fingerprint());
   spec_ = std::move(next);
-  canonical_ = std::move(canonical);
+  rendering_ = std::move(rendering);
   spec_text_ = text;
   last_error_.clear();
   ++stats_.generation;

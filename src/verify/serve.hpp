@@ -1,12 +1,12 @@
 // `vmn serve` - the long-running incremental re-verification daemon.
 //
 // Loads a spec once, answers verdict queries over a tiny line protocol,
-// watches the file for edits, and on a semantic change re-plans and
-// re-solves *only* the slices whose canonical keys changed: the warm
-// verify::Engine (solver sessions, PlanContext transfer memos, shape
-// representatives) and its record-granular ResultCache persist across
-// requests and across reloads, so an edit confined to one segment of a
-// chain re-verifies that segment and answers the rest from cache.
+// watches the file for edits, and when an edit's rendering changes
+// re-plans and re-solves *only* the slices whose canonical keys changed:
+// the warm verify::Engine (solver sessions, PlanContext transfer memos,
+// shape representatives) and its record-granular ResultCache persist
+// across requests and across reloads, so an edit confined to one segment
+// of a chain re-verifies that segment and answers the rest from cache.
 //
 // Protocol (newline-delimited, one response line per request line):
 //
@@ -16,8 +16,12 @@
 //                          invariant="<description>"
 //                          <which> is a 0-based index or the exact
 //                          description string STATUS-order printing uses.
-//   RELOAD              -> OK reloaded generation=G <diff summary> |
-//                          OK unchanged generation=G |
+//   RELOAD              -> OK reloaded generation=G model <un>changed,
+//                          invariants <un>changed; C solver classes, S
+//                          solver calls, H cache hits |
+//                          OK unchanged generation=G (<why>): the file is
+//                          as served, or it renders as the served spec
+//                          does (io::render_spec; comments, blank lines) |
 //                          ERR parse: <message>   (old generation serves on)
 //   STATS               -> OK <single-line JSON object>: generation, spec,
 //                          holds/violated/unknown, degraded, a `batch`
@@ -75,7 +79,7 @@ struct ServeStats {
   std::uint64_t generation = 0;   ///< bumped per applied reload
   std::uint64_t batches = 0;      ///< run_batch calls (initial load included)
   std::uint64_t reloads = 0;      ///< semantic reloads applied
-  std::uint64_t noop_edits = 0;   ///< file changed, canonical spec did not
+  std::uint64_t noop_edits = 0;   ///< file changed, its rendering did not
   std::uint64_t parse_errors = 0; ///< edits rejected (old generation kept)
   std::uint64_t requests = 0;     ///< protocol lines handled
 };
@@ -93,7 +97,7 @@ class ServeState {
   /// newline). Never throws on bad input: malformed lines answer ERR.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// Re-reads the spec file and applies it if it semantically changed.
+  /// Re-reads the spec file and applies it if its rendering changed.
   /// Returns true when a reload ran (generation bumped). Unreadable or
   /// unparsable content keeps the current generation serving (the editor
   /// may be mid-save); formatting-only edits count as noop_edits.
@@ -113,7 +117,7 @@ class ServeState {
   [[nodiscard]] std::string cmd_verdict(const std::string& which) const;
   [[nodiscard]] std::string cmd_reload();
   [[nodiscard]] std::string cmd_stats() const;
-  /// Parses `text` and swaps it in when it differs semantically.
+  /// Parses `text` and swaps it in when its rendering differs.
   /// Returns a human-readable outcome (also the RELOAD response tail).
   enum class Applied { reloaded, unchanged, rejected };
   Applied apply_text(const std::string& text, std::string& detail);
@@ -123,8 +127,9 @@ class ServeState {
   /// unique_ptr: Engine and BatchResult hold pointers into the model, so
   /// the spec must be stable in memory and swapped atomically on reload.
   std::unique_ptr<io::Spec> spec_;
-  /// spec_'s canonical rendering: the side of the next diff it is on.
-  io::CanonicalSpec canonical_;
+  /// spec_'s rendering (io::render_spec): an edit that renders the same
+  /// is formatting only.
+  io::SpecRendering rendering_;
   std::string spec_text_;  ///< raw file content of the served generation
   /// Most recent content examined (served or rejected): the edit poll
   /// compares against this so a broken save is parsed once, not per tick.

@@ -550,7 +550,7 @@ TEST(ResultCacheBatch, SequentialEngineSharesTheSameCache) {
   seq_opts.solver.seed = 7;
   seq_opts.cache_dir = dir.path;
   Engine sequential(e.model, {.verify = seq_opts});
-  BatchResult hot = sequential.run_batch(e.invariants, /*use_symmetry=*/true);
+  BatchResult hot = sequential.run_batch(e.invariants);
   EXPECT_GT(hot.cache_hits, 0u);
   EXPECT_EQ(hot.cache_misses, 0u);
   EXPECT_EQ(hot.solver_calls, 0u);

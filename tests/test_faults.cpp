@@ -392,7 +392,7 @@ TEST(Escalation, SequentialEngineCountsEscalationsToo) {
   opts.solver.seed = 7;
   opts.faults = FaultPlan::parse("seed=11,solver-unknown=1");
   BatchResult r =
-      Engine(e.model, {.verify = opts}).run_batch(e.invariants, true);
+      Engine(e.model, {.verify = opts}).run_batch(e.invariants);
   EXPECT_GT(r.degradation.escalations, 0u);
   EXPECT_EQ(r.degradation.escalations_rescued, r.degradation.escalations);
   for (const VerifyResult& res : r.results) {

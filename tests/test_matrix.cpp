@@ -29,7 +29,7 @@ TEST_P(EnterpriseMatrix, AllPoliciesHoldAtEverySize) {
   p.hosts_per_subnet = 1 + GetParam() % 2;
   auto ent = scenarios::make_enterprise(p);
   Engine v(ent.model);
-  auto batch = v.run_batch(ent.invariants, true);
+  auto batch = v.run_batch(ent.invariants);
   for (std::size_t i = 0; i < ent.invariants.size(); ++i) {
     EXPECT_EQ(batch.results[i].outcome, Outcome::holds) << "invariant " << i;
   }

@@ -470,7 +470,7 @@ TEST(WarmSolving, SequentialBatchReusesOneSessionAcrossSameShapeJobs) {
   VerifyOptions opts;
   opts.solver.seed = 7;
   Engine v(n.model, {.verify = opts});
-  BatchResult batch = v.run_batch(invariants, /*use_symmetry=*/true);
+  BatchResult batch = v.run_batch(invariants);
   EXPECT_EQ(batch.warm_binds, 1u);
   EXPECT_EQ(batch.warm_reuses, 2u);
 
@@ -640,7 +640,7 @@ TEST(IsoWarm, EightGroupIsolationBatchSolvesOnce) {
   VerifyOptions seq;
   seq.solver.seed = 7;
   BatchResult seq_r = Engine(dc.model, {.verify = seq})
-                          .run_batch(isolation, /*use_symmetry=*/true);
+                          .run_batch(isolation);
   EXPECT_EQ(seq_r.solver_calls, 1u);
   EXPECT_EQ(seq_r.pool.jobs_executed, 1u);
   for (std::size_t i = 0; i < seq_r.results.size(); ++i) {
@@ -663,7 +663,7 @@ TEST(IsoWarm, SequentialEngineEncodesWithZeroTransferBuilds) {
   VerifyOptions opts;
   opts.solver.seed = 7;
   Engine v(dc.model, {.verify = opts});
-  BatchResult r = v.run_batch(batch.invariants, /*use_symmetry=*/true);
+  BatchResult r = v.run_batch(batch.invariants);
   EXPECT_EQ(r.encode_transfer_builds, 0u);
   EXPECT_GT(r.encode_transfer_reuses, 0u);
   EXPECT_GT(r.iso_verdict_reuses, 0u);

@@ -31,7 +31,8 @@ int replay_all(encode::NetworkModel& model,
   VerifyOptions opts;
   opts.max_failures = max_failures;
   const auto batch =
-      Engine(model, {.verify = opts}).run_batch(invariants, false);
+      Engine(model, {.use_symmetry = false, .verify = opts})
+          .run_batch(invariants);
   const net::Network& net = model.network();
   int replayed = 0;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
@@ -76,7 +77,8 @@ TEST(Replay, DatacenterRedundancyMisconfigRealizesInFailureScenario) {
   opts.max_failures = 1;
   const auto invariants = dc.isolation_invariants();
   const auto batch =
-      Engine(dc.model, {.verify = opts}).run_batch(invariants, false);
+      Engine(dc.model, {.use_symmetry = false, .verify = opts})
+          .run_batch(invariants);
   int realized_in_failure = 0;
   for (std::size_t i = 0; i < invariants.size(); ++i) {
     const verify::VerifyResult& r = batch.results[i];

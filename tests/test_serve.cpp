@@ -9,14 +9,16 @@
 //    orphaned records;
 //  - warm-across-requests: an invariant-only edit answers every previously
 //    solved job from the live cache and solves just the new one;
+//  - reload decision: an edit reloads exactly when its spec rendering
+//    (io::render_spec) differs from the served one, reordering included;
 //  - protocol robustness: malformed lines answer ERR and the daemon keeps
 //    serving; a broken save keeps the old generation live.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,6 +172,32 @@ std::string random_text() {
   scenarios::RandomSpecParams p;
   p.seed = 5;
   return scenarios::make_random_spec(p).text;
+}
+
+/// The five generators' specs and every example spec, by name.
+std::vector<std::pair<std::string, std::string>> generator_and_example_specs() {
+  std::vector<std::pair<std::string, std::string>> texts{
+      {"datacenter", datacenter_text()},   {"enterprise", enterprise_text()},
+      {"isp", isp_text()},                 {"multitenant", multitenant_text()},
+      {"random", random_text()}};
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(VMN_SOURCE_DIR) + "/examples/specs")) {
+    if (entry.path().extension() != ".vmn") continue;
+    texts.emplace_back(entry.path().filename().string(),
+                       read_file(entry.path().string()));
+  }
+  EXPECT_GE(texts.size(), 8u);
+  return texts;
+}
+
+/// `text` with a comment ending every line and a blank line after it.
+std::string with_comments(const std::string& text) {
+  std::istringstream in(text);
+  std::string out = "# leading comment\n\n";
+  for (std::string line; std::getline(in, line);) {
+    out += line + "   # comment\n\n";
+  }
+  return out;
 }
 
 TEST(ServeParity, MatchesOneShotAcrossAllFiveGenerators) {
@@ -360,11 +388,45 @@ TEST(ServeIncremental, PureRenameReloadAnswersEntirelyFromCache) {
   }
 }
 
+/// Cold Engine verdicts of a spec text, and the invariants' descriptions.
+struct ColdRun {
+  std::vector<std::string> outcomes;
+  std::vector<std::string> descriptions;
+};
+
+ColdRun cold_run(const std::string& text, const EngineOptions& eopts) {
+  const io::Spec spec = io::parse_spec_string(text);
+  Engine cold(spec.model, eopts);
+  const BatchResult ref = cold.run_batch(spec.invariants);
+  const net::Network& net = spec.model.network();
+  auto name = [&](NodeId n) { return net.name(n); };
+  ColdRun out;
+  for (std::size_t i = 0; i < ref.results.size(); ++i) {
+    out.outcomes.push_back(to_string(ref.results[i].outcome));
+    out.descriptions.push_back(spec.invariants[i].describe(name));
+  }
+  return out;
+}
+
+/// Every VERDICT the daemon answers names the invariant and outcome a cold
+/// Engine gives for `text` under the same options.
+void expect_cold_verdicts(ServeState& state, const std::string& text) {
+  const ColdRun ref = cold_run(text, state.options().engine);
+  ASSERT_EQ(state.last_batch().results.size(), ref.outcomes.size());
+  for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+    const std::string resp = state.handle_line("VERDICT " + std::to_string(i));
+    EXPECT_EQ(token(resp, 1), ref.outcomes[i]) << resp;
+    EXPECT_NE(resp.find("invariant=\"" + ref.descriptions[i] + "\""),
+              std::string::npos)
+        << resp;
+  }
+}
+
 TEST(ServeIncremental, SwappingEqualRankRoutesReplans) {
   // Two routes to b's address tie on rank, and the first one added wins:
-  // swapping them sends b's traffic to c. The canonical rendering keeps
-  // that order, so the reload re-plans, and every verdict - the warm
-  // result cache's included - equals a cold Engine's on the swapped spec.
+  // swapping them sends b's traffic to c. The rendering keeps that order,
+  // so the reload re-plans, and every verdict - the warm result cache's
+  // included - equals a cold Engine's on the swapped spec.
   const std::string head =
       "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\nswitch s\n"
       "link a s\nlink b s\nlink c s\n"
@@ -379,13 +441,6 @@ TEST(ServeIncremental, SwappingEqualRankRoutesReplans) {
   EXPECT_TRUE(io::diff_specs(io::parse_spec_string(before),
                              io::parse_spec_string(after))
                   .model_changed);
-  // Declaration order still carries no meaning.
-  const std::string reordered =
-      "host c 10.0.0.3\nhost b 10.0.0.2\nhost a 10.0.0.1\n" +
-      before.substr(before.find("switch s"));
-  EXPECT_TRUE(io::diff_specs(io::parse_spec_string(before),
-                             io::parse_spec_string(reordered))
-                  .empty());
 
   TempSpecDir dir;
   const std::string path = dir.path + "/ties.vmn";
@@ -414,14 +469,28 @@ TEST(ServeIncremental, SwappingEqualRankRoutesReplans) {
   // The swapped spec's reachable(b, a) does not hold: b's address now
   // leads to c.
   EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "violated");
+
+  // Declaration order is part of the rendering, so reordering the hosts
+  // reloads; the problem keys are name- and order-blind, so the warm cache
+  // answers every job.
+  const std::string reordered =
+      "host c 10.0.0.3\nhost b 10.0.0.2\nhost a 10.0.0.1\n" +
+      after.substr(after.find("switch s"));
+  write_file(path, reordered);
+  const std::string reply = state.handle_line("RELOAD");
+  EXPECT_EQ(reply.rfind("OK reloaded generation=5 ", 0), 0u) << reply;
+  EXPECT_EQ(state.last_batch().solver_calls, 0u);
+  EXPECT_EQ(state.last_batch().cache_hits,
+            state.last_batch().pool.jobs_executed);
+  expect_cold_verdicts(state, reordered);
 }
 
 TEST(ServeIncremental, MovingAScenarioOverrideReplans) {
   // The override sends b's address to c, which no other route reaches.
   // Under f1 (one failure) it is within the failure budget of 1; moved to
-  // f2 (two failures) it is not. The canonical rendering names each route
-  // line's scenario, so the move re-plans, and node-isolation(c, a) goes
-  // from violated to holds (on the whole network: see
+  // f2 (two failures) it is not. The rendering writes each route line in
+  // its scenario's block, so the move re-plans, and node-isolation(c, a)
+  // goes from violated to holds (on the whole network: see
   // SpecParse.ScenarioRouteReplacesTheBaseRouteOfItsRank).
   const std::string head =
       "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\n"
@@ -464,6 +533,234 @@ TEST(ServeIncremental, MovingAScenarioOverrideReplans) {
         << (text == &after ? "moved" : "restored");
   }
   EXPECT_EQ(token(state.handle_line("VERDICT 0"), 1), "holds");
+}
+
+/// An edit that changes what a cold run answers but not the sorted
+/// multiset of rendered lines: the reload re-plans, and the daemon's
+/// verdicts equal a cold Engine's on the edited text.
+struct OrderEdit {
+  std::string what;
+  std::string before;
+  std::string after;
+};
+
+std::vector<OrderEdit> order_edits() {
+  const std::string abc =
+      "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\nswitch s\n";
+  // (a) The deny of b -> c moves from fw1, which only a's traffic to c
+  // crosses, to fw2, which b's crosses.
+  const std::string boxes = "link a s\nlink b s\nlink c s\n"
+                            "link fw1 s\nlink fw2 s\n"
+                            "route s from a 10.0.0.3/32 fw1\n"
+                            "route s from b 10.0.0.3/32 fw2\n"
+                            "route s from fw1 10.0.0.3/32 c\n"
+                            "route s from fw2 10.0.0.3/32 c\n"
+                            "route s 10.0.0.1/32 a\nroute s 10.0.0.2/32 b\n"
+                            "invariant node-isolation c b\n";
+  const std::string deny = "  deny 10.0.0.2/32 -> 10.0.0.3/32\n";
+  // (b) First match wins: the /24 deny shadows the /32 allow once first.
+  const std::string allow_a = "  allow 10.0.0.1/32 -> 10.0.0.3/32\n";
+  const std::string deny_all = "  deny 10.0.0.0/24 -> 10.0.0.3/32\n";
+  const std::string acl_tail = "end\nlink a s\nlink c s\nlink fw1 s\n"
+                               "route s from a 10.0.0.3/32 fw1\n"
+                               "route s from fw1 10.0.0.3/32 c\n"
+                               "route s 10.0.0.1/32 a\n"
+                               "invariant node-isolation c a\n";
+  // (c) a delivers straight to b only while b is listed before a's first
+  // switch (dataplane::TransferFunction::first_switch); s sends b's
+  // address to c.
+  const std::string routes = "link b s\nlink c s\nroute s 10.0.0.1/32 a\n"
+                             "route s 10.0.0.2/32 c\nroute s 10.0.0.3/32 c\n";
+  const std::string wired = abc + "link a b\nlink a s\n" + routes;
+  // (d) The invariants swap places: VERDICT 0 names the file's line 0.
+  return {
+      {"ACL line moved between boxes",
+       abc + "firewall fw1 default allow\n" + deny +
+           "end\nfirewall fw2 default allow\nend\n" + boxes,
+       abc + "firewall fw1 default allow\nend\n"
+             "firewall fw2 default allow\n" + deny + "end\n" + boxes},
+      {"first-match ACL reorder",
+       "host a 10.0.0.1\nhost c 10.0.0.3\nswitch s\n"
+       "firewall fw1 default deny\n" + allow_a + deny_all + acl_tail,
+       "host a 10.0.0.1\nhost c 10.0.0.3\nswitch s\n"
+       "firewall fw1 default deny\n" + deny_all + allow_a + acl_tail},
+      {"link reorder", wired + "invariant node-isolation b a\n",
+       abc + "link a s\nlink a b\n" + routes +
+           "invariant node-isolation b a\n"},
+      {"invariant reorder",
+       wired + "invariant node-isolation b a\ninvariant reachable b a\n",
+       wired + "invariant reachable b a\ninvariant node-isolation b a\n"},
+  };
+}
+
+void expect_order_edits_reload(const EngineOptions& eopts) {
+  for (const OrderEdit& edit : order_edits()) {
+    SCOPED_TRACE(edit.what);
+    // Each case flips what a cold run answers for the first invariant.
+    EXPECT_NE(cold_run(edit.before, eopts).outcomes.at(0),
+              cold_run(edit.after, eopts).outcomes.at(0));
+    TempSpecDir dir;
+    const std::string path = dir.path + "/order.vmn";
+    write_file(path, edit.before);
+    ServeOptions sopts;
+    sopts.spec_path = path;
+    sopts.engine = eopts;
+    ServeState state(sopts);
+    expect_cold_verdicts(state, edit.before);
+    write_file(path, edit.after);
+    const std::string reply = state.handle_line("RELOAD");
+    EXPECT_EQ(reply.rfind("OK reloaded generation=2 ", 0), 0u) << reply;
+    expect_cold_verdicts(state, edit.after);
+  }
+}
+
+TEST(ServeIncremental, OrderOnlyEditsReloadSequential) {
+  expect_order_edits_reload(sequential_opts());
+}
+
+TEST(ServeIncremental, OrderOnlyEditsReloadProcessPool) {
+  expect_order_edits_reload(pooled_opts());
+}
+
+/// The lines of `text`, without their newlines.
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+/// The first whitespace-separated token of a spec line ("" when blank).
+std::string keyword(const std::string& line) { return token(line, 0); }
+
+/// Swaps the first two adjacent, different `link` lines.
+std::string swap_adjacent_links(const std::string& text) {
+  std::vector<std::string> lines = lines_of(text);
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    if (keyword(lines[i]) == "link" && keyword(lines[i + 1]) == "link" &&
+        lines[i] != lines[i + 1]) {
+      std::swap(lines[i], lines[i + 1]);
+      break;
+    }
+  }
+  return join_lines(lines);
+}
+
+/// Reverses the entries of the first firewall or cache block holding two
+/// or more.
+std::string reverse_box_entries(const std::string& text) {
+  std::vector<std::string> lines = lines_of(text);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (keyword(lines[i]) != "firewall" && keyword(lines[i]) != "cache") {
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < lines.size() && keyword(lines[end]) != "end") ++end;
+    if (end - i > 2) {
+      std::reverse(lines.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                   lines.begin() + static_cast<std::ptrdiff_t>(end));
+      break;
+    }
+  }
+  return join_lines(lines);
+}
+
+/// Moves the last invariant line to where the first one is.
+std::string last_invariant_first(const std::string& text) {
+  std::vector<std::string> lines = lines_of(text);
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (keyword(lines[i]) == "invariant") at.push_back(i);
+  }
+  if (at.size() >= 2) {
+    const std::string last = lines[at.back()];
+    lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at.back()));
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at.front()),
+                 last);
+  }
+  return join_lines(lines);
+}
+
+/// Renames the first host everywhere its name is a token.
+std::string rename_first_host(const std::string& text) {
+  std::vector<std::string> lines = lines_of(text);
+  std::string from;
+  for (const std::string& line : lines) {
+    if (keyword(line) == "host") {
+      from = token(line, 1);
+      break;
+    }
+  }
+  EXPECT_FALSE(from.empty());
+  const std::string to = from + "-renamed";
+  EXPECT_EQ(text.find(to), std::string::npos);
+  for (std::string& line : lines) {
+    std::istringstream in(line);
+    std::string rebuilt = line.substr(0, line.find_first_not_of(' '));
+    for (std::string t; in >> t;) {
+      if (rebuilt.find_first_not_of(' ') != std::string::npos) rebuilt += ' ';
+      rebuilt += t == from ? to : t;
+    }
+    line = rebuilt;
+  }
+  return join_lines(lines);
+}
+
+TEST(ServeParity, EditsReloadExactlyWhenTheRenderingChanges) {
+  // A deterministic serve-edit oracle: each edit in turn, on one daemon per
+  // spec. RELOAD answers unchanged exactly when the edit renders as the
+  // served text does, and every verdict equals a cold Engine's.
+  const std::vector<std::pair<std::string, std::string (*)(const std::string&)>>
+      edits{{"append a comment",
+             [](const std::string& t) { return t + "# edited\n"; }},
+            {"swap two adjacent links", swap_adjacent_links},
+            {"reverse a box's entries", reverse_box_entries},
+            {"move the last invariant first", last_invariant_first},
+            {"rename a host", rename_first_host}};
+  for (const auto& [name, original] : generator_and_example_specs()) {
+    SCOPED_TRACE(name);
+    TempSpecDir dir;
+    const std::string path = dir.path + "/edited.vmn";
+    write_file(path, original);
+    ServeOptions sopts;
+    sopts.spec_path = path;
+    sopts.engine = sequential_opts();
+    ServeState state(sopts);
+    std::string served = original;
+    std::size_t reloads = 0;
+    for (const auto& [what, edit] : edits) {
+      SCOPED_TRACE(what);
+      const std::string edited = edit(served);
+      const bool same_rendering =
+          io::write_spec_string(io::parse_spec_string(served)) ==
+          io::write_spec_string(io::parse_spec_string(edited));
+      if (what == std::string("append a comment")) {
+        EXPECT_TRUE(same_rendering);
+      }
+      write_file(path, edited);
+      const std::string reply = state.handle_line("RELOAD");
+      const std::string generation =
+          "generation=" + std::to_string(1 + reloads + (same_rendering ? 0 : 1));
+      EXPECT_EQ(reply.rfind(std::string(same_rendering ? "OK unchanged "
+                                                       : "OK reloaded ") +
+                                generation,
+                            0),
+                0u)
+          << reply;
+      if (!same_rendering) ++reloads;
+      expect_cold_verdicts(state, edited);
+      served = edited;
+    }
+    // Each spec has links and at least two distinct invariants, so those
+    // edits and the rename reload.
+    EXPECT_GE(reloads, 3u);
+  }
 }
 
 TEST(ServeProtocol, VerdictByIndexAndByDescriptionAgree) {
@@ -547,7 +844,7 @@ TEST(ServeProtocol, BrokenSaveKeepsTheOldGenerationServing) {
             std::string::npos);
 
   // Restoring good content (here: the identical original) is a no-op
-  // reload - same canonical spec, generation stays.
+  // reload - same rendering, generation stays.
   write_file(path, original);
   EXPECT_FALSE(state.check_for_edit());
   EXPECT_EQ(state.stats().generation, 1u);
@@ -682,81 +979,28 @@ TEST(ServeProtocol, StatsBatchValuesMatchTheProcessExecutorsBatchResult) {
 }
 
 // ---------------------------------------------------------------------------
-// One rendering per reload: the daemon diffs io::CanonicalSpec renderings
-// and stamps the cache with the rendering's fingerprint.
+// One rendering per reload: the daemon compares io::SpecRendering texts and
+// stamps the cache with the rendering's fingerprint.
 
-/// The diff the daemon ran before it rendered each spec once, kept as the
-/// reference: both specs re-rendered, split, and their lines counted in an
-/// ordered map. Its one addition: a scenario block's route lines are named
-/// "scenario <name>: route ...", as io::canonical_spec names them.
-io::SpecDiff reference_diff(const io::Spec& before, const io::Spec& after) {
-  auto lines_of = [](const io::Spec& spec) {
-    std::vector<std::string> lines;
-    std::istringstream in(io::write_spec_string(spec));
-    std::string line;
-    std::string scenario;
-    while (std::getline(in, line)) {
-      if (line.rfind("scenario ", 0) == 0) {
-        std::istringstream words(line);
-        words >> scenario >> scenario;
-      } else if (line == "end") {
-        scenario.clear();
-      } else if (!scenario.empty() && line.rfind("  route ", 0) == 0) {
-        line = "scenario " + scenario + ": " + line.substr(2);
-      }
-      if (!line.empty()) lines.push_back(line);
-    }
-    return lines;
-  };
-  std::map<std::string, long> count;
-  for (const std::string& l : lines_of(before)) ++count[l];
-  for (const std::string& l : lines_of(after)) --count[l];
-  io::SpecDiff diff;
-  for (const auto& [line, c] : count) {
-    if (c == 0) continue;
-    const bool is_invariant = line.rfind("invariant ", 0) == 0;
-    (is_invariant ? diff.invariants_changed : diff.model_changed) = true;
-    for (long i = 0; i < c; ++i) diff.removed.push_back(line);
-    for (long i = 0; i < -c; ++i) diff.added.push_back(line);
-  }
-  return diff;
-}
-
-void expect_same_diff(const io::SpecDiff& got, const io::SpecDiff& want) {
-  EXPECT_EQ(got.added, want.added);
-  EXPECT_EQ(got.removed, want.removed);
-  EXPECT_EQ(got.model_changed, want.model_changed);
-  EXPECT_EQ(got.invariants_changed, want.invariants_changed);
-  EXPECT_EQ(got.summary(), want.summary());
-}
-
-/// The rendering's fingerprint equals model_fingerprint on both sides, and
-/// its diff equals both io::diff_specs and the reference. Returns the diff.
-io::SpecDiff expect_one_rendering(const std::string& what,
-                                  const std::string& before_text,
-                                  const std::string& after_text) {
-  SCOPED_TRACE(what);
-  const io::Spec before = io::parse_spec_string(before_text);
-  const io::Spec after = io::parse_spec_string(after_text);
-  const io::CanonicalSpec b = io::canonical_spec(before);
-  const io::CanonicalSpec a = io::canonical_spec(after);
-  EXPECT_EQ(b.model_fingerprint, model_fingerprint(before.model));
-  EXPECT_EQ(a.model_fingerprint, model_fingerprint(after.model));
-  const io::SpecDiff diff = io::diff_specs(b, a);
-  expect_same_diff(diff, io::diff_specs(before, after));
-  expect_same_diff(diff, reference_diff(before, after));
-  return diff;
-}
-
-TEST(ServeRendering, EditCasesDiffAndStampLikeTheReference) {
+TEST(ServeRendering, EditCasesReloadWithTheirDiffSummary) {
   const std::string original = read_file(segmented_path());
-  const std::vector<std::pair<std::string, std::string>> edits{
-      {"idps monitor", idps1_monitor_edit(original)},
-      {"invariant only", invariant_only_edit(original)},
-      {"pure rename", pure_rename_edit(original)},
-      {"formatting only", "# a comment\n\n" + original + "\n\n"}};
-  for (const auto& [what, edited] : edits) {
-    const io::SpecDiff diff = expect_one_rendering(what, original, edited);
+  struct Case {
+    std::string what;
+    std::string edited;
+    bool model_changed;
+    bool invariants_changed;
+  };
+  const std::vector<Case> cases{
+      {"idps monitor", idps1_monitor_edit(original), true, false},
+      {"invariant only", invariant_only_edit(original), false, true},
+      {"pure rename", pure_rename_edit(original), true, true},
+      {"formatting only", with_comments(original), false, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const io::SpecDiff diff = io::diff_specs(io::parse_spec_string(original),
+                                             io::parse_spec_string(c.edited));
+    EXPECT_EQ(diff.model_changed, c.model_changed);
+    EXPECT_EQ(diff.invariants_changed, c.invariants_changed);
     // The daemon's RELOAD reply carries the same summary.
     TempSpecDir dir;
     const std::string path = dir.path + "/segmented.vmn";
@@ -765,33 +1009,40 @@ TEST(ServeRendering, EditCasesDiffAndStampLikeTheReference) {
     sopts.spec_path = path;
     sopts.engine = sequential_opts();
     ServeState state(sopts);
-    write_file(path, edited);
+    write_file(path, c.edited);
     const std::string reply = state.handle_line("RELOAD");
     const std::string want =
         diff.empty() ? "OK unchanged generation=1 (formatting-only edit)"
                      : "OK reloaded generation=2 " + diff.summary() + "; ";
-    EXPECT_EQ(reply.substr(0, want.size()), want) << what;
+    EXPECT_EQ(reply.substr(0, want.size()), want);
   }
 }
 
-TEST(ServeRendering, GeneratorsAndExampleSpecsDiffAndStampLikeTheReference) {
-  std::vector<std::pair<std::string, std::string>> texts{
-      {"datacenter", datacenter_text()},   {"enterprise", enterprise_text()},
-      {"isp", isp_text()},                 {"multitenant", multitenant_text()},
-      {"random", random_text()}};
-  for (const auto& entry : std::filesystem::directory_iterator(
-           std::string(VMN_SOURCE_DIR) + "/examples/specs")) {
-    if (entry.path().extension() != ".vmn") continue;
-    texts.emplace_back(entry.path().filename().string(),
-                       read_file(entry.path().string()));
+TEST(ServeRendering, GeneratorsAndExampleSpecsStampAndCompareByRendering) {
+  const auto texts = generator_and_example_specs();
+  std::vector<io::Spec> specs;
+  for (const auto& [name, text] : texts) {
+    SCOPED_TRACE(name);
+    specs.push_back(io::parse_spec_string(text));
+    const io::SpecRendering rendering = io::render_spec(specs.back());
+    // The stamp records written before the daemon compared renderings
+    // carry: the fingerprint of the whole-network projection.
+    EXPECT_EQ(rendering.model_fingerprint(),
+              model_fingerprint(specs.back().model));
+    EXPECT_EQ(rendering.text, io::write_spec_string(specs.back()));
+    EXPECT_TRUE(
+        io::diff_specs(specs.back(),
+                       io::parse_spec_string(with_comments(text)))
+            .empty());
   }
-  ASSERT_GE(texts.size(), 8u);
-  // Every ordered pair: unchanged specs, and edits that replace everything.
-  for (const auto& [from, before] : texts) {
-    for (const auto& [to, after] : texts) {
-      const io::SpecDiff diff =
-          expect_one_rendering(from + " -> " + to, before, after);
-      EXPECT_EQ(diff.empty(), from == to) << from << " -> " << to;
+  // Every ordered pair of distinct specs is a model change.
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+      const io::SpecDiff diff = io::diff_specs(specs[i], specs[j]);
+      EXPECT_EQ(diff.model_changed, i != j)
+          << texts[i].first << " -> " << texts[j].first;
+      EXPECT_EQ(diff.empty(), i == j)
+          << texts[i].first << " -> " << texts[j].first;
     }
   }
 }

@@ -563,7 +563,7 @@ TEST(CanonicalKey, BatchNeverInheritsAcrossDifferentIdpsModes) {
   verify::Engine v(model);
   const std::vector<Invariant> batch = {Invariant::no_malicious_delivery(b1),
                                         Invariant::no_malicious_delivery(b2)};
-  verify::BatchResult r = v.run_batch(batch, /*use_symmetry=*/true);
+  verify::BatchResult r = v.run_batch(batch);
   EXPECT_EQ(r.results[0].outcome, verify::Outcome::holds);
   EXPECT_EQ(r.results[1].outcome, verify::Outcome::violated);
   EXPECT_FALSE(r.results[1].by_symmetry);
@@ -580,7 +580,7 @@ TEST(CanonicalKey, BatchNeverInheritsAcrossDifferentConfigs) {
   verify::Engine v(n.model);
   const std::vector<Invariant> batch = {Invariant::node_isolation(n.b1, n.a1),
                                         Invariant::node_isolation(n.b2, n.a2)};
-  verify::BatchResult r = v.run_batch(batch, /*use_symmetry=*/true);
+  verify::BatchResult r = v.run_batch(batch);
   EXPECT_EQ(r.results[0].outcome, verify::Outcome::holds);
   EXPECT_EQ(r.results[1].outcome, verify::Outcome::violated);
   EXPECT_FALSE(r.results[1].by_symmetry);
@@ -1008,7 +1008,7 @@ TEST(CanonicalKey, SymmetricSegmentsStillDedupUnderRefinedClasses) {
   // are genuinely isomorphic, so the batch still merges them.
   scenarios::Segmented s = scenarios::make_segmented({});
   verify::Engine v(s.model);
-  verify::BatchResult r = v.run_batch(s.invariants, /*use_symmetry=*/true);
+  verify::BatchResult r = v.run_batch(s.invariants);
   EXPECT_EQ(r.solver_calls, 2u);  // one no-malicious job + one traversal job
   for (std::size_t i = 0; i < r.results.size(); ++i) {
     EXPECT_EQ(r.results[i].outcome, verify::Outcome::holds) << i;
@@ -1023,7 +1023,7 @@ TEST(CanonicalKey, BatchNeverInheritsAcrossSegmentsWithDifferentRouting) {
   p.bypass_segment = 1;
   scenarios::Segmented s = scenarios::make_segmented(p);
   verify::Engine v(s.model);
-  verify::BatchResult r = v.run_batch(s.invariants, /*use_symmetry=*/true);
+  verify::BatchResult r = v.run_batch(s.invariants);
   ASSERT_EQ(r.results.size(), s.invariants.size());
   for (std::size_t i = 0; i < r.results.size(); ++i) {
     const verify::Outcome expected = s.expected_holds[i]

@@ -116,8 +116,10 @@ TEST(Symmetry, SameClassHostsShareGroup) {
 TEST(Symmetry, BatchVerificationAgreesWithExhaustive) {
   Enterprise ent = enterprise(9);
   verify::Engine v(ent.model);
-  verify::BatchResult symmetric = v.run_batch(ent.invariants, true);
-  verify::BatchResult exhaustive = v.run_batch(ent.invariants, false);
+  verify::BatchResult symmetric = v.run_batch(ent.invariants);
+  verify::BatchResult exhaustive =
+      verify::Engine(ent.model, {.use_symmetry = false})
+          .run_batch(ent.invariants);
   ASSERT_EQ(symmetric.results.size(), exhaustive.results.size());
   for (std::size_t i = 0; i < symmetric.results.size(); ++i) {
     EXPECT_EQ(symmetric.results[i].outcome, exhaustive.results[i].outcome)
@@ -131,7 +133,7 @@ TEST(Symmetry, BatchVerificationAgreesWithExhaustive) {
 TEST(Symmetry, InheritedResultsAreMarked) {
   Enterprise ent = enterprise(6);
   verify::Engine v(ent.model);
-  verify::BatchResult batch = v.run_batch(ent.invariants, true);
+  verify::BatchResult batch = v.run_batch(ent.invariants);
   std::size_t inherited = 0;
   for (const auto& r : batch.results) {
     if (r.by_symmetry) ++inherited;

@@ -3,7 +3,7 @@
 # one batch pipeline; one in-batch identity; one encode identity; one
 # refinement kernel; one delivery walk; one first-hop rule; one metrics
 # schema; one model reader; one solver flavour; one transfer memo; two
-# executors),
+# executors; one spec rendering),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process executor (verdicts must match the inline
@@ -271,6 +271,20 @@ if grep -rEn '(\.|->)backend\b' "$repo/src" "$repo/tools" \
     --include='*.cpp' --include='*.hpp' | grep -Ev ':[0-9]+:[[:space:]]*//'; then
   echo "ci: EngineOptions::backend is read in src/ or tools/; it is a" \
        "leftover for bench/e2e and chooses nothing (ROADMAP item 8)" >&2
+  exit 1
+fi
+
+echo "--- lint: one spec rendering (a reload compares write_spec text) ---"
+# The serve daemon decides a reload by comparing the served generation's
+# write_spec rendering with the edit's (io::render_spec): equal text is a
+# formatting-only edit. Sorting the rendered lines into a multiset threw
+# away the order that ACL first match, link-listed first hops and invariant
+# indices depend on, and " (shadowed)" or RouteLine tags patched some of it
+# back; a set_difference over lines is that diff again.
+if grep -En '\(shadowed\)|RouteLine|set_difference' \
+    "$repo/src/io/spec.cpp" "$repo/src/verify/serve.cpp"; then
+  echo "ci: a sorted-line spec diff in src/io/spec.cpp or" \
+       "src/verify/serve.cpp; compare renderings (io::diff_specs)" >&2
   exit 1
 fi
 

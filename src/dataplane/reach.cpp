@@ -24,18 +24,26 @@ std::map<NodeId, HeaderSpace> hsa_reach(const net::Network& network,
     HeaderSpace space;
     std::size_t depth;
   };
+  // TransferFunction::walk's first hop: every alive host neighbour takes
+  // its own address directly, whatever the link order, and the rest enters
+  // the fabric through the first alive neighbour switch.
   std::vector<Item> work;
+  std::optional<NodeId> first_switch;
+  HeaderSpace fabric = HeaderSpace::all();
   for (NodeId n : network.neighbors(from_edge)) {
     if (network.is_failed(n, scenario)) continue;
     if (network.kind(n) == net::NodeKind::switch_node) {
-      work.push_back(Item{from_edge, n, HeaderSpace::all(), 0});
-      break;  // edge nodes enter the fabric through their first alive switch
-    }
-    if (network.kind(n) == net::NodeKind::host) {
+      if (!first_switch) first_switch = n;
+    } else if (network.kind(n) == net::NodeKind::host) {
+      const HeaderSpace own =
+          HeaderSpace::from_prefix(Prefix::host(network.node(n).address));
       auto& hs = delivered[n];
-      hs = hs.union_with(
-          HeaderSpace::from_prefix(Prefix::host(network.node(n).address)));
+      hs = hs.union_with(own);
+      fabric = fabric.difference(own);
     }
+  }
+  if (first_switch) {
+    work.push_back(Item{from_edge, *first_switch, std::move(fabric), 0});
   }
 
   const std::size_t max_depth = network.node_count() + 1;

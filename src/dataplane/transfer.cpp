@@ -87,12 +87,16 @@ template <typename OnHost>
 std::optional<NodeId> TransferFunction::first_switch(NodeId from_edge,
                                                      OnHost host) const {
   const net::Network& net = *network_;
+  std::optional<NodeId> sw;
   for (NodeId n : net.neighbors(from_edge)) {
     if (failed_[n.value()] != 0) continue;
-    if (is_switch(n)) return n;
-    if (net.node(n).kind == net::NodeKind::host && host(n)) break;
+    if (is_switch(n)) {
+      if (!sw) sw = n;
+    } else if (net.node(n).kind == net::NodeKind::host && host(n)) {
+      return std::nullopt;
+    }
   }
-  return std::nullopt;
+  return sw;
 }
 
 std::optional<NodeId> TransferFunction::walk(NodeId from_edge, Address dst,

@@ -57,9 +57,9 @@ class TransferFunction {
 
   /// The addresses the first hop out of `from_edge` routes, as sorted,
   /// disjoint, non-adjacent ranges. next_edge() drops every address outside
-  /// them before a second hop. The first hop is walk()'s: the host
-  /// neighbours listed before the first alive neighbour switch (their own
-  /// addresses are delivered directly), then every prefix of that switch's
+  /// them before a second hop. The first hop is walk()'s: every alive host
+  /// neighbour, in any link order (its own address is delivered directly),
+  /// then every prefix of the first alive neighbour switch's
   /// snapshotted table whose rule takes packets from `from_edge` (in-port
   /// wildcard or `from_edge`). A range may still hold dropped addresses:
   /// shadowed rules, failed next hops, later blackholes. Costs O(r log r)
@@ -81,10 +81,10 @@ class TransferFunction {
   [[nodiscard]] std::optional<NodeId> walk(NodeId from_edge, Address dst,
                                            std::vector<NodeId>* path) const;
   /// The first hop out of `from_edge`, shared by walk() and
-  /// first_hop_ranges(): calls `host(n)` for each alive host neighbour n
-  /// listed before the first alive neighbour switch, stopping when it
-  /// returns true, and returns that switch; nullopt when none is attached
-  /// or `host` stopped the scan first.
+  /// first_hop_ranges(): calls `host(n)` for every alive host neighbour n,
+  /// whatever the link order, stopping when it returns true, and returns
+  /// the first alive neighbour switch; nullopt when none is attached or
+  /// `host` stopped the scan.
   template <typename OnHost>
   [[nodiscard]] std::optional<NodeId> first_switch(NodeId from_edge,
                                                    OnHost host) const;

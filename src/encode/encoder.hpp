@@ -32,11 +32,11 @@ struct EncodeOptions {
   /// failure-free network.
   int max_failures = 0;
   /// Optional shared per-scenario transfer-function memo for the omega
-  /// axioms (see dataplane::TransferCache). Planning-adjacent callers pass
-  /// the PlanContext cache (whose walks the planner already paid for);
-  /// worker threads pass a per-SolverSession cache - TransferFunction
-  /// memos are not thread-safe, so a cache is never shared across
-  /// sessions. Borrowed, must outlive the construction call, and must be
+  /// axioms (see dataplane::TransferCache). Solver sessions pass the memo
+  /// they borrow, the Engine's PlanContext cache (whose walks the planner
+  /// already paid for) - TransferFunction memos are not thread-safe, so a
+  /// cache is never shared across threads. Borrowed, must outlive the
+  /// construction call, and must be
   /// bound to the same network as the model (ignored otherwise). When
   /// null, the encoder builds one TransferFunction per scenario itself.
   dataplane::TransferCache* transfers = nullptr;

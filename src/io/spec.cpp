@@ -604,6 +604,12 @@ std::string write_spec_string(const Spec& spec) {
   return render_spec(spec).text;
 }
 
+std::string write_network_string(const encode::NetworkModel& model) {
+  std::ostringstream out;
+  write_network(out, model, [](NodeId) { return true; });
+  return std::move(out).str();
+}
+
 std::uint64_t SpecRendering::model_fingerprint() const {
   return fnv1a64(network());
 }

@@ -43,6 +43,11 @@
 // among the block's own lines the first one wins a tie, as in the base
 // (net::Network::override_routes). The writer renders every scenario table
 // in full, which re-parses to itself: each of its ranks replaces itself.
+//
+// A packet leaving an edge node goes straight to an alive neighbour host
+// that owns its destination address, whatever the order of the `link`
+// lines; otherwise it enters the fabric through the edge node's first
+// alive neighbour switch in `link` order (dataplane::TransferFunction).
 #pragma once
 
 #include <cstdint>
@@ -98,6 +103,9 @@ class ParseError : public Error {
 /// parse(write(spec)) reproduces the network structure and configurations.
 void write_spec(std::ostream& out, const Spec& spec);
 [[nodiscard]] std::string write_spec_string(const Spec& spec);
+/// The network part of write_spec: everything but the invariant lines.
+[[nodiscard]] std::string write_network_string(
+    const encode::NetworkModel& model);
 
 /// Serializes the projection of `model` onto a slice: the member edge nodes
 /// (hosts and middleboxes in `members`), every node named by a failure
@@ -107,16 +115,11 @@ void write_spec(std::ostream& out, const Spec& spec);
 /// scenario's table re-parses to its own table restricted to the kept
 /// nodes, never to a replaced base rule), the links among kept nodes, and
 /// every route whose next hop (and `from` qualifier, if any) survives the
-/// projection. Invariants are not written; the wire job frame carries its
-/// own (verify/wire.hpp).
+/// projection. Invariants are not written.
 ///
-/// Soundness rests on slices being closed under forwarding: a transfer walk
-/// between slice addresses never needs a dropped edge node (closure would
-/// have added it), and dropping a route rule that is not the best match for
-/// any relevant address never changes a best match. Executing a job on the
-/// projection therefore encodes the identical problem - which
-/// tests/test_wire.cpp asserts verdict-for-verdict (and assertion count for
-/// assertion count) across every scenario generator.
+/// No verification path projects a spec: process workers are forks that
+/// solve the dispatcher's own model. This stays only because the benchmark
+/// harness (bench/e2e) calls it, and ROADMAP item 8(a) deletes it.
 void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,
                           const std::vector<NodeId>& members);
 [[nodiscard]] std::string write_projected_spec_string(
@@ -130,8 +133,7 @@ void write_projected_spec(std::ostream& out, const encode::NetworkModel& model,
 struct SpecRendering {
   std::string text;
   /// Bytes of `text` before the invariant lines: the network part, byte
-  /// for byte write_projected_spec_string(model,
-  /// encode::all_edge_nodes(model)).
+  /// for byte write_network_string(spec.model).
   std::size_t network_size = 0;
 
   [[nodiscard]] std::string_view network() const {

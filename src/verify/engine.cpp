@@ -3,10 +3,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
-#include "io/spec.hpp"
 
 namespace vmn::verify {
 
@@ -123,7 +121,7 @@ VerifyResult Engine::run_one(const encode::Invariant& invariant) {
   // context's transfer memo: encoding re-walks nothing the slice
   // computation (or class inference) walked.
   SolverSession session(options_.verify.solver, /*warm=*/true,
-                        &p.ctx.transfers);
+                        p.ctx.transfers);
   session.set_resilience(session_resilience(options_.verify));
   return verify_members(*model_, invariant, std::move(members),
                         options_.verify.max_failures, session);
@@ -285,8 +283,8 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
     // deadline first: past it, the slot stays empty (abandoned) and the
     // loop keeps draining so every job is accounted.
     if (!session_) {
-      session_ = std::make_unique<SolverSession>(
-          vo.solver, vo.warm_solving, &planning().ctx.transfers);
+      session_ = std::make_unique<SolverSession>(vo.solver, vo.warm_solving,
+                                                 planning().ctx.transfers);
       session_->set_resilience(session_resilience(vo));
     }
     std::size_t skipped = 0;
@@ -311,37 +309,27 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
     return results;
   }
 
-  // Process: project each group's slice to a spec, frame the jobs by
-  // name, and stream them to forked workers; crashed or hung workers get
-  // their unfinished jobs requeued onto the survivors. The verify options
-  // carry the fault plan and escalation policy, so the CLI's --faults /
-  // --no-escalate reach the workers unchanged.
+  // Process: frame the jobs by name and stream them to forked workers,
+  // which solve this Engine's own model with the planning transfer memo
+  // they inherited; crashed or hung workers get their unfinished jobs
+  // requeued onto the survivors. The verify options carry the fault plan
+  // and escalation policy, so the CLI's --faults / --no-escalate reach the
+  // workers unchanged.
   // Groups are formed over every cache miss and the decided jobs dropped
   // from them after, so a static decision never regroups the jobs left to
   // solve: a warm group's witnesses depend on its composition. A group left
   // empty is dropped, and the pool spawns no worker for it.
   const ProcessPool pool(options_.jobs, vo, options_.process);
-  const Groups groups = shape_groups(plan, misses, pool.workers());
   std::vector<std::size_t> to_solve;
   std::vector<ProcessGroup> process_groups;
-  for (const auto& [begin, end] : groups) {
+  for (const auto& [begin, end] : shape_groups(plan, misses, pool.workers())) {
     ProcessGroup group;
-    // The projection must contain every node the group's jobs reference.
-    // Jobs cross the pipe in encode space, so that is exactly the union
-    // of encode member sets - a merged class's own member sets never
-    // travel; bindings are relabeled dispatcher-side.
-    std::set<NodeId> span;
     for (std::size_t k = begin; k < end; ++k) {
       if (decided[misses[k]]) continue;
-      const Job& job = plan.jobs[misses[k]];
-      span.insert(job.encode_members().begin(), job.encode_members().end());
-      group.jobs.push_back(to_solve.size());
+      group.push_back(to_solve.size());
       to_solve.push_back(misses[k]);
     }
-    if (group.jobs.empty()) continue;
-    group.spec_text = io::write_projected_spec_string(
-        *model_, std::vector<NodeId>(span.begin(), span.end()));
-    process_groups.push_back(std::move(group));
+    if (!group.empty()) process_groups.push_back(std::move(group));
   }
   std::vector<wire::WireJob> wire_jobs;
   wire_jobs.reserve(to_solve.size());
@@ -351,8 +339,10 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
   }
   // The pool honours the batch deadline measured from run_batch entry and
   // counts its fleet and abandonments straight into `out`.
-  ProcessDispatch dispatch = pool.run(wire_jobs, std::move(process_groups),
-                                      deadline, out.pool, out.degradation);
+  ProcessDispatch dispatch =
+      pool.run(*model_, planning().ctx.transfers, wire_jobs,
+               std::move(process_groups), deadline, out.pool,
+               out.degradation);
   out.pool.workers = std::move(dispatch.workers);
   for (std::size_t k = 0; k < to_solve.size(); ++k) {
     if (!dispatch.results[k]) continue;  // abandoned, counted by the pool
@@ -360,9 +350,9 @@ std::vector<std::optional<VerifyResult>> Engine::execute(
     try {
       results[to_solve[k]] = wire::to_verify_result(model_->network(), r);
     } catch (const wire::WireError&) {
-      // A digest-valid result naming nodes this model lacks (byzantine or
-      // version-skewed worker binary): abandon the one job to an unknown
-      // verdict instead of aborting a batch full of good ones.
+      // A digest-valid result naming nodes this model lacks (a corrupted
+      // worker): abandon the one job to an unknown verdict instead of
+      // aborting a batch full of good ones.
       ++out.degradation.abandoned_retries;
       out.degradation.reasons.push_back(
           "job " + std::to_string(to_solve[k]) +

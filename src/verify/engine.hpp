@@ -17,12 +17,15 @@
 // EngineOptions::batch chooses it. Neither executor counts solver traffic:
 // it hands back results, and the bind step reads the counters off them.
 //  - inline (batch = false): one warm SolverSession on the calling thread,
-//    kept across run_batch calls until rebind() and borrowing the Engine's
-//    PlanContext transfer memo, so encoding walks nothing planning walked;
-//  - process (batch = true): a ProcessPool of forked workers speaking the
-//    wire protocol (verify/wire.hpp) - crash-tolerant, with each shape
-//    group's slice projected to a spec, the group solved back to back on
-//    one worker's session, and the batch deadline handed over.
+//    kept across run_batch calls until rebind();
+//  - process (batch = true): a ProcessPool of workers forked from this
+//    process, speaking the wire protocol (verify/wire.hpp) - crash-
+//    tolerant, each shape group solved back to back on one worker's
+//    session, and the batch deadline handed over.
+// Both solve this Engine's own model with verify_members, on a session that
+// borrows the Engine's PlanContext transfer memo (a forked worker inherits
+// both copy-on-write), so encoding walks nothing planning walked and no
+// executor builds a transfer function.
 // Shape groups are the planner's shape-adjacent runs; the process executor
 // splits the largest runs until there are as many groups as workers, so
 // warm reuse never costs fan-out. Groups are formed over every cache miss
@@ -73,9 +76,9 @@ struct EngineOptions {
   std::size_t jobs = 0;
   /// Unread (see Backend).
   Backend backend = Backend::process;
-  /// Process-executor knobs: worker argv and hang timeout. Worker count,
-  /// deadline, solver and fault/escalation policy come from `jobs`,
-  /// `deadline` and `verify`, like every other executor's.
+  /// Process-executor knob: the hang timeout. Worker count, deadline,
+  /// solver and fault/escalation policy come from `jobs`, `deadline` and
+  /// `verify`, like the inline executor's.
   ProcessPoolOptions process{};
   /// Batch budget measured from run_batch entry; 0 = none. On expiry no
   /// further job starts: jobs never attempted surface as unknown verdicts

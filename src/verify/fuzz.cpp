@@ -34,9 +34,7 @@ VerifyOptions baseline_options(const FuzzOptions& options, int budget) {
 
 /// `vo` on the process executor at the fuzz run's width.
 EngineOptions pooled(const FuzzOptions& options, const VerifyOptions& vo) {
-  EngineOptions eo{.batch = true, .jobs = options.jobs, .verify = vo};
-  eo.process.worker_command = options.worker_command;
-  return eo;
+  return {.batch = true, .jobs = options.jobs, .verify = vo};
 }
 
 std::string invariant_label(const io::Spec& spec, std::size_t i) {
@@ -274,7 +272,7 @@ std::optional<std::string> oracle_static(io::Spec& spec,
     // node outside the members - all left to the solver path.
     if (!decided) continue;
     if (stats) ++stats->static_checks;
-    SolverSession session(vo.solver, /*warm=*/true);
+    SolverSession session(vo.solver, /*warm=*/true, transfers);
     session.set_resilience(session_resilience(vo));
     const VerifyResult solved = verify_members(
         spec.model, pr.invariant, pr.members, vo.max_failures, session);

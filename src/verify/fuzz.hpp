@@ -65,9 +65,6 @@ struct FuzzOptions {
   scenarios::RandomSpecParams size;
   /// Workers for the pooled-executor oracles.
   std::size_t jobs = 2;
-  /// argv for process-backend workers; empty forks without exec (library
-  /// and test use - the CLI passes its own binary as `vmn worker`).
-  std::vector<std::string> worker_command;
   /// Directory reproducer .vmn files are written to; empty keeps them in
   /// the report only.
   std::string reproducer_dir;

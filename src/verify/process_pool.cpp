@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -42,22 +43,6 @@ struct WorkerProc {
   pid_t pid = -1;
   int to_child = -1;
   int from_child = -1;
-};
-
-/// The parent-side pipe fds of every live worker, under one mutex. Fork-
-/// mode children must drop every sibling pipe end (a sibling holding our
-/// stdin write-end open would mask the parent's EOF), and because respawns
-/// fork from dispatcher threads mid-batch, the registry must be both
-/// consistent at fork time (the mutex is held across fork()) and pruned on
-/// close - a stale entry whose fd number the kernel recycled for a new
-/// worker's own pipe would make that child close its own pipes.
-struct FdRegistry {
-  std::mutex mu;
-  std::vector<int> fds;
-
-  void remove_locked(int fd) {
-    fds.erase(std::remove(fds.begin(), fds.end(), fd), fds.end());
-  }
 };
 
 void close_fd(int& fd) {
@@ -138,13 +123,32 @@ std::optional<std::string> read_worker_frame(int fd,
   }
 }
 
-/// Pipes + fork once for both spawn modes; `child` runs in the forked
-/// process with its job-input / result-output fds and must not return
-/// (it _exits). The registry mutex is held across fork() so the child's
-/// snapshot of sibling fds is consistent even when another dispatcher
-/// thread is reaping concurrently.
-template <typename Child>
-std::optional<WorkerProc> spawn(FdRegistry& registry, const Child& child) {
+/// The forked child: keeps `in`, `out` and stderr, restores the default
+/// SIGINT, SIGTERM and SIGPIPE dispositions (the dispatcher's handlers are
+/// not the worker's), and runs the worker loop over the inherited model
+/// and memo. Never returns.
+[[noreturn]] void run_child(int in, int out, const encode::NetworkModel& model,
+                            dataplane::TransferCache& transfers) {
+  for (int sig : {SIGINT, SIGTERM, SIGPIPE}) ::signal(sig, SIG_DFL);
+  std::array<int, 3> keep{STDERR_FILENO, in, out};
+  std::sort(keep.begin(), keep.end());
+  unsigned first = 0;
+  for (int fd : keep) {
+    if (static_cast<unsigned>(fd) > first) {
+      ::close_range(first, static_cast<unsigned>(fd) - 1, 0);
+    }
+    first = static_cast<unsigned>(fd) + 1;
+  }
+  ::close_range(first, ~0u, 0);
+  std::FILE* jobs = ::fdopen(in, "rb");
+  std::FILE* results = ::fdopen(out, "wb");
+  if (jobs == nullptr || results == nullptr) ::_exit(4);
+  wire::worker_process(model, transfers, jobs, results);
+}
+
+/// Pipes and a fork; the child runs the worker loop and never returns.
+std::optional<WorkerProc> spawn(const encode::NetworkModel& model,
+                                dataplane::TransferCache& transfers) {
   int to_child[2];
   int from_child[2];
   if (::pipe(to_child) != 0) return std::nullopt;
@@ -153,63 +157,21 @@ std::optional<WorkerProc> spawn(FdRegistry& registry, const Child& child) {
     ::close(to_child[1]);
     return std::nullopt;
   }
-  std::lock_guard<std::mutex> lk(registry.mu);
   const pid_t pid = ::fork();
-  if (pid < 0) {
-    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
-      ::close(fd);
-    }
-    return std::nullopt;
-  }
-  if (pid == 0) {
-    for (int fd : registry.fds) ::close(fd);
-    child(to_child[0], to_child[1], from_child[0], from_child[1]);
-    ::_exit(4);  // unreachable; child() _exits itself
-  }
+  if (pid == 0) run_child(to_child[0], from_child[1], model, transfers);
   ::close(to_child[0]);
   ::close(from_child[1]);
-  registry.fds.push_back(to_child[1]);
-  registry.fds.push_back(from_child[0]);
+  if (pid < 0) {
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    return std::nullopt;
+  }
   return WorkerProc{pid, to_child[1], from_child[0]};
 }
 
-std::optional<WorkerProc> spawn_fork(FdRegistry& registry) {
-  return spawn(registry, [](int in, int parent_in, int parent_out, int out) {
-    ::close(parent_in);
-    ::close(parent_out);
-    std::FILE* jobs = ::fdopen(in, "rb");
-    std::FILE* results = ::fdopen(out, "wb");
-    if (jobs == nullptr || results == nullptr) ::_exit(4);
-    wire::worker_process(jobs, results);
-  });
-}
-
-std::optional<WorkerProc> spawn_exec(const std::vector<std::string>& command,
-                                     FdRegistry& registry) {
-  return spawn(registry, [&command](int in, int parent_in, int parent_out,
-                                    int out) {
-    ::dup2(in, STDIN_FILENO);
-    ::dup2(out, STDOUT_FILENO);
-    for (int fd : {in, parent_in, parent_out, out}) ::close(fd);
-    std::vector<char*> argv;
-    argv.reserve(command.size() + 1);
-    for (const std::string& arg : command) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execvp(argv[0], argv.data());
-    ::_exit(127);
-  });
-}
-
-void reap(FdRegistry& registry, WorkerProc& proc, bool kill_first) {
+void reap(WorkerProc& proc, bool kill_first) {
   if (proc.pid < 0) return;
   if (kill_first) ::kill(proc.pid, SIGKILL);
-  {
-    std::lock_guard<std::mutex> lk(registry.mu);
-    registry.remove_locked(proc.to_child);
-    registry.remove_locked(proc.from_child);
-  }
   close_fd(proc.to_child);
   close_fd(proc.from_child);
   int status = 0;
@@ -261,14 +223,11 @@ void abandon_locked(DispatchState& state, std::size_t job_index,
 }
 
 /// Locked helper for a dead or erroring worker's leftovers: requeue what
-/// still has attempt budget, abandon the rest. `spec_text` recreates the
-/// group context on whichever worker picks the requeue up.
+/// still has attempt budget, abandon the rest.
 void requeue_or_abandon_locked(DispatchState& state,
                                const std::vector<wire::WireJob>& jobs,
-                               const std::string& spec_text,
                                const std::vector<std::size_t>& undone) {
   ProcessGroup retry;
-  retry.spec_text = spec_text;
   for (std::size_t job_index : undone) {
     if (state.results[job_index].has_value()) continue;
     if (state.attempts[job_index] >= kMaxAttempts) {
@@ -277,11 +236,11 @@ void requeue_or_abandon_locked(DispatchState& state,
           "job " + std::to_string(jobs[job_index].id) + " abandoned after " +
           std::to_string(state.attempts[job_index]) + " attempts");
     } else {
-      retry.jobs.push_back(job_index);
+      retry.push_back(job_index);
     }
   }
-  if (!retry.jobs.empty()) {
-    state.pool.jobs_requeued += retry.jobs.size();
+  if (!retry.empty()) {
+    state.pool.jobs_requeued += retry.size();
     state.queue.push_back(std::move(retry));
   }
 }
@@ -298,7 +257,7 @@ void drain_deadline_locked(DispatchState& state,
     ++drained;
   }
   while (!state.queue.empty()) {
-    for (std::size_t job_index : state.queue.front().jobs) {
+    for (std::size_t job_index : state.queue.front()) {
       if (state.results[job_index].has_value()) continue;
       abandon_locked(state, job_index, AbandonCause::deadline);
       ++drained;
@@ -327,7 +286,9 @@ ProcessPool::ProcessPool(std::size_t workers, const VerifyOptions& verify,
   if (workers_ == 0) workers_ = 1;  // hardware_concurrency() may not know
 }
 
-ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
+ProcessDispatch ProcessPool::run(const encode::NetworkModel& model,
+                                 dataplane::TransferCache& transfers,
+                                 const std::vector<wire::WireJob>& jobs,
                                  std::vector<ProcessGroup> groups,
                                  std::optional<Clock::time_point> deadline,
                                  PoolStats& pool,
@@ -354,16 +315,10 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
 
   // Spawn the initial fleet before starting any dispatcher thread (fork()
   // from a single-threaded parent); respawns fork later from dispatcher
-  // threads under the registry mutex (see the header's spawning note).
-  FdRegistry registry;
-  auto spawn_worker = [&]() -> std::optional<WorkerProc> {
-    return options_.worker_command.empty()
-               ? spawn_fork(registry)
-               : spawn_exec(options_.worker_command, registry);
-  };
+  // threads (see the header's spawning note).
   std::vector<WorkerProc> procs;
   for (std::size_t w = 0; w < worker_count; ++w) {
-    std::optional<WorkerProc> proc = spawn_worker();
+    std::optional<WorkerProc> proc = spawn(model, transfers);
     if (proc) procs.push_back(*proc);
   }
   pool.workers_spawned += procs.size();
@@ -379,7 +334,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
   state.attempts.resize(jobs.size(), 0);
   state.crash_kills.resize(jobs.size(), 0);
   for (ProcessGroup& group : groups) {
-    state.outstanding += group.jobs.size();
+    state.outstanding += group.size();
     state.queue.push_back(std::move(group));
   }
   state.alive_workers = procs.size();
@@ -399,20 +354,20 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
     std::size_t respawns_used = 0;
 
     while (true) {
-      ProcessGroup group;
+      // The group's jobs not yet answered.
+      ProcessGroup undone;
       {
         std::unique_lock<std::mutex> lk(state.mu);
         state.cv.wait(lk, [&] {
           return !state.queue.empty() || state.outstanding == 0;
         });
         if (state.outstanding == 0) break;
-        group = std::move(state.queue.front());
+        undone = std::move(state.queue.front());
         state.queue.pop_front();
       }
 
       bool worker_dead = false;
       bool hung = false;
-      std::vector<std::size_t> undone = group.jobs;
       std::optional<std::size_t> in_flight;
 
       if (deadline && Clock::now() >= *deadline) {
@@ -422,16 +377,15 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
         continue;
       }
 
-      wire::WireModel model;
-      model.worker_index = ordinal;
-      model.warm_solving = verify_.warm_solving;
-      model.solver = verify_.solver;
-      model.fault_plan = fault_plan_text;
-      model.escalate_unknown = verify_.escalate_unknown;
-      model.spec_text = group.spec_text;
+      wire::WireModel group_start;
+      group_start.worker_index = ordinal;
+      group_start.warm_solving = verify_.warm_solving;
+      group_start.solver = verify_.solver;
+      group_start.fault_plan = fault_plan_text;
+      group_start.escalate_unknown = verify_.escalate_unknown;
       if (!write_all_fd(proc.to_child,
-                     wire::encode_frame(wire::FrameType::model,
-                                        wire::encode_model(model)))) {
+                        wire::encode_frame(wire::FrameType::model,
+                                           wire::encode_model(group_start)))) {
         worker_dead = true;
       }
 
@@ -487,7 +441,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
           // elsewhere within the attempt budget (some other job of the
           // group may still succeed here).
           std::lock_guard<std::mutex> lk(state.mu);
-          requeue_or_abandon_locked(state, jobs, group.spec_text, {job_index});
+          requeue_or_abandon_locked(state, jobs, {job_index});
           state.cv.notify_all();
           continue;
         }
@@ -500,7 +454,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
 
       if (!worker_dead) continue;
 
-      reap(registry, proc, /*kill_first=*/hung);
+      reap(proc, /*kill_first=*/hung);
       bool work_remains = false;
       {
         std::lock_guard<std::mutex> lk(state.mu);
@@ -521,7 +475,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
                          undone.end());
           }
         }
-        requeue_or_abandon_locked(state, jobs, group.spec_text, undone);
+        requeue_or_abandon_locked(state, jobs, undone);
         work_remains = state.outstanding > 0;
         state.cv.notify_all();
       }
@@ -535,7 +489,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
                             kRespawnBackoffBase, kRespawnBackoffCap);
         ++respawns_used;
         if (pause.count() > 0) std::this_thread::sleep_for(pause);
-        std::optional<WorkerProc> replacement = spawn_worker();
+        std::optional<WorkerProc> replacement = spawn(model, transfers);
         if (!replacement) continue;  // burn a respawn, back off longer
         proc = *replacement;
         ordinal = next_ordinal.fetch_add(1, std::memory_order_relaxed);
@@ -556,7 +510,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
         // Last worker down: whatever is still queued can never run.
         std::size_t drained = 0;
         while (!state.queue.empty()) {
-          for (std::size_t job_index : state.queue.front().jobs) {
+          for (std::size_t job_index : state.queue.front()) {
             if (!state.results[job_index].has_value()) ++drained;
             abandon_locked(state, job_index, AbandonCause::retries);
           }
@@ -571,7 +525,7 @@ ProcessDispatch ProcessPool::run(const std::vector<wire::WireJob>& jobs,
       state.cv.notify_all();
       return;
     }
-    reap(registry, proc, /*kill_first=*/false);
+    reap(proc, /*kill_first=*/false);
   };
 
   std::vector<std::thread> threads;

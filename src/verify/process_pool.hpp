@@ -33,16 +33,20 @@
 // deadline cause, in-flight jobs finish, and the caller gets a partial
 // result set plus accurate counters instead of an open-ended wait.
 //
-// Spawning: with an empty worker_command the child runs
-// wire::worker_process directly after fork() (no exec - used by in-process
-// callers like tests and benchmarks); a non-empty command fork+execs it
-// (the CLI passes {/proc/self/exe, "worker"}, so dispatcher and workers
-// are always the same build of the same binary). The initial fleet forks
-// before any dispatcher thread starts; respawns fork mid-batch from
-// dispatcher threads, which is safe here because those threads only ever
-// move bytes over pipes - all solving happens in the workers, so no Z3 (or
-// other lock-holding) work races the fork, and the shared fd registry is
-// mutex-held across it so children see a consistent snapshot to close.
+// Spawning: every worker, the initial fleet and each respawn alike, is a
+// fork() of the dispatcher that runs wire::worker_process in the child. The
+// child solves the Engine's own model with the Engine's planning transfer
+// memo, both inherited copy-on-write, so a job's node names resolve to the
+// dispatcher's own ids and no worker parses a spec or builds a transfer
+// function the planner already built. The child keeps only its two pipe
+// ends and stderr of the descriptors it inherits (close_range over the
+// gaps, so no sibling's pipe end masks an EOF), restores the default
+// SIGINT, SIGTERM and SIGPIPE dispositions, and writes only through its
+// own result pipe. The initial fleet forks before any dispatcher thread
+// starts; respawns fork mid-batch from dispatcher threads, which is safe
+// here because those threads only ever move bytes over pipes - all solving
+// happens in the workers, so no Z3 (or other lock-holding) work races the
+// fork.
 #pragma once
 
 #include <chrono>
@@ -62,8 +66,8 @@ namespace vmn::verify {
 /// EngineOptions/VerifyOptions the Engine already holds; the retry, respawn
 /// and quarantine budgets are fixed constants (see process_pool.cpp).
 struct ProcessPoolOptions {
-  /// argv of the worker to fork+exec; empty runs wire::worker_main in a
-  /// forked child of this process.
+  /// Unread: kept only because the benchmark harness (bench/e2e) sets it,
+  /// and ROADMAP item 8(a) deletes it. Every worker is a fork.
   std::vector<std::string> worker_command;
   /// How long the dispatcher waits for one job's result before declaring
   /// the worker hung and killing it. 0 derives a budget from the solver
@@ -71,12 +75,9 @@ struct ProcessPoolOptions {
   std::chrono::milliseconds hang_timeout{0};
 };
 
-/// One unit of dispatch: the projected model its jobs execute in, plus the
-/// indices (into the job vector handed to run) of a same-shape job run.
-struct ProcessGroup {
-  std::string spec_text;
-  std::vector<std::size_t> jobs;
-};
+/// One unit of dispatch: the indices (into the job vector handed to run) of
+/// a same-shape job run, solved back to back on one worker's session.
+using ProcessGroup = std::vector<std::size_t>;
 
 /// What run() hands back besides the counters it adds to the batch.
 struct ProcessDispatch {
@@ -98,13 +99,16 @@ class ProcessPool {
   /// worker per group, so the Engine splits its shape groups to this width.
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
-  /// Dispatches every group, blocking until each job is answered or
-  /// abandoned; past `deadline` no further job starts. Fleet and
-  /// abandonment counters (spawned, crashed, requeued / respawned,
-  /// abandoned by cause, deadline expiry, reasons) are added to `pool` and
-  /// `degradation`. Thread-safe against nothing: call from one thread,
-  /// before spawning unrelated threads (fork() is involved).
+  /// Dispatches every group to workers forked from this process, which
+  /// solve `model` with `transfers` (the memo the caller planned with),
+  /// blocking until each job is answered or abandoned; past `deadline` no
+  /// further job starts. Fleet and abandonment counters (spawned, crashed,
+  /// requeued / respawned, abandoned by cause, deadline expiry, reasons)
+  /// are added to `pool` and `degradation`. Thread-safe against nothing:
+  /// call from one thread, and let no other thread solve or touch `model`
+  /// or `transfers` while it runs (fork() copies them mid-batch).
   [[nodiscard]] ProcessDispatch run(
+      const encode::NetworkModel& model, dataplane::TransferCache& transfers,
       const std::vector<wire::WireJob>& jobs, std::vector<ProcessGroup> groups,
       std::optional<std::chrono::steady_clock::time_point> deadline,
       PoolStats& pool, DegradationReport& degradation) const;

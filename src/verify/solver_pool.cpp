@@ -18,7 +18,7 @@ void SolverSession::drop_escalation() {
   esc_encoding_.reset();
 }
 
-void SolverSession::drop_warm() {
+void SolverSession::reset_warm() {
   // Each solver before the encoding whose vocabulary it translated.
   drop_escalation();
   solver_.reset();
@@ -26,11 +26,6 @@ void SolverSession::drop_warm() {
   warm_model_ = nullptr;
   warm_members_.clear();
   warm_failures_ = -1;
-}
-
-void SolverSession::reset_warm() {
-  drop_warm();
-  owned_transfers_.reset();
 }
 
 SolverSession::WarmBound SolverSession::escalate_bind() {
@@ -46,11 +41,9 @@ SolverSession::WarmBound SolverSession::escalate_bind() {
   // Perturb the random seed: a different exploration order is frequently
   // all a borderline-unknown check needs.
   esc.seed = options_.seed ^ 0x9e3779b9u;
-  dataplane::TransferCache* transfers = borrowed_transfers_;
-  if (transfers == nullptr) transfers = owned_transfers_.get();
   encode::EncodeOptions eopts;
   eopts.max_failures = warm_failures_;
-  eopts.transfers = transfers;
+  eopts.transfers = transfers_;
   drop_escalation();  // free before build, as in warm_bind
   esc_encoding_ = std::make_unique<encode::Encoding>(
       *warm_model_, warm_members_, eopts);
@@ -77,22 +70,10 @@ SolverSession::WarmBound SolverSession::warm_bind(
   // Free before build: a fresh Z3 context touches 16.8 MB of tables, and
   // building it while the old one is alive doubles the session's resident
   // memory and faults in pages the old context's would have served.
-  drop_warm();
-  // Per-scenario transfer memo for the new encoding: the borrowed cache
-  // when the owner lent one (the inline executor), else a session-owned
-  // cache scoped to the model's network (the wire worker's).
-  dataplane::TransferCache* transfers = borrowed_transfers_;
-  if (transfers == nullptr) {
-    if (owned_transfers_ == nullptr ||
-        &owned_transfers_->network() != &model.network()) {
-      owned_transfers_ =
-          std::make_unique<dataplane::TransferCache>(model.network());
-    }
-    transfers = owned_transfers_.get();
-  }
+  reset_warm();
   encode::EncodeOptions eopts;
   eopts.max_failures = max_failures;
-  eopts.transfers = transfers;
+  eopts.transfers = transfers_;
   encoding_ =
       std::make_unique<encode::Encoding>(model, std::move(members), eopts);
   warm_model_ = &model;

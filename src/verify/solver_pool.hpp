@@ -1,12 +1,14 @@
 // A solver session: the Z3 state one solving thread keeps between jobs.
 //
-// Two callers run one: the Engine's inline executor (on the calling
-// thread) and the wire worker behind the process executor (one per forked
-// worker process, verify/wire.hpp). Z3 contexts are not thread-safe, so a
-// session is only ever touched from the thread that owns it. Because every
-// Encoding carries its own logic::Vocab (sorts and declarations are
-// interned per encoding, never shared), a session is (re)bound to the
-// vocabulary of each problem it executes.
+// Two callers run one, the same way: the Engine's inline executor (on the
+// calling thread) and the wire worker behind the process executor (one per
+// forked worker process, verify/wire.hpp). Both solve the Engine's own
+// model and lend the session the Engine's planning transfer memo; a forked
+// worker holds a copy-on-write copy of both. Z3 contexts are not
+// thread-safe, so a session is only ever touched from the thread that owns
+// it. Because every Encoding carries its own logic::Vocab (sorts and
+// declarations are interned per encoding, never shared), a session is
+// (re)bound to the vocabulary of each problem it executes.
 //
 // Warm binding: rebuilding the encoding and a cold Z3 context per job is
 // the dominant fixed cost of small checks, and consecutive jobs often share
@@ -59,16 +61,16 @@ class SolverSession {
  public:
   /// `warm` == false disables context reuse: every warm_bind() builds a
   /// fresh encoding and solver (the cold baseline the warm path is tested
-  /// and benchmarked against). `transfers`, when non-null, is a borrowed
-  /// per-scenario transfer memo every encoding built by this session draws
-  /// from (the Engine's inline executor lends its PlanContext cache, so
-  /// encoding re-walks nothing the planner walked). TransferFunction memos
-  /// are not thread-safe: a borrowed cache must only ever be touched from
-  /// the thread running this session. The wire worker leaves it null, and
-  /// the session builds a private per-model cache instead.
-  explicit SolverSession(smt::SolverOptions options, bool warm = true,
-                         dataplane::TransferCache* transfers = nullptr)
-      : options_(options), warm_(warm), borrowed_transfers_(transfers) {}
+  /// and benchmarked against). `transfers` is the borrowed per-scenario
+  /// transfer memo every encoding built by this session draws from (the
+  /// Engine lends its PlanContext cache, so encoding re-walks nothing the
+  /// planner walked); it must outlive the session and be bound to the
+  /// network of the models it solves. TransferFunction memos are not
+  /// thread-safe: a borrowed cache must only ever be touched from the
+  /// thread running this session.
+  SolverSession(smt::SolverOptions options, bool warm,
+                dataplane::TransferCache& transfers)
+      : options_(options), warm_(warm), transfers_(&transfers) {}
 
   /// What warm_bind hands out: the session-owned base encoding (base axioms
   /// already asserted on `solver` at scope level 0) and whether it was
@@ -96,11 +98,9 @@ class SolverSession {
   /// set).
   WarmBound escalate_bind();
 
-  /// Drops the warm encoding + solver and the session-owned transfer memo.
-  /// The memo is keyed by the network's address, and the wire worker
-  /// re-emplaces its parsed Spec per shape group, so a later model may be
-  /// allocated at a dead one's address; dropping the memo keeps it from
-  /// serving the dead network's memoized walks.
+  /// Drops the warm encoding + solver (and any escalation context), so the
+  /// next warm_bind builds afresh: the wire worker starts each shape group
+  /// cold, as the inline executor's group boundaries would.
   void reset_warm();
 
   [[nodiscard]] const smt::SolverOptions& options() const { return options_; }
@@ -118,14 +118,10 @@ class SolverSession {
  private:
   /// Frees the escalation context, solver before encoding.
   void drop_escalation();
-  /// Frees every context and the warm shape key, keeping the transfer memo.
-  void drop_warm();
 
   smt::SolverOptions options_;
   bool warm_ = true;
-  dataplane::TransferCache* borrowed_transfers_ = nullptr;
-  /// Session-owned fallback memo, rebuilt when the model changes.
-  std::unique_ptr<dataplane::TransferCache> owned_transfers_;
+  dataplane::TransferCache* transfers_;
   std::unique_ptr<smt::Solver> solver_;
   SessionResilience resilience_;
   /// Escalation context (escalate_bind): separate from the warm pair so

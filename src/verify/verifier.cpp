@@ -525,11 +525,10 @@ std::string binding_signature(const encode::NetworkModel& model,
 }
 
 std::uint64_t model_fingerprint(const encode::NetworkModel& model) {
-  // The serialized full-network projection covers exactly the spec-level
-  // content verification depends on (topology, configurations, routes,
-  // scenarios) and none of what it does not (invariants, expectations).
-  return fnv1a64(
-      io::write_projected_spec_string(model, encode::all_edge_nodes(model)));
+  // The serialized network covers exactly the spec-level content
+  // verification depends on (topology, configurations, routes, scenarios)
+  // and none of what it does not (invariants, expectations).
+  return fnv1a64(io::write_network_string(model));
 }
 
 JobPlan plan_jobs(const encode::NetworkModel& model,

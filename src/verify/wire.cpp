@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/hash.hpp"
-#include "io/spec.hpp"
 #include "verify/faults.hpp"
 #include "verify/solver_pool.hpp"
 
@@ -175,7 +174,6 @@ std::string encode_model(const WireModel& model) {
   w.u32(model.solver.seed);
   w.str(model.fault_plan);
   w.u8(model.escalate_unknown ? 1 : 0);
-  w.str(model.spec_text);
   return std::move(w).take();
 }
 
@@ -188,7 +186,6 @@ WireModel decode_model(std::string_view payload) {
   model.solver.seed = r.u32();
   model.fault_plan = r.str();
   model.escalate_unknown = r.u8() != 0;
-  model.spec_text = r.str();
   r.finish();
   return model;
 }
@@ -363,8 +360,7 @@ ResolvedJob resolve_job(const encode::NetworkModel& model, const WireJob& job) {
   for (const std::string& m : job.members) {
     out.members.push_back(resolve_name(net, m));
   }
-  // Members travel as names; the worker's re-parsed model assigns different
-  // ids, so restore the sorted order every slice carries.
+  // Slices carry sorted members; a hand-written frame need not.
   std::sort(out.members.begin(), out.members.end());
   return out;
 }
@@ -471,55 +467,41 @@ void write_result_frame(std::FILE* out, const WireResult& result,
 
 /// What the worker loop keeps across frames that is costly to free.
 struct WorkerState {
-  std::optional<io::Spec> spec;
   std::optional<SolverSession> session;
 };
 
-int run_worker(std::FILE* in, std::FILE* out, WorkerState& state) {
-  std::optional<io::Spec>& spec = state.spec;
+int run_worker(const encode::NetworkModel& model,
+               dataplane::TransferCache& transfers, std::FILE* in,
+               std::FILE* out, WorkerState& state) {
   std::optional<SolverSession>& session = state.session;
   FaultInjector injector;
   std::uint32_t worker_ordinal = 0;
   std::uint64_t dispatch_k = 0;
   std::uint64_t frames_written = 0;
-  std::string model_error;
 
   FrameType type;
   std::string payload;
   try {
     while (read_frame(in, type, payload)) {
       if (type == FrameType::model) {
-        const WireModel model = decode_model(payload);
-        // A spec the parser rejects must not kill the worker: the jobs of
-        // this group get structured errors (and a requeue elsewhere burns
-        // bounded attempts), while the worker stays alive for the next
-        // group. Only stream-level corruption is fatal.
-        spec.reset();
-        model_error.clear();
-        try {
-          spec.emplace(io::parse_spec_string(model.spec_text));
-        } catch (const std::exception& e) {
-          model_error = std::string("projected spec rejected: ") + e.what();
-        }
+        const WireModel group = decode_model(payload);
         if (!session) {
-          session.emplace(model.solver, model.warm_solving);
+          session.emplace(group.solver, group.warm_solving, transfers);
         } else {
-          // A new model starts a new shape group; the next warm_bind would
-          // miss anyway (different model object), this just frees the old
-          // context eagerly.
+          // A new shape group starts cold, as it would on a fresh worker.
           session->reset_warm();
         }
         // A plan the worker cannot parse injects nothing.
-        worker_ordinal = model.worker_index;
+        worker_ordinal = group.worker_index;
         FaultPlan plan;
         try {
-          plan = FaultPlan::parse(model.fault_plan);
+          plan = FaultPlan::parse(group.fault_plan);
         } catch (const Error&) {
         }
         injector = FaultInjector(std::move(plan));
         SessionResilience resilience;
         resilience.faults = injector;
-        resilience.escalate_unknown = model.escalate_unknown;
+        resilience.escalate_unknown = group.escalate_unknown;
         session->set_resilience(std::move(resilience));
         continue;
       }
@@ -537,18 +519,15 @@ int run_worker(std::FILE* in, std::FILE* out, WorkerState& state) {
       }
       WireResult result;
       result.id = job.id;
-      if (!spec) {
-        result.error = model_error.empty()
-                           ? "job frame before any model frame"
-                           : model_error;
+      if (!session) {
+        result.error = "job frame before any model frame";
       } else {
         try {
-          ResolvedJob resolved = resolve_job(spec->model, job);
+          ResolvedJob resolved = resolve_job(model, job);
           const VerifyResult verdict = verify_members(
-              spec->model, resolved.invariant, std::move(resolved.members),
+              model, resolved.invariant, std::move(resolved.members),
               job.max_failures, *session);
-          result =
-              make_wire_result(spec->model.network(), job.id, verdict);
+          result = make_wire_result(model.network(), job.id, verdict);
         } catch (const std::exception& e) {
           result = WireResult{};
           result.id = job.id;
@@ -568,14 +547,18 @@ int run_worker(std::FILE* in, std::FILE* out, WorkerState& state) {
 
 }  // namespace
 
-int worker_main(std::FILE* in, std::FILE* out) {
+int worker_main(const encode::NetworkModel& model,
+                dataplane::TransferCache& transfers, std::FILE* in,
+                std::FILE* out) {
   WorkerState state;
-  return run_worker(in, out, state);
+  return run_worker(model, transfers, in, out, state);
 }
 
-void worker_process(std::FILE* in, std::FILE* out) {
+void worker_process(const encode::NetworkModel& model,
+                    dataplane::TransferCache& transfers, std::FILE* in,
+                    std::FILE* out) {
   WorkerState state;
-  const int status = run_worker(in, out, state);
+  const int status = run_worker(model, transfers, in, out, state);
   (void)std::fflush(out);
   std::_Exit(status);  // `state` is never destroyed
 }

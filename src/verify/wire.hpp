@@ -1,16 +1,14 @@
-// Wire serialization for distributed batch verification.
+// Wire serialization for the process executor's workers.
 //
-// The multi-process backend (verify/process_pool.hpp) and the `vmn worker`
-// subcommand speak a framed, versioned binary protocol over pipes:
+// The dispatcher (verify/process_pool.hpp) and the workers it forks speak a
+// framed, versioned binary protocol over pipes:
 //
-//   dispatcher -> worker:  MODEL frame   (slice-projected spec text plus the
-//                                         session options; one per shape
-//                                         group - re-parsing a small slice is
-//                                         cheaper than shipping the network)
+//   dispatcher -> worker:  MODEL frame   (the group boundary: worker
+//                                         ordinal, solver options, fault
+//                                         plan, escalation policy; one per
+//                                         shape group)
 //                          JOB frames    (encode-space invariant + encode
-//                                         member names + failure budget,
-//                                         node ids projected to names so
-//                                         they survive re-parsing)
+//                                         member names + failure budget)
 //   worker -> dispatcher:  RESULT frames (verdict, raw status, solve time,
 //                                         slice/assertion statistics, the
 //                                         solve's SolveFacts, optional
@@ -23,10 +21,10 @@
 // raises WireError - the dispatcher treats it as a dead worker and requeues,
 // it never misreads a half-written job as a different one.
 //
-// Node identity crosses the process boundary by *name*: the worker re-parses
-// the projected spec (io::write_projected_spec), so its NodeIds differ from
-// the dispatcher's, but names are unique and stable. resolve_job / the trace
-// translation in to_verify_result map names back to ids on either side.
+// Node identity crosses the process boundary by *name*. A forked worker
+// solves the dispatcher's own model, so names resolve to identical ids on
+// both sides; resolve_job / the trace translation in to_verify_result map
+// names back to ids, and a name the model lacks is a WireError.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +36,7 @@
 
 #include "core/error.hpp"
 #include "core/trace.hpp"
+#include "dataplane/transfer.hpp"
 #include "encode/invariant.hpp"
 #include "encode/model.hpp"
 #include "smt/solver.hpp"
@@ -71,11 +70,14 @@ class WireError : public Error {
 /// which jobs it rebound.
 /// v6 -> v7: RESULT frames carry the solve time in microseconds (solve_us,
 /// in place of solve_ms) and drop total_ms, which nothing read.
+/// v7 -> v8: MODEL frames drop the projected spec text - workers are forks
+/// that solve the dispatcher's own model.
 /// Version skew on either side is a WireError, never a misread.
-inline constexpr std::uint16_t kWireVersion = 7;
+inline constexpr std::uint16_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderSize = 20;
-/// Upper bound on a single payload (a projected spec of a pathological
-/// slice stays far below this; anything larger is a corrupt length field).
+/// Upper bound on a single payload (a counterexample trace of a
+/// pathological slice stays far below this; anything larger is a corrupt
+/// length field).
 inline constexpr std::uint32_t kMaxPayloadSize = 1u << 30;
 
 enum class FrameType : std::uint8_t {
@@ -108,7 +110,7 @@ void write_frame(std::FILE* out, FrameType type, std::string_view payload);
 
 // --- payloads ---------------------------------------------------------------
 
-/// MODEL: the (projected) verification context a worker executes jobs in.
+/// MODEL: starts a shape group; the session settings its jobs run under.
 struct WireModel {
   /// Monotonic worker ordinal: the original fleet gets 0..n-1, respawned
   /// replacements fresh ordinals after that, so targeted fault knobs
@@ -121,7 +123,8 @@ struct WireModel {
   /// Unknown-verdict escalation policy (VerifyOptions::escalate_unknown),
   /// applied worker-side in verify_members.
   bool escalate_unknown = false;
-  /// io::write_projected_spec output (network only, no invariants).
+  /// Never encoded: kept only because the benchmark harness (bench/e2e)
+  /// writes it, and ROADMAP item 8(a) deletes it.
   std::string spec_text;
 };
 
@@ -169,8 +172,9 @@ struct WireResult {
   /// This job's solve (VerifyResult::solve), counted dispatcher-side by
   /// the Engine like any other executor's result.
   SolveFacts solve;
-  /// Non-empty when the worker failed to execute the job (spec parse error,
-  /// unknown node, solver exception); the dispatcher requeues such jobs.
+  /// Non-empty when the worker failed to execute the job (unknown node,
+  /// a job before any MODEL frame, solver exception); the dispatcher
+  /// requeues such jobs.
   std::string error;
   bool has_trace = false;
   std::vector<WireEvent> trace;
@@ -188,7 +192,7 @@ struct WireResult {
 [[nodiscard]] WireJob make_wire_job(const encode::NetworkModel& model,
                                     const Job& job, int max_failures);
 
-/// A wire job resolved against a (re)parsed model: names back to ids.
+/// A wire job resolved against the worker's model: names back to ids.
 /// Throws WireError when a name does not exist in `model`.
 struct ResolvedJob {
   encode::Invariant invariant;
@@ -207,22 +211,28 @@ struct ResolvedJob {
 [[nodiscard]] VerifyResult to_verify_result(const net::Network& network,
                                             const WireResult& result);
 
-/// The worker loop behind `vmn worker` and the fork-mode ProcessPool child:
-/// reads MODEL/JOB frames from `in`, executes jobs with a persistent
-/// SolverSession (warm reuse within each model's job run), writes RESULT
-/// frames to `out`. Returns 0 on clean EOF, non-zero after a protocol
-/// error (the dispatcher sees the closed pipe and requeues).
+/// The worker loop a forked ProcessPool child runs: reads MODEL/JOB frames
+/// from `in`, executes each job on `model` with a persistent SolverSession
+/// that borrows `transfers` (warm reuse within each MODEL frame's job run),
+/// writes RESULT frames to `out`. A job the worker cannot execute (a name
+/// `model` lacks, a solver exception) gets a RESULT frame carrying the
+/// error, and the loop goes on. Returns 0 on clean EOF, non-zero after a
+/// protocol error (the dispatcher sees the closed pipe and requeues).
 ///
 /// Fault injection: the MODEL frame carries a serialized verify::FaultPlan
 /// (worker crash/hang at dispatch k, targeted kill=<i> / kill=all, per-job
 /// crash loops, frame corruption/truncation on write, forced solver
 /// unknowns/timeouts), the one route by which faults reach a worker.
-int worker_main(std::FILE* in, std::FILE* out);
+int worker_main(const encode::NetworkModel& model,
+                dataplane::TransferCache& transfers, std::FILE* in,
+                std::FILE* out);
 
-/// worker_main as a whole process, for `vmn worker` and the fork-mode
-/// child: flushes `out` and exits with worker_main's status without freeing
-/// the session's last Z3 context or the spec. The dispatcher waits in
-/// waitpid for this exit, and the kernel reclaims the memory anyway.
-[[noreturn]] void worker_process(std::FILE* in, std::FILE* out);
+/// worker_main as a whole process, for the forked child: flushes `out` and
+/// exits with worker_main's status without freeing the session's last Z3
+/// context. The dispatcher waits in waitpid for this exit, and the kernel
+/// reclaims the memory anyway.
+[[noreturn]] void worker_process(const encode::NetworkModel& model,
+                                 dataplane::TransferCache& transfers,
+                                 std::FILE* in, std::FILE* out);
 
 }  // namespace vmn::verify::wire

@@ -410,6 +410,14 @@ TEST(Cli, VerifyFaultsItsHeapInHugePages) {
   }
 }
 
+TEST(Cli, WorkerIsNotASubcommand) {
+  // Process-executor workers are forks of the dispatcher; nothing execs a
+  // worker binary, so `vmn worker` is a usage error like any unknown word.
+  const Usage u = spawn_vmn({"worker"});
+  ASSERT_TRUE(WIFEXITED(u.status)) << "wait status " << u.status;
+  EXPECT_EQ(WEXITSTATUS(u.status), 3);
+}
+
 // -- vmn classes -------------------------------------------------------------
 
 TEST(Classes, PrintsTheClassesVerifyPlansWith) {

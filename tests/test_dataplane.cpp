@@ -257,11 +257,13 @@ std::optional<NodeId> reference_walk(const net::Network& net,
   }
   NodeId prev = from_edge;
   std::optional<NodeId> cur;
+  // Every alive host neighbour is checked for direct delivery, whatever the
+  // link order, before the packet enters the first alive switch.
   for (NodeId n : net.neighbors(from_edge)) {
     if (net.is_failed(n, scenario_)) continue;
     if (net.kind(n) == net::NodeKind::switch_node) {
-      cur = n;
-      break;
+      if (!cur) cur = n;
+      continue;
     }
     if (net.is_edge(n) && net.node(n).kind == net::NodeKind::host &&
         net.node(n).address == dst) {
@@ -486,8 +488,8 @@ TEST(TransferOracle, RandomSpecsAgreeWithTheReference) {
 /// the ranges are sorted, disjoint and non-adjacent; every destination class
 /// the walk does not drop (it delivers or loops) lies inside them (inside
 /// or outside is constant on a class: range ends are rule and host bounds);
-/// and both ends of every range are routed by the reference first hop, a
-/// host neighbour listed before the first alive switch or a rule of that
+/// and both ends of every range are routed by the reference first hop, an
+/// alive host neighbour (in any link order) or a rule of the first alive
 /// switch that takes packets from the node. Returns the classes checked.
 std::size_t expect_first_hop_ranges(const encode::NetworkModel& model,
                                     const std::string& what) {
@@ -526,10 +528,8 @@ std::size_t expect_first_hop_ranges(const encode::NetworkModel& model,
       for (NodeId n : net.neighbors(from.id)) {
         if (net.is_failed(n, sid)) continue;
         if (net.kind(n) == net::NodeKind::switch_node) {
-          first = n;
-          break;
-        }
-        if (net.kind(n) == net::NodeKind::host) {
+          if (!first) first = n;
+        } else if (net.kind(n) == net::NodeKind::host) {
           direct.insert(net.node(n).address);
         }
       }

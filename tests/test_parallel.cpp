@@ -98,8 +98,8 @@ void with_generator(
   } else if (name == "Segmented" || name == "BypassedSegmented") {
     // Bypassed: only a segment-1 sender witnesses the bypassed IDPS, and
     // expected_holds encodes the whole-network truth; disconnected
-    // segments also stress the process executor's projected specs, which
-    // must carry the reachability-selected representative sender.
+    // segments also stress the process executor's wire jobs, which must
+    // carry the reachability-selected representative sender.
     scenarios::SegmentedParams p;
     if (name == "BypassedSegmented") p.bypass_segment = 1;
     scenarios::Segmented s = scenarios::make_segmented(p);
@@ -144,6 +144,10 @@ TEST_P(ExecutorAgreement, MatchesInline) {
       EXPECT_EQ(got.degradation.abandoned(), 0u);
     }
     EXPECT_EQ(got.pool.jobs_executed, expected.pool.jobs_executed);
+    // Both executors encode from the planner's transfer memo (a forked
+    // worker inherits it), so neither builds a transfer function.
+    EXPECT_EQ(expected.encode_transfer_builds, 0u);
+    EXPECT_EQ(got.encode_transfer_builds, expected.encode_transfer_builds);
     expect_counter_identities(got, batch.name + " on " + executor);
     ASSERT_EQ(got.results.size(), expected.results.size());
     for (std::size_t i = 0; i < batch.invariants.size(); ++i) {
@@ -936,7 +940,8 @@ TEST(SolverSessionTest, HoldsOneWarmContextAndOneMoreDuringAnEscalation) {
   ASSERT_EQ(shapes.size(), 3u);
   ASSERT_EQ(smt::live_solvers(), 0u);
   (void)smt::take_live_solver_peak();
-  SolverSession session(smt::SolverOptions{});
+  dataplane::TransferCache transfers(e.model.network());
+  SolverSession session(smt::SolverOptions{}, /*warm=*/true, transfers);
 
   for (std::size_t k = 0; k < 2; ++k) {
     EXPECT_FALSE(session.warm_bind(e.model, shapes[k], 0).reused);

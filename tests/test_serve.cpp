@@ -86,8 +86,6 @@ EngineOptions pooled_opts() {
   EngineOptions e = sequential_opts();
   e.batch = true;
   e.jobs = 2;
-  // Empty worker_command: process workers fork into the worker loop, so
-  // the test needs no external binary.
   return e;
 }
 
@@ -566,12 +564,12 @@ std::vector<OrderEdit> order_edits() {
                                "route s from fw1 10.0.0.3/32 c\n"
                                "route s 10.0.0.1/32 a\n"
                                "invariant node-isolation c a\n";
-  // (c) a delivers straight to b only while b is listed before a's first
-  // switch (dataplane::TransferFunction::first_switch); s sends b's
-  // address to c.
+  // (c) a enters the fabric through its first alive switch in link order
+  // (dataplane::TransferFunction::first_switch): s delivers b's address to
+  // b, t drops everything.
   const std::string routes = "link b s\nlink c s\nroute s 10.0.0.1/32 a\n"
-                             "route s 10.0.0.2/32 c\nroute s 10.0.0.3/32 c\n";
-  const std::string wired = abc + "link a b\nlink a s\n" + routes;
+                             "route s 10.0.0.2/32 b\nroute s 10.0.0.3/32 c\n";
+  const std::string wired = abc + "switch t\nlink a s\nlink a t\n" + routes;
   // (d) The invariants swap places: VERDICT 0 names the file's line 0.
   return {
       {"ACL line moved between boxes",
@@ -585,7 +583,7 @@ std::vector<OrderEdit> order_edits() {
        "host a 10.0.0.1\nhost c 10.0.0.3\nswitch s\n"
        "firewall fw1 default deny\n" + deny_all + allow_a + acl_tail},
       {"link reorder", wired + "invariant node-isolation b a\n",
-       abc + "link a s\nlink a b\n" + routes +
+       abc + "switch t\nlink a t\nlink a s\n" + routes +
            "invariant node-isolation b a\n"},
       {"invariant reorder",
        wired + "invariant node-isolation b a\ninvariant reachable b a\n",

@@ -907,7 +907,9 @@ TEST(PolicyClasses, TargetAwareRepresentativesReachTheTarget) {
   // exact unsoundness the refinement retires.
   PolicyClasses coarse = configuration_only(s.model);
   Slice unsound = compute_slice(s.model, inv, coarse);
-  verify::SolverSession session{smt::SolverOptions{}};
+  dataplane::TransferCache transfers(s.model.network());
+  verify::SolverSession session{smt::SolverOptions{}, /*warm=*/true,
+                                transfers};
   verify::VerifyResult wrong = verify::verify_members(
       s.model, inv, unsound.members, /*max_failures=*/0, session);
   EXPECT_EQ(wrong.outcome, verify::Outcome::holds);
@@ -1430,8 +1432,9 @@ end
 
   // h1's first switch sa fails in `sa-down`, so it enters through sb. h2
   // reaches h3 only over their direct link, which h2 lists before its
-  // switch. h4's only switch sc fails in `sc-down`, and then h4 delivers
-  // to h5, which it lists after sc; h5 has no switch at all.
+  // switch. h4 delivers to h5 directly, though it lists h5 after its only
+  // switch sc: every alive host neighbour is checked before the fabric,
+  // with sc up or down. h5 has no switch at all.
   const io::Spec wired = io::parse_spec_string(R"(
 host h1 10.0.0.1
 host h2 10.0.0.2
@@ -1467,7 +1470,8 @@ end
             "10.0.0.1-10.0.0.2 10.0.0.4-10.0.0.4");
   EXPECT_EQ(first_hop_text(wired.model, "h2", 0),
             "10.0.0.1-10.0.0.2 10.0.0.4-10.0.0.4 10.0.9.3-10.0.9.3");
-  EXPECT_EQ(first_hop_text(wired.model, "h4", 0), "10.0.0.0-10.0.0.7");
+  EXPECT_EQ(first_hop_text(wired.model, "h4", 0),
+            "10.0.0.0-10.0.0.7 10.0.8.5-10.0.8.5");
   EXPECT_EQ(first_hop_text(wired.model, "h4", 2), "10.0.8.5-10.0.8.5");
   EXPECT_EQ(first_hop_text(wired.model, "h5", 0), "10.0.0.4-10.0.0.4");
   {
@@ -1478,7 +1482,7 @@ end
     const NodeId h5 = net.node_by_name("h5");
     const PolicyClasses classes = infer_policy_classes(wired.model);
     EXPECT_EQ(delivered(classes, h2, 0, h3), Boxes{std::vector<NodeId>{}});
-    EXPECT_FALSE(classes.reaches(h4, h5, 0));
+    EXPECT_TRUE(classes.reaches(h4, h5, 0));
     EXPECT_TRUE(classes.reaches(h4, h5, 1));
   }
 }

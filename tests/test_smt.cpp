@@ -439,7 +439,8 @@ std::size_t cross_check_models(const encode::NetworkModel& model,
   const verify::JobPlan plan =
       verify::plan_jobs(model, invariants, slice::infer_policy_classes(model),
                         /*use_symmetry=*/true, options);
-  verify::SolverSession session(options.solver);
+  dataplane::TransferCache transfers(model.network());
+  verify::SolverSession session(options.solver, /*warm=*/true, transfers);
   std::size_t models = 0;
   for (const verify::Job& job : plan.jobs) {
     verify::SolverSession::WarmBound bound =

@@ -496,7 +496,7 @@ BothWays decide_both_ways(const io::Spec& spec, const Invariant& inv,
   BothWays out;
   out.decided =
       decide_statically(spec.model, inv, members, max_failures, ctx.transfers);
-  SolverSession session(vo.solver);
+  SolverSession session(vo.solver, /*warm=*/true, ctx.transfers);
   out.solved =
       verify_members(spec.model, inv, members, max_failures, session);
   return out;
@@ -689,6 +689,37 @@ route s 10.0.0.2 c
             Outcome::violated);
 }
 
+TEST(DirectDelivery, LinkOrderDoesNotDecideTheVerdict) {
+  // a is wired straight to b and to the switch, which routes nothing to b:
+  // a reaches b only by direct delivery, whichever link is declared first.
+  const std::string head =
+      "host a 10.0.0.1\nhost b 10.0.0.2\nhost c 10.0.0.3\nswitch s\n";
+  const std::string tail =
+      "link b s\nlink c s\n"
+      "route s 10.0.0.1 a\nroute s 10.0.0.3 c\n"
+      "invariant node-isolation b a\n";
+  for (const std::string& links :
+       {std::string("link a b\nlink a s\n"), std::string("link a s\nlink a b\n")}) {
+    const io::Spec spec = io::parse_spec_string(head + links + tail);
+    for (const char* executor : {"inline", "process"}) {
+      const BatchResult batch =
+          Engine(spec.model, test::executor_options(executor))
+              .run_batch(spec.invariants);
+      ASSERT_EQ(batch.results.size(), 1u);
+      EXPECT_EQ(batch.results[0].outcome, Outcome::violated)
+          << links << executor;
+    }
+    // Z3 over the whole network agrees with the static decision.
+    dataplane::TransferCache transfers(spec.model.network());
+    SolverSession session(smt::SolverOptions{}, /*warm=*/true, transfers);
+    EXPECT_EQ(verify_members(spec.model, spec.invariants[0],
+                             encode::all_edge_nodes(spec.model), 0, session)
+                  .outcome,
+              Outcome::violated)
+        << links;
+  }
+}
+
 TEST(StaticDecision, LeavesMiddleboxSlicesToTheSolver) {
   OneBoxNet n = OneBoxNet::make(std::make_unique<mbox::Gateway>("gw"));
   dataplane::TransferCache transfers(n.model.network());
@@ -726,7 +757,7 @@ TEST(StaticDecision, AgreesWithTheSolverOnTheZooCorpus) {
       const std::optional<VerifyResult> decided = decide_statically(
           spec.model, job.solve_invariant, members, budget, transfers);
       ASSERT_TRUE(decided.has_value()) << at;
-      SolverSession session(vo.solver);
+      SolverSession session(vo.solver, /*warm=*/true, transfers);
       const VerifyResult solved = verify_members(
           spec.model, job.solve_invariant, members, budget, session);
       EXPECT_EQ(decided->outcome, solved.outcome) << at;

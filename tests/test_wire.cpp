@@ -1,12 +1,12 @@
 // Wire-protocol tests: framing robustness (corrupt, truncated and
 // version-skewed streams fail cleanly, never crash or misread), payload
-// codec field fidelity, and the property the process backend stands on -
-// every Job planned from every scenario generator, serialized through the
-// projected spec + wire job (v4: the encode-space problem) and executed on
-// the reconstructed model, fans back out through bind_result to the
-// identical verdict (and statistics) a direct cold solve of the binding's
-// own problem produces, and the cross-run problem key survives a full spec
-// round trip.
+// codec field fidelity, the worker loop's error path, and the property the
+// process backend stands on - every Job planned from every scenario
+// generator, serialized as a wire job (the encode-space problem by name),
+// resolved and executed on the dispatcher's own model as a forked worker
+// does, fans back out through bind_result to the identical verdict (and
+// statistics) a direct cold solve of the binding's own problem produces,
+// and the cross-run problem key survives a full spec round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,13 +120,15 @@ TEST(WirePayloads, ModelRoundTripsFieldForField) {
   model.warm_solving = false;
   model.solver.timeout_ms = 1234;
   model.solver.seed = 42;
-  model.spec_text = "host a 10.0.0.1\nhost b 10.0.1.1\n";
+  model.fault_plan = "seed=3,job-crash=0.5";
+  model.escalate_unknown = true;
   const WireModel back = decode_model(encode_model(model));
   EXPECT_EQ(back.worker_index, model.worker_index);
   EXPECT_EQ(back.warm_solving, model.warm_solving);
   EXPECT_EQ(back.solver.timeout_ms, model.solver.timeout_ms);
   EXPECT_EQ(back.solver.seed, model.solver.seed);
-  EXPECT_EQ(back.spec_text, model.spec_text);
+  EXPECT_EQ(back.fault_plan, model.fault_plan);
+  EXPECT_EQ(back.escalate_unknown, model.escalate_unknown);
 }
 
 TEST(WirePayloads, JobRoundTripsFieldForField) {
@@ -226,12 +228,12 @@ TEST(WirePayloads, EveryTruncationOfAPayloadThrows) {
 
 // --- the property the process backend stands on ------------------------------
 
-/// For every job the planner emits: executing the wire round trip of the
-/// job's encode-space problem on the re-parsed projected spec, mapping the
-/// result frame back onto the dispatcher's node ids and fanning it out
-/// through bind_result must reproduce the verdict, raw status, slice size
-/// and assertion count a direct cold solve of the representative binding's
-/// own problem produces.
+/// For every job the planner emits: the wire round trip of the job's
+/// encode-space problem, resolved and solved on the dispatcher's own model
+/// with a memo of its own (what a forked worker holds), mapped back from
+/// the result frame and fanned out through bind_result, must reproduce the
+/// verdict, raw status, slice size and assertion count a direct cold solve
+/// of the representative binding's own problem produces.
 void expect_jobs_roundtrip(const encode::NetworkModel& model,
                            const Batch& batch, int max_failures = 0) {
   EngineOptions popts{.batch = true, .jobs = 1};
@@ -240,10 +242,13 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
   Engine verifier(model, popts);
   JobPlan plan = verifier.plan(batch.invariants);
   ASSERT_FALSE(plan.jobs.empty());
+  dataplane::TransferCache local_transfers(model.network());
+  dataplane::TransferCache worker_transfers(model.network());
 
   for (const Job& job : plan.jobs) {
     const encode::Invariant& invariant = batch.invariants[job.invariant_index];
-    SolverSession local_session(popts.verify.solver);
+    SolverSession local_session(popts.verify.solver, /*warm=*/true,
+                                local_transfers);
     // The local reference run encodes the job's own slice directly -
     // never through an isomorphic representative - so the round trip below
     // also asserts that executing the encode-space problem remotely and
@@ -251,27 +256,21 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
     const VerifyResult local = verify_members(model, invariant, job.members,
                                               max_failures, local_session);
 
-    WireModel wire_model;
-    wire_model.solver = popts.verify.solver;
-    // Project what the dispatcher projects: v4 jobs cross the pipe in
-    // encode space, so the encode member set is the whole span.
-    wire_model.spec_text =
-        io::write_projected_spec_string(model, job.encode_members());
-    const WireModel model_back = decode_model(encode_model(wire_model));
     const WireJob wire_job =
         decode_job(encode_job(make_wire_job(model, job, max_failures)));
-    EXPECT_EQ(wire_job.members.size(), job.encode_members().size());
-
-    io::Spec remote_spec = io::parse_spec_string(model_back.spec_text);
-    ResolvedJob resolved = resolve_job(remote_spec.model, wire_job);
-    SolverSession remote_session(popts.verify.solver);
+    ResolvedJob resolved = resolve_job(model, wire_job);
+    // Names resolve to the dispatcher's own ids.
+    EXPECT_EQ(resolved.members, job.encode_members()) << "job " << job.id;
+    EXPECT_EQ(resolved.invariant.target, job.solve_invariant.target);
+    EXPECT_EQ(resolved.invariant.other, job.solve_invariant.other);
+    SolverSession worker_session(popts.verify.solver, /*warm=*/true,
+                                 worker_transfers);
     const VerifyResult remote =
-        verify_members(remote_spec.model, resolved.invariant,
-                       std::move(resolved.members), wire_job.max_failures,
-                       remote_session);
+        verify_members(model, resolved.invariant, std::move(resolved.members),
+                       wire_job.max_failures, worker_session);
 
-    const WireResult reply = decode_result(encode_result(
-        make_wire_result(remote_spec.model.network(), job.id, remote)));
+    const WireResult reply = decode_result(
+        encode_result(make_wire_result(model.network(), job.id, remote)));
     EXPECT_EQ(reply.id, job.id);
     const VerifyResult mapped = to_verify_result(model.network(), reply);
     EXPECT_EQ(mapped.outcome, remote.outcome);
@@ -280,9 +279,7 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 
     // Dispatcher-side fan-out: relabeling the encode-space verdict through
     // the representative binding's inverse bijection must agree with the
-    // direct cold solve of the binding's own problem - the projection must
-    // reconstruct the *identical* encoding problem, not merely an
-    // equivalent-looking one.
+    // direct cold solve of the binding's own problem.
     const VerifyResult bound =
         bind_result(model, mapped, job.members, job.iso_image);
     EXPECT_EQ(bound.outcome, local.outcome) << "job " << job.id;
@@ -293,21 +290,10 @@ void expect_jobs_roundtrip(const encode::NetworkModel& model,
 
     if (remote.counterexample.has_value()) {
       ASSERT_TRUE(mapped.counterexample.has_value()) << "job " << job.id;
-      ASSERT_EQ(mapped.counterexample->size(), remote.counterexample->size());
-      // Every node the worker's trace names must land on the dispatcher
-      // node carrying the same name (or Omega on both sides).
-      const auto& remote_events = remote.counterexample->events();
-      const auto& mapped_events = mapped.counterexample->events();
-      for (std::size_t e = 0; e < remote_events.size(); ++e) {
-        EXPECT_EQ(mapped_events[e].kind, remote_events[e].kind);
-        EXPECT_EQ(mapped_events[e].time, remote_events[e].time);
-        EXPECT_EQ(mapped_events[e].from.valid(), remote_events[e].from.valid());
-        if (remote_events[e].from.valid()) {
-          EXPECT_EQ(model.network().name(mapped_events[e].from),
-                    remote_spec.model.network().name(remote_events[e].from));
-        }
-        EXPECT_EQ(mapped_events[e].packet, remote_events[e].packet);
-      }
+      // The trace crosses the pipe by name and lands on the same ids.
+      EXPECT_EQ(mapped.counterexample->events(),
+                remote.counterexample->events())
+          << "job " << job.id;
     }
   }
 }
@@ -441,37 +427,36 @@ TEST(WireJobs, RoundTripOnMultiTenant) {
   expect_problem_keys_survive(mt.model, mt.batch());
 }
 
-TEST(WireWorker, RejectedModelYieldsStructuredJobErrorsNotDeath) {
-  // A spec the parser refuses must not kill the worker: its group's jobs
-  // come back as structured errors (so the dispatcher's bounded retries
-  // engage), and the worker survives to serve the next group.
+TEST(WireWorker, UnknownNodeYieldsAStructuredErrorThenTheNextJobIsSolved) {
+  // A job the worker cannot resolve must not kill it: the job comes back
+  // as a structured error (so the dispatcher's bounded retries engage), and
+  // the worker answers the next job.
+  const io::Spec spec = io::parse_spec_string(
+      "host a 10.0.0.1\nhost b 10.0.1.1\nswitch s\n"
+      "link a s\nlink b s\n"
+      "route s 10.0.0.1 a\nroute s 10.0.1.1 b\n");
+  dataplane::TransferCache transfers(spec.model.network());
   TempStream in;
   TempStream out;
   ASSERT_NE(in.f, nullptr);
   ASSERT_NE(out.f, nullptr);
-  WireModel bad_model;
-  bad_model.spec_text = "not-a-directive at all\n";
-  write_frame(in.f, FrameType::model, encode_model(bad_model));
+  WireModel group;
+  group.solver.timeout_ms = 5000;
+  write_frame(in.f, FrameType::model, encode_model(group));
   WireJob job;
   job.id = 5;
   job.kind = encode::InvariantKind::node_isolation;
   job.target = "a";
+  job.other = "no-such-host";
+  job.members = {"a", "no-such-host"};
+  write_frame(in.f, FrameType::job, encode_job(job));
+  job.id = 6;
   job.other = "b";
   job.members = {"a", "b"};
   write_frame(in.f, FrameType::job, encode_job(job));
-  // A good model after the bad one: the worker must have survived.
-  WireModel good_model;
-  good_model.solver.timeout_ms = 5000;
-  good_model.spec_text =
-      "host a 10.0.0.1\nhost b 10.0.1.1\nswitch s\n"
-      "link a s\nlink b s\n"
-      "route s 10.0.0.1 a\nroute s 10.0.1.1 b\n";
-  write_frame(in.f, FrameType::model, encode_model(good_model));
-  job.id = 6;
-  write_frame(in.f, FrameType::job, encode_job(job));
   std::rewind(in.f);
 
-  EXPECT_EQ(worker_main(in.f, out.f), 0);  // clean EOF exit, no crash
+  EXPECT_EQ(worker_main(spec.model, transfers, in.f, out.f), 0);  // clean EOF
   std::rewind(out.f);
   FrameType type;
   std::string payload;
@@ -479,13 +464,13 @@ TEST(WireWorker, RejectedModelYieldsStructuredJobErrorsNotDeath) {
   ASSERT_EQ(type, FrameType::result);
   const WireResult failed = decode_result(payload);
   EXPECT_EQ(failed.id, 5u);
-  EXPECT_NE(failed.error.find("projected spec rejected"), std::string::npos)
+  EXPECT_NE(failed.error.find("no-such-host"), std::string::npos)
       << failed.error;
   ASSERT_TRUE(read_frame(out.f, type, payload));
   const WireResult solved = decode_result(payload);
   EXPECT_EQ(solved.id, 6u);
   EXPECT_EQ(solved.error, "");
-  EXPECT_NE(solved.outcome, Outcome::unknown);
+  EXPECT_EQ(solved.outcome, Outcome::violated);
   EXPECT_FALSE(read_frame(out.f, type, payload));
 }
 

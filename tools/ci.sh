@@ -3,7 +3,7 @@
 # one batch pipeline; one in-batch identity; one encode identity; one
 # refinement kernel; one delivery walk; one first-hop rule; one metrics
 # schema; one model reader; one solver flavour; one transfer memo; two
-# executors; one spec rendering),
+# executors; one worker path; one spec rendering),
 # configure, build, run every test suite, then smoke-test the batch modes on
 # the shipped enterprise spec - the
 # cached rerun, the process executor (verdicts must match the inline
@@ -274,6 +274,32 @@ if grep -rEn '(\.|->)backend\b' "$repo/src" "$repo/tools" \
   exit 1
 fi
 
+echo "--- lint: one worker path (fork the dispatcher, solve its own model) ---"
+# Every process-executor worker is a fork() of the dispatcher that solves
+# the Engine's own model with its planning transfer memo
+# (src/verify/process_pool.cpp). An exec'd worker, a `vmn worker`
+# subcommand, a registry of sibling pipe ends held across fork(), or a
+# slice projected to a spec for a worker to re-parse is the second worker
+# path this replaced. ProcessPoolOptions::worker_command is kept only
+# because bench/e2e sets it: a read of it would make it choose again.
+if grep -rEn 'execvp|FdRegistry|(\.|->)worker_command\b' "$repo/src" \
+    "$repo/tools" --include='*.cpp' --include='*.hpp' \
+    | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: an exec'd worker, an fd registry or a read of worker_command" \
+       "in src/ or tools/; workers are forks (ROADMAP item 8(a))" >&2
+  exit 1
+fi
+if grep -En '"worker"' "$repo/tools/vmn_cli.cpp"; then
+  echo "ci: tools/vmn_cli.cpp has a worker subcommand; workers are forks" >&2
+  exit 1
+fi
+if grep -rEn 'write_projected_spec' "$repo/src/verify" \
+    | grep -Ev ':[0-9]+:[[:space:]]*//'; then
+  echo "ci: src/verify/ projects a spec; workers solve the dispatcher's" \
+       "own model" >&2
+  exit 1
+fi
+
 echo "--- lint: one spec rendering (a reload compares write_spec text) ---"
 # The serve daemon decides a reload by comparing the served generation's
 # write_spec rendering with the edit's (io::render_spec): equal text is a
@@ -295,7 +321,7 @@ if command -v ccache > /dev/null; then
 fi
 if [ "${VMN_SANITIZE:-OFF}" = "ON" ]; then
   # Z3's global contexts never unwind; leak reports would drown the signal
-  # the sanitizers are here for (the fork+pipe worker path above all).
+  # the sanitizers are here for (the forked worker path above all).
   export ASAN_OPTIONS="detect_leaks=0${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 fi
 

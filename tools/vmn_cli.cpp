@@ -10,8 +10,9 @@
 //       (1 wins over 2 when both apply: a proven violation outranks an
 //       incomplete sweep.) The invariants are planned into one solver
 //       class per distinct problem key; with --batch (or --jobs) the
-//       classes fan out over --jobs N forked `vmn worker` processes
-//       (default: hardware concurrency). Every executor ends with the batch summary: one
+//       classes fan out over --jobs N worker processes forked from vmn
+//       itself (default: hardware concurrency). Every executor ends with
+//       the batch summary: one
 //       indented `name: value` line per metric of the schema
 //       (verify::BatchResult::metrics(); timers in microseconds), then one
 //       `degradation:` line per reason the batch degraded.
@@ -43,14 +44,6 @@
 //       re-plans and re-solves only the slices whose canonical keys
 //       changed - the warm engine and record-granular result cache carry
 //       everything else across the reload.
-//
-//   vmn worker
-//       Internal: one verification worker of the process executor. Reads
-//       wire-framed model/job frames on stdin, writes result frames to
-//       stdout (src/verify/wire.hpp documents the protocol). Spawned by
-//       `vmn verify --batch`; speaks pipes, not spec files, so
-//       it also serves as the single-host template for a future multi-host
-//       dispatcher.
 //
 //   vmn fuzz [options]                   (vmn fuzz --help)
 //       Differential fuzzing (src/verify/fuzz.hpp): generates N random
@@ -106,7 +99,6 @@
 #include "verify/engine.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/serve.hpp"
-#include "verify/wire.hpp"
 #include "vmn.hpp"
 
 namespace {
@@ -126,23 +118,9 @@ int usage() {
                "usage: vmn <verify|serve|audit|classes|dump> <spec-file> "
                "[options]\n"
                "       vmn fuzz [options]   (differential fuzzing)\n"
-               "       vmn worker   (wire-protocol worker on stdin/stdout)\n"
                "  `vmn <verify|serve|classes|fuzz> --help` lists that "
                "subcommand's options.\n");
   return kExitUsage;
-}
-
-/// argv for the process executor's workers: this very binary, re-invoked as
-/// `vmn worker`. /proc/self/exe survives PATH tricks and renames; argv[0]
-/// is the fallback for exotic mounts.
-std::vector<std::string> self_worker_command(const char* argv0) {
-  char path[4096];
-  const ssize_t n = readlink("/proc/self/exe", path, sizeof path - 1);
-  if (n > 0) {
-    path[n] = '\0';
-    return {path, "worker"};
-  }
-  return {argv0, "worker"};
 }
 
 std::string omega_name(const net::Network& net, NodeId n) {
@@ -166,10 +144,8 @@ void add_max_failures_flag(cli::OptionSet& set, int& max_failures) {
 }
 
 /// Registers the verification-engine flags shared by `verify` and `serve`
-/// into `set`, writing into `engine` (and `worker_timeout`, folded into
-/// engine.process by finish_engine_flags once parsing settles).
-void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
-                      std::chrono::milliseconds& worker_timeout) {
+/// into `set`, writing into `engine`.
+void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine) {
   set.add_flag("--no-slices", "verify on the whole network, not slices",
                [&engine] { engine.verify.use_slices = false; });
   set.add_flag("--no-symmetry", "disable problem-key solver classes",
@@ -205,13 +181,13 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
       });
   set.add_value(
       "--worker-timeout", "ms", "hang timeout per --batch worker",
-      [&worker_timeout](const std::string& text, std::string& error) {
+      [&engine](const std::string& text, std::string& error) {
         long long ms = 0;
         if (!cli::parse_int(text, 1, INT64_MAX, ms)) {
           error = "wants a positive millisecond count, got " + text;
           return false;
         }
-        worker_timeout = std::chrono::milliseconds(ms);
+        engine.process.hang_timeout = std::chrono::milliseconds(ms);
         return true;
       });
   set.add_value(
@@ -262,19 +238,6 @@ void add_engine_flags(cli::OptionSet& set, verify::EngineOptions& engine,
   });
 }
 
-/// Post-parse fixups shared by verify and serve: wire the process executor
-/// to re-invoke this binary. (Contradictory combinations like --no-symmetry
-/// with --cache-dir are hard usage errors, rejected by the OptionSet's
-/// cross-flag checks before this runs.)
-void finish_engine_flags(verify::EngineOptions& engine,
-                         std::chrono::milliseconds worker_timeout,
-                         const char* argv0) {
-  if (engine.batch) {
-    engine.process.worker_command = self_worker_command(argv0);
-    engine.process.hang_timeout = worker_timeout;
-  }
-}
-
 /// Extracts the single positional spec-file operand; reports via `set`'s
 /// usage when it is missing or duplicated.
 bool spec_operand(const cli::OptionSet& set,
@@ -291,15 +254,14 @@ bool spec_operand(const cli::OptionSet& set,
   return true;
 }
 
-int cmd_verify(const char* argv0, int argc, char** argv) {
+int cmd_verify(int argc, char** argv) {
   verify::EngineOptions eopts;
-  std::chrono::milliseconds worker_timeout{0};
   bool want_trace = false;
   bool dedup_report = false;
   cli::OptionSet set("vmn verify <spec-file> [options]",
                      "Verifies every invariant in the spec; --batch fans "
                      "out over forked worker processes.");
-  add_engine_flags(set, eopts, worker_timeout);
+  add_engine_flags(set, eopts);
   set.add_flag("--trace", "print counterexample traces", &want_trace);
   set.add_flag("--dedup-report",
                "print equivalence-class sizes and what blocked merges",
@@ -312,7 +274,6 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   }
   std::string spec_path;
   if (!spec_operand(set, positionals, spec_path)) return kExitUsage;
-  finish_engine_flags(eopts, worker_timeout, argv0);
 
   io::Spec spec = io::load_spec(spec_path);
   if (spec.invariants.empty()) {
@@ -406,14 +367,13 @@ int cmd_verify(const char* argv0, int argc, char** argv) {
   return kExitClean;
 }
 
-int cmd_serve(const char* argv0, int argc, char** argv) {
+int cmd_serve(int argc, char** argv) {
   verify::ServeOptions sopts;
-  std::chrono::milliseconds worker_timeout{0};
   cli::OptionSet set(
       "vmn serve <spec-file> [options]",
       "Serves verdicts over STATUS/VERDICT/RELOAD/STATS, watching the spec "
       "and re-verifying only what an edit changed.");
-  add_engine_flags(set, sopts.engine, worker_timeout);
+  add_engine_flags(set, sopts.engine);
   set.add_string("--socket", "path",
                  "Unix socket to listen on (default <spec-file>.sock)",
                  &sopts.socket_path);
@@ -446,7 +406,6 @@ int cmd_serve(const char* argv0, int argc, char** argv) {
     case cli::OptionSet::Result::ok: break;
   }
   if (!spec_operand(set, positionals, sopts.spec_path)) return kExitUsage;
-  finish_engine_flags(sopts.engine, worker_timeout, argv0);
   if (sopts.socket_path.empty() && sopts.tcp_port < 0) {
     sopts.socket_path = sopts.spec_path + ".sock";
   }
@@ -472,10 +431,9 @@ void print_fuzz_failures(const verify::FuzzReport& report) {
   }
 }
 
-int cmd_fuzz(const char* argv0, int argc, char** argv) {
+int cmd_fuzz(int argc, char** argv) {
   verify::FuzzOptions fopts;
   fopts.jobs = 2;
-  fopts.worker_command = self_worker_command(argv0);
   std::string replay_path;
   bool inject = false;
   cli::OptionSet set("vmn fuzz [options]",
@@ -692,11 +650,10 @@ int main(int argc, char** argv) {
   keep_freed_pages();
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  if (cmd == "worker") verify::wire::worker_process(stdin, stdout);
   try {
-    if (cmd == "fuzz") return cmd_fuzz(argv[0], argc - 2, argv + 2);
-    if (cmd == "verify") return cmd_verify(argv[0], argc - 2, argv + 2);
-    if (cmd == "serve") return cmd_serve(argv[0], argc - 2, argv + 2);
+    if (cmd == "fuzz") return cmd_fuzz(argc - 2, argv + 2);
+    if (cmd == "verify") return cmd_verify(argc - 2, argv + 2);
+    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
     if (cmd == "classes") return cmd_classes(argc - 2, argv + 2);
     if (argc < 3) return usage();
     io::Spec spec = io::load_spec(argv[2]);
